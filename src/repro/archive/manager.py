@@ -371,7 +371,7 @@ class ArchiveManager:
                         buffer.mark_dirty_page(referrer)
                         buffer.flush_page(rpid)
                 else:
-                    # Uncached referrer: write through directly, pool
+                    # Uncached referrer: write through directly, frames
                     # untouched (same durability — a full-image write).
                     referrer = decode_page(disk.read_page(rpid))
                     if (
@@ -379,10 +379,9 @@ class ArchiveManager:
                         and referrer.history_page_id == pid
                     ):
                         referrer.history_page_id = ref_pid
-                        disk.write_page(rpid, referrer.to_bytes())
+                        buffer.write_through(referrer)
             fire("archive.migrate.free")
-            if buffer.contains(pid):
-                buffer.discard_page(pid)
+            buffer.discard_page(pid)
             disk.write_page(pid, bytes(disk.page_size))
             disk.free_list.add(pid)
             self.stats.pages_migrated += 1
@@ -540,6 +539,16 @@ class ArchiveManager:
         self._cache.clear()
         self.quarantined.clear()
         self._load_manifest()
+
+    def before_recovery(self) -> None:
+        """Take the free list away from redo.
+
+        Redo allocates too (PTT re-inserts can split), and must not be
+        handed an id the list only *believes* is free: the list stays empty
+        until :meth:`after_recovery` has checked the durable catalog's
+        entries against the post-redo images.
+        """
+        self.engine.disk.free_list.replace([])
 
     def after_recovery(self) -> None:
         """Rebuild post-redo state: manifest, then free-list validation.

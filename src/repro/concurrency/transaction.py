@@ -282,12 +282,16 @@ class TransactionManager:
         fire("txn.commit.done")
         return ts
 
-    def flush_commits(self) -> None:
-        """Force the log if group-committed transactions await durable acks."""
+    def flush_commits(self, *, unlatch=None) -> None:
+        """Force the log if group-committed transactions await durable acks.
+
+        ``unlatch`` is the engine latch when the caller can spare it for
+        the duration of the device write (see :meth:`LogManager.force`).
+        """
         if not self._pending_commits:
             return
         fire("txn.groupcommit.force")     # batch assembled, force still pending
-        self.log.force()
+        self.log.force(unlatch=unlatch)
 
     def _on_log_force(self) -> None:
         """Post-force hook: durably acknowledge every now-covered commit."""

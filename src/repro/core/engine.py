@@ -371,6 +371,7 @@ class ImmortalDB:
         self._latch = ReentrantLatch()
         self.locks.blocking = True
         self.log.mutex = threading.RLock()
+        self.log.force_order = ReentrantLatch()
         self.buffer.mutex = threading.RLock()
         self.tsmgr.mutex = threading.RLock()
         return self
@@ -469,10 +470,12 @@ class ImmortalDB:
         """Force the log now if group-committed transactions await their ack.
 
         With ``group_commit_window=1`` (the default) every commit forces the
-        log itself and this is a no-op.
+        log itself and this is a no-op.  The latch is let go for the device
+        write (see :meth:`LogManager.force`): other threads keep reading and
+        appending while this one waits for its ``fsync``.
         """
         with self._latch:
-            self.txn_mgr.flush_commits()
+            self.txn_mgr.flush_commits(unlatch=self._latch)
 
     @contextmanager
     def transaction(
@@ -582,6 +585,8 @@ class ImmortalDB:
         self.tables.clear()
         self._tables_by_id.clear()
         self._open_tables()
+        if self.archive is not None:
+            self.archive.before_recovery()
         report = run_recovery(self)
         self.txn_mgr.adopt_tid_floor(self._max_tid_seen())
         # Restore commit-timestamp monotonicity: the clock must never again

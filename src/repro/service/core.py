@@ -12,11 +12,23 @@ synchronously out of the call stack.
 
 Execution routing
 -----------------
-With a :class:`~repro.workers.pool.WorkerPool` attached, every statement
-body is funneled through the pool's bounded queue (``submit_call``), so
-the pool's ``queue_depth`` is the service's second backpressure tier after
-admission control.  Without a pool (the crashtest's single-threaded mode)
-bodies run inline; the order of operations is identical.
+``handle_payload`` is the whole of a request's execution — idempotency
+lookup, session lock, retry loop, statement, durable-ack flush, response —
+and runs on whichever thread calls it: a
+:class:`~repro.workers.pool.WorkerPool` worker behind the socket server
+(the pool's ``queue_depth`` is the second backpressure tier after
+admission control), the caller's own thread under the loopback transport
+and the crashtest.  The order of operations is identical.
+
+Admission
+---------
+A request that starts a new piece of work takes one slot of the in-flight
+budget before anything else happens to it and gives it back when its
+response is built.  :meth:`ServiceCore.admit` is that decision, and it
+never blocks: the socket server calls it on the event-loop thread, *before*
+the request queues for a worker, so a shed reply costs no thread and
+in-flight counts queued plus executing requests; synchronous callers leave
+it to ``handle_message``.
 
 Durability before ack
 ---------------------
@@ -248,18 +260,74 @@ class ServiceCore:
 
     # -- request handling ------------------------------------------------------
 
-    def handle_payload(self, session: ServiceSession, payload: bytes) -> dict:
+    def admit(self, session: ServiceSession, message: dict) -> bool:
+        """Take the admission decision for one request; never blocks.
+
+        True: the request holds an in-flight slot, which ``handle_message``
+        (called with ``admitted=True``) gives back.  False: it needs none —
+        ``ping``/``stats``/``close``, a malformed request (answered with an
+        error downstream), and every statement that continues a transaction
+        bracket: shedding a COMMIT, or any statement of an already-open
+        bracket, would strand its locks.  Raises
+        :class:`ServiceOverloadedError` when the request is shed.
+        """
+        op = message.get("op")
+        sql = message.get("sql")
+        if op == "ingest":
+            kind = "write"
+        elif op == "sql" and isinstance(sql, str):
+            if session.in_transaction or _is_txn_control(sql):
+                return False
+            kind = classify_statement(sql)
+        else:
+            return False
+        self.admission.try_admit(kind)
+        self.stats.accepts += 1
+        return True
+
+    def shed_response(self, request_id, exc: ServiceOverloadedError) -> dict:
+        """Count and answer a request :meth:`admit` turned away."""
+        self.stats.requests += 1
+        self.stats.rejects += 1
+        return protocol.overloaded_response(
+            request_id,
+            retry_after_ms=exc.retry_after_ms,
+            shed_kind=exc.shed_kind,
+        )
+
+    def handle_payload(
+        self, session: ServiceSession, payload: bytes, admitted=None
+    ) -> dict:
         """Decode one frame payload and dispatch it."""
         try:
             message = protocol.decode_message(payload)
         except ProtocolError as exc:
             return protocol.error_response(None, exc, retryable=False)
-        return self.handle_message(session, message)
+        return self.handle_message(session, message, admitted)
 
-    def handle_message(self, session: ServiceSession, message: dict) -> dict:
+    def handle_message(
+        self, session: ServiceSession, message: dict, admitted=None
+    ) -> dict:
+        """Execute one request and build its response.
+
+        ``admitted`` is what :meth:`admit` returned when the transport
+        already called it; None takes the decision here.
+        """
         fire("service.request")
-        self.stats.requests += 1
         request_id = message.get("id")
+        if admitted is None:
+            try:
+                admitted = self.admit(session, message)
+            except ServiceOverloadedError as exc:
+                return self.shed_response(request_id, exc)
+        self.stats.requests += 1
+        try:
+            return self._handle_admitted(session, request_id, message)
+        finally:
+            if admitted:
+                self.admission.release()
+
+    def _handle_admitted(self, session, request_id, message: dict) -> dict:
         if session.closed:
             return protocol.error_response(
                 request_id,
@@ -296,16 +364,6 @@ class ServiceCore:
             self._dedup_put(request_id, _PENDING)
         try:
             response = self._dispatch(session, request_id, message)
-        except ServiceOverloadedError as exc:
-            self.stats.rejects += 1
-            # Not cached: a later retry of this id must be re-admitted.
-            if cacheable:
-                self._dedup_drop(request_id)
-            return protocol.overloaded_response(
-                request_id,
-                retry_after_ms=exc.retry_after_ms,
-                shed_kind=exc.shed_kind,
-            )
         except Exception as exc:   # SimulatedCrash (BaseException) passes
             if cacheable:
                 self._dedup_drop(request_id)
@@ -345,34 +403,16 @@ class ServiceCore:
             return self._handle_ingest(session, request_id, message)
         raise ProtocolError(f"unknown op {op!r}")
 
-    def _call(self, fn):
-        """Run a statement body: through the pool's bounded queue or inline."""
-        if self.pool is None:
-            return fn()
-        return self.pool.submit_call(fn).result()
-
     def _handle_sql(self, session, request_id, message: dict) -> dict:
         sql = message.get("sql")
         if not isinstance(sql, str):
             raise ProtocolError("sql op needs a 'sql' string")
-        kind = classify_statement(sql)
         continuation = session.in_transaction or _is_txn_control(sql)
-        admitted = False
-        if not continuation:
-            # Continuations bypass admission: shedding a COMMIT (or any
-            # statement of an already-open bracket) would strand its locks.
-            self.admission.try_admit(kind)
-            admitted = True
-            self.stats.accepts += 1
-        try:
-            with session.lock:
-                return self._execute_sql(
-                    session, request_id, sql, kind,
-                    retryable=not continuation,
-                )
-        finally:
-            if admitted:
-                self.admission.release()
+        with session.lock:
+            return self._execute_sql(
+                session, request_id, sql, classify_statement(sql),
+                retryable=not continuation,
+            )
 
     def _execute_sql(self, session, request_id, sql, kind, *, retryable):
         fire("service.execute")
@@ -381,7 +421,7 @@ class ServiceCore:
         error: Exception | None = None
         for attempt in range(1, self.max_retries + 2):
             try:
-                result = self._call(lambda: session.sql.execute(sql))
+                result = session.sql.execute(sql)
                 error = None
                 break
             except CLUSTER_WAIT_ERRORS as exc:
@@ -453,8 +493,6 @@ class ServiceCore:
         batch = int(message.get("batch", 64))
         if batch < 1:
             raise ProtocolError("ingest batch must be >= 1")
-        self.admission.try_admit("write")
-        self.stats.accepts += 1
         try:
             with session.lock:
                 if session.in_transaction:
@@ -463,11 +501,7 @@ class ServiceCore:
                     )
                 return self._ingest(request_id, table_name, text, batch)
         except (SessionStateError, ImmortalDBError) as exc:
-            if isinstance(exc, ServiceOverloadedError):
-                raise
             return protocol.error_response(request_id, exc, retryable=False)
-        finally:
-            self.admission.release()
 
     def _ingest(self, request_id, table_name, text, batch) -> dict:
         table = self.db.table(table_name)
@@ -502,7 +536,9 @@ class ServiceCore:
 
             if self.pool is not None:
                 # Fresh-txn bodies: the pool retries conflicts and batches
-                # the commits through group commit.
+                # the commits through group commit.  (On a pool worker —
+                # where the socket server runs this — submit executes the
+                # body in place.)
                 futures.append(self.pool.submit(body))
             else:
                 with self.db.transaction() as txn:

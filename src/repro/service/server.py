@@ -1,18 +1,26 @@
 """The asyncio socket server over :class:`~repro.service.core.ServiceCore`.
 
-The event loop only shuffles bytes: frames are reassembled per connection,
-each request's execution is handed to a thread (so the engine's blocking
-locks and the worker pool's bounded queue apply their backpressure without
-stalling the loop), and the response is written back framed.
+A request crosses threads twice.  The event-loop thread owns every
+connection (one :class:`asyncio.Protocol` each): it reassembles and decodes
+the frame, takes the admission decision — which never blocks, so a shed
+request is answered right there — and hands the admitted request to a
+:class:`~repro.workers.pool.WorkerPool` worker.  The worker runs the whole
+of ``ServiceCore.handle_payload`` (so the engine's blocking locks stall a
+worker, never the loop) and posts the response back with one
+``call_soon_threadsafe``; the loop writes it out framed.  A connection has
+at most one request with a worker at a time; frames a client pipelines
+behind it wait their turn, in order.
 
 Robustness behaviours, all typed and test-covered:
 
-* **per-request timeout** — ``asyncio.wait_for`` around execution; on
-  expiry the client gets a ``timeout`` response and the connection closes;
-  the still-running body sees the session marked defunct and aborts its
-  bracket the moment it completes.
-* **idle-session timeout** — a connection silent past ``idle_timeout_s``
-  gets a ``bye`` and its session is reaped (aborting any open bracket).
+* **per-request timeout** — a ``call_later`` deadline armed when the
+  request is handed over; if it fires first, the client gets a ``timeout``
+  response and the connection closes; the still-queued or still-running
+  body sees the session marked defunct and aborts its bracket the moment
+  it completes, and its late result is dropped.
+* **idle-session timeout** — the same per-connection timer, armed while
+  nothing is in flight: a connection silent past ``idle_timeout_s`` gets a
+  ``bye`` and its session is reaped (aborting any open bracket).
 * **disconnect** — EOF or reset mid-transaction aborts the transaction
   and releases its locks (``service_aborted_on_disconnect`` counts these).
 * **torn frame** — a CRC-failed frame kills the connection (framing sync
@@ -27,14 +35,197 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import functools
 import threading
+from collections import deque
 
-from repro.errors import SessionStateError, TornFrameError
+from repro.errors import (
+    ProtocolError,
+    ServiceOverloadedError,
+    SessionStateError,
+    TornFrameError,
+)
 from repro.faults.failpoints import fire
 from repro.service import protocol
 from repro.service.admission import AdmissionController
 from repro.service.core import ServiceCore
 from repro.workers.pool import WorkerPool
+
+#: Frames a client may pipeline behind the one executing before the
+#: connection stops reading (TCP backpressure does the rest).
+_MAX_PIPELINED = 64
+
+#: Threads standing in for the worker pool when the backend cannot have one.
+_POOLLESS_THREADS = 4
+
+
+class _Connection(asyncio.Protocol):
+    """One client connection; every method runs on the event-loop thread
+    except :meth:`_execute`."""
+
+    def __init__(self, service: "SQLService") -> None:
+        self._service = service
+        self._core = service.core
+        self._loop = asyncio.get_running_loop()
+        self._decoder = protocol.FrameDecoder()
+        self._backlog: deque[bytes] = deque()   # complete frames not yet started
+        self._transport = None
+        self._session = None
+        self._timer: asyncio.TimerHandle | None = None
+        self._request_id = None     # of the request a worker holds
+        self.busy = False           # a worker holds a request of ours
+        self._writable = True       # the transport's send buffer has room
+        self._reading = True
+        self._eof = False           # the client finished sending
+        self._close_reason: str | None = None   # set once we hang up
+
+    # -- transport callbacks ---------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self._transport = transport
+        try:
+            self._session = self._core.open_session()
+        except SessionStateError as exc:
+            transport.write(protocol.encode_message(
+                protocol.bye_response(str(exc))
+            ))
+            transport.close()
+            return
+        self._service.connections.add(self)
+        self._arm(self._service.idle_timeout_s, self._on_idle)
+
+    def data_received(self, data: bytes) -> None:
+        fire("service.read_frame")
+        try:
+            self._backlog.extend(self._decoder.feed(data))
+        except TornFrameError:
+            self._core.stats.torn_frames += 1
+            self._hang_up("torn frame")
+            return
+        self._pump()
+
+    def eof_received(self) -> bool:
+        # A client may half-close after its last request: what is queued
+        # or running is still answered before the connection goes away.
+        self._eof = True
+        return self.busy or bool(self._backlog)
+
+    def pause_writing(self) -> None:
+        self._writable = False
+
+    def resume_writing(self) -> None:
+        self._writable = True
+        self._pump()
+
+    def connection_lost(self, exc) -> None:
+        self._cancel_timer()
+        self._service.connections.discard(self)
+        reason = self._close_reason or "disconnect"
+        self._close_reason = reason
+        if self._session is not None and not self._session.closed:
+            # Mid-execution disconnects defer the close to the worker
+            # (the session lock is held); idle/quiet ones close now.
+            self._core.on_disconnect(self._session, reason)
+
+    # -- the request path --------------------------------------------------------
+
+    def _pump(self) -> None:
+        """Start queued frames, in order, while the connection is free to."""
+        while self._backlog and not self.busy and self._writable \
+                and self._close_reason is None:
+            self._start(self._backlog.popleft())
+        if self._close_reason is not None:
+            return
+        want_reading = len(self._backlog) < _MAX_PIPELINED
+        if want_reading != self._reading:
+            self._reading = want_reading
+            if want_reading:
+                self._transport.resume_reading()
+            else:
+                self._transport.pause_reading()
+        if not self.busy:
+            if self._eof and not self._backlog:
+                self._hang_up("disconnect")
+            else:
+                self._arm(self._service.idle_timeout_s, self._on_idle)
+
+    def _start(self, payload: bytes) -> None:
+        """Decode and admit one frame; hand it to a worker if admitted."""
+        core = self._core
+        try:
+            message = protocol.decode_message(payload)
+        except ProtocolError as exc:
+            self._reply(protocol.error_response(None, exc, retryable=False))
+            return
+        try:
+            admitted = core.admit(self._session, message)
+        except ServiceOverloadedError as exc:
+            self._reply(core.shed_response(message.get("id"), exc))
+            return
+        self.busy = True
+        self._request_id = message.get("id")
+        self._arm(self._service.request_timeout_s, self._on_deadline)
+        self._service.submit(
+            functools.partial(self._execute, payload, admitted)
+        )
+
+    def _execute(self, payload: bytes, admitted: bool) -> None:
+        """Worker thread: the whole request, then one hop back to the loop."""
+        try:
+            response = self._core.handle_payload(
+                self._session, payload, admitted
+            )
+        except Exception as exc:    # the client must still get an answer
+            response = protocol.error_response(
+                self._request_id, exc, retryable=False
+            )
+        self._loop.call_soon_threadsafe(self._finish, response)
+
+    def _finish(self, response: dict) -> None:
+        if self._close_reason is not None:
+            return      # the deadline or a disconnect already ended it
+        self.busy = False
+        self._reply(response)
+        if response.get("status") == protocol.STATUS_BYE:
+            self._hang_up("close")
+        else:
+            self._pump()
+
+    def _reply(self, response: dict) -> None:
+        fire("service.write_frame")
+        self._transport.write(protocol.encode_message(response))
+
+    # -- deadlines ---------------------------------------------------------------
+
+    def _arm(self, delay_s: float, callback) -> None:
+        """(Re)start the connection's one timer: the request deadline while
+        a worker holds a request, the idle deadline otherwise."""
+        self._cancel_timer()
+        self._timer = self._loop.call_later(delay_s, callback)
+
+    def _cancel_timer(self) -> None:
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+
+    def _on_idle(self) -> None:
+        self._reply(protocol.bye_response("idle timeout"))
+        self._hang_up("idle")
+
+    def _on_deadline(self) -> None:
+        self._core.on_request_timeout(self._session, "request timeout")
+        self._reply(protocol.timeout_response(
+            self._request_id,
+            deadline_ms=self._service.request_timeout_s * 1000.0,
+        ))
+        self._hang_up("request timeout")
+
+    def _hang_up(self, reason: str) -> None:
+        """Close from our side; ``connection_lost`` retires the session."""
+        if self._close_reason is None:
+            self._close_reason = reason
+            self._cancel_timer()
+            self._transport.close()     # flushes what _reply buffered
 
 
 class SQLService:
@@ -61,18 +252,29 @@ class SQLService:
         # A sharded backend (ShardRouter) cannot sit behind a WorkerPool:
         # the pool keys its bookkeeping by TID, and branch TIDs collide
         # across shards (each shard numbers its own).  Its facade omits
-        # the durable-commit hook seam on purpose; statements then run
-        # inline on executor threads.
+        # the durable-commit hook seam on purpose; requests then run on a
+        # small executor standing where the pool's ``submit_call`` is.
         supports_pool = hasattr(db.txn_mgr, "durable_commit_hook")
         self.pool = (
             WorkerPool(db, pool_workers, seed=seed, queue_depth=queue_depth)
             if pool_workers > 0 and supports_pool else None
         )
+        self._executor = None
         if self.pool is None:
-            # No pool means bodies run directly on executor threads; the
-            # engine still needs its thread-safe flavour (blocking locks,
-            # latches) — the pool would otherwise have enabled it lazily.
+            # The engine still needs its thread-safe flavour (blocking
+            # locks, latches) — the pool would have enabled it lazily.
             db.enable_concurrency()
+            self._executor = concurrent.futures.ThreadPoolExecutor(
+                max_workers=pool_workers or _POOLLESS_THREADS,
+                thread_name_prefix="svc-exec",
+            )
+        #: Hands a zero-argument callable to a worker thread.  With more
+        #: connections than ``queue_depth`` the pool's bounded queue briefly
+        #: stalls the loop here; workers drain it without the loop's help.
+        self.submit = (
+            self.pool.submit_call if self.pool is not None
+            else self._executor.submit
+        )
         self.core = ServiceCore(
             db,
             self.pool,
@@ -86,21 +288,14 @@ class SQLService:
         self.request_timeout_s = request_timeout_s
         self.idle_timeout_s = idle_timeout_s
         self.drain_timeout_s = drain_timeout_s
-        # Execution threads: sized past the admission budget so rejections
-        # are computed promptly even at full saturation (a rejection only
-        # borrows a thread for the admission check itself).
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=max_inflight * 2 + 8,
-            thread_name_prefix="svc-exec",
-        )
+        self.connections: set[_Connection] = set()
         self._server: asyncio.AbstractServer | None = None
-        self._conn_tasks: set[asyncio.Task] = set()
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
 
@@ -112,116 +307,23 @@ class SQLService:
 
     async def shutdown(self) -> None:
         """Graceful drain: refuse new work, finish in-flight, force, close."""
+        loop = asyncio.get_running_loop()
         self.core.begin_drain()
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        pending = {t for t in self._conn_tasks if not t.done()}
-        if pending:
-            done, still_pending = await asyncio.wait(
-                pending, timeout=self.drain_timeout_s
-            )
-            for task in still_pending:
-                task.cancel()
-            if still_pending:
-                await asyncio.gather(*still_pending, return_exceptions=True)
+        deadline = loop.time() + self.drain_timeout_s
+        while any(conn.busy for conn in self.connections) \
+                and loop.time() < deadline:
+            await asyncio.sleep(0.005)
+        for conn in list(self.connections):
+            conn._hang_up("drain")
         # Abort whatever brackets the deadline stranded, force group
         # commit so every acked write is durable, and stop the workers.
-        await asyncio.get_running_loop().run_in_executor(
-            None, self.core.finish_drain
-        )
+        await loop.run_in_executor(None, self.core.finish_drain)
         if self.pool is not None:
-            await asyncio.get_running_loop().run_in_executor(
-                None, self.pool.close
-            )
-        self._executor.shutdown(wait=False)
-
-    # -- connections -----------------------------------------------------------
-
-    async def _handle_connection(self, reader, writer) -> None:
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-            task.add_done_callback(self._conn_tasks.discard)
-        try:
-            session = self.core.open_session()
-        except SessionStateError as exc:
-            writer.write(protocol.encode_message(
-                protocol.bye_response(str(exc))
-            ))
-            await self._close_writer(writer)
-            return
-        decoder = protocol.FrameDecoder()
-        reason = "disconnect"
-        try:
-            while True:
-                try:
-                    data = await asyncio.wait_for(
-                        reader.read(65536), timeout=self.idle_timeout_s
-                    )
-                except asyncio.TimeoutError:
-                    reason = "idle"
-                    writer.write(protocol.encode_message(
-                        protocol.bye_response("idle timeout")
-                    ))
-                    break
-                if not data:
-                    break   # EOF: client hung up
-                fire("service.read_frame")
-                try:
-                    payloads = decoder.feed(data)
-                except TornFrameError:
-                    self.core.stats.torn_frames += 1
-                    reason = "torn frame"
-                    break
-                stop = False
-                for payload in payloads:
-                    response = await self._process(session, payload)
-                    fire("service.write_frame")
-                    writer.write(protocol.encode_message(response))
-                    await writer.drain()
-                    status = response.get("status")
-                    if status in (protocol.STATUS_BYE,
-                                  protocol.STATUS_TIMEOUT):
-                        reason = "request timeout" \
-                            if status == protocol.STATUS_TIMEOUT else "close"
-                        stop = True
-                        break
-                if stop:
-                    break
-        except (ConnectionResetError, BrokenPipeError, asyncio.CancelledError):
-            pass
-        finally:
-            if not session.closed:
-                # Mid-execution disconnects defer the close to the worker
-                # (the session lock is held); idle/quiet ones close now.
-                self.core.on_disconnect(session, reason)
-            await self._close_writer(writer)
-
-    async def _process(self, session, payload: bytes) -> dict:
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._executor, self.core.handle_payload, session, payload
-        )
-        try:
-            return await asyncio.wait_for(future, self.request_timeout_s)
-        except asyncio.TimeoutError:
-            self.core.on_request_timeout(session, "request timeout")
-            try:
-                request_id = protocol.decode_message(payload).get("id")
-            except Exception:
-                request_id = None
-            return protocol.timeout_response(
-                request_id, deadline_ms=self.request_timeout_s * 1000.0
-            )
-
-    @staticmethod
-    async def _close_writer(writer) -> None:
-        try:
-            writer.close()
-            await writer.wait_closed()
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass
+            await loop.run_in_executor(None, self.pool.close)
+        else:
+            self._executor.shutdown(wait=False)
 
 
 class ThreadedService:

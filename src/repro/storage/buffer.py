@@ -727,6 +727,17 @@ class BufferPool:
         self._frames.clear()
         self._policy.clear()
 
+    def write_through(self, page: Page) -> None:
+        """Write an *uncached* page's image straight to disk.
+
+        No frame is admitted, but the read-ahead ring may hold a copy
+        decoded from the older image; it is dropped, or the next miss
+        would serve it in place of what was just written.
+        """
+        with self.mutex or _NO_MUTEX:
+            self.disk.write_page(page.page_id, page.to_bytes())
+            self._staged.pop(page.page_id, None)
+
     def discard_page(self, page_id: int) -> None:
         """Drop one cached page *without* flushing.
 

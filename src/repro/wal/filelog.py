@@ -4,8 +4,9 @@
 for tests and benchmarks (its ``crash()`` models lost unforced records
 exactly).  :class:`FileLogManager` extends it with a real log file:
 
-* every append buffers the framed record; ``force`` writes and fsyncs the
-  buffered suffix, so the durable prefix on disk matches ``flushed_lsn``;
+* every append buffers the framed record; the *sync* stage of ``force``
+  writes and fsyncs the buffered suffix, and ``flushed_lsn`` only ever
+  advances over fsynced frames;
 * each on-disk frame is ``length(4) + crc32(4) + record bytes``, so a torn
   or bit-garbled tail is *detected*, not just guessed at: the load scan
   stops at the first frame whose length is implausible, whose CRC32
@@ -81,8 +82,7 @@ class FileLogManager(LogManager):
             self._lsns.append(offset)
             self._raws.append(raw)
             offset = end
-        self._end_lsn = offset
-        self._flushed_lsn = offset
+        self._end_lsn = self._synced_lsn = self._flushed_lsn = offset
         if offset < len(data):
             # Truncate the torn tail so appends continue cleanly.
             with open(self.path, "r+b") as fh:
@@ -110,20 +110,27 @@ class FileLogManager(LogManager):
             self._pending.append(frame)
             return lsn
 
-    def force(self, upto_lsn: int | None = None) -> None:
+    # The staged force is the base class's; only its device write differs.
+    # The name stays bound here because tracing tools wrap the ``force`` of
+    # each class they name.
+    force = LogManager.force
+
+    def _write_out(self) -> int:
         with self.mutex or _NO_MUTEX:
-            target = self._end_lsn if upto_lsn is None \
-                else min(upto_lsn, self._end_lsn)
-            if target <= self._flushed_lsn:
-                return
-            if self._pending:
-                fire("filelog.write")
-                self._file.write(b"".join(self._pending))
-                self._pending.clear()
-                self._file.flush()
-                fire("filelog.fsync")
-                os.fsync(self._file.fileno())
-            super().force(upto_lsn)
+            count = len(self._pending)
+            data = b"".join(self._pending)
+            upto = self._end_lsn
+        if count:
+            fire("filelog.write")
+            self._file.write(data)
+            # Dropped only once written: a failed write keeps its frames
+            # for the next force.  Appends since the join stay queued.
+            with self.mutex or _NO_MUTEX:
+                del self._pending[:count]
+        self._file.flush()
+        fire("filelog.fsync")
+        os.fsync(self._file.fileno())
+        return upto
 
     def set_master_checkpoint(self, lsn: int) -> None:
         super().set_master_checkpoint(lsn)
@@ -140,6 +147,11 @@ class FileLogManager(LogManager):
         """Simulated crash: the unforced suffix never reached the file."""
         self._pending.clear()
         super().crash()
+        # A crash inside a force can leave frames in the file that were
+        # never published as durable; drop them with the in-memory suffix
+        # so file offsets keep matching LSNs.
+        self._file.truncate(self._flushed_lsn)
+        self._file.seek(0, os.SEEK_END)
 
     def close(self) -> None:
         """Release underlying resources (idempotent)."""

@@ -87,6 +87,11 @@ class LogManager:
         # append/force safely; None (the default) keeps the single-threaded
         # fast path free of any locking.
         self.mutex = None
+        # Concurrent mode also installs the force-order lock: it serializes
+        # the *sync* stage of a force (the device write), which runs outside
+        # the mutex so appends continue while a force is in flight.
+        self.force_order = None
+        self._synced_lsn = self.HEADER_BYTES   # durable, not yet published
         # Simulated synchronous-commit device latency, paid once per
         # *physical* force (default 0.0: off).  The sleep releases the GIL,
         # so under the worker pool a single force genuinely overlaps other
@@ -132,25 +137,56 @@ class LogManager:
 
     # -- durability ---------------------------------------------------------
 
-    def force(self, upto_lsn: int | None = None) -> None:
+    def force(self, upto_lsn: int | None = None, *, unlatch=None) -> None:
         """Make the log durable up to (at least) ``upto_lsn``.
 
         A no-op when the prefix is already durable — so the stats count
         *physical* forces, which is what group commit would pay for.
+
+        A force runs in three stages.  *begin* picks the LSN to cover;
+        *sync* puts everything appended so far on the device, holding only
+        the force-order lock; *finish* publishes the new durable prefix and
+        runs ``post_force_hooks``.  Callers hold the engine latch around
+        the whole call; one that can afford to let go of it during the
+        device write passes it as ``unlatch`` and gets it back for
+        *finish* — ``db.flush_commits()`` does, so no other thread's
+        statement waits behind its ``fsync``.
         """
-        with self.mutex or _NO_MUTEX:
+        with self.mutex or _NO_MUTEX:                       # begin
             target = self._end_lsn if upto_lsn is None \
                 else min(upto_lsn, self._end_lsn)
             if target <= self._flushed_lsn:
                 return
-            fire("log.force")
-            if self.force_latency_ms > 0.0:
-                time.sleep(self.force_latency_ms / 1000.0)
-            self.stats.forced_bytes += self._end_lsn - self._flushed_lsn
-            self._flushed_lsn = self._end_lsn
-            self.stats.forces += 1
-            for hook in self.post_force_hooks:
-                hook()
+        if unlatch is not None:
+            unlatch.release()
+        try:
+            with self.force_order or _NO_MUTEX:             # sync
+                # A concurrent force may have synced past the target
+                # already; then only its finish can still be pending.
+                if target > self._synced_lsn:
+                    upto = self._write_out()
+                    fire("log.force")
+                    if self.force_latency_ms > 0.0:
+                        time.sleep(self.force_latency_ms / 1000.0)
+                    self.stats.forced_bytes += upto - self._synced_lsn
+                    self.stats.forces += 1
+                    self._synced_lsn = upto
+        finally:
+            if unlatch is not None:
+                unlatch.acquire()
+        with self.mutex or _NO_MUTEX:                       # finish
+            if self._synced_lsn > self._flushed_lsn:
+                self._flushed_lsn = self._synced_lsn
+                for hook in self.post_force_hooks:
+                    hook()
+
+    def _write_out(self) -> int:
+        """Put the unsynced suffix on the device; returns the LSN it ends at.
+
+        The in-memory log has no device; the file-backed subclass writes
+        and fsyncs here.  Called with the force-order lock held.
+        """
+        return self._end_lsn
 
     # -- master record ---------------------------------------------------------
 
@@ -210,7 +246,7 @@ class LogManager:
             keep -= 1
         del self._lsns[keep:]
         del self._raws[keep:]
-        self._end_lsn = self._flushed_lsn
+        self._end_lsn = self._synced_lsn = self._flushed_lsn
 
     def __len__(self) -> int:
         return len(self._lsns)

@@ -14,10 +14,11 @@ Switch points come from three seams:
 * **Explicit yields**: a script calls :meth:`ScriptContext.pause`, either
   handing the token to a named peer (scripted scenarios: "A updates k and
   pauses; B blocks behind A's lock") or letting the seeded RNG choose.
-* **Blocking waits**: the lock manager and the engine latch call the
-  scheduler's ``on_wait``/``on_wake``/``on_resume`` hooks.  ``on_wait``
-  fires inside the lock monitor just before the thread parks, so the
-  scheduler marks it BLOCKED and passes the token on *without blocking*;
+* **Blocking waits**: the lock manager, the engine latch and the log's
+  force-order lock call the scheduler's
+  ``on_wait``/``on_wake``/``on_resume`` hooks.  ``on_wait`` fires inside
+  the lock monitor just before the thread parks, so the scheduler marks
+  it BLOCKED and passes the token on *without blocking*;
   ``on_wake`` (called by the releaser that granted the lock) marks it
   READY; ``on_resume`` re-acquires the token outside the monitor before
   the thread re-enters engine code — including on the deadlock-victim
@@ -120,6 +121,9 @@ class InterleaveScheduler:
         self._prior_latch_hooks = db._latch.wait_hooks
         db.locks.wait_hooks = self
         db._latch.wait_hooks = self
+        # A script preempted inside a log force's sync stage holds only the
+        # force-order lock; a peer queueing behind it must yield the token.
+        db.log.force_order.wait_hooks = self
 
     # -- cast assembly -------------------------------------------------------
 
@@ -173,6 +177,7 @@ class InterleaveScheduler:
             )
         self.db.locks.wait_hooks = self._prior_lock_hooks
         self.db._latch.wait_hooks = self._prior_latch_hooks
+        self.db.log.force_order.wait_hooks = None
         if raise_errors:
             for script in self._scripts:
                 if script.error is not None:

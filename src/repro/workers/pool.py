@@ -103,12 +103,12 @@ class TxnFuture:
 class _Task:
     fn: Callable[[Transaction], object]
     future: TxnFuture
-    rng: random.Random
+    rng: random.Random | None = None   # backoff jitter; raw tasks never retry
     mode: TxnMode | None = None
     raw: bool = False   # call fn() directly: no txn bracket, no retry
 
 
-_STOP = _Task(fn=lambda txn: None, future=TxnFuture(), rng=random.Random())
+_STOP = _Task(fn=lambda txn: None, future=TxnFuture())
 
 
 @dataclass
@@ -172,7 +172,11 @@ class WorkerPool:
 
         ``fn`` may run more than once (in a fresh transaction each time) if
         it conflicts, so it must not carry side effects outside the
-        transaction.  Blocks while the admission queue is full.
+        transaction.  Blocks while the admission queue is full — except on
+        one of the pool's own workers (a raw task fanning out, like the
+        service's bulk ingest): there the body runs at once on the calling
+        thread, because waiting for a worker from a worker deadlocks as
+        soon as every worker does it.
         """
         if self._closed:
             raise RuntimeError("worker pool is closed")
@@ -188,7 +192,10 @@ class WorkerPool:
             rng=random.Random((self.seed << 24) ^ seq),
             mode=mode,
         )
-        self._queue.put(task)
+        if threading.current_thread() in self._workers:
+            self._run_task(task)
+        else:
+            self._queue.put(task)
         return future
 
     def map(self, fns) -> list[TxnFuture]:
@@ -209,7 +216,7 @@ class WorkerPool:
         with self._mu:
             self._seq += 1
             self.stats.submitted += 1
-        task = _Task(fn=fn, future=future, rng=random.Random(), raw=True)
+        task = _Task(fn=fn, future=future, raw=True)
         self._queue.put(task)
         return future
 
@@ -247,6 +254,8 @@ class WorkerPool:
             if task is _STOP:
                 self._queue.task_done()
                 return
+            with self._mu:
+                self._in_flight += 1
             try:
                 self._run_task(task)
             finally:
@@ -262,8 +271,6 @@ class WorkerPool:
                     self.db.flush_commits()
 
     def _run_task(self, task: _Task) -> None:
-        with self._mu:
-            self._in_flight += 1
         future = task.future
         if task.raw:
             try:

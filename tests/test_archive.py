@@ -9,6 +9,7 @@ and (degraded, not wrong) when a stored block is damaged.
 
 from __future__ import annotations
 
+import random
 import zlib
 
 import pytest
@@ -459,6 +460,78 @@ class TestCrashDuringMigration:
             if not report.ok:
                 failures.append((crossing, report.name, report.problems))
         assert not failures, failures
+
+
+# ---------------------------------------------------------------------------
+# migration under buffer pressure (found by benchmarks/e2e, PR 12)
+# ---------------------------------------------------------------------------
+
+
+def _pressure_db(rng, *, keys: int, buffer_pages: int):
+    """The e2e ``oltp_pressure`` shape: mixed value lengths, auto-migration."""
+    db = ImmortalDB(
+        buffer_pages=buffer_pages, read_ahead=4,
+        archive=dict(cold_ms=5000, pages_per_step=32),
+    )
+    table = db.create_table(
+        "kv", [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
+        key="k", immortal=True,
+    )
+    with db.transaction() as txn:
+        for k in range(keys):
+            table.insert(txn, {"k": k, "v": "x" * rng.choice((32, 256, 2048))})
+    return db, table
+
+
+def _update_round(db, table, rng, *, keys: int, ops: int, value=None) -> None:
+    for _ in range(ops):
+        with db.transaction() as txn:
+            table.update(
+                txn, rng.randrange(keys),
+                {"v": value or "y" * rng.choice((32, 256, 2048))},
+            )
+
+
+class TestMigrationUnderPressure:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relinked_uncached_referrer_is_not_served_stale(self, seed):
+        """Migration relinks an *uncached* referrer by writing its image
+        straight to disk; the read-ahead ring must not keep serving the
+        copy it staged from the older image, whose history link still
+        names the page the migration freed."""
+        rng = random.Random(seed)
+        keys = 600
+        db, table = _pressure_db(rng, keys=keys, buffer_pages=64)
+        for _ in range(8):
+            _update_round(db, table, rng, keys=keys, ops=200)
+            db.advance_time(1000)
+            db.checkpoint()         # auto-migrates a budget of cold pages
+            assert verify_integrity(db) == []
+            for _ in range(100):
+                table.history(rng.randrange(keys))
+        assert db.archive.stats.pages_migrated > 0
+
+    @pytest.mark.parametrize("seed", [3, 5, 6])
+    def test_redo_does_not_allocate_from_the_unvalidated_free_list(self, seed):
+        """Un-checkpointed commits after a migration: redo re-inserts their
+        PTT entries, a PTT node splits, and the split must not be handed a
+        page id the pre-crash free list names — redo may yet resurrect that
+        page from an earlier image record."""
+        rng = random.Random(seed)
+        keys = 300
+        # A pool this large flushes nothing, so redo rebuilds every split.
+        db, table = _pressure_db(rng, keys=keys, buffer_pages=1024)
+        for _ in range(8):
+            _update_round(db, table, rng, keys=keys, ops=100)
+            db.advance_time(1000)
+            db.checkpoint()
+        assert len(db.disk.free_list) > 0
+        _update_round(db, table, rng, keys=keys, ops=10, value="z" * 32)
+        db.crash()
+        db.recover()
+        assert verify_integrity(db) == []
+        # after_recovery() reinstated the entries that survived validation.
+        assert len(db.disk.free_list) > 0
 
 
 # ---------------------------------------------------------------------------

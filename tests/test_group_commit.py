@@ -10,15 +10,20 @@ acknowledges the whole batch.  These tests pin down the contract:
   durable (stamping is never logged, so a stamped version reaching disk
   ahead of its commit record would survive a crash that rolls it back),
 * the fault-injection harness stays clean with group commit enabled,
-  including at the new ``txn.groupcommit.*`` failpoints.
+  including at the new ``txn.groupcommit.*`` failpoints,
+* a force is staged (begin, sync, finish) and only *sync* — the device
+  write — runs outside the engine latch, without ever acking early.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
 from repro import ColumnType, ImmortalDB
 from repro.faults.crashtest import CrashTestConfig, enumerate_crossings, explore
+from repro.faults.failpoints import FailpointRegistry, SimulatedCrash, installed
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.TEXT)]
 
@@ -219,3 +224,135 @@ class TestCrashExploration:
             (r.crossing, r.name, r.problems) for r in result.failures
         ]
         assert any(n.startswith("txn.groupcommit") for n in result.by_name)
+
+
+class TestStagedForce:
+    """A force is begin -> sync -> finish; ``flush_commits`` drops the engine
+    latch for *sync*.  Invariant: an ack is sent only after ``flushed_lsn``
+    covers the commit record, and ``flushed_lsn`` only advances over frames
+    that have been fsynced."""
+
+    @staticmethod
+    def _file_db(tmp_path, *, concurrent: bool):
+        db = ImmortalDB(
+            str(tmp_path / "db.pages"), buffer_pages=64,
+            group_commit_window=8, concurrent=concurrent,
+        )
+        table = make_table(db)
+        acked: list[int] = []
+        db.txn_mgr.durable_commit_hook = lambda txn: acked.append(txn.tid)
+        return db, table, acked
+
+    @staticmethod
+    def _hold_next_fsync(registry):
+        """Park whichever thread next reaches ``filelog.fsync``."""
+        entered, release = threading.Event(), threading.Event()
+
+        def hold(event) -> None:
+            entered.set()
+            assert release.wait(10.0)
+
+        registry.on("filelog.fsync", hold, once=True)
+        return entered, release
+
+    def test_reads_and_appends_proceed_while_a_force_syncs(self, tmp_path):
+        db, table, acked = self._file_db(tmp_path, concurrent=True)
+        insert_one(db, table, 1)
+        registry = FailpointRegistry()
+        entered, release = self._hold_next_fsync(registry)
+        with installed(registry):
+            forcer = threading.Thread(target=db.flush_commits, daemon=True)
+            forcer.start()
+            assert entered.wait(10.0)
+            # Written, not yet fsynced: nothing is durable, nothing acked.
+            flushed = db.log.flushed_lsn
+            assert acked == []
+
+            def read_and_write() -> None:
+                with db.transaction() as txn:
+                    assert table.read(txn, 1)["v"] == "v1"
+                insert_one(db, table, 2)        # log.append under the latch
+
+            other = threading.Thread(target=read_and_write, daemon=True)
+            other.start()
+            other.join(5.0)
+            assert not other.is_alive(), "a statement waited behind an fsync"
+            assert db.txn_mgr.unacked_commits == 2
+
+            # A second flush wants txn 2 durable.  It queues behind the sync
+            # in flight and must not ack anything before its own fsync.
+            second = threading.Thread(target=db.flush_commits, daemon=True)
+            second.start()
+            second.join(0.3)
+            assert second.is_alive()
+            assert acked == [] and db.log.flushed_lsn == flushed
+
+            release.set()
+            forcer.join(10.0)
+            second.join(10.0)
+            assert not forcer.is_alive() and not second.is_alive()
+        assert len(acked) == 2 and db.txn_mgr.unacked_commits == 0
+        # Txn 2's frames were appended after the first write: one more
+        # write + fsync, and no third.
+        assert registry.hits["filelog.write"] == 2
+        assert registry.hits["filelog.fsync"] == 2
+        assert db.log.flushed_lsn == db.log.end_lsn
+        db.close()
+
+    def test_flush_with_nothing_new_waits_but_does_not_write(self, tmp_path):
+        db, table, acked = self._file_db(tmp_path, concurrent=True)
+        insert_one(db, table, 1)
+        forces_before = db.log.stats.forces
+        registry = FailpointRegistry()
+        entered, release = self._hold_next_fsync(registry)
+        with installed(registry):
+            forcer = threading.Thread(target=db.flush_commits, daemon=True)
+            forcer.start()
+            assert entered.wait(10.0)
+            second = threading.Thread(target=db.flush_commits, daemon=True)
+            second.start()
+            second.join(0.3)
+            # Its commit record is written but not fsynced: no early return.
+            assert second.is_alive() and acked == []
+            release.set()
+            forcer.join(10.0)
+            second.join(10.0)
+            assert not forcer.is_alive() and not second.is_alive()
+        assert len(acked) == 1
+        assert registry.hits["filelog.write"] == 1
+        assert registry.hits["filelog.fsync"] == 1
+        assert db.log.stats.forces == forces_before + 1
+        db.close()
+
+    @pytest.mark.parametrize("point", ["filelog.fsync", "log.force"])
+    def test_crash_inside_a_force_acks_nothing_and_loses_no_ack(
+        self, tmp_path, point
+    ):
+        """``filelog.fsync``: frames written, not synced.  ``log.force``:
+        synced, not yet published — between *sync* and *finish*."""
+        db, table, acked = self._file_db(tmp_path, concurrent=False)
+        insert_one(db, table, 1)
+        insert_one(db, table, 2)
+        db.flush_commits()
+        assert len(acked) == 2
+        insert_one(db, table, 3)
+        registry = FailpointRegistry()
+        registry.crash_on(point)
+        with installed(registry):
+            with pytest.raises(SimulatedCrash):
+                db.flush_commits()
+        assert len(acked) == 2              # txn 3 was never acknowledged
+        assert db.log.flushed_lsn < db.log.end_lsn
+        db.crash_and_recover()
+        table = db.table("t")
+        with db.transaction() as txn:
+            assert {r["k"] for r in table.scan(txn)} == {1, 2}
+        # The frames the dead force left in the file are gone with it, so
+        # offsets still equal LSNs: later commits survive a real reopen.
+        insert_one(db, table, 4)
+        db.close()
+        reopened = ImmortalDB(str(tmp_path / "db.pages"), buffer_pages=64)
+        with reopened.transaction() as txn:
+            rows = {r["k"] for r in reopened.table("t").scan(txn)}
+        assert rows == {1, 2, 4}
+        reopened.close()

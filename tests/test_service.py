@@ -8,6 +8,7 @@ a stuck lock, a double execution, or a lost acked commit.
 
 from __future__ import annotations
 
+import threading
 import time
 
 import pytest
@@ -484,3 +485,234 @@ class TestServerEndToEnd:
             # The engine never saw the request; a clean retry succeeds.
             with ServiceClient("127.0.0.1", svc.port) as retry:
                 assert retry.ping()["message"] == "pong"
+
+
+# ---------------------------------------------------------------------------
+# the two-handoff request path: admission on the loop, the body on a worker
+# ---------------------------------------------------------------------------
+
+
+def _hold_row(port: int, k: int = 1) -> ServiceClient:
+    """A client sitting inside a bracket that holds row ``k``'s lock."""
+    holder = ServiceClient("127.0.0.1", port)
+    holder.execute(f"INSERT INTO t (k, v) VALUES ({k}, 'held')")
+    holder.execute("BEGIN TRAN")
+    holder.execute(f"UPDATE t SET v = 'locked' WHERE k = {k}")
+    return holder
+
+
+def _send_only(client: ServiceClient, sql: str, request_id: str) -> None:
+    """Put one request on the wire without waiting for its reply."""
+    client._connect().sendall(protocol.encode_message(
+        {"id": request_id, "op": "sql", "sql": sql}
+    ))
+
+
+def _in_background(fn, *args) -> tuple[threading.Thread, list]:
+    out: list = []
+    thread = threading.Thread(
+        target=lambda: out.append(fn(*args)), daemon=True
+    )
+    thread.start()
+    return thread, out
+
+
+class TestRequestPath:
+    def test_read_is_shed_while_every_worker_is_parked(self):
+        """Admission sits in front of the queue: with both workers blocked
+        and nobody left to run anything, a read above the high water is
+        still refused at once — and every exit gives its slot back."""
+        db = _make_db()
+        with _serve(db, pool_workers=2, max_inflight=4,
+                    read_shed_fraction=0.5) as svc:
+            admission = svc.core.admission
+            holder = _hold_row(svc.port)
+            writers = [ServiceClient("127.0.0.1", svc.port) for _ in range(2)]
+            parked = [
+                _in_background(w.execute, "UPDATE t SET v = 'w' WHERE k = 1")
+                for w in writers
+            ]
+            assert _wait_until(lambda: admission.inflight == 2)
+            with ServiceClient("127.0.0.1", svc.port) as reader:
+                start = time.monotonic()
+                shed = reader.execute("SELECT v FROM t WHERE k = 1")
+                assert time.monotonic() - start < 1.0
+                assert shed["status"] == protocol.STATUS_OVERLOADED
+                assert shed["shed_kind"] == "read"
+                assert admission.inflight == 2       # the reject held nothing
+                holder._disconnect()    # aborts the bracket: the writers run
+                for thread, out in parked:
+                    thread.join(10.0)
+                    assert out and out[0]["status"] == protocol.STATUS_OK
+                assert _wait_until(lambda: admission.inflight == 0)
+                # An erroring statement gives its slot back too.
+                error = reader.execute("SELECT * FROM no_such_table")
+                assert error["status"] == protocol.STATUS_ERROR
+                assert admission.inflight == 0
+            for writer in writers:
+                writer.close()
+            assert admission.stats.rejected_reads == 1
+            assert admission.stats.peak_inflight == 2
+
+    def test_slot_survives_timeout_and_disconnect_until_the_body_returns(self):
+        db = _make_db()
+        with _serve(db, pool_workers=2, request_timeout_s=0.3) as svc:
+            admission = svc.core.admission
+            holder = _hold_row(svc.port)
+            timed_out = ServiceClient("127.0.0.1", svc.port)
+            response = timed_out.execute("UPDATE t SET v = 'a' WHERE k = 1")
+            assert response["status"] == protocol.STATUS_TIMEOUT
+            vanished = ServiceClient("127.0.0.1", svc.port)
+            _send_only(vanished, "UPDATE t SET v = 'b' WHERE k = 1", "gone:1")
+            assert _wait_until(lambda: admission.inflight == 2)
+            vanished._disconnect()
+            # Both bodies still sit on their workers: in-flight counts them.
+            time.sleep(0.1)
+            assert admission.inflight == 2
+            holder._disconnect()
+            assert _wait_until(lambda: admission.inflight == 0)
+            timed_out._disconnect()
+
+    def test_pipelined_frames_run_in_order_one_at_a_time(self):
+        db = _make_db()
+        with _serve(db, pool_workers=2) as svc:
+            running = [0]
+            overlaps = []
+            inner = svc.core.handle_payload
+
+            def watched(session, payload, admitted=None):
+                running[0] += 1
+                overlaps.append(running[0])
+                try:
+                    time.sleep(0.02)    # widen the window for an overlap
+                    return inner(session, payload, admitted)
+                finally:
+                    running[0] -= 1
+
+            svc.core.handle_payload = watched
+            statements = [
+                "INSERT INTO t (k, v) VALUES (5, 'a')",
+                "UPDATE t SET v = 'b' WHERE k = 5",
+                "SELECT v FROM t WHERE k = 5",
+            ]
+            client = ServiceClient("127.0.0.1", svc.port)
+            client._connect().sendall(b"".join(
+                protocol.encode_message(
+                    {"id": f"pipe:{i}", "op": "sql", "sql": sql}
+                )
+                for i, sql in enumerate(statements)
+            ))
+            decoder = protocol.FrameDecoder()
+            replies: list = []
+            while len(replies) < len(statements):
+                replies.extend(
+                    protocol.decode_message(p)
+                    for p in decoder.feed(client._recv(client._sock))
+                )
+            client._disconnect()
+        assert [r["id"] for r in replies] == ["pipe:0", "pipe:1", "pipe:2"]
+        assert [r["status"] for r in replies] == [protocol.STATUS_OK] * 3
+        assert replies[1]["rowcount"] == 1      # the INSERT ran first
+        assert replies[2]["rows"] == [{"v": "b"}]
+        assert overlaps == [1, 1, 1]
+
+    def test_deadline_while_running_retires_the_session(self):
+        db = _make_db()
+        with _serve(db, pool_workers=2, request_timeout_s=0.3) as svc:
+            holder = _hold_row(svc.port)
+            late = ServiceClient("127.0.0.1", svc.port)
+            late.execute("INSERT INTO t (k, v) VALUES (2, 'mine')")
+            late.execute("BEGIN TRAN")
+            late.execute("UPDATE t SET v = 'bracketed' WHERE k = 2")
+            response = late.execute("UPDATE t SET v = 'late' WHERE k = 1")
+            assert response["status"] == protocol.STATUS_TIMEOUT
+            assert db.stats()["service_timeouts"] == 1
+            session = next(
+                s for s in svc.core.sessions.values() if s.defunct
+            )
+            assert not session.closed       # the body still runs
+            holder._disconnect()
+            # The body returns, sees the flag, and aborts the bracket.
+            assert _wait_until(lambda: session.closed)
+            assert db.stats()["service_aborted_on_disconnect"] == 2
+            # Its late result went nowhere: the server hung up after the
+            # timeout reply and sent nothing more.
+            with pytest.raises(ConnectionLostError):
+                late._read_response(late._sock)
+            late._disconnect()
+            with ServiceClient("127.0.0.1", svc.port) as fresh:
+                assert _value(fresh, 1) == "held"
+                assert _value(fresh, 2) == "mine"
+
+    def test_deadline_while_queued_never_runs_the_body(self):
+        db = _make_db()
+        with _serve(db, pool_workers=1, request_timeout_s=0.3) as svc:
+            holder = _hold_row(svc.port)
+            parked = ServiceClient("127.0.0.1", svc.port)
+            thread, out = _in_background(
+                parked.execute, "UPDATE t SET v = 'p' WHERE k = 1"
+            )
+            assert _wait_until(lambda: svc.core.admission.inflight == 1)
+            queued = ServiceClient("127.0.0.1", svc.port)
+            response = queued.execute("INSERT INTO t (k, v) VALUES (9, 'q')")
+            assert response["status"] == protocol.STATUS_TIMEOUT
+            thread.join(10.0)
+            assert out[0]["status"] == protocol.STATUS_TIMEOUT
+            holder._disconnect()
+            assert _wait_until(lambda: svc.core.admission.inflight == 0)
+            for client in (parked, queued):
+                client._disconnect()
+            with ServiceClient("127.0.0.1", svc.port) as fresh:
+                # The queued INSERT found its session retired: not a row.
+                assert _value(fresh, 9) is None
+        assert db.stats()["service_timeouts"] == 2
+
+    def test_disconnect_mid_execution_releases_the_sessions_locks(self):
+        db = _make_db()
+        with _serve(db, pool_workers=2) as svc:
+            holder = _hold_row(svc.port)
+            rude = ServiceClient("127.0.0.1", svc.port)
+            rude.execute("INSERT INTO t (k, v) VALUES (2, 'base')")
+            rude.execute("BEGIN TRAN")
+            rude.execute("UPDATE t SET v = 'stranded' WHERE k = 2")
+            _send_only(rude, "UPDATE t SET v = 'x' WHERE k = 1", "rude:1")
+            assert _wait_until(
+                lambda: any(s.lock.locked()
+                            for s in svc.core.sessions.values())
+            )
+            rude._disconnect()      # vanish while the worker is blocked
+            holder._disconnect()
+            # The body returns to a dead connection: the session retires
+            # and its bracket (holding row 2) is rolled back.
+            assert _wait_until(
+                lambda: db.stats()["service_aborted_on_disconnect"] == 2
+            )
+            with ServiceClient("127.0.0.1", svc.port) as polite:
+                ok = polite.execute("UPDATE t SET v = 'alive' WHERE k = 2")
+                assert ok["status"] == protocol.STATUS_OK
+                assert _value(polite, 1) == "held"
+
+    def test_one_worker_runs_brackets_and_ingest_without_deadlock(self):
+        db = _make_db()
+
+        def session(port: int) -> int:
+            with ServiceClient("127.0.0.1", port) as client:
+                client.execute("INSERT INTO t (k, v) VALUES (1, 'a')")
+                client.execute("BEGIN TRAN")
+                client.execute("UPDATE t SET v = 'b' WHERE k = 1")
+                assert client.execute("COMMIT")["status"] == \
+                    protocol.STATUS_OK
+                # Ingest fans its batches out to the pool from the pool's
+                # only worker.
+                ingest = client.ingest(
+                    "t", "k,v\n10,x\n11,y\n12,z\n13,w\n14,u\n", batch=2
+                )
+                assert ingest["rowcount"] == 5
+                return len(_rows(client.execute("SELECT k FROM t")))
+
+        with _serve(db, pool_workers=1) as svc:
+            thread, out = _in_background(session, svc.port)
+            thread.join(20.0)
+            assert not thread.is_alive(), "request path deadlocked"
+            assert out == [6]
+        assert db.txn_mgr.unacked_commits == 0

@@ -127,6 +127,49 @@ class TestWorkerPool:
             pool.submit(_increment(table, 0))
 
 
+class TestRawTasks:
+    """``submit_call``: the service's whole-request tasks."""
+
+    def test_raw_task_runs_unbracketed_and_builds_no_rng(self, monkeypatch):
+        db, table = _make_db()
+        built = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        with WorkerPool(db, n_workers=2) as pool:
+            # Seeding an RNG from the OS is a syscall a raw task never uses.
+            monkeypatch.setattr("repro.workers.pool.random.Random",
+                                CountingRandom)
+            begun = db.txn_mgr.next_tid
+            assert pool.submit_call(lambda: 6 * 7).result(10.0) == 42
+            assert built == []
+            assert db.txn_mgr.next_tid == begun     # no transaction bracket
+            failing = pool.submit_call(lambda: 1 // 0)
+            with pytest.raises(ZeroDivisionError):
+                failing.result(10.0)
+
+    def test_fan_out_from_the_only_worker_cannot_deadlock(self):
+        """A raw task that submits transactions (the service's bulk ingest
+        does) runs them in place when it is itself on a worker: with one
+        worker there is nobody else to wait for."""
+        db, table = _make_db(group_commit_window=4)
+
+        def fan_out():
+            futures = [pool.submit(_increment(table, k)) for k in (1, 2, 2)]
+            return [f.result(10.0) for f in futures]
+
+        with WorkerPool(db, n_workers=1) as pool:
+            outer = pool.submit_call(fan_out)
+            assert outer.result(20.0) == [1, 1, 2]
+            assert pool.stats.committed == 3
+        assert db.txn_mgr.unacked_commits == 0     # last-active flush ran
+        with db.transaction() as txn:
+            assert table.read(txn, 2)["v"] == 2
+
+
 class TestOCCMode:
     def test_serializable_begin_becomes_occ_snapshot(self):
         db, _ = _make_db(cc_mode="occ")
