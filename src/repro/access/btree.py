@@ -31,6 +31,7 @@ Structural discipline:
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -38,8 +39,13 @@ from typing import Callable, Iterator
 from repro.clock import SimClock, Timestamp
 from repro.errors import AccessMethodError, PageFormatError
 from repro.storage.buffer import BufferPool
-from repro.storage.constants import COMMON_HEADER_SIZE, PAGE_SIZE, PageType
-from repro.storage.page import DataPage, Page, register_page_codec
+from repro.storage.constants import COMMON_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE, PageType
+from repro.storage.page import (
+    DataPage,
+    Page,
+    history_slot_after,
+    register_page_codec,
+)
 from repro.storage.record import RecordVersion
 from repro.access.timesplit import (
     DEFAULT_KEY_SPLIT_THRESHOLD,
@@ -51,6 +57,9 @@ from repro.wal.log import LogManager
 from repro.wal.records import MultiPageImage, SMOReason
 
 _INDEX_HEADER = COMMON_HEADER_SIZE + 4  # count(2) + pad(2)
+_COUNT = struct.Struct(">H2x")
+_CHILD = struct.Struct(">I")
+_SEP_LEN = struct.Struct(">H")
 
 MAX_KEY_BYTES = 128
 """Upper bound on encoded primary-key size (checked by the table layer)."""
@@ -73,9 +82,26 @@ class BTreeIndexPage(Page):
         self.page_size = page_size
         self.seps: list[bytes] = []
         self.children: list[int] = []
+        self._used = _INDEX_HEADER
 
-    @property
-    def used_bytes(self) -> int:
+    # ``seps`` and ``children`` change only through the two methods below,
+    # which keep ``used_bytes`` current; every descent for insert asks
+    # ``is_full`` of each node it passes, so it must not re-sum the node.
+
+    def set_entries(self, seps: list[bytes], children: list[int]) -> None:
+        """Replace the node's whole content (splits, root growth, decode)."""
+        self.seps = seps
+        self.children = children
+        self._used = self.counted_bytes()
+
+    def post(self, at: int, sep: bytes, right_pid: int) -> None:
+        """Insert separator ``sep`` at ``at`` with ``right_pid`` right of it."""
+        self.seps.insert(at, sep)
+        self.children.insert(at + 1, right_pid)
+        self._used += 4 + 2 + len(sep)
+
+    def counted_bytes(self) -> int:
+        """``used_bytes`` summed afresh (what the integrity check compares)."""
         return (
             _INDEX_HEADER
             + 4 * len(self.children)
@@ -83,9 +109,13 @@ class BTreeIndexPage(Page):
         )
 
     @property
+    def used_bytes(self) -> int:
+        return self._used
+
+    @property
     def is_full(self) -> bool:
         """No guaranteed room for one more separator of any legal size."""
-        return self.used_bytes + _MAX_SEP_COST > self.page_size
+        return self._used + _MAX_SEP_COST > self.page_size
 
     def child_index_for(self, key: bytes) -> int:
         return bisect_right(self.seps, key)
@@ -94,21 +124,20 @@ class BTreeIndexPage(Page):
 
     def _encode(self) -> bytes:
         """Build the fixed-size on-disk image (uncached)."""
-        buf = bytearray(self.page_size)
-        buf[0:COMMON_HEADER_SIZE] = self._common_header()
-        buf[COMMON_HEADER_SIZE : COMMON_HEADER_SIZE + 2] = len(
-            self.children
-        ).to_bytes(2, "big")
-        pos = _INDEX_HEADER
-        for i, child in enumerate(self.children):
-            buf[pos : pos + 4] = child.to_bytes(4, "big")
-            pos += 4
-            if i < len(self.seps):
-                sep = self.seps[i]
-                buf[pos : pos + 2] = len(sep).to_bytes(2, "big")
-                buf[pos + 2 : pos + 2 + len(sep)] = sep
-                pos += 2 + len(sep)
-        return bytes(buf)
+        seps, nseps = self.seps, len(self.seps)
+        child, sep_len = _CHILD.pack, _SEP_LEN.pack
+        parts = [self._common_header(), _COUNT.pack(len(self.children))]
+        for i, pid in enumerate(self.children):
+            parts.append(child(pid))
+            if i < nseps:
+                parts += (sep_len(len(seps[i])), seps[i])
+        image = b"".join(parts)
+        if len(image) > self.page_size:
+            raise PageFormatError(
+                f"index node {self.page_id} overflows its image "
+                f"({len(image)} bytes of entries in a {self.page_size}-byte page)"
+            )
+        return image.ljust(self.page_size, b"\x00")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "BTreeIndexPage":
@@ -122,14 +151,17 @@ class BTreeIndexPage(Page):
         count = int.from_bytes(
             raw[COMMON_HEADER_SIZE : COMMON_HEADER_SIZE + 2], "big"
         )
+        seps: list[bytes] = []
+        children: list[int] = []
         pos = _INDEX_HEADER
         for i in range(count):
-            node.children.append(int.from_bytes(raw[pos : pos + 4], "big"))
+            children.append(int.from_bytes(raw[pos : pos + 4], "big"))
             pos += 4
             if i < count - 1:
                 sep_len = int.from_bytes(raw[pos : pos + 2], "big")
-                node.seps.append(bytes(raw[pos + 2 : pos + 2 + sep_len]))
+                seps.append(bytes(raw[pos + 2 : pos + 2 + sep_len]))
                 pos += 2 + sep_len
+        node.set_entries(seps, children)
         return node
 
 
@@ -194,41 +226,20 @@ class BTree:
 
     # -- navigation ---------------------------------------------------------
 
-    def _page(self, pid: int) -> Page:
-        return self.buffer.get_page(pid)
-
-    def _descend(
-        self, key: bytes
-    ) -> tuple[list[tuple[BTreeIndexPage, int]], DataPage, bytes, bytes | None]:
-        """Walk root→leaf; returns (path, leaf, key_low, key_high)."""
-        path: list[tuple[BTreeIndexPage, int]] = []
-        key_low = b""
-        key_high: bytes | None = None
-        node = self._page(self.root_pid)
-        while isinstance(node, BTreeIndexPage):
-            i = node.child_index_for(key)
-            if i > 0:
-                key_low = node.seps[i - 1]
-            if i < len(node.seps):
-                key_high = node.seps[i]
-            path.append((node, i))
-            node = self._page(node.children[i])
+    def search_leaf(self, key: bytes) -> DataPage:
+        """The current page that holds (or would hold) ``key``."""
+        get_page = self.buffer.get_page
+        node = get_page(self.root_pid)
+        while type(node) is BTreeIndexPage:
+            node = get_page(node.children[bisect_right(node.seps, key)])
         if not isinstance(node, DataPage):
             raise AccessMethodError(
                 f"B-tree {self.table_id}: leaf {node.page_id} has wrong type"
             )
-        return path, node, key_low, key_high
-
-    def search_leaf(self, key: bytes) -> DataPage:
-        """The current page that holds (or would hold) ``key``."""
-        return self._descend(key)[1]
-
-    def leaf_bounds(self, key: bytes) -> tuple[DataPage, bytes, bytes | None]:
-        _, leaf, low, high = self._descend(key)
-        return leaf, low, high
+        return node
 
     def leftmost_leaf(self) -> DataPage:
-        return self._descend(b"")[1]
+        return self.search_leaf(b"")
 
     def leaves(self) -> Iterator[DataPage]:
         """All current leaves in key order, via the sibling chain."""
@@ -238,7 +249,7 @@ class BTree:
             next_pid = leaf.next_leaf_id
             if not next_pid:
                 return
-            nxt = self._page(next_pid)
+            nxt = self.buffer.get_page(next_pid)
             if not isinstance(nxt, DataPage):
                 raise AccessMethodError(f"leaf chain hit non-leaf {next_pid}")
             leaf = nxt
@@ -255,7 +266,7 @@ class BTree:
         lies strictly below it are skipped (range scans start at the right
         leaf in logarithmic time instead of walking every leaf).
         """
-        root = self._page(self.root_pid)
+        root = self.buffer.get_page(self.root_pid)
         yield from self._walk(root, b"", None, start_key)
 
     def _walk(
@@ -276,7 +287,7 @@ class BTree:
                     and child_high <= start_key:
                 continue  # entire subtree below the range start
             yield from self._walk(
-                self._page(child_pid), child_low, child_high, start_key
+                self.buffer.get_page(child_pid), child_low, child_high, start_key
             )
 
     # -- insertion ------------------------------------------------------------
@@ -295,9 +306,11 @@ class BTree:
             )
         for _ in range(8):
             path = self._descend_splitting(record.key)
-            leaf = self._leaf_at(path, record.key)
-            new_slot = leaf.slot_of(record.key) is None
-            if leaf.fits(record, new_slot=new_slot):
+            leaf = self._leaf_at(path)
+            need = record.size_on_page
+            if leaf.slot_of(record.key) is None:
+                need += SLOT_SIZE
+            if need <= leaf.free_bytes:
                 return leaf
             self._make_room(path, leaf, record.key)
         raise AccessMethodError(
@@ -321,31 +334,29 @@ class BTree:
         Returns the index path; every node on it has room for one more
         separator, so a subsequent leaf key split cannot cascade.
         """
-        root = self._page(self.root_pid)
-        if isinstance(root, BTreeIndexPage) and root.is_full:
-            self._grow_root_over_index(root)
-            root = self._page(self.root_pid)
+        get_page = self.buffer.get_page
+        node = get_page(self.root_pid)
+        if type(node) is BTreeIndexPage and node.is_full:
+            self._grow_root_over_index(node)
+            node = get_page(self.root_pid)
         path: list[tuple[BTreeIndexPage, int]] = []
-        node = root
-        while isinstance(node, BTreeIndexPage):
-            i = node.child_index_for(key)
-            child = self._page(node.children[i])
-            if isinstance(child, BTreeIndexPage) and child.is_full:
+        while type(node) is BTreeIndexPage:
+            i = bisect_right(node.seps, key)
+            child = get_page(node.children[i])
+            if type(child) is BTreeIndexPage and child.is_full:
                 self._split_index_child(node, child)
-                i = node.child_index_for(key)
-                child = self._page(node.children[i])
+                i = bisect_right(node.seps, key)
+                child = get_page(node.children[i])
             path.append((node, i))
             node = child
         return path
 
-    def _leaf_at(
-        self, path: list[tuple[BTreeIndexPage, int]], key: bytes
-    ) -> DataPage:
+    def _leaf_at(self, path: list[tuple[BTreeIndexPage, int]]) -> DataPage:
         if path:
             node, i = path[-1]
-            leaf = self._page(node.children[i])
+            leaf = self.buffer.get_page(node.children[i])
         else:
-            leaf = self._page(self.root_pid)
+            leaf = self.buffer.get_page(self.root_pid)
         if not isinstance(leaf, DataPage):
             raise AccessMethodError("descent did not reach a data page")
         return leaf
@@ -355,12 +366,11 @@ class BTree:
         moved = self.buffer.new_page(
             lambda pid: BTreeIndexPage(pid, page_size=self.buffer.disk.page_size)
         )
-        moved.seps = list(root.seps)
-        moved.children = list(root.children)
+        moved.set_entries(list(root.seps), list(root.children))
         new_root = BTreeIndexPage(
             self.root_pid, page_size=self.buffer.disk.page_size
         )
-        new_root.children = [moved.page_id]
+        new_root.set_entries([], [moved.page_id])
         self.buffer.replace_page(new_root)
         self.stats.root_growths += 1
         self._log_smo(SMOReason.INDEX_POST, [new_root, moved])
@@ -372,26 +382,17 @@ class BTree:
         against the root id is fenced off by the page LSN), and the root
         page becomes an index node with the moved leaf as its only child.
         """
-        moved = DataPage(
-            self.buffer.disk.allocate(),
-            is_history=leaf.is_history,
-            page_size=leaf.page_size,
-            table_id=leaf.table_id,
-            immortal=leaf.immortal,
-        )
+        moved = leaf.sibling(self.buffer.disk.allocate())
         moved.split_ts = leaf.split_ts
         moved.end_ts = leaf.end_ts
         moved.history_page_id = leaf.history_page_id
         moved.next_leaf_id = leaf.next_leaf_id
-        for key in leaf.keys():
-            moved.add_chain(
-                [v.copy() for v in leaf.chain(key)],
-                history_slot=leaf.continues_in_history(key),
-            )
+        for chain in leaf.chains():
+            moved.add_chain(chain, history_slot=history_slot_after(chain))
         new_root = BTreeIndexPage(
             self.root_pid, page_size=self.buffer.disk.page_size
         )
-        new_root.children = [moved.page_id]
+        new_root.set_entries([], [moved.page_id])
         self.buffer.replace_page(new_root)
         self.buffer.replace_page(moved)
         if self.route_cache is not None:
@@ -409,13 +410,9 @@ class BTree:
         right = self.buffer.new_page(
             lambda pid: BTreeIndexPage(pid, page_size=self.buffer.disk.page_size)
         )
-        right.seps = child.seps[mid + 1 :]
-        right.children = child.children[mid + 1 :]
-        child.seps = child.seps[:mid]
-        child.children = child.children[: mid + 1]
-        at = parent.child_index_for(promoted)
-        parent.seps.insert(at, promoted)
-        parent.children.insert(at + 1, right.page_id)
+        right.set_entries(child.seps[mid + 1 :], child.children[mid + 1 :])
+        child.set_entries(child.seps[:mid], child.children[: mid + 1])
+        parent.post(parent.child_index_for(promoted), promoted, right.page_id)
         self.stats.index_splits += 1
         self._log_smo(SMOReason.INDEX_POST, [parent, child, right])
 
@@ -505,9 +502,9 @@ class BTree:
             return
         current = self.search_leaf(key)
         if needs_key_split(current, self.key_split_threshold) \
-                and len(current.keys()) > 1:
+                and len(current.slots) > 1:
             path = self._descend_splitting(key)
-            self._key_split(path, self._leaf_at(path, key))
+            self._key_split(path, self._leaf_at(path))
 
     @staticmethod
     def _bounds_from_path(
@@ -532,7 +529,7 @@ class BTree:
     def _key_split(
         self, path: list[tuple[BTreeIndexPage, int]], leaf: DataPage
     ) -> None:
-        if len(leaf.keys()) < 2:
+        if len(leaf.slots) < 2:
             raise AccessMethodError(
                 f"page {leaf.page_id} cannot make room: a single record's "
                 f"chain exceeds the page (record too large)"
@@ -540,7 +537,7 @@ class BTree:
         if not path:
             # The leaf is the root: push it down, keeping the root id fixed.
             leaf = self._grow_root_over_leaf(leaf)
-            root = self._page(self.root_pid)
+            root = self.buffer.get_page(self.root_pid)
             assert isinstance(root, BTreeIndexPage)
             path = [(root, 0)]
         right_pid = self.buffer.disk.allocate()
@@ -551,8 +548,7 @@ class BTree:
         self.buffer.replace_page(left)
         self.buffer.replace_page(right)
         parent, child_index = path[-1]
-        parent.seps.insert(child_index, sep)
-        parent.children.insert(child_index + 1, right.page_id)
+        parent.post(child_index, sep, right.page_id)
         affected: list[Page] = [left, right, parent]
         if self.history_index is not None:
             affected.extend(

@@ -30,10 +30,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.clock import Timestamp
+from repro.clock import TID_FLAG, Timestamp
 from repro.errors import AccessMethodError
-from repro.storage.page import DataPage
-from repro.storage.record import RecordVersion
+from repro.storage.constants import DATA_HEADER_SIZE, DELETE_STUB
+from repro.storage.page import DataPage, history_slot_after
+from repro.storage.record import RECORD_OVERHEAD, RecordVersion
 
 DEFAULT_KEY_SPLIT_THRESHOLD = 0.70
 
@@ -83,13 +84,7 @@ def time_split_page(
             f"{page.split_ts}"
         )
 
-    history = DataPage(
-        history_page_id,
-        is_history=True,
-        page_size=page.page_size,
-        table_id=page.table_id,
-        immortal=page.immortal,
-    )
+    history = page.sibling(history_page_id, is_history=True)
     # The history page inherits the current page's old time range start and
     # is capped at the split time; it also inherits the link to the *older*
     # history page, extending the page chain (Section 3.2).
@@ -97,95 +92,69 @@ def time_split_page(
     history.end_ts = split_ts
     history.history_page_id = page.history_page_id
 
-    current = DataPage(
-        page.page_id,
-        page_size=page.page_size,
-        table_id=page.table_id,
-        immortal=page.immortal,
-    )
+    current = page.sibling(page.page_id)
     current.lsn = page.lsn
     current.split_ts = split_ts
     current.history_page_id = history_page_id
     current.next_leaf_id = page.next_leaf_id
 
-    outcome = SplitOutcome(current=current, history=history)
-
-    for key in page.keys():
-        chain = list(page.chain(key))  # newest first
-        tail_history_slot = page.continues_in_history(key)
-        _split_chain(chain, tail_history_slot, split_ts, current,
-                     history, outcome)
-    return outcome
-
-
-def _split_chain(
-    chain: list[RecordVersion],
-    tail_history_slot: int | None,
-    split_ts: Timestamp,
-    current: DataPage,
-    history: DataPage,
-    outcome: SplitOutcome,
-) -> None:
-    """Distribute one record's chain between the two pages."""
-    current_part: list[RecordVersion] = []
-    history_part: list[RecordVersion] = []
-
-    # Walk newest → oldest.  A version's end time is the start time of its
-    # successor (the previous element of the walk); the newest version's end
-    # is open.  Uncommitted versions are "newer than any time", so they
-    # never close their predecessor before the split time.
-    end_open = True
-    end_ts = Timestamp.MAX
-    for version in chain:
-        if not version.is_timestamped:
-            # Case 4: uncommitted — current page only.
-            if version.tid and not end_open:
-                raise AccessMethodError(
-                    "uncommitted version found below a committed one"
-                )
-            current_part.append(version.copy())
-            outcome.retained += 1
-            continue
-        start_ts = version.timestamp
-        if version.is_delete_stub and start_ts < split_ts:
-            # Stubs before the split time leave the current page; in the
-            # history page they end the version they deleted.
-            history_part.append(version.copy())
-            outcome.stubs_dropped += 1
-        elif start_ts >= split_ts:
-            # Case 3: born after the split time — current only.
-            current_part.append(version.copy())
-            outcome.retained += 1
-        elif not end_open and end_ts <= split_ts:
-            # Case 1: ended before the split time — history only.
-            history_part.append(version.copy())
-            outcome.moved += 1
-        else:
-            # Case 2: alive across the split time — copied to both.
-            current_part.append(version.copy())
-            history_part.append(version.copy())
-            outcome.copied += 1
-        end_open = False
-        end_ts = start_ts
-
-    if history_part:
-        history.add_chain(history_part, history_slot=tail_history_slot)
-    if current_part:
+    split = (split_ts.ttime, split_ts.sn)
+    moved = copied = retained = stubs_dropped = 0
+    for chain in page.chains():
+        current_part: list[RecordVersion] = []
+        history_part: list[RecordVersion] = []
+        # Walk newest → oldest.  A version's end time is the start time of
+        # its successor (the previous element of the walk); the newest
+        # version's end is open (None).  Uncommitted versions are "newer
+        # than any time", so they never close their predecessor before the
+        # split time.
+        end: tuple[int, int] | None = None
+        for version in chain:
+            field = version.ttime_field
+            if field & TID_FLAG:
+                # Case 4: uncommitted — current page only.
+                if field != TID_FLAG and end is not None:
+                    raise AccessMethodError(
+                        "uncommitted version found below a committed one"
+                    )
+                current_part.append(version)
+                retained += 1
+                continue
+            start = (field, version.sn)
+            if start >= split:
+                # Case 3: born after the split time — current only.
+                current_part.append(version)
+                retained += 1
+            elif version.flags & DELETE_STUB:
+                # Stubs before the split time leave the current page; in the
+                # history page they end the version they deleted.
+                history_part.append(version)
+                stubs_dropped += 1
+            elif end is not None and end <= split:
+                # Case 1: ended before the split time — history only.
+                history_part.append(version)
+                moved += 1
+            else:
+                # Case 2: alive across the split time — copied to both.
+                current_part.append(version)
+                history_part.append(version)
+                copied += 1
+            end = start
+        # Where the chain went on before this split: an older history page,
+        # still reachable through the new history page's own chain link.
+        older_slot = history_slot_after(chain)
         if history_part:
             # The oldest current version continues in the new history page:
             # its VP becomes the record's slot number there (Section 3.1).
-            slot = history.slot_of(current_part[0].key)
-            assert slot is not None
-            current.add_chain(current_part, history_slot=slot)
-        elif tail_history_slot is not None:
-            # No version moved now, but the chain already continued in an
-            # older history page; that older page is still reachable via the
-            # new history page's own chain link, so route through it only if
-            # the new history page lacks the key.  Keep the original slot —
-            # readers route by page time ranges, not by slot arithmetic.
-            current.add_chain(current_part, history_slot=tail_history_slot)
+            slot = history.add_chain(history_part, history_slot=older_slot)
+            if current_part:
+                current.add_chain(current_part, history_slot=slot)
         else:
-            current.add_chain(current_part)
+            # Nothing moved now: keep the original slot — readers route by
+            # page time ranges, not by slot arithmetic.
+            current.add_chain(current_part, history_slot=older_slot)
+    return SplitOutcome(current, history, moved=moved, copied=copied,
+                        retained=retained, stubs_dropped=stubs_dropped)
 
 
 def needs_key_split(
@@ -198,8 +167,6 @@ def needs_key_split(
     page must also key split, otherwise the very next updates would force
     another immediate time split.
     """
-    from repro.storage.constants import DATA_HEADER_SIZE
-
     surviving = page.current_version_bytes() + DATA_HEADER_SIZE
     return surviving / page.page_size > threshold
 
@@ -217,43 +184,40 @@ def key_split_page(
     Returns (left, right, separator_key); the separator is the lowest key of
     the right page.
     """
-    keys = page.keys()
-    if len(keys) < 2:
+    chains = page.chains()
+    if len(chains) < 2:
         raise AccessMethodError(
-            f"page {page.page_id} has {len(keys)} key(s); cannot key split"
+            f"page {page.page_id} has {len(chains)} key(s); cannot key split"
         )
     # Find the key boundary closest to half the record bytes.
-    chain_bytes = {
-        key: sum(v.size_on_page for v in page.chain(key)) for key in keys
-    }
-    total = sum(chain_bytes.values())
+    sizes = []
+    for chain in chains:
+        size = (RECORD_OVERHEAD + len(chain[0].key)) * len(chain)
+        for version in chain:
+            size += len(version.payload)
+        sizes.append(size)
+    half = sum(sizes) / 2
     running = 0
     cut = 1
-    for i, key in enumerate(keys):
-        running += chain_bytes[key]
-        if running >= total / 2:
-            cut = min(max(i + 1, 1), len(keys) - 1)
+    for i, size in enumerate(sizes):
+        running += size
+        if running >= half:
+            cut = min(max(i + 1, 1), len(chains) - 1)
             break
 
-    def build(page_id: int, subset: list[bytes]) -> DataPage:
-        child = DataPage(
-            page_id,
-            page_size=page.page_size,
-            table_id=page.table_id,
-            immortal=page.immortal,
-        )
+    def build(page_id: int, subset: list[list[RecordVersion]]) -> DataPage:
+        child = page.sibling(page_id)
         child.split_ts = page.split_ts
         child.end_ts = page.end_ts
         child.history_page_id = page.history_page_id
-        for key in subset:
-            chain = [v.copy() for v in page.chain(key)]
-            child.add_chain(chain, history_slot=page.continues_in_history(key))
+        for chain in subset:
+            child.add_chain(chain, history_slot=history_slot_after(chain))
         return child
 
-    left = build(page.page_id, keys[:cut])
+    left = build(page.page_id, chains[:cut])
     left.lsn = page.lsn
-    right = build(right_page_id, keys[cut:])
+    right = build(right_page_id, chains[cut:])
     # Leaf sibling chain: left -> right -> old next.
     right.next_leaf_id = page.next_leaf_id
     left.next_leaf_id = right.page_id
-    return left, right, keys[cut]
+    return left, right, chains[cut][0].key

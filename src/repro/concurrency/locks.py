@@ -115,7 +115,11 @@ class LockManager:
         self._held_by: dict[int, set[Resource]] = defaultdict(set)
         self._waiters: dict[Resource, list[_Waiter]] = {}
         self._waiting_tids: dict[int, _Waiter] = {}
-        self._cv = threading.Condition()
+        # ``_mutex`` is the condition's own lock: the two entry points every
+        # transaction passes (acquire, release_all) take it directly — a C
+        # call — instead of through Condition's Python ``__enter__``.
+        self._mutex = threading.RLock()
+        self._cv = threading.Condition(self._mutex)
         # TIDs that cannot finish without external action (in-doubt 2PC
         # participants reinstated after recovery): waiting behind one is
         # futile — the holder releases only when resolution runs — so
@@ -149,22 +153,22 @@ class LockManager:
         chosen to break) a waits-for cycle.
         """
         try:
-            with self._cv:
+            with self._mutex:
                 holders = self._holders[resource]
                 current = holders.get(tid)
                 if current is not None and current >= mode:
                     return
+                # The conflict lists are built only when somebody else
+                # holds the resource, or (for a fresh request) waits for it.
                 blocking_holders = [
                     (t, m) for t, m in holders.items()
                     if t != tid and _conflicts(m, mode)
-                ]
-                queue = self._waiters.get(resource, ())
+                ] if len(holders) > (current is not None) else []
                 blocking_waiters = [
-                    w for w in queue
+                    w for w in self._waiters[resource]
                     if w.tid != tid and _cross_conflicts(mode, w.mode)
-                ]
-                if not blocking_holders and (current is not None
-                                             or not blocking_waiters):
+                ] if current is None and resource in self._waiters else []
+                if not blocking_holders and not blocking_waiters:
                     # Free, or an upgrade with no conflicting co-holder:
                     # upgrades barge (queueing behind a stranger's X request
                     # on a resource we already hold would be a self-made
@@ -194,9 +198,10 @@ class LockManager:
     ) -> None:
         if upgrade:
             self.upgrades += 1
-        current = self._holders[resource].get(tid)
+        holders = self._holders[resource]
+        current = holders.get(tid)
         if current is None or mode > current:
-            self._holders[resource][tid] = mode
+            holders[tid] = mode
         self._held_by[tid].add(resource)
         self.grants += 1
 
@@ -372,13 +377,16 @@ class LockManager:
 
     # -- convenience wrappers ------------------------------------------------
 
+    # The two per-record wrappers spell out the tuples ``table_resource`` and
+    # ``record_resource`` build: every read and every write passes here.
+
     def lock_record_shared(self, tid: int, table_id: int, key: bytes) -> None:
-        self.acquire(tid, table_resource(table_id), LockMode.IS)
-        self.acquire(tid, record_resource(table_id, key), LockMode.S)
+        self.acquire(tid, ("table", table_id), LockMode.IS)
+        self.acquire(tid, ("record", table_id, key), LockMode.S)
 
     def lock_record_exclusive(self, tid: int, table_id: int, key: bytes) -> None:
-        self.acquire(tid, table_resource(table_id), LockMode.IX)
-        self.acquire(tid, record_resource(table_id, key), LockMode.X)
+        self.acquire(tid, ("table", table_id), LockMode.IX)
+        self.acquire(tid, ("record", table_id, key), LockMode.X)
 
     def lock_table_shared(self, tid: int, table_id: int) -> None:
         self.acquire(tid, table_resource(table_id), LockMode.S)
@@ -387,15 +395,16 @@ class LockManager:
 
     def release_all(self, tid: int) -> int:
         """Drop every lock held by ``tid`` (commit/abort).  Returns count."""
-        with self._cv:
-            resources = self._held_by.pop(tid, set())
+        with self._mutex:
+            resources = self._held_by.pop(tid, ())
             for resource in resources:
                 holders = self._holders.get(resource)
                 if holders is not None:
                     holders.pop(tid, None)
                     if not holders:
                         del self._holders[resource]
-                self._promote(resource)
+                if resource in self._waiters:
+                    self._promote(resource)
             return len(resources)
 
     # -- inspection ------------------------------------------------------------

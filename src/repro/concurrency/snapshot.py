@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from repro.clock import Timestamp
+from repro.clock import TID_FLAG, Timestamp
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
 
@@ -49,25 +49,27 @@ def visible_version(
     one ``chain_steps`` per version examined — structural read work for the
     bench output; never affects the outcome.
     """
+    bound = None if horizon is None else (horizon.ttime, horizon.sn)
     for version in chain:
         if stats is not None:
             stats.chain_steps += 1
-        if not version.is_timestamped:
-            if own_tid is not None and version.tid == own_tid:
-                if horizon is None:
+        field = version.ttime_field
+        if field & TID_FLAG:
+            tid = field ^ TID_FLAG
+            if tid == own_tid:
+                if bound is None:
                     return version
                 continue  # own writes are newer than any snapshot horizon
-            ts, committed = resolve(version.tid)
+            ts, committed = resolve(tid)
             if not committed:
                 continue
             # resolve() learned the timestamp but did not stamp the record;
             # use the resolved value for the visibility decision.
+            assert ts is not None
+            start = (ts.ttime, ts.sn)
         else:
-            ts = version.timestamp
-        assert ts is not None
-        if horizon is None:
-            return version
-        if ts < horizon or (inclusive and ts == horizon):
+            start = (field, version.sn)
+        if bound is None or start < bound or (inclusive and start == bound):
             return version
     return None
 
@@ -115,13 +117,7 @@ def prune_conventional_page(
     dropped.  Callers should stamp the page first so committed versions
     carry timestamps.
     """
-    rebuilt = DataPage(
-        page.page_id,
-        is_history=page.is_history,
-        page_size=page.page_size,
-        table_id=page.table_id,
-        immortal=page.immortal,
-    )
+    rebuilt = page.sibling(page.page_id)
     rebuilt.lsn = page.lsn
     rebuilt.split_ts = page.split_ts
     rebuilt.end_ts = page.end_ts
@@ -134,12 +130,12 @@ def prune_conventional_page(
         horizon_satisfied = False
         for i, version in enumerate(chain):
             if not version.is_timestamped:
-                keep.append(version.copy())
+                keep.append(version)
                 continue
             if i == 0:
-                keep.append(version.copy())
+                keep.append(version)
             elif oldest is not None and not horizon_satisfied:
-                keep.append(version.copy())
+                keep.append(version)
             else:
                 dropped += 1
                 continue

@@ -60,7 +60,8 @@ class Transaction:
     mode: TxnMode
     state: TxnState = TxnState.ACTIVE
     last_lsn: int = 0                 # backchain head for rollback
-    logged_begin: bool = False        # BeginTxn is logged lazily at first write
+    logged_begin: bool = False        # BeginTxn is logged, and the VTT entry
+    # made (stage I), lazily at the first write: readers leave no trace
     snapshot_ts: Timestamp | None = None   # visibility horizon (snapshot / as-of)
     commit_ts: Timestamp | None = None
     pinned_ts: Timestamp | None = None     # set by CURRENT TIME (§7.2)
@@ -164,7 +165,6 @@ class TransactionManager:
             if as_of is None:
                 raise TransactionStateError("AS OF transaction needs a timestamp")
             txn.snapshot_ts = as_of
-        self.tsmgr.on_begin(tid, is_snapshot=mode is TxnMode.SNAPSHOT)
         self.active[tid] = txn
         return txn
 
@@ -174,8 +174,10 @@ class TransactionManager:
         """Append a txn-scoped update record, maintaining the backchain."""
         txn.require_writable()
         if not txn.logged_begin:
-            begin_lsn = self.log.append(BeginTxn(tid=txn.tid))
-            txn.last_lsn = begin_lsn
+            self.tsmgr.on_begin(
+                txn.tid, is_snapshot=txn.mode is TxnMode.SNAPSHOT
+            )
+            txn.last_lsn = self.log.append(BeginTxn(tid=txn.tid))
             txn.logged_begin = True
         record.tid = txn.tid
         record.prev_lsn = txn.last_lsn
@@ -211,7 +213,6 @@ class TransactionManager:
         txn.require_active()
         if txn.is_read_only:
             txn.state = TxnState.COMMITTED
-            self.tsmgr.on_abort(txn.tid)  # drop the (empty) VTT entry
             self._finish(txn)
             return None
 

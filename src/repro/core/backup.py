@@ -108,9 +108,9 @@ class QueryableBackup:
             self.engine.buffer.replace_page(outcome.history)
             affected = [outcome.current, outcome.history]
             if btree.history_index is not None:
-                _, _, low, high = btree._descend(
+                _, low, high = next(btree.leaves_with_bounds(
                     outcome.current.min_key or b""
-                )
+                ))
                 affected.extend(
                     btree.history_index.on_time_split(outcome.history, low, high)
                 )

@@ -5,7 +5,8 @@ the invariants the design depends on:
 
 * **catalog** — every schema's roots exist and have the right page types;
 * **B-trees** — separators ordered, leaf keys inside their bounds, the
-  index traversal and the leaf sibling chain agree;
+  index traversal and the leaf sibling chain agree; every index node's
+  maintained byte count equals a fresh sum and its codec roundtrips;
 * **pages** — codec roundtrip (what is in memory serializes and reparses
   identically), sorted slot arrays, acyclic version chains, timestamps
   strictly decreasing along each chain;
@@ -141,6 +142,27 @@ def _check_btree(
                 report.add(
                     "btree",
                     f"{name}: index node {pid} children/separator mismatch",
+                    table=name, page_id=pid,
+                )
+            # The node maintains its size as separators come and go; a
+            # drifted count would let ``is_full`` overfill the image.
+            if page.used_bytes != page.counted_bytes():
+                report.add(
+                    "btree",
+                    f"{name}: index node {pid} counts {page.used_bytes} "
+                    f"used bytes but holds {page.counted_bytes()}",
+                    table=name, page_id=pid,
+                )
+            try:
+                reparsed = decode_page(page.to_bytes())
+                intact = (reparsed.seps, reparsed.children) == \
+                    (page.seps, page.children)
+            except ImmortalDBError:
+                intact = False
+            if not intact:
+                report.add(
+                    "codec",
+                    f"{name}: index node {pid} fails its codec roundtrip",
                     table=name, page_id=pid,
                 )
             for i, child in enumerate(page.children):

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator
 
-from repro.clock import Timestamp
+from repro.clock import TID_FLAG, Timestamp
 from repro.concurrency.snapshot import visible_version
 from repro.concurrency.transaction import Transaction, TxnMode
 from repro.core.asof import (
@@ -97,13 +97,14 @@ class Table:
             tid, immortal=self.immortal
         )
 
-    def _stamp_chain(self, leaf: DataPage, key: bytes) -> int:
-        """Lazy-timestamping trigger: stamp committed versions of one record."""
+    def _stamp_chain(self, leaf: DataPage, chain: list[RecordVersion]) -> int:
+        """Lazy-timestamping trigger: stamp committed versions of one record
+        (``chain`` is ``leaf.chain(key)``, walked once for every step)."""
         stamped = 0
-        for version in leaf.chain(key):
-            if not version.is_timestamped:
-                if self.engine.tsmgr.stamp_version(version):
-                    stamped += 1
+        for version in chain:
+            if version.ttime_field & TID_FLAG \
+                    and self.engine.tsmgr.stamp_version(version):
+                stamped += 1
         if stamped:
             self.engine.buffer.mark_dirty_page(leaf)
         return stamped
@@ -146,18 +147,16 @@ class Table:
             )
 
     def _check_write_conflict(
-        self, txn: Transaction, leaf: DataPage, key: bytes
+        self, txn: Transaction, chain: list[RecordVersion], key: bytes
     ) -> None:
         """First-committer-wins for snapshot writers (Section 1.1 [3]),
         plus CURRENT TIME validation for pinned transactions."""
-        if txn.pinned_ts is not None:
-            head = leaf.head(key)
-            if head is not None and head.is_timestamped:
-                self._validate_pinned(txn, head.timestamp)
-        if txn.mode is not TxnMode.SNAPSHOT:
+        if not chain:
             return
-        head = leaf.head(key)
-        if head is None:
+        head = chain[0]
+        if txn.pinned_ts is not None and head.is_timestamped:
+            self._validate_pinned(txn, head.timestamp)
+        if txn.mode is not TxnMode.SNAPSHOT:
             return
         if not head.is_timestamped:
             ts, committed = self._resolve(head.tid)
@@ -177,6 +176,25 @@ class Table:
                 f"transaction began at {txn.snapshot_ts}"
             )
 
+    def _current_for_write(
+        self, txn: Transaction, key: bytes
+    ) -> tuple[list[RecordVersion], RecordVersion | None]:
+        """The shared head of insert/update/delete: find, stamp, validate.
+
+        "When we update a non-timestamped version of a record with a later
+        version, all existing versions must be committed, and we timestamp
+        them all" (§2.2) — except our own uncommitted versions.  Returns the
+        record's chain (walked once) and the version this transaction sees.
+        """
+        leaf = self.btree.search_leaf(key)
+        chain = leaf.chain(key)
+        self._stamp_chain(leaf, chain)
+        self._check_write_conflict(txn, chain, key)
+        return chain, visible_version(
+            chain, horizon=None, inclusive=False,
+            resolve=self._resolve, own_tid=txn.tid,
+        )
+
     def _log_and_apply_version(
         self,
         txn: Transaction,
@@ -185,28 +203,26 @@ class Table:
         payload: bytes,
     ) -> None:
         """The shared tail of insert/update/delete: log, stamp-II, apply."""
+        engine = self.engine
+        schema = self.schema
+        table_id = schema.table_id
         record = RecordVersion.new(
             key, payload, txn.tid, delete_stub=kind == VersionOpKind.DELETE
         )
         leaf = self.btree.leaf_for_insert(record)
-        lsn = self.engine.txn_mgr.log_update(
+        lsn = engine.txn_mgr.log_update(
             txn,
             VersionOp(
-                kind=kind,
-                table_id=self.table_id,
-                page_id=leaf.page_id,
-                key=key,
-                payload=payload,
+                kind=kind, table_id=table_id, page_id=leaf.page_id,
+                key=key, payload=payload,
             ),
         )
-        self.engine.tsmgr.on_version_created(
-            txn.tid, self.table_id, leaf.page_id, key
-        )
+        engine.tsmgr.on_version_created(txn.tid, table_id, leaf.page_id, key)
         self.btree.apply_insert(leaf, record, lsn)
-        self.engine.version_ops += 1
-        txn.writes.add((self.table_id, key))
+        engine.version_ops += 1
+        txn.writes.add((table_id, key))
         txn.version_count += 1
-        if self.immortal:
+        if schema.immortal:
             txn.touched_immortal = True
 
     # -- mutations -------------------------------------------------------------------
@@ -220,20 +236,12 @@ class Table:
         # and never across a lock wait (see DESIGN.md "Concurrent execution").
         self.engine.locks.lock_record_exclusive(txn.tid, self.table_id, key)
         with self.engine._latch:
-            leaf = self.btree.search_leaf(key)
-            self._stamp_chain(leaf, key)
-            self._check_write_conflict(txn, leaf, key)
-            head = leaf.head(key)
-            if head is not None:
-                visible = visible_version(
-                    leaf.chain(key), horizon=None, inclusive=False,
-                    resolve=self._resolve, own_tid=txn.tid,
+            _, visible = self._current_for_write(txn, key)
+            if visible is not None and not visible.is_delete_stub:
+                raise DuplicateKeyError(
+                    f"table {self.name}: key "
+                    f"{row[self.codec.key_column]!r} already exists"
                 )
-                if visible is not None and not visible.is_delete_stub:
-                    raise DuplicateKeyError(
-                        f"table {self.name}: key "
-                        f"{row[self.codec.key_column]!r} already exists"
-                    )
             self._log_and_apply_version(
                 txn, VersionOpKind.INSERT, key, payload
             )
@@ -247,17 +255,7 @@ class Table:
         key = self.codec.encode_key(key_value)
         self.engine.locks.lock_record_exclusive(txn.tid, self.table_id, key)
         with self.engine._latch:
-            leaf = self.btree.search_leaf(key)
-            # "When we update a non-timestamped version of a record with a
-            # later version, all existing versions must be committed, and we
-            # timestamp them all" (§2.2) — except our own uncommitted
-            # versions.
-            self._stamp_chain(leaf, key)
-            self._check_write_conflict(txn, leaf, key)
-            current = visible_version(
-                leaf.chain(key), horizon=None, inclusive=False,
-                resolve=self._resolve, own_tid=txn.tid,
-            )
+            chain, current = self._current_for_write(txn, key)
             if current is None or current.is_delete_stub:
                 raise KeyNotFoundError(
                     f"table {self.name}: no record with key {key_value!r}"
@@ -268,9 +266,11 @@ class Table:
                  if k != self.codec.key_column}
             )
             payload = self.codec.encode_payload(row)
-            head = leaf.head(key)
+            # ``current`` exists, so the chain has a head (stamping above
+            # changed its Ttime field in place, not the list).
+            head = chain[0]
             if self.versioned and not (
-                head is not None and not head.is_timestamped
+                not head.is_timestamped
                 and head.tid == txn.tid and not head.is_delete_stub
             ):
                 self._log_and_apply_version(
@@ -320,13 +320,7 @@ class Table:
         key = self.codec.encode_key(key_value)
         self.engine.locks.lock_record_exclusive(txn.tid, self.table_id, key)
         with self.engine._latch:
-            leaf = self.btree.search_leaf(key)
-            self._stamp_chain(leaf, key)
-            self._check_write_conflict(txn, leaf, key)
-            current = visible_version(
-                leaf.chain(key), horizon=None, inclusive=False,
-                resolve=self._resolve, own_tid=txn.tid,
-            )
+            _, current = self._current_for_write(txn, key)
             if current is None or current.is_delete_stub:
                 raise KeyNotFoundError(
                     f"table {self.name}: no record with key {key_value!r}"
@@ -388,21 +382,22 @@ class Table:
             return self._read_cached(txn, leaf, key, horizon, inclusive)
         if horizon is None or horizon >= leaf.split_ts:
             page: DataPage | None = leaf
-            if horizon is None:
-                # Reading triggers lazy timestamping (stage IV).
-                self._stamp_chain(leaf, key)
         else:
             page = self._route(leaf, key, horizon)
         if page is None:
             return None
+        chain = page.chain(key)
+        if horizon is None:
+            # Reading triggers lazy timestamping (stage IV).
+            self._stamp_chain(leaf, chain)
         version = visible_version(
-            page.chain(key), horizon=horizon, inclusive=inclusive,
+            chain, horizon=horizon, inclusive=inclusive,
             resolve=self._resolve, own_tid=txn.tid,
             stats=self.engine.asof_stats,
         )
         if version is None or version.is_delete_stub:
             return None
-        if version.is_timestamped:
+        if txn.pinned_ts is not None and version.is_timestamped:
             self._validate_pinned(txn, version.timestamp)
         return self.codec.decode_row(key, version.payload)
 
@@ -488,7 +483,7 @@ class Table:
         )
         if version is None:
             return None
-        if version.is_timestamped:
+        if txn.pinned_ts is not None and version.is_timestamped:
             self._validate_pinned(txn, version.timestamp)
         return chain_view.decoded(version, key, self.codec)
 

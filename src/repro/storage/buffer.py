@@ -422,7 +422,9 @@ class BufferPool:
 
     def get_page(self, page_id: int) -> Page:
         """Fetch a page, reading it from disk on a miss."""
-        with self.mutex or _NO_MUTEX:
+        if self.mutex is None:      # the common case: no context to enter
+            return self._get_page_locked(page_id)
+        with self.mutex:
             return self._get_page_locked(page_id)
 
     def _get_page_locked(self, page_id: int) -> Page:
@@ -555,19 +557,20 @@ class BufferPool:
 
     def mark_dirty(self, page_id: int, rec_lsn: int | None = None) -> None:
         with self.mutex or _NO_MUTEX:
-            frame = self._require_frame(page_id)
-            # mark_dirty means "this page's content changed"; mutations that
-            # go through an attribute the page object can see already
-            # invalidated the encode cache, but in-place record mutations
-            # (stamping) do not, so the dirty notification doubles as the
-            # cache invalidation point.
-            frame.page.touch()
-            if not frame.dirty:
-                frame.dirty = True
-                frame.rec_lsn = (
-                    rec_lsn if rec_lsn is not None else frame.page.lsn
-                )
-            self._policy.on_access(page_id)
+            self._mark_dirty(self._require_frame(page_id), rec_lsn)
+
+    def _mark_dirty(self, frame: Frame, rec_lsn: int | None) -> None:
+        # mark_dirty means "this page's content changed"; mutations that
+        # go through an attribute the page object can see already
+        # invalidated the encode cache, but in-place record mutations
+        # (stamping) do not, so the dirty notification doubles as the
+        # cache invalidation point.
+        page = frame.page
+        page.touch()
+        if not frame.dirty:
+            frame.dirty = True
+            frame.rec_lsn = rec_lsn if rec_lsn is not None else page.lsn
+        self._policy.on_access(page.page_id)
 
     def mark_dirty_page(self, page: Page, rec_lsn: int | None = None) -> None:
         """``mark_dirty`` by page object, re-admitting it if eviction won.
@@ -581,10 +584,18 @@ class BufferPool:
         letting ``mark_dirty`` raise (or worse, faulting the stale disk
         image back in next to the orphaned object).
         """
-        with self.mutex or _NO_MUTEX:
-            if page.page_id not in self._frames:
+        mutex = self.mutex
+        if mutex is not None:
+            mutex.acquire()
+        try:
+            frame = self._frames.get(page.page_id)
+            if frame is None:
                 self.replace_page(page)
-            self.mark_dirty(page.page_id, rec_lsn)
+                frame = self._require_frame(page.page_id)
+            self._mark_dirty(frame, rec_lsn)
+        finally:
+            if mutex is not None:
+                mutex.release()
 
     def is_dirty(self, page_id: int) -> bool:
         frame = self._frames.get(page_id)

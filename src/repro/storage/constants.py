@@ -69,3 +69,9 @@ class RecordFlag(enum.IntFlag):
     NONE = 0
     DELETE_STUB = 1        # the 'special new version' marking a delete (§1.2)
     VP_IN_HISTORY = 2      # VP is a slot number in the history page, not local
+
+
+# ``RecordVersion.flags`` is a plain int and the engine tests it against
+# these: an ``IntFlag`` operand would build an enum member on every ``&``.
+DELETE_STUB = int(RecordFlag.DELETE_STUB)
+VP_IN_HISTORY = int(RecordFlag.VP_IN_HISTORY)

@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import struct
 from bisect import bisect_left
-from typing import Callable, Iterator
+from typing import Callable
 
-from repro.clock import Timestamp
+from repro.clock import TID_FLAG, Timestamp
 from repro.errors import PageFormatError, PageFullError
 from repro.storage.constants import (
     COMMON_HEADER_SIZE,
@@ -34,10 +34,16 @@ from repro.storage.constants import (
     NO_PREVIOUS,
     PAGE_SIZE,
     PageType,
-    RecordFlag,
     SLOT_SIZE,
+    VP_IN_HISTORY,
 )
-from repro.storage.record import RecordVersion, decode_versions
+from repro.storage.record import (
+    RECORD_HEAD,
+    RECORD_OVERHEAD,
+    RECORD_TAIL,
+    RecordVersion,
+    decode_versions,
+)
 
 
 # page_id(4) type(1) flags(1) pad(2) lsn(8) CRC32-slot(4, stamped by disk)
@@ -153,6 +159,13 @@ def _slot_codec(nslots: int) -> struct.Struct:
     return codec
 
 
+def history_slot_after(chain: list[RecordVersion]) -> int | None:
+    """Where a newest-first chain continues: its slot in the history page."""
+    if chain and chain[-1].flags & VP_IN_HISTORY:
+        return chain[-1].vp
+    return None
+
+
 class DataPage(Page):
     """A current or history data page holding versioned records."""
 
@@ -190,6 +203,15 @@ class DataPage(Page):
         self.next_leaf_id: int = NO_PAGE           # B-tree leaf sibling chain
         self._used = DATA_HEADER_SIZE
 
+    def sibling(self, page_id: int, *, is_history: bool | None = None) -> "DataPage":
+        """An empty page of this one's table, size and (by default) kind."""
+        if is_history is None:
+            is_history = self.is_history
+        return DataPage(
+            page_id, is_history=is_history, page_size=self.page_size,
+            table_id=self.table_id, immortal=self.immortal,
+        )
+
     @property
     def is_history(self) -> bool:
         return self.page_type == PageType.DATA_HISTORY
@@ -209,10 +231,6 @@ class DataPage(Page):
     def free_bytes(self) -> int:
         return self.page_size - self._used
 
-    def fits(self, record: RecordVersion, *, new_slot: bool) -> bool:
-        need = record.size_on_page + (SLOT_SIZE if new_slot else 0)
-        return need <= self.free_bytes
-
     @property
     def utilization(self) -> float:
         return self._used / self.page_size
@@ -229,14 +247,11 @@ class DataPage(Page):
 
     # -- slot lookup -----------------------------------------------------------
 
-    def slot_position(self, key: bytes) -> int:
-        """bisect position of ``key`` in the slot array."""
-        return bisect_left(self._slot_keys, key)
-
     def slot_of(self, key: bytes) -> int | None:
         """Slot number of ``key``, or None if the page has no record for it."""
-        pos = self.slot_position(key)
-        if pos < len(self._slot_keys) and self._slot_keys[pos] == key:
+        keys = self._slot_keys
+        pos = bisect_left(keys, key)
+        if pos < len(keys) and keys[pos] == key:
             return pos
         return None
 
@@ -245,9 +260,6 @@ class DataPage(Page):
         slot = self.slot_of(key)
         if slot is None:
             return None
-        return self.versions[self.slots[slot]]
-
-    def head_at_slot(self, slot: int) -> RecordVersion:
         return self.versions[self.slots[slot]]
 
     def keys(self) -> list[bytes]:
@@ -264,42 +276,31 @@ class DataPage(Page):
 
     # -- version chains --------------------------------------------------------
 
-    def chain(self, key: bytes) -> Iterator[RecordVersion]:
-        """Iterate the versions of ``key`` in this page, newest first.
+    def chain(self, key: bytes) -> list[RecordVersion]:
+        """The versions of ``key`` in this page, newest first ([] if none).
 
-        Iteration stops at the page boundary: if the oldest local version's
+        The list stops at the page boundary: if the oldest local version's
         VP points into the history page (``VP_IN_HISTORY``), the caller must
-        continue there (see :meth:`continues_in_history`).
+        continue there (see :func:`history_slot_after`).
         """
         slot = self.slot_of(key)
         if slot is None:
-            return
-        index = self.slots[slot]
-        while True:
-            version = self.versions[index]
-            yield version
-            if not version.has_previous or version.vp_in_history:
-                return
-            index = version.vp
+            return []
+        return self.chain_from(self.slots[slot])
 
-    def chain_from(self, version_index: int) -> Iterator[RecordVersion]:
-        """Iterate newest-first starting from an explicit version index."""
-        index = version_index
-        while True:
-            version = self.versions[index]
-            yield version
-            if not version.has_previous or version.vp_in_history:
-                return
-            index = version.vp
+    def chain_from(self, version_index: int) -> list[RecordVersion]:
+        """The chain newest-first starting from an explicit version index."""
+        versions = self.versions
+        version = versions[version_index]
+        chain = [version]
+        while version.vp != NO_PREVIOUS and not version.flags & VP_IN_HISTORY:
+            version = versions[version.vp]
+            chain.append(version)
+        return chain
 
-    def continues_in_history(self, key: bytes) -> int | None:
-        """If ``key``'s chain continues in the history page, its slot there."""
-        tail: RecordVersion | None = None
-        for tail in self.chain(key):
-            pass
-        if tail is not None and tail.vp_in_history:
-            return tail.vp
-        return None
+    def chains(self) -> list[list[RecordVersion]]:
+        """Every record's chain (newest first), in key order."""
+        return [self.chain_from(head) for head in self.slots]
 
     # -- mutation ---------------------------------------------------------------
 
@@ -311,68 +312,73 @@ class DataPage(Page):
         :exc:`PageFullError` when the page lacks room — the caller then
         performs a time split and/or key split and retries.
         """
-        pos = self.slot_position(record.key)
-        existing = pos < len(self._slot_keys) and self._slot_keys[pos] == record.key
-        if not self.fits(record, new_slot=not existing):
+        key = record.key
+        keys = self._slot_keys
+        pos = bisect_left(keys, key)
+        existing = pos < len(keys) and keys[pos] == key
+        need = RECORD_OVERHEAD + len(key) + len(record.payload)
+        if not existing:
+            need += SLOT_SIZE
+        if need > self.page_size - self._used:
             raise PageFullError(
                 f"page {self.page_id}: no room for {record.size_on_page}-byte record"
             )
+        versions = self.versions
         if existing:
             record.vp = self.slots[pos]
-            record.flags &= ~RecordFlag.VP_IN_HISTORY
-            self.versions.append(record)
-            self.slots[pos] = len(self.versions) - 1
-            self._used += record.size_on_page
+            record.flags &= ~VP_IN_HISTORY
+            self.slots[pos] = len(versions)
         else:
             record.vp = NO_PREVIOUS
-            self.versions.append(record)
-            self.slots.insert(pos, len(self.versions) - 1)
-            self._slot_keys.insert(pos, record.key)
-            self._used += record.size_on_page + SLOT_SIZE
+            self.slots.insert(pos, len(versions))
+            keys.insert(pos, key)
+        versions.append(record)
+        self._used += need
 
     def add_chain(
         self,
         chain_newest_first: list[RecordVersion],
         *,
         history_slot: int | None = None,
-    ) -> None:
-        """Install a whole version chain for one key (used by page splits).
+    ) -> int:
+        """Install a copy of one key's whole version chain (page splits).
 
-        ``chain_newest_first`` are detached copies; their VP/flags are
-        rewritten here.  If ``history_slot`` is given, the oldest version's
-        VP is pointed at that slot of the page's history page.
+        The versions are copied as they are linked.  If ``history_slot`` is
+        given, the oldest version's VP is pointed at that slot of the page's
+        history page.  Returns the key's slot number here — for a split,
+        which reads its source in key order, always the last one.
         """
         if not chain_newest_first:
             raise ValueError("empty chain")
         key = chain_newest_first[0].key
-        if any(v.key != key for v in chain_newest_first):
-            raise ValueError("chain mixes keys")
-        if self.slot_of(key) is not None:
+        keys = self._slot_keys
+        pos = bisect_left(keys, key)
+        if pos < len(keys) and keys[pos] == key:
             raise ValueError(f"page {self.page_id} already has a slot for {key!r}")
-        need = sum(v.size_on_page for v in chain_newest_first) + SLOT_SIZE
-        if need > self.free_bytes:
+        need = SLOT_SIZE + (RECORD_OVERHEAD + len(key)) * len(chain_newest_first)
+        for v in chain_newest_first:
+            if v.key != key:
+                raise ValueError("chain mixes keys")
+            need += len(v.payload)
+        if need > self.page_size - self._used:
             raise PageFullError(
                 f"page {self.page_id}: no room for {need}-byte chain"
             )
         # Store oldest-first so VP indices always point backwards in the list.
-        prev_index: int | None = None
-        for version in reversed(chain_newest_first):
-            if prev_index is None:
-                if history_slot is not None:
-                    version.vp = history_slot
-                    version.flags |= RecordFlag.VP_IN_HISTORY
-                else:
-                    version.vp = NO_PREVIOUS
-                    version.flags &= ~RecordFlag.VP_IN_HISTORY
-            else:
-                version.vp = prev_index
-                version.flags &= ~RecordFlag.VP_IN_HISTORY
-            self.versions.append(version)
-            prev_index = len(self.versions) - 1
-        pos = self.slot_position(key)
-        self.slots.insert(pos, prev_index)  # head = newest = last appended
-        self._slot_keys.insert(pos, key)
+        versions = self.versions
+        vp, flag = NO_PREVIOUS, 0
+        if history_slot is not None:
+            vp, flag = history_slot, VP_IN_HISTORY
+        for v in reversed(chain_newest_first):
+            versions.append(RecordVersion(
+                key, v.payload, v.flags & ~VP_IN_HISTORY | flag, vp,
+                v.ttime_field, v.sn,
+            ))
+            vp, flag = len(versions) - 1, 0
+        self.slots.insert(pos, vp)  # head = newest = last appended
+        keys.insert(pos, key)
         self._used += need
+        return pos
 
     def remove_newest_version(self, key: bytes) -> RecordVersion:
         """Remove the chain head for ``key`` (transaction rollback / undo).
@@ -386,7 +392,7 @@ class DataPage(Page):
             raise KeyError(key)
         head_index = self.slots[slot]
         head = self.versions[head_index]
-        if head.has_previous and not head.vp_in_history:
+        if head.vp != NO_PREVIOUS and not head.flags & VP_IN_HISTORY:
             self.slots[slot] = head.vp
         else:
             del self.slots[slot]
@@ -396,8 +402,8 @@ class DataPage(Page):
         self._used -= head.size_on_page
         # Compact: every index greater than head_index shifts down by one.
         for version in self.versions:
-            if version.has_previous and not version.vp_in_history \
-                    and version.vp > head_index:
+            if version.vp != NO_PREVIOUS and version.vp > head_index \
+                    and not version.flags & VP_IN_HISTORY:
                 version.vp -= 1
         self.slots = [i - 1 if i > head_index else i for i in self.slots]
         return head
@@ -418,12 +424,13 @@ class DataPage(Page):
 
     def has_unstamped_records(self) -> bool:
         """True if any version still carries a TID instead of a timestamp."""
-        return any(not v.is_timestamped for v in self.versions)
-
-    def unstamped_versions(self) -> Iterator[RecordVersion]:
         for version in self.versions:
-            if not version.is_timestamped:
-                yield version
+            if version.ttime_field & TID_FLAG:
+                return True
+        return False
+
+    def unstamped_versions(self) -> list[RecordVersion]:
+        return [v for v in self.versions if v.ttime_field & TID_FLAG]
 
     # -- self-contained invariants -------------------------------------------------
 
@@ -443,7 +450,7 @@ class DataPage(Page):
             problems.append("slot array out of order")
         for key in self._slot_keys:
             visited: set[int] = set()
-            index = self.slots[self.slot_position(key)]
+            index = self.slots[bisect_left(self._slot_keys, key)]
             last_ts: Timestamp | None = None
             while True:
                 if index in visited:
@@ -491,9 +498,18 @@ class DataPage(Page):
             self.history_page_id, self.next_leaf_id, self.table_id,
         )
         offset = DATA_HEADER_SIZE
+        pack_head, pack_tail = RECORD_HEAD.pack_into, RECORD_TAIL.pack_into
         try:
-            for version in self.versions:
-                offset = version.write_into(buf, offset)
+            for v in self.versions:
+                key, payload = v.key, v.payload
+                body = offset + RECORD_HEAD.size
+                split = body + len(key)
+                tail = split + len(payload)
+                pack_head(buf, offset, v.flags, split - body, tail - split)
+                buf[body:split] = key
+                buf[split:tail] = payload
+                pack_tail(buf, tail, v.vp, v.ttime_field, v.sn)
+                offset = tail + RECORD_TAIL.size
         except struct.error as exc:
             raise PageFormatError(
                 f"page {self.page_id} overflows its image"

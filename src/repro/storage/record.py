@@ -30,14 +30,19 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
-from repro.clock import Timestamp, encode_tid_field, field_is_tid, field_tid
+from repro.clock import TID_FLAG, Timestamp, encode_tid_field, field_tid
 from repro.errors import PageFormatError
-from repro.storage.constants import NO_PREVIOUS, RecordFlag, VERSIONING_TAIL_SIZE
+from repro.storage.constants import (
+    DELETE_STUB,
+    NO_PREVIOUS,
+    VERSIONING_TAIL_SIZE,
+    VP_IN_HISTORY,
+)
 
-_FIXED_OVERHEAD = 1 + 2 + 2 + VERSIONING_TAIL_SIZE  # flags + lengths + tail
+RECORD_OVERHEAD = 1 + 2 + 2 + VERSIONING_TAIL_SIZE  # flags + lengths + tail
 
-_HEAD = struct.Struct(">BHH")   # flags, key_len, payload_len
-_TAIL = struct.Struct(">HQI")   # vp, ttime_field, sn
+RECORD_HEAD = struct.Struct(">BHH")   # flags, key_len, payload_len
+RECORD_TAIL = struct.Struct(">HQI")   # vp, ttime_field, sn
 
 
 @dataclass(slots=True)
@@ -53,7 +58,7 @@ class RecordVersion:
 
     key: bytes
     payload: bytes
-    flags: int = RecordFlag.NONE
+    flags: int = 0
     vp: int = NO_PREVIOUS
     ttime_field: int = 0
     sn: int = 0
@@ -62,11 +67,11 @@ class RecordVersion:
 
     @property
     def is_delete_stub(self) -> bool:
-        return bool(self.flags & RecordFlag.DELETE_STUB)
+        return self.flags & DELETE_STUB != 0
 
     @property
     def vp_in_history(self) -> bool:
-        return bool(self.flags & RecordFlag.VP_IN_HISTORY)
+        return self.flags & VP_IN_HISTORY != 0
 
     @property
     def has_previous(self) -> bool:
@@ -75,7 +80,7 @@ class RecordVersion:
     @property
     def is_timestamped(self) -> bool:
         """True once the Ttime field holds a real commit time, not a TID."""
-        return not field_is_tid(self.ttime_field)
+        return not self.ttime_field & TID_FLAG
 
     @property
     def tid(self) -> int:
@@ -85,7 +90,7 @@ class RecordVersion:
     @property
     def timestamp(self) -> Timestamp:
         """The version's start time (only valid once timestamped)."""
-        if field_is_tid(self.ttime_field):
+        if self.ttime_field & TID_FLAG:
             raise ValueError(
                 f"record for key {self.key!r} is not timestamped yet "
                 f"(TID {field_tid(self.ttime_field)})"
@@ -104,19 +109,13 @@ class RecordVersion:
         delete_stub: bool = False,
     ) -> "RecordVersion":
         """Create a fresh, not-yet-timestamped version written by ``tid``."""
-        flags = RecordFlag.DELETE_STUB if delete_stub else RecordFlag.NONE
-        return cls(
-            key=key,
-            payload=b"" if delete_stub else payload,
-            flags=int(flags),
-            vp=NO_PREVIOUS,
-            ttime_field=encode_tid_field(tid),
-            sn=0,
-        )
+        if delete_stub:
+            return cls(key, b"", DELETE_STUB, NO_PREVIOUS, encode_tid_field(tid), 0)
+        return cls(key, payload, 0, NO_PREVIOUS, encode_tid_field(tid), 0)
 
     def stamp(self, ts: Timestamp) -> None:
         """Replace the TID marking with the transaction's commit timestamp."""
-        if self.is_timestamped:
+        if not self.ttime_field & TID_FLAG:
             raise ValueError(f"record for key {self.key!r} is already timestamped")
         self.ttime_field = ts.ttime
         self.sn = ts.sn
@@ -124,12 +123,7 @@ class RecordVersion:
     def copy(self) -> "RecordVersion":
         """A detached copy (used when a time split replicates spanning versions)."""
         return RecordVersion(
-            key=self.key,
-            payload=self.payload,
-            flags=self.flags,
-            vp=self.vp,
-            ttime_field=self.ttime_field,
-            sn=self.sn,
+            self.key, self.payload, self.flags, self.vp, self.ttime_field, self.sn
         )
 
     # -- sizing / codec ------------------------------------------------------
@@ -137,7 +131,7 @@ class RecordVersion:
     @property
     def size_on_page(self) -> int:
         """Bytes this version occupies in a page's record area."""
-        return _FIXED_OVERHEAD + len(self.key) + len(self.payload)
+        return RECORD_OVERHEAD + len(self.key) + len(self.payload)
 
     def to_bytes(self) -> bytes:
         """Serialize to the fixed-size on-disk image."""
@@ -145,24 +139,12 @@ class RecordVersion:
             raise PageFormatError("key or payload exceeds 64 KiB record limit")
         return b"".join(
             (
-                _HEAD.pack(self.flags, len(self.key), len(self.payload)),
+                RECORD_HEAD.pack(self.flags, len(self.key), len(self.payload)),
                 self.key,
                 self.payload,
-                _TAIL.pack(self.vp, self.ttime_field, self.sn),
+                RECORD_TAIL.pack(self.vp, self.ttime_field, self.sn),
             )
         )
-
-    def write_into(self, buf: bytearray, offset: int) -> int:
-        """Serialize directly into a page buffer; returns the next offset."""
-        if len(self.key) > 0xFFFF or len(self.payload) > 0xFFFF:
-            raise PageFormatError("key or payload exceeds 64 KiB record limit")
-        _HEAD.pack_into(buf, offset, self.flags, len(self.key), len(self.payload))
-        body = offset + _HEAD.size
-        tail = body + len(self.key) + len(self.payload)
-        buf[body : body + len(self.key)] = self.key
-        buf[body + len(self.key) : tail] = self.payload
-        _TAIL.pack_into(buf, tail, self.vp, self.ttime_field, self.sn)
-        return tail + _TAIL.size
 
     @classmethod
     def from_bytes(
@@ -193,10 +175,10 @@ def decode_versions(
     view = memoryview(data)
     versions: list[RecordVersion] = []
     append = versions.append
-    head_unpack = _HEAD.unpack_from
-    tail_unpack = _TAIL.unpack_from
-    head_size = _HEAD.size
-    tail_size = _TAIL.size
+    head_unpack = RECORD_HEAD.unpack_from
+    tail_unpack = RECORD_TAIL.unpack_from
+    head_size = RECORD_HEAD.size
+    tail_size = RECORD_TAIL.size
     make = RecordVersion
     try:
         for _ in range(count):

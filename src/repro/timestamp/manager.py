@@ -1,6 +1,7 @@
 """Lazy timestamping: the four-stage protocol of Section 2.2.
 
-Stage I   — transaction begin: create the VTT entry (RefCount 0, SN invalid).
+Stage I   — the transaction's first write (readers never need one): create
+            the VTT entry (RefCount 0, SN invalid).
 Stage II  — insert/update/delete: new versions carry the writer's TID;
             RefCount is incremented per version.
 Stage III — commit: choose the timestamp (late, so it agrees with
@@ -30,7 +31,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.clock import Timestamp
+from repro.clock import SN_INVALID, Timestamp, field_tid
 from repro.errors import UnknownTransactionError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import DataPage, Page
@@ -103,7 +104,13 @@ class TimestampManager:
         self, tid: int, table_id: int, page_id: int, key: bytes
     ) -> None:
         """A new version was written, marked with ``tid``."""
-        with self.mutex or _NO_MUTEX:
+        # The per-version methods (this one, resolve, stamp_version) test the
+        # mutex for ``None`` by hand; the per-transaction ones can afford the
+        # two Python calls that entering ``nullcontext`` costs.
+        if self.mutex is None:
+            self.vtt.increment(tid)
+            return
+        with self.mutex:
             self.vtt.increment(tid)
 
     # -- stage III ----------------------------------------------------------------
@@ -142,10 +149,13 @@ class TimestampManager:
 
     def resolve(self, tid: int) -> tuple[Timestamp | None, bool]:
         """TID → (timestamp, committed?).  (None, False) while still active."""
-        with self.mutex or _NO_MUTEX:
+        mutex = self.mutex
+        if mutex is not None:
+            mutex.acquire()
+        try:
             entry = self.vtt.get(tid)
             if entry is not None:
-                if entry.is_active:
+                if entry.sn == SN_INVALID:      # still active
                     return None, False
                 self.stats.vtt_hits += 1
                 return entry.timestamp, True
@@ -157,6 +167,9 @@ class TimestampManager:
                 )
             self.vtt.cache_from_ptt(tid, ts)
             return ts, True
+        finally:
+            if mutex is not None:
+                mutex.release()
 
     def resolve_with_fallback(
         self, tid: int, *, immortal: bool
@@ -200,8 +213,11 @@ class TimestampManager:
         never logged, so a stamped version reaching disk before its commit
         record would survive a crash that rolls the transaction back.
         """
-        with self.mutex or _NO_MUTEX:
-            tid = version.tid
+        mutex = self.mutex
+        if mutex is not None:
+            mutex.acquire()
+        try:
+            tid = field_tid(version.ttime_field)
             ts, committed = self.resolve_with_fallback(tid, immortal=immortal)
             if not committed:
                 return False
@@ -212,18 +228,17 @@ class TimestampManager:
             assert ts is not None
             version.stamp(ts)
             self.stats.stamps += 1
-            self._after_stamp(tid)
+            if entry is not None:
+                remaining = self.vtt.decrement(tid, self.log.end_lsn)
+                if remaining == 0 and entry.is_snapshot:
+                    # Paper: a snapshot transaction's entry can be dropped
+                    # the moment its reference count reaches zero — nothing
+                    # persists in the PTT.
+                    self.vtt.drop(tid)
             return True
-
-    def _after_stamp(self, tid: int) -> None:
-        entry = self.vtt.get(tid)
-        if entry is None:
-            return
-        remaining = self.vtt.decrement(tid, self.log.end_lsn)
-        if remaining == 0 and entry.is_snapshot:
-            # Paper: a snapshot transaction's entry can be dropped the moment
-            # its reference count reaches zero — nothing persists in the PTT.
-            self.vtt.drop(tid)
+        finally:
+            if mutex is not None:
+                mutex.release()
 
     def stamp_page(self, page: DataPage, *, mark_dirty: bool = True) -> int:
         """Timestamp every committed, not-yet-stamped version in the page.

@@ -59,15 +59,15 @@ class VolatileTimestampTable:
 
     def __init__(self) -> None:
         self._entries: dict[int, VTTEntry] = {}
+        # ``vtt.get(tid)`` -> entry or None: the dict's own method, so the
+        # probe every stamp and every visibility test makes is one call.
+        self.get = self._entries.get
 
     def __contains__(self, tid: int) -> bool:
         return tid in self._entries
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def get(self, tid: int) -> VTTEntry | None:
-        return self._entries.get(tid)
 
     def require(self, tid: int) -> VTTEntry:
         entry = self._entries.get(tid)
@@ -89,7 +89,7 @@ class VolatileTimestampTable:
     # -- stage II: a version was written ----------------------------------------
 
     def increment(self, tid: int) -> None:
-        entry = self.require(tid)
+        entry = self._entries.get(tid) or self.require(tid)
         if entry.refcount is None:
             return  # undefined stays undefined
         entry.refcount += 1
@@ -102,7 +102,7 @@ class VolatileTimestampTable:
         commit_lsn: int | None = None,
     ) -> VTTEntry:
         """Record the commit timestamp; if nothing awaits stamping, mark done."""
-        entry = self.require(tid)
+        entry = self._entries.get(tid) or self.require(tid)
         entry.ttime = ts.ttime
         entry.sn = ts.sn
         entry.commit_lsn = commit_lsn
@@ -118,7 +118,7 @@ class VolatileTimestampTable:
         When the count reaches zero the caller's ``end_lsn`` (the LSN of the
         end of the log right now) is remembered as the GC gate.
         """
-        entry = self.require(tid)
+        entry = self._entries.get(tid) or self.require(tid)
         if entry.refcount is None:
             return None
         if entry.refcount <= 0:

@@ -4,9 +4,9 @@
 for tests and benchmarks (its ``crash()`` models lost unforced records
 exactly).  :class:`FileLogManager` extends it with a real log file:
 
-* every append buffers the framed record; the *sync* stage of ``force``
-  writes and fsyncs the buffered suffix, and ``flushed_lsn`` only ever
-  advances over fsynced frames;
+* appends stay in memory; the *sync* stage of ``force`` frames, writes and
+  fsyncs the records appended since the last one, and ``flushed_lsn`` only
+  ever advances over fsynced frames;
 * each on-disk frame is ``length(4) + crc32(4) + record bytes``, so a torn
   or bit-garbled tail is *detected*, not just guessed at: the load scan
   stops at the first frame whose length is implausible, whose CRC32
@@ -25,6 +25,7 @@ malformed record.
 from __future__ import annotations
 
 import os
+import struct
 import zlib
 
 from repro.errors import LogFormatError, WALError
@@ -32,14 +33,13 @@ from repro.faults.failpoints import fire
 from repro.wal.log import LogManager, _NO_MUTEX
 from repro.wal.records import LogRecord
 
-_LEN = 4
-_CRC = 4
+_FRAME = struct.Struct(">II")   # length, crc32 of the record bytes
 
 
 class FileLogManager(LogManager):
     """LogManager whose durable prefix lives in a real file."""
 
-    FRAME_BYTES = _LEN + _CRC   # keeps LSN arithmetic equal to file offsets
+    FRAME_BYTES = _FRAME.size   # keeps LSN arithmetic equal to file offsets
 
     def __init__(self, path: str | os.PathLike) -> None:
         super().__init__()
@@ -54,7 +54,7 @@ class FileLogManager(LogManager):
             self._file = open(self.path, "w+b")
             self._file.write(bytes(self.HEADER_BYTES))
             self._file.flush()
-        self._pending: list[bytes] = []   # framed records not yet on disk
+        self._written = len(self._raws)   # records already in the file
 
     # -- loading ---------------------------------------------------------------
 
@@ -65,10 +65,7 @@ class FileLogManager(LogManager):
             raise WALError(f"{self.path}: shorter than the log header")
         offset = self.HEADER_BYTES
         while offset + self.FRAME_BYTES <= len(data):
-            length = int.from_bytes(data[offset : offset + _LEN], "big")
-            crc = int.from_bytes(
-                data[offset + _LEN : offset + _LEN + _CRC], "big"
-            )
+            length, crc = _FRAME.unpack_from(data, offset)
             end = offset + self.FRAME_BYTES + length
             if length == 0 or end > len(data):
                 break  # torn tail: stop at the first malformed frame
@@ -95,38 +92,27 @@ class FileLogManager(LogManager):
 
     # -- appending / forcing ---------------------------------------------------------
 
-    def append(self, record: LogRecord) -> int:
-        # The mutex (an RLock, shared with the base class) covers the
-        # append-then-frame sequence so concurrent appends cannot interleave
-        # between LSN assignment and the pending-frame push.
-        with self.mutex or _NO_MUTEX:
-            lsn = super().append(record)
-            raw = self._raws[-1]
-            frame = (
-                len(raw).to_bytes(_LEN, "big")
-                + zlib.crc32(raw).to_bytes(_CRC, "big")
-                + raw
-            )
-            self._pending.append(frame)
-            return lsn
-
-    # The staged force is the base class's; only its device write differs.
-    # The name stays bound here because tracing tools wrap the ``force`` of
-    # each class they name.
+    # Appending and the staged force are the base class's; only the device
+    # write differs.  The names stay bound here because tracing tools wrap
+    # the ``append`` and ``force`` of each class they name.
+    append = LogManager.append
     force = LogManager.force
 
     def _write_out(self) -> int:
         with self.mutex or _NO_MUTEX:
-            count = len(self._pending)
-            data = b"".join(self._pending)
+            count = len(self._raws)
+            unwritten = self._raws[self._written:]
             upto = self._end_lsn
-        if count:
+        if unwritten:
+            crc32 = zlib.crc32
+            data = b"".join(
+                [_FRAME.pack(len(raw), crc32(raw)) + raw for raw in unwritten]
+            )
             fire("filelog.write")
             self._file.write(data)
-            # Dropped only once written: a failed write keeps its frames
-            # for the next force.  Appends since the join stay queued.
-            with self.mutex or _NO_MUTEX:
-                del self._pending[:count]
+            # Advanced only once written: a failed write leaves its records
+            # for the next force.
+            self._written = count
         self._file.flush()
         fire("filelog.fsync")
         os.fsync(self._file.fileno())
@@ -145,8 +131,8 @@ class FileLogManager(LogManager):
 
     def crash(self) -> None:
         """Simulated crash: the unforced suffix never reached the file."""
-        self._pending.clear()
         super().crash()
+        self._written = len(self._raws)
         # A crash inside a force can leave frames in the file that were
         # never published as durable; drop them with the in-memory suffix
         # so file offsets keep matching LSNs.

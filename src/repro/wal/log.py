@@ -22,7 +22,7 @@ from typing import Callable, Iterator
 
 from repro.errors import WALError
 from repro.faults.failpoints import fire
-from repro.wal.records import CompensationRecord, LogRecord, MultiPageImage
+from repro.wal.records import LogRecord
 
 _NO_MUTEX = nullcontext()
 
@@ -104,17 +104,25 @@ class LogManager:
         """Append a record; returns its LSN (not yet durable)."""
         fire("log.append")
         raw = record.to_bytes()
-        with self.mutex or _NO_MUTEX:
-            record.lsn = self._end_lsn
-            self._lsns.append(self._end_lsn)
+        size = self.FRAME_BYTES + len(raw)
+        stats = self.stats
+        mutex = self.mutex      # by hand: entering ``nullcontext`` is not free
+        if mutex is not None:
+            mutex.acquire()
+        try:
+            lsn = record.lsn = self._end_lsn
+            self._lsns.append(lsn)
             self._raws.append(raw)
-            self._end_lsn += self.FRAME_BYTES + len(raw)
-            self.stats.appends += 1
-            self.stats.bytes_appended += self.FRAME_BYTES + len(raw)
-            if isinstance(record, (MultiPageImage, CompensationRecord)):
-                self.stats.image_records += 1
-                self.stats.image_bytes += self.FRAME_BYTES + len(raw)
-            return record.lsn
+            self._end_lsn = lsn + size
+            stats.appends += 1
+            stats.bytes_appended += size
+            if record.CARRIES_IMAGES:
+                stats.image_records += 1
+                stats.image_bytes += size
+            return lsn
+        finally:
+            if mutex is not None:
+                mutex.release()
 
     @property
     def end_lsn(self) -> int:

@@ -28,6 +28,7 @@ Design notes:
 from __future__ import annotations
 
 import enum
+import struct
 from dataclasses import dataclass, field
 
 from repro.errors import LogFormatError
@@ -47,9 +48,27 @@ class SMOReason(enum.IntEnum):
     OTHER = 4
 
 
+# Fixed-width field groups, precompiled as the page codecs do.
+_HEADER = struct.Struct(">BQQ")        # tag, tid, prev_lsn
+_U32 = struct.Struct(">I")
+_COMMIT_BODY = struct.Struct(">QI?")   # ttime, sn, ptt
+_VERSION_OP_HEAD = struct.Struct(">BIIH")   # kind, table_id, page_id, len(key)
+_SMO_HEAD = struct.Struct(">BH")       # reason, len(images)
+_CLR_HEAD = struct.Struct(">QH")       # undo_next_lsn, len(images)
+_IMAGE_HEAD = struct.Struct(">II")     # page_id, len(image)
+
+
 def _put_bytes(chunks: list[bytes], data: bytes, width: int = 4) -> None:
     chunks.append(len(data).to_bytes(width, "big"))
     chunks.append(data)
+
+
+def _image_bytes(head: bytes, images: list[tuple[int, bytes]]) -> bytes:
+    """``head`` followed by each ``page_id(4) | length(4) | image``."""
+    chunks = [head]
+    for page_id, image in images:
+        chunks += (_IMAGE_HEAD.pack(page_id, len(image)), image)
+    return b"".join(chunks)
 
 
 class _Reader:
@@ -72,6 +91,10 @@ class _Reader:
         self.offset += length
         return out
 
+    def images(self) -> list[tuple[int, bytes]]:
+        """``count(2)`` then ``page_id(4) | length(4) | image`` each."""
+        return [(self.u(4), self.blob(4)) for _ in range(self.u(2))]
+
 
 @dataclass
 class LogRecord:
@@ -83,6 +106,7 @@ class LogRecord:
 
     TAG = -1
     REDO_ONLY = False
+    CARRIES_IMAGES = False   # full page after-images: counted apart by the log
 
     def affected_pages(self) -> tuple[int, ...]:
         """Page ids whose content this record's redo modifies.
@@ -107,27 +131,18 @@ class LogRecord:
 
     def to_bytes(self) -> bytes:
         """Serialize to the fixed-size on-disk image."""
-        return b"".join(
-            (
-                self.TAG.to_bytes(1, "big"),
-                self.tid.to_bytes(8, "big"),
-                self.prev_lsn.to_bytes(8, "big"),
-                self.body_bytes(),
-            )
-        )
+        return _HEADER.pack(self.TAG, self.tid, self.prev_lsn) + self.body_bytes()
 
     @staticmethod
     def decode(raw: bytes) -> "LogRecord":
-        if len(raw) < 17:
+        if len(raw) < _HEADER.size:
             raise LogFormatError("log record shorter than its fixed header")
-        tag = raw[0]
-        tid = int.from_bytes(raw[1:9], "big")
-        prev_lsn = int.from_bytes(raw[9:17], "big")
+        tag, tid, prev_lsn = _HEADER.unpack_from(raw)
         try:
             cls = _RECORD_TYPES[tag]
         except KeyError:
             raise LogFormatError(f"unknown log record tag {tag}") from None
-        return cls.from_body(tid, prev_lsn, _Reader(raw, 17))
+        return cls.from_body(tid, prev_lsn, _Reader(raw, _HEADER.size))
 
 
 @dataclass
@@ -151,11 +166,7 @@ class CommitTxn(LogRecord):
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
-        return (
-            self.ttime.to_bytes(8, "big")
-            + self.sn.to_bytes(4, "big")
-            + (b"\x01" if self.ptt else b"\x00")
-        )
+        return _COMMIT_BODY.pack(self.ttime, self.sn, self.ptt)
 
     @classmethod
     def from_body(cls, tid: int, prev_lsn: int, body: _Reader) -> "CommitTxn":
@@ -196,14 +207,13 @@ class VersionOp(LogRecord):
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
-        chunks: list[bytes] = [
-            int(self.kind).to_bytes(1, "big"),
-            self.table_id.to_bytes(4, "big"),
-            self.page_id.to_bytes(4, "big"),
-        ]
-        _put_bytes(chunks, self.key, 2)
-        _put_bytes(chunks, self.payload, 4)
-        return b"".join(chunks)
+        key, payload = self.key, self.payload
+        return b"".join((
+            _VERSION_OP_HEAD.pack(self.kind, self.table_id, self.page_id, len(key)),
+            key,
+            _U32.pack(len(payload)),
+            payload,
+        ))
 
     @classmethod
     def from_body(cls, tid: int, prev_lsn: int, body: _Reader) -> "VersionOp":
@@ -225,6 +235,7 @@ class MultiPageImage(LogRecord):
 
     TAG = 6
     REDO_ONLY = True
+    CARRIES_IMAGES = True
     reason: SMOReason = SMOReason.OTHER
     images: list[tuple[int, bytes]] = field(default_factory=list)
 
@@ -233,25 +244,15 @@ class MultiPageImage(LogRecord):
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
-        chunks: list[bytes] = [
-            int(self.reason).to_bytes(1, "big"),
-            len(self.images).to_bytes(2, "big"),
-        ]
-        for page_id, image in self.images:
-            chunks.append(page_id.to_bytes(4, "big"))
-            _put_bytes(chunks, image, 4)
-        return b"".join(chunks)
+        return _image_bytes(
+            _SMO_HEAD.pack(self.reason, len(self.images)), self.images
+        )
 
     @classmethod
     def from_body(cls, tid: int, prev_lsn: int, body: _Reader) -> "MultiPageImage":
         """Decode this record type's body fields from a log image."""
         reason = SMOReason(body.u(1))
-        count = body.u(2)
-        images = []
-        for _ in range(count):
-            page_id = body.u(4)
-            images.append((page_id, body.blob(4)))
-        return cls(tid=tid, prev_lsn=prev_lsn, reason=reason, images=images)
+        return cls(tid=tid, prev_lsn=prev_lsn, reason=reason, images=body.images())
 
 
 @dataclass
@@ -260,6 +261,7 @@ class CompensationRecord(LogRecord):
 
     TAG = 7
     REDO_ONLY = True
+    CARRIES_IMAGES = True
     undo_next_lsn: int = 0
     images: list[tuple[int, bytes]] = field(default_factory=list)
 
@@ -268,27 +270,17 @@ class CompensationRecord(LogRecord):
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
-        chunks: list[bytes] = [
-            self.undo_next_lsn.to_bytes(8, "big"),
-            len(self.images).to_bytes(2, "big"),
-        ]
-        for page_id, image in self.images:
-            chunks.append(page_id.to_bytes(4, "big"))
-            _put_bytes(chunks, image, 4)
-        return b"".join(chunks)
+        return _image_bytes(
+            _CLR_HEAD.pack(self.undo_next_lsn, len(self.images)), self.images
+        )
 
     @classmethod
     def from_body(cls, tid: int, prev_lsn: int, body: _Reader) -> "CompensationRecord":
         """Decode this record type's body fields from a log image."""
         undo_next_lsn = body.u(8)
-        count = body.u(2)
-        images = []
-        for _ in range(count):
-            page_id = body.u(4)
-            images.append((page_id, body.blob(4)))
         return cls(
             tid=tid, prev_lsn=prev_lsn,
-            undo_next_lsn=undo_next_lsn, images=images,
+            undo_next_lsn=undo_next_lsn, images=body.images(),
         )
 
 

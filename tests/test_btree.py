@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.access.btree import BTree, BTreeIndexPage
 from repro.clock import SimClock
+from repro.errors import PageFormatError
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
 from repro.storage.page import DataPage, decode_page
@@ -214,6 +215,33 @@ class TestIndexNodeCodec:
         assert node.child_index_for(b"a") == 0
         assert node.child_index_for(b"m") == 1
         assert node.child_index_for(b"z") == 2
+
+    def test_size_bookkeeping_follows_every_change(self):
+        node = BTreeIndexPage(5)
+        assert node.used_bytes == node.counted_bytes()
+        node.set_entries([b"m", b"t"], [10, 11, 12])
+        assert node.used_bytes == node.counted_bytes()
+        node.post(1, b"pq", 13)
+        assert node.seps == [b"m", b"pq", b"t"]
+        assert node.children == [10, 11, 13, 12]
+        assert node.used_bytes == node.counted_bytes()
+        decoded = decode_page(node.to_bytes())
+        assert decoded.used_bytes == node.used_bytes
+        assert not node.is_full
+
+    def test_overfull_node_refuses_to_encode(self):
+        # ``is_full`` stops posts long before this; a node filled past it by
+        # hand must not yield an image longer than its page (the old codec
+        # grew its bytearray silently, and the WAL took the long image).
+        node = BTreeIndexPage(5, page_size=512)
+        node.set_entries([], [7])
+        while not node.is_full:
+            node.post(len(node.seps), b"s" * 40, 7)
+        assert len(node.to_bytes()) == 512
+        while node.used_bytes <= 512:
+            node.post(len(node.seps), b"s" * 40, 7)
+        with pytest.raises(PageFormatError):
+            node.to_bytes()
 
 
 class TestPropertyBased:

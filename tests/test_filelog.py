@@ -147,7 +147,8 @@ class TestCrossProcessDurability:
 
     def _simulate_hard_kill(self, db: ImmortalDB) -> None:
         """Drop the engine without close(): only forced state remains."""
-        db.log._pending.clear()     # unforced log records die with the process
+        # Unforced log records live only in memory (frames are built at
+        # force time), so they die with the process.
         db.log._file.close()
         # Cached dirty pages die with the process too (nothing to do: the
         # next open reads the disk file).

@@ -1,0 +1,386 @@
+"""Byte identity of the versioned-update path.
+
+The write path (``Table`` → ``BTree`` → ``DataPage`` → ``TimestampManager``
+→ ``LockManager`` → ``TransactionManager`` → ``LogManager``) is tuned for
+Python call count, never for behaviour: one seeded workload must leave the
+same page file, the same WAL file, the same ``db.stats()`` and the same
+sequence of ``fire()`` crossings as it did before the tuning.  The constants
+below were recorded from the commit *before* the call-count diet (PR 13's
+tip) with ``python tests/test_hotpath_identity.py``; a change that moves any
+of them has changed what the engine writes or when it can crash, and every
+figure benchmark and crash sweep with it.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import random
+
+from repro import ImmortalDB
+from repro.clock import SimClock
+from repro.concurrency.transaction import TxnMode
+from repro.errors import KeyNotFoundError
+from repro.faults.failpoints import FailpointRegistry, installed
+
+TUNED = dict(
+    buffer_pages=256, group_commit_window=8, asof_route_cache=True,
+    eviction="2q", flush_batch=8, read_ahead=4, page_checksums=True,
+)
+
+KEYS = 160
+HOT = 8
+
+
+def _value(rng: random.Random) -> str:
+    return "%06d" % rng.randrange(10**6) + "x" * rng.choice((24, 90, 260))
+
+
+def run_workload(db: ImmortalDB) -> None:
+    """Every kind of write the table layer has, seeded; see the module doc."""
+    rng = random.Random(1406)
+    kv = db.create_table("kv", [("k", "int"), ("v", "text")], key="k",
+                         immortal=True)
+    plain = db.create_table("plain", [("k", "int"), ("v", "text")], key="k")
+    for base in range(0, KEYS, 16):
+        with db.transaction() as txn:
+            for k in range(base, base + 16):
+                kv.insert(txn, {"k": k, "v": _value(rng)})
+        db.advance_time(40)
+    with db.transaction() as txn:
+        for k in range(12):
+            plain.insert(txn, {"k": k, "v": _value(rng)})
+    marks = []
+    for i in range(700):
+        # Hot keys take most updates: their chains fill a page with history
+        # (time splits); the long values among the cold ones key split it.
+        k = rng.randrange(HOT) if rng.random() < 0.7 else rng.randrange(KEYS)
+        with db.transaction() as txn:
+            kv.update(txn, k, {"v": _value(rng)})
+        if i % 5 == 0:
+            db.advance_time(20)
+        if i % 9 == 0:
+            with db.transaction() as txn:
+                kv.read(txn, rng.randrange(KEYS))
+        if i % 100 == 50:
+            marks.append(db.now())
+            db.advance_time(40)
+        if i % 70 == 35:
+            with db.transaction() as txn:
+                plain.update(txn, rng.randrange(12), {"v": _value(rng)})
+        if i == 350:
+            db.checkpoint()
+    # Deletes, a failed update of a deleted key, re-inserts.
+    for k in range(20, 40):
+        with db.transaction() as txn:
+            kv.delete(txn, k)
+    txn = db.begin()
+    try:
+        kv.update(txn, 25, {"v": "gone"})
+    except KeyNotFoundError:
+        db.abort(txn)
+    db.advance_time(20)
+    for k in range(20, 30):
+        with db.transaction() as txn:
+            kv.insert(txn, {"k": k, "v": _value(rng)})
+    # An aborted multi-record transaction (rollback through CLRs).
+    txn = db.begin()
+    for k in (1, 45, 46, KEYS + 5):
+        if k < KEYS:
+            kv.update(txn, k, {"v": _value(rng)})
+        else:
+            kv.insert(txn, {"k": k, "v": _value(rng)})
+    kv.delete(txn, 47)
+    db.abort(txn)
+    # A transaction that rewrites its own uncommitted versions.
+    with db.transaction() as txn:
+        kv.insert(txn, {"k": KEYS + 1, "v": _value(rng)})
+        kv.update(txn, KEYS + 1, {"v": _value(rng)})
+        kv.update(txn, 2, {"v": _value(rng)})
+        kv.update(txn, 2, {"v": _value(rng)})
+        kv.delete(txn, KEYS + 1)
+    # A snapshot writer next to a serializable one.
+    with db.transaction(TxnMode.SNAPSHOT) as txn:
+        kv.read(txn, 3)
+        kv.update(txn, 3, {"v": _value(rng)})
+    # Readers of every flavour (they stamp, route and count).
+    for mark in marks:
+        kv.read_as_of(mark, rng.randrange(HOT))
+        kv.read_as_of(mark, rng.randrange(KEYS))
+    assert len(kv.scan_as_of(marks[2])) == KEYS
+    assert len(kv.history(0)) > 20
+    with db.transaction() as txn:
+        assert len(kv.scan(txn)) == KEYS - 10
+        assert len(plain.scan(txn)) == 12
+    db.checkpoint()
+    for i in range(60):
+        with db.transaction() as txn:
+            kv.update(txn, rng.randrange(HOT), {"v": _value(rng)})
+    db.flush_commits()
+    db.checkpoint(flush=True)
+
+
+def observe(db: ImmortalDB) -> dict:
+    registry = FailpointRegistry()
+    registry.trace_on()
+    with installed(registry):
+        run_workload(db)
+    splits = db.table("kv").btree.stats
+    assert splits.time_splits >= 10 and splits.key_splits >= 5, splits
+    trace = registry.trace
+    return {
+        "stats": db.stats(),
+        "crossings": len(trace),
+        "crossings_sha256": hashlib.sha256("\n".join(trace).encode()).hexdigest(),
+        "crossing_names": dict(sorted(registry.hits.items())),
+    }
+
+
+def _sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
+
+def observe_tuned(directory) -> dict:
+    path = str(directory / "db.pages")
+    db = ImmortalDB(path, clock=SimClock(ms_per_timestamp=5.0), **TUNED)
+    seen = observe(db)
+    db.close()
+    seen["pages_sha256"] = _sha256(path)
+    seen["log_sha256"] = _sha256(path + ".log")
+    return seen
+
+
+def observe_paper() -> dict:
+    return observe(ImmortalDB())
+
+
+EXPECTED_TUNED: dict = {
+    "stats": {
+        "disk_reads": 1,
+        "disk_writes": 47,
+        "disk_sequential_reads": 0,
+        "disk_sequential_writes": 37,
+        "log_appends": 3450,
+        "log_bytes": 921642,
+        "log_forces": 120,
+        "log_forced_bytes": 895572,
+        "log_image_records": 42,
+        "log_image_bytes": 673611,
+        "group_commit_acks": 813,
+        "buffer_hits": 7971,
+        "buffer_misses": 0,
+        "buffer_evictions": 0,
+        "page_flushes": 47,
+        "buffer_dirty_evictions": 0,
+        "flush_batches": 6,
+        "flush_coalesced_writes": 31,
+        "evict_scan_skips": 0,
+        "buffer_prefetches": 0,
+        "buffer_prefetch_hits": 0,
+        "version_ops": 983,
+        "stamps": 966,
+        "vtt_hits": 1534,
+        "ptt_lookups": 0,
+        "ptt_inserts": 802,
+        "ptt_deletes": 790,
+        "commit_revisit_pages": 0,
+        "commits": 813,
+        "aborts": 2,
+        "asof_queries": 21,
+        "asof_chain_hops": 28,
+        "asof_pages_examined": 21,
+        "tsb_lookups": 0,
+        "asof_page_reads": 78,
+        "asof_chain_steps": 505,
+        "route_cache_hits": 15,
+        "route_cache_misses": 6,
+        "io_read_retries": 0,
+        "io_write_retries": 0,
+        "io_backoff_steps": 0,
+        "io_verify_failures": 0,
+        "repair_page_faults": 0,
+        "pages_repaired": 0,
+        "repair_records_replayed": 0,
+        "pages_quarantined": 0,
+        "degraded_reads": 0,
+        "archive_records": 0,
+        "backup_refreshes": 0,
+        "scrub_steps": 0,
+        "scrub_pages": 0,
+        "scrub_findings": 0,
+        "archive_pages_migrated": 0,
+        "archive_pages_freed": 0,
+        "archive_runs": 0,
+        "archive_blocks": 0,
+        "archive_block_reads": 0,
+        "archive_merges": 0,
+        "archive_bytes_raw": 0,
+        "archive_bytes_stored": 0,
+        "archive_compactions": 0,
+        "archive_bytes_reclaimed": 0,
+        "service_accepts": 0,
+        "service_rejects": 0,
+        "service_timeouts": 0,
+        "service_aborted_on_disconnect": 0,
+        "service_degraded_replies": 0,
+        "lock_waits": 0,
+        "lock_wait_ns": 0,
+        "deadlocks_detected": 0,
+        "txn_retries": 0,
+        "occ_validation_failures": 0
+    },
+    "crossings": 7306,
+    "crossings_sha256": "9d06cd2fcea04b3fe153245f46757aa83c92afcfb8126dfc2433fe89ab412744",
+    "crossing_names": {
+        "asof.route.hit": 15,
+        "asof.route.miss": 6,
+        "buffer.flush.begin": 5,
+        "buffer.flush.end": 5,
+        "buffer.flush.write": 5,
+        "buffer.flushbatch.done": 6,
+        "buffer.flushbatch.submit": 6,
+        "buffer.flushbatch.write": 41,
+        "checkpoint.begin": 3,
+        "checkpoint.end": 3,
+        "checkpoint.flushed": 1,
+        "checkpoint.logged": 3,
+        "checkpoint.master": 3,
+        "disk.write_page": 46,
+        "engine.save_meta": 5,
+        "filelog.fsync": 120,
+        "filelog.write": 120,
+        "log.append": 3450,
+        "log.force": 120,
+        "txn.abort.begin": 1,
+        "txn.commit.begin": 813,
+        "txn.commit.done": 813,
+        "txn.groupcommit.ack": 813,
+        "txn.groupcommit.enqueue": 813,
+        "txn.groupcommit.force": 90
+    },
+    "pages_sha256": "6773fd3c5f83123039c26cb9c8f6adebc37ea4e80128dc41acc9e10ded0d2c32",
+    "log_sha256": "a6a7d9ab53a4a2113100c5174c0c99494302f75a8dce66ad1c8c01bad879a4f4"
+}
+
+EXPECTED_PAPER: dict = {
+    "stats": {
+        "disk_reads": 1,
+        "disk_writes": 47,
+        "disk_sequential_reads": 0,
+        "disk_sequential_writes": 37,
+        "log_appends": 3454,
+        "log_bytes": 907958,
+        "log_forces": 818,
+        "log_forced_bytes": 884932,
+        "log_image_records": 42,
+        "log_image_bytes": 673443,
+        "group_commit_acks": 0,
+        "buffer_hits": 8057,
+        "buffer_misses": 0,
+        "buffer_evictions": 0,
+        "page_flushes": 47,
+        "buffer_dirty_evictions": 0,
+        "flush_batches": 0,
+        "flush_coalesced_writes": 0,
+        "evict_scan_skips": 0,
+        "buffer_prefetches": 0,
+        "buffer_prefetch_hits": 0,
+        "version_ops": 983,
+        "stamps": 966,
+        "vtt_hits": 966,
+        "ptt_lookups": 0,
+        "ptt_inserts": 802,
+        "ptt_deletes": 794,
+        "commit_revisit_pages": 0,
+        "commits": 813,
+        "aborts": 2,
+        "asof_queries": 19,
+        "asof_chain_hops": 125,
+        "asof_pages_examined": 19,
+        "tsb_lookups": 0,
+        "asof_page_reads": 173,
+        "asof_chain_steps": 612,
+        "route_cache_hits": 0,
+        "route_cache_misses": 0,
+        "io_read_retries": 0,
+        "io_write_retries": 0,
+        "io_backoff_steps": 0,
+        "io_verify_failures": 0,
+        "repair_page_faults": 0,
+        "pages_repaired": 0,
+        "repair_records_replayed": 0,
+        "pages_quarantined": 0,
+        "degraded_reads": 0,
+        "archive_records": 0,
+        "backup_refreshes": 0,
+        "scrub_steps": 0,
+        "scrub_pages": 0,
+        "scrub_findings": 0,
+        "archive_pages_migrated": 0,
+        "archive_pages_freed": 0,
+        "archive_runs": 0,
+        "archive_blocks": 0,
+        "archive_block_reads": 0,
+        "archive_merges": 0,
+        "archive_bytes_raw": 0,
+        "archive_bytes_stored": 0,
+        "archive_compactions": 0,
+        "archive_bytes_reclaimed": 0,
+        "service_accepts": 0,
+        "service_rejects": 0,
+        "service_timeouts": 0,
+        "service_aborted_on_disconnect": 0,
+        "service_degraded_replies": 0,
+        "lock_waits": 0,
+        "lock_wait_ns": 0,
+        "deadlocks_detected": 0,
+        "txn_retries": 0,
+        "occ_validation_failures": 0
+    },
+    "crossings": 7727,
+    "crossings_sha256": "ab7b80bbb4b904008031c52c1cbb6d33865313b58b9604182a12e15bbc9445eb",
+    "crossing_names": {
+        "buffer.flush.begin": 46,
+        "buffer.flush.end": 46,
+        "buffer.flush.write": 46,
+        "checkpoint.begin": 3,
+        "checkpoint.end": 3,
+        "checkpoint.flushed": 1,
+        "checkpoint.logged": 3,
+        "checkpoint.master": 3,
+        "disk.write_page": 46,
+        "engine.save_meta": 5,
+        "log.append": 3454,
+        "log.force": 818,
+        "txn.abort.begin": 1,
+        "txn.commit.begin": 813,
+        "txn.commit.done": 813,
+        "txn.commit.force": 813,
+        "txn.commit.stamp": 813
+    }
+}
+
+def test_tuned_file_backed_engine_writes_the_parents_bytes(tmp_path):
+    seen = observe_tuned(tmp_path)
+    for name, want in EXPECTED_TUNED.items():
+        assert seen[name] == want, name
+    assert seen.keys() == EXPECTED_TUNED.keys()
+
+
+def test_default_in_memory_engine_counts_and_crosses_the_same():
+    seen = observe_paper()
+    for name, want in EXPECTED_PAPER.items():
+        assert seen[name] == want, name
+    assert seen.keys() == EXPECTED_PAPER.keys()
+
+
+if __name__ == "__main__":   # prints the constants to paste above
+    import json
+    import pathlib
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tuned = observe_tuned(pathlib.Path(tmp))
+    print("EXPECTED_TUNED: dict =", json.dumps(tuned, indent=4))
+    print()
+    print("EXPECTED_PAPER: dict =", json.dumps(observe_paper(), indent=4))

@@ -138,6 +138,19 @@ class TestCorruptionDetection:
         problems = verify_integrity(db)
         assert problems  # separators and/or bounds violations
 
+    def test_detects_drifted_index_node_size_count(self):
+        db = ImmortalDB(buffer_pages=256)
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        with db.transaction() as txn:
+            for k in range(400):
+                table.insert(txn, {"k": k, "v": "x" * 60})
+        assert verify_integrity(db) == []
+        root = db.buffer.get_page(table.btree.root_pid)
+        root.seps.append(b"\xff" * 8)     # behind the node's back
+        root.children.append(root.children[-1])
+        problems = verify_integrity(db)
+        assert any("used bytes" in p for p in problems)
+
     def test_strict_mode_raises(self):
         db = build_busy_db()
         table = db.table("t")

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.access.timesplit import (
+    SplitOutcome,
     key_split_page,
     needs_key_split,
     time_split_page,
 )
 from repro.clock import Timestamp
 from repro.errors import AccessMethodError
+from repro.storage.constants import NO_PREVIOUS, SLOT_SIZE, RecordFlag
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
 
@@ -220,3 +225,256 @@ class TestKeySplit:
         )
         left, right, _ = key_split_page(page, right_page_id=9)
         assert abs(left.used_bytes - right.used_bytes) < page.used_bytes / 3
+
+
+# ---------------------------------------------------------------------------
+# The split builders against their predecessors.
+#
+# ``time_split_page`` and ``key_split_page`` walk every chain of their source
+# once and install copies with a ``DataPage.add_chain`` that sums and links
+# in one go.  What follows is the code they replaced — walk each chain
+# twice, ``.copy()`` every version, then an ``add_chain`` that re-validates,
+# re-sums and rewrites the copies — kept verbatim as the reference: for any
+# page, both must produce byte-identical images and equal counts.
+# ---------------------------------------------------------------------------
+
+
+def reference_add_chain(
+    page: DataPage, chain_newest_first, history_slot=None
+) -> None:
+    key = chain_newest_first[0].key
+    assert all(v.key == key for v in chain_newest_first)
+    assert page.slot_of(key) is None
+    need = sum(v.size_on_page for v in chain_newest_first) + SLOT_SIZE
+    assert need <= page.free_bytes
+    prev_index = None
+    for version in reversed(chain_newest_first):
+        if prev_index is None:
+            if history_slot is not None:
+                version.vp = history_slot
+                version.flags |= RecordFlag.VP_IN_HISTORY
+            else:
+                version.vp = NO_PREVIOUS
+                version.flags &= ~RecordFlag.VP_IN_HISTORY
+        else:
+            version.vp = prev_index
+            version.flags &= ~RecordFlag.VP_IN_HISTORY
+        page.versions.append(version)
+        prev_index = len(page.versions) - 1
+    pos = bisect_left(page._slot_keys, key)
+    page.slots.insert(pos, prev_index)
+    page._slot_keys.insert(pos, key)
+    page._used += need
+
+
+def reference_continues_in_history(page: DataPage, key: bytes):
+    tail = None
+    for tail in page.chain(key):
+        pass
+    if tail is not None and tail.vp_in_history:
+        return tail.vp
+    return None
+
+
+def reference_time_split(
+    page: DataPage, split_ts: Timestamp, history_page_id: int
+) -> SplitOutcome:
+    history = DataPage(
+        history_page_id, is_history=True, page_size=page.page_size,
+        table_id=page.table_id, immortal=page.immortal,
+    )
+    history.split_ts = page.split_ts
+    history.end_ts = split_ts
+    history.history_page_id = page.history_page_id
+    current = DataPage(
+        page.page_id, page_size=page.page_size,
+        table_id=page.table_id, immortal=page.immortal,
+    )
+    current.lsn = page.lsn
+    current.split_ts = split_ts
+    current.history_page_id = history_page_id
+    current.next_leaf_id = page.next_leaf_id
+    outcome = SplitOutcome(current=current, history=history)
+    for key in page.keys():
+        chain = list(page.chain(key))  # newest first
+        tail_history_slot = reference_continues_in_history(page, key)
+        _reference_split_chain(
+            chain, tail_history_slot, split_ts, current, history, outcome
+        )
+    return outcome
+
+
+def _reference_split_chain(
+    chain, tail_history_slot, split_ts, current, history, outcome
+) -> None:
+    current_part: list[RecordVersion] = []
+    history_part: list[RecordVersion] = []
+    end_open = True
+    end_ts = Timestamp.MAX
+    for version in chain:
+        if not version.is_timestamped:
+            if version.tid and not end_open:
+                raise AccessMethodError(
+                    "uncommitted version found below a committed one"
+                )
+            current_part.append(version.copy())
+            outcome.retained += 1
+            continue
+        start_ts = version.timestamp
+        if version.is_delete_stub and start_ts < split_ts:
+            history_part.append(version.copy())
+            outcome.stubs_dropped += 1
+        elif start_ts >= split_ts:
+            current_part.append(version.copy())
+            outcome.retained += 1
+        elif not end_open and end_ts <= split_ts:
+            history_part.append(version.copy())
+            outcome.moved += 1
+        else:
+            current_part.append(version.copy())
+            history_part.append(version.copy())
+            outcome.copied += 1
+        end_open = False
+        end_ts = start_ts
+    if history_part:
+        reference_add_chain(history, history_part, tail_history_slot)
+    if current_part:
+        if history_part:
+            slot = history.slot_of(current_part[0].key)
+            assert slot is not None
+            reference_add_chain(current, current_part, slot)
+        else:
+            reference_add_chain(current, current_part, tail_history_slot)
+
+
+def reference_key_split(page: DataPage, right_page_id: int):
+    keys = page.keys()
+    chain_bytes = {
+        key: sum(v.size_on_page for v in page.chain(key)) for key in keys
+    }
+    total = sum(chain_bytes.values())
+    running = 0
+    cut = 1
+    for i, key in enumerate(keys):
+        running += chain_bytes[key]
+        if running >= total / 2:
+            cut = min(max(i + 1, 1), len(keys) - 1)
+            break
+
+    def build(page_id: int, subset: list[bytes]) -> DataPage:
+        child = DataPage(
+            page_id, page_size=page.page_size,
+            table_id=page.table_id, immortal=page.immortal,
+        )
+        child.split_ts = page.split_ts
+        child.end_ts = page.end_ts
+        child.history_page_id = page.history_page_id
+        for key in subset:
+            chain = [v.copy() for v in page.chain(key)]
+            reference_add_chain(child, chain, reference_continues_in_history(page, key))
+        return child
+
+    left = build(page.page_id, keys[:cut])
+    left.lsn = page.lsn
+    right = build(right_page_id, keys[cut:])
+    right.next_leaf_id = page.next_leaf_id
+    left.next_leaf_id = right.page_id
+    return left, right, keys[cut]
+
+
+FIRST_SPLIT = 50      # an earlier split, so chains can start in a history page
+
+# One version: (ticks since the previous one, sequence number, is a delete
+# stub, payload length).  A zero step with a higher SN lands two versions in
+# one tick; the generator below keeps (tick, sn) strictly increasing.
+_version = st.tuples(
+    st.integers(0, 40), st.integers(0, 3), st.booleans(), st.integers(0, 48)
+)
+_record = st.tuples(
+    st.lists(_version, min_size=0, max_size=4),   # before FIRST_SPLIT
+    st.lists(_version, min_size=0, max_size=5),   # after it
+    st.sampled_from([None, 7]),                   # uncommitted head's TID
+)
+
+
+def _grow(page: DataPage, key: bytes, versions, tick: int, limit: int) -> None:
+    """Append committed versions to ``key``'s chain, oldest first."""
+    last = (tick, 0)
+    for step, sn, is_stub, size in versions:
+        at = (last[0] + step, sn)
+        if at <= last:
+            at = (last[0], last[1] + 1)
+        if at[0] >= limit:
+            return
+        record = RecordVersion.new(
+            key, b"" if is_stub else bytes([65 + size % 26]) * size,
+            tid=999, delete_stub=is_stub,
+        )
+        record.stamp(Timestamp(*at))
+        page.insert_version(record)
+        last = at
+
+
+@st.composite
+def split_sources(draw) -> DataPage:
+    """A current page as a workload leaves it, optionally split once before."""
+    records = draw(st.lists(_record, min_size=1, max_size=7))
+    keys = [b"k%02d" % i for i in range(len(records))]
+    page = DataPage(4, table_id=3, immortal=True)
+    page.lsn = 777
+    page.next_leaf_id = 12
+    for key, (early, _, _) in zip(keys, records):
+        _grow(page, key, early, 1, FIRST_SPLIT)
+    if draw(st.booleans()) and page.versions:
+        page = reference_time_split(
+            page, Timestamp(FIRST_SPLIT, 0), history_page_id=9
+        ).current
+    for key, (_, late, tid) in zip(keys, records):
+        _grow(page, key, late, FIRST_SPLIT, 200)
+        if tid is not None:
+            page.insert_version(RecordVersion.new(key, b"open", tid))
+    assume(page.versions)
+    return page
+
+
+def _same_page(new: DataPage, old: DataPage) -> None:
+    assert new.to_bytes() == old.to_bytes()
+    assert new.used_bytes == old.used_bytes
+    assert new.self_check() == []
+
+
+class TestBuildersMatchTheirPredecessors:
+    @settings(max_examples=300, deadline=None)
+    @given(page=split_sources(), tick=st.integers(51, 160), sn=st.integers(0, 2))
+    def test_time_split(self, page, tick, sn):
+        split_ts = Timestamp(tick, sn)
+        assume(split_ts > page.split_ts)
+        old = reference_time_split(page, split_ts, history_page_id=21)
+        new = time_split_page(page, split_ts, history_page_id=21)
+        _same_page(new.current, old.current)
+        _same_page(new.history, old.history)
+        assert (new.moved, new.copied, new.retained, new.stubs_dropped) == \
+            (old.moved, old.copied, old.retained, old.stubs_dropped)
+        assert new.routing_interval == old.routing_interval
+
+    @settings(max_examples=60, deadline=None)
+    @given(page=split_sources())
+    def test_time_split_at_a_versions_own_timestamp(self, page):
+        stamped_versions = [v for v in page.versions if v.is_timestamped]
+        assume(stamped_versions)
+        for version in stamped_versions:
+            if version.timestamp > page.split_ts:
+                old = reference_time_split(page, version.timestamp, 21)
+                new = time_split_page(page, version.timestamp, 21)
+                _same_page(new.current, old.current)
+                _same_page(new.history, old.history)
+
+    @settings(max_examples=200, deadline=None)
+    @given(page=split_sources())
+    def test_key_split(self, page):
+        assume(len(page.keys()) >= 2)
+        old_left, old_right, old_sep = reference_key_split(page, right_page_id=30)
+        left, right, sep = key_split_page(page, right_page_id=30)
+        _same_page(left, old_left)
+        _same_page(right, old_right)
+        assert sep == old_sep
