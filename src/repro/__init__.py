@@ -50,8 +50,21 @@ from repro.errors import ImmortalDBError
 
 __version__ = "0.1.0"
 
+PROFILES: dict[str, dict] = {
+    "paper": {},
+    "tuned": dict(
+        group_commit_window=8, asof_route_cache=True, eviction="2q",
+        flush_batch=8, read_ahead=4, page_checksums=True,
+    ),
+}
+"""The two ways an engine is built, as keyword arguments for
+``ImmortalDB(path, **PROFILES[name])``: ``paper`` is the 2005-faithful
+defaults that regenerate the figures; ``tuned`` is what the wall-clock
+benchmark (``benchmarks/e2e``) measures.  The crash explorer sweeps both."""
+
 __all__ = [
     "ImmortalDB",
+    "PROFILES",
     "Table",
     "Timestamp",
     "SimClock",

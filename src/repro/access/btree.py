@@ -371,7 +371,6 @@ class BTree:
             self.root_pid, page_size=self.buffer.disk.page_size
         )
         new_root.set_entries([], [moved.page_id])
-        self.buffer.replace_page(new_root)
         self.stats.root_growths += 1
         self._log_smo(SMOReason.INDEX_POST, [new_root, moved])
 
@@ -393,8 +392,6 @@ class BTree:
             self.root_pid, page_size=self.buffer.disk.page_size
         )
         new_root.set_entries([], [moved.page_id])
-        self.buffer.replace_page(new_root)
-        self.buffer.replace_page(moved)
         if self.route_cache is not None:
             self.route_cache.invalidate(leaf.page_id)
         self.stats.root_growths += 1
@@ -432,7 +429,6 @@ class BTree:
             if dropped:
                 self.stats.prunes += 1
                 self.stats.versions_pruned += dropped
-                self.buffer.replace_page(pruned)
                 self._log_smo(SMOReason.OTHER, [pruned])
                 # Pruning freed space; if plenty, no key split needed now.
                 if pruned.free_bytes >= pruned.page_size // 4:
@@ -471,8 +467,6 @@ class BTree:
         if outcome.moved == 0 and outcome.stubs_dropped == 0:
             return False
         self.stats.time_splits += 1
-        self.buffer.replace_page(outcome.current)
-        self.buffer.replace_page(outcome.history)
         if self.route_cache is not None:
             self.route_cache.on_time_split(outcome)
         affected: list[Page] = [outcome.current, outcome.history]
@@ -545,8 +539,6 @@ class BTree:
         if self.route_cache is not None:
             self.route_cache.invalidate(leaf.page_id)
         self.stats.key_splits += 1
-        self.buffer.replace_page(left)
-        self.buffer.replace_page(right)
         parent, child_index = path[-1]
         parent.post(child_index, sep, right.page_id)
         affected: list[Page] = [left, right, parent]
@@ -561,7 +553,17 @@ class BTree:
     # -- logging -----------------------------------------------------------------
 
     def _log_smo(self, reason: SMOReason, pages: list[Page]) -> int:
-        """Log one atomic multi-page image for a structure modification."""
+        """Log one atomic multi-page image, then put its pages in the pool.
+
+        The only way a structure modification's rebuilt pages enter the
+        buffer pool: the record is appended first, and each page is
+        installed dirty with the record's LSN after it.  (A fresh index
+        node from ``new_page`` is cached earlier, but nothing is admitted
+        between that and this call.)  Installing a page can evict another,
+        and an evicted page is written; written before its record existed
+        it would reach the disk under its old LSN, already naming siblings
+        and history pages that exist nowhere.
+        """
         lsn = self.log.next_lsn
         seen: set[int] = set()
         unique: list[Page] = []
@@ -578,9 +580,6 @@ class BTree:
             )
         )
         assert assigned == lsn
-        # mark_dirty_page, not mark_dirty: the admissions this SMO performed
-        # (new siblings, history pages) may have evicted one of its own
-        # unpinned pages already — re-admit the mutated object in that case.
         for page in unique:
             self.buffer.mark_dirty_page(page, lsn)
         return lsn

@@ -41,60 +41,14 @@ class CostModel:
     chain_hop_ms: float = 0.65         # follow one history-page link
     tsb_lookup_ms: float = 0.40        # TSB index descent
     smo_log_ms: float = 0.60           # one physiological split log record
-    # Structural read-path counters.  Priced at zero in the 2005 calibration
-    # so the figure benchmarks are unchanged; non-zero rates let ablations
-    # price page touches, chain traversal, and route-cache probes directly.
-    page_read_ms: float = 0.0          # touch one data page on a read path
-    chain_step_ms: float = 0.0         # inspect one version in a chain
-    route_probe_ms: float = 0.0        # one as-of route-cache probe
-    # Media-resilience counters (PR 5).  Also zero-priced by default — the
-    # 2005 calibration ran on healthy media — but non-zero rates price the
-    # scrubber's background reads, transient-IO retries (and their backoff
-    # dwell), and full single-page restores for degradation studies.
-    io_retry_ms: float = 0.0           # one reissued read/write attempt
-    backoff_step_ms: float = 0.0       # one abstract backoff dwell step
-    scrub_page_ms: float = 0.0         # scrub-verify one page from disk
-    repair_page_ms: float = 0.0        # one single-page media restore
-    # Concurrent-execution counters (PR 6).  Zero-priced by default — the
-    # 2005 calibration is single-threaded — but non-zero rates let the
-    # concurrency ablation charge lock waiting (priced from the measured
-    # wall-clock lock_wait_ns), deadlock victim aborts, worker retries, and
-    # OCC validation rejections.
-    lock_wait_ms_per_ms: float = 0.0   # per millisecond actually spent parked
-    deadlock_ms: float = 0.0           # one detected cycle + victim abort
-    txn_retry_ms: float = 0.0          # one worker-pool retry round-trip
-    occ_validation_ms: float = 0.0     # one commit-time validation rejection
-    # Eviction/flush-scheduling counters (PR 6).  Zero-priced by default —
-    # the figure workloads fit in the pool, so these are all zero there and
-    # the fig5/fig6 results stay byte-identical — but non-zero rates let the
-    # scale benchmark price dirty-victim write-backs, per-batch scheduling
-    # overhead, the coalescing credit (negative rates model saved seeks),
-    # and the pinned-frame scan work of a thrashing pool.
-    dirty_eviction_ms: float = 0.0     # write-back forced by an eviction
-    flush_batch_ms: float = 0.0        # assemble + dispatch one write batch
-    coalesced_write_ms: float = 0.0    # one batch write adjacent to previous
-    evict_scan_skip_ms: float = 0.0    # step over one pinned/latched frame
     # Cold-history archive counters (PR 7).  Zero-priced by default —
     # archiving is off in the figure workloads, so every counter is zero
-    # there and fig5/fig6 stay byte-identical — but non-zero rates let the
-    # history-depth benchmark price block materialization (a sequential
-    # read + decode of one delta block), per-page migration work, and run
-    # merges for tiering studies.
+    # there and fig5/fig6 stay byte-identical — the history-depth benchmark
+    # prices block materialization (a sequential read + decode of one delta
+    # block), per-page migration work, and run merges.
     archive_migrate_page_ms: float = 0.0   # encode + append + relink one page
     archive_block_read_ms: float = 0.0     # fetch + decode one archive block
     archive_merge_ms: float = 0.0          # consolidate one level of runs
-    archive_compact_ms: float = 0.0        # rewrite + swap the archive store
-    # Service-layer counters (PR 8).  Zero-priced by default — the figure
-    # workloads run in-process, every service counter is zero there and
-    # fig5/fig6 stay byte-identical — but non-zero rates let a service
-    # study price per-request dispatch, admission rejections (the client's
-    # wasted round-trip), request-deadline expiries, disconnect aborts,
-    # and quarantine-degraded replies.
-    service_accept_ms: float = 0.0         # dispatch one admitted request
-    service_reject_ms: float = 0.0         # shed one request at admission
-    service_timeout_ms: float = 0.0        # one per-request deadline expiry
-    service_abort_ms: float = 0.0          # abort a bracket on disconnect
-    service_degraded_ms: float = 0.0       # assemble one degraded reply
 
     def simulated_ms(self, delta: dict) -> float:
         """Price a stats delta (see :meth:`ImmortalDB.stats`)."""
@@ -130,38 +84,9 @@ class CostModel:
             + delta.get("asof_pages_examined", 0) * self.asof_page_scan_ms
             + delta.get("asof_chain_hops", 0) * self.chain_hop_ms
             + delta.get("tsb_lookups", 0) * self.tsb_lookup_ms
-            + delta.get("asof_page_reads", 0) * self.page_read_ms
-            + delta.get("asof_chain_steps", 0) * self.chain_step_ms
-            + (
-                delta.get("route_cache_hits", 0)
-                + delta.get("route_cache_misses", 0)
-            ) * self.route_probe_ms
-            + (
-                delta.get("io_read_retries", 0)
-                + delta.get("io_write_retries", 0)
-            ) * self.io_retry_ms
-            + delta.get("io_backoff_steps", 0) * self.backoff_step_ms
-            + delta.get("scrub_pages", 0) * self.scrub_page_ms
-            + delta.get("pages_repaired", 0) * self.repair_page_ms
-            + (delta.get("lock_wait_ns", 0) / 1e6) * self.lock_wait_ms_per_ms
-            + delta.get("deadlocks_detected", 0) * self.deadlock_ms
-            + delta.get("txn_retries", 0) * self.txn_retry_ms
-            + delta.get("occ_validation_failures", 0) * self.occ_validation_ms
-            + delta.get("buffer_dirty_evictions", 0) * self.dirty_eviction_ms
-            + delta.get("flush_batches", 0) * self.flush_batch_ms
-            + delta.get("flush_coalesced_writes", 0) * self.coalesced_write_ms
-            + delta.get("evict_scan_skips", 0) * self.evict_scan_skip_ms
             + delta.get("archive_pages_migrated", 0) * self.archive_migrate_page_ms
             + delta.get("archive_block_reads", 0) * self.archive_block_read_ms
             + delta.get("archive_merges", 0) * self.archive_merge_ms
-            + delta.get("archive_compactions", 0) * self.archive_compact_ms
-            + delta.get("service_accepts", 0) * self.service_accept_ms
-            + delta.get("service_rejects", 0) * self.service_reject_ms
-            + delta.get("service_timeouts", 0) * self.service_timeout_ms
-            + delta.get("service_aborted_on_disconnect", 0)
-            * self.service_abort_ms
-            + delta.get("service_degraded_replies", 0)
-            * self.service_degraded_ms
         )
 
 

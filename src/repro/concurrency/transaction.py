@@ -68,11 +68,6 @@ class Transaction:
     writes: set[tuple[int, bytes]] = field(default_factory=set)
     touched_immortal: bool = False
     version_count: int = 0
-    # Optimistic mode (cc_mode="occ"): reads run against the snapshot
-    # without locks but record every (table_id, key) probed; commit then
-    # validates that none was overwritten by a later committed transaction.
-    occ: bool = False
-    read_keys: set[tuple[int, bytes]] = field(default_factory=set)
     gtid: int | None = None           # global 2PC transaction id, once prepared
 
     @property
@@ -124,10 +119,6 @@ class TransactionManager:
         self.aborts = 0
         self.group_commit_acks = 0       # commits durably acked via a batch force
         self.txn_retries = 0             # worker-pool retries after conflicts
-        self.occ_validation_failures = 0  # commit-time validation rejections
-        # Set by the engine when cc_mode="occ": called with the transaction
-        # at commit, raises OCCValidationError if a read was invalidated.
-        self.occ_validate: Callable[[Transaction], None] | None = None
         # Commit-timestamp source.  None draws from the local clock (the
         # single-engine default); a ShardRouter points every shard at one
         # shared CommitTimestampAuthority so timestamp order is a cluster-wide
@@ -217,11 +208,6 @@ class TransactionManager:
             return None
 
         fire("txn.commit.begin")
-        # Optimistic validation happens before anything is made permanent:
-        # a failure leaves the transaction active, and the caller aborts it
-        # (backward validation against committed writers, Larson et al.).
-        if txn.occ and txn.read_keys and self.occ_validate is not None:
-            self.occ_validate(txn)
         # Late choice: the timestamp is drawn now, when serialization order
         # is settled, guaranteeing timestamp order == serialization order —
         # unless CURRENT TIME already pinned one (validated at every access).
@@ -329,11 +315,6 @@ class TransactionManager:
                 f"transaction {txn.tid} is read-only; prepare is meaningless"
             )
         fire("txn.prepare.begin")
-        # Validation runs at prepare: a yes vote promises the transaction
-        # *can* commit, so optimistic conflicts must surface here, while the
-        # participant can still vote no.
-        if txn.occ and txn.read_keys and self.occ_validate is not None:
-            self.occ_validate(txn)
         txn.gtid = gtid
         lsn = self.log.append(
             PrepareTxn(
@@ -346,11 +327,7 @@ class TransactionManager:
         )
         txn.last_lsn = lsn
         fire("txn.prepare.force")     # vote appended, not yet durable
-        # Force to end-of-log, not force(lsn): an LSN is a *start* offset,
-        # and this record may be the first append since a force that left
-        # flushed_lsn exactly here — force(lsn) would no-op and the vote
-        # would not be durable.
-        self.log.force()
+        self.log.force(lsn)
         txn.state = TxnState.PREPARED
         self.in_doubt[gtid] = txn
         fire("txn.prepare.done")      # durable yes vote
@@ -380,10 +357,7 @@ class TransactionManager:
             )
         )
         fire("txn.commit.force")
-        # force(), not force(commit_lsn): prepare's force left flushed_lsn
-        # exactly at this record's start offset, where force(commit_lsn)
-        # would no-op (see prepare).
-        self.log.force()
+        self.log.force(commit_lsn)
         fire("txn.commit.stamp")
         self.tsmgr.on_commit(
             txn.tid, ts, commit_lsn, persistent=txn.touched_immortal

@@ -104,8 +104,6 @@ class QueryableBackup:
             if not outcome.history.versions:
                 continue  # only uncommitted content: nothing to capture
             btree.stats.time_splits += 1
-            self.engine.buffer.replace_page(outcome.current)
-            self.engine.buffer.replace_page(outcome.history)
             affected = [outcome.current, outcome.history]
             if btree.history_index is not None:
                 _, low, high = next(btree.leaves_with_bounds(

@@ -70,9 +70,6 @@ class ImmortalDB:
         asof_route_cache: bool = False,
         media_recovery: bool = False,
         io_retries: int = 0,
-        cc_mode: str = "2pl",
-        concurrent: bool = False,
-        log_force_latency_ms: float = 0.0,
         eviction: str = "lru",
         flush_batch: int = 0,
         read_ahead: int = 0,
@@ -80,8 +77,6 @@ class ImmortalDB:
     ) -> None:
         if timestamping not in ("lazy", "eager"):
             raise ValueError("timestamping must be 'lazy' or 'eager'")
-        if cc_mode not in ("2pl", "occ"):
-            raise ValueError("cc_mode must be '2pl' or 'occ'")
         if disk is not None and path is not None:
             raise ValueError("pass either a path or a disk, not both")
         # An injected disk (e.g. a fault-model wrapper) takes precedence.
@@ -123,17 +118,10 @@ class ImmortalDB:
             self.clock, self.log, self.tsmgr, self.locks, self,
             group_commit_window=group_commit_window,
         )
-        # Concurrent execution (all opt-in, see DESIGN.md "Concurrent
-        # execution").  cc_mode picks the concurrency-control ablation:
-        # "2pl" (default) blocks writers on record locks; "occ" runs default
-        # transactions as snapshot reads + commit-time validation.
-        self.cc_mode = cc_mode
+        # Concurrent execution is switched on by enable_concurrency() (see
+        # DESIGN.md "Concurrent execution"); until then the latch is a no-op.
         self.concurrent = False
         self._latch: NullLatch | ReentrantLatch = NullLatch()
-        self.txn_mgr.occ_validate = self._occ_validate
-        self.log.force_latency_ms = log_force_latency_ms
-        if concurrent:
-            self.enable_concurrency()
         self.checkpoints = CheckpointManager(self.log, self.buffer)
         # Media robustness, both off by default so the figure benchmarks and
         # crash-point enumeration are untouched.  ``io_retries`` retries
@@ -381,34 +369,6 @@ class ImmortalDB:
         """The engine latch (a no-op object until concurrency is enabled)."""
         return self._latch
 
-    def _occ_validate(self, txn: Transaction) -> None:
-        """Backward validation for ``cc_mode="occ"`` commits.
-
-        Every key the transaction read must still be current as of its
-        snapshot: a committed version newer than ``snapshot_ts`` means a
-        concurrent writer overwrote a read, so serializing this transaction
-        at its (about to be drawn) commit timestamp would be unsound.  The
-        write set is excluded — first-committer-wins already validated it
-        at write time.
-        """
-        assert txn.snapshot_ts is not None
-        for table_id, key in sorted(txn.read_keys - txn.writes):
-            table = self._tables_by_id.get(table_id)
-            if table is None:
-                continue
-            ts = table.latest_committed_ts(key)
-            if ts is not None and ts > txn.snapshot_ts:
-                self.txn_mgr.occ_validation_failures += 1
-                from repro.errors import OCCValidationError
-
-                raise OCCValidationError(
-                    f"transaction {txn.tid}: key {key!r} of table "
-                    f"{table_id} was overwritten at {ts}, after this "
-                    f"transaction's snapshot at {txn.snapshot_ts}",
-                    table_id=table_id,
-                    key=key,
-                )
-
     # -- transactions ------------------------------------------------------------------
 
     def begin(
@@ -420,15 +380,8 @@ class ImmortalDB:
         if as_of is not None:
             mode = TxnMode.AS_OF
             as_of = self.to_timestamp(as_of)
-        # The OCC ablation: default transactions become snapshot readers
-        # with commit-time validation.  Explicit SNAPSHOT requests keep
-        # plain snapshot-isolation semantics (no read validation).
-        occ = mode is TxnMode.SERIALIZABLE and self.cc_mode == "occ"
-        if occ:
-            mode = TxnMode.SNAPSHOT
         with self._latch:
             txn = self.txn_mgr.begin(mode, as_of=as_of)
-            txn.occ = occ
             if mode is TxnMode.SNAPSHOT:
                 assert txn.snapshot_ts is not None
                 self.snapshots.register(txn.tid, txn.snapshot_ts)
@@ -776,5 +729,4 @@ class ImmortalDB:
             "lock_wait_ns": self.locks.stats.lock_wait_ns,
             "deadlocks_detected": self.locks.stats.deadlocks_detected,
             "txn_retries": self.txn_mgr.txn_retries,
-            "occ_validation_failures": self.txn_mgr.occ_validation_failures,
         }

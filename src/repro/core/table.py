@@ -342,33 +342,12 @@ class Table:
         key = self.codec.encode_key(key_value)
         if txn.mode is TxnMode.SERIALIZABLE:
             self.engine.locks.lock_record_shared(txn.tid, self.table_id, key)
-        if txn.occ:
-            # Optimistic reads take no lock; the key joins the read set and
-            # is re-validated against later committers at commit time.
-            txn.read_keys.add((self.table_id, key))
         horizon, inclusive = self._horizon(txn)
         with self.engine._latch:
             try:
                 return self._read_at(txn, key, horizon, inclusive)
             except PageQuarantinedError as exc:
                 return self._degraded_read(txn, key, horizon, inclusive, exc)
-
-    def latest_committed_ts(self, key: bytes) -> Timestamp | None:
-        """Timestamp of the newest *committed* version of ``key``.
-
-        The OCC validator compares this against a committing transaction's
-        snapshot; uncommitted heads are skipped — a writer that has not
-        committed yet will receive a later timestamp than the validator's
-        transaction, which is consistent with the read not seeing it.
-        """
-        leaf = self.btree.search_leaf(key)
-        for version in leaf.chain(key):
-            if version.is_timestamped:
-                return version.timestamp
-            ts, committed = self._resolve(version.tid)
-            if committed:
-                return ts
-        return None
 
     def _read_at(
         self,

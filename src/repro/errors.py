@@ -229,19 +229,6 @@ class DeadlockError(ConcurrencyError):
         self.resource = resource
 
 
-class OCCValidationError(ConcurrencyError):
-    """Optimistic commit validation failed: a key this transaction read was
-    overwritten by a commit after its snapshot was taken (``cc_mode="occ"``).
-    The transaction must abort and retry against a fresh snapshot."""
-
-    def __init__(
-        self, message: str, *, table_id: int | None = None, key: bytes | None = None
-    ) -> None:
-        super().__init__(message)
-        self.table_id = table_id
-        self.key = key
-
-
 class TransactionStateError(ConcurrencyError):
     """Operation is illegal in the transaction's current state."""
 

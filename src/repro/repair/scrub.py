@@ -18,8 +18,8 @@ record for it must already be reflected in the disk image's LSN — a disk
 LSN below the archive's newest LSN for that page proves a write was lost.
 Dirty pages are skipped (their disk image is legitimately stale).
 
-Scrub work is priced in the cost model (``scrub_page_ms`` — 0.0 by
-default, so figure results are unchanged) and counted in the engine stats.
+Scrub work is counted in the engine stats (``scrub_steps``,
+``scrub_pages``, ``scrub_findings``); the cost model does not price it.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ single-threaded — but conflicting acquisitions raise :exc:`LatchError`, so
 tests can assert the engine follows the paper's latch discipline (exclusive
 latch to stamp a record, shared latch for a plain read of a stamped one).
 
-Eviction is pluggable (``eviction="lru" | "2q" | "clock"``):
+Eviction is pluggable (``eviction="lru" | "2q"``):
 
 * ``lru`` — the seed policy, byte-identical to the original single-list
   implementation (it operates directly on the pool's recency-ordered frame
@@ -26,8 +26,6 @@ Eviction is pluggable (``eviction="lru" | "2q" | "clock"``):
   LRU (Am).  A long history scan therefore washes through A1in without
   displacing the hot current-page working set — the access pattern the
   paper's time-split storage produces.
-* ``clock`` — second-chance: a reference bit per frame, cleared as the hand
-  sweeps; O(1) metadata per access instead of list reordering.
 
 Write-back is optionally batched (``flush_batch=N``): an eviction of a
 dirty page gathers up to ``N-1`` additional cold dirty pages, runs the
@@ -280,72 +278,9 @@ class TwoQPolicy(EvictionPolicy):
         self.am.clear()
 
 
-class ClockPolicy(EvictionPolicy):
-    """Second-chance CLOCK: one reference bit per frame, a sweeping hand.
-
-    An access sets the frame's bit (O(1), no list surgery).  The hand
-    sweeps the ring: a set bit buys the frame one more lap (bit cleared,
-    frame passed over); a clear bit makes it the victim.  Pinned/latched
-    frames are skipped *without* clearing their bit; a full lap of nothing
-    but pinned frames raises :exc:`BufferExhaustedError` — the
-    ``pinned_streak`` counter resets whenever the hand does useful work
-    (clears a bit or finds a victim), so the sweep provably terminates.
-    """
-
-    name = "clock"
-
-    def __init__(self, pool: "BufferPool") -> None:
-        super().__init__(pool)
-        self.ring: OrderedDict[int, bool] = OrderedDict()  # pid -> ref bit
-
-    def on_admit(self, page_id: int) -> None:
-        self.ring[page_id] = True
-
-    def on_access(self, page_id: int) -> None:
-        if page_id in self.ring:
-            self.ring[page_id] = True
-
-    def on_remove(self, page_id: int) -> None:
-        self.ring.pop(page_id, None)
-
-    def select_victim(self) -> tuple[int, Frame]:
-        frames = self.pool._frames
-        pinned_streak = 0
-        while self.ring:
-            pid = next(iter(self.ring))
-            frame = frames.get(pid)
-            if frame is None:              # stale entry (defensive)
-                del self.ring[pid]
-                continue
-            if _unevictable(frame):
-                self.ring.move_to_end(pid)
-                self.pool.stats.evict_scan_skips += 1
-                pinned_streak += 1
-                if pinned_streak >= len(self.ring):
-                    raise self._exhausted()
-                continue
-            if self.ring[pid]:
-                self.ring[pid] = False     # second chance
-                self.ring.move_to_end(pid)
-                pinned_streak = 0
-                continue
-            return pid, frame
-        raise self._exhausted()
-
-    def iter_cold(self) -> Iterator[int]:
-        # Clear bits first (closer to the hand = colder).
-        ring = list(self.ring.items())
-        yield from (pid for pid, ref in ring if not ref)
-        yield from (pid for pid, ref in ring if ref)
-
-    def clear(self) -> None:
-        self.ring.clear()
-
-
 _POLICIES: dict[str, type[EvictionPolicy]] = {
     "lru": LRUPolicy,
     "2q": TwoQPolicy,
-    "clock": ClockPolicy,
 }
 
 
@@ -573,16 +508,14 @@ class BufferPool:
         self._policy.on_access(page.page_id)
 
     def mark_dirty_page(self, page: Page, rec_lsn: int | None = None) -> None:
-        """``mark_dirty`` by page object, re-admitting it if eviction won.
+        """Make ``page`` the cached, dirty image of its page id.
 
-        Multi-page operations (B-tree splits, PTT node splits, eager commit
-        revisits) mutate several *unpinned* page objects before marking them
-        dirty; under a small pool, the admissions the operation itself
-        performs can evict one of its own pages in between.  The in-memory
-        object is the authority at that point — the operation has already
-        logged the new state — so it is re-admitted as-is rather than
-        letting ``mark_dirty`` raise (or worse, faulting the stale disk
-        image back in next to the orphaned object).
+        The caller's object is the authority: it has logged (or, for the
+        unlogged PTT and TSB nodes, decided) the new state, and holds the
+        page unpinned, so by now the frame may be gone or hold an older
+        object.  A structure modification's rebuilt pages enter the pool
+        this way, after their record (``BTree._log_smo``); a page the
+        operation's own admissions evicted comes back the same way.
         """
         mutex = self.mutex
         if mutex is not None:
@@ -590,8 +523,10 @@ class BufferPool:
         try:
             frame = self._frames.get(page.page_id)
             if frame is None:
-                self.replace_page(page)
-                frame = self._require_frame(page.page_id)
+                frame = Frame(page)
+                self._admit(frame)
+            else:
+                frame.page = page
             self._mark_dirty(frame, rec_lsn)
         finally:
             if mutex is not None:

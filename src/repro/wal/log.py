@@ -6,8 +6,9 @@ length, so log-size accounting matches what a real log file would grow by
 (this feeds the benchmark cost model: the paper's eager-vs-lazy argument is
 partly "extra log operations reduce system throughput").
 
-Durability model: :meth:`force` makes the prefix up to an LSN durable;
-:meth:`crash` discards everything after the durable prefix.  Commit forces
+Durability model: :meth:`force` makes the record at an LSN, and every
+record before it, durable; :meth:`crash` discards everything after the
+durable prefix.  Commit forces
 the log (the dominant latency of a small transaction on 2005 hardware —
 this is what makes the paper's 9.6 ms baseline).
 """
@@ -146,23 +147,26 @@ class LogManager:
     # -- durability ---------------------------------------------------------
 
     def force(self, upto_lsn: int | None = None, *, unlatch=None) -> None:
-        """Make the log durable up to (at least) ``upto_lsn``.
+        """Make the record *at* ``upto_lsn`` durable (``None``: every record).
 
-        A no-op when the prefix is already durable — so the stats count
-        *physical* forces, which is what group commit would pay for.
+        An LSN is a record's start offset, so the record at ``L`` is durable
+        iff ``L < flushed_lsn`` — a durable prefix that ends exactly at
+        ``L`` does not hold it yet.  A no-op when it already is — so the
+        stats count *physical* forces, which is what group commit would
+        pay for.
 
-        A force runs in three stages.  *begin* picks the LSN to cover;
-        *sync* puts everything appended so far on the device, holding only
-        the force-order lock; *finish* publishes the new durable prefix and
-        runs ``post_force_hooks``.  Callers hold the engine latch around
-        the whole call; one that can afford to let go of it during the
-        device write passes it as ``unlatch`` and gets it back for
-        *finish* — ``db.flush_commits()`` does, so no other thread's
-        statement waits behind its ``fsync``.
+        A force runs in three stages.  *begin* picks the offset the durable
+        prefix must reach; *sync* puts everything appended so far on the
+        device, holding only the force-order lock; *finish* publishes the
+        new durable prefix and runs ``post_force_hooks``.  Callers hold the
+        engine latch around the whole call; one that can afford to let go
+        of it during the device write passes it as ``unlatch`` and gets it
+        back for *finish* — ``db.flush_commits()`` does, so no other
+        thread's statement waits behind its ``fsync``.
         """
         with self.mutex or _NO_MUTEX:                       # begin
             target = self._end_lsn if upto_lsn is None \
-                else min(upto_lsn, self._end_lsn)
+                else min(upto_lsn + 1, self._end_lsn)
             if target <= self._flushed_lsn:
                 return
         if unlatch is not None:

@@ -7,9 +7,9 @@ one :class:`~repro.core.engine.ImmortalDB`:
   (a callable receiving the open transaction) onto a bounded queue and
   returns a :class:`TxnFuture`; when the queue is full, submit blocks —
   backpressure instead of unbounded buffering.
-* **Conflict retry**: deadlock victimhood, lock conflicts, snapshot
-  write-conflicts, and OCC validation failures abort the attempt and
-  retry the body in a *fresh* transaction, after a seeded exponential
+* **Conflict retry**: deadlock victimhood, lock conflicts and snapshot
+  write-conflicts abort the attempt and retry the body in a *fresh*
+  transaction, after a seeded exponential
   backoff (deterministic per task, so reruns of a seeded workload retry
   on the same schedule).  Anything else fails the future with the
   original exception.
@@ -40,7 +40,6 @@ from repro.errors import (
     ConcurrencyError,
     DeadlockError,
     LockConflictError,
-    OCCValidationError,
     TimestampOrderError,
     WriteConflictError,
 )
@@ -49,7 +48,6 @@ from repro.errors import (
 RETRYABLE_ERRORS = (
     DeadlockError,
     LockConflictError,
-    OCCValidationError,
     TimestampOrderError,
     WriteConflictError,
 )

@@ -24,7 +24,7 @@ from repro.errors import PageQuarantinedError
 from repro.faults.crashtest import (
     CrashTestConfig,
     enumerate_crossings,
-    replay_crash_point,
+    replay,
 )
 from repro.repair.quarantine import Degraded
 from repro.storage.constants import ARCHIVE_PID_BIT, NO_PAGE
@@ -438,7 +438,7 @@ class TestCrashDuringMigration:
     def test_every_archive_crossing_recovers_clean(self):
         """Crash at each archive.migrate.* / archive.read.* crossing."""
         config = CrashTestConfig(
-            archive=True, route_cache=True, transactions=60
+            archive=True, profile="tuned", transactions=60
         )
         names = enumerate_crossings(config)
         crossings = [
@@ -456,7 +456,7 @@ class TestCrashDuringMigration:
         assert {"begin", "write", "sync", "swap", "done"} <= compact_stages
         failures = []
         for crossing in crossings:
-            report = replay_crash_point(config, crossing)
+            report = replay(config, crossing)
             if not report.ok:
                 failures.append((crossing, report.name, report.problems))
         assert not failures, failures

@@ -265,3 +265,59 @@ class TestPropertyBased:
         # Leaf chain covers exactly the distinct keys.
         all_keys = [key for leaf in env.btree.leaves() for key in leaf.keys()]
         assert sorted(all_keys) == sorted(expected)
+
+
+class TestSplitPagesFollowTheirLogRecord:
+    """Write-ahead for structure modifications: a split's pages enter the
+    pool only after the split's log record, so no page image can reach the
+    disk naming a sibling, child or history page that exists nowhere."""
+
+    def test_no_written_page_names_a_page_that_exists_nowhere(self):
+        from repro import ImmortalDB
+        from repro.wal.records import MultiPageImage
+
+        db = ImmortalDB(buffer_pages=8, eviction="2q", flush_batch=4)
+        table = db.create_table(
+            "t", [("k", "int"), ("v", "text")], key="k", immortal=True
+        )
+        on_disk: set[int] = set()
+        dangling: list[tuple[int, int]] = []
+        real_write = db.disk.write_page
+
+        def durably_logged() -> set[int]:
+            return {
+                pid
+                for rec in db.log.records_from(0)
+                if rec.lsn < db.log.flushed_lsn
+                and isinstance(rec, MultiPageImage)
+                for pid, _ in rec.images
+            }
+
+        def write_page(pid, raw):
+            page = decode_page(raw)
+            named = []
+            if isinstance(page, DataPage):
+                named = [page.history_page_id, page.next_leaf_id]
+            elif isinstance(page, BTreeIndexPage):
+                named = page.children
+            missing = {p for p in named if p} - on_disk - {pid}
+            if missing:
+                dangling.extend(
+                    (pid, p) for p in missing - durably_logged()
+                )
+            real_write(pid, raw)
+            on_disk.add(pid)
+
+        db.disk.write_page = write_page
+        for i in range(240):
+            db.advance_time(40)
+            with db.transaction() as txn:
+                row = {"k": i % 40, "v": f"{i}" + "x" * (500 + 37 * (i % 9))}
+                if i < 40:
+                    table.insert(txn, row)
+                else:
+                    table.update(txn, row["k"], {"v": row["v"]})
+        splits = table.btree.stats
+        assert splits.time_splits >= 5 and splits.key_splits >= 2, splits
+        assert db.stats()["flush_batches"] > 0
+        assert dangling == [], dangling

@@ -20,6 +20,7 @@ from repro.core.engine import ImmortalDB
 from repro.core.integrity import verify_integrity
 from repro.errors import (
     CrossShardAbort,
+    DeadlockError,
     InDoubtError,
     ShardUnavailableError,
 )
@@ -113,28 +114,34 @@ class TestCommitPaths:
         assert router.twopc_commits == before
 
     def test_prepare_veto_aborts_everywhere(self):
-        # OCC ablation: reads validate at prepare time, so a read
-        # invalidated by a competing commit makes one participant vote no,
-        # and the whole cross-shard transaction must abort on every shard.
-        router, table = make_cluster(cc_mode="occ")
+        # The second participant votes no (its prepare raises — here a
+        # deadlock-victim verdict injected at the prepare seam, after the
+        # first shard's yes vote is already durable), and the whole
+        # cross-shard transaction must abort on every shard.
+        router, table = make_cluster()
         with router.transaction() as txn:
             for k, v in ((2, "a"), (60, "b"), (61, "c")):
                 table.insert(txn, {"k": k, "v": v})
         victim = router.begin()
-        assert table.read(victim, 60)["v"] == "b"   # snapshot read
-        with router.transaction() as other:
-            table.update(other, 60, {"v": "theirs"})   # invalidates it
         table.update(victim, 2, {"v": "mine"})      # shard 0 write
         table.update(victim, 61, {"v": "mine"})     # shard 1 write
-        with pytest.raises(CrossShardAbort) as exc_info:
-            router.commit(victim)
+
+        def veto(event):
+            raise DeadlockError("injected veto at prepare")
+
+        registry = FailpointRegistry()
+        registry.on("txn.prepare.begin", veto, hit=2)
+        with installed(registry):
+            with pytest.raises(CrossShardAbort) as exc_info:
+                router.commit(victim)
+        assert registry.hits["txn.prepare.done"] == 1   # shard 0 had voted yes
         assert exc_info.value.gtid is not None
         assert router.twopc_aborts == 1
         # Nothing half-committed anywhere.
         with router.transaction() as txn:
             assert table.read(txn, 2)["v"] == "a"
             assert table.read(txn, 61)["v"] == "c"
-            assert table.read(txn, 60)["v"] == "theirs"
+            assert table.read(txn, 60)["v"] == "b"
 
 
 class TestCrashRecovery:

@@ -11,18 +11,22 @@ from __future__ import annotations
 from collections import Counter
 
 import dataclasses
+import importlib.util
+import pathlib
 
 import pytest
 
+from repro import PROFILES
+from repro.faults import crashtest
 from repro.faults.crashtest import (
     CrashTestConfig,
     ShadowOracle,
     _sample,
-    build_db,
+    build,
     enumerate_crossings,
     explore,
     main,
-    replay_crash_point,
+    replay,
     run_workload,
 )
 
@@ -80,9 +84,8 @@ class TestEnumeration:
                 seed=seed, transactions=18, keys=8, checkpoint_every=5,
                 mark_every=3, buffer_pages=6, value_pad=500,
             )
-            db, table = build_db(config)
             oracle = ShadowOracle()
-            run_workload(db, table, config, oracle)
+            run_workload(build(config), config, oracle)
             return oracle.committed
 
         assert final_state(0) != final_state(1)
@@ -109,12 +112,12 @@ class TestSample:
 
 class TestReplay:
     def test_single_crash_point_recovers_clean(self):
-        report = replay_crash_point(SMALL, 10)
+        report = replay(SMALL, 10)
         assert report.crashed
         assert report.ok, report.problems
 
     def test_unreachable_crossing_reported(self):
-        report = replay_crash_point(SMALL, 10**6)
+        report = replay(SMALL, 10**6)
         assert not report.crashed
         assert not report.ok
         assert "never reached" in report.problems[0]
@@ -165,9 +168,9 @@ class TestCLI:
 
 
 class TestBatchedFlushCrossings:
-    """PR 6: crash points inside the batched write-back path."""
+    """PR 6: crash points inside the batched write-back path (``tuned``)."""
 
-    BATCHED = dataclasses.replace(SMALL, eviction="2q", flush_batch=3)
+    BATCHED = dataclasses.replace(SMALL, profile="tuned")
 
     def test_flushbatch_crossings_enumerated(self):
         names = enumerate_crossings(self.BATCHED)
@@ -187,11 +190,168 @@ class TestBatchedFlushCrossings:
         # A crash between the batch's single force and any of its page
         # writes leaves a durable prefix; redo must rebuild the rest.
         for crossing in points[:12]:
-            report = replay_crash_point(self.BATCHED, crossing)
+            report = replay(self.BATCHED, crossing)
             assert report.crashed, names[crossing]
             assert report.ok, (names[crossing], report.problems)
 
     def test_repro_args_round_trip_new_flags(self):
         args = self.BATCHED.repro_args(crossing=7)
-        assert "--eviction 2q" in args
-        assert "--flush-batch 3" in args
+        assert "--profile tuned" in args
+        assert args.endswith("--crash-point 7")
+        assert "--profile" not in SMALL.repro_args(crossing=7)
+
+
+def _crossing_of(names: list[str], name: str, hit: int) -> int:
+    """Index of the ``hit``-th crossing of failpoint ``name``."""
+    seen = 0
+    for index, crossed in enumerate(names):
+        seen += crossed == name
+        if seen == hit:
+            return index
+    raise AssertionError(f"{name} is crossed only {seen} times")
+
+
+class TestSMOPagesFollowTheirRecord:
+    """A split's pages used to enter the pool before their log record, so the
+    admission of the second could write the first — old LSN, pointing at a
+    history page that existed nowhere.  Crashing between that write and the
+    record's force left a database recovery could not open
+    (``BufferPoolError: page 8 image claims to be page 0``)."""
+
+    # What CI's "batched write-back and 2Q" step ran (--eviction 2q
+    # --flush-batch 4) and the two sampled crossings it was red on: then
+    # indices 756 and 762, named here so renumbering cannot lose them.
+    CI_STEP = dict(eviction="2q", flush_batch=4)
+
+    @pytest.mark.parametrize(
+        "name, hit", [("disk.write_page", 29), ("log.append", 280)]
+    )
+    def test_the_crossings_ci_was_red_on(self, monkeypatch, name, hit):
+        monkeypatch.setitem(PROFILES, "ci-2q-batch4", self.CI_STEP)
+        config = CrashTestConfig(profile="ci-2q-batch4")
+        crossing = _crossing_of(enumerate_crossings(config), name, hit)
+        report = replay(config, crossing)
+        assert report.crashed and report.name == name
+        assert report.ok, report.problems
+
+    @pytest.mark.parametrize(
+        "name, hit", [("disk.write_page", 24), ("log.append", 239)]
+    )
+    def test_the_same_window_on_the_tuned_profile(self, name, hit):
+        config = CrashTestConfig(profile="tuned")
+        crossing = _crossing_of(enumerate_crossings(config), name, hit)
+        report = replay(config, crossing)
+        assert report.crashed and report.name == name
+        assert report.ok, report.problems
+
+
+class TestAFindingIsAFinding:
+    """Whatever escapes recovery or verification is reported, with a repro
+    line, and fails the sweep — it does not kill it with a traceback."""
+
+    @pytest.fixture
+    def exploding_verify(self, monkeypatch):
+        def verify(rig, oracle, report):
+            raise RuntimeError("page 8 image claims to be page 0")
+
+        monkeypatch.setattr(
+            crashtest, "ENGINE_CRASH",
+            dataclasses.replace(crashtest.ENGINE_CRASH, verify=verify),
+        )
+
+    def test_replay_reports_the_escape(self, exploding_verify):
+        report = replay(SMALL, 10)
+        assert report.crashed and not report.ok
+        assert "RuntimeError escaped recovery or verification" \
+            in report.problems[0]
+        assert "claims to be page 0" in report.problems[0]
+
+    def test_sweep_survives_and_exits_nonzero(self, exploding_verify, capsys):
+        rc = main(["--profile", "tuned", *TestCLI.ARGS, "--max-points", "4"])
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "4 crash points explored" in out
+        assert out.count("FAIL crossing") == 4
+        assert "--profile tuned --transactions 18 --keys 8 --crash-point " in out
+
+    def test_workload_failure_before_the_crash_is_reported(self, monkeypatch):
+        def workload(rig, config, oracle):
+            raise AssertionError("mid-workload as-of divergence")
+
+        monkeypatch.setattr(
+            crashtest, "ENGINE_CRASH",
+            dataclasses.replace(crashtest.ENGINE_CRASH, workload=workload),
+        )
+        report = replay(SMALL, 10)
+        assert not report.crashed and not report.ok
+        assert "as-of divergence" in report.problems[0]
+
+
+class TestProfiles:
+    # Every fire() name the five engine sweeps of the flag-at-a-time matrix
+    # crossed (default, --group-commit 4, --route-cache, --eviction 2q
+    # --flush-batch 4, --archive --route-cache), recorded from the commit
+    # before the flags were folded into profiles.
+    FLAG_MATRIX_SEAMS = frozenset({
+        "archive.compact.begin", "archive.compact.done",
+        "archive.compact.swap", "archive.compact.sync",
+        "archive.compact.write", "archive.migrate.append",
+        "archive.migrate.free", "archive.migrate.merge",
+        "archive.migrate.relink", "archive.migrate.select",
+        "archive.migrate.sync", "archive.read.block", "archive.read.decode",
+        "asof.route.hit", "asof.route.invalidate", "asof.route.miss",
+        "buffer.evict", "buffer.flush.begin", "buffer.flush.end",
+        "buffer.flush.write", "buffer.flushbatch.done",
+        "buffer.flushbatch.submit", "buffer.flushbatch.write",
+        "checkpoint.begin", "checkpoint.end", "checkpoint.flushed",
+        "checkpoint.logged", "checkpoint.master", "disk.write_page",
+        "engine.save_meta", "log.append", "log.force", "txn.commit.begin",
+        "txn.commit.done", "txn.commit.force", "txn.commit.stamp",
+        "txn.groupcommit.ack", "txn.groupcommit.enqueue",
+        "txn.groupcommit.force",
+    })
+
+    def test_profile_sweeps_cross_every_seam_the_flag_matrix_did(self):
+        def crossed(**config) -> set[str]:
+            return set(enumerate_crossings(CrashTestConfig(**config)))
+
+        paper = crossed(profile="paper")
+        tuned = crossed(profile="tuned")
+        tuned_archive = crossed(profile="tuned", archive=True)
+        assert self.FLAG_MATRIX_SEAMS <= paper | tuned | tuned_archive
+        # Each commit path and each write-back path is crashed in at least
+        # one sweep, not replaced by its tuned twin.
+        assert {"txn.commit.force", "txn.commit.stamp",
+                "buffer.flush.write"} <= paper
+        assert not any(n.startswith(("txn.groupcommit.", "buffer.flushbatch.",
+                                     "asof.route.")) for n in paper)
+        assert {"txn.groupcommit.enqueue", "txn.groupcommit.force",
+                "txn.groupcommit.ack", "buffer.flushbatch.write",
+                "asof.route.hit", "asof.route.miss"} <= tuned
+        assert any(n.startswith("archive.migrate.") for n in tuned_archive)
+        assert any(n.startswith("archive.compact.") for n in tuned_archive)
+
+    def test_there_are_exactly_two_profiles(self):
+        assert sorted(PROFILES) == ["paper", "tuned"]
+        assert PROFILES["paper"] == {}
+
+    def test_tuned_is_what_the_wall_clock_benchmark_measures(self):
+        # benchmarks/e2e is frozen and is not a package: load its adapter
+        # by path, read-only.
+        path = pathlib.Path(__file__).parents[1] / "benchmarks/e2e/adapter.py"
+        spec = importlib.util.spec_from_file_location("_e2e_adapter", path)
+        adapter = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(adapter)
+        assert adapter.TUNED == PROFILES["tuned"]
+
+    def test_tuned_is_what_the_identity_oracle_runs(self):
+        from tests import test_hotpath_identity
+
+        assert test_hotpath_identity.TUNED == dict(
+            PROFILES["tuned"], buffer_pages=256
+        )
+
+    def test_unknown_profile_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc_info:
+            main(["--profile", "clock"])
+        assert exc_info.value.code == 2

@@ -206,10 +206,10 @@ class TestStampingGate:
 
 
 class TestCrashExploration:
-    # Mirrors SMALL in test_crashtest.py, with a group-commit window.
+    # Mirrors SMALL in test_crashtest.py, on the profile that group-commits.
     CONFIG = CrashTestConfig(
         seed=0, transactions=18, keys=8, checkpoint_every=5, mark_every=3,
-        buffer_pages=6, value_pad=500, group_commit_window=4,
+        buffer_pages=6, value_pad=500, profile="tuned",
     )
 
     def test_groupcommit_seams_enumerated(self):
@@ -236,8 +236,10 @@ class TestStagedForce:
     def _file_db(tmp_path, *, concurrent: bool):
         db = ImmortalDB(
             str(tmp_path / "db.pages"), buffer_pages=64,
-            group_commit_window=8, concurrent=concurrent,
+            group_commit_window=8,
         )
+        if concurrent:
+            db.enable_concurrency()
         table = make_table(db)
         acked: list[int] = []
         db.txn_mgr.durable_commit_hook = lambda txn: acked.append(txn.tid)

@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import WALError
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import InMemoryDisk
+from repro.storage.page import DataPage
 from repro.wal.log import LogManager
 from repro.wal.records import BeginTxn, CheckpointEnd, CommitTxn
 
@@ -92,6 +95,28 @@ class TestDurability:
         log.force(a)
         assert log.flushed_lsn >= a
 
+    def test_force_of_the_record_at_the_durable_boundary_forces(self):
+        """An LSN is a start offset: ``flushed_lsn == L`` does not hold L."""
+        log = LogManager()
+        log.append(BeginTxn(tid=1))
+        log.force()
+        boundary = log.append(BeginTxn(tid=2))
+        assert boundary == log.flushed_lsn < log.end_lsn
+        log.force(boundary)
+        assert log.flushed_lsn > boundary
+        assert log.stats.forces == 2
+        log.crash()
+        assert [r.tid for r in log.records_from(0)] == [1, 2]
+
+    def test_force_of_a_durable_or_absent_record_is_a_noop(self):
+        log = LogManager()
+        a = log.append(BeginTxn(tid=1))
+        b = log.append(BeginTxn(tid=2))
+        log.force(b)
+        for lsn in (0, a, b, log.end_lsn, log.end_lsn + 99):
+            log.force(lsn)      # durable already / no record there
+        assert log.stats.forces == 1
+
     def test_crash_discards_unforced_suffix(self):
         log = LogManager()
         log.append(BeginTxn(tid=1))
@@ -125,3 +150,36 @@ class TestMasterRecord:
         log.force()
         log.set_master_checkpoint(lsn)
         assert log.master_checkpoint_lsn == lsn
+
+
+class TestWriteAheadRule:
+    """No page reaches the disk before the record its LSN names is durable."""
+
+    @pytest.mark.parametrize("flush_batch", [0, 4])
+    def test_page_at_the_durable_boundary_forces_before_its_write(
+        self, flush_batch
+    ):
+        log, disk = LogManager(), InMemoryDisk()
+        pool = BufferPool(disk, capacity=8, flush_batch=flush_batch)
+        pool.log_force = log.force
+        page = pool.new_page(lambda pid: DataPage(pid, table_id=1))
+        log.append(BeginTxn(tid=1))
+        log.force()
+        # The page's last record is the first one past the durable prefix.
+        page.lsn = log.append(BeginTxn(tid=2))
+        assert page.lsn == log.flushed_lsn
+        pool.mark_dirty(page.page_id, page.lsn)
+        durable_at_write = []
+        real_write = disk.write_page
+
+        def write_page(pid, raw):
+            durable_at_write.append(log.flushed_lsn > page.lsn)
+            real_write(pid, raw)
+
+        disk.write_page = write_page
+        if flush_batch:
+            pool.flush_all()                # the batched path (_write_batch)
+            assert pool.stats.flush_batches == 1
+        else:
+            pool.flush_page(page.page_id)   # the per-page path (_write_back)
+        assert durable_at_write == [True]

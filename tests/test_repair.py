@@ -22,7 +22,7 @@ from repro.errors import (
     InjectedIOError,
     PageQuarantinedError,
 )
-from repro.faults.crashtest import CrashTestConfig, replay_media_point
+from repro.faults.crashtest import CrashTestConfig, replay
 from repro.faults.failpoints import FailpointRegistry, SimulatedCrash, installed
 from repro.faults.models import FaultyDisk
 from repro.repair.quarantine import Degraded
@@ -398,5 +398,5 @@ class TestMediaCrashtestSmoke:
     @pytest.mark.parametrize("crossing", [5, 250, 700])
     def test_media_fault_points_pass(self, crossing):
         config = CrashTestConfig(media_faults=True)
-        report = replay_media_point(config, crossing)
+        report = replay(config, crossing)
         assert report.ok, report.problems

@@ -16,12 +16,12 @@ from repro.errors import ImmortalDBError, InDoubtError
 from repro.faults.crashtest import (
     CrashTestConfig,
     ShadowOracle,
-    build_cluster,
-    enumerate_shard_crossings,
-    explore_shards,
+    build,
+    enumerate_crossings,
+    explore,
     main,
-    replay_shard_point,
-    run_shard_workload,
+    replay,
+    run_workload,
 )
 from repro.faults.failpoints import (
     FailpointRegistry,
@@ -122,8 +122,8 @@ class Test2PCCrashMatrix:
 
 class TestShardWorkload:
     def test_enumeration_is_deterministic_and_crosses_cluster_seams(self):
-        first = enumerate_shard_crossings(SMALL)
-        second = enumerate_shard_crossings(SMALL)
+        first = enumerate_crossings(SMALL)
+        second = enumerate_crossings(SMALL)
         assert first == second
         seams = {name.split(".")[0] for name in first}
         assert "cluster" in seams
@@ -133,9 +133,10 @@ class TestShardWorkload:
         assert any(n.startswith("cluster.router.fastpath") for n in first)
 
     def test_uncrashed_workload_matches_oracle(self):
-        router, table = build_cluster(SMALL)
+        rig = build(SMALL)
+        router, table = rig.db, rig.table
         oracle = ShadowOracle()
-        run_shard_workload(router, table, SMALL, oracle)
+        run_workload(rig, SMALL, oracle)
         with router.transaction() as txn:
             got = {r["k"]: r["v"] for r in table.scan(txn)}
         assert got == oracle.committed
@@ -145,21 +146,22 @@ class TestShardWorkload:
             } == snapshot
 
     def test_cross_shard_mutations_actually_ran_2pc(self):
-        router, table = build_cluster(SMALL)
-        run_shard_workload(router, table, SMALL, ShadowOracle())
+        rig = build(SMALL)
+        run_workload(rig, SMALL, ShadowOracle())
+        router = rig.db
         assert router.twopc_commits > 0
         assert router.fastpath_commits > 0
 
 
 class TestShardExploration:
     def test_sampled_exploration_is_clean(self):
-        result = explore_shards(SMALL, max_points=12)
+        result = explore(SMALL, max_points=12)
         assert result.total_crossings > 0
         assert len(result.explored) == 12
         assert result.ok, [f.problems for f in result.failures]
 
     def test_every_cluster_crossing_is_clean(self):
-        names = enumerate_shard_crossings(SMALL)
+        names = enumerate_crossings(SMALL)
         targets = [
             i for i, n in enumerate(names) if n.startswith("cluster.")
         ]
@@ -170,13 +172,13 @@ class TestShardExploration:
             names[i].startswith("cluster.router.") for i in targets
         ), "workload never crossed the router seam"
         for crossing in targets:
-            report = replay_shard_point(SMALL, crossing)
+            report = replay(SMALL, crossing)
             assert report.ok, (
                 f"crossing {crossing} ({report.name}): {report.problems}"
             )
 
     def test_unreached_crossing_reports_problem(self):
-        report = replay_shard_point(SMALL, 10_000_000)
+        report = replay(SMALL, 10_000_000)
         assert not report.crashed
         assert not report.ok
 

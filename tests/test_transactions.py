@@ -76,6 +76,77 @@ class TestCommit:
         assert db.locks.locks_held(txn.tid) == 0
 
 
+class TestAckedMeansDurable:
+    """A commit that returned a timestamp survives ``crash(); recover()``."""
+
+    @staticmethod
+    def _seed(db, table):
+        with db.transaction() as txn:
+            table.insert(txn, {"k": 1, "v": "old1"})
+            table.insert(txn, {"k": 2, "v": "old2"})
+
+    @staticmethod
+    def _assert_both_survive(db):
+        db.crash()
+        db.recover()
+        table = db.table("t")
+        with db.transaction() as txn:
+            assert table.read(txn, 1)["v"] == "new1"
+            assert table.read(txn, 2)["v"] == "new2"
+
+    def test_interleaved_commits_both_survive_a_crash(self, db, table):
+        # B's commit forces the log to its end, which is exactly where A's
+        # commit record then starts: force(commit_lsn) must still force.
+        self._seed(db, table)
+        a, b = db.begin(), db.begin()
+        table.update(a, 1, {"v": "new1"})
+        table.update(b, 2, {"v": "new2"})
+        assert db.commit(b) is not None
+        assert db.commit(a) is not None
+        assert db.log.flushed_lsn == db.log.end_lsn
+        self._assert_both_survive(db)
+
+    def test_interleaved_commits_through_the_worker_pool(self, db, table):
+        import threading
+
+        from repro.workers import WorkerPool
+
+        self._seed(db, table)
+        a_wrote, b_acked = threading.Event(), threading.Event()
+
+        def body_a(txn):
+            table.update(txn, 1, {"v": "new1"})
+            a_wrote.set()
+            assert b_acked.wait(10.0)
+
+        def body_b(txn):
+            assert a_wrote.wait(10.0)
+            table.update(txn, 2, {"v": "new2"})
+
+        with WorkerPool(db, n_workers=2) as pool:
+            assert db.txn_mgr.group_commit_window == 1
+            fa, fb = pool.submit(body_a), pool.submit(body_b)
+            fb.result(10.0)
+            b_acked.set()
+            fa.result(10.0)
+            assert fa.commit_ts is not None and fb.commit_ts is not None
+        self._assert_both_survive(db)
+
+    def test_prepare_vote_is_durable_at_the_boundary(self, db, table):
+        self._seed(db, table)
+        a, b = db.begin(), db.begin()
+        table.update(a, 1, {"v": "new1"})
+        table.update(b, 2, {"v": "new2"})
+        db.commit(b)                      # leaves flushed_lsn == end_lsn
+        vote_lsn = db.prepare(a, gtid=7)  # the vote starts exactly there
+        assert db.log.flushed_lsn > vote_lsn
+        db.crash()
+        db.recover()
+        assert 7 in db.in_doubt
+        db.commit_prepared(db.in_doubt[7], db.clock.next_timestamp())
+        self._assert_both_survive(db)
+
+
 class TestRollback:
     def test_abort_removes_inserted_record(self, db, table):
         txn = db.begin()

@@ -1,4 +1,4 @@
-"""Tests for the concurrent worker pool and OCC commit mode."""
+"""Tests for the concurrent worker pool."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ import threading
 import pytest
 
 from repro import ColumnType, ImmortalDB
-from repro.concurrency.transaction import TxnMode
 from repro.core.integrity import verify_integrity
-from repro.errors import OCCValidationError
 from repro.workers import WorkerPool
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.INT)]
@@ -170,60 +168,6 @@ class TestRawTasks:
             assert table.read(txn, 2)["v"] == 2
 
 
-class TestOCCMode:
-    def test_serializable_begin_becomes_occ_snapshot(self):
-        db, _ = _make_db(cc_mode="occ")
-        txn = db.begin()
-        assert txn.occ
-        assert txn.mode is TxnMode.SNAPSHOT
-        db.commit(txn)
-
-    def test_stale_read_fails_validation(self):
-        db, table = _make_db(cc_mode="occ")
-        db.enable_concurrency()
-        reader = db.begin()
-        row = table.read(reader, 5)          # records (t, 5) in read_keys
-        assert (table.table_id, table.codec.encode_key(5)) in reader.read_keys
-        with db.transaction() as writer:     # commits after reader's snapshot
-            table.update(writer, 5, {"v": 42})
-        table.update(reader, 6, {"v": row["v"] + 1})   # make it a writer
-        with pytest.raises(OCCValidationError):
-            db.commit(reader)
-        db.abort(reader)
-        assert db.stats()["occ_validation_failures"] == 1
-
-    def test_disjoint_read_sets_validate_clean(self):
-        db, table = _make_db(cc_mode="occ")
-        db.enable_concurrency()
-        reader = db.begin()
-        table.read(reader, 1)
-        with db.transaction() as writer:
-            table.update(writer, 9, {"v": 1})     # different key
-        table.update(reader, 2, {"v": 5})
-        assert db.commit(reader) is not None      # validates fine
-        assert db.stats()["occ_validation_failures"] == 0
-
-    def test_read_only_occ_commit_skips_validation(self):
-        db, table = _make_db(cc_mode="occ")
-        db.enable_concurrency()
-        reader = db.begin()
-        table.read(reader, 5)
-        with db.transaction() as writer:
-            table.update(writer, 5, {"v": 42})
-        assert db.commit(reader) is None   # snapshot reads stay consistent
-
-    def test_occ_pool_counter_is_exact(self):
-        db, table = _make_db(cc_mode="occ")
-        n = 30
-        with WorkerPool(db, n_workers=4, seed=4) as pool:
-            futures = [pool.submit(_increment(table, 2)) for _ in range(n)]
-            values = sorted(f.result(30.0) for f in futures)
-        assert values == list(range(1, n + 1))
-        with db.transaction() as txn:
-            assert table.read(txn, 2)["v"] == n
-        assert verify_integrity(db) == []
-
-
 class TestConcurrentOracle:
     """Concurrent history must answer AS OF queries like a serial one."""
 
@@ -324,7 +268,3 @@ class TestConcurrentOracle:
         )
         stats = db.stats()
         assert stats["commits"] >= 400
-
-    @pytest.mark.skipif(not STRESS, reason="set IMMORTAL_CONCURRENT_STRESS=1")
-    def test_stress_occ_mode(self):
-        self._run(workers=8, tasks=200, seed=14, cc_mode="occ")
