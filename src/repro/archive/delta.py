@@ -29,12 +29,20 @@ from __future__ import annotations
 
 import struct
 import zlib
+from bisect import bisect_left
+from dataclasses import dataclass
+from functools import cached_property
 
 from repro.clock import Timestamp
 from repro.errors import PageFormatError
-from repro.storage.constants import DATA_HEADER_SIZE, SLOT_SIZE
+from repro.storage.constants import (
+    DATA_HEADER_SIZE,
+    NO_PREVIOUS,
+    SLOT_SIZE,
+    VP_IN_HISTORY,
+)
 from repro.storage.page import DataPage
-from repro.storage.record import RecordVersion
+from repro.storage.record import RECORD_OVERHEAD, RecordVersion
 
 BLOCK_MAGIC = b"IAB1"
 
@@ -101,8 +109,56 @@ def encode_block(page: DataPage) -> bytes:
     return zlib.compress(bytes(BLOCK_MAGIC + header + keys + body + slots), 6)
 
 
+@dataclass
+class _Block:
+    """The index of one decompressed block, validated at open and immutable
+    after: a version is the same whenever it is built.  ``records[i]`` is
+    version ``i``'s head fields, then the three spans of ``doc`` that
+    concatenate to its payload (a raw version has only the middle one; a
+    delta borrows both ends of its key's base)."""
+
+    doc: bytes
+    key_table: list[bytes]
+    records: list[tuple]
+    slots: list[int]
+    slot_keys: list[bytes]      # key_table[...] of each slot's head, ascending
+
+    def version(self, i: int) -> RecordVersion:
+        (flags, vp, ttime_field, sn, key_idx, _,
+         lead, lead_end, start, end, tail, tail_end) = self.records[i]
+        doc = self.doc
+        return RecordVersion(
+            self.key_table[key_idx],
+            doc[lead:lead_end] + doc[start:end] + doc[tail:tail_end],
+            flags, vp, ttime_field, sn,
+        )
+
+    def chain(self, key: bytes) -> list[RecordVersion]:
+        """:meth:`DataPage.chain`, building only this key's versions."""
+        pos = bisect_left(self.slot_keys, key)
+        if pos == len(self.slot_keys) or self.slot_keys[pos] != key:
+            return []
+        chain = [self.version(self.slots[pos])]
+        while chain[-1].vp != NO_PREVIOUS and not chain[-1].flags & VP_IN_HISTORY:
+            chain.append(self.version(chain[-1].vp))
+        return chain
+
+
+class ArchivedPage(DataPage):
+    """A decoded block: a history page whose ``versions`` are built on first
+    use (integrity walker, migration, ``to_bytes()``); chain views read
+    ``block`` key by key instead."""
+
+    @cached_property
+    def versions(self) -> list[RecordVersion]:
+        return [self.block.version(i) for i in range(len(self.block.records))]
+
+
 def decode_block(blob: bytes, page_id: int) -> DataPage:
-    """Reconstruct the archived history page, stamped with ``page_id``."""
+    """Open the archived history page, stamped with ``page_id``: every head,
+    length, key index, delta base, chain pointer and slot is checked here,
+    so a damaged block fails now (``ArchiveManager.materialize`` quarantines
+    it), never later when a version is built."""
     try:
         doc = zlib.decompress(blob)
     except zlib.error as exc:
@@ -125,62 +181,57 @@ def decode_block(blob: bytes, page_id: int) -> DataPage:
             if len(keys[-1]) != klen:
                 raise PageFormatError("archive block truncated in key table")
             offset += klen
-        versions: list[RecordVersion] = []
-        bases: dict[int, bytes] = {}
-        for _ in range(nversions):
-            flags, vp, ttime_field, sn, key_idx, mode = _VERSION_HEAD.unpack_from(
-                doc, offset
-            )
+        records: list[tuple] = []
+        bases: list[tuple[int, int] | None] = [None] * nkeys
+        used = DATA_HEADER_SIZE + SLOT_SIZE * nslots
+        unpack_head, unpack_raw = _VERSION_HEAD.unpack_from, _RAW_LEN.unpack_from
+        for i in range(nversions):
+            head = unpack_head(doc, offset)
+            flags, vp, _, _, key_idx, mode = head
             offset += _VERSION_HEAD.size
             if key_idx >= nkeys:
                 raise PageFormatError("archive block version references a bad key")
+            if vp >= i and vp != NO_PREVIOUS and not flags & VP_IN_HISTORY:
+                raise PageFormatError("archive block chain does not point back")
             if mode == _RAW:
-                (plen,) = _RAW_LEN.unpack_from(doc, offset)
-                offset += _RAW_LEN.size
-                payload = doc[offset : offset + plen]
-                if len(payload) != plen:
-                    raise PageFormatError("archive block truncated in payload")
-                offset += plen
+                start = offset + _RAW_LEN.size
+                offset = start + unpack_raw(doc, offset)[0]
+                records.append(head + (0, 0, start, offset, 0, 0))
+                plen = offset - start
+                if bases[key_idx] is None:
+                    bases[key_idx] = (start, offset)
             elif mode == _DELTA:
                 prefix, suffix, mlen = _DELTA_HEAD.unpack_from(doc, offset)
-                offset += _DELTA_HEAD.size
-                middle = doc[offset : offset + mlen]
-                if len(middle) != mlen:
-                    raise PageFormatError("archive block truncated in delta")
-                offset += mlen
-                base = bases.get(key_idx)
-                if base is None:
+                start = offset + _DELTA_HEAD.size
+                offset = start + mlen
+                if bases[key_idx] is None:
                     raise PageFormatError("archive block delta precedes its base")
-                payload = (
-                    base[:prefix] + middle + (base[len(base) - suffix :] if suffix else b"")
-                )
+                base, base_end = bases[key_idx]
+                if prefix + suffix > base_end - base:
+                    raise PageFormatError("archive block delta exceeds its base")
+                records.append(head + (
+                    base, base + prefix, start, offset, base_end - suffix, base_end
+                ))
+                plen = prefix + mlen + suffix
             else:
                 raise PageFormatError(f"archive block has payload mode {mode}")
-            if key_idx not in bases:
-                bases[key_idx] = payload
-            versions.append(
-                RecordVersion(keys[key_idx], payload, flags, vp, ttime_field, sn)
-            )
+            used += RECORD_OVERHEAD + len(keys[key_idx]) + plen
+        # A payload that ran past the end left ``offset`` there too: the
+        # next head, or the slot array, did not unpack.
         slots = list(struct.unpack_from(f">{nslots}H", doc, offset))
-        offset += nslots * SLOT_SIZE
     except struct.error as exc:
         raise PageFormatError(f"archive block is truncated: {exc}") from exc
-    for slot in slots:
-        if slot >= nversions:
-            raise PageFormatError("archive block slot points past version area")
-    page = DataPage(page_id, is_history=True, page_size=page_size, table_id=table_id)
-    page.header_flags = header_flags
-    page.lsn = lsn
-    page.split_ts = Timestamp(split_ttime, split_sn)
-    page.end_ts = Timestamp(end_ttime, end_sn)
-    page.history_page_id = history_page_id
-    page.next_leaf_id = next_leaf_id
-    page.versions = versions
-    page.slots = slots
-    page._slot_keys = [versions[h].key for h in slots]
-    page._used = (
-        DATA_HEADER_SIZE
-        + sum(v.size_on_page for v in versions)
-        + SLOT_SIZE * nslots
+    if offset > len(doc) or any(slot >= nversions for slot in slots):
+        raise PageFormatError("archive block payload or slot past its end")
+    block = _Block(doc, keys, records, slots, [keys[records[h][4]] for h in slots])
+    page = ArchivedPage(page_id, is_history=True, page_size=page_size, table_id=table_id)
+    del page.__dict__["versions"]   # the empty list: now built on first use
+    # A fresh page has no cached image to invalidate: one update, no epochs.
+    page.__dict__.update(
+        block=block, header_flags=header_flags, lsn=lsn,
+        split_ts=Timestamp(split_ttime, split_sn),
+        end_ts=Timestamp(end_ttime, end_sn),
+        history_page_id=history_page_id, next_leaf_id=next_leaf_id,
+        slots=slots, _slot_keys=block.slot_keys, _used=used,
     )
     return page

@@ -81,6 +81,7 @@ from repro.archive.store import (
     RunMeta,
 )
 from repro.clock import TICK_MS, Timestamp
+from repro.core.asof import PageView
 from repro.errors import PageQuarantinedError
 from repro.faults.failpoints import fire
 from repro.storage.constants import (
@@ -203,7 +204,10 @@ class ArchiveManager:
 
         Installed as ``BufferPool.archive_resolver``; the returned pages
         are immutable and never enter the frame table — they live in a
-        private LRU sized by ``max_cached_pages``.
+        private LRU sized by ``max_cached_pages``.  The block is validated
+        here, whole: damage quarantines it now, never at a later read.  Its
+        versions are built as asked for, and its chain views refer to the
+        block's index, never to the page: an evicted block takes them along.
         """
         if page_id in self.quarantined:
             raise PageQuarantinedError(
@@ -231,6 +235,7 @@ class ArchiveManager:
                 page_id=page_id,
             ) from exc
         self.stats.block_reads += 1
+        page.view = PageView(page.block.chain)
         self._cache[page_id] = page
         while len(self._cache) > self.config.max_cached_pages:
             self._cache.popitem(last=False)

@@ -83,6 +83,12 @@ class Timestamp:
         if not 0 <= self.sn <= 0xFFFFFFFF:
             raise ValueError(f"sn out of range: {self.sn}")
 
+    @property
+    def key(self) -> int:
+        """``ttime << 32 | sn``: the same order as one int, so it compares,
+        hashes and bisects in C; a record's Ttime and SN fields make it too."""
+        return self.ttime << 32 | self.sn
+
     def to_bytes(self) -> bytes:
         """Serialize to the fixed-size on-disk image."""
         return self.ttime.to_bytes(8, "big") + self.sn.to_bytes(4, "big")

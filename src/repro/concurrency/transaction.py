@@ -449,8 +449,9 @@ class TransactionManager:
     # -- bookkeeping -----------------------------------------------------------------
 
     def _finish(self, txn: Transaction) -> None:
-        self.locks.wedged.discard(txn.tid)
-        self.locks.release_all(txn.tid)
+        if txn.mode is not TxnMode.AS_OF:   # reads by validity interval: no locks
+            self.locks.wedged.discard(txn.tid)
+            self.locks.release_all(txn.tid)
         self.active.pop(txn.tid, None)
 
     def att_snapshot(self) -> dict[int, tuple[int, int]]:

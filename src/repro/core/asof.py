@@ -14,8 +14,9 @@ Query processing follows Section 4.2 exactly:
 Step 4 only ever needs one page because of the time split's case-2
 redundancy: every page contains all versions alive in its time range.
 
-Two read-path caches live here, both off by default (the engine's
-``asof_route_cache`` knob turns them on together):
+Two read-path caches live here; ``asof_route_cache`` turns both on (the
+``tuned`` profile does, ``paper`` does not).  Timestamps inside them are
+ints (:attr:`~repro.clock.Timestamp.key`): bisect, dedupe and sort run in C.
 
 * :class:`AsOfRouteCache` memoizes the step-3 chain walk per current leaf:
   one full walk records every ``[split_ts, end_ts)`` interval on the chain,
@@ -25,10 +26,13 @@ Two read-path caches live here, both off by default (the engine's
   epoch), so any leaf mutation — insert, stamping, time split — invalidates
   the route; history pages are immutable once created, so the recorded
   intervals themselves can never go stale while the leaf is unchanged.
-* :class:`PageViewCache` memoizes step 4 per (page, token): for every key it
-  partitions the chain into the unstamped (TID-marked) prefix and an
-  *ascending* array of stamped timestamps, so visibility is one bisect
-  instead of a linear walk constructing a Timestamp per version.
+* :class:`PageView` memoizes step 4 per page, one key at a time: the first
+  read of a key partitions its chain into the unstamped (TID-marked) prefix
+  and an *ascending* array of stamped timestamps with a decoded-row memo
+  beside it, so visibility is one bisect and a hot row is decoded once.
+  Filled only under the engine latch, and never older than its page:
+  :class:`PageViewCache` keys the views of buffer-pool pages by cache token,
+  a decoded archive block carries its own and takes it along when evicted.
 """
 
 from __future__ import annotations
@@ -36,11 +40,12 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from repro.clock import Timestamp
+from repro.clock import TID_FLAG, Timestamp
 from repro.concurrency.snapshot import Resolver, visible_version
 from repro.errors import AccessMethodError
 from repro.faults.failpoints import fire
 from repro.storage.buffer import BufferPool
+from repro.storage.constants import ARCHIVE_PID_BIT, DELETE_STUB
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
 
@@ -135,7 +140,7 @@ class _RouteEntry:
         self,
         token: tuple[int, int],
         structure: tuple[int, Timestamp],
-        bounds: list[Timestamp],
+        bounds: list[int],
         pids: list[int],
     ) -> None:
         self.token = token
@@ -144,7 +149,7 @@ class _RouteEntry:
         # moved but these did not (a record insert, a stamping pass), the
         # intervals are still exact and the entry is revalidated in place.
         self.structure = structure
-        self.bounds = bounds   # ascending split_ts; bounds[i] starts pids[i]
+        self.bounds = bounds   # ascending split_ts keys; bounds[i] starts pids[i]
         self.pids = pids       # pids[-1] is the current leaf itself
 
 
@@ -177,24 +182,42 @@ class AsOfRouteCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def route(self, leaf: DataPage, ts: Timestamp) -> DataPage | None:
-        """The page of ``leaf``'s chain covering ``ts`` (None: before history)."""
-        stats = self.stats
+    def entry(self, leaf: DataPage) -> _RouteEntry:
+        """The interval list of ``leaf``'s chain; counts one hit or miss.
+
+        Routing depends only on the leaf's ``history_page_id`` and
+        ``split_ts``: content mutations (inserts, stamping) bump the epoch
+        without moving either, so the intervals remain exact — refresh the
+        stored token and keep the entry.  A different *object* (a split
+        installed via ``replace_page``) always fails both checks.
+        """
         entry = self._entries.get(leaf.page_id)
-        if entry is not None and self._validate(entry, leaf):
-            fire("asof.route.hit")
-            stats.route_cache_hits += 1
-        else:
-            if entry is not None:
+        if entry is not None and entry.token != (token := leaf.cache_token):
+            if entry.token[0] == token[0] and entry.structure == (
+                leaf.history_page_id, leaf.split_ts
+            ):
+                entry.token = token
+            else:
                 fire("asof.route.invalidate")
                 del self._entries[leaf.page_id]
+                entry = None
+        if entry is None:
             fire("asof.route.miss")
-            stats.route_cache_misses += 1
-            entry = self._build(leaf)
-        i = bisect_right(entry.bounds, ts) - 1
+            self.stats.route_cache_misses += 1
+            return self._build(leaf)
+        fire("asof.route.hit")
+        self.stats.route_cache_hits += 1
+        return entry
+
+    def route(self, leaf: DataPage, ts: Timestamp) -> DataPage | None:
+        """The page of ``leaf``'s chain covering ``ts`` (None: before history)."""
+        entry = self.entry(leaf)
+        at = ts.ttime << 32 | ts.sn
+        i = bisect_right(entry.bounds, at) - 1
         if i < 0:
             return None  # ts predates all recorded history for this leaf
         pid = entry.pids[i]
+        stats = self.stats
         stats.pages_examined += 1
         stats.page_reads += 1
         if pid == leaf.page_id:
@@ -205,30 +228,12 @@ class AsOfRouteCache:
                 f"route cache of leaf {leaf.page_id} led to non-data "
                 f"page {pid}"
             )
-        if page.is_history and ts >= page.end_ts:
+        if at >= page.end_ts.key:   # a current page's end is Timestamp.MAX
             raise AccessMethodError(
                 f"route cache error: {ts} not in "
                 f"[{page.split_ts}, {page.end_ts}) of page {page.page_id}"
             )
         return page
-
-    def _validate(self, entry: _RouteEntry, leaf: DataPage) -> bool:
-        """Fast epoch check, falling back to structural revalidation.
-
-        Routing depends only on the leaf's ``history_page_id`` and
-        ``split_ts``: content mutations (inserts, stamping) bump the epoch
-        without moving either, so the intervals remain exact — refresh the
-        stored token and keep the entry.  A different *object* (a split
-        installed via ``replace_page``) always fails both checks.
-        """
-        token = leaf.cache_token
-        if entry.token == token:
-            return True
-        if entry.token[0] == token[0] \
-                and entry.structure == (leaf.history_page_id, leaf.split_ts):
-            entry.token = token
-            return True
-        return False
 
     def on_time_split(self, outcome) -> None:
         """Extend a cached route across a time split instead of dropping it.
@@ -243,14 +248,14 @@ class AsOfRouteCache:
         if old is None:
             return
         split_ts, end_ts, history_pid = outcome.routing_interval
-        if not old.bounds or old.bounds[-1] != split_ts \
+        if not old.bounds or old.bounds[-1] != split_ts.key \
                 or old.pids[-1] != leaf.page_id:
             fire("asof.route.invalidate")
             return  # entry predates an unseen structural change: drop it
         self._entries[leaf.page_id] = _RouteEntry(
             leaf.cache_token,
             (leaf.history_page_id, leaf.split_ts),
-            old.bounds + [end_ts],
+            old.bounds + [end_ts.key],
             old.pids[:-1] + [history_pid, leaf.page_id],
         )
 
@@ -261,11 +266,11 @@ class AsOfRouteCache:
 
     def _build(self, leaf: DataPage) -> _RouteEntry:
         """Walk the whole chain once; record every interval, newest first."""
-        bounds: list[Timestamp] = []
+        bounds: list[int] = []
         pids: list[int] = []
         page: DataPage = leaf
         while True:
-            bounds.append(page.split_ts)
+            bounds.append(page.split_ts.key)
             pids.append(page.page_id)
             next_pid = page.history_page_id
             if not next_pid:
@@ -288,68 +293,83 @@ class AsOfRouteCache:
             pids,
         )
         if len(self._entries) >= self.max_entries:
-            self._entries.clear()
+            del self._entries[next(iter(self._entries))]  # the oldest route
         self._entries[leaf.page_id] = entry
         return entry
 
 
-# -- page view cache (batched resolution + bisect visibility) ------------------
+# -- page views (lazy per key: bisect visibility + decoded-row memo) -----------
 
 
 class _ChainView:
-    """One key's chain, pre-sorted for binary-search visibility.
+    """One key's chain in one page, pre-sorted for binary-search visibility.
 
-    ``unstamped`` holds the TID-marked prefix newest first; ``ts_list`` /
-    ``versions`` are the stamped suffix in *ascending* timestamp order.  If
-    the chain violates the prefix/monotonicity invariant (it never should),
-    ``linear`` holds the raw chain and visibility falls back to the exact
-    linear walk.
-
-    ``rows`` memoizes decoded rows keyed by ``id(version)`` (None for delete
-    stubs).  The view keeps every version it references alive, so the ids
-    are stable for exactly as long as the view itself is valid — the memo
-    can never outlive the data it describes.
+    ``unstamped`` holds the TID-marked prefix newest first; ``keys`` /
+    ``versions`` are the stamped suffix in *ascending* timestamp order
+    (``ttime_field << 32 | sn``) and ``rows[i]`` memoizes ``versions[i]``
+    decoded (None: not decoded yet, or a delete stub).  If the chain
+    violates the prefix/monotonicity invariant (it never should), ``linear``
+    holds the raw chain and visibility falls back to the exact linear walk.
     """
 
-    __slots__ = ("unstamped", "ts_list", "versions", "linear", "rows")
+    __slots__ = ("unstamped", "keys", "versions", "rows", "linear")
 
-    def __init__(
-        self,
-        unstamped: list[RecordVersion],
-        ts_list: list[Timestamp],
-        versions: list[RecordVersion],
-        linear: list[RecordVersion] | None,
-    ) -> None:
-        self.unstamped = unstamped
-        self.ts_list = ts_list
-        self.versions = versions
-        self.linear = linear
-        self.rows: dict[int, dict | None] = {}
+    def __init__(self, chain: list[RecordVersion]) -> None:
+        prefix = 0
+        for version in chain:
+            if not version.ttime_field & TID_FLAG:
+                break
+            prefix += 1
+        stamped = chain[prefix:]
+        stamped.reverse()
+        keys = [v.ttime_field << 32 | v.sn for v in stamped]
+        self.linear = None
+        if keys != sorted(keys):  # a TID below a stamp, or stamps not descending
+            self.linear, prefix, keys, stamped = chain, 0, [], []
+        self.unstamped = chain[:prefix]
+        self.keys = keys
+        self.versions = stamped
+        self.rows: list[dict | None] = [None] * len(keys)
 
-    def decoded(self, version: RecordVersion, key: bytes, codec) -> dict | None:
-        """Decode ``version`` through the memo; None for delete stubs.
-
-        Returns a fresh copy per call so callers can mutate their row.
-        """
-        vid = id(version)
-        row = self.rows.get(vid, _MISSING)
-        if row is _MISSING:
-            row = (
-                None if version.is_delete_stub
-                else codec.decode_row(key, version.payload)
-            )
-            self.rows[vid] = row
-        return dict(row) if row is not None else None
+    def tids(self) -> set[int]:
+        """Every TID still marking a version of the chain."""
+        return {
+            v.ttime_field ^ TID_FLAG for v in self.linear or self.unstamped
+            if v.ttime_field & TID_FLAG
+        }
 
 
-_MISSING = object()
+class PageView(dict):
+    """Key -> :class:`_ChainView` of one page, each built on first use.
 
+    ``view[key]`` is a plain dict hit once built, and None when the page
+    has no record for the key.  ``chain_of`` is ``DataPage.chain``, or that
+    of a decoded archive block's index, which then only ever builds the
+    versions of keys somebody reads."""
 
-PageView = dict[bytes, _ChainView]
+    def __init__(self, chain_of) -> None:
+        self.chain_of = chain_of
+        self.tids: set[int] | None = None
+
+    def __missing__(self, key: bytes) -> _ChainView | None:
+        chain = self.chain_of(key)
+        if not chain:
+            return None
+        chain_view = self[key] = _ChainView(chain)
+        return chain_view
+
+    def complete(self, keys: list[bytes]) -> set[int]:
+        """Build the view of every key of the page (a scan is about to
+        iterate it); returns every TID still marking a version."""
+        if self.tids is None:
+            self.tids = set()
+            for key in keys:
+                self.tids |= self[key].tids()
+        return self.tids
 
 
 class PageViewCache:
-    """Per-page chain views keyed by the page's cache token."""
+    """Views of buffer-pool pages, keyed by the page's cache token."""
 
     def __init__(self, stats: AsOfStats, *, max_pages: int = 1024) -> None:
         self.stats = stats
@@ -360,104 +380,54 @@ class PageViewCache:
         self._views.clear()
 
     def view(self, page: DataPage) -> PageView:
-        cached = self._views.get(page.page_id)
+        pid = page.page_id
+        if pid & ARCHIVE_PID_BIT:
+            return page.view  # a decoded block's view lives in its LRU entry
+        cached = self._views.get(pid)
         token = page.cache_token
         if cached is not None and cached[0] == token:
             return cached[1]
-        view = _build_page_view(page)
-        if len(self._views) >= self.max_pages:
-            self._views.clear()
-        self._views[page.page_id] = (token, view)
+        view = PageView(page.chain)
+        if cached is None and len(self._views) >= self.max_pages:
+            del self._views[next(iter(self._views))]  # the oldest view
+        self._views[pid] = (token, view)
         return view
 
 
-def _build_page_view(page: DataPage) -> PageView:
-    view: PageView = {}
-    for key in page.keys():
-        unstamped: list[RecordVersion] = []
-        stamped: list[RecordVersion] = []
-        ordered = True
-        prev: Timestamp | None = None
-        for version in page.chain(key):
-            if not version.is_timestamped:
-                if stamped:
-                    ordered = False  # unstamped below stamped: not a prefix
-                    break
-                unstamped.append(version)
-                continue
-            ts = version.timestamp
-            if prev is not None and ts > prev:
-                ordered = False  # stamped run not descending (never expected)
-                break
-            prev = ts
-            stamped.append(version)
-        if not ordered:
-            view[key] = _ChainView([], [], [], list(page.chain(key)))
-            continue
-        stamped.reverse()
-        view[key] = _ChainView(
-            unstamped, [v.timestamp for v in stamped], stamped, None
-        )
-    return view
-
-
-def collect_unstamped_tids(view: PageView) -> set[int]:
-    """Every TID still marking a version in the page (one batch to resolve)."""
-    tids: set[int] = set()
-    for chain_view in view.values():
-        source = (
-            chain_view.linear
-            if chain_view.linear is not None
-            else chain_view.unstamped
-        )
-        for version in source:
-            if not version.is_timestamped:
-                tids.add(version.tid)
-    return tids
-
-
-def visible_in_view(
-    chain_view: _ChainView,
-    *,
-    horizon: Timestamp,
-    inclusive: bool,
-    memo: dict[int, tuple[Timestamp | None, bool]],
-    own_tid: int | None,
+def visible_row(
+    chain_view: _ChainView, key: bytes, codec, at: int, inclusive: bool,
+    memo: dict[int, tuple[Timestamp | None, bool]], own_tid: int | None,
     stats: AsOfStats,
-) -> RecordVersion | None:
-    """Bisect-based :func:`visible_version` over a pre-built chain view.
+) -> dict | None:
+    """The row of ``key`` visible at timestamp key ``at`` (None: no version
+    then, or a delete stub), decoded through the view's memo; a fresh dict
+    per call, so callers can mutate their row.
 
-    ``memo`` is the per-scan TID→(timestamp, committed) map produced by
-    :meth:`TimestampManager.resolve_many`; it replaces per-version resolver
-    calls.  Semantics match the linear walk exactly: the unstamped prefix is
-    newer than every stamped version, so a committed-in-memo unstamped
-    version at or before the horizon wins; otherwise the newest stamped
-    version at or before the horizon does.
+    ``memo`` is the TID→(timestamp, committed) map produced by
+    :meth:`TimestampManager.resolve_many`.  Semantics match
+    :func:`visible_version` exactly: the unstamped prefix is newer than
+    every stamped version, so a committed unstamped version at or before
+    the horizon wins; otherwise the newest stamped one there does.
     """
-    if chain_view.linear is not None:
-        return visible_version(
-            chain_view.linear, horizon=horizon, inclusive=inclusive,
-            resolve=lambda tid: memo[tid], own_tid=own_tid, stats=stats,
+    pending = chain_view.linear or chain_view.unstamped
+    if pending:
+        version = visible_version(
+            pending, horizon=Timestamp(at >> 32, at & 0xFFFFFFFF), stats=stats,
+            inclusive=inclusive, resolve=memo.__getitem__, own_tid=own_tid,
         )
-    for version in chain_view.unstamped:
-        stats.chain_steps += 1
-        if version.is_timestamped:
-            ts: Timestamp | None = version.timestamp
-        else:
-            if own_tid is not None and version.tid == own_tid:
-                continue  # own writes are newer than any snapshot horizon
-            ts, committed = memo[version.tid]
-            if not committed:
-                continue
-        assert ts is not None
-        if ts < horizon or (inclusive and ts == horizon):
-            return version
-    ts_list = chain_view.ts_list
-    if inclusive:
-        i = bisect_right(ts_list, horizon)
-    else:
-        i = bisect_left(ts_list, horizon)
-    if i:
-        stats.chain_steps += 1
-        return chain_view.versions[i - 1]
-    return None
+        if version is not None or chain_view.linear:
+            if version is None or version.flags & DELETE_STUB:
+                return None
+            return codec.decode_row(key, version.payload)
+    keys = chain_view.keys
+    i = bisect_right(keys, at) if inclusive else bisect_left(keys, at)
+    if not i:
+        return None
+    stats.chain_steps += 1
+    row = chain_view.rows[i - 1]
+    if row is None:
+        version = chain_view.versions[i - 1]
+        if version.flags & DELETE_STUB:
+            return None
+        row = chain_view.rows[i - 1] = codec.decode_row(key, version.payload)
+    return dict(row)

@@ -109,11 +109,45 @@ def _decode_value(data: bytes, pos: int, column_type: ColumnType):
     raise SchemaError(f"unknown column type {column_type!r}")
 
 
+def _compile(ctype: ColumnType):
+    """``(encode, decode)`` for non-null values of one column type: the
+    common branch of :func:`_encode_value` / :func:`_decode_value` with the
+    type chosen once, so coding a value probes no enum-keyed dict.  Anything
+    else (a wrong type, a value out of range) goes to the reference for its
+    error, FLOAT and BOOL whole.  ``decode`` starts after the null flag."""
+    if ctype in _INT_SPECS:
+        width, bias = _INT_SPECS[ctype]
+
+        def encode(value) -> bytes:
+            if type(value) is int and -bias <= value < bias:
+                return b"\x01" + (value + bias).to_bytes(width, "big")
+            return _encode_value(value, ctype)
+
+        def decode(data: bytes, pos: int):
+            return int.from_bytes(data[pos : pos + width], "big") - bias, pos + width
+    elif ctype is ColumnType.TEXT:
+        def encode(value) -> bytes:
+            if type(value) is str and len(value) <= 0x3FFF:  # <= 4 bytes a char
+                encoded = value.encode("utf-8")
+                return b"\x01" + len(encoded).to_bytes(2, "big") + encoded
+            return _encode_value(value, ctype)
+
+        def decode(data: bytes, pos: int):
+            end = pos + 2 + int.from_bytes(data[pos : pos + 2], "big")
+            return data[pos + 2 : end].decode("utf-8"), end
+    else:
+        return (lambda value: _encode_value(value, ctype),
+                lambda data, pos: _decode_value(data, pos - 1, ctype))
+    return encode, decode
+
+
 class RowCodec:
     """Encodes rows (dicts) for one table schema.
 
     The primary-key column is carried in the record's key image; the payload
-    holds all remaining columns in schema order.
+    holds all remaining columns in schema order.  Each column's encoder and
+    decoder are chosen once, here; the module-level functions are the
+    reference the tests hold them equal to.
     """
 
     def __init__(
@@ -132,13 +166,23 @@ class RowCodec:
         self.payload_columns = [
             (name, ctype) for name, ctype in columns if name != key_column
         ]
+        self._payload = [
+            (name, *_compile(ctype)) for name, ctype in self.payload_columns
+        ]
+        # An integer key image is the payload image without the null flag.
+        self._key_width, self._key_bias = _INT_SPECS.get(self.key_type, (None, 0))
 
     # -- keys ---------------------------------------------------------------
 
     def encode_key(self, value) -> bytes:
+        bias = self._key_bias
+        if type(value) is int and -bias <= value < bias:
+            return (value + bias).to_bytes(self._key_width, "big")
         return encode_key(value, self.key_type)
 
     def decode_key(self, data: bytes):
+        if len(data) == self._key_width:
+            return int.from_bytes(data, "big") - self._key_bias
         return decode_key(data, self.key_type)
 
     # -- payloads ----------------------------------------------------------------
@@ -147,16 +191,18 @@ class RowCodec:
         unknown = set(row) - {name for name, _ in self.columns}
         if unknown:
             raise SchemaError(f"unknown column(s): {sorted(unknown)}")
+        get = row.get
         return b"".join(
-            _encode_value(row.get(name), ctype)
-            for name, ctype in self.payload_columns
+            b"\x00" if (value := get(name)) is None else encode(value)
+            for name, encode, _ in self._payload
         )
 
     def decode_payload(self, data: bytes) -> dict:
         row: dict = {}
         pos = 0
-        for name, ctype in self.payload_columns:
-            row[name], pos = _decode_value(data, pos, ctype)
+        for name, _, decode in self._payload:
+            row[name], pos = \
+                decode(data, pos + 1) if data[pos] else (None, pos + 1)
         if pos != len(data):
             raise SchemaError(
                 f"payload has {len(data) - pos} trailing byte(s)"

@@ -19,16 +19,13 @@ the single page that must contain the version of interest.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import TYPE_CHECKING, Iterator
 
 from repro.clock import TID_FLAG, Timestamp
 from repro.concurrency.snapshot import visible_version
 from repro.concurrency.transaction import Transaction, TxnMode
-from repro.core.asof import (
-    collect_unstamped_tids,
-    page_for_time,
-    visible_in_view,
-)
+from repro.core.asof import page_for_time, visible_row
 from repro.core.catalog import TableSchema
 from repro.core.rowcodec import RowCodec
 from repro.faults.failpoints import fire
@@ -42,6 +39,7 @@ from repro.errors import (
     WriteConflictError,
 )
 from repro.repair.quarantine import Degraded
+from repro.storage.constants import DELETE_STUB
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
 from repro.wal.records import InPlaceUpdate, VersionOp, VersionOpKind
@@ -357,7 +355,8 @@ class Table:
         inclusive: bool,
     ) -> dict | None:
         leaf = self.btree.search_leaf(key)
-        if horizon is not None and self.engine.route_cache is not None:
+        if horizon is not None and self.engine.route_cache is not None \
+                and txn.pinned_ts is None:  # CURRENT TIME validates below
             return self._read_cached(txn, leaf, key, horizon, inclusive)
         if horizon is None or horizon >= leaf.split_ts:
             page: DataPage | None = leaf
@@ -435,36 +434,26 @@ class Table:
         horizon: Timestamp,
         inclusive: bool,
     ) -> dict | None:
-        """Historical point read through the route + page-view caches."""
-        stats = self.engine.asof_stats
+        """Historical point read through the route cache and the page's view."""
+        engine = self.engine
+        stats = engine.asof_stats
         stats.queries += 1
         if self.history_index is not None and horizon < leaf.split_ts:
             page: DataPage | None = self._route_tsb_cached(leaf, key, horizon)
         else:
-            page = self.engine.route_cache.route(leaf, horizon)
+            page = engine.route_cache.route(leaf, horizon)
         if page is None:
             return None
-        chain_view = self.engine.page_views.view(page).get(key)
+        chain_view = engine.page_views.view(page)[key]
         if chain_view is None:
             return None
-        source = (
-            chain_view.linear
-            if chain_view.linear is not None
-            else chain_view.unstamped
-        )
-        tids = {v.tid for v in source if not v.is_timestamped}
         memo: dict = {}
-        if tids:
-            self.engine.tsmgr.resolve_many(tids, memo, immortal=self.immortal)
-        version = visible_in_view(
-            chain_view, horizon=horizon, inclusive=inclusive,
-            memo=memo, own_tid=txn.tid, stats=stats,
+        if chain_view.linear or chain_view.unstamped:
+            engine.tsmgr.resolve_many(chain_view.tids(), memo, immortal=self.immortal)
+        return visible_row(
+            chain_view, key, self.codec, horizon.ttime << 32 | horizon.sn,
+            inclusive, memo, txn.tid, stats,
         )
-        if version is None:
-            return None
-        if txn.pinned_ts is not None and version.is_timestamped:
-            self._validate_pinned(txn, version.timestamp)
-        return chain_view.decoded(version, key, self.codec)
 
     def _route_tsb_cached(
         self, leaf: DataPage, key: bytes, ts: Timestamp
@@ -608,34 +597,43 @@ class Table:
                     yield self.codec.decode_row(key, version.payload)
 
     def _scan_at_cached_gen(
-        self, ts: Timestamp, inclusive: bool, own_tid: int | None
+        self, ts: Timestamp, inclusive: bool, own_tid: int | None,
+        low_img: bytes | None = None, high_img: bytes | None = None,
     ) -> Iterator[dict]:
-        """As-of scan through the route cache with batched TID resolution."""
-        stats = self.engine.asof_stats
-        route = self.engine.route_cache
-        views = self.engine.page_views
+        """As-of scan of ``low_img <= key <= high_img`` through the route
+        cache and page views, with batched TID resolution."""
+        engine, codec = self.engine, self.codec
+        stats = engine.asof_stats
+        route = engine.route_cache
+        views = engine.page_views
+        at = ts.ttime << 32 | ts.sn
         memo: dict = {}
-        for leaf, key_low, key_high in self.btree.leaves_with_bounds():
+        for leaf, key_low, key_high in self.btree.leaves_with_bounds(
+            start_key=low_img
+        ):
+            if high_img is not None and key_low > high_img:
+                return
             stats.queries += 1
             page = route.route(leaf, ts)
             if page is None:
                 continue
             view = views.view(page)
-            tids = collect_unstamped_tids(view)
+            keys = page.keys()
+            tids = view.complete(keys)
             if tids:
-                self.engine.tsmgr.resolve_many(
-                    tids, memo, immortal=self.immortal
+                engine.tsmgr.resolve_many(tids, memo, immortal=self.immortal)
+            # Sibling leaves can share history pages after a key split;
+            # each leaf only accounts for keys inside its own bounds.
+            first = bisect_left(
+                keys, key_low if low_img is None else max(key_low, low_img)
+            )
+            last = len(keys) if key_high is None else bisect_left(keys, key_high)
+            if high_img is not None:
+                last = min(last, bisect_right(keys, high_img))
+            for key in keys[first:last]:
+                row = visible_row(
+                    view[key], key, codec, at, inclusive, memo, own_tid, stats
                 )
-            for key, chain_view in view.items():
-                if key < key_low or (key_high is not None and key >= key_high):
-                    continue
-                version = visible_in_view(
-                    chain_view, horizon=ts, inclusive=inclusive,
-                    memo=memo, own_tid=own_tid, stats=stats,
-                )
-                if version is None:
-                    continue
-                row = chain_view.decoded(version, key, self.codec)
                 if row is not None:
                     yield row
 
@@ -669,9 +667,11 @@ class Table:
         after the first few versions never decodes the rest.
         """
         self._require_immortal_for_asof()
-        return self._materialized_if_concurrent(
-            self._history_gen(key_value, t_low, t_high)
+        gen = (
+            self._history_gen if self.engine.route_cache is None
+            else self._history_cached_gen
         )
+        return self._materialized_if_concurrent(gen(key_value, t_low, t_high))
 
     def _history_gen(
         self,
@@ -682,8 +682,6 @@ class Table:
         key = self.codec.encode_key(key_value)
         leaf = self.btree.search_leaf(key)
         stats = self.engine.asof_stats
-        memoize = self.engine.route_cache is not None
-        memo: dict[int, tuple[Timestamp | None, bool]] = {}
         out: dict[Timestamp, RecordVersion] = {}
         page: DataPage | None = leaf
         while page is not None:
@@ -691,12 +689,7 @@ class Table:
             for version in page.chain(key):
                 stats.chain_steps += 1
                 if not version.is_timestamped:
-                    if memoize:
-                        if version.tid not in memo:
-                            memo[version.tid] = self._resolve(version.tid)
-                        ts, committed = memo[version.tid]
-                    else:
-                        ts, committed = self._resolve(version.tid)
+                    ts, committed = self._resolve(version.tid)
                     if not committed:
                         continue
                 else:
@@ -722,6 +715,55 @@ class Table:
                 if version.is_delete_stub
                 else self.codec.decode_row(key, version.payload),
             )
+
+    def _history_cached_gen(
+        self, key_value, t_low: Timestamp | None, t_high: Timestamp | None
+    ) -> Iterator[tuple[Timestamp, dict | None]]:
+        """:meth:`_history_gen` over the cached route's pages, newest first,
+        one chain view each.  Spanning copies dedupe on the int timestamp
+        key; rows a reader already decoded come from the view's memo, which
+        history never fills (one deep chain would pin every row it touched)."""
+        engine = self.engine
+        key = self.codec.encode_key(key_value)
+        leaf = self.btree.search_leaf(key)
+        stats, views, buffer = engine.asof_stats, engine.page_views, engine.buffer
+        low = 0 if t_low is None else t_low.key
+        high = Timestamp.MAX.key if t_high is None else t_high.key
+        memo: dict[int, tuple[Timestamp | None, bool]] = {}
+        found: dict[int, object] = {}   # start key -> memoized row, else version
+        for pid in reversed(engine.route_cache.entry(leaf).pids):
+            page = leaf if pid == leaf.page_id else buffer.get_page(pid)
+            stats.page_reads += 1
+            chain_view = views.view(page)[key]
+            if chain_view is None:
+                continue
+            for version in chain_view.linear or chain_view.unstamped:
+                stats.chain_steps += 1
+                if version.ttime_field & TID_FLAG:
+                    tid = version.ttime_field ^ TID_FLAG
+                    if tid not in memo:
+                        memo[tid] = self._resolve(tid)
+                    ts, committed = memo[tid]
+                    if not committed:
+                        continue
+                    at = ts.key
+                else:
+                    at = version.ttime_field << 32 | version.sn
+                if low <= at <= high:
+                    found.setdefault(at, version)
+            keys = chain_view.keys
+            stats.chain_steps += len(keys)
+            for i in range(bisect_left(keys, low), bisect_right(keys, high)):
+                if keys[i] not in found:
+                    found[keys[i]] = chain_view.rows[i] or chain_view.versions[i]
+        for at in sorted(found):
+            hit = found[at]
+            if type(hit) is dict:
+                row = dict(hit)
+            else:
+                row = None if hit.flags & DELETE_STUB \
+                    else self.codec.decode_row(key, hit.payload)
+            yield Timestamp(at >> 32, at & 0xFFFFFFFF), row
 
     def scan_range(
         self,
@@ -754,9 +796,13 @@ class Table:
         if txn.mode is TxnMode.SERIALIZABLE:
             self.engine.locks.lock_table_shared(txn.tid, self.table_id)
         horizon, inclusive = self._horizon(txn)
-        return self._materialized_if_concurrent(
-            self._scan_range_gen(txn, low_img, high_img, horizon, inclusive)
-        )
+        if horizon is not None and self.engine.route_cache is not None:
+            gen = self._scan_at_cached_gen(
+                horizon, inclusive, txn.tid, low_img, high_img
+            )
+        else:
+            gen = self._scan_range_gen(txn, low_img, high_img, horizon, inclusive)
+        return self._materialized_if_concurrent(gen)
 
     def _scan_range_gen(
         self,
@@ -767,28 +813,15 @@ class Table:
         inclusive: bool,
     ) -> Iterator[dict]:
         stats = self.engine.asof_stats
-        cached = horizon is not None and self.engine.route_cache is not None
-        memo: dict = {}
         for leaf, key_low, key_high in self.btree.leaves_with_bounds(
             start_key=low_img
         ):
-            view = None
             if horizon is None:
                 page = leaf
                 # Current-time reads trigger lazy timestamping, exactly as
                 # point reads do (stage IV of the stamping protocol).
                 self.engine.tsmgr.stamp_page(leaf)
                 stats.page_reads += 1
-            elif cached:
-                page = self.engine.route_cache.route(leaf, horizon)
-                if page is None:
-                    continue
-                view = self.engine.page_views.view(page)
-                tids = collect_unstamped_tids(view)
-                if tids:
-                    self.engine.tsmgr.resolve_many(
-                        tids, memo, immortal=self.immortal
-                    )
             else:
                 page = page_for_time(
                     self.engine.buffer, leaf, horizon, stats
@@ -802,20 +835,6 @@ class Table:
                     continue
                 if high_img is not None and key > high_img:
                     return
-                if view is not None:
-                    chain_view = view.get(key)
-                    if chain_view is None:
-                        continue
-                    version = visible_in_view(
-                        chain_view, horizon=horizon, inclusive=inclusive,
-                        memo=memo, own_tid=txn.tid, stats=stats,
-                    )
-                    if version is None:
-                        continue
-                    row = chain_view.decoded(version, key, self.codec)
-                    if row is not None:
-                        yield row
-                    continue
                 version = visible_version(
                     page.chain(key), horizon=horizon, inclusive=inclusive,
                     resolve=self._resolve, own_tid=txn.tid, stats=stats,

@@ -9,18 +9,22 @@ and (degraded, not wrong) when a stored block is damaged.
 
 from __future__ import annotations
 
+import gc
 import random
+import struct
+import weakref
 import zlib
 
 import pytest
 
+from repro.archive import delta, manager as archive_manager
 from repro.archive.delta import decode_block, encode_block
 from repro.archive.store import ArchiveStore, RECORD_BLOCK
 from repro.clock import Timestamp
 from repro.core.engine import ImmortalDB
 from repro.core.integrity import integrity_report, verify_integrity
 from repro.core.rowcodec import ColumnType
-from repro.errors import PageQuarantinedError
+from repro.errors import PageFormatError, PageQuarantinedError
 from repro.faults.crashtest import (
     CrashTestConfig,
     enumerate_crossings,
@@ -29,6 +33,7 @@ from repro.faults.crashtest import (
 from repro.repair.quarantine import Degraded
 from repro.storage.constants import ARCHIVE_PID_BIT, NO_PAGE
 from repro.storage.page import DataPage
+from repro.storage.record import RecordVersion
 
 ARCHIVE_FAST = {"cold_ms": 200.0, "pages_per_step": 64, "auto": False}
 
@@ -113,7 +118,6 @@ class TestBlockCodec:
         db.close()
 
     def test_damaged_blob_raises_page_format_error(self):
-        from repro.errors import PageFormatError
         db, table, _ = _build(rounds=10)
         leaf = next(iter(table.btree.leaves()))
         page = db.buffer.get_page(leaf.history_page_id)
@@ -121,6 +125,194 @@ class TestBlockCodec:
         for bad in (b"", blob[:-9], b"\x00" * 16, zlib.compress(b"junk")):
             with pytest.raises(PageFormatError):
                 decode_block(bad, page.page_id)
+        db.close()
+
+
+def _eager_decode(doc: bytes) -> tuple[list[RecordVersion], list[int]]:
+    """The decoder blocks had before they opened lazily, kept as the
+    reference: every version rebuilt up front, so whatever is wrong with a
+    document is found on the spot.  Returns (versions, slots)."""
+    if doc[: len(delta.BLOCK_MAGIC)] != delta.BLOCK_MAGIC:
+        raise PageFormatError("bad magic")
+    try:
+        (_, _, _, split_ttime, split_sn, end_ttime, end_sn, *_,
+         nkeys, nversions, nslots) = delta._BLOCK_HEADER.unpack_from(
+            doc, len(delta.BLOCK_MAGIC)
+        )
+        offset = len(delta.BLOCK_MAGIC) + delta._BLOCK_HEADER.size
+        keys = []
+        for _ in range(nkeys):
+            (klen,) = delta._RAW_LEN.unpack_from(doc, offset)
+            offset += delta._RAW_LEN.size
+            keys.append(doc[offset : offset + klen])
+            if len(keys[-1]) != klen:
+                raise PageFormatError("truncated in key table")
+            offset += klen
+        versions: list[RecordVersion] = []
+        bases: dict[int, bytes] = {}
+        for _ in range(nversions):
+            flags, vp, ttime_field, sn, key_idx, mode = \
+                delta._VERSION_HEAD.unpack_from(doc, offset)
+            offset += delta._VERSION_HEAD.size
+            if key_idx >= nkeys:
+                raise PageFormatError("bad key index")
+            if mode == delta._RAW:
+                (plen,) = delta._RAW_LEN.unpack_from(doc, offset)
+                offset += delta._RAW_LEN.size
+                payload = doc[offset : offset + plen]
+                if len(payload) != plen:
+                    raise PageFormatError("truncated in payload")
+                offset += plen
+            elif mode == delta._DELTA:
+                prefix, suffix, mlen = delta._DELTA_HEAD.unpack_from(doc, offset)
+                offset += delta._DELTA_HEAD.size
+                middle = doc[offset : offset + mlen]
+                if len(middle) != mlen:
+                    raise PageFormatError("truncated in delta")
+                offset += mlen
+                base = bases.get(key_idx)
+                if base is None:
+                    raise PageFormatError("delta precedes its base")
+                payload = base[:prefix] + middle + (
+                    base[len(base) - suffix :] if suffix else b""
+                )
+            else:
+                raise PageFormatError(f"payload mode {mode}")
+            bases.setdefault(key_idx, payload)
+            versions.append(
+                RecordVersion(keys[key_idx], payload, flags, vp, ttime_field, sn)
+            )
+        slots = list(struct.unpack_from(f">{nslots}H", doc, offset))
+    except struct.error as exc:
+        raise PageFormatError(f"truncated: {exc}") from exc
+    if any(slot >= nversions for slot in slots):
+        raise PageFormatError("slot points past version area")
+    # The page header's two timestamps: out of range is a ValueError, which
+    # ``materialize`` quarantines like any other failure to open.
+    Timestamp(split_ttime, split_sn), Timestamp(end_ttime, end_sn)
+    return versions, slots
+
+
+class TestLazyOpen:
+    """A block is validated whole when it is opened and its versions are
+    built later: nothing the eager decoder caught may surface later."""
+
+    @staticmethod
+    def _document() -> bytes:
+        """A real block with raw and delta payloads and several chains."""
+        db, table, _ = _build(rounds=12, pad=120)
+        pages = []
+        for leaf in table.btree.leaves():
+            pid = leaf.history_page_id
+            while pid != NO_PAGE:
+                pages.append(db.buffer.get_page(pid))
+                pid = pages[-1].history_page_id
+        blob = encode_block(max(pages, key=lambda p: len(p.versions)))
+        db.close()
+        records = decode_block(blob, ARCHIVE_PID_BIT).block.records
+        assert {record[5] for record in records} == {delta._RAW, delta._DELTA}
+        return zlib.decompress(blob)
+
+    @staticmethod
+    def _open(doc: bytes):
+        """Lazy open, then everything a later reader could ask of the page."""
+        page = decode_block(zlib.compress(doc, 1), ARCHIVE_PID_BIT | 7)
+        for key in page.keys():
+            page.block.chain(key)
+        return page.versions, page.slots
+
+    def _agrees_with_eager(self, doc: bytes) -> str:
+        refusal = (PageFormatError, ValueError)
+        try:
+            want = _eager_decode(doc)
+        except refusal:
+            with pytest.raises(refusal):
+                self._open(doc)
+            return "both refuse"
+        try:
+            got = self._open(doc)
+        except refusal:
+            return "lazy is stricter"     # allowed: it refuses at open
+        assert got == want
+        return "both accept"
+
+    def test_every_truncation_is_refused_at_open(self):
+        doc = self._document()
+        assert self._agrees_with_eager(doc) == "both accept"
+        for cut in range(len(doc)):
+            assert self._agrees_with_eager(doc[:cut]) == "both refuse", cut
+
+    def test_bit_flips_are_refused_at_open_or_decode_the_same(self):
+        doc = self._document()
+        rng = random.Random(1606)
+        # Every bit of the structured front (header, key table, the first
+        # version heads), and a sample of the rest.
+        positions = list(range(8 * 160)) + rng.sample(
+            range(8 * 160, 8 * len(doc)), 1500
+        )
+        verdicts = dict.fromkeys(
+            ("both refuse", "both accept", "lazy is stricter"), 0
+        )
+        for bit in positions:
+            flipped = bytearray(doc)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            verdicts[self._agrees_with_eager(bytes(flipped))] += 1
+        assert verdicts["both refuse"] and verdicts["both accept"]
+
+    def test_damage_is_found_by_materialize_not_by_a_later_read(self):
+        db, table, marks = _build()
+        db.archive.drain()
+        victim = _archived_ref_pids(db)[0]
+        run_id, block_idx = db.archive.refs[victim & ~ARCHIVE_PID_BIT]
+        record = db.archive.runs[run_id].blocks[block_idx].record
+        rtype, blob = db.archive.store._records[record]
+        doc = bytearray(zlib.decompress(blob))
+        # Point the last slot past the version area: valid zlib, valid
+        # heads, and nothing a reader of the other keys would ever touch.
+        doc[-2:] = b"\xff\xff"
+        db.archive.store._records[record] = (rtype, zlib.compress(bytes(doc)))
+        with pytest.raises(PageQuarantinedError):
+            db.archive.materialize(victim)
+        assert victim in db.archive.quarantined
+        db.close()
+
+
+class TestDecodedBlockLifetime:
+    def test_lru_bounds_decoded_blocks_and_their_views(self, monkeypatch):
+        """``max_cached_pages`` is how many decoded blocks are alive — pages,
+        indexes and chain views — however many are read (PageViewCache used
+        to keep up to 1,024 views of evicted blocks, versions and all)."""
+        cap = 2
+        db, table, marks = _build(asof_route_cache=True)
+        db.archive.config.max_cached_pages = cap
+        db.archive.drain()
+        assert len(db.archive.refs) > 3 * cap
+        alive: list[weakref.ref] = []
+        real = archive_manager.decode_block
+
+        def tracking(blob, page_id):
+            page = real(blob, page_id)
+            alive.extend((weakref.ref(page), weakref.ref(page.block)))
+            return page
+
+        monkeypatch.setattr(archive_manager, "decode_block", tracking)
+        gc.disable()        # refcounts alone must free them: no page<->view cycle
+        try:
+            views = []
+            for pid in _archived_ref_pids(db):
+                views.append(weakref.ref(db.archive.materialize(pid).view))
+            for k in range(8):
+                table.history(k)
+                for ts in marks[:8]:
+                    table.read_as_of(ts, k)
+            table.scan_as_of(marks[1])
+            for pid in db.archive._cache:
+                views.append(weakref.ref(db.archive._cache[pid].view))
+            assert db.archive.stats.block_reads > len(db.archive.refs)
+            assert sum(ref() is not None for ref in alive) == 2 * cap
+            assert sum(ref() is not None for ref in views) == cap
+        finally:
+            gc.enable()
         db.close()
 
 

@@ -1,9 +1,10 @@
-"""A call budget for the paper's Fig. 5 transaction.
+"""Call budgets for the paper's Fig. 5 transaction and its Fig. 6 reads.
 
 With the data in the buffer pool nothing on the update path waits, so its
 speed is its instruction count — for this engine, the number of Python
-function calls.  The budgets below sit about 10 % above what the path
-costs today: a count, not a timing, so the test cannot flake, and the next
+function calls.  The same holds for a historical read once the as-of route
+cache and the page's chain view are warm.  The budgets below sit about
+10 % above what the paths cost today: a count, not a timing, so the test cannot flake, and the next
 layer of indirection someone adds to the path fails here instead of
 quietly costing two percent.  Raise a budget only together with the per-layer
 table in DESIGN.md ("Hot-path performance").
@@ -14,11 +15,14 @@ from __future__ import annotations
 import statistics
 import sys
 
-from repro import ImmortalDB
+from repro import PROFILES, ImmortalDB
 
 # Python calls on CPython 3.10-3.12 (3.12 takes two fewer):
-UPDATE_BUDGET = 164   # begin + update one record + commit: 149 (256 before the diet)
-READ_BUDGET = 75      # begin + read one record + commit: 68 (159 before)
+UPDATE_BUDGET = 158   # begin + update one record + commit: 143 (256 before the diet)
+READ_BUDGET = 67      # begin + read one record + commit: 61 (159 before)
+# The tuned read path (route cache + lazy chain views), everything warm:
+ASOF_READ_BUDGET = 47   # read_as_of of one key: 43 (57 before PR 16)
+HISTORY_BUDGET = 260    # history() of a key with 20 versions: 236 (572 before)
 
 KEYS = 200
 SAMPLES = 50
@@ -88,5 +92,52 @@ def test_update_and_read_stay_within_their_call_budgets():
     assert read_calls >= 0.8 * READ_BUDGET
 
 
+def measure_historical() -> tuple[float, float]:
+    """Median calls of one hot AS OF point read and of one 20-version
+    ``history()``, on the ``tuned`` profile's read path."""
+    db = ImmortalDB(**PROFILES["tuned"])
+    table = db.create_table("kv", [("k", "int"), ("v", "text")], key="k",
+                            immortal=True)
+    with db.transaction() as txn:
+        for k in range(KEYS):
+            table.insert(txn, {"k": k, "v": "x" * 40})
+    marks = []
+    for round_no in range(19):
+        db.advance_time(100)
+        for k in range(SAMPLES):
+            with db.transaction() as txn:
+                table.update(txn, k, {"v": f"{round_no}" + "y" * 40})
+        marks.append(db.now())
+    assert db.table("kv").btree.stats.time_splits > 0
+
+    def read(k: int) -> None:
+        assert table.read_as_of(marks[k % len(marks)], k) is not None
+
+    def history(k: int) -> None:
+        assert len(table.history(k)) == 20
+
+    for k in range(SAMPLES):    # warm: routes, chain views, row memo
+        read(k)
+        history(k)
+    reads = [python_calls(lambda: read(k)) for k in range(SAMPLES)]
+    histories = [python_calls(lambda: history(k)) for k in range(SAMPLES)]
+    return statistics.median(reads), statistics.median(histories)
+
+
+def test_historical_reads_stay_within_their_call_budgets():
+    read_calls, history_calls = measure_historical()
+    assert read_calls <= ASOF_READ_BUDGET, (
+        f"one hot AS OF read now takes {read_calls} Python calls "
+        f"(budget {ASOF_READ_BUDGET})"
+    )
+    assert history_calls <= HISTORY_BUDGET, (
+        f"history() of a 20-version key now takes {history_calls} Python "
+        f"calls (budget {HISTORY_BUDGET})"
+    )
+    assert read_calls >= 0.8 * ASOF_READ_BUDGET
+    assert history_calls >= 0.8 * HISTORY_BUDGET
+
+
 if __name__ == "__main__":
     print("update, read:", measure())
+    print("as-of read, history:", measure_historical())

@@ -17,6 +17,13 @@ the pool after their log record, dirty with *its* LSN — the two
 non-flushing checkpoints' dirty-page tables carry those recLSNs where they
 carried 0.  Page-file digest, every counter and every crossing are the
 recording's.
+
+And once more, narrower still (PR 16): ``history()`` on the tuned engine
+walks the as-of route cache's page list instead of the pages' own history
+links, so the one ``history(0)`` call of the workload is one more
+``asof.route.hit`` crossing — ``route_cache_hits`` 15 → 16, ``crossings``
+7306 → 7307 and their digest.  Both file digests, every other counter and
+name, and the whole ``paper`` case are the recording's.
 """
 
 from __future__ import annotations
@@ -197,7 +204,7 @@ EXPECTED_TUNED: dict = {
         "tsb_lookups": 0,
         "asof_page_reads": 78,
         "asof_chain_steps": 505,
-        "route_cache_hits": 15,
+        "route_cache_hits": 16,
         "route_cache_misses": 6,
         "io_read_retries": 0,
         "io_write_retries": 0,
@@ -233,10 +240,10 @@ EXPECTED_TUNED: dict = {
         "deadlocks_detected": 0,
         "txn_retries": 0
     },
-    "crossings": 7306,
-    "crossings_sha256": "9d06cd2fcea04b3fe153245f46757aa83c92afcfb8126dfc2433fe89ab412744",
+    "crossings": 7307,
+    "crossings_sha256": "197cb3e5eb17c54d57fdccdccbd8eefd70fd467d99f00e4c14ef4d7f6ed8b0a3",
     "crossing_names": {
-        "asof.route.hit": 15,
+        "asof.route.hit": 16,
         "asof.route.miss": 6,
         "buffer.flush.begin": 5,
         "buffer.flush.end": 5,

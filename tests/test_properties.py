@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro import ColumnType, ImmortalDB, Timestamp
+from repro import PROFILES, ColumnType, ImmortalDB, Timestamp
 from repro.storage.constants import NO_PREVIOUS
 
 
@@ -30,7 +30,7 @@ op_strategy = st.tuples(
 )
 
 
-def _apply_ops(db, table, ops):
+def _apply_ops(db, table, ops, pad: int = 1):
     """Apply random ops, maintaining a model dict; returns [(mark, model)]."""
     model: dict[int, str] = {}
     marks: list[tuple[Timestamp, dict[int, str]]] = []
@@ -41,7 +41,7 @@ def _apply_ops(db, table, ops):
         if kind == "tick":
             db.advance_time(37.0 * (salt % 10 + 1))
             continue
-        value = f"v{salt}-" + "x" * (salt % 40)
+        value = f"v{salt}-" + "x" * (salt % 40 * pad)
         with db.transaction() as txn:
             if kind == "insert":
                 if key in model:
@@ -112,6 +112,45 @@ class TestTemporalCorrectness:
         table = db.table("t")
         for mark, expected in marks:
             assert _rows_as_dict(table.scan_as_of(mark)) == expected
+
+
+class TestReadPathEquivalence:
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(ops=st.lists(op_strategy, min_size=20, max_size=160))
+    def test_tuned_and_paper_read_paths_agree(self, ops):
+        """Lazy chain views, int timestamps, the row memo and lazily opened
+        archive blocks (``tuned``) answer what the plain chain walk
+        (``paper``) answers — also where a mark is a version's own start
+        time, which a seeded workload with ticks between never hits."""
+        answers = []
+        for kwargs in (
+            {},
+            dict(PROFILES["tuned"], archive=dict(
+                cold_ms=100.0, pages_per_step=64, max_cached_pages=2)),
+        ):
+            db = ImmortalDB(buffer_pages=32, **kwargs)
+            table = db.create_table("t", COLS, key="k", immortal=True)
+            marks = _apply_ops(db, table, ops, pad=60)
+            db.advance_time(500.0)
+            if db.archive is not None:
+                db.archive.drain()      # all cold history, behind two blocks
+            times = [mark for mark, _ in marks]
+            for _ in range(2):  # cold views, then warm ones: same answers
+                answers.append((
+                    [table.scan_as_of(ts) for ts in times],
+                    [[table.read_as_of(ts, k) for k in range(12)]
+                     for ts in times],
+                    [table.history(k) for k in range(12)],
+                    [table.history(k, times[0], times[-1]) for k in range(12)],
+                    table.changes_between(times[0], times[-1]),
+                ))
+            for (mark, expected), rows in zip(marks, answers[-1][0]):
+                assert _rows_as_dict(rows) == expected
+            db.close()
+        assert answers[0] == answers[1] == answers[2] == answers[3]
 
 
 class TestStructuralInvariants:

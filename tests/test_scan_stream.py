@@ -14,7 +14,12 @@ import random
 import pytest
 
 from repro import ColumnType, ImmortalDB
-from repro.core.asof import AsOfRouteCache, AsOfStats, page_for_time
+from repro.core.asof import (
+    AsOfRouteCache,
+    AsOfStats,
+    PageViewCache,
+    page_for_time,
+)
 from repro.faults.failpoints import FailpointRegistry, installed
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.TEXT)]
@@ -270,3 +275,36 @@ class TestRouteCacheUnit:
         for leaf in leaves:
             cache.route(leaf, db.clock.now())
         assert len(cache) <= 2
+
+    def test_full_caches_evict_only_their_oldest_entry(self):
+        """One page over the cap costs one rebuild, not all of them (both
+        caches used to ``clear()`` when full)."""
+        db = ImmortalDB(buffer_pages=4096)
+        table = _table(db)
+        with db.transaction() as txn:
+            for k in range(400):
+                table.insert(txn, {"k": k, "v": "x" * 120})
+        leaves = [leaf for leaf, _, _ in table.btree.leaves_with_bounds()]
+        assert len(leaves) >= 6
+        now = db.clock.now()
+        stats = AsOfStats()
+        routes = AsOfRouteCache(db.buffer, stats, max_entries=4)
+        views = PageViewCache(stats, max_pages=4)
+        first = [views.view(leaf) for leaf in leaves[:4]]
+        for leaf in leaves[:4]:
+            routes.route(leaf, now)
+        assert stats.route_cache_misses == 4
+        # A fifth page pushes out the first and nothing else.
+        views.view(leaves[4])
+        routes.route(leaves[4], now)
+        assert all(
+            views.view(leaf) is view
+            for leaf, view in zip(leaves[1:4], first[1:])
+        )
+        for leaf in leaves[1:5]:
+            routes.route(leaf, now)
+        assert (stats.route_cache_misses, stats.route_cache_hits) == (5, 4)
+        assert len(routes) == 4 and len(views._views) == 4
+        assert views.view(leaves[0]) is not first[0]
+        routes.route(leaves[0], now)
+        assert stats.route_cache_misses == 6

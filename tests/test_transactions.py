@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import ColumnType, ImmortalDB, TxnMode
+from repro import PROFILES, ColumnType, ImmortalDB, TxnMode
 from repro.errors import (
     KeyNotFoundError,
     LockConflictError,
@@ -258,6 +258,36 @@ class TestAsOfTransactions:
             table.update(txn, 1, {"v": "new"})
         with db.transaction(as_of=past) as historical:
             assert table.read(historical, 1)["v"] == "old"
+
+    @pytest.mark.parametrize("profile", ["paper", "tuned"])
+    def test_historical_transactions_never_enter_the_lock_manager(self, profile):
+        """What an AS OF read sees is decided by validity intervals: begin,
+        read, scan, history, commit and abort make no LockManager call."""
+        db = ImmortalDB(buffer_pages=64, **PROFILES[profile])
+        table = db.create_table(
+            "t", [("k", ColumnType.INT), ("v", ColumnType.TEXT)], key="k",
+            immortal=True,
+        )
+        with db.transaction() as txn:
+            table.insert(txn, {"k": 1, "v": "old"})
+        past = db.now()
+        db.advance_time(1000)
+        with db.transaction() as txn:
+            table.update(txn, 1, {"v": "new"})
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"LockManager.{name} touched")
+
+        db.locks = db.txn_mgr.locks = Untouchable()
+        historical = db.begin(as_of=past)
+        assert table.read(historical, 1)["v"] == "old"
+        assert [row["v"] for row in table.scan(historical)] == ["old"]
+        assert [row["v"] for row in table.scan_range(historical, 0, 5)] == ["old"]
+        db.commit(historical)
+        db.abort(db.begin(as_of=past))
+        assert table.read_as_of(past, 1)["v"] == "old"
+        assert len(table.scan_as_of(past)) == 1 and len(table.history(1)) == 2
 
 
 class TestTidManagement:
