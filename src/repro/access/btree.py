@@ -34,6 +34,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Iterator
 
 from repro.clock import SimClock, Timestamp
@@ -58,8 +59,6 @@ from repro.wal.records import MultiPageImage, SMOReason
 
 _INDEX_HEADER = COMMON_HEADER_SIZE + 4  # count(2) + pad(2)
 _COUNT = struct.Struct(">H2x")
-_CHILD = struct.Struct(">I")
-_SEP_LEN = struct.Struct(">H")
 
 MAX_KEY_BYTES = 128
 """Upper bound on encoded primary-key size (checked by the table layer)."""
@@ -124,13 +123,17 @@ class BTreeIndexPage(Page):
 
     def _encode(self) -> bytes:
         """Build the fixed-size on-disk image (uncached)."""
-        seps, nseps = self.seps, len(self.seps)
-        child, sep_len = _CHILD.pack, _SEP_LEN.pack
-        parts = [self._common_header(), _COUNT.pack(len(self.children))]
-        for i, pid in enumerate(self.children):
-            parts.append(child(pid))
-            if i < nseps:
-                parts += (sep_len(len(seps[i])), seps[i])
+        seps, children = self.seps, self.children
+        parts = [self._common_header(), _COUNT.pack(len(children))]
+        if children:
+            # child, then (sep_len, sep, child) per separator, packed in
+            # one call (compiled per node and dropped: see
+            # ``storage.page._SLOT_CODECS``).
+            lens = [len(sep) for sep in seps]
+            codec = struct.Struct(">I" + "".join([f"H{n}sI" for n in lens]))
+            parts.append(codec.pack(
+                children[0], *chain.from_iterable(zip(lens, seps, children[1:])),
+            ))
         image = b"".join(parts)
         if len(image) > self.page_size:
             raise PageFormatError(

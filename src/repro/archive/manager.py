@@ -11,7 +11,8 @@ cold:
 * it is a history page whose ``end_ts`` lies at or below the temperature
   horizon (``clock.now() - cold_ms``);
 * every version is timestamped (lazy stamping finished — archived blocks
-  are immutable, nobody will revisit them);
+  are immutable, nobody will revisit them); the one test that takes the
+  page's records, so ``step`` applies it, the scan reads headers only;
 * its own history link already points off-tier (0 or an archive ref), so
   chains are peeled **oldest-tail first** and an archived page never
   points at a TSB-tree page; and
@@ -91,7 +92,7 @@ from repro.storage.constants import (
     NO_PAGE,
 )
 from repro.storage.freelist import PageFreeList
-from repro.storage.page import DataPage, decode_page
+from repro.storage.page import DataPage, decode_page, read_data_header
 
 
 @dataclass
@@ -250,9 +251,8 @@ class ArchiveManager:
     def _peek_page(self, pid: int):
         """Read a page without disturbing the buffer pool (scrubber idiom).
 
-        The migration pass inspects every history page each step; pulling
-        them all through the pool would flush the foreground's working set
-        on every checkpoint.  Cached pages are served from their frame
+        Pulling pages through the pool would flush the foreground's working
+        set on every checkpoint.  Cached pages are served from their frame
         (they may be dirty); everything else decodes straight from disk.
         """
         buffer = self.engine.buffer
@@ -260,65 +260,82 @@ class ArchiveManager:
             return buffer.get_page(pid)
         return decode_page(self.engine.disk.read_page(pid))
 
+    def _peek_header(self, pid: int):
+        """A data page's ``(is_history, end_ts.key, history_page_id,
+        next_leaf_id)`` without decoding a record — the paper keeps a page's
+        time range and chain pointer in its header (§3.2), so whether it is
+        cold is a header question.  Any other page comes back decoded.  A
+        cached frame answers from its object, which may be newer than disk.
+        """
+        buffer = self.engine.buffer
+        if buffer.contains(pid):
+            page = buffer.get_page(pid)
+            if isinstance(page, DataPage):
+                return (page.is_history, page.end_ts.key,
+                        page.history_page_id, page.next_leaf_id)
+            return page
+        raw = self.engine.disk.read_page(pid)
+        return read_data_header(raw) or decode_page(raw)
+
     def _iter_leaves(self, btree):
         """Walk a table's current leaves without touching the buffer pool.
 
         ``BTree.leaves()`` pulls every leaf through the pool, which would
         evict the foreground's working set on each migration step.  This
         walk descends to the leftmost leaf and follows the sibling chain
-        entirely through :meth:`_peek_page`.
+        through :meth:`_peek_header`; yields (leaf pid, history_page_id).
         """
         from repro.access.btree import BTreeIndexPage
 
-        node = self._peek_page(btree.root_pid)
+        pid = btree.root_pid
+        node = self._peek_header(pid)
         while isinstance(node, BTreeIndexPage):
-            node = self._peek_page(node.children[0])
-        while isinstance(node, DataPage):
-            yield node
-            next_pid = node.next_leaf_id
-            if not next_pid:
+            pid = node.children[0]
+            node = self._peek_header(pid)
+        while isinstance(node, tuple):
+            yield pid, node[2]
+            pid = node[3]
+            if not pid:
                 return
-            node = self._peek_page(next_pid)
+            node = self._peek_header(pid)
 
     def _scan(self) -> tuple[list[int], dict[int, list[int]]]:
-        """Find migratable pages and who points at them.
+        """Find cold pages and who points at them, from page headers.
 
         Returns (candidates ordered oldest-end-time-first, {pid: referrer
-        pids}).  The referrer map is rebuilt fresh every step because key
-        splits make sibling leaves share history-chain suffixes — every
-        link must be rewritten before a page can be freed.
+        pids}).  Whether every version of a candidate is stamped is not in
+        its header: :meth:`step` asks when it loads the page to migrate it.
+        The referrer map is rebuilt fresh every step because key splits make
+        sibling leaves share history-chain suffixes — every link must be
+        rewritten before a page can be freed.
         """
-        horizon = self._horizon()
+        horizon = self._horizon().key
         referrers: dict[int, list[int]] = {}
-        info: dict[int, tuple[Timestamp, bool]] = {}
+        cold: dict[int, int] = {}     # candidate pid -> end_ts as an int
+        seen: set[int] = set()
         for table in self.engine.tables.values():
             if not table.schema.immortal or table.history_index is not None:
                 continue
-            for leaf in self._iter_leaves(table.btree):
-                prev_pid = leaf.page_id
-                pid = leaf.history_page_id
+            for prev_pid, pid in self._iter_leaves(table.btree):
                 while pid != NO_PAGE and not pid & ARCHIVE_PID_BIT:
                     referrers.setdefault(pid, []).append(prev_pid)
-                    if pid in info:
+                    if pid in seen:
                         break  # shared suffix: deeper links already walked
-                    page = self._peek_page(pid)
-                    migratable = (
-                        isinstance(page, DataPage)
-                        and page.is_history
-                        and page.end_ts <= horizon
-                        and not page.has_unstamped_records()
-                        and (
-                            page.history_page_id == NO_PAGE
-                            or page.history_page_id & ARCHIVE_PID_BIT
-                        )
-                    )
-                    info[pid] = (page.end_ts, migratable)
+                    seen.add(pid)
+                    header = self._peek_header(pid)
+                    if not isinstance(header, tuple):
+                        break  # not a data page: nothing to follow
+                    is_history, end_key, history_pid, _ = header
+                    if (
+                        is_history
+                        and end_key <= horizon
+                        and (history_pid == NO_PAGE
+                             or history_pid & ARCHIVE_PID_BIT)
+                    ):
+                        cold[pid] = end_key
                     prev_pid = pid
-                    pid = page.history_page_id
-        candidates = sorted(
-            (pid for pid, (_, ok) in info.items() if ok),
-            key=lambda pid: (info[pid][0], pid),
-        )
+                    pid = history_pid
+        candidates = sorted(cold, key=lambda pid: (cold[pid], pid))
         return candidates, referrers
 
     # -- migration ---------------------------------------------------------
@@ -329,17 +346,19 @@ class ArchiveManager:
         if budget <= 0:
             return 0
         candidates, referrers = self._scan()
-        if not candidates:
-            return 0
         buffer = self.engine.buffer
         disk = self.engine.disk
         run: RunMeta | None = None
         migrated = 0
-        for pid in candidates[:budget]:
+        for pid in candidates:
+            if migrated == budget:
+                break
+            page = self._peek_page(pid)
+            if page.has_unstamped_records():
+                continue    # lazy stamping has not finished with it
             fire("archive.migrate.select")
             if buffer.is_dirty(pid):
                 buffer.flush_page(pid)
-            page = self._peek_page(pid)
             blob = encode_block(page)
             if run is None:
                 run = RunMeta(run_id=self.next_run_id, level=0)

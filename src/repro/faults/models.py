@@ -35,6 +35,7 @@ from collections import Counter, deque
 
 from repro.errors import InjectedIOError, PageNotFoundError
 from repro.storage.disk import PageStore
+from repro.wal.filelog import FileLogManager, scan_frames
 
 READ_FAULTS = ("bitrot_read", "read_error")
 WRITE_FAULTS = ("torn_write", "dropped_write", "write_error")
@@ -249,23 +250,27 @@ def tear_log_tail(
 ) -> int:
     """Mangle the tail of a log file like an OS crash mid-write would.
 
-    ``drop_bytes`` truncates that many bytes off the end (a partial final
-    write); ``garble_at`` flips one bit at that file offset (negative
-    offsets count from the end).  Returns the file's new size.
+    The log file is preallocated, so its tail is measured from the *end of
+    the log* (the end of its last valid frame), not from the file's size.
+    ``drop_bytes`` zeroes that many bytes before the end of the log (a final
+    write of which only a prefix landed); ``garble_at`` flips one bit at
+    that file offset (negative offsets count from the end of the log).
+    Returns the offset the intact bytes now end at.
     """
     with open(path, "r+b") as fh:
-        size = os.fstat(fh.fileno()).st_size
+        data = fh.read()
+        end = scan_frames(data, FileLogManager.HEADER_BYTES)[2]
         if drop_bytes:
-            size = max(0, size - drop_bytes)
-            fh.truncate(size)
+            keep = max(0, end - drop_bytes)
+            fh.seek(keep)
+            fh.write(bytes(end - keep))
+            end = keep
         if garble_at is not None:
-            offset = garble_at if garble_at >= 0 else size + garble_at
-            if not 0 <= offset < size:
+            offset = garble_at if garble_at >= 0 else end + garble_at
+            if not 0 <= offset < len(data):
                 raise ValueError(f"garble offset {garble_at} outside file")
             fh.seek(offset)
-            byte = fh.read(1)[0]
-            fh.seek(offset)
-            fh.write(bytes([byte ^ 0x01]))
+            fh.write(bytes([data[offset] ^ 0x01]))
         fh.flush()
         os.fsync(fh.fileno())
-    return size
+    return end

@@ -38,9 +38,7 @@ from repro.storage.constants import (
     VP_IN_HISTORY,
 )
 from repro.storage.record import (
-    RECORD_HEAD,
     RECORD_OVERHEAD,
-    RECORD_TAIL,
     RecordVersion,
     decode_versions,
 )
@@ -146,9 +144,34 @@ def decode_page(raw: bytes) -> Page:
 # table_id(4) — the data-page header extension after the common header.
 _DATA_EXT = struct.Struct(">HHQIQIIII")
 
+_DATA_TYPES = (PageType.DATA_CURRENT, PageType.DATA_HISTORY)
+
+
+def read_data_header(raw: bytes) -> tuple[bool, int, int, int] | None:
+    """``(is_history, end_ts.key, history_page_id, next_leaf_id)`` of a data
+    page image, read from its fixed header alone; None for any other type.
+
+    The time range and the chain pointers live in the header (Section 3.2)
+    so that a pass deciding *which* pages to open need not open them.
+    """
+    page_type = Page.read_common_header(raw)[1]
+    if page_type not in _DATA_TYPES:
+        return None
+    (_, _, _, _, end_ttime, end_sn, history_page_id, next_leaf_id,
+     _) = _DATA_EXT.unpack_from(raw, COMMON_HEADER_SIZE)
+    return (page_type == PageType.DATA_HISTORY, end_ttime << 32 | end_sn,
+            history_page_id, next_leaf_id)
+
+
 # Precompiled slot-array codecs, keyed by slot count: pages cluster around a
 # few fill levels, so ``struct.Struct(f">{n}H")`` compilation amortizes to
-# nothing instead of re-parsing the format string on every decode.
+# nothing instead of re-parsing the format string on every decode.  (Only
+# these: a repeat count compiles to one code.  The whole-node formats the
+# page codecs pack with — one group per record or entry — compile to ~100
+# bytes a group, 40 KB for a full PTT leaf; they are built per call and
+# dropped, because a table of them, or ``struct``'s own cache of 100, costs
+# megabytes to save a third of a call that is already ten times cheaper
+# than a slice assignment per field.)
 _SLOT_CODECS: dict[int, struct.Struct] = {}
 
 
@@ -497,23 +520,24 @@ class DataPage(Page):
             self.end_ts.ttime, self.end_ts.sn,
             self.history_page_id, self.next_leaf_id, self.table_id,
         )
-        offset = DATA_HEADER_SIZE
-        pack_head, pack_tail = RECORD_HEAD.pack_into, RECORD_TAIL.pack_into
+        # The whole record area in one pack: a format of one group per
+        # version (compiled per call and dropped; see ``_SLOT_CODECS``).
+        formats: list[str] = []
+        fields: list = []
+        extend = fields.extend
+        for v in self.versions:
+            key, payload = v.key, v.payload
+            formats.append(f"BHH{len(key)}s{len(payload)}sHQI")
+            extend((v.flags, len(key), len(payload), key, payload,
+                    v.vp, v.ttime_field, v.sn))
         try:
-            for v in self.versions:
-                key, payload = v.key, v.payload
-                body = offset + RECORD_HEAD.size
-                split = body + len(key)
-                tail = split + len(payload)
-                pack_head(buf, offset, v.flags, split - body, tail - split)
-                buf[body:split] = key
-                buf[split:tail] = payload
-                pack_tail(buf, tail, v.vp, v.ttime_field, v.sn)
-                offset = tail + RECORD_TAIL.size
+            records = struct.Struct(">" + "".join(formats))
+            records.pack_into(buf, DATA_HEADER_SIZE, *fields)
         except struct.error as exc:
             raise PageFormatError(
                 f"page {self.page_id} overflows its image"
             ) from exc
+        offset = DATA_HEADER_SIZE + records.size
         slot_area = self.page_size - SLOT_SIZE * len(self.slots)
         if offset > slot_area:
             raise PageFormatError(
@@ -528,39 +552,43 @@ class DataPage(Page):
     def from_bytes(cls, raw: bytes) -> "DataPage":
         """Deserialize from an on-disk image."""
         page_id, page_type, flags, lsn = Page.read_common_header(raw)
-        if page_type not in (PageType.DATA_CURRENT, PageType.DATA_HISTORY):
+        if page_type not in _DATA_TYPES:
             raise PageFormatError(f"not a data page: type {page_type}")
-        page = cls(page_id, is_history=page_type == PageType.DATA_HISTORY,
-                   page_size=len(raw))
-        page.header_flags = flags
-        page.lsn = lsn
         (
             nslots, nversions,
             split_ttime, split_sn, end_ttime, end_sn,
             history_page_id, next_leaf_id, table_id,
         ) = _DATA_EXT.unpack_from(raw, COMMON_HEADER_SIZE)
-        page.split_ts = Timestamp(split_ttime, split_sn)
-        page.end_ts = Timestamp(end_ttime, end_sn)
-        page.history_page_id = history_page_id
-        page.next_leaf_id = next_leaf_id
-        page.table_id = table_id
         versions, offset = decode_versions(raw, DATA_HEADER_SIZE, nversions)
-        page.versions = versions
         slot_area = len(raw) - SLOT_SIZE * nslots
         heads = list(_slot_codec(nslots).unpack_from(raw, slot_area))
-        for i, head_index in enumerate(heads):
-            if head_index >= nversions:
-                raise PageFormatError(
-                    f"page {page_id}: slot {i} points past version area"
-                )
-        page.slots = heads
+        if heads and max(heads) >= nversions:
+            bad = next(i for i, head in enumerate(heads) if head >= nversions)
+            raise PageFormatError(
+                f"page {page_id}: slot {bad} points past version area"
+            )
         keys = [versions[h].key for h in heads]
-        page._slot_keys = keys
-        if any(keys[i] > keys[i + 1] for i in range(len(keys) - 1)):
+        if keys != sorted(keys):
             raise PageFormatError(f"page {page_id}: slot array not key-ordered")
-        # decode_versions walked exactly size_on_page bytes per record, so
-        # the final offset already totals the record area.
-        page._used = offset + SLOT_SIZE * nslots
+        page = cls.__new__(cls)
+        # One dict update, not one epoch-bumping ``__setattr__`` per field:
+        # the object is not visible yet, so nobody holds a ``cache_token``
+        # the bumps would have to invalidate.
+        fields = page.__dict__
+        fields.update(
+            _instance_stamp=next(Page._instance_stamps),
+            page_id=page_id, lsn=lsn, header_flags=flags,
+            table_id=table_id, page_size=len(raw),
+            versions=versions, slots=heads, _slot_keys=keys,
+            split_ts=Timestamp(split_ttime, split_sn),
+            end_ts=Timestamp(end_ttime, end_sn),
+            history_page_id=history_page_id, next_leaf_id=next_leaf_id,
+            # decode_versions walked exactly size_on_page bytes per record,
+            # so the final offset already totals the record area.
+            _used=offset + SLOT_SIZE * nslots,
+        )
+        if page_type == PageType.DATA_HISTORY:
+            fields["page_type"] = PageType.DATA_HISTORY
         return page
 
 

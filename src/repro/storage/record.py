@@ -161,18 +161,18 @@ def decode_versions(
     """Bulk-decode ``count`` consecutive record images starting at ``offset``.
 
     This is the hot loop of every page reload, which eviction pressure turns
-    into a per-operation cost: one memoryview over the whole image (so the
-    head/tail field reads never copy), the precompiled codecs hoisted into
-    locals, and a single try/except around the loop instead of one per
-    record.  Exactly one ``bytes()`` copy is made per key and per payload —
-    those outlive the page image, so they must own their storage.
+    into a per-operation cost: the precompiled codecs hoisted into locals, a
+    single try/except around the loop instead of one per record, and each
+    key and payload sliced straight out of the image — one ``bytes`` copy,
+    which it needs anyway: they outlive the page image.
 
-    The explicit length checks are load-bearing, not redundant: slicing a
-    memoryview past its end *clamps* silently instead of raising, so
-    ``len(key) != key_len`` is the truncation detection for the variable-
-    length fields (the struct codecs still raise for the fixed fields).
+    Truncation is caught by the tail codec: slicing past the end *clamps*
+    silently, but the tail sits behind both variable-length fields, so it
+    is unpacked first and raises for any record the image does not hold
+    whole.
     """
-    view = memoryview(data)
+    if type(data) is not bytes:
+        data = bytes(data)      # slices below must be bytes, not views
     versions: list[RecordVersion] = []
     append = versions.append
     head_unpack = RECORD_HEAD.unpack_from
@@ -182,17 +182,14 @@ def decode_versions(
     make = RecordVersion
     try:
         for _ in range(count):
-            flags, key_len, payload_len = head_unpack(view, offset)
+            flags, key_len, payload_len = head_unpack(data, offset)
             body = offset + head_size
             split = body + key_len
             tail = split + payload_len
-            key = bytes(view[body:split])
-            payload = bytes(view[split:tail])
-            if len(key) != key_len or len(payload) != payload_len:
-                raise PageFormatError("truncated record image")
-            vp, ttime_field, sn = tail_unpack(view, tail)
+            vp, ttime_field, sn = tail_unpack(data, tail)
+            append(make(data[body:split], data[split:tail],
+                        flags, vp, ttime_field, sn))
             offset = tail + tail_size
-            append(make(key, payload, flags, vp, ttime_field, sn))
     except struct.error as exc:
         raise PageFormatError("truncated record image") from exc
     return versions, offset

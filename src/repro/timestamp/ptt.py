@@ -28,7 +28,9 @@ node splits therefore need no log records of their own.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_left, bisect_right
+from itertools import chain
 from typing import Iterator
 
 from repro.clock import Timestamp
@@ -40,6 +42,19 @@ from repro.storage.page import Page, register_page_codec
 ENTRY_SIZE = 20        # tid(8) + ttime(8) + sn(4)
 _CHILD_SIZE = 12       # separator tid(8) + child pid(4)
 _NODE_HEADER = COMMON_HEADER_SIZE + 8   # is_leaf(1) + count(2) + next_leaf(4) + pad
+
+_NODE_EXT = struct.Struct(">BHI")       # is_leaf, count, next_leaf (0 if internal)
+
+# A node's whole entry area packs and unpacks in one C call, with a format
+# of one group per entry, compiled per call and dropped (why: see
+# ``storage.page._SLOT_CODECS``).
+_LEAF_ENTRY = "QQI"     # tid, ttime, sn
+_CHILD_ENTRY = "QI"     # separator tid (0 for the first), child pid
+
+
+def _entries(entry: str, count: int) -> struct.Struct:
+    return struct.Struct(">" + entry * count)
+
 
 _APPEND_SPLIT_FRACTION = 0.9
 """Split point for an append-mostly tree: retired nodes stay 90 % full."""
@@ -87,25 +102,22 @@ class PTTNodePage(Page):
         """Build the fixed-size on-disk image (uncached)."""
         buf = bytearray(self.page_size)
         buf[0:COMMON_HEADER_SIZE] = self._common_header()
-        at = COMMON_HEADER_SIZE
-        buf[at] = 1 if self.is_leaf else 0
+        # chain(zip) interleaves the parallel arrays entry by entry.
         if self.is_leaf:
-            buf[at + 1 : at + 3] = len(self.tids).to_bytes(2, "big")
-            buf[at + 3 : at + 7] = self.next_leaf.to_bytes(4, "big")
-            pos = _NODE_HEADER
-            for tid, ttime, sn in zip(self.tids, self.ttimes, self.sns):
-                buf[pos : pos + 8] = tid.to_bytes(8, "big")
-                buf[pos + 8 : pos + 16] = ttime.to_bytes(8, "big")
-                buf[pos + 16 : pos + 20] = sn.to_bytes(4, "big")
-                pos += ENTRY_SIZE
+            count, next_leaf = len(self.tids), self.next_leaf
+            codec = _entries(_LEAF_ENTRY, count)
+            flat = chain.from_iterable(zip(self.tids, self.ttimes, self.sns))
         else:
-            buf[at + 1 : at + 3] = len(self.children).to_bytes(2, "big")
-            pos = _NODE_HEADER
-            for i, child in enumerate(self.children):
-                sep = self.seps[i - 1] if i else 0
-                buf[pos : pos + 8] = sep.to_bytes(8, "big")
-                buf[pos + 8 : pos + 12] = child.to_bytes(4, "big")
-                pos += _CHILD_SIZE
+            count, next_leaf = len(self.children), NO_PAGE
+            codec = _entries(_CHILD_ENTRY, count)
+            flat = chain.from_iterable(zip([0, *self.seps], self.children))
+        try:
+            _NODE_EXT.pack_into(buf, COMMON_HEADER_SIZE, self.is_leaf, count, next_leaf)
+            codec.pack_into(buf, _NODE_HEADER, *flat)
+        except struct.error as exc:
+            raise PageFormatError(
+                f"PTT node {self.page_id} does not fit its image ({count} entries)"
+            ) from exc
         return bytes(buf)
 
     @classmethod
@@ -114,28 +126,25 @@ class PTTNodePage(Page):
         page_id, page_type, flags, lsn = Page.read_common_header(raw)
         if page_type != PageType.PTT:
             raise PageFormatError(f"not a PTT page: type {page_type}")
-        at = COMMON_HEADER_SIZE
-        node = cls(page_id, is_leaf=bool(raw[at]), page_size=len(raw))
+        is_leaf, count, next_leaf = _NODE_EXT.unpack_from(raw, COMMON_HEADER_SIZE)
+        node = cls(page_id, is_leaf=bool(is_leaf), page_size=len(raw))
         node.header_flags = flags
         node.lsn = lsn
-        count = int.from_bytes(raw[at + 1 : at + 3], "big")
-        if node.is_leaf:
-            node.next_leaf = int.from_bytes(raw[at + 3 : at + 7], "big")
-            pos = _NODE_HEADER
-            for _ in range(count):
-                node.tids.append(int.from_bytes(raw[pos : pos + 8], "big"))
-                node.ttimes.append(int.from_bytes(raw[pos + 8 : pos + 16], "big"))
-                node.sns.append(int.from_bytes(raw[pos + 16 : pos + 20], "big"))
-                pos += ENTRY_SIZE
-        else:
-            pos = _NODE_HEADER
-            for i in range(count):
-                sep = int.from_bytes(raw[pos : pos + 8], "big")
-                child = int.from_bytes(raw[pos + 8 : pos + 12], "big")
-                if i:
-                    node.seps.append(sep)
-                node.children.append(child)
-                pos += _CHILD_SIZE
+        try:
+            if is_leaf:
+                node.next_leaf = next_leaf
+                flat = _entries(_LEAF_ENTRY, count).unpack_from(raw, _NODE_HEADER)
+                node.tids = list(flat[0::3])
+                node.ttimes = list(flat[1::3])
+                node.sns = list(flat[2::3])
+            else:
+                flat = _entries(_CHILD_ENTRY, count).unpack_from(raw, _NODE_HEADER)
+                node.seps = list(flat[2::2])
+                node.children = list(flat[1::2])
+        except struct.error as exc:
+            raise PageFormatError(
+                f"PTT node {page_id}: {count} entries overrun the page"
+            ) from exc
         return node
 
 

@@ -4,12 +4,17 @@
 for tests and benchmarks (its ``crash()`` models lost unforced records
 exactly).  :class:`FileLogManager` extends it with a real log file:
 
-* appends stay in memory; the *sync* stage of ``force`` frames, writes and
-  fsyncs the records appended since the last one, and ``flushed_lsn`` only
-  ever advances over fsynced frames;
+* appends stay in memory; the *sync* stage of ``force`` frames the records
+  appended since the last one, writes them at their LSN (an LSN *is* a file
+  offset) and syncs, and ``flushed_lsn`` only ever advances over synced
+  frames;
+* the file grows in zero-filled extents of :data:`EXTENT_BYTES`, ahead of
+  the log, so a force overwrites bytes the file already has: it changes no
+  size and allocates nothing, and ``fdatasync`` has no metadata to commit.
+  Everything past the end of the log is zero (the *zero-tail invariant*);
 * each on-disk frame is ``length(4) + crc32(4) + record bytes``, so a torn
   or bit-garbled tail is *detected*, not just guessed at: the load scan
-  stops at the first frame whose length is implausible, whose CRC32
+  stops at the first frame whose length is zero or implausible, whose CRC32
   mismatches, or whose record bytes fail to decode;
 * the master checkpoint LSN lives in a small side file, written atomically
   (the "durable master record" a real engine keeps in the log header);
@@ -17,9 +22,11 @@ exactly).  :class:`FileLogManager` extends it with a real log file:
   died without a clean shutdown recovers by running the normal
   analysis/redo/undo over the reloaded log.
 
-A torn tail (a partially-written final record after a real OS crash) is
-truncated on load, mirroring how real log scans stop at the first
-malformed record.
+A torn tail (a partially-written final force after a real OS crash) is
+zeroed on load, every non-zero byte past the last good frame: a frame of
+that force that did land behind the torn one must not come back to life
+when later, shorter appends happen to end where it starts.  A log written
+before extents existed simply ends at its end of log and opens the same.
 """
 
 from __future__ import annotations
@@ -35,6 +42,47 @@ from repro.wal.records import LogRecord
 
 _FRAME = struct.Struct(">II")   # length, crc32 of the record bytes
 
+EXTENT_BYTES = 256 * 1024
+"""The file grows by whole zero-filled extents of this size.
+
+Zero-*filled*, not merely allocated: a write into an allocated-but-unwritten
+extent still journals the extent's conversion, which is the cost this
+avoids.  The zeros reach the device with the first force into the extent.
+"""
+
+_ZEROS = bytes(32 * 1024)     # written in pieces: no extent-sized buffer
+
+# macOS has no fdatasync; there the full fsync is the only barrier.
+_datasync = getattr(os, "fdatasync", os.fsync)
+
+
+def scan_frames(data: bytes, offset: int) -> tuple[list[int], list[bytes], int]:
+    """The valid frames of a log image from ``offset`` on.
+
+    Returns (LSN of each record, its bytes, end of log): the scan stops at
+    the first frame that is zero-length, runs past the image, fails its
+    CRC32 or does not decode — the end of the log, or a torn tail.
+    """
+    lsns: list[int] = []
+    raws: list[bytes] = []
+    size = _FRAME.size
+    while offset + size <= len(data):
+        length, crc = _FRAME.unpack_from(data, offset)
+        end = offset + size + length
+        if length == 0 or end > len(data):
+            break
+        raw = data[offset + size : end]
+        if zlib.crc32(raw) != crc:
+            break  # garbled frame: the CRC catches bit damage too
+        try:
+            LogRecord.decode(raw)
+        except LogFormatError:
+            break
+        lsns.append(offset)
+        raws.append(raw)
+        offset = end
+    return lsns, raws, offset
+
 
 class FileLogManager(LogManager):
     """LogManager whose durable prefix lives in a real file."""
@@ -46,44 +94,35 @@ class FileLogManager(LogManager):
         self.path = os.fspath(path)
         self._master_path = self.path + ".master"
         preexisting = os.path.exists(self.path)
-        if preexisting:
-            self._load()
-            self._file = open(self.path, "r+b")
-            self._file.seek(0, os.SEEK_END)
-        else:
-            self._file = open(self.path, "w+b")
-            self._file.write(bytes(self.HEADER_BYTES))
-            self._file.flush()
+        # Unbuffered: every write is one positional ``pwrite`` on the fd.
+        self._file = open(self.path, "r+b" if preexisting else "w+b", buffering=0)
+        self._fd = self._file.fileno()
+        self._reserved = 0      # file size: zero-filled up to here
+        try:
+            if preexisting:
+                self._load()
+            else:
+                self._reserve(self.HEADER_BYTES)
+        except BaseException:
+            self._file.close()
+            raise
         self._written = len(self._raws)   # records already in the file
 
     # -- loading ---------------------------------------------------------------
 
     def _load(self) -> None:
-        with open(self.path, "rb") as fh:
-            data = fh.read()
+        data = self._file.read()
         if len(data) < self.HEADER_BYTES:
             raise WALError(f"{self.path}: shorter than the log header")
-        offset = self.HEADER_BYTES
-        while offset + self.FRAME_BYTES <= len(data):
-            length, crc = _FRAME.unpack_from(data, offset)
-            end = offset + self.FRAME_BYTES + length
-            if length == 0 or end > len(data):
-                break  # torn tail: stop at the first malformed frame
-            raw = data[offset + self.FRAME_BYTES : end]
-            if zlib.crc32(raw) != crc:
-                break  # garbled frame: the CRC catches bit damage too
-            try:
-                LogRecord.decode(raw)
-            except LogFormatError:
-                break
-            self._lsns.append(offset)
-            self._raws.append(raw)
-            offset = end
-        self._end_lsn = self._synced_lsn = self._flushed_lsn = offset
-        if offset < len(data):
-            # Truncate the torn tail so appends continue cleanly.
-            with open(self.path, "r+b") as fh:
-                fh.truncate(offset)
+        self._lsns, self._raws, end = scan_frames(data, self.HEADER_BYTES)
+        self._end_lsn = self._synced_lsn = self._flushed_lsn = end
+        self._reserved = len(data)
+        debris = len(data[end:].rstrip(b"\x00"))
+        if debris:
+            # Restore the zero tail now, durably, before any append can
+            # line up with a stale frame in it.
+            self._zero(end, debris)
+            os.fsync(self._fd)
         if os.path.exists(self._master_path):
             with open(self._master_path, "rb") as fh:
                 master = int.from_bytes(fh.read(8), "big")
@@ -98,6 +137,22 @@ class FileLogManager(LogManager):
     append = LogManager.append
     force = LogManager.force
 
+    def _pwrite(self, data: bytes, offset: int) -> None:
+        done = os.pwrite(self._fd, data, offset)
+        while done < len(data):     # a short write: rare on a regular file
+            done += os.pwrite(self._fd, memoryview(data)[done:], offset + done)
+
+    def _zero(self, offset: int, length: int) -> None:
+        for at in range(offset, offset + length, len(_ZEROS)):
+            self._pwrite(_ZEROS[: offset + length - at], at)
+
+    def _reserve(self, upto: int) -> None:
+        """Zero-fill whole extents until the file covers ``[0, upto)``."""
+        if upto > self._reserved:
+            grow = -(-(upto - self._reserved) // EXTENT_BYTES) * EXTENT_BYTES
+            self._zero(self._reserved, grow)
+            self._reserved += grow
+
     def _write_out(self) -> int:
         with self.mutex or _NO_MUTEX:
             count = len(self._raws)
@@ -109,13 +164,15 @@ class FileLogManager(LogManager):
                 [_FRAME.pack(len(raw), crc32(raw)) + raw for raw in unwritten]
             )
             fire("filelog.write")
-            self._file.write(data)
+            self._reserve(upto)
+            # Positional: a write that failed part-way is overwritten in
+            # place by the retry, so file offsets keep matching LSNs.
+            self._pwrite(data, upto - len(data))
             # Advanced only once written: a failed write leaves its records
             # for the next force.
             self._written = count
-        self._file.flush()
         fire("filelog.fsync")
-        os.fsync(self._file.fileno())
+        _datasync(self._fd)
         return upto
 
     def set_master_checkpoint(self, lsn: int) -> None:
@@ -131,13 +188,15 @@ class FileLogManager(LogManager):
 
     def crash(self) -> None:
         """Simulated crash: the unforced suffix never reached the file."""
+        # A crash inside a force can leave frames in the file that were
+        # never published as durable; zero them as the in-memory suffix is
+        # dropped, so the tail past the durable prefix is zeros again.
+        # No write ever went past the end of log or the reserved extents.
+        written_upto = min(self._end_lsn, self._reserved)
         super().crash()
         self._written = len(self._raws)
-        # A crash inside a force can leave frames in the file that were
-        # never published as durable; drop them with the in-memory suffix
-        # so file offsets keep matching LSNs.
-        self._file.truncate(self._flushed_lsn)
-        self._file.seek(0, os.SEEK_END)
+        if written_upto > self._flushed_lsn:
+            self._zero(self._flushed_lsn, written_upto - self._flushed_lsn)
 
     def close(self) -> None:
         """Release underlying resources (idempotent)."""

@@ -20,7 +20,7 @@ import pytest
 from repro.archive import delta, manager as archive_manager
 from repro.archive.delta import decode_block, encode_block
 from repro.archive.store import ArchiveStore, RECORD_BLOCK
-from repro.clock import Timestamp
+from repro.clock import Timestamp, encode_tid_field
 from repro.core.engine import ImmortalDB
 from repro.core.integrity import integrity_report, verify_integrity
 from repro.core.rowcodec import ColumnType
@@ -724,6 +724,218 @@ class TestMigrationUnderPressure:
         assert verify_integrity(db) == []
         # after_recovery() reinstated the entries that survived validation.
         assert len(db.disk.free_list) > 0
+
+
+# ---------------------------------------------------------------------------
+# the cold-page scan reads headers; the scan it replaced is the reference
+# ---------------------------------------------------------------------------
+
+
+def _reference_scan(mgr) -> tuple[list[int], dict[int, list[int]]]:
+    """``ArchiveManager._scan`` as it was while it decoded every page it
+    looked at: every leaf and every history page through ``_peek_page``,
+    the unstamped-records test applied to all of them up front."""
+    from repro.access.btree import BTreeIndexPage
+
+    def leaves(btree):
+        node = mgr._peek_page(btree.root_pid)
+        while isinstance(node, BTreeIndexPage):
+            node = mgr._peek_page(node.children[0])
+        while isinstance(node, DataPage):
+            yield node
+            if not node.next_leaf_id:
+                return
+            node = mgr._peek_page(node.next_leaf_id)
+
+    horizon = mgr._horizon()
+    referrers: dict[int, list[int]] = {}
+    info: dict[int, tuple[Timestamp, bool]] = {}
+    for table in mgr.engine.tables.values():
+        if not table.schema.immortal or table.history_index is not None:
+            continue
+        for leaf in leaves(table.btree):
+            prev_pid = leaf.page_id
+            pid = leaf.history_page_id
+            while pid != NO_PAGE and not pid & ARCHIVE_PID_BIT:
+                referrers.setdefault(pid, []).append(prev_pid)
+                if pid in info:
+                    break
+                page = mgr._peek_page(pid)
+                migratable = (
+                    isinstance(page, DataPage)
+                    and page.is_history
+                    and page.end_ts <= horizon
+                    and not page.has_unstamped_records()
+                    and (
+                        page.history_page_id == NO_PAGE
+                        or page.history_page_id & ARCHIVE_PID_BIT
+                    )
+                )
+                info[pid] = (page.end_ts, migratable)
+                prev_pid = pid
+                pid = page.history_page_id
+    candidates = sorted(
+        (pid for pid, (_, ok) in info.items() if ok),
+        key=lambda pid: (info[pid][0], pid),
+    )
+    return candidates, referrers
+
+
+def _scan_db(seed: int, *, buffer_pages: int = 48, rounds: int = 6):
+    """Pressure-shaped history (mixed value lengths, a pool far smaller
+    than the data, key splits) with migration left to the test."""
+    rng = random.Random(seed)
+    keys = 400
+    db = ImmortalDB(
+        buffer_pages=buffer_pages,
+        archive=dict(cold_ms=3000, pages_per_step=8, auto=False),
+    )
+    table = db.create_table(
+        "kv", [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
+        key="k", immortal=True,
+    )
+    with db.transaction() as txn:
+        for k in range(keys):
+            table.insert(txn, {"k": k, "v": "x" * rng.choice((32, 256, 2048))})
+    for _ in range(rounds):
+        _update_round(db, table, rng, keys=keys, ops=150)
+        db.advance_time(1000)
+        db.checkpoint()
+    return db, table, rng
+
+
+def _checked_step(db, budget: int, monkeypatch) -> list[int]:
+    """One ``step`` held against the reference scan; returns the pids moved.
+
+    Checked: the header scan names the reference's referrers and — once the
+    unstamped test is applied — its candidates, in its order, for the same
+    number of disk reads; ``step`` migrates exactly the reference's first
+    ``budget`` candidates; and the step's disk reads are what they were
+    (the scan, one read per uncached page migrated, one per uncached
+    referrer relinked) plus one per unstamped page it had to look into.
+    """
+    mgr, disk, buffer = db.archive, db.disk, db.buffer
+
+    def reads_of(action):
+        before = disk.stats.reads
+        result = action()
+        return result, disk.stats.reads - before
+
+    (want, want_refs), scan_reads = reads_of(lambda: _reference_scan(mgr))
+    (cold, refs), header_reads = reads_of(mgr._scan)
+    assert refs == want_refs
+    assert header_reads == scan_reads
+    assert set(want) <= set(cold)
+    unstamped = {
+        pid for pid in cold if mgr._peek_page(pid).has_unstamped_records()
+    }
+    assert [pid for pid in cold if pid not in unstamped] == want
+
+    expect = want[:budget]
+    reached = cold[: cold.index(expect[-1]) + 1] if len(expect) == budget else cold
+    skipped = [pid for pid in reached if pid in unstamped]
+
+    def uncached(pids) -> int:
+        return sum(not buffer.contains(pid) for pid in pids)
+
+    # What the step cost while the scan decoded: the scan, one read per
+    # uncached page migrated, one per uncached referrer relinked.
+    old_cost = (
+        scan_reads + uncached(expect)
+        + uncached(rpid for pid in expect for rpid in want_refs[pid])
+    )
+    looked_into = uncached(skipped)
+    moved: list[int] = []
+
+    def recording(page):
+        moved.append(page.page_id)
+        return encode_block(page)
+
+    monkeypatch.setattr(archive_manager, "encode_block", recording)
+    count, step_reads = reads_of(lambda: mgr.step(budget))
+    monkeypatch.undo()
+    assert moved == expect and count == len(expect)
+    assert step_reads == old_cost + looked_into
+    return moved
+
+
+class TestHeaderFirstScan:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_steps_match_the_full_decode_scan(self, seed, monkeypatch):
+        """Step after step until the history is drained: the later steps
+        start from chains that already end in an archive ref."""
+        db, table, rng = _scan_db(seed)
+        _, referrers = _reference_scan(db.archive)
+        # Key splits made sibling leaves share a chain suffix.
+        assert any(len(set(rs)) > 1 for rs in referrers.values())
+        answers = {k: table.history(k) for k in range(0, 400, 37)}
+        steps = 0
+        while _reference_scan(db.archive)[0]:
+            moved = _checked_step(db, 5, monkeypatch)
+            assert moved
+            steps += 1
+        assert steps >= 3
+        assert any(
+            leaf.history_page_id & ARCHIVE_PID_BIT
+            for leaf in table.btree.leaves()
+        )
+        assert {k: table.history(k) for k in answers} == answers
+        assert verify_integrity(db) == []
+        db.close()
+
+    def test_dirty_cached_history_page_answers_from_its_frame(self, monkeypatch):
+        """A cached frame is newer than the disk image: the scan must read
+        the header fields off the page object, not off the stale image."""
+        db, table, rng = _scan_db(4, buffer_pages=512)
+        want, _ = _reference_scan(db.archive)
+        assert len(want) >= 3
+        pid = want[1]
+        page = db.buffer.get_page(pid)          # cached: the pool holds it all
+        horizon = db.archive._horizon()
+        # Re-date it past the horizon in the frame only.
+        page.end_ts = Timestamp(horizon.ttime + 1, 0)
+        db.buffer.mark_dirty_page(page)
+        assert db.buffer.is_dirty(pid)
+        cold, _ = db.archive._scan()
+        assert pid not in cold and pid not in _reference_scan(db.archive)[0]
+        page.end_ts = Timestamp(max(0, horizon.ttime - 1), 0)
+        db.buffer.mark_dirty_page(page)
+        moved = _checked_step(db, len(want), monkeypatch)
+        assert pid in moved
+        assert not db.buffer.contains(pid)
+        db.close()
+
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_unstamped_history_page_is_skipped_and_the_next_taken(
+        self, cached, monkeypatch
+    ):
+        """Records still carrying a TID keep a cold page out: the header
+        cannot say so, ``step`` finds out when it opens the page, skips it
+        and still migrates a full budget from the candidates behind it."""
+        db, table, rng = _scan_db(5, buffer_pages=512 if cached else 48)
+        writer = db.begin()                 # stays open: nothing may stamp it
+        table.update(writer, 398, {"v": "w"})
+        want, _ = _reference_scan(db.archive)
+        assert len(want) >= 4
+        victim = want[0]                    # the first page step would take
+        page = db.buffer.get_page(victim)
+        version = page.versions[0]
+        stamped_as = version.ttime_field, version.sn
+        version.ttime_field, version.sn = encode_tid_field(writer.tid), 0
+        db.buffer.mark_dirty_page(page)
+        if not cached:
+            db.buffer.flush_page(victim)
+            db.buffer.discard_page(victim)  # written: only the image is left
+        assert victim in db.archive._scan()[0]
+        assert victim not in _reference_scan(db.archive)[0]
+        moved = _checked_step(db, 3, monkeypatch)
+        assert moved == want[1:4]
+        page = db.buffer.get_page(victim)
+        page.versions[0].ttime_field, page.versions[0].sn = stamped_as
+        db.buffer.mark_dirty_page(page)
+        db.abort(writer)
+        assert _checked_step(db, 1, monkeypatch) == [victim]
+        db.close()
 
 
 # ---------------------------------------------------------------------------

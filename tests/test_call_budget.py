@@ -1,9 +1,11 @@
-"""Call budgets for the paper's Fig. 5 transaction and its Fig. 6 reads.
+"""Call budgets for the paper's Fig. 5 transaction, its Fig. 6 reads, and a
+buffer miss.
 
 With the data in the buffer pool nothing on the update path waits, so its
 speed is its instruction count — for this engine, the number of Python
 function calls.  The same holds for a historical read once the as-of route
-cache and the page's chain view are warm.  The budgets below sit about
+cache and the page's chain view are warm, and for what a buffer miss adds
+to either once the image is in memory: decoding it.  The budgets below sit about
 10 % above what the paths cost today: a count, not a timing, so the test cannot flake, and the next
 layer of indirection someone adds to the path fails here instead of
 quietly costing two percent.  Raise a budget only together with the per-layer
@@ -16,6 +18,8 @@ import statistics
 import sys
 
 from repro import PROFILES, ImmortalDB
+from repro.storage.page import DataPage, decode_page
+from repro.storage.record import RecordVersion
 
 # Python calls on CPython 3.10-3.12 (3.12 takes two fewer):
 UPDATE_BUDGET = 158   # begin + update one record + commit: 143 (256 before the diet)
@@ -23,6 +27,8 @@ READ_BUDGET = 67      # begin + read one record + commit: 61 (159 before)
 # The tuned read path (route cache + lazy chain views), everything warm:
 ASOF_READ_BUDGET = 47   # read_as_of of one key: 43 (57 before PR 16)
 HISTORY_BUDGET = 260    # history() of a key with 20 versions: 236 (572 before)
+# What a buffer miss costs past the disk read:
+DECODE_BUDGET = 40      # decode_page of a 25-record data page: 36 (88 before PR 17)
 
 KEYS = 200
 SAMPLES = 50
@@ -138,6 +144,27 @@ def test_historical_reads_stay_within_their_call_budgets():
     assert history_calls >= 0.8 * HISTORY_BUDGET
 
 
+def measure_decode() -> int:
+    """Calls of one ``decode_page`` of a data page holding 25 records:
+    one per record (its constructor) plus a fixed dozen for the page."""
+    page = DataPage(7, immortal=True)
+    for k in range(25):
+        page.insert_version(RecordVersion.new(b"k%08d" % k, b"x" * 100, tid=k + 1))
+    raw = page.to_bytes()
+    assert len(decode_page(raw).versions) == 25
+    return python_calls(lambda: decode_page(raw))
+
+
+def test_a_buffer_miss_stays_within_its_decode_budget():
+    calls = measure_decode()
+    assert calls <= DECODE_BUDGET, (
+        f"decoding a 25-record page now takes {calls} Python calls "
+        f"(budget {DECODE_BUDGET})"
+    )
+    assert calls >= 0.8 * DECODE_BUDGET
+
+
 if __name__ == "__main__":
     print("update, read:", measure())
     print("as-of read, history:", measure_historical())
+    print("decode_page:", measure_decode())

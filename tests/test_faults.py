@@ -28,7 +28,7 @@ from repro.storage.disk import (
 )
 from repro.storage.page import MetaPage
 from repro.wal.filelog import FileLogManager
-from repro.wal.records import BeginTxn
+from repro.wal.records import BeginTxn, CommitTxn
 
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.TEXT)]
@@ -276,7 +276,9 @@ class TestTornLogTail:
     def _make_log(self, path) -> int:
         log = FileLogManager(path)
         log.append(BeginTxn(tid=1))
-        log.append(BeginTxn(tid=2))
+        # Ends in a non-zero byte: in a preallocated file the bytes of a
+        # final write that never landed read as zeros.
+        log.append(CommitTxn(tid=2, ttime=9, sn=2, ptt=True))
         log.force()
         log.close()
         import os

@@ -152,13 +152,22 @@ def _sha256(path) -> str:
         return hashlib.sha256(fh.read()).hexdigest()
 
 
+def _log_sha256(path, end_lsn: int) -> str:
+    """SHA-256 of the log proper, ``[0, end_lsn)``.  The file is preallocated
+    past it; that remainder must be zeros and is not part of the identity."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    assert not any(data[end_lsn:]), "non-zero bytes past the end of the log"
+    return hashlib.sha256(data[:end_lsn]).hexdigest()
+
+
 def observe_tuned(directory) -> dict:
     path = str(directory / "db.pages")
     db = ImmortalDB(path, clock=SimClock(ms_per_timestamp=5.0), **TUNED)
     seen = observe(db)
     db.close()
     seen["pages_sha256"] = _sha256(path)
-    seen["log_sha256"] = _sha256(path + ".log")
+    seen["log_sha256"] = _log_sha256(path + ".log", db.log.end_lsn)
     return seen
 
 
