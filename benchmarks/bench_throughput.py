@@ -301,87 +301,6 @@ def run_workloads(*, quick: bool, group_commit_window: int) -> dict:
     return results
 
 
-def _concurrent_tasks(table, ops: int, seed: int):
-    """A deterministic mixed task list: the same work for 1 or N workers.
-
-    Half the tasks are read-modify-write updates over a small hot set
-    (real lock conflicts, occasional deadlock-retry), half are inserts of
-    unique keys.  Tasks are closures over pre-drawn keys so the 1-worker
-    and N-worker runs execute byte-identical transaction bodies.
-    """
-    rng = random.Random(seed)
-    tasks = []
-    for i in range(ops):
-        if rng.random() < 0.5:
-            key = rng.randrange(CONCURRENT_HOT_KEYS)
-
-            def rmw(txn, key=key, i=i):
-                row = table.read(txn, key)
-                table.update(txn, key, {"v": row["v"][:24] + f"+{i}"})
-
-            tasks.append(rmw)
-        else:
-            key = CONCURRENT_KEY_BASE + i
-            value = _value(rng, i)
-
-            def insert(txn, key=key, value=value):
-                table.insert(txn, {"k": key, "v": value})
-
-            tasks.append(insert)
-    return tasks
-
-
-CONCURRENT_HOT_KEYS = 64
-CONCURRENT_KEY_BASE = 100_000
-
-
-def run_concurrent_comparison(
-    *, quick: bool, workers: int, group_commit_window: int,
-    commit_latency_ms: float,
-) -> dict:
-    """Mixed workload through the worker pool: 1 worker vs ``workers``.
-
-    Both runs use the identical engine configuration — same group-commit
-    window and the same simulated commit-force latency (the sleep in
-    ``LogManager.force`` releases the GIL).  The speedup therefore
-    measures what the concurrent subsystem actually buys: workers overlap
-    transaction bodies with the force latency another worker is paying,
-    and group commit lets one force ack a whole window of their commits.
-    """
-    from repro.workers import WorkerPool
-
-    ops = 400 * (1 if quick else 3)
-    out: dict = {"workers": workers}
-    for label, n_workers in (("single", 1), ("multi", workers)):
-        with tempfile.TemporaryDirectory(prefix="bench_conc_") as tmp:
-            db = _build_db(tmp, group_commit_window=group_commit_window)
-            db.log.force_latency_ms = commit_latency_ms
-            table = _make_table(db)
-            with db.transaction() as txn:
-                for k in range(CONCURRENT_HOT_KEYS):
-                    table.insert(txn, {"k": k, "v": "seed"})
-            _flush_commits(db)
-            tasks = _concurrent_tasks(table, ops, SEED + 7)
-
-            def run() -> int:
-                with WorkerPool(db, n_workers=n_workers, seed=SEED) as pool:
-                    futures = [pool.submit(task) for task in tasks]
-                    for future in futures:
-                        future.result(120.0)
-                _flush_commits(db)
-                return ops
-
-            result = _measure(db, run)
-            result["n_workers"] = n_workers
-            result["txn_retries"] = db.stats().get("txn_retries", 0)
-            out[label] = result
-            db.close()
-    out["speedup"] = round(
-        out["multi"]["ops_per_sec"] / out["single"]["ops_per_sec"], 3
-    )
-    return out
-
-
 def run_scrub_overhead(
     *, quick: bool, group_commit_window: int, repeats: int = 3,
 ) -> dict:
@@ -456,19 +375,6 @@ def compare_against(baseline: dict, current: dict, tolerance: float) -> list[str
                 f"{floor:.0f} (baseline {base['ops_per_sec']:.0f} "
                 f"- {tolerance:.0%} tolerance)"
             )
-    base_conc = baseline.get("concurrent")
-    now_conc = current.get("concurrent")
-    if base_conc and now_conc \
-            and base_conc["workers"] == now_conc["workers"]:
-        floor = base_conc["multi"]["ops_per_sec"] * (1.0 - tolerance)
-        if now_conc["multi"]["ops_per_sec"] < floor:
-            problems.append(
-                f"concurrent x{now_conc['workers']}: "
-                f"{now_conc['multi']['ops_per_sec']:.0f} ops/s is below "
-                f"{floor:.0f} (baseline "
-                f"{base_conc['multi']['ops_per_sec']:.0f} "
-                f"- {tolerance:.0%} tolerance)"
-            )
     return problems
 
 
@@ -488,16 +394,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--group-commit", type=int,
                         default=GROUP_COMMIT_WINDOW, metavar="N",
                         help="group-commit window (ignored by old engines)")
-    parser.add_argument("--workers", type=int, default=0, metavar="N",
-                        help="also benchmark the worker pool: mixed load "
-                             "with 1 worker vs N workers")
-    parser.add_argument("--min-speedup", type=float, default=1.5,
-                        help="fail if N-worker ops/s < this multiple of "
-                             "the 1-worker run (default 1.5)")
-    parser.add_argument("--commit-latency-ms", type=float, default=2.0,
-                        help="simulated commit-force latency for the "
-                             "--workers comparison, applied identically "
-                             "to both runs (default 2.0)")
     parser.add_argument("--scrub-overhead", action="store_true",
                         help="measure the online scrubber's throughput cost "
                              "instead of the standard workloads")
@@ -546,24 +442,6 @@ def main(argv: list[str] | None = None) -> int:
               f"sim {r['simulated_ms']:.0f} ms, "
               f"{r['counters'].get('log_forces', '?')} log forces)")
 
-    concurrent = None
-    if args.workers > 1:
-        concurrent = run_concurrent_comparison(
-            quick=args.quick, workers=args.workers,
-            group_commit_window=args.group_commit,
-            commit_latency_ms=args.commit_latency_ms,
-        )
-        payload["concurrent"] = concurrent
-        single, multi = concurrent["single"], concurrent["multi"]
-        print(f"pool  x1: {single['ops_per_sec']:>9.1f} ops/s wall "
-              f"({single['counters'].get('log_forces', '?')} log forces, "
-              f"{single['txn_retries']} retries)")
-        print(f"pool x{args.workers}: {multi['ops_per_sec']:>9.1f} ops/s "
-              f"wall ({multi['counters'].get('log_forces', '?')} log "
-              f"forces, {multi['txn_retries']} retries)")
-        print(f"speedup: {concurrent['speedup']:.2f}x "
-              f"(gate: >= {args.min_speedup:.2f}x)")
-
     if args.output:
         with open(args.output, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
@@ -581,10 +459,6 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no regression vs {args.compare} "
               f"(tolerance {args.tolerance:.0%})")
 
-    if concurrent is not None and concurrent["speedup"] < args.min_speedup:
-        print(f"FAIL: {args.workers}-worker speedup {concurrent['speedup']:.2f}x "
-              f"is below the {args.min_speedup:.2f}x gate")
-        return 1
     return 0
 
 

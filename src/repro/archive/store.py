@@ -22,26 +22,23 @@ has been synced.
 
 Records are addressed by **logical index** (their position in the record
 sequence), which stays stable across reopen because the durable prefix is
-immutable.  The file variant frames each record as
-``type(1) length(4) crc32(4) payload`` and stops its opening scan at the
-first torn or corrupt frame, mirroring how the WAL tolerates a torn tail.
+immutable.  The file variant frames ``type(1) + payload`` of each record
+(:mod:`repro.storage.framing`: the CRC covers the type byte too) and stops
+its opening scan at the first torn or corrupt frame, as the WAL does.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import struct
-import zlib
 from dataclasses import dataclass, field
 
 from repro.clock import Timestamp
 from repro.errors import StorageError
+from repro.storage.framing import frame, scan
 
 RECORD_BLOCK = 0
 RECORD_MANIFEST = 1
-
-_FRAME = struct.Struct(">BII")  # type, payload length, crc32(payload)
 
 MANIFEST_FORMAT = 1
 
@@ -156,20 +153,14 @@ class ArchiveStore:
         if os.path.exists(self.path):
             with open(self.path, "rb") as fh:
                 data = fh.read()
-            offset = 0
-            while offset + _FRAME.size <= len(data):
-                rtype, length, crc = _FRAME.unpack_from(data, offset)
-                start = offset + _FRAME.size
-                payload = data[start : start + length]
-                if len(payload) != length or zlib.crc32(payload) != crc:
-                    break  # torn tail: ignore it, like the WAL does
-                self._records.append((rtype, payload))
-                offset = start + length
+            # A torn tail is ignored, like the WAL's.
+            _, framed, end = scan(data)
+            self._records = [(body[0], body[1:]) for body in framed]
             self.durable_count = len(self._records)
             # Reopen truncated to the clean prefix so appends land after it.
             self._file = open(self.path, "r+b")
-            self._file.truncate(offset)
-            self._file.seek(offset)
+            self._file.truncate(end)
+            self._file.seek(end)
         else:
             self._file = open(self.path, "w+b")
 
@@ -188,16 +179,17 @@ class ArchiveStore:
         payload = json.dumps(doc, separators=(",", ":"), sort_keys=True).encode()
         return self._append(RECORD_MANIFEST, payload)
 
+    @staticmethod
+    def _write_durably(fh, records: list[tuple[int, bytes]]) -> None:
+        for rtype, payload in records:
+            fh.write(frame(bytes((rtype,)) + payload))
+        fh.flush()
+        os.fsync(fh.fileno())
+
     def sync(self) -> None:
         """Make every buffered record durable (file: write+flush+fsync)."""
         if self._file is not None and self.durable_count < len(self._records):
-            for rtype, payload in self._records[self.durable_count :]:
-                self._file.write(
-                    _FRAME.pack(rtype, len(payload), zlib.crc32(payload))
-                )
-                self._file.write(payload)
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            self._write_durably(self._file, self._records[self.durable_count :])
         self.durable_count = len(self._records)
 
     def crash(self) -> None:
@@ -217,13 +209,7 @@ class ArchiveStore:
         if self._file is None:
             return
         with open(self.path + ".compact", "wb") as tmp:
-            for rtype, payload in records:
-                tmp.write(
-                    _FRAME.pack(rtype, len(payload), zlib.crc32(payload))
-                )
-                tmp.write(payload)
-            tmp.flush()
-            os.fsync(tmp.fileno())
+            self._write_durably(tmp, records)
 
     def rewrite_commit(self, records: list[tuple[int, bytes]]) -> None:
         """Atomically adopt the prepared replacement log.

@@ -264,7 +264,6 @@ class ShardRouter:
         *,
         clock: SimClock | None = None,
         ms_per_commit: float = 5.0,
-        paths: list[str] | None = None,
         **engine_kwargs,
     ) -> None:
         if shards < 1:
@@ -278,8 +277,6 @@ class ShardRouter:
             )
         if list(boundaries) != sorted(boundaries):
             raise ValueError("range boundaries must be sorted")
-        if paths is not None and len(paths) != shards:
-            raise ValueError("paths must name one file per shard")
         # Shard i owns keys k with boundaries[i-1] < k <= boundaries[i]
         # (open ends); bisect_left on the boundary list is the route.
         self.boundaries = list(boundaries)
@@ -288,11 +285,7 @@ class ShardRouter:
         self.coordinator = TwoPhaseCoordinator()
         self.shards: list[Shard] = []
         for shard_id in range(shards):
-            db = ImmortalDB(
-                paths[shard_id] if paths is not None else None,
-                clock=self.clock,
-                **engine_kwargs,
-            )
+            db = ImmortalDB(clock=self.clock, **engine_kwargs)
             # Every commit timestamp — fast path included — flows through
             # the shared authority, keeping one cluster-wide total order.
             db.txn_mgr.ts_source = self.authority.issue

@@ -231,6 +231,18 @@ class TransactionManager:
         )
         if self.group_commit_window > 1:
             return self._commit_grouped(txn, ts, commit_lsn)
+        return self._commit_forced(txn, ts, commit_lsn)
+
+    def _commit_forced(
+        self, txn: Transaction, ts: Timestamp, commit_lsn: int
+    ) -> Timestamp:
+        """Synchronous commit tail: durable first, then the volatile steps.
+
+        Shared by :meth:`commit` and :meth:`commit_prepared`.  A failed
+        force leaves the transaction as it was (active, or prepared) with
+        its locks held — unlike :meth:`_commit_grouped`, where the volatile
+        transitions have already happened by the time anything is forced.
+        """
         fire("txn.commit.force")      # commit record appended, not yet durable
         self.log.force(commit_lsn)
         fire("txn.commit.stamp")      # durable, VTT/PTT transition still pending
@@ -238,6 +250,8 @@ class TransactionManager:
             txn.tid, ts, commit_lsn, persistent=txn.touched_immortal
         )
         txn.state = TxnState.COMMITTED
+        if txn.gtid is not None:      # a 2PC participant is no longer in doubt
+            self.in_doubt.pop(txn.gtid, None)
         self._finish(txn)
         self.commits += 1
         fire("txn.commit.done")
@@ -336,9 +350,9 @@ class TransactionManager:
     def commit_prepared(self, txn: Transaction, ts: Timestamp) -> Timestamp:
         """Phase two, commit decision: stamp the coordinator-issued timestamp.
 
-        Identical to the tail of :meth:`commit` except the timestamp comes
-        from the decision (issued once by the shared authority, the same
-        value on every participant shard) instead of being drawn locally.
+        The tail is :meth:`commit`'s; the timestamp comes from the decision
+        (issued once by the shared authority, the same value on every
+        participant shard) instead of being drawn locally.
         """
         if txn.state is not TxnState.PREPARED:
             raise TransactionStateError(
@@ -356,19 +370,7 @@ class TransactionManager:
                 ptt=txn.touched_immortal,
             )
         )
-        fire("txn.commit.force")
-        self.log.force(commit_lsn)
-        fire("txn.commit.stamp")
-        self.tsmgr.on_commit(
-            txn.tid, ts, commit_lsn, persistent=txn.touched_immortal
-        )
-        txn.state = TxnState.COMMITTED
-        if txn.gtid is not None:
-            self.in_doubt.pop(txn.gtid, None)
-        self._finish(txn)
-        self.commits += 1
-        fire("txn.commit.done")
-        return ts
+        return self._commit_forced(txn, ts, commit_lsn)
 
     def reinstate_in_doubt(
         self, entries: list[tuple[int, int]], lock_record: Callable

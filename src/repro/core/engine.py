@@ -69,7 +69,6 @@ class ImmortalDB:
         group_commit_window: int = 1,
         asof_route_cache: bool = False,
         media_recovery: bool = False,
-        io_retries: int = 0,
         eviction: str = "lru",
         flush_batch: int = 0,
         read_ahead: int = 0,
@@ -123,17 +122,16 @@ class ImmortalDB:
         self.concurrent = False
         self._latch: NullLatch | ReentrantLatch = NullLatch()
         self.checkpoints = CheckpointManager(self.log, self.buffer)
-        # Media robustness, both off by default so the figure benchmarks and
-        # crash-point enumeration are untouched.  ``io_retries`` retries
-        # transient I/O errors at the disk seam with deterministic backoff;
-        # ``media_recovery`` attaches the archive/backup/restore machinery
-        # and turns on write read-back verification (the only inline defense
-        # against silently dropped writes).
+        # Media robustness, off by default so the figure benchmarks and
+        # crash-point enumeration are untouched.  ``media_recovery`` attaches
+        # the archive/backup/restore machinery, retries transient I/O errors
+        # at the disk seam with deterministic backoff, and turns on write
+        # read-back verification (the only inline defense against silently
+        # dropped writes).
         self.scrubber = None     # a repair.Scrubber registers itself here
-        if io_retries:
-            self.disk.retry = RetryPolicy(io_retries, seed=0)
         self.repair: MediaRecoveryManager | None = None
         if media_recovery:
+            self.disk.retry = RetryPolicy(3, seed=0)
             self.disk.verify_writes = True
             self.repair = MediaRecoveryManager(self)
         self.snapshots = SnapshotRegistry()

@@ -416,19 +416,3 @@ class SessionStateError(ServiceError):
 
 class ConnectionLostError(ServiceError):
     """The transport dropped mid-exchange (client side of a torn wire)."""
-
-
-class PoolExhaustedError(ServiceError):
-    """Every pooled connection is checked out and the pool is at capacity."""
-
-
-class DeadPeerError(ServiceError):
-    """The pool's peer failed enough consecutive dials to be declared dead.
-
-    Acquires fail fast until the quarantine window lapses, at which point
-    the pool probes the peer again (one dial, not a full backoff ladder).
-    """
-
-    def __init__(self, message: str, *, retry_after_s: float = 0.0) -> None:
-        super().__init__(message)
-        self.retry_after_s = retry_after_s

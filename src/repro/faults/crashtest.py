@@ -246,7 +246,7 @@ def build(config: CrashTestConfig) -> Rig:
         if config.media_faults:
             engine.update(
                 disk=FaultyDisk(InMemoryDisk(), seed=config.seed),
-                page_checksums=True, media_recovery=True, io_retries=3,
+                page_checksums=True, media_recovery=True,
             )
         db = ImmortalDB(**engine)
     table = db.create_table(

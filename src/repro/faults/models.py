@@ -35,7 +35,8 @@ from collections import Counter, deque
 
 from repro.errors import InjectedIOError, PageNotFoundError
 from repro.storage.disk import PageStore
-from repro.wal.filelog import FileLogManager, scan_frames
+from repro.storage.framing import scan
+from repro.wal.filelog import FileLogManager
 
 READ_FAULTS = ("bitrot_read", "read_error")
 WRITE_FAULTS = ("torn_write", "dropped_write", "write_error")
@@ -259,7 +260,7 @@ def tear_log_tail(
     """
     with open(path, "r+b") as fh:
         data = fh.read()
-        end = scan_frames(data, FileLogManager.HEADER_BYTES)[2]
+        end = scan(data, FileLogManager.HEADER_BYTES)[2]
         if drop_bytes:
             keep = max(0, end - drop_bytes)
             fh.seek(keep)

@@ -28,20 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.clock import Timestamp
 from repro.errors import MediaRecoveryError, UnknownTransactionError
 from repro.faults.failpoints import fire
 from repro.storage.page import DataPage, Page, decode_page
-from repro.storage.record import RecordVersion
-from repro.wal.records import (
-    CompensationRecord,
-    InPlaceUpdate,
-    LogRecord,
-    MultiPageImage,
-    StampOp,
-    VersionOp,
-    VersionOpKind,
-)
+from repro.wal.records import CompensationRecord, LogRecord, MultiPageImage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.repair.manager import MediaRecoveryManager
@@ -139,20 +129,16 @@ def _apply(
 ) -> tuple[Page | None, int]:
     """Apply one archived record to the page under reconstruction.
 
-    Mirrors recovery's redo handlers, but operates on a detached page
-    object instead of going through the buffer pool.
+    The record's effect is its own ``redo`` / ``image_for`` — the methods
+    restart redo calls; what is restore's own is the detached page (no
+    buffer pool), and the errors only a trimmed archive can produce.
     """
     lsn = record.lsn
     if isinstance(record, (MultiPageImage, CompensationRecord)):
-        for image_pid, image in record.images:
-            if image_pid != page_id:
-                continue
-            if page is not None and page.lsn >= lsn:
-                return page, 0
-            page = decode_page(image)
-            page.lsn = max(page.lsn, lsn)
-            return page, 1
-        return page, 0
+        if page is not None and page.lsn >= lsn:
+            return page, 0
+        image = record.image_for(page_id)
+        return (page, 0) if image is None else (image, 1)
 
     if page is None:
         # A non-image record cannot be the page's first archived action:
@@ -170,19 +156,7 @@ def _apply(
             f"non-data page",
             page_id=page_id,
         )
-
-    if isinstance(record, VersionOp):
-        page.insert_version(RecordVersion.new(
-            record.key, record.payload, record.tid,
-            delete_stub=record.kind == VersionOpKind.DELETE,
-        ))
-    elif isinstance(record, InPlaceUpdate):
-        page.replace_payload_in_place(record.key, record.after)
-    elif isinstance(record, StampOp):
-        for version in page.chain(record.key):
-            if not version.is_timestamped and version.tid == record.tid:
-                version.stamp(Timestamp(record.ttime, record.sn))
-                break
+    record.redo(page)
     page.lsn = lsn
     return page, 1
 

@@ -21,16 +21,13 @@ uses (framing/codec vs. file):
 from repro.service.admission import AdmissionController
 from repro.service.client import ServiceClient
 from repro.service.core import ServiceCore, ServiceStats
-from repro.service.pool import ClientPool, PoolStats
 from repro.service.server import SQLService, ThreadedService
 from repro.service.session import ServiceSession
 from repro.service.transport import LoopbackConnection
 
 __all__ = [
     "AdmissionController",
-    "ClientPool",
     "LoopbackConnection",
-    "PoolStats",
     "ServiceClient",
     "ServiceCore",
     "ServiceSession",

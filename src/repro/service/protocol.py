@@ -1,6 +1,6 @@
 """Wire protocol: length-prefixed, CRC-framed JSON messages.
 
-Frames reuse the file WAL's shape (``repro.wal.filelog``): a big-endian
+Frames are the file WAL's (:mod:`repro.storage.framing`): a big-endian
 4-byte payload length, a 4-byte CRC32 of the payload, then the payload.
 The CRC turns torn or garbled frames into a typed
 :class:`~repro.errors.TornFrameError` instead of silent misparses — the
@@ -27,12 +27,11 @@ complete payloads as they close.
 from __future__ import annotations
 
 import json
-import struct
 import zlib
 
 from repro.errors import ProtocolError, TornFrameError
+from repro.storage.framing import HEADER as _HEADER, frame as encode_frame
 
-_HEADER = struct.Struct(">II")     # payload length, crc32(payload)
 HEADER_SIZE = _HEADER.size
 MAX_FRAME = 16 * 1024 * 1024       # refuse absurd lengths before allocating
 
@@ -42,11 +41,6 @@ STATUS_ERROR = "error"
 STATUS_OVERLOADED = "overloaded"
 STATUS_TIMEOUT = "timeout"
 STATUS_BYE = "bye"
-
-
-def encode_frame(payload: bytes) -> bytes:
-    """Wrap a payload in the length+CRC header."""
-    return _HEADER.pack(len(payload), zlib.crc32(payload)) + payload
 
 
 def encode_message(message: dict) -> bytes:

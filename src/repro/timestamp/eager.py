@@ -62,7 +62,10 @@ class EagerTimestampManager(TimestampManager):
                     stamped += 1
                     self.stats.stamps += 1
                     self.vtt.decrement(tid, self.log.end_lsn)
-                    self.log.append(
+                    # The page carries the LSN of the last record applied to
+                    # it, as after redo: else its image looks older than its
+                    # log (the scrubber's dropped-write test).
+                    page.lsn = self.log.append(
                         StampOp(
                             tid=tid, table_id=table_id, page_id=page.page_id,
                             key=key, ttime=ts.ttime, sn=ts.sn,

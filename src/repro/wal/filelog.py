@@ -12,10 +12,11 @@ exactly).  :class:`FileLogManager` extends it with a real log file:
   the log, so a force overwrites bytes the file already has: it changes no
   size and allocates nothing, and ``fdatasync`` has no metadata to commit.
   Everything past the end of the log is zero (the *zero-tail invariant*);
-* each on-disk frame is ``length(4) + crc32(4) + record bytes``, so a torn
-  or bit-garbled tail is *detected*, not just guessed at: the load scan
-  stops at the first frame whose length is zero or implausible, whose CRC32
-  mismatches, or whose record bytes fail to decode;
+* each on-disk frame is ``length(4) + crc32(4) + record bytes``
+  (:mod:`repro.storage.framing`), so a torn or bit-garbled tail is
+  *detected*, not just guessed at: the load scan stops at the first frame
+  whose length is zero or implausible, whose CRC32 mismatches, or whose
+  record bytes fail to decode;
 * the master checkpoint LSN lives in a small side file, written atomically
   (the "durable master record" a real engine keeps in the log header);
 * opening an existing path replays the file into memory — a process that
@@ -32,15 +33,13 @@ before extents existed simply ends at its end of log and opens the same.
 from __future__ import annotations
 
 import os
-import struct
 import zlib
 
 from repro.errors import LogFormatError, WALError
 from repro.faults.failpoints import fire
+from repro.storage.framing import HEADER as _FRAME, scan
 from repro.wal.log import LogManager, _NO_MUTEX
 from repro.wal.records import LogRecord
-
-_FRAME = struct.Struct(">II")   # length, crc32 of the record bytes
 
 EXTENT_BYTES = 256 * 1024
 """The file grows by whole zero-filled extents of this size.
@@ -56,32 +55,13 @@ _ZEROS = bytes(32 * 1024)     # written in pieces: no extent-sized buffer
 _datasync = getattr(os, "fdatasync", os.fsync)
 
 
-def scan_frames(data: bytes, offset: int) -> tuple[list[int], list[bytes], int]:
-    """The valid frames of a log image from ``offset`` on.
-
-    Returns (LSN of each record, its bytes, end of log): the scan stops at
-    the first frame that is zero-length, runs past the image, fails its
-    CRC32 or does not decode — the end of the log, or a torn tail.
-    """
-    lsns: list[int] = []
-    raws: list[bytes] = []
-    size = _FRAME.size
-    while offset + size <= len(data):
-        length, crc = _FRAME.unpack_from(data, offset)
-        end = offset + size + length
-        if length == 0 or end > len(data):
-            break
-        raw = data[offset + size : end]
-        if zlib.crc32(raw) != crc:
-            break  # garbled frame: the CRC catches bit damage too
-        try:
-            LogRecord.decode(raw)
-        except LogFormatError:
-            break
-        lsns.append(offset)
-        raws.append(raw)
-        offset = end
-    return lsns, raws, offset
+def _decodes(raw: bytes) -> bool:
+    """The load scan's test of a frame the CRC passed: is it a log record?"""
+    try:
+        LogRecord.decode(raw)
+    except LogFormatError:
+        return False
+    return True
 
 
 class FileLogManager(LogManager):
@@ -114,7 +94,7 @@ class FileLogManager(LogManager):
         data = self._file.read()
         if len(data) < self.HEADER_BYTES:
             raise WALError(f"{self.path}: shorter than the log header")
-        self._lsns, self._raws, end = scan_frames(data, self.HEADER_BYTES)
+        self._lsns, self._raws, end = scan(data, self.HEADER_BYTES, _decodes)
         self._end_lsn = self._synced_lsn = self._flushed_lsn = end
         self._reserved = len(data)
         debris = len(data[end:].rstrip(b"\x00"))

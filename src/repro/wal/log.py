@@ -15,7 +15,6 @@ this is what makes the paper's 9.6 ms baseline).
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -93,11 +92,6 @@ class LogManager:
         # the mutex so appends continue while a force is in flight.
         self.force_order = None
         self._synced_lsn = self.HEADER_BYTES   # durable, not yet published
-        # Simulated synchronous-commit device latency, paid once per
-        # *physical* force (default 0.0: off).  The sleep releases the GIL,
-        # so under the worker pool a single force genuinely overlaps other
-        # workers' progress — this is the latency group commit amortizes.
-        self.force_latency_ms = 0.0
 
     # -- appending ---------------------------------------------------------
 
@@ -178,8 +172,6 @@ class LogManager:
                 if target > self._synced_lsn:
                     upto = self._write_out()
                     fire("log.force")
-                    if self.force_latency_ms > 0.0:
-                        time.sleep(self.force_latency_ms / 1000.0)
                     self.stats.forced_bytes += upto - self._synced_lsn
                     self.stats.forces += 1
                     self._synced_lsn = upto

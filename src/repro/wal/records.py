@@ -14,6 +14,11 @@ Design notes:
   the version to the page it names, guarded by the page LSN; undo is logical
   (remove the transaction's uncommitted version wherever the key now lives),
   because a key split may have moved the record after the update.
+* **Redo lives with the codec**: every page-affecting record type says what
+  it does to a page (``redo(page)``, or ``image_for(page_id)`` for the
+  records that carry whole after-images).  Restart redo and single-page
+  media restore both call these, after their own page-LSN guard, so a
+  record has one reading however the page is being rebuilt.
 * **Structure modifications** (:class:`MultiPageImage`) are redo-only and
   atomic: a single record carries the after-images of every page touched by
   a time split / key split / index post, so a crash can never leave half a
@@ -31,7 +36,10 @@ import enum
 import struct
 from dataclasses import dataclass, field
 
+from repro.clock import Timestamp
 from repro.errors import LogFormatError
+from repro.storage.page import DataPage, Page, decode_page
+from repro.storage.record import RecordVersion
 
 
 class VersionOpKind(enum.IntEnum):
@@ -205,6 +213,13 @@ class VersionOp(LogRecord):
     def affected_pages(self) -> tuple[int, ...]:
         return (self.page_id,)
 
+    def redo(self, page: DataPage) -> None:
+        """Add the version again, TID-marked: stamping was never logged."""
+        page.insert_version(RecordVersion.new(
+            self.key, self.payload, self.tid,
+            delete_stub=self.kind == VersionOpKind.DELETE,
+        ))
+
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
         key, payload = self.key, self.payload
@@ -229,8 +244,31 @@ class VersionOp(LogRecord):
         )
 
 
+class _PageImages:
+    """Redo of the record types that carry full page after-images."""
+
+    images: list[tuple[int, bytes]]
+    lsn: int
+
+    def affected_pages(self) -> tuple[int, ...]:
+        return tuple(page_id for page_id, _ in self.images)
+
+    def image_for(self, page_id: int) -> Page | None:
+        """``page_id`` as this record leaves it (None: it carries no image of it).
+
+        Writers stamp ``next_lsn`` into a page before imaging it; the max
+        keeps the page-LSN guard sound for an image that was not.
+        """
+        for image_pid, image in self.images:
+            if image_pid == page_id:
+                page = decode_page(image)
+                page.lsn = max(page.lsn, self.lsn)
+                return page
+        return None
+
+
 @dataclass
-class MultiPageImage(LogRecord):
+class MultiPageImage(_PageImages, LogRecord):
     """Redo-only, atomic after-images for a structure modification."""
 
     TAG = 6
@@ -238,9 +276,6 @@ class MultiPageImage(LogRecord):
     CARRIES_IMAGES = True
     reason: SMOReason = SMOReason.OTHER
     images: list[tuple[int, bytes]] = field(default_factory=list)
-
-    def affected_pages(self) -> tuple[int, ...]:
-        return tuple(page_id for page_id, _ in self.images)
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
@@ -256,7 +291,7 @@ class MultiPageImage(LogRecord):
 
 
 @dataclass
-class CompensationRecord(LogRecord):
+class CompensationRecord(_PageImages, LogRecord):
     """CLR: records one undone action as redo-only page after-images."""
 
     TAG = 7
@@ -264,9 +299,6 @@ class CompensationRecord(LogRecord):
     CARRIES_IMAGES = True
     undo_next_lsn: int = 0
     images: list[tuple[int, bytes]] = field(default_factory=list)
-
-    def affected_pages(self) -> tuple[int, ...]:
-        return tuple(page_id for page_id, _ in self.images)
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
@@ -385,6 +417,13 @@ class StampOp(LogRecord):
     def affected_pages(self) -> tuple[int, ...]:
         return (self.page_id,)
 
+    def redo(self, page: DataPage) -> None:
+        """Stamp the transaction's still TID-marked version of the key."""
+        for version in page.chain(self.key):
+            if not version.is_timestamped and version.tid == self.tid:
+                version.stamp(Timestamp(self.ttime, self.sn))
+                break
+
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
         chunks: list[bytes] = [
@@ -427,6 +466,9 @@ class InPlaceUpdate(LogRecord):
 
     def affected_pages(self) -> tuple[int, ...]:
         return (self.page_id,)
+
+    def redo(self, page: DataPage) -> None:
+        page.replace_payload_in_place(self.key, self.after)
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""

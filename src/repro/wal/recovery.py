@@ -2,8 +2,8 @@
 
 The recovery manager understands the paper's versioned log operations:
 
-* redo of a :class:`~repro.wal.records.VersionOp` re-applies the version to
-  its page, guarded by the page LSN;
+* redo of a page-affecting record is the record's own ``redo`` (see
+  :mod:`repro.wal.records`), applied here under the page-LSN guard;
 * redo of a commit record restores the TID → timestamp mapping (VTT cache,
   plus an idempotent PTT insert for immortal transactions), which is what
   lets lazy timestamping finish *after* the crash for versions that redo
@@ -26,8 +26,7 @@ from typing import TYPE_CHECKING, Protocol
 from repro.clock import Timestamp
 from repro.errors import RecoveryError, StorageError
 from repro.storage.buffer import BufferPool
-from repro.storage.page import DataPage, Page, decode_page
-from repro.storage.record import RecordVersion
+from repro.storage.page import DataPage, Page
 from repro.wal.log import LogManager
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
@@ -47,7 +46,6 @@ from repro.wal.records import (
     StampOp,
     TxnPhase,
     VersionOp,
-    VersionOpKind,
 )
 
 
@@ -174,16 +172,14 @@ def _page_lsn(buffer: BufferPool, page_id: int) -> int:
 
 
 def _install_images(
-    buffer: BufferPool, images: list[tuple[int, bytes]], lsn: int,
+    buffer: BufferPool, rec: MultiPageImage | CompensationRecord,
     report: RecoveryReport,
 ) -> None:
-    for page_id, image in images:
-        if _page_lsn(buffer, page_id) >= lsn:
+    for page_id in rec.affected_pages():
+        if _page_lsn(buffer, page_id) >= rec.lsn:
             report.redo_skipped += 1
             continue
-        page = decode_page(image)
-        page.lsn = max(page.lsn, lsn)
-        buffer.replace_page(page)
+        buffer.replace_page(rec.image_for(page_id))
         report.redo_applied += 1
 
 
@@ -211,62 +207,24 @@ def _redo(
                 report.max_commit_ts = ts
         elif isinstance(rec, PTTDelete):
             support.ptt.delete(rec.subject_tid, rec_lsn=rec.lsn)
-        elif isinstance(rec, VersionOp):
-            _redo_version_op(buffer, rec, report)
-        elif isinstance(rec, InPlaceUpdate):
-            _redo_in_place(buffer, rec, report)
-        elif isinstance(rec, StampOp):
-            _redo_stamp(buffer, rec, report)
+        elif isinstance(rec, (VersionOp, InPlaceUpdate, StampOp)):
+            _redo_on_page(buffer, rec, report)
         elif isinstance(rec, (MultiPageImage, CompensationRecord)):
-            _install_images(buffer, rec.images, rec.lsn, report)
+            _install_images(buffer, rec, report)
 
 
-def _fetch_data_page(buffer: BufferPool, page_id: int) -> DataPage:
-    page = buffer.get_page(page_id)
+def _redo_on_page(
+    buffer: BufferPool, rec: VersionOp | InPlaceUpdate | StampOp,
+    report: RecoveryReport,
+) -> None:
+    """Redo one single-page record: LSN guard, one fetch, the record's redo."""
+    if _page_lsn(buffer, rec.page_id) >= rec.lsn:
+        report.redo_skipped += 1
+        return
+    page = buffer.get_page(rec.page_id)
     if not isinstance(page, DataPage):
-        raise RecoveryError(f"redo target page {page_id} is not a data page")
-    return page
-
-
-def _redo_version_op(
-    buffer: BufferPool, rec: VersionOp, report: RecoveryReport
-) -> None:
-    if _page_lsn(buffer, rec.page_id) >= rec.lsn:
-        report.redo_skipped += 1
-        return
-    page = _fetch_data_page(buffer, rec.page_id)
-    version = RecordVersion.new(
-        rec.key, rec.payload, rec.tid,
-        delete_stub=rec.kind == VersionOpKind.DELETE,
-    )
-    page.insert_version(version)
-    page.lsn = rec.lsn
-    buffer.mark_dirty(rec.page_id, rec.lsn)
-    report.redo_applied += 1
-
-
-def _redo_in_place(
-    buffer: BufferPool, rec: InPlaceUpdate, report: RecoveryReport
-) -> None:
-    if _page_lsn(buffer, rec.page_id) >= rec.lsn:
-        report.redo_skipped += 1
-        return
-    page = _fetch_data_page(buffer, rec.page_id)
-    page.replace_payload_in_place(rec.key, rec.after)
-    page.lsn = rec.lsn
-    buffer.mark_dirty(rec.page_id, rec.lsn)
-    report.redo_applied += 1
-
-
-def _redo_stamp(buffer: BufferPool, rec: StampOp, report: RecoveryReport) -> None:
-    if _page_lsn(buffer, rec.page_id) >= rec.lsn:
-        report.redo_skipped += 1
-        return
-    page = _fetch_data_page(buffer, rec.page_id)
-    for version in page.chain(rec.key):
-        if not version.is_timestamped and version.tid == rec.tid:
-            version.stamp(Timestamp(rec.ttime, rec.sn))
-            break
+        raise RecoveryError(f"redo target page {rec.page_id} is not a data page")
+    rec.redo(page)
     page.lsn = rec.lsn
     buffer.mark_dirty(rec.page_id, rec.lsn)
     report.redo_applied += 1

@@ -10,9 +10,9 @@ one :class:`~repro.core.engine.ImmortalDB`:
 * **Conflict retry**: deadlock victimhood, lock conflicts and snapshot
   write-conflicts abort the attempt and retry the body in a *fresh*
   transaction, after a seeded exponential
-  backoff (deterministic per task, so reruns of a seeded workload retry
-  on the same schedule).  Anything else fails the future with the
-  original exception.
+  backoff (a :class:`~repro.storage.disk.RetryPolicy` seeded per task, so
+  reruns of a seeded workload retry on the same schedule).  Anything else
+  fails the future with the original exception.
 * **Group-commit batching**: with ``group_commit_window > 1`` commits are
   volatile until a force.  The pool's durability policy is
   *last-active-worker-flushes*: a worker that finishes a task while no
@@ -29,7 +29,6 @@ engine built with the defaults.
 from __future__ import annotations
 
 import queue
-import random
 import threading
 import time
 from dataclasses import dataclass, field
@@ -43,6 +42,11 @@ from repro.errors import (
     TimestampOrderError,
     WriteConflictError,
 )
+from repro.storage.disk import RetryPolicy
+
+MAX_RETRIES = 16          # fresh attempts a conflicting task gets after its first
+BACKOFF_STEP_MS = 0.1     # one RetryPolicy backoff step
+BACKOFF_CAP_MS = 5.0      # no single backoff sleeps longer
 
 #: Conflicts a fresh attempt may well not hit again.
 RETRYABLE_ERRORS = (
@@ -101,7 +105,7 @@ class TxnFuture:
 class _Task:
     fn: Callable[[Transaction], object]
     future: TxnFuture
-    rng: random.Random | None = None   # backoff jitter; raw tasks never retry
+    seq: int = 0        # submission number: seeds the task's backoff schedule
     mode: TxnMode | None = None
     raw: bool = False   # call fn() directly: no txn bracket, no retry
 
@@ -126,9 +130,6 @@ class WorkerPool:
         db,
         n_workers: int = 4,
         *,
-        max_retries: int = 16,
-        backoff_base_ms: float = 0.1,
-        backoff_cap_ms: float = 5.0,
         seed: int = 0,
         queue_depth: int = 128,
     ) -> None:
@@ -136,9 +137,6 @@ class WorkerPool:
             raise ValueError("need at least one worker")
         db.enable_concurrency()
         self.db = db
-        self.max_retries = max_retries
-        self.backoff_base_ms = backoff_base_ms
-        self.backoff_cap_ms = backoff_cap_ms
         self.seed = seed
         self.stats = PoolStats()
         self._queue: queue.Queue[_Task] = queue.Queue(maxsize=queue_depth)
@@ -186,8 +184,7 @@ class WorkerPool:
         task = _Task(
             fn=fn,
             future=future,
-            # Deterministic per task: reruns back off on the same schedule.
-            rng=random.Random((self.seed << 24) ^ seq),
+            seq=seq,
             mode=mode,
         )
         if threading.current_thread() in self._workers:
@@ -280,12 +277,18 @@ class WorkerPool:
             future._completed.set()
             return
         last_error: Exception | None = None
-        for attempt in range(self.max_retries + 1):
+        backoff: RetryPolicy | None = None
+        for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 self.db.txn_mgr.txn_retries += 1
                 self.stats.retries += 1
                 future.retries += 1
-                self._backoff(task.rng, attempt)
+                if backoff is None:
+                    # Deterministic per task: reruns back off on the same
+                    # schedule, and conflicting tasks spread out.
+                    backoff = RetryPolicy(seed=(self.seed << 24) ^ task.seq)
+                steps = backoff.backoff_steps(attempt)
+                time.sleep(min(BACKOFF_CAP_MS, steps * BACKOFF_STEP_MS) / 1000.0)
             txn = (
                 self.db.begin(task.mode)
                 if task.mode is not None
@@ -319,9 +322,9 @@ class WorkerPool:
             future._completed.set()
             return
         future.exception = RetriesExhaustedError(
-            f"task still conflicting after {self.max_retries + 1} attempts "
+            f"task still conflicting after {MAX_RETRIES + 1} attempts "
             f"(last: {last_error!r})",
-            attempts=self.max_retries + 1,
+            attempts=MAX_RETRIES + 1,
             last=last_error,
         )
         self.stats.failed += 1
@@ -335,14 +338,6 @@ class WorkerPool:
                 self.db.abort(txn)
             except Exception:
                 pass
-
-    def _backoff(self, rng: random.Random, attempt: int) -> None:
-        delay_ms = min(
-            self.backoff_cap_ms, self.backoff_base_ms * (2 ** (attempt - 1))
-        )
-        # Jittered (0.5x..1.5x) from the task's seeded RNG: deterministic,
-        # but desynchronized across tasks so conflicting retries spread out.
-        time.sleep(delay_ms * (0.5 + rng.random()) / 1000.0)
 
     def _on_durable_commit(self, txn: Transaction) -> None:
         # Called from whichever thread performed the physical force, with

@@ -8,9 +8,7 @@
   along shortest paths at a class-specific speed (→ one Update transaction
   per step), and stops reporting when it reaches its destination — so
   objects accumulate different numbers of updates, exactly the skew the
-  Fig-5/Fig-6 experiments rely on,
-* :mod:`repro.workloads.generic` — simple uniform/zipfian update streams
-  for the ablation benches.
+  Fig-5/Fig-6 experiments rely on.
 """
 
 from repro.workloads.roadnet import RoadNetwork
@@ -18,12 +16,9 @@ from repro.workloads.moving_objects import (
     MovingObjectEvent,
     MovingObjectWorkload,
 )
-from repro.workloads.generic import UpdateStream, zipf_keys
 
 __all__ = [
     "RoadNetwork",
     "MovingObjectEvent",
     "MovingObjectWorkload",
-    "UpdateStream",
-    "zipf_keys",
 ]

@@ -19,7 +19,7 @@ import pytest
 
 from repro.archive import delta, manager as archive_manager
 from repro.archive.delta import decode_block, encode_block
-from repro.archive.store import ArchiveStore, RECORD_BLOCK
+from repro.archive.store import ArchiveStore, RECORD_BLOCK, RECORD_MANIFEST
 from repro.clock import Timestamp, encode_tid_field
 from repro.core.engine import ImmortalDB
 from repro.core.integrity import integrity_report, verify_integrity
@@ -32,6 +32,7 @@ from repro.faults.crashtest import (
 )
 from repro.repair.quarantine import Degraded
 from repro.storage.constants import ARCHIVE_PID_BIT, NO_PAGE
+from repro.storage.framing import HEADER, scan
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
 
@@ -346,6 +347,31 @@ class TestArchiveStore:
         assert reopened.record_count == 2
         assert reopened.read_block(a) == b"alpha"
         assert reopened.last_manifest() == {"refs": []}
+        reopened.close()
+
+    def test_flipped_type_byte_is_a_torn_tail(self, tmp_path):
+        """The type byte is inside the frame's CRC: a manifest turned into
+        a block (or back) by one flipped bit is dropped, not misread."""
+        path = str(tmp_path / "arch")
+        store = ArchiveStore(path)
+        store.append_manifest({"gen": 1})
+        store.append_block(b"alpha")
+        store.append_manifest({"gen": 2})
+        store.sync()
+        assert store.durable_count == 3
+        store.close()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        last = scan(data)[0][-1]            # offset of the last frame
+        type_at = last + HEADER.size        # its first payload byte
+        assert data[type_at] == RECORD_MANIFEST
+        with open(path, "r+b") as fh:
+            fh.seek(type_at)
+            fh.write(bytes([data[type_at] ^ 0x01]))
+        reopened = ArchiveStore(path)
+        assert reopened.durable_count == 2
+        assert reopened.last_manifest() == {"gen": 1}
+        assert reopened.read_block(1) == b"alpha"
         reopened.close()
 
 

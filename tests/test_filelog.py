@@ -14,9 +14,11 @@ from repro.faults.failpoints import (
     installed,
 )
 from repro.faults.models import tear_log_tail
+from repro.storage.framing import scan
 from repro.wal import filelog
-from repro.wal.filelog import EXTENT_BYTES, FileLogManager, scan_frames
+from repro.wal.filelog import EXTENT_BYTES, FileLogManager
 from repro.wal.records import BeginTxn, CommitTxn, LogRecord
+from tests.test_framing import damaged_images
 
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.TEXT)]
@@ -38,7 +40,7 @@ def frames_on_disk(path) -> tuple[list[int], list[bytes], int, bytes]:
     """(offsets, record bytes, end of log, whole image) of a log file."""
     with open(path, "rb") as fh:
         data = fh.read()
-    return (*scan_frames(data, HEADER), data)
+    return (*scan(data, HEADER), data)
 
 
 def assert_offsets_are_lsns(path, tids: list[int]) -> None:
@@ -285,7 +287,7 @@ class TestDevicePath:
         tear_log_tail(path, garble_at=torn_at + FileLogManager.FRAME_BYTES)
         offsets, raws, end, data = frames_on_disk(path)
         assert end == torn_at               # the scan stops at frame 2 ...
-        assert scan_frames(data, log._lsns[2])[0] == log._lsns[2:]   # ... 3, 4 valid
+        assert scan(data, log._lsns[2])[0] == log._lsns[2:]   # ... 3, 4 valid
 
         reopened = FileLogManager(path)
         assert [r.tid for r in reopened.records_from(0)] == [1]
@@ -458,6 +460,15 @@ class TestLastTwoForcesSweep:
             image = bytearray(data)
             image[at] ^= 0x40
             self._check(tmp_path, data, bytes(image), bounds, f"garbled at {at}")
+
+    def test_damaged_frame_table(self, tmp_path, base):
+        """The table every reader of the frame format is held to."""
+        data, bounds, _, _ = base
+        for label, damaged, good in damaged_images(scan(data, HEADER)[1]):
+            image = data[:HEADER] + damaged
+            image += bytes(len(data) - len(image))      # the zero tail
+            assert self._surviving(data, image, bounds) == good, label
+            self._check(tmp_path, data, image, bounds, label)
 
 
 class TestCrossProcessDurability:

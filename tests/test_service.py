@@ -28,6 +28,7 @@ from repro.service.client import ServiceClient
 from repro.service.core import ServiceCore, classify_statement
 from repro.service.server import ThreadedService
 from repro.service.transport import LoopbackConnection
+from repro.storage.disk import RetryPolicy
 
 
 def _make_db() -> ImmortalDB:
@@ -371,6 +372,87 @@ def _serve(db, **kwargs) -> ThreadedService:
     kwargs.setdefault("pool_workers", 2)
     kwargs.setdefault("queue_depth", 32)
     return ThreadedService(db, port=0, **kwargs)
+
+
+@pytest.fixture(params=["loopback", "socket"])
+def resending(request):
+    """``(client, core)``: one client of each transport, three attempts each.
+
+    Both are the same ``ServiceClient.request`` loop; only the wire under
+    ``_exchange`` differs.
+    """
+    db = _make_db()
+    policy = RetryPolicy(max_attempts=3)
+    if request.param == "loopback":
+        core = _core(db)
+        client = LoopbackConnection(core, retry_policy=policy, client_key="resend")
+        yield client, core
+        client.close()
+    else:
+        with _serve(db) as svc:
+            client = ServiceClient(
+                "127.0.0.1", svc.port, retry_policy=policy, retry_step_ms=0.1
+            )
+            yield client, svc.core
+            client.close()
+
+
+def _lose_responses(client, count: int) -> list:
+    """The next ``count`` exchanges run server-side, then their reply is lost.
+
+    Returns the list the request ids of every exchange are appended to.
+    """
+    real = type(client)._exchange
+    ids: list = []
+
+    def exchange(message):
+        response = real(client, message)
+        ids.append(message["id"])
+        if len(ids) <= count:
+            raise ConnectionLostError("response lost in flight (test)")
+        return response
+
+    client._exchange = exchange
+    return ids
+
+
+class TestResendLoop:
+    """The client half of the ack contract, on both transports."""
+
+    def test_retry_resends_the_same_id_and_runs_once(self, resending):
+        client, core = resending
+        ids = _lose_responses(client, 1)
+        response = client.execute("INSERT INTO t (k, v) VALUES (9, 'ack')")
+        assert response["status"] == protocol.STATUS_OK
+        assert len(ids) == 2 and ids[0] == ids[1]
+        assert client.reconnects == 1
+        assert core.stats.duplicate_hits == 1
+        assert len(_rows(client.execute("SELECT HISTORY OF t WHERE k = 9"))) == 1
+
+    def test_loss_inside_a_bracket_is_surfaced_not_retried(self, resending):
+        client, core = resending
+        client.execute("INSERT INTO t (k, v) VALUES (1, 'base')")
+        client.execute("BEGIN TRAN")
+        ids = _lose_responses(client, 1)
+        # The server aborts the bracket with the connection; a resend would
+        # run the statement autocommit on a fresh session.
+        with pytest.raises(ConnectionLostError):
+            client.execute("UPDATE t SET v = 'poison' WHERE k = 1")
+        assert len(ids) == 1 and client.reconnects == 0
+        assert _wait_until(
+            lambda: core.db.stats()["service_aborted_on_disconnect"] == 1
+        )
+        assert _value(client, 1) == "base"
+
+    def test_exhausted_attempts_raise_after_one_execution(self, resending):
+        client, core = resending
+        ids = _lose_responses(client, 3)
+        with pytest.raises(ConnectionLostError, match="after 3 attempts"):
+            client.execute("INSERT INTO t (k, v) VALUES (7, 'once')")
+        assert len(ids) == 3 and len(set(ids)) == 1
+        assert client.reconnects == 2
+        assert core.stats.duplicate_hits == 2
+        assert len(_rows(client.execute("SELECT HISTORY OF t WHERE k = 7"))) == 1
 
 
 class TestServerEndToEnd:

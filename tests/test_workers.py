@@ -139,8 +139,8 @@ class TestRawTasks:
 
         with WorkerPool(db, n_workers=2) as pool:
             # Seeding an RNG from the OS is a syscall a raw task never uses.
-            monkeypatch.setattr("repro.workers.pool.random.Random",
-                                CountingRandom)
+            # (A transaction task builds its backoff RNG at its first retry.)
+            monkeypatch.setattr("random.Random", CountingRandom)
             begun = db.txn_mgr.next_tid
             assert pool.submit_call(lambda: 6 * 7).result(10.0) == 42
             assert built == []

@@ -7,7 +7,6 @@ import random
 import networkx as nx
 import pytest
 
-from repro.workloads.generic import UpdateStream, zipf_keys
 from repro.workloads.moving_objects import (
     MovingObjectWorkload,
     REPORT_INTERVAL_MS,
@@ -113,31 +112,3 @@ class TestMovingObjectWorkload:
             b.time_ms - a.time_ms for a, b in zip(events, events[1:])
         ]
         assert all(abs(d - REPORT_INTERVAL_MS) < 1e-6 for d in deltas)
-
-
-class TestGenericStreams:
-    def test_uniform_stream_counts(self):
-        stream = UpdateStream(keys=10, updates=50)
-        ops = list(stream)
-        assert len(ops) == 60
-        inserts = [op for op in ops if op.kind == "insert"]
-        assert len(inserts) == 10
-
-    def test_uniform_is_round_robin(self):
-        stream = UpdateStream(keys=4, updates=8)
-        updates = [op.key for op in stream if op.kind == "update"]
-        assert updates == [0, 1, 2, 3, 0, 1, 2, 3]
-
-    def test_zipf_skews_to_low_keys(self):
-        keys = zipf_keys(5000, 100, seed=1)
-        low = sum(1 for k in keys if k < 10)
-        assert low > len(keys) * 0.4
-
-    def test_zipf_stream_deterministic(self):
-        a = list(UpdateStream(keys=20, updates=100, distribution="zipf"))
-        b = list(UpdateStream(keys=20, updates=100, distribution="zipf"))
-        assert a == b
-
-    def test_bad_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            UpdateStream(keys=1, updates=1, distribution="normal")
