@@ -13,7 +13,6 @@ Quickstart::
 from __future__ import annotations
 
 import argparse
-import asyncio
 
 from repro.core.engine import ImmortalDB
 from repro.service.server import SQLService
@@ -30,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="directory for a file-backed engine "
                              "(default: in-memory)")
     parser.add_argument("--workers", type=int, default=4,
-                        help="worker-pool threads (0 = inline execution)")
+                        help="requests that may execute at once "
+                             "(0 = the admission budget alone)")
     parser.add_argument("--max-inflight", type=int, default=64,
                         help="admission budget (reads shed at 75%%)")
     parser.add_argument("--group-commit", type=int, default=8,
@@ -52,7 +52,8 @@ def _seed_demo(db: ImmortalDB) -> None:
     db.flush_commits()
 
 
-async def _serve(args) -> None:
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
     db = ImmortalDB(args.path, group_commit_window=args.group_commit)
     if args.demo:
         _seed_demo(db)
@@ -65,23 +66,15 @@ async def _serve(args) -> None:
         request_timeout_s=args.request_timeout,
         idle_timeout_s=args.idle_timeout,
     )
-    await service.start()
+    service.start()
     print(f"repro.service listening on {service.host}:{service.port}")
     try:
-        await service.serve_forever()
-    except (KeyboardInterrupt, asyncio.CancelledError):
-        pass
-    finally:
-        await service.shutdown()
-        db.close()
-
-
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
-        asyncio.run(_serve(args))
+        service.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        service.shutdown()
+        db.close()
     return 0
 
 

@@ -1,7 +1,7 @@
 """Admission control: a bounded in-flight budget with read-first shedding.
 
-The controller tracks how many requests are executing (or queued into the
-worker pool) right now and rejects above a budget, raising
+The controller tracks how many requests are executing (or waiting for an
+execution slot) right now and rejects above a budget, raising
 :class:`~repro.errors.ServiceOverloadedError` with a load-scaled
 retry-after hint instead of letting latency grow without bound.
 

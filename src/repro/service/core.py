@@ -3,9 +3,9 @@
 :class:`ServiceCore` is the whole service minus the sockets: it owns the
 session table, the admission controller, the request dispatcher, the
 idempotency cache, and the service counters the engine exposes through
-``stats()``.  The asyncio server (:mod:`repro.service.server`) and the
+``stats()``.  The socket server (:mod:`repro.service.server`) and the
 deterministic loopback transport (:mod:`repro.service.transport`) are both
-thin byte-shufflers over ``handle_message`` — which is what lets the
+thin byte-shufflers over ``handle_payload`` — which is what lets the
 crashtest drive every ``service.*`` failpoint crossing single-threaded,
 with :class:`~repro.faults.failpoints.SimulatedCrash` propagating
 synchronously out of the call stack.
@@ -14,21 +14,22 @@ Execution routing
 -----------------
 ``handle_payload`` is the whole of a request's execution — idempotency
 lookup, session lock, retry loop, statement, durable-ack flush, response —
-and runs on whichever thread calls it: a
-:class:`~repro.workers.pool.WorkerPool` worker behind the socket server
-(the pool's ``queue_depth`` is the second backpressure tier after
-admission control), the caller's own thread under the loopback transport
-and the crashtest.  The order of operations is identical.
+and runs on whichever thread calls it: the connection's own thread behind
+the socket server (which first takes one of its ``pool_workers`` execution
+slots), the caller's thread under the loopback transport and the
+crashtest.  The order of operations is identical.  Only bulk ingest still
+fans out, to a :class:`~repro.workers.pool.WorkerPool` when there is one.
 
 Admission
 ---------
 A request that starts a new piece of work takes one slot of the in-flight
 budget before anything else happens to it and gives it back when its
 response is built.  :meth:`ServiceCore.admit` is that decision, and it
-never blocks: the socket server calls it on the event-loop thread, *before*
-the request queues for a worker, so a shed reply costs no thread and
-in-flight counts queued plus executing requests; synchronous callers leave
-it to ``handle_message``.
+never blocks: the socket server calls it *before* the request waits for an
+execution slot, so a shed reply costs no slot and no wait, and in-flight
+counts the work the server has accepted — waiting for a slot plus
+executing.  Frames a connection has not read yet are not counted: TCP
+holds those back.  Synchronous callers leave it to ``handle_message``.
 
 Durability before ack
 ---------------------
@@ -190,7 +191,7 @@ class ServiceCore:
 
     def on_disconnect(self, session: ServiceSession, reason: str) -> None:
         """Connection dropped.  If a request is mid-execution the session
-        lock is held; mark the session defunct so the finishing worker
+        lock is held; mark the session defunct so the finishing thread
         closes it (abort + lock release) the moment the body returns."""
         if session.lock.acquire(blocking=False):
             try:
@@ -296,13 +297,16 @@ class ServiceCore:
         )
 
     def handle_payload(
-        self, session: ServiceSession, payload: bytes, admitted=None
+        self, session: ServiceSession, payload: bytes, admitted=None,
+        message: dict | None = None,
     ) -> dict:
-        """Decode one frame payload and dispatch it."""
-        try:
-            message = protocol.decode_message(payload)
-        except ProtocolError as exc:
-            return protocol.error_response(None, exc, retryable=False)
+        """Dispatch one frame payload; ``message`` is its decoding when the
+        transport needed that to call :meth:`admit` (one decode a request)."""
+        if message is None:
+            try:
+                message = protocol.decode_message(payload)
+            except ProtocolError as exc:
+                return protocol.error_response(None, exc, retryable=False)
         return self.handle_message(session, message, admitted)
 
     def handle_message(
@@ -536,9 +540,7 @@ class ServiceCore:
 
             if self.pool is not None:
                 # Fresh-txn bodies: the pool retries conflicts and batches
-                # the commits through group commit.  (On a pool worker —
-                # where the socket server runs this — submit executes the
-                # body in place.)
+                # the commits through group commit.
                 futures.append(self.pool.submit(body))
             else:
                 with self.db.transaction() as txn:

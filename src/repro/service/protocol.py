@@ -43,17 +43,20 @@ STATUS_TIMEOUT = "timeout"
 STATUS_BYE = "bye"
 
 
+# One codec pair for the process: ``json.dumps`` with non-default arguments
+# builds a new encoder on every call.
+_encode_json = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+_decode_json = json.JSONDecoder().decode
+
+
 def encode_message(message: dict) -> bytes:
     """JSON-encode a message dict and frame it."""
-    payload = json.dumps(
-        message, separators=(",", ":"), sort_keys=True
-    ).encode("utf-8")
-    return encode_frame(payload)
+    return encode_frame(_encode_json(message).encode("utf-8"))
 
 
 def decode_message(payload: bytes) -> dict:
     try:
-        message = json.loads(payload.decode("utf-8"))
+        message = _decode_json(payload.decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise ProtocolError(f"frame payload is not valid JSON: {exc}") from None
     if not isinstance(message, dict):

@@ -1,43 +1,51 @@
-"""The asyncio socket server over :class:`~repro.service.core.ServiceCore`.
+"""The socket server over :class:`~repro.service.core.ServiceCore`.
 
-A request crosses threads twice.  The event-loop thread owns every
-connection (one :class:`asyncio.Protocol` each): it reassembles and decodes
-the frame, takes the admission decision — which never blocks, so a shed
-request is answered right there — and hands the admitted request to a
-:class:`~repro.workers.pool.WorkerPool` worker.  The worker runs the whole
-of ``ServiceCore.handle_payload`` (so the engine's blocking locks stall a
-worker, never the loop) and posts the response back with one
-``call_soon_threadsafe``; the loop writes it out framed.  A connection has
-at most one request with a worker at a time; frames a client pipelines
-behind it wait their turn, in order.
+A request stays on one thread.  A blocking listener hands every accepted
+socket to a thread of its own, and that thread carries each request from
+the wire to the log force and back: ``recv`` → frame → decode → admission
+(never blocks: a shed request is answered at once and costs no slot) → an
+execution slot → ``ServiceCore.handle_payload`` → ``sendall``.  Nothing is
+handed to another thread and no timer is armed per request.  A connection
+runs its frames in order, one at a time; what a client pipelines stays in
+the socket buffers — the thread does not read while it executes, and
+``sendall`` blocks on a slow reader — so TCP is the backpressure.
+``pool_workers`` is the number of requests that may *execute* at once: a
+semaphore taken after the admission decision, waited on for no longer
+than the request's deadline.
 
 Robustness behaviours, all typed and test-covered:
 
-* **per-request timeout** — a ``call_later`` deadline armed when the
-  request is handed over; if it fires first, the client gets a ``timeout``
-  response and the connection closes; the still-queued or still-running
-  body sees the session marked defunct and aborts its bracket the moment
-  it completes, and its late result is dropped.
-* **idle-session timeout** — the same per-connection timer, armed while
-  nothing is in flight: a connection silent past ``idle_timeout_s`` gets a
-  ``bye`` and its session is reaped (aborting any open bracket).
+* **per-request timeout** — one service-wide watchdog thread owns the
+  deadline of every admitted request.  When it passes first, the watchdog
+  answers ``timeout``, marks the session defunct and shuts the socket; the
+  still-running body aborts its bracket the moment it completes, its late
+  result is dropped, and its slot and admission budget come back only
+  then.  A request whose deadline passes while it waits for a slot never
+  runs.  A deadline is taken under the service lock, so exactly one of the
+  connection thread and the watchdog writes the reply.
+* **idle-session timeout** — the socket's own timeout: a connection
+  silent (or not reading) past ``idle_timeout_s`` gets a ``bye`` and its
+  session is reaped, aborting any open bracket.
 * **disconnect** — EOF or reset mid-transaction aborts the transaction
   and releases its locks (``service_aborted_on_disconnect`` counts these).
+  A client may half-close after its last request: everything it sent is
+  answered before the EOF behind it is read.
 * **torn frame** — a CRC-failed frame kills the connection (framing sync
   is unrecoverable); the engine never sees the request.
-* **graceful drain** — :meth:`SQLService.shutdown` stops accepting,
-  rejects new work with a typed refusal, waits for in-flight requests up
-  to ``drain_timeout_s``, aborts leftover brackets, forces group commit,
-  and closes the pool.
+* **graceful drain** — :meth:`SQLService.shutdown` refuses new work and
+  new connections with typed replies, stops accepting, waits for busy
+  connections up to ``drain_timeout_s``, hangs up, aborts leftover
+  brackets, forces group commit, and closes the pool.
+* **a bug is loud** — an exception escaping the request path closes that
+  connection with a typed ``error`` reply and then surfaces through
+  ``threading.excepthook``.
 """
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
-import functools
+import socket
 import threading
-from collections import deque
+import time
 
 from repro.errors import (
     ProtocolError,
@@ -51,185 +59,161 @@ from repro.service.admission import AdmissionController
 from repro.service.core import ServiceCore
 from repro.workers.pool import WorkerPool
 
-#: Frames a client may pipeline behind the one executing before the
-#: connection stops reading (TCP backpressure does the rest).
-_MAX_PIPELINED = 64
 
-#: Threads standing in for the worker pool when the backend cannot have one.
-_POOLLESS_THREADS = 4
+class _Connection:
+    """One client socket and the thread that serves it.
 
+    States: *idle* (in ``recv``), *waiting for a slot*, *executing* — in
+    the last two ``deadline`` is set — and *defunct* once ``expired``.
+    """
 
-class _Connection(asyncio.Protocol):
-    """One client connection; every method runs on the event-loop thread
-    except :meth:`_execute`."""
+    def __init__(self, service: "SQLService", sock: socket.socket) -> None:
+        self.service = service
+        self.sock = sock
+        self.session = None
+        self.request_id = None
+        self.deadline: float | None = None  # while a request is past admission
+        self.expired = False                # the deadline was taken: hang up
+        self.thread = threading.Thread(
+            target=self._run, name="svc-conn", daemon=True
+        )
 
-    def __init__(self, service: "SQLService") -> None:
-        self._service = service
-        self._core = service.core
-        self._loop = asyncio.get_running_loop()
-        self._decoder = protocol.FrameDecoder()
-        self._backlog: deque[bytes] = deque()   # complete frames not yet started
-        self._transport = None
-        self._session = None
-        self._timer: asyncio.TimerHandle | None = None
-        self._request_id = None     # of the request a worker holds
-        self.busy = False           # a worker holds a request of ours
-        self._writable = True       # the transport's send buffer has room
-        self._reading = True
-        self._eof = False           # the client finished sending
-        self._close_reason: str | None = None   # set once we hang up
+    # -- the connection thread -------------------------------------------------
 
-    # -- transport callbacks ---------------------------------------------------
-
-    def connection_made(self, transport) -> None:
-        self._transport = transport
+    def _run(self) -> None:
+        reason = "disconnect"
         try:
-            self._session = self._core.open_session()
-        except SessionStateError as exc:
-            transport.write(protocol.encode_message(
-                protocol.bye_response(str(exc))
-            ))
-            transport.close()
-            return
-        self._service.connections.add(self)
-        self._arm(self._service.idle_timeout_s, self._on_idle)
+            reason = self._serve()
+        except Exception as exc:
+            # A bug, not a client's doing: the client still gets an answer,
+            # and the thread dies loudly instead of swallowing it.
+            if self._end_request():
+                self._send(protocol.error_response(
+                    self.request_id, exc, retryable=False
+                ))
+            raise
+        finally:
+            self._retire(reason)
 
-    def data_received(self, data: bytes) -> None:
-        fire("service.read_frame")
+    def _serve(self) -> str:
+        """Read and answer requests until the connection ends; says why."""
         try:
-            self._backlog.extend(self._decoder.feed(data))
-        except TornFrameError:
-            self._core.stats.torn_frames += 1
-            self._hang_up("torn frame")
-            return
-        self._pump()
+            self.session = self.service.core.open_session()
+        except SessionStateError as exc:    # draining
+            self._send(protocol.bye_response(str(exc)))
+            return "drain"
+        decoder = protocol.FrameDecoder()
+        while True:
+            try:
+                data = self.sock.recv(65536)
+            except socket.timeout:
+                self._send(protocol.bye_response("idle timeout"))
+                return "idle"
+            except OSError:
+                return "disconnect"
+            if not data:
+                return "disconnect"
+            fire("service.read_frame")
+            try:
+                payloads = decoder.feed(data)
+            except TornFrameError:
+                self.service.core.stats.torn_frames += 1
+                return "torn frame"
+            for payload in payloads:
+                reason = self._request(payload)
+                if reason is not None:
+                    return reason
 
-    def eof_received(self) -> bool:
-        # A client may half-close after its last request: what is queued
-        # or running is still answered before the connection goes away.
-        self._eof = True
-        return self.busy or bool(self._backlog)
-
-    def pause_writing(self) -> None:
-        self._writable = False
-
-    def resume_writing(self) -> None:
-        self._writable = True
-        self._pump()
-
-    def connection_lost(self, exc) -> None:
-        self._cancel_timer()
-        self._service.connections.discard(self)
-        reason = self._close_reason or "disconnect"
-        self._close_reason = reason
-        if self._session is not None and not self._session.closed:
-            # Mid-execution disconnects defer the close to the worker
-            # (the session lock is held); idle/quiet ones close now.
-            self._core.on_disconnect(self._session, reason)
-
-    # -- the request path --------------------------------------------------------
-
-    def _pump(self) -> None:
-        """Start queued frames, in order, while the connection is free to."""
-        while self._backlog and not self.busy and self._writable \
-                and self._close_reason is None:
-            self._start(self._backlog.popleft())
-        if self._close_reason is not None:
-            return
-        want_reading = len(self._backlog) < _MAX_PIPELINED
-        if want_reading != self._reading:
-            self._reading = want_reading
-            if want_reading:
-                self._transport.resume_reading()
-            else:
-                self._transport.pause_reading()
-        if not self.busy:
-            if self._eof and not self._backlog:
-                self._hang_up("disconnect")
-            else:
-                self._arm(self._service.idle_timeout_s, self._on_idle)
-
-    def _start(self, payload: bytes) -> None:
-        """Decode and admit one frame; hand it to a worker if admitted."""
-        core = self._core
+    def _request(self, payload: bytes) -> str | None:
+        """One request, wire to wire; a reason when it ends the connection."""
+        service = self.service
+        core = service.core
         try:
             message = protocol.decode_message(payload)
         except ProtocolError as exc:
-            self._reply(protocol.error_response(None, exc, retryable=False))
-            return
+            return self._send(protocol.error_response(None, exc, retryable=False))
+        self.request_id = message.get("id")
         try:
-            admitted = core.admit(self._session, message)
+            admitted = core.admit(self.session, message)
         except ServiceOverloadedError as exc:
-            self._reply(core.shed_response(message.get("id"), exc))
-            return
-        self.busy = True
-        self._request_id = message.get("id")
-        self._arm(self._service.request_timeout_s, self._on_deadline)
-        self._service.submit(
-            functools.partial(self._execute, payload, admitted)
+            return self._send(core.shed_response(self.request_id, exc))
+        timeout_s = service.request_timeout_s
+        self.deadline = time.monotonic() + timeout_s
+        response = None
+        if service.slots.acquire(timeout=timeout_s):
+            try:
+                if not self.expired:
+                    response = core.handle_payload(
+                        self.session, payload, admitted, message
+                    )
+            finally:
+                service.slots.release()
+        if response is None:
+            # Never ran: the budget handle_payload would have returned.
+            if admitted:
+                core.admission.release()
+            self.expire()
+        if not self._end_request():
+            return "request timeout"
+        return self._send(response) or (
+            "close" if response["status"] == protocol.STATUS_BYE else None
         )
 
-    def _execute(self, payload: bytes, admitted: bool) -> None:
-        """Worker thread: the whole request, then one hop back to the loop."""
-        try:
-            response = self._core.handle_payload(
-                self._session, payload, admitted
-            )
-        except Exception as exc:    # the client must still get an answer
-            response = protocol.error_response(
-                self._request_id, exc, retryable=False
-            )
-        self._loop.call_soon_threadsafe(self._finish, response)
+    def _end_request(self) -> bool:
+        """Leave the watchdog's sight; False if it already took the reply."""
+        with self.service.lock:
+            self.deadline = None
+            return not self.expired
 
-    def _finish(self, response: dict) -> None:
-        if self._close_reason is not None:
-            return      # the deadline or a disconnect already ended it
-        self.busy = False
-        self._reply(response)
-        if response.get("status") == protocol.STATUS_BYE:
-            self._hang_up("close")
-        else:
-            self._pump()
-
-    def _reply(self, response: dict) -> None:
+    def _send(self, response: dict) -> str | None:
+        """Frame and write one reply; a reason if that ends the connection
+        (the peer is gone, or has not read for ``idle_timeout_s``)."""
         fire("service.write_frame")
-        self._transport.write(protocol.encode_message(response))
+        try:
+            self.sock.sendall(protocol.encode_message(response))
+        except OSError:
+            return "disconnect"
+        return None
 
-    # -- deadlines ---------------------------------------------------------------
+    def _retire(self, reason: str) -> None:
+        service = self.service
+        with service.lock:
+            self.deadline = None
+            service.connections.discard(self)
+        if self.session is not None:
+            service.core.close_session(self.session, reason)
+        self.sock.close()
 
-    def _arm(self, delay_s: float, callback) -> None:
-        """(Re)start the connection's one timer: the request deadline while
-        a worker holds a request, the idle deadline otherwise."""
-        self._cancel_timer()
-        self._timer = self._loop.call_later(delay_s, callback)
+    # -- called from other threads ---------------------------------------------
 
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
+    def expire(self, now: float | None = None) -> None:
+        """Take the request's deadline and answer ``timeout``.
 
-    def _on_idle(self) -> None:
-        self._reply(protocol.bye_response("idle timeout"))
-        self._hang_up("idle")
-
-    def _on_deadline(self) -> None:
-        self._core.on_request_timeout(self._session, "request timeout")
-        self._reply(protocol.timeout_response(
-            self._request_id,
-            deadline_ms=self._service.request_timeout_s * 1000.0,
+        Called by the watchdog with the time it read, or by the connection
+        thread itself when no slot came free in time; at most one wins.
+        """
+        service = self.service
+        with service.lock:
+            if self.deadline is None or (now is not None and self.deadline > now):
+                return
+            self.deadline = None
+            self.expired = True
+            service.core.on_request_timeout(self.session, "request timeout")
+        self._send(protocol.timeout_response(
+            self.request_id, deadline_ms=service.request_timeout_s * 1000.0
         ))
-        self._hang_up("request timeout")
+        self.hang_up()
 
-    def _hang_up(self, reason: str) -> None:
-        """Close from our side; ``connection_lost`` retires the session."""
-        if self._close_reason is None:
-            self._close_reason = reason
-            self._cancel_timer()
-            self._transport.close()     # flushes what _reply buffered
+    def hang_up(self, how: int = socket.SHUT_RDWR) -> None:
+        """Wake the connection thread out of ``recv``; it closes the socket."""
+        try:
+            self.sock.shutdown(how)
+        except OSError:
+            pass
 
 
 class SQLService:
-    """An asyncio SQL server bound to one engine."""
+    """A thread-per-connection SQL server bound to one engine."""
 
     def __init__(
         self,
@@ -249,32 +233,19 @@ class SQLService:
         self.db = db
         self.host = host
         self.port = port
-        # A sharded backend (ShardRouter) cannot sit behind a WorkerPool:
-        # the pool keys its bookkeeping by TID, and branch TIDs collide
-        # across shards (each shard numbers its own).  Its facade omits
-        # the durable-commit hook seam on purpose; requests then run on a
-        # small executor standing where the pool's ``submit_call`` is.
-        supports_pool = hasattr(db.txn_mgr, "durable_commit_hook")
+        # Bulk ingest fans its batches out to a WorkerPool where the backend
+        # can sit behind one.  A ShardRouter cannot (the pool keys its
+        # bookkeeping by TID and branch TIDs collide across shards; its
+        # facade omits the durable-commit hook seam on purpose) and ingests
+        # inline.  Statements take the same path either way.
         self.pool = (
             WorkerPool(db, pool_workers, seed=seed, queue_depth=queue_depth)
-            if pool_workers > 0 and supports_pool else None
+            if pool_workers > 0 and hasattr(db.txn_mgr, "durable_commit_hook")
+            else None
         )
-        self._executor = None
-        if self.pool is None:
-            # The engine still needs its thread-safe flavour (blocking
-            # locks, latches) — the pool would have enabled it lazily.
-            db.enable_concurrency()
-            self._executor = concurrent.futures.ThreadPoolExecutor(
-                max_workers=pool_workers or _POOLLESS_THREADS,
-                thread_name_prefix="svc-exec",
-            )
-        #: Hands a zero-argument callable to a worker thread.  With more
-        #: connections than ``queue_depth`` the pool's bounded queue briefly
-        #: stalls the loop here; workers drain it without the loop's help.
-        self.submit = (
-            self.pool.submit_call if self.pool is not None
-            else self._executor.submit
-        )
+        db.enable_concurrency()
+        #: Requests that may execute at once (0: the admission budget alone).
+        self.slots = threading.BoundedSemaphore(pool_workers or max_inflight)
         self.core = ServiceCore(
             db,
             self.pool,
@@ -288,99 +259,106 @@ class SQLService:
         self.request_timeout_s = request_timeout_s
         self.idle_timeout_s = idle_timeout_s
         self.drain_timeout_s = drain_timeout_s
+        #: Guards ``connections`` and every connection's deadline.
+        self.lock = threading.Lock()
         self.connections: set[_Connection] = set()
-        self._server: asyncio.AbstractServer | None = None
+        self._listener: socket.socket | None = None
+        self._stopped = threading.Event()
+        self._threads: list[threading.Thread] = []
 
     # -- lifecycle -------------------------------------------------------------
 
-    async def start(self) -> None:
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _Connection(self), self.host, self.port
-        )
-        self.port = self._server.sockets[0].getsockname()[1]
+    def start(self) -> None:
+        self._listener = socket.create_server((self.host, self.port), backlog=512)
+        self.port = self._listener.getsockname()[1]
+        for target in (self._accept_loop, self._watchdog):
+            thread = threading.Thread(target=target, name="svc", daemon=True)
+            thread.start()
+            self._threads.append(thread)
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        async with self._server:
-            await self._server.serve_forever()
+    def serve_forever(self) -> None:
+        """Serve until :meth:`shutdown` (or an interrupt) ends it."""
+        if self._listener is None:
+            self.start()
+        self._stopped.wait()
 
-    async def shutdown(self) -> None:
+    def _accept_loop(self) -> None:
+        while True:
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return      # shutdown closed the listener
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(self.idle_timeout_s)
+            conn = _Connection(self, sock)
+            with self.lock:
+                self.connections.add(conn)
+            conn.thread.start()
+
+    def _watchdog(self) -> None:
+        """The one owner of request deadlines: no timer per request."""
+        tick = min(0.05, self.request_timeout_s / 4.0)
+        while not self._stopped.wait(tick):
+            now = time.monotonic()
+            with self.lock:
+                late = [
+                    c for c in self.connections
+                    if c.deadline is not None and c.deadline <= now
+                ]
+            for conn in late:
+                conn.expire(now)
+
+    def shutdown(self) -> None:
         """Graceful drain: refuse new work, finish in-flight, force, close."""
-        loop = asyncio.get_running_loop()
+        if self._stopped.is_set():
+            return
         self.core.begin_drain()
-        if self._server is not None:
-            self._server.close()
-        deadline = loop.time() + self.drain_timeout_s
-        while any(conn.busy for conn in self.connections) \
-                and loop.time() < deadline:
-            await asyncio.sleep(0.005)
-        for conn in list(self.connections):
-            conn._hang_up("drain")
-        # Abort whatever brackets the deadline stranded, force group
+        accept, watchdog = self._threads
+        # Late connectors are refused (a typed ``bye`` while the listener
+        # is still up); shutting the listener down wakes ``accept``.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
+        self._listener.close()
+        accept.join()
+        deadline = time.monotonic() + self.drain_timeout_s
+        while time.monotonic() < deadline:
+            with self.lock:
+                if not any(c.deadline is not None for c in self.connections):
+                    break
+            time.sleep(0.005)
+        with self.lock:
+            leftover = list(self.connections)
+        for conn in leftover:
+            # Reading ends; a reply already on its way out still goes out.
+            conn.hang_up(socket.SHUT_RD)
+        # Abort whatever brackets the deadline stranded — which is what a
+        # body stuck behind one of them was waiting for — force group
         # commit so every acked write is durable, and stop the workers.
-        await loop.run_in_executor(None, self.core.finish_drain)
+        self.core.finish_drain()
+        deadline = time.monotonic() + self.drain_timeout_s
+        for conn in leftover:
+            conn.thread.join(max(0.0, deadline - time.monotonic()))
         if self.pool is not None:
-            await loop.run_in_executor(None, self.pool.close)
-        else:
-            self._executor.shutdown(wait=False)
+            self.pool.close()
+        self._stopped.set()
+        watchdog.join()
 
 
-class ThreadedService:
-    """Run an :class:`SQLService` on a background thread (tests, benches).
-
-    ``with ThreadedService(db) as svc: connect to svc.port`` — the event
-    loop lives on the thread; :meth:`shutdown` performs the graceful drain
-    and joins it.
-    """
+class ThreadedService(SQLService):
+    """A started :class:`SQLService` as a context manager (tests, benches):
+    ``with ThreadedService(db) as svc: connect to svc.port``; leaving the
+    block performs the graceful drain and joins every thread it started."""
 
     def __init__(self, db, **kwargs) -> None:
-        self.service = SQLService(db, **kwargs)
-        self._ready = threading.Event()
-        self._stop: asyncio.Event | None = None
-        self._loop: asyncio.AbstractEventLoop | None = None
-        self._startup_error: BaseException | None = None
-        self._thread = threading.Thread(
-            target=self._run, name="sql-service", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait(timeout=10.0)
-        if self._startup_error is not None:
-            raise self._startup_error
-
-    @property
-    def port(self) -> int:
-        return self.service.port
-
-    @property
-    def core(self) -> ServiceCore:
-        return self.service.core
-
-    def _run(self) -> None:
-        asyncio.run(self._main())
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop = asyncio.Event()
-        try:
-            await self.service.start()
-        except BaseException as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self._ready.set()
-        await self._stop.wait()
-        await self.service.shutdown()
+        super().__init__(db, **kwargs)
+        self.service = self     # the name callers reach ``.pool`` through
+        self.start()
 
     def begin_drain(self) -> None:
         """Flip the service into drain mode without waiting for it."""
-        if self._loop is not None:
-            self._loop.call_soon_threadsafe(self.service.core.begin_drain)
-
-    def shutdown(self) -> None:
-        if self._loop is not None and self._stop is not None:
-            self._loop.call_soon_threadsafe(self._stop.set)
-        self._thread.join(timeout=30.0)
+        self.core.begin_drain()
 
     def __enter__(self) -> "ThreadedService":
         return self

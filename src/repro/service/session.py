@@ -11,7 +11,7 @@ State machine (documented in DESIGN.md):
 
     open ──execute──▶ open ──disconnect/idle/drain──▶ closed
       │ (defunct: connection gone, request still in flight;
-      ▼  the finishing worker observes the flag and aborts)
+      ▼  the finishing thread observes the flag and aborts)
     defunct ──request completes──▶ closed
 
 Closing a session mid-transaction aborts the transaction, which releases

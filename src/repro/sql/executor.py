@@ -12,6 +12,7 @@ the primary key becomes a B-tree point read instead of a scan.
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -51,6 +52,7 @@ _DATETIME_FORMATS = (
 )
 
 
+@functools.lru_cache(maxsize=256)
 def parse_sql_datetime(text: str) -> _dt.datetime:
     """Parse the datetime formats the AS OF clause accepts."""
     for fmt in _DATETIME_FORMATS:

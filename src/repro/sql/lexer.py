@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 
 from repro.errors import SQLSyntaxError
 
@@ -42,12 +41,18 @@ class TokenType(enum.Enum):
     EOF = "eof"
 
 
-@dataclass(frozen=True)
 class Token:
     """One lexical token with its source position."""
-    type: TokenType
-    value: str
-    position: int
+
+    __slots__ = ("type", "value", "position")
+
+    def __init__(self, type: TokenType, value: str, position: int) -> None:
+        self.type = type
+        self.value = value
+        self.position = position
+
+    def __repr__(self) -> str:
+        return f"Token({self.type}, {self.value!r}, {self.position})"
 
     def is_keyword(self, *names: str) -> bool:
         """True if this token is one of the named keywords."""
@@ -60,7 +65,7 @@ _TOKEN_RE = re.compile(
   | (?P<comment>--[^\n]*)
   | (?P<number>\d+\.\d+|\.\d+|\d+)
   | (?P<word>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<string>'(?:[^']|'')*'|"(?:[^"]|"")*")
+  | (?P<string>'[^']*(?:''[^']*)*'|"[^"]*(?:""[^"]*)*")
   | (?P<operator><=|>=|<>|!=|=|<|>)
   | (?P<punct>[(),;*\[\]])
     """,

@@ -169,9 +169,8 @@ class WorkerPool:
         ``fn`` may run more than once (in a fresh transaction each time) if
         it conflicts, so it must not carry side effects outside the
         transaction.  Blocks while the admission queue is full — except on
-        one of the pool's own workers (a raw task fanning out, like the
-        service's bulk ingest): there the body runs at once on the calling
-        thread, because waiting for a worker from a worker deadlocks as
+        one of the pool's own workers (a raw task fanning out): there the
+        body runs at once on the calling thread, because waiting for a worker from a worker deadlocks as
         soon as every worker does it.
         """
         if self._closed:
@@ -199,9 +198,8 @@ class WorkerPool:
     def submit_call(self, fn: Callable[[], object]) -> TxnFuture:
         """Queue a raw ``fn()`` call (no transaction bracket, no retry).
 
-        The service layer routes session-bracketed statements through this:
-        the body manages its own transaction state (a SQL session's open
-        bracket spans many requests), so the pool must not wrap or rerun
+        For a body that manages its own transaction state (a SQL session's
+        open bracket spans many calls), so the pool must not wrap or rerun
         it — but the call still flows through the bounded admission queue
         and still participates in the last-active-worker flush policy.
         """

@@ -1,5 +1,5 @@
-"""Call budgets for the paper's Fig. 5 transaction, its Fig. 6 reads, and a
-buffer miss.
+"""Call budgets for the paper's Fig. 5 transaction, its Fig. 6 reads, a
+buffer miss, and a point ``SELECT`` through the socket service.
 
 With the data in the buffer pool nothing on the update path waits, so its
 speed is its instruction count — for this engine, the number of Python
@@ -16,8 +16,11 @@ from __future__ import annotations
 
 import statistics
 import sys
+import threading
 
 from repro import PROFILES, ImmortalDB
+from repro.service.client import ServiceClient
+from repro.service.server import ThreadedService
 from repro.storage.page import DataPage, decode_page
 from repro.storage.record import RecordVersion
 
@@ -29,6 +32,10 @@ ASOF_READ_BUDGET = 47   # read_as_of of one key: 43 (57 before PR 16)
 HISTORY_BUDGET = 260    # history() of a key with 20 versions: 236 (572 before)
 # What a buffer miss costs past the disk read:
 DECODE_BUDGET = 40      # decode_page of a 25-record data page: 36 (88 before PR 17)
+# Everything the server does for one point SELECT over a real socket, on
+# the connection's thread — frame, JSON, admission, slot, dedup, lex, parse,
+# plan, the read transaction, encode:
+SERVICE_READ_BUDGET = 253   # 230, of which lexer + parser 88, the engine ~70
 
 KEYS = 200
 SAMPLES = 50
@@ -164,7 +171,53 @@ def test_a_buffer_miss_stays_within_its_decode_budget():
     assert calls >= 0.8 * DECODE_BUDGET
 
 
+def measure_service_read() -> float:
+    """Median Python calls on the connection thread per point ``SELECT``.
+
+    The thread makes no Python call between writing one reply and reading
+    the next request, so what a client counts between two replies is
+    exactly one request.
+    """
+    db = ImmortalDB()
+    table = db.create_table("kv", [("k", "int"), ("v", "text")], key="k",
+                            immortal=True)
+    with db.transaction() as txn:
+        for k in range(KEYS):
+            table.insert(txn, {"k": k, "v": "x" * 40})
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and threading.current_thread().name == "svc-conn":
+            count += 1
+
+    samples = []
+    with ThreadedService(db, port=0, pool_workers=2) as svc:
+        with ServiceClient("127.0.0.1", svc.port) as client:
+            threading.setprofile(profile)   # read by threads as they start
+            try:
+                client.ping()               # connects: the thread starts here
+            finally:
+                threading.setprofile(None)
+            for k in range(SAMPLES):
+                before = count
+                response = client.execute(f"SELECT * FROM kv WHERE k = {k}")
+                assert response["rows"][0]["k"] == k
+                samples.append(count - before)
+    return statistics.median(samples)
+
+
+def test_a_point_select_over_the_socket_stays_within_its_call_budget():
+    calls = measure_service_read()
+    assert calls <= SERVICE_READ_BUDGET, (
+        f"one point SELECT now takes {calls} Python calls on the server's "
+        f"connection thread (budget {SERVICE_READ_BUDGET})"
+    )
+    assert calls >= 0.8 * SERVICE_READ_BUDGET
+
+
 if __name__ == "__main__":
     print("update, read:", measure())
     print("as-of read, history:", measure_historical())
     print("decode_page:", measure_decode())
+    print("service point SELECT:", measure_service_read())

@@ -539,9 +539,21 @@ class TestConcurrentClusterAccess:
         from repro.service.client import ServiceClient
         from repro.service.server import ThreadedService
 
+        import threading
+
         router, _ = make_cluster()
         with ThreadedService(router, port=0, pool_workers=2) as svc:
+            # No pool and nothing standing in for one: statements run on
+            # the connection's thread exactly as over a single engine.
             assert svc.service.pool is None
+            ran_on = []
+            inner = svc.core.handle_payload
+
+            def watched(*args):
+                ran_on.append(threading.current_thread().name)
+                return inner(*args)
+
+            svc.core.handle_payload = watched
             with ServiceClient("127.0.0.1", svc.port) as client:
                 for k, v in ((10, "a"), (60, "b")):
                     resp = client.execute(
@@ -552,6 +564,9 @@ class TestConcurrentClusterAccess:
                 assert resp["rows"] == [
                     {"k": 10, "v": "a"}, {"k": 60, "v": "b"},
                 ]
+                ingest = client.ingest("kv", "k,v\n11,c\n61,d\n", batch=1)
+                assert ingest["rowcount"] == 2
+            assert ran_on == ["svc-conn"] * 4
         router.close()
 
     def test_in_doubt_conflict_raises_immediately_under_blocking_locks(self):

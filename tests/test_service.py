@@ -8,6 +8,9 @@ a stuck lock, a double execution, or a lost acked commit.
 
 from __future__ import annotations
 
+import random
+import socket
+import sys
 import threading
 import time
 
@@ -364,7 +367,7 @@ class TestNetworkFaults:
 
 
 # ---------------------------------------------------------------------------
-# the asyncio server, end to end over real sockets
+# the socket server, end to end over real sockets
 # ---------------------------------------------------------------------------
 
 
@@ -570,7 +573,8 @@ class TestServerEndToEnd:
 
 
 # ---------------------------------------------------------------------------
-# the two-handoff request path: admission on the loop, the body on a worker
+# the one-thread request path: admission, then a slot, then the body, all on
+# the connection's own thread
 # ---------------------------------------------------------------------------
 
 
@@ -601,9 +605,10 @@ def _in_background(fn, *args) -> tuple[threading.Thread, list]:
 
 class TestRequestPath:
     def test_read_is_shed_while_every_worker_is_parked(self):
-        """Admission sits in front of the queue: with both workers blocked
-        and nobody left to run anything, a read above the high water is
-        still refused at once — and every exit gives its slot back."""
+        """Admission sits in front of the slots: with both of them held by
+        parked writers and nobody left to run anything, a read above the
+        high water is still refused at once — it costs no slot and no wait —
+        and every exit gives its budget back."""
         db = _make_db()
         with _serve(db, pool_workers=2, max_inflight=4,
                     read_shed_fraction=0.5) as svc:
@@ -648,7 +653,7 @@ class TestRequestPath:
             _send_only(vanished, "UPDATE t SET v = 'b' WHERE k = 1", "gone:1")
             assert _wait_until(lambda: admission.inflight == 2)
             vanished._disconnect()
-            # Both bodies still sit on their workers: in-flight counts them.
+            # Both bodies still hold their slots: in-flight counts them.
             time.sleep(0.1)
             assert admission.inflight == 2
             holder._disconnect()
@@ -662,12 +667,12 @@ class TestRequestPath:
             overlaps = []
             inner = svc.core.handle_payload
 
-            def watched(session, payload, admitted=None):
+            def watched(session, payload, admitted=None, message=None):
                 running[0] += 1
                 overlaps.append(running[0])
                 try:
                     time.sleep(0.02)    # widen the window for an overlap
-                    return inner(session, payload, admitted)
+                    return inner(session, payload, admitted, message)
                 finally:
                     running[0] -= 1
 
@@ -713,6 +718,9 @@ class TestRequestPath:
                 s for s in svc.core.sessions.values() if s.defunct
             )
             assert not session.closed       # the body still runs
+            assert svc.service.slots.acquire(blocking=False)    # holding one
+            assert not svc.service.slots.acquire(blocking=False)    # of two
+            svc.service.slots.release()
             holder._disconnect()
             # The body returns, sees the flag, and aborts the bracket.
             assert _wait_until(lambda: session.closed)
@@ -729,6 +737,14 @@ class TestRequestPath:
     def test_deadline_while_queued_never_runs_the_body(self):
         db = _make_db()
         with _serve(db, pool_workers=1, request_timeout_s=0.3) as svc:
+            executed: list[bytes] = []
+            inner = svc.core.handle_payload
+
+            def watched(session, payload, *rest):
+                executed.append(payload)
+                return inner(session, payload, *rest)
+
+            svc.core.handle_payload = watched
             holder = _hold_row(svc.port)
             parked = ServiceClient("127.0.0.1", svc.port)
             thread, out = _in_background(
@@ -744,8 +760,10 @@ class TestRequestPath:
             assert _wait_until(lambda: svc.core.admission.inflight == 0)
             for client in (parked, queued):
                 client._disconnect()
+            # The INSERT waited for the one slot past its deadline: it was
+            # admitted, never handed to the core, and its budget came back.
+            assert not any(b"VALUES (9" in payload for payload in executed)
             with ServiceClient("127.0.0.1", svc.port) as fresh:
-                # The queued INSERT found its session retired: not a row.
                 assert _value(fresh, 9) is None
         assert db.stats()["service_timeouts"] == 2
 
@@ -762,7 +780,7 @@ class TestRequestPath:
                 lambda: any(s.lock.locked()
                             for s in svc.core.sessions.values())
             )
-            rude._disconnect()      # vanish while the worker is blocked
+            rude._disconnect()      # vanish while its thread is blocked
             holder._disconnect()
             # The body returns to a dead connection: the session retires
             # and its bracket (holding row 2) is rolled back.
@@ -784,8 +802,8 @@ class TestRequestPath:
                 client.execute("UPDATE t SET v = 'b' WHERE k = 1")
                 assert client.execute("COMMIT")["status"] == \
                     protocol.STATUS_OK
-                # Ingest fans its batches out to the pool from the pool's
-                # only worker.
+                # Ingest holds the only slot while the pool's only worker
+                # runs its batches.
                 ingest = client.ingest(
                     "t", "k,v\n10,x\n11,y\n12,z\n13,w\n14,u\n", batch=2
                 )
@@ -798,3 +816,214 @@ class TestRequestPath:
             assert not thread.is_alive(), "request path deadlocked"
             assert out == [6]
         assert db.txn_mgr.unacked_commits == 0
+
+
+class TestOneThreadPerConnection:
+    """What the thread-per-connection design owes beyond the request path."""
+
+    def test_a_request_never_changes_threads(self, monkeypatch):
+        """The structural guard against a hop coming back: the thread that
+        read a request's bytes runs it and writes its reply."""
+        from repro.service import server
+
+        seen: list[tuple[str, int]] = []
+
+        def spy(owner, attr, label):
+            inner = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                if threading.current_thread().name == "svc-conn":
+                    seen.append((label, threading.get_ident()))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, attr, wrapper)
+
+        spy(protocol.FrameDecoder, "feed", "recv")
+        spy(server._Connection, "_send", "send")
+        db = _make_db()
+        with _serve(db) as svc:
+            spy(svc.core, "handle_payload", "execute")
+            clients = [ServiceClient("127.0.0.1", svc.port) for _ in range(2)]
+            for i, client in enumerate(clients):
+                client.execute(f"INSERT INTO t (k, v) VALUES ({i}, 'x')")
+                assert _value(client, i) == "x"
+            for client in clients:
+                client._disconnect()
+        assert [label for label, _ in seen].count("execute") == 4
+        by_thread: dict[int, list[str]] = {}
+        for label, ident in seen:
+            by_thread.setdefault(ident, []).append(label)
+        # Two connections, two threads; each saw whole requests, in order.
+        assert len(by_thread) == 2
+        assert threading.get_ident() not in by_thread
+        for labels in by_thread.values():
+            assert labels[:6] == ["recv", "execute", "send"] * 2
+
+    def test_idle_connections_cost_nothing_and_are_all_reaped(self):
+        db = _make_db()
+        threads_before = threading.active_count()
+        svc = _serve(db, idle_timeout_s=1.5)
+        socks = [
+            socket.create_connection(("127.0.0.1", svc.port), timeout=10.0)
+            for _ in range(200)
+        ]
+        try:
+            assert _wait_until(lambda: len(svc.service.connections) == 200)
+            cpu = time.process_time()
+            time.sleep(0.4)
+            # 200 threads parked in recv and one watchdog tick per 50 ms.
+            assert time.process_time() - cpu < 0.1
+            assert _wait_until(lambda: svc.core.stats.idle_closes == 200)
+            for sock in socks:
+                reply = protocol.FrameDecoder().feed(sock.recv(4096))
+                assert protocol.decode_message(reply[0])["status"] == \
+                    protocol.STATUS_BYE
+                assert sock.recv(4096) == b""
+            assert _wait_until(lambda: not svc.service.connections)
+        finally:
+            for sock in socks:
+                sock.close()
+            svc.shutdown()
+        assert threading.active_count() == threads_before
+
+    def test_drain_with_a_stuck_body_is_bounded_and_leaves_no_thread(self):
+        db = _make_db()
+        threads_before = threading.active_count()
+        svc = _serve(db, drain_timeout_s=0.3)
+        holder = _hold_row(svc.port)
+        stuck = ServiceClient("127.0.0.1", svc.port)
+        _send_only(stuck, "UPDATE t SET v = 's' WHERE k = 1", "stuck:1")
+        assert _wait_until(lambda: svc.core.admission.inflight == 1)
+        start = time.monotonic()
+        svc.shutdown()
+        elapsed = time.monotonic() - start
+        # It waited its drain timeout for the body, then hung up on every
+        # connection — which ended the holder's bracket and, with it, the
+        # body's wait.
+        assert 0.3 <= elapsed < 5.0
+        assert threading.active_count() == threads_before
+        assert svc.core.admission.inflight == 0
+        assert db.txn_mgr.unacked_commits == 0
+        for client in (holder, stuck):
+            client._disconnect()
+
+    def test_byte_at_a_time_and_half_closed_clients_are_answered(self):
+        db = _make_db()
+        with _serve(db) as svc:
+            loris = socket.create_connection(("127.0.0.1", svc.port), 10.0)
+            loris.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            frame = protocol.encode_message({"id": "loris:1", "op": "ping"})
+            for i in range(len(frame)):
+                loris.sendall(frame[i:i + 1])
+            reply = protocol.FrameDecoder().feed(loris.recv(4096))
+            assert protocol.decode_message(reply[0])["message"] == "pong"
+            loris.close()
+
+            leaver = socket.create_connection(("127.0.0.1", svc.port), 10.0)
+            leaver.sendall(b"".join(
+                protocol.encode_message({"id": f"hc:{i}", "op": "sql", "sql": sql})
+                for i, sql in enumerate((
+                    "INSERT INTO t (k, v) VALUES (3, 'last')",
+                    "SELECT v FROM t WHERE k = 3",
+                ))
+            ))
+            leaver.shutdown(socket.SHUT_WR)     # done sending, still reading
+            decoder = protocol.FrameDecoder()
+            replies: list = []
+            while True:
+                data = leaver.recv(4096)
+                if not data:
+                    break
+                replies.extend(
+                    protocol.decode_message(p) for p in decoder.feed(data)
+                )
+            leaver.close()
+            assert [r["id"] for r in replies] == ["hc:0", "hc:1"]
+            assert replies[1]["rows"] == [{"v": "last"}]
+
+    def test_an_escaping_exception_is_answered_and_not_swallowed(
+        self, monkeypatch
+    ):
+        escaped: list = []
+        monkeypatch.setattr(
+            threading, "excepthook", lambda args: escaped.append(args.exc_value)
+        )
+        db = _make_db()
+        with _serve(db) as svc:
+            def broken(*args):
+                raise RuntimeError("bug in the request path")
+
+            monkeypatch.setattr(svc.core, "handle_payload", broken)
+            client = ServiceClient("127.0.0.1", svc.port)
+            response = client.request({"id": "bug:1", "op": "ping"})
+            assert response["status"] == protocol.STATUS_ERROR
+            assert response["error"] == "RuntimeError"
+            assert response["id"] == "bug:1"
+            # ... and the connection is gone, its thread dead, loudly.
+            with pytest.raises(ConnectionLostError):
+                client._read_response(client._sock)
+            client._disconnect()
+            assert _wait_until(lambda: len(escaped) == 1)
+            assert isinstance(escaped[0], RuntimeError)
+            assert _wait_until(lambda: not svc.service.connections)
+            assert svc.service.slots.acquire(blocking=False)    # both slots
+            assert svc.service.slots.acquire(blocking=False)    # came back
+            svc.service.slots.release()
+            svc.service.slots.release()
+            monkeypatch.undo()
+            with ServiceClient("127.0.0.1", svc.port) as fresh:
+                assert fresh.ping()["message"] == "pong"
+
+    def test_deadline_races_leave_one_reply_and_no_leak(self):
+        """Bodies finishing right at their deadline, more threads than
+        cores, a short switch interval: every request gets exactly one
+        reply — the body's or the watchdog's — and nothing leaks."""
+        db = _make_db()
+        timeout_s = 0.02
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with _serve(db, pool_workers=3, request_timeout_s=timeout_s) as svc:
+                inner = svc.core.handle_payload
+                rng = random.Random(11)
+
+                def racing(*args):
+                    time.sleep(rng.uniform(0.5, 1.3) * timeout_s)
+                    return inner(*args)
+
+                svc.core.handle_payload = racing
+                outcomes: list[str] = []
+
+                def client(idx: int) -> None:
+                    conn = ServiceClient("127.0.0.1", svc.port)
+                    for i in range(25):
+                        reply = conn.execute("SELECT v FROM t WHERE k = 1")
+                        outcomes.append(reply["status"])
+                        if reply["status"] == protocol.STATUS_TIMEOUT:
+                            # The late result is dropped: nothing follows.
+                            with pytest.raises(ConnectionLostError):
+                                conn._read_response(conn._sock)
+                            conn._disconnect()
+                    conn._disconnect()
+
+                threads = [
+                    threading.Thread(target=client, args=(i,)) for i in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+                assert len(outcomes) == 200
+                assert set(outcomes) == {protocol.STATUS_OK,
+                                         protocol.STATUS_TIMEOUT}
+                assert svc.core.stats.timeouts == \
+                    outcomes.count(protocol.STATUS_TIMEOUT)
+                assert _wait_until(lambda: not svc.service.connections)
+                assert svc.core.admission.inflight == 0
+                for _ in range(3):
+                    assert svc.service.slots.acquire(blocking=False)
+                for _ in range(3):
+                    svc.service.slots.release()
+        finally:
+            sys.setswitchinterval(interval)

@@ -126,7 +126,7 @@ class TestWorkerPool:
 
 
 class TestRawTasks:
-    """``submit_call``: the service's whole-request tasks."""
+    """``submit_call``: a raw call through the pool's queue."""
 
     def test_raw_task_runs_unbracketed_and_builds_no_rng(self, monkeypatch):
         db, table = _make_db()
@@ -150,9 +150,9 @@ class TestRawTasks:
                 failing.result(10.0)
 
     def test_fan_out_from_the_only_worker_cannot_deadlock(self):
-        """A raw task that submits transactions (the service's bulk ingest
-        does) runs them in place when it is itself on a worker: with one
-        worker there is nobody else to wait for."""
+        """A raw task that submits transactions runs them in place when it
+        is itself on a worker: with one worker there is nobody else to wait
+        for."""
         db, table = _make_db(group_commit_window=4)
 
         def fan_out():
