@@ -17,13 +17,13 @@
 from repro.access.timesplit import (
     SplitOutcome,
     needs_key_split,
-    time_split_page,
+    plan_time_split,
 )
 from repro.access.btree import BTree, BTreeIndexPage
 from repro.access.tsbtree import TSBHistoryIndex, TSBIndexPage, Rect
 
 __all__ = [
-    "time_split_page",
+    "plan_time_split",
     "needs_key_split",
     "SplitOutcome",
     "BTree",

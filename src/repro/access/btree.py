@@ -5,17 +5,14 @@ pages hang off each leaf through the time-split page chain (Section 3.2)
 and are never referenced by the B-tree itself — exactly the structure of
 the Immortal DB prototype before its TSB-tree upgrade.
 
-Making room in a full leaf follows the paper's policy (Section 3.3):
-
-* **immortal table** — timestamp all committed versions, then time split at
-  the current time; if the current-version utilization left behind still
-  exceeds the threshold ``T``, key split as well.  If a time split would
-  free nothing (every version current or uncommitted), go straight to the
-  key split.
-* **conventional table with snapshot isolation** — prune versions no active
-  snapshot can see (Section 3's oldest-active-snapshot rule); key split if
-  the page is still too full.
-* **plain conventional table** — key split, as any B-tree would.
+Making room in a full leaf follows the paper's policy (Section 3.3), decided
+by what is on the page before anything is stamped, built or allocated
+(DESIGN.md "Page splits" has the table): a page of single live versions **key
+splits**; any other is stamped and classified at the current time, and **time
+splits** if a version has ended or a delete stub can go — then key splits too
+if the current versions left exceed the threshold ``T`` — else key splits.  A
+conventional table first prunes what no active snapshot can see and then takes
+the same path.  A page id is taken only for a page that is then logged.
 
 Structural discipline:
 
@@ -37,7 +34,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Callable, Iterator
 
-from repro.clock import SimClock, Timestamp
+from repro.clock import SimClock
 from repro.errors import AccessMethodError, PageFormatError
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import COMMON_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE, PageType
@@ -50,9 +47,11 @@ from repro.storage.page import (
 from repro.storage.record import RecordVersion
 from repro.access.timesplit import (
     DEFAULT_KEY_SPLIT_THRESHOLD,
+    SplitPlan,
     key_split_page,
     needs_key_split,
-    time_split_page,
+    nothing_to_move,
+    plan_time_split,
 )
 from repro.wal.log import LogManager
 from repro.wal.records import MultiPageImage, SMOReason
@@ -424,10 +423,7 @@ class BTree:
         leaf: DataPage,
         key: bytes,
     ) -> None:
-        if self.immortal:
-            self._make_room_immortal(path, leaf, key)
-            return
-        if self.prune_page is not None:
+        if not self.immortal and self.prune_page is not None:
             pruned, dropped = self.prune_page(leaf)
             if dropped:
                 self.stats.prunes += 1
@@ -438,25 +434,29 @@ class BTree:
                     return
                 leaf = pruned
         # Versions pinned by long-running snapshots can outgrow a page even
-        # after pruning; spill them to a history page (a "version store"
-        # spill — same time-split mechanism immortal tables use) before
-        # resorting to a key split, which cannot help a single hot record.
-        if self._try_time_split(path, leaf, key):
-            return
-        self._key_split(path, leaf)
+        # after pruning; spilling them to a history page helps a single hot
+        # record where a key split cannot.
+        if not self._try_time_split(path, leaf):
+            self._key_split(path, leaf)
+        elif self.immortal:
+            current = self.search_leaf(key)
+            if needs_key_split(current, self.key_split_threshold) \
+                    and len(current.slots) > 1:
+                path = self._descend_splitting(key)
+                self._key_split(path, self._leaf_at(path))
 
     def _try_time_split(
-        self,
-        path: list[tuple[BTreeIndexPage, int]],
-        leaf: DataPage,
-        key: bytes,
+        self, path: list[tuple[BTreeIndexPage, int]], leaf: DataPage
     ) -> bool:
-        """Attempt a space-freeing time split; False when it would not help."""
+        """Time split ``leaf`` if that frees space; False — with nothing
+        stamped for the first test, nothing allocated for either — if not."""
+        if nothing_to_move(leaf):
+            return False
         if self.stamp_page is not None:
             self.stamp_page(leaf)
-        split_ts = self._split_time(leaf)
-        if split_ts is None:
-            return False
+        split_ts = self.clock.now()
+        if split_ts <= leaf.split_ts:
+            return False    # the current time does not advance the page's
         # A transaction may commit between the stamping pass and the
         # split-time draw; its versions would then be classified as
         # uncommitted (case 4) despite a commit time below split_ts.
@@ -464,64 +464,34 @@ class BTree:
         # commit after the final draw carries a timestamp above split_ts
         # (the clock is monotonic), for which case 4 is correct.
         while self.stamp_page is not None and self.stamp_page(leaf):
-            split_ts = self._split_time(leaf) or split_ts
-        history_pid = self.buffer.disk.allocate()
-        outcome = time_split_page(leaf, split_ts, history_pid)
-        if outcome.moved == 0 and outcome.stubs_dropped == 0:
+            split_ts = self.clock.now()
+        plan = plan_time_split(leaf, split_ts)
+        if not plan.frees_space:
             return False
+        low, high = b"", None       # the leaf's key bounds, off the descent
+        for node, i in path:
+            if i > 0:
+                low = node.seps[i - 1]
+            if i < len(node.seps):
+                high = node.seps[i]
+        self.install_time_split(plan, low, high)
+        return True
+
+    def install_time_split(
+        self, plan: SplitPlan, low: bytes, high: bytes | None
+    ) -> None:
+        """Build and log a planned split of the leaf covering keys ``[low,
+        high)`` — the one place a history page id is taken."""
+        outcome = plan.build(self.buffer.disk.allocate())
         self.stats.time_splits += 1
         if self.route_cache is not None:
             self.route_cache.on_time_split(outcome)
         affected: list[Page] = [outcome.current, outcome.history]
         if self.history_index is not None:
-            key_low, key_high = self._bounds_from_path(path)
             affected.extend(
-                self.history_index.on_time_split(
-                    outcome.history, key_low, key_high
-                )
+                self.history_index.on_time_split(outcome.history, low, high)
             )
         self._log_smo(SMOReason.TIME_SPLIT, affected)
-        return True
-
-    def _make_room_immortal(
-        self,
-        path: list[tuple[BTreeIndexPage, int]],
-        leaf: DataPage,
-        key: bytes,
-    ) -> None:
-        # "When we time split a page … we timestamp all versions from
-        # committed transactions" — _try_time_split runs that trigger, then
-        # performs the four-case split of Section 3.3.  A time split that
-        # frees nothing (all versions alive or uncommitted) falls through to
-        # a key split.
-        if not self._try_time_split(path, leaf, key):
-            self._key_split(path, leaf)
-            return
-        current = self.search_leaf(key)
-        if needs_key_split(current, self.key_split_threshold) \
-                and len(current.slots) > 1:
-            path = self._descend_splitting(key)
-            self._key_split(path, self._leaf_at(path))
-
-    @staticmethod
-    def _bounds_from_path(
-        path: list[tuple[BTreeIndexPage, int]]
-    ) -> tuple[bytes, bytes | None]:
-        key_low = b""
-        key_high: bytes | None = None
-        for node, i in path:
-            if i > 0:
-                key_low = node.seps[i - 1]
-            if i < len(node.seps):
-                key_high = node.seps[i]
-        return key_low, key_high
-
-    def _split_time(self, leaf: DataPage) -> Timestamp | None:
-        """The current time, if it advances past the page's range start."""
-        now = self.clock.now()
-        if now > leaf.split_ts:
-            return now
-        return None
 
     def _key_split(
         self, path: list[tuple[BTreeIndexPage, int]], leaf: DataPage

@@ -45,36 +45,81 @@ class SplitOutcome:
 
     current: DataPage
     history: DataPage
+
+
+def nothing_to_move(page: DataPage) -> bool:
+    """No time split, at any time, could free a byte of ``page``: a split
+    moves versions that have *ended* (have a successor here) and drops delete
+    stubs, and every chain is one version that is not a stub — stamped or
+    not, so the caller need not stamp to ask."""
+    return len(page.versions) == len(page.slots) and not any(
+        version.flags & DELETE_STUB for version in page.versions
+    )
+
+
+@dataclass
+class SplitPlan:
+    """The four-case classification of one page at one split time: per
+    chain in key order, the versions that stay and those that go (newest
+    first).  Planning reads the page; :meth:`build` makes the two pages
+    once the caller has decided the split is worth a page id."""
+
+    page: DataPage
+    split_ts: Timestamp
+    parts: list[tuple[list[RecordVersion], list[RecordVersion]]]
     moved: int = 0        # case 1 versions (history only)
     copied: int = 0       # case 2 versions (both pages)
     retained: int = 0     # case 3 + 4 versions (current only)
     stubs_dropped: int = 0
 
     @property
-    def routing_interval(self) -> tuple[Timestamp, Timestamp, int]:
-        """``(split_ts, end_ts, page_id)`` of the new history page.
+    def frees_space(self) -> bool:
+        return self.moved > 0 or self.stubs_dropped > 0
 
-        This is the one interval a time split appends to the leaf's routing
-        chain; an as-of route cache can extend its memoized interval list
-        with it instead of re-walking the whole chain.
-        """
-        return (self.history.split_ts, self.history.end_ts,
-                self.history.page_id)
+    def build(self, history_page_id: int) -> SplitOutcome:
+        """Both pages, fresh in-memory objects, ready to be installed and
+        logged as one atomic structure modification."""
+        page, split_ts = self.page, self.split_ts
+        history = page.sibling(history_page_id, is_history=True)
+        # The history page inherits the current page's old time range start
+        # and is capped at the split time; it also inherits the link to the
+        # *older* history page, extending the page chain (Section 3.2).
+        history.split_ts = page.split_ts
+        history.end_ts = split_ts
+        history.history_page_id = page.history_page_id
+
+        current = page.sibling(page.page_id)
+        current.lsn = page.lsn
+        current.split_ts = split_ts
+        current.history_page_id = history_page_id
+        current.next_leaf_id = page.next_leaf_id
+
+        for current_part, history_part in self.parts:
+            # Where the chain went on before this split: an older history
+            # page, still reachable through the new history page's own link.
+            # (Once one version goes to history every older one does, so
+            # the chain's oldest is the last of ``history_part`` if any.)
+            older_slot = history_slot_after(history_part or current_part)
+            if history_part:
+                # The oldest current version continues in the new history
+                # page: its VP becomes the record's slot number there
+                # (Section 3.1).
+                slot = history.add_chain(history_part, history_slot=older_slot)
+                if current_part:
+                    current.add_chain(current_part, history_slot=slot)
+            else:
+                # Nothing moved now: keep the original slot — readers route
+                # by page time ranges, not by slot arithmetic.
+                current.add_chain(current_part, history_slot=older_slot)
+        return SplitOutcome(current, history)
 
 
-def time_split_page(
-    page: DataPage,
-    split_ts: Timestamp,
-    history_page_id: int,
-) -> SplitOutcome:
-    """Perform the four-case split of ``page`` at ``split_ts``.
+def plan_time_split(page: DataPage, split_ts: Timestamp) -> SplitPlan:
+    """Classify every version of ``page`` for a split at ``split_ts``.
 
-    Every *committed* version must already be timestamped (the caller runs
-    the lazy-timestamping trigger first — "only if we know the timestamps
-    for versions of records can we determine whether they belong on the
-    history page").  The caller supplies the page id allocated for the
-    history page; both returned pages are fresh in-memory objects, ready to
-    be installed and logged as one atomic structure modification.
+    Every *committed* version must already be timestamped — "only if we know
+    the timestamps for versions of records can we determine whether they
+    belong on the history page".
     """
     if page.is_history:
         raise AccessMethodError("history pages are read-only and never split")
@@ -83,23 +128,8 @@ def time_split_page(
             f"split time {split_ts} does not advance past page start "
             f"{page.split_ts}"
         )
-
-    history = page.sibling(history_page_id, is_history=True)
-    # The history page inherits the current page's old time range start and
-    # is capped at the split time; it also inherits the link to the *older*
-    # history page, extending the page chain (Section 3.2).
-    history.split_ts = page.split_ts
-    history.end_ts = split_ts
-    history.history_page_id = page.history_page_id
-
-    current = page.sibling(page.page_id)
-    current.lsn = page.lsn
-    current.split_ts = split_ts
-    current.history_page_id = history_page_id
-    current.next_leaf_id = page.next_leaf_id
-
     split = (split_ts.ttime, split_ts.sn)
-    moved = copied = retained = stubs_dropped = 0
+    plan = SplitPlan(page, split_ts, [])
     for chain in page.chains():
         current_part: list[RecordVersion] = []
         history_part: list[RecordVersion] = []
@@ -118,43 +148,30 @@ def time_split_page(
                         "uncommitted version found below a committed one"
                     )
                 current_part.append(version)
-                retained += 1
+                plan.retained += 1
                 continue
             start = (field, version.sn)
             if start >= split:
                 # Case 3: born after the split time — current only.
                 current_part.append(version)
-                retained += 1
+                plan.retained += 1
             elif version.flags & DELETE_STUB:
                 # Stubs before the split time leave the current page; in the
                 # history page they end the version they deleted.
                 history_part.append(version)
-                stubs_dropped += 1
+                plan.stubs_dropped += 1
             elif end is not None and end <= split:
                 # Case 1: ended before the split time — history only.
                 history_part.append(version)
-                moved += 1
+                plan.moved += 1
             else:
                 # Case 2: alive across the split time — copied to both.
                 current_part.append(version)
                 history_part.append(version)
-                copied += 1
+                plan.copied += 1
             end = start
-        # Where the chain went on before this split: an older history page,
-        # still reachable through the new history page's own chain link.
-        older_slot = history_slot_after(chain)
-        if history_part:
-            # The oldest current version continues in the new history page:
-            # its VP becomes the record's slot number there (Section 3.1).
-            slot = history.add_chain(history_part, history_slot=older_slot)
-            if current_part:
-                current.add_chain(current_part, history_slot=slot)
-        else:
-            # Nothing moved now: keep the original slot — readers route by
-            # page time ranges, not by slot arithmetic.
-            current.add_chain(current_part, history_slot=older_slot)
-    return SplitOutcome(current, history, moved=moved, copied=copied,
-                        retained=retained, stubs_dropped=stubs_dropped)
+        plan.parts.append((current_part, history_part))
+    return plan
 
 
 def needs_key_split(

@@ -238,25 +238,23 @@ class AsOfRouteCache:
     def on_time_split(self, outcome) -> None:
         """Extend a cached route across a time split instead of dropping it.
 
-        The split's :attr:`~repro.access.timesplit.SplitOutcome.routing_interval`
-        is exactly the interval the chain gained; the rebuilt current page
-        keeps the page id, so the old entry (if its shape matches) becomes
-        the new entry with one append.
+        The new history page's time range is exactly the interval the chain
+        gained; the rebuilt current page keeps the page id, so the old entry
+        (if its shape matches) becomes the new entry with one append.
         """
-        leaf = outcome.current
+        leaf, history = outcome.current, outcome.history
         old = self._entries.pop(leaf.page_id, None)
         if old is None:
             return
-        split_ts, end_ts, history_pid = outcome.routing_interval
-        if not old.bounds or old.bounds[-1] != split_ts.key \
+        if not old.bounds or old.bounds[-1] != history.split_ts.key \
                 or old.pids[-1] != leaf.page_id:
             fire("asof.route.invalidate")
             return  # entry predates an unseen structural change: drop it
         self._entries[leaf.page_id] = _RouteEntry(
             leaf.cache_token,
             (leaf.history_page_id, leaf.split_ts),
-            old.bounds + [end_ts.key],
-            old.pids[:-1] + [history_pid, leaf.page_id],
+            old.bounds + [history.end_ts.key],
+            old.pids[:-1] + [history.page_id, leaf.page_id],
         )
 
     def invalidate(self, leaf_pid: int) -> None:

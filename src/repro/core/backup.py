@@ -24,8 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.clock import Timestamp
 from repro.errors import AccessMethodError
-from repro.access.timesplit import time_split_page
-from repro.wal.records import SMOReason
+from repro.access.timesplit import plan_time_split
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import ImmortalDB
@@ -95,24 +94,14 @@ class QueryableBackup:
         self.engine.clock.advance_ticks(1)  # the freeze point must be fresh
         freeze_ts = self.engine.clock.now()
         btree = self.table.btree
-        for leaf in list(btree.leaves()):
+        for leaf, key_low, key_high in list(btree.leaves_with_bounds()):
             self.engine.tsmgr.stamp_page_for_split(leaf)
             if freeze_ts <= leaf.split_ts or not leaf.versions:
                 continue
-            history_pid = self.engine.buffer.disk.allocate()
-            outcome = time_split_page(leaf, freeze_ts, history_pid)
-            if not outcome.history.versions:
+            plan = plan_time_split(leaf, freeze_ts)
+            if plan.retained == len(leaf.versions):
                 continue  # only uncommitted content: nothing to capture
-            btree.stats.time_splits += 1
-            affected = [outcome.current, outcome.history]
-            if btree.history_index is not None:
-                _, low, high = next(btree.leaves_with_bounds(
-                    outcome.current.min_key or b""
-                ))
-                affected.extend(
-                    btree.history_index.on_time_split(outcome.history, low, high)
-                )
-            btree._log_smo(SMOReason.TIME_SPLIT, affected)
+            btree.install_time_split(plan, key_low, key_high)
             split += 1
         return split
 

@@ -30,6 +30,7 @@ interface, kept as a thin wrapper: it returns ``report.messages()``
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -39,6 +40,7 @@ from repro.errors import (
     PageQuarantinedError,
     UnknownTransactionError,
 )
+from repro.storage.constants import ARCHIVE_PID_BIT, META_PAGE_ID
 from repro.storage.page import DataPage, decode_page
 from repro.access.btree import BTreeIndexPage
 
@@ -118,6 +120,52 @@ def verify_integrity(db: "ImmortalDB", *, strict: bool = False) -> list[str]:
             f"{len(problems)} integrity problem(s):\n" + "\n".join(problems)
         )
     return problems
+
+
+@dataclass
+class PageAccounting:
+    """Page ids below ``page_count`` by the kind of structure that reaches
+    them (``archived`` references hold none), and those nothing reaches."""
+
+    page_count: int
+    by_kind: Counter
+    orphans: list[int]
+
+
+def page_accounting(db: "ImmortalDB") -> PageAccounting:
+    """The allocator's books, by one reachability walk: meta → catalog roots
+    → index nodes → leaves → history chains (through the archive), the TSB
+    index, the PTT tree and the free list.  A page id is taken only for a
+    page that is logged, so only a crash orphans one: the store was extended
+    for a structure modification whose record was in the lost log suffix."""
+    kinds: dict[int, str] = {META_PAGE_ID: "meta"}
+    for table in db.tables.values():
+        stack = [table.btree.root_pid]
+        while stack:
+            pid = stack.pop()
+            if not pid or pid in kinds:     # sibling leaves share older pages
+                continue
+            kinds[pid] = "archived" if pid & ARCHIVE_PID_BIT else "history"
+            try:
+                page = db.buffer.get_page(pid)
+            except PageQuarantinedError:
+                continue
+            if isinstance(page, BTreeIndexPage):
+                kinds[pid] = "index"
+                stack.extend(page.children)
+            else:
+                if not page.is_history:
+                    kinds[pid] = "current"
+                stack.append(page.history_page_id)
+        if table.history_index is not None:
+            for node in table.history_index.all_nodes():
+                kinds[node.page_id] = "tsb"
+    kinds.update(dict.fromkeys(db.ptt.page_ids(), "ptt"))
+    if db.disk.free_list is not None:
+        kinds.update(dict.fromkeys(db.disk.free_list.to_list(), "free"))
+    count = db.disk.page_count
+    orphans = [pid for pid in range(count) if pid not in kinds]
+    return PageAccounting(count, Counter(kinds.values()), orphans)
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +449,6 @@ def _check_archive(db: "ImmortalDB", report: IntegrityReport) -> None:
     if archive is None:
         return
     from repro.archive.delta import decode_block
-    from repro.storage.constants import ARCHIVE_PID_BIT
 
     for ref_index, (run_id, block_idx) in enumerate(archive.refs):
         pid = ARCHIVE_PID_BIT | ref_index

@@ -47,7 +47,7 @@ from typing import Any, Callable
 from repro import PROFILES
 from repro.core.engine import ImmortalDB
 from repro.errors import ConnectionLostError, ImmortalDBError, InDoubtError
-from repro.core.integrity import IntegrityError, verify_integrity
+from repro.core.integrity import IntegrityError, page_accounting, verify_integrity
 from repro.core.rowcodec import ColumnType
 from repro.faults.failpoints import FailpointRegistry, SimulatedCrash, installed
 from repro.faults.models import (
@@ -432,6 +432,7 @@ class CrashReport:
     name: str       # the failpoint crashed at, or "<fault kind>@<crossing>"
     crashed: bool   # the crossing was reached: crash raised / fault armed
     problems: list[str] = field(default_factory=list)
+    orphans: int = 0    # page ids nothing reaches after crash + recovery
 
     @property
     def ok(self) -> bool:
@@ -560,11 +561,13 @@ def _settle_and_scrub(rig: Rig, oracle: ShadowOracle, report: CrashReport) -> No
 
 def _verify(
     rig: Rig, oracle: ShadowOracle, report: CrashReport,
-    *, exact: bool = False,
+    *, exact: bool = False, after_crash: bool = True,
 ) -> None:
     """The contract every scenario ends on.
 
-    Strict integrity on every engine; the current state is one the oracle
+    Strict integrity on every engine and no orphan page id (after a crash
+    only counted: the store may have been extended for a structure
+    modification whose record was lost); the current state is one the oracle
     accepts (``exact``: the acked state and nothing else — a fault scenario
     has no in-flight mutation to be ambiguous about); no poison from a
     dropped bracket in any of them; every as-of mark reproduces exactly.
@@ -576,6 +579,10 @@ def _verify(
         except IntegrityError as exc:
             where = f"shard {n} " if len(engines) > 1 else ""
             report.problems.append(f"{where}integrity: {exc}")
+        orphans = page_accounting(engine).orphans
+        report.orphans += len(orphans)
+        if orphans and not after_crash:
+            report.problems.append(f"orphan page ids, and no crash: {orphans}")
     db, table = rig.db, rig.table
     txn = db.begin()
     got = {row["k"]: row["v"] for row in table.scan(txn)}
@@ -629,7 +636,7 @@ SCENARIOS = {
     "service_faults": Scenario(
         build, run_service_workload,
         _arm_fault(NETWORK_FAULT_KINDS, lambda rig: rig.wire),
-        _settle, partial(_verify, exact=True),
+        _settle, partial(_verify, exact=True, after_crash=False),
     ),
     "service": Scenario(
         build, run_service_workload, _arm_crash, _restart, _verify
@@ -637,7 +644,7 @@ SCENARIOS = {
     "media_faults": Scenario(
         build, run_workload,
         _arm_fault(FAULT_KINDS, lambda rig: rig.db.disk),
-        _settle_and_scrub, _verify,
+        _settle_and_scrub, partial(_verify, after_crash=False),
     ),
 }
 
@@ -655,7 +662,8 @@ def scenario_for(config: CrashTestConfig) -> Scenario:
 
 
 def enumerate_crossings(config: CrashTestConfig) -> list[str]:
-    """Run the workload once, undisturbed; return every crossing's name."""
+    """Run the workload once, undisturbed; return every crossing's name.
+    No crash cuts this run short, so it must orphan no page id."""
     scenario = scenario_for(config)
     rig = scenario.build(config)
     registry = FailpointRegistry()
@@ -663,6 +671,10 @@ def enumerate_crossings(config: CrashTestConfig) -> list[str]:
     with installed(registry):
         scenario.workload(rig, config, ShadowOracle())
     assert registry.trace is not None
+    for engine in rig.engines:
+        orphans = page_accounting(engine).orphans
+        if orphans:
+            raise IntegrityError(f"undisturbed run orphaned page ids {orphans}")
     return registry.trace
 
 
@@ -715,6 +727,7 @@ class ExplorationResult:
     explored: list[int]
     failures: list[CrashReport]
     by_name: Counter    # failpoint names crashed at, or fault kinds injected
+    orphans: int = 0    # page ids nothing reaches any more, over all replays
 
     @property
     def ok(self) -> bool:
@@ -742,6 +755,7 @@ def explore(
     for n, crossing in enumerate(indices):
         report = replay(config, crossing)
         result.by_name[report.name.split("@")[0]] += 1
+        result.orphans += report.orphans
         if not report.ok:
             result.failures.append(report)
         if progress is not None:
@@ -835,6 +849,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  {label}: " + ", ".join(
         f"{seam}={count}" for seam, count in sorted(seams.items())
     ))
+    if result.orphans:
+        print(f"  {result.orphans} page ids orphaned by the crashes (taken for "
+              f"a structure modification whose log record was lost)")
     if result.ok:
         print("  zero integrity or as-of-equivalence violations")
         return 0

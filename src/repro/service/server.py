@@ -22,7 +22,8 @@ Robustness behaviours, all typed and test-covered:
   result is dropped, and its slot and admission budget come back only
   then.  A request whose deadline passes while it waits for a slot never
   runs.  A deadline is taken under the service lock, so exactly one of the
-  connection thread and the watchdog writes the reply.
+  connection thread and the watchdog writes the reply, and the socket is not
+  closed under it: a counted timeout is a ``timeout`` the client reads.
 * **idle-session timeout** — the socket's own timeout: a connection
   silent (or not reading) past ``idle_timeout_s`` gets a ``bye`` and its
   session is reaped, aborting any open bracket.
@@ -74,6 +75,9 @@ class _Connection:
         self.request_id = None
         self.deadline: float | None = None  # while a request is past admission
         self.expired = False                # the deadline was taken: hang up
+        #: held from taking a deadline until its ``timeout`` reply is out,
+        #: so the body finishing meanwhile cannot close the socket first
+        self.replying = threading.Lock()
         self.thread = threading.Thread(
             target=self._run, name="svc-conn", daemon=True
         )
@@ -182,7 +186,8 @@ class _Connection:
             service.connections.discard(self)
         if self.session is not None:
             service.core.close_session(self.session, reason)
-        self.sock.close()
+        with self.replying:
+            self.sock.close()
 
     # -- called from other threads ---------------------------------------------
 
@@ -199,10 +204,14 @@ class _Connection:
             self.deadline = None
             self.expired = True
             service.core.on_request_timeout(self.session, "request timeout")
-        self._send(protocol.timeout_response(
-            self.request_id, deadline_ms=service.request_timeout_s * 1000.0
-        ))
-        self.hang_up()
+            self.replying.acquire()     # with the deadline: see ``_retire``
+        try:
+            self._send(protocol.timeout_response(
+                self.request_id, deadline_ms=service.request_timeout_s * 1000.0
+            ))
+            self.hang_up()
+        finally:
+            self.replying.release()
 
     def hang_up(self, how: int = socket.SHUT_RDWR) -> None:
         """Wake the connection thread out of ``recv``; it closes the socket."""

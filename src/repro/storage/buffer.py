@@ -319,11 +319,13 @@ class BufferPool:
         # allocation order — not necessarily id-by-id, since a versioned
         # bulk load interleaves history pages between leaves, so the demand
         # stream may stride over ids the scan never asks for.  The staging
-        # ring holds prefetched pages *outside* the frame table: admitting
+        # ring holds prefetched images *outside* the frame table: admitting
         # them directly would let a deep window wash its own head out of a
-        # small probation queue before the demand reads arrive.
+        # small probation queue before the demand reads arrive.  They stay
+        # raw (checksum-verified by the read) until a miss asks for one.
         self._last_miss_pid = -2
-        self._staged: OrderedDict[int, Page] = OrderedDict()
+        self._window = 0        # pages the next prefetch reads; 0: no run
+        self._staged: OrderedDict[int, bytes] = OrderedDict()
         self.stats = BufferStats()
         self._frames: OrderedDict[int, Frame] = OrderedDict()
         self._policy: EvictionPolicy = policy_cls(self)
@@ -371,14 +373,15 @@ class BufferPool:
             self._policy.on_access(page_id)
             return frame.page
         self.stats.misses += 1
-        staged = self._staged.pop(page_id, None)
-        if staged is not None:
-            # Served from the read-ahead staging ring: no disk read.
-            self.stats.prefetch_hits += 1
-            self._admit(Frame(staged))
-            return staged
-        raw: bytes | None
+        raw: bytes | None = self._staged.pop(page_id, None)
         try:
+            if raw is not None:
+                # Served from the read-ahead staging ring: no disk read, and
+                # the decode a wasted prefetch never pays happens only now.
+                self.stats.prefetch_hits += 1
+                page = decode_page(raw)
+                self._admit(Frame(page))
+                return page
             raw = self.disk.read_page(page_id)
         except TransientIOError:
             # Transient by contract: the stored image is fine, a repair
@@ -417,41 +420,47 @@ class BufferPool:
         gap = page_id - self._last_miss_pid
         self._last_miss_pid = page_id
         self._admit(Frame(page))
-        if self.read_ahead > 0 and 0 < gap <= max(1, self.read_ahead // 4):
-            self._prefetch_from(page_id + 1)
+        if self.read_ahead > 0:
+            if 0 < gap <= max(1, self.read_ahead // 4):
+                self._window = min(self.read_ahead, 2 * self._window or 1)
+                self._prefetch_from(page_id + 1)
+            else:
+                self._window = 0
         return page
 
     def _prefetch_from(self, start_pid: int) -> None:
-        """Read the next ``read_ahead`` pages of the extent into the ring.
+        """Read the next ``_window`` pages of the extent into the ring.
 
-        This is OS-style adaptive read-ahead: a single random miss never
-        triggers it, but a second miss a short forward gap after the first
-        does — the signature of a scan walking allocation order.  The
-        whole extent is read contiguously (the disk layer prices every
-        read after the first as a sequential transfer); pages the pool
-        already holds are skipped rather than used to end the window,
-        because breaking the id run would turn the remainder back into
-        seeks — exactly the extent-read behaviour of real prefetchers.
+        OS-style adaptive read-ahead: a single random miss never triggers
+        it, a second miss a short forward gap after the first does — a scan
+        walking allocation order — and the window ramps up 1, 2, 4 …
+        ``read_ahead`` pages while the run lasts, so a range scan of two or
+        three leaves pays for at most one page past its end.  The window is
+        read contiguously (the disk layer prices every read after the first
+        as a sequential transfer); pages the pool already holds are skipped
+        rather than used to end it — breaking the id run would turn the
+        remainder back into seeks.
         """
-        limit = min(start_pid + self.read_ahead, self.disk.page_count)
+        limit = min(start_pid + self._window, self.disk.page_count)
         for pid in range(start_pid, limit):
             if pid in self._frames:
                 continue
             try:
-                page = decode_page(self.disk.read_page(pid))
+                raw = self.disk.read_page(pid)
+                readable = Page.read_common_header(raw)[0] == pid
             except StorageError:
-                # Allocated-but-never-written (or damaged) page: stop this
-                # window — the failed read still advanced the disk head, so
-                # the next demand miss lands adjacent and re-triggers.  Only
-                # a demand request takes the repair path.
-                break
-            if page.page_id != pid:
+                readable = False
+            if not readable:
+                # Damaged, or allocated and never written (all zeros: id 0):
+                # stop this window — the failed read still advanced the disk
+                # head, so the next demand miss lands adjacent and
+                # re-triggers.  Only a demand request takes the repair path.
                 break
             self.stats.prefetches += 1
             # The window extends the miss run: the first demand miss past
             # it lands a short gap ahead and re-triggers immediately.
             self._last_miss_pid = pid
-            self._staged[pid] = page
+            self._staged[pid] = raw
         while len(self._staged) > 2 * self.read_ahead:
             self._staged.popitem(last=False)
 
@@ -676,9 +685,9 @@ class BufferPool:
     def write_through(self, page: Page) -> None:
         """Write an *uncached* page's image straight to disk.
 
-        No frame is admitted, but the read-ahead ring may hold a copy
-        decoded from the older image; it is dropped, or the next miss
-        would serve it in place of what was just written.
+        No frame is admitted, but the read-ahead ring may hold the older
+        image; it is dropped, or the next miss would serve it in place of
+        what was just written.
         """
         with self.mutex or _NO_MUTEX:
             self.disk.write_page(page.page_id, page.to_bytes())

@@ -36,7 +36,7 @@ import random
 import sys
 
 from repro.core.engine import ImmortalDB
-from repro.core.integrity import verify_integrity
+from repro.core.integrity import page_accounting, verify_integrity
 from repro.core.rowcodec import ColumnType
 from repro.errors import ConcurrencyError, DeadlockError
 from repro.faults.failpoints import FailpointRegistry, installed
@@ -204,6 +204,9 @@ def run_one(
 
     problems = verify_integrity(db)
     violations.extend(f"integrity: {p}" for p in problems)
+    orphans = page_accounting(db).orphans
+    if orphans:
+        violations.append(f"orphan page ids: {orphans}")
 
     return {
         "seed": seed,

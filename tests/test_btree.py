@@ -9,15 +9,15 @@ from repro.access.btree import BTree, BTreeIndexPage
 from repro.clock import SimClock
 from repro.errors import PageFormatError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import InMemoryDisk
+from repro.storage.disk import FileDisk, InMemoryDisk
 from repro.storage.page import DataPage, decode_page
 from repro.storage.record import RecordVersion
 from repro.wal.log import LogManager
 
 
 class Env:
-    def __init__(self, *, immortal=True, capacity=256):
-        self.disk = InMemoryDisk()
+    def __init__(self, *, immortal=True, capacity=256, disk=None):
+        self.disk = disk or InMemoryDisk()
         self.buffer = BufferPool(self.disk, capacity=capacity)
         self.log = LogManager()
         self.clock = SimClock(ms_per_timestamp=5.0)
@@ -25,19 +25,25 @@ class Env:
             self.buffer, self.log, self.clock, table_id=1, immortal=immortal
         )
         self._stamp_all = True
+        self.stamp_calls = 0
         self.btree.stamp_page = self._stamp
 
     def _stamp(self, page: DataPage) -> int:
         # Standalone stand-in for the timestamp manager: committed == all.
+        self.stamp_calls += 1
+        if not self._stamp_all:
+            return 0
         count = 0
         for version in page.unstamped_versions():
             version.stamp(self.clock.next_timestamp())
             count += 1
         return count
 
-    def insert(self, key: bytes, payload: bytes = b"v") -> None:
-        record = RecordVersion.new(key, payload, tid=1)
-        record.stamp(self.clock.next_timestamp())
+    def insert(self, key: bytes, payload: bytes = b"v", *, committed=True,
+               delete_stub=False) -> None:
+        record = RecordVersion.new(key, payload, tid=1, delete_stub=delete_stub)
+        if committed:
+            record.stamp(self.clock.next_timestamp())
         leaf = self.btree.leaf_for_insert(record)
         lsn = self.log.append(
             __import__("repro.wal.records", fromlist=["VersionOp"]).VersionOp(
@@ -188,6 +194,104 @@ class TestConventionalSplitting:
             env.insert(k(i), b"x" * 60)
         assert env.btree.stats.key_splits >= 1
         assert env.btree.stats.time_splits == 0
+
+
+@pytest.fixture(params=["memory", "file"])
+def disk(request, tmp_path):
+    if request.param == "memory":
+        yield InMemoryDisk()
+    else:
+        store = FileDisk(tmp_path / "db.pages")
+        yield store
+        store.close()
+
+
+def logged_page_ids(env: Env) -> set[int]:
+    from repro.wal.records import MultiPageImage
+
+    return {
+        pid for rec in env.log.records_from(0)
+        if isinstance(rec, MultiPageImage) for pid, _ in rec.images
+    }
+
+
+class TestSplitDecision:
+    """A full leaf is split by what is on it, decided before anything is
+    stamped, built or allocated — the table of DESIGN.md "Page splits", on
+    both page stores.  The rule behind every case: a page id is taken only
+    for a page that is logged."""
+
+    def assert_books_balance(self, env: Env) -> None:
+        assert env.disk.stats.allocations == len(logged_page_ids(env))
+        assert env.disk.page_count == 1 + env.disk.stats.allocations
+
+    def test_single_versions_key_split_directly(self, disk):
+        env = Env(disk=disk)
+        for i in range(40):                 # past the root's own growth
+            env.insert(k(i), b"x" * 400)
+        for i in range(40, 400):
+            pages, key_splits = disk.page_count, env.btree.stats.key_splits
+            env.insert(k(i), b"x" * 400)
+            grown = env.btree.stats.key_splits - key_splits
+            assert disk.page_count == pages + grown     # one id per split
+        assert env.btree.stats.key_splits > 10
+        assert env.btree.stats.time_splits == 0
+        assert env.stamp_calls == 0          # nothing was even stamped
+        self.assert_books_balance(env)
+
+    def test_ended_versions_time_split(self, disk):
+        env = Env(disk=disk)
+        for i in range(300):
+            pages, splits = disk.page_count, env.btree.stats.time_splits
+            env.insert(b"hot", b"%d" % i + b"x" * 60)
+            assert disk.page_count == pages + env.btree.stats.time_splits - splits
+        assert env.btree.stats.time_splits >= 2
+        assert env.btree.stats.key_splits == 0
+        self.assert_books_balance(env)
+
+    def test_head_stubs_alone_are_dropped(self, disk):
+        env = Env(disk=disk)
+        i = 0
+        while not env.btree.stats.time_splits:
+            env.insert(k(i), b"", delete_stub=True)
+            i += 1
+        leaf = env.btree.search_leaf(k(0))
+        assert env.btree.stats.key_splits == 0
+        assert leaf.keys() == [k(i - 1)]     # every older stub left the page
+        history = env.buffer.get_page(leaf.history_page_id)
+        assert len(history.versions) == i - 1
+        self.assert_books_balance(env)
+
+    def test_uncommitted_successors_move_nothing_and_take_no_page(self, disk):
+        env = Env(disk=disk)
+        for i in range(20):
+            env.insert(k(i), b"x" * 150)
+        env._stamp_all = False               # the updaters never commit
+        for i in range(20):
+            env.insert(k(i), b"y" * 150, committed=False)
+        leaf = env.btree.search_leaf(k(0))
+        assert len(leaf.versions) == 2 * len(leaf.slots)
+        pages, allocations = disk.page_count, disk.stats.allocations
+        assert not env.btree._try_time_split([], leaf)
+        assert env.stamp_calls > 0           # it had to look
+        assert (disk.page_count, disk.stats.allocations) == (pages, allocations)
+        assert env.btree.stats.time_splits == 0
+        for i in range(20, 60):              # so the page key splits instead
+            env.insert(k(i), b"x" * 150)
+        assert env.btree.stats.key_splits >= 1
+        assert env.btree.stats.time_splits == 0
+        self.assert_books_balance(env)
+
+    def test_conventional_table_with_a_pinned_snapshot_still_spills(self, disk):
+        env = Env(immortal=False, disk=disk)
+        env.btree.prune_page = lambda leaf: (leaf, 0)   # a snapshot pins all
+        for i in range(300):
+            env.insert(b"hot", b"%d" % i + b"x" * 60)
+        assert env.btree.stats.prunes == 0
+        assert env.btree.stats.time_splits >= 2
+        leaf = env.btree.search_leaf(b"hot")
+        assert env.buffer.get_page(leaf.history_page_id).is_history
+        self.assert_books_balance(env)
 
 
 class TestIndexNodeCodec:

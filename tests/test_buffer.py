@@ -364,6 +364,20 @@ class TestReadAhead:
         assert pool.stats.prefetch_hits == 1
         assert pool.disk.stats.reads == before
 
+    def test_window_doubles_while_the_run_lasts(self, disk):
+        pids = fill_disk_pages(disk, 40)
+        pool = BufferPool(disk, capacity=8, read_ahead=4)
+        windows = []
+        for pid in pids[:16] + pids[30:32]:
+            before = pool.stats.prefetches
+            pool.get_page(pid)
+            if pool.stats.prefetches > before:
+                windows.append(pool.stats.prefetches - before)
+        # Demand misses at 1, 3, 6 and 11 extend the run; the jump to 30
+        # ends it, and 31 starts over with one page.
+        assert windows == [1, 2, 4, 4, 1]
+        assert pool.stats.prefetch_hits == 11
+
     def test_random_misses_never_prefetch(self, disk):
         pids = fill_disk_pages(disk, 32)
         pool = BufferPool(disk, capacity=8, read_ahead=4)
@@ -385,7 +399,7 @@ class TestReadAhead:
         pids = fill_disk_pages(disk, 32)
         pool = BufferPool(disk, capacity=8, read_ahead=4)
         pool.get_page(pids[0])
-        pool.get_page(pids[1])            # stages pids[2..5]
+        pool.get_page(pids[1])            # stages pids[2]
         assert pids[2] in pool._staged
         page = pool.get_page(pids[2])     # staged copy becomes THE frame
         assert pids[2] not in pool._staged
@@ -400,8 +414,8 @@ class TestReadAhead:
         hole = disk.allocate()            # allocated, never written
         more = fill_disk_pages(disk, 4, start_key=50)
         pool = BufferPool(disk, capacity=8, read_ahead=8)
-        pool.get_page(pids[2])
-        pool.get_page(pids[3])            # window hits the hole and stops
+        for pid in pids:                  # the second window (two pages)
+            pool.get_page(pid)            # hits the hole and stops
         assert hole not in pool._staged
         assert all(pid not in pool._staged for pid in more)
         # The demand path still reads past the hole normally.

@@ -1,5 +1,6 @@
-"""Call budgets for the paper's Fig. 5 transaction, its Fig. 6 reads, a
-buffer miss, and a point ``SELECT`` through the socket service.
+"""Call budgets for the paper's Fig. 5 transaction, an insert that splits
+its page, the Fig. 6 reads, a buffer miss, and a point ``SELECT`` through
+the socket service.
 
 With the data in the buffer pool nothing on the update path waits, so its
 speed is its instruction count — for this engine, the number of Python
@@ -27,6 +28,10 @@ from repro.storage.record import RecordVersion
 # Python calls on CPython 3.10-3.12 (3.12 takes two fewer):
 UPDATE_BUDGET = 158   # begin + update one record + commit: 143 (256 before the diet)
 READ_BUDGET = 67      # begin + read one record + commit: 61 (159 before)
+# An insert that finds its leaf full of single live versions key splits it —
+# and nothing else: 687 while every such split first stamped the page, took
+# a page id and built two pages for a time split that could move nothing.
+KEY_SPLIT_BUDGET = 380    # begin + insert + key split + commit: 346
 # The tuned read path (route cache + lazy chain views), everything warm:
 ASOF_READ_BUDGET = 47   # read_as_of of one key: 43 (57 before PR 16)
 HISTORY_BUDGET = 260    # history() of a key with 20 versions: 236 (572 before)
@@ -103,6 +108,38 @@ def test_update_and_read_stay_within_their_call_budgets():
     # A budget left far above the path protects nothing.
     assert update_calls >= 0.8 * UPDATE_BUDGET
     assert read_calls >= 0.8 * READ_BUDGET
+
+
+def measure_key_split() -> float:
+    """Median calls of an insert transaction that key splits its leaf, in an
+    ascending load (every full leaf holds one live version per key)."""
+    db = ImmortalDB()
+    table = db.create_table("kv", [("k", "int"), ("v", "text")], key="k",
+                            immortal=True)
+    splits = table.btree.stats
+
+    def insert(k: int) -> None:
+        txn = db.begin()
+        table.insert(txn, {"k": k, "v": "x" * 400})
+        db.commit(txn)
+
+    samples = []
+    for k in range(400):
+        before = splits.key_splits
+        calls = python_calls(lambda: insert(k))
+        if splits.key_splits > before:
+            samples.append(calls)
+    assert len(samples) >= 20 and splits.time_splits == 0
+    return statistics.median(samples)
+
+
+def test_a_key_split_stays_within_its_call_budget():
+    calls = measure_key_split()
+    assert calls <= KEY_SPLIT_BUDGET, (
+        f"an insert that key splits its page now takes {calls} Python calls "
+        f"(budget {KEY_SPLIT_BUDGET})"
+    )
+    assert calls >= 0.8 * KEY_SPLIT_BUDGET
 
 
 def measure_historical() -> tuple[float, float]:
@@ -218,6 +255,7 @@ def test_a_point_select_over_the_socket_stays_within_its_call_budget():
 
 if __name__ == "__main__":
     print("update, read:", measure())
+    print("key-splitting insert:", measure_key_split())
     print("as-of read, history:", measure_historical())
     print("decode_page:", measure_decode())
     print("service point SELECT:", measure_service_read())

@@ -17,6 +17,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import PROFILES, ColumnType, ImmortalDB, Timestamp
+from repro.core.integrity import page_accounting
 from repro.storage.constants import NO_PREVIOUS
 
 
@@ -40,6 +41,9 @@ def _apply_ops(db, table, ops, pad: int = 1):
             continue
         if kind == "tick":
             db.advance_time(37.0 * (salt % 10 + 1))
+            continue
+        if kind == "checkpoint":
+            db.checkpoint(flush=salt % 2 == 0)
             continue
         value = f"v{salt}-" + "x" * (salt % 40 * pad)
         with db.transaction() as txn:
@@ -111,6 +115,39 @@ class TestTemporalCorrectness:
         db.crash_and_recover()
         table = db.table("t")
         for mark, expected in marks:
+            assert _rows_as_dict(table.scan_as_of(mark)) == expected
+
+
+class TestAllocatorBooks:
+    @settings(
+        max_examples=20, deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(
+        ops=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ["insert", "update", "update", "delete", "tick", "checkpoint"]
+                ),
+                st.integers(0, 39), st.integers(0, 999),
+            ),
+            min_size=20, max_size=200,
+        ),
+        tuned=st.booleans(),
+    )
+    def test_no_page_id_is_taken_for_nothing(self, ops, tuned):
+        """Whatever fills a page — inserts, versions, stubs, with commits
+        stamped or still waiting for a checkpoint — splitting it takes a
+        page id only for a page it logs: nothing is ever orphaned."""
+        db = ImmortalDB(
+            buffer_pages=32, **(PROFILES["tuned"] if tuned else {})
+        )
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        marks = _apply_ops(db, table, ops, pad=40)
+        books = page_accounting(db)
+        assert books.orphans == []
+        assert books.page_count == sum(books.by_kind.values())
+        for mark, expected in marks[-2:]:
             assert _rows_as_dict(table.scan_as_of(mark)) == expected
 
 

@@ -1017,8 +1017,13 @@ class TestOneThreadPerConnection:
                 assert len(outcomes) == 200
                 assert set(outcomes) == {protocol.STATUS_OK,
                                          protocol.STATUS_TIMEOUT}
+                # Every counted timeout is a ``timeout`` some client read:
+                # the body finishing late must not close the socket under
+                # the watchdog's reply (the client would resend the id on a
+                # fresh connection and count an ``ok`` instead).
                 assert svc.core.stats.timeouts == \
                     outcomes.count(protocol.STATUS_TIMEOUT)
+                assert svc.core.stats.accepts == 200    # nothing was resent
                 assert _wait_until(lambda: not svc.service.connections)
                 assert svc.core.admission.inflight == 0
                 for _ in range(3):

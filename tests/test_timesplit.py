@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from bisect import bisect_left
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -11,7 +12,8 @@ from repro.access.timesplit import (
     SplitOutcome,
     key_split_page,
     needs_key_split,
-    time_split_page,
+    nothing_to_move,
+    plan_time_split,
 )
 from repro.clock import Timestamp
 from repro.errors import AccessMethodError
@@ -43,26 +45,34 @@ def page_with(*chains: list[RecordVersion]) -> DataPage:
 SPLIT = Timestamp(100, 0)
 
 
+def split_at(
+    page: DataPage, split_ts: Timestamp, history_page_id: int
+) -> SplitOutcome:
+    return plan_time_split(page, split_ts).build(history_page_id)
+
+
 class TestFourCases:
     def test_case1_ended_versions_move_to_history(self):
         # A version updated at t=50: the t=10 version ends at 50 < 100.
         page = page_with([stamped(b"A", b"v0", 10), stamped(b"A", b"v1", 50)])
-        out = time_split_page(page, SPLIT, history_page_id=2)
-        assert out.moved == 1
+        plan = plan_time_split(page, SPLIT)
+        assert plan.moved == 1
+        out = plan.build(2)
         history_payloads = [v.payload for v in out.history.chain(b"A")]
         assert b"v0" in history_payloads
 
     def test_case2_spanning_versions_in_both_pages(self):
         """The redundancy that makes every page cover its full time range."""
         page = page_with([stamped(b"A", b"v0", 10)])
-        out = time_split_page(page, SPLIT, history_page_id=2)
-        assert out.copied == 1
+        plan = plan_time_split(page, SPLIT)
+        assert plan.copied == 1
+        out = plan.build(2)
         assert out.current.head(b"A").payload == b"v0"
         assert out.history.head(b"A").payload == b"v0"
 
     def test_case3_versions_after_split_stay_current_only(self):
         page = page_with([stamped(b"A", b"v0", 10), stamped(b"A", b"v1", 150)])
-        out = time_split_page(page, Timestamp(100, 0), history_page_id=2)
+        out = split_at(page, Timestamp(100, 0), history_page_id=2)
         assert out.history.head(b"A").payload == b"v0"
         current_payloads = [v.payload for v in out.current.chain(b"A")]
         assert current_payloads[0] == b"v1"
@@ -72,7 +82,7 @@ class TestFourCases:
         uncommitted = RecordVersion.new(b"A", b"dirty", tid=5)
         page = page_with([stamped(b"A", b"v0", 10)])
         page.insert_version(uncommitted)
-        out = time_split_page(page, SPLIT, history_page_id=2)
+        out = split_at(page, SPLIT, history_page_id=2)
         current_payloads = [v.payload for v in out.current.chain(b"A")]
         assert b"dirty" in current_payloads
         assert b"dirty" not in [v.payload for v in out.history.chain(b"A")]
@@ -83,7 +93,7 @@ class TestFourCases:
         """Figure 3: stubs before split time are removed from current."""
         page = page_with([stamped(b"C", b"c0", 10)])
         page.insert_version(stub(b"C", 50))
-        out = time_split_page(page, SPLIT, history_page_id=2)
+        out = split_at(page, SPLIT, history_page_id=2)
         # Current page has no trace of C at all.
         assert out.current.head(b"C") is None
         # History has the version and the stub ending it.
@@ -95,7 +105,7 @@ class TestFourCases:
         """Figure 3's record C: a stub after split time is current-only."""
         page = page_with([stamped(b"C", b"c0", 10)])
         page.insert_version(stub(b"C", 150))
-        out = time_split_page(page, SPLIT, history_page_id=2)
+        out = split_at(page, SPLIT, history_page_id=2)
         assert out.current.head(b"C").is_delete_stub
         assert not any(v.is_delete_stub for v in out.history.chain(b"C"))
 
@@ -105,7 +115,7 @@ class TestPageMetadata:
         page = page_with([stamped(b"A", b"v0", 10)])
         page.split_ts = Timestamp(5, 0)
         page.history_page_id = 77  # pre-existing older history page
-        out = time_split_page(page, SPLIT, history_page_id=2)
+        out = split_at(page, SPLIT, history_page_id=2)
         assert out.history.split_ts == Timestamp(5, 0)
         assert out.history.end_ts == SPLIT
         assert out.history.history_page_id == 77   # chain extends backwards
@@ -114,13 +124,13 @@ class TestPageMetadata:
 
     def test_history_page_is_marked_history(self):
         page = page_with([stamped(b"A", b"v0", 10)])
-        out = time_split_page(page, SPLIT, history_page_id=2)
+        out = split_at(page, SPLIT, history_page_id=2)
         assert out.history.is_history
         assert not out.current.is_history
 
     def test_spanning_version_vp_points_into_history(self):
         page = page_with([stamped(b"A", b"v0", 10), stamped(b"A", b"v1", 50)])
-        out = time_split_page(page, SPLIT, history_page_id=2)
+        out = split_at(page, SPLIT, history_page_id=2)
         tail = list(out.current.chain(b"A"))[-1]
         assert tail.vp_in_history
         slot = out.history.slot_of(b"A")
@@ -128,7 +138,7 @@ class TestPageMetadata:
 
     def test_immortal_and_table_id_propagate(self):
         page = page_with([stamped(b"A", b"v0", 10)])
-        out = time_split_page(page, SPLIT, history_page_id=2)
+        out = split_at(page, SPLIT, history_page_id=2)
         assert out.history.immortal and out.current.immortal
         assert out.history.table_id == 1
 
@@ -136,12 +146,12 @@ class TestPageMetadata:
         page = page_with([stamped(b"A", b"v0", 10)])
         page.split_ts = SPLIT
         with pytest.raises(AccessMethodError):
-            time_split_page(page, SPLIT, history_page_id=2)
+            split_at(page, SPLIT, history_page_id=2)
 
     def test_history_pages_never_split(self):
         page = DataPage(1, is_history=True)
         with pytest.raises(AccessMethodError):
-            time_split_page(page, SPLIT, history_page_id=2)
+            split_at(page, SPLIT, history_page_id=2)
 
 
 class TestCoverageInvariant:
@@ -149,7 +159,7 @@ class TestCoverageInvariant:
         """The essential point of Section 3.3."""
         chain = [stamped(b"A", f"v{i}".encode(), 10 + i * 20) for i in range(6)]
         page = page_with(chain)
-        out = time_split_page(page, Timestamp(75, 0), history_page_id=2)
+        out = split_at(page, Timestamp(75, 0), history_page_id=2)
         # Versions alive at some t < 75 must be findable in the history page;
         # versions alive at some t >= 75 in the current page.
         for t in (10, 30, 50, 70):
@@ -166,6 +176,80 @@ class TestCoverageInvariant:
             )
             cur_versions = {v.payload for v in out.current.chain(b"A")}
             assert alive.payload in cur_versions, f"t={t}"
+
+
+def uncommitted(key: bytes, payload: bytes) -> RecordVersion:
+    return RecordVersion.new(key, payload, tid=7)
+
+
+class TestSplitDecision:
+    """What a split would do is read off the page: first a test that needs
+    no timestamps, then the plan — the same classification the build
+    consumes.  (``tests/test_btree.py`` drives the same table through the
+    tree, on both page stores.)"""
+
+    def test_single_live_versions_have_nothing_to_move(self):
+        page = page_with(
+            [stamped(b"A", b"a", 10)], [uncommitted(b"B", b"b")],
+            [stamped(b"C", b"c", 150)],
+        )
+        assert nothing_to_move(page)
+        plan = plan_time_split(page, SPLIT)     # and the plan agrees
+        assert not plan.frees_space
+        assert (plan.moved, plan.copied, plan.retained) == (0, 1, 2)
+
+    def test_an_ended_version_or_a_stub_is_something_to_move(self):
+        assert not nothing_to_move(
+            page_with([stamped(b"A", b"a0", 10), stamped(b"A", b"a1", 50)])
+        )
+        assert not nothing_to_move(page_with([stub(b"A", 10)]))
+        # ... stamped or not: a stub's writer may have committed since.
+        unstamped_stub = RecordVersion.new(b"A", b"", tid=7, delete_stub=True)
+        assert not nothing_to_move(page_with([unstamped_stub]))
+
+    def test_ended_versions_free_space(self):
+        page = page_with([stamped(b"A", b"a0", 10), stamped(b"A", b"a1", 50)])
+        plan = plan_time_split(page, SPLIT)
+        assert plan.frees_space and plan.moved == 1
+
+    def test_head_stubs_alone_free_space(self):
+        page = page_with([stub(b"A", 10)], [stub(b"B", 20)])
+        plan = plan_time_split(page, SPLIT)
+        assert plan.frees_space
+        assert (plan.moved, plan.stubs_dropped) == (0, 2)
+        assert plan.build(2).current.keys() == []
+
+    def test_uncommitted_successors_free_nothing(self):
+        """Not single versions, so only the plan can tell: the committed
+        version under an uncommitted one has not ended."""
+        page = page_with(
+            [stamped(b"A", b"a0", 10), uncommitted(b"A", b"a1")],
+            [stamped(b"B", b"b0", 20), uncommitted(b"B", b"b1")],
+        )
+        assert not nothing_to_move(page)
+        plan = plan_time_split(page, SPLIT)
+        assert not plan.frees_space
+        assert (plan.copied, plan.retained) == (2, 2)
+
+    def test_only_uncommitted_content_is_all_retained(self):
+        plan = plan_time_split(page_with([uncommitted(b"A", b"a")]), SPLIT)
+        assert plan.retained == 1 and not plan.frees_space
+        assert plan.build(2).history.versions == []
+
+    def test_planning_touches_nothing_and_build_is_the_split(self):
+        page = page_with(
+            [stamped(b"A", b"a0", 10), stamped(b"A", b"a1", 50)],
+            [stamped(b"B", b"b0", 20)], [stub(b"C", 30)],
+        )
+        before = page.to_bytes()
+        plan = plan_time_split(page, SPLIT)
+        assert page.to_bytes() == before
+        assert (plan.moved, plan.copied, plan.retained, plan.stubs_dropped) \
+            == (1, 2, 0, 1)
+        built = plan.build(2)
+        assert page.to_bytes() == before
+        assert built.current.keys() == [b"A", b"B"]
+        assert built.history.keys() == [b"A", b"B", b"C"]
 
 
 class TestKeySplitPolicy:
@@ -230,7 +314,7 @@ class TestKeySplit:
 # ---------------------------------------------------------------------------
 # The split builders against their predecessors.
 #
-# ``time_split_page`` and ``key_split_page`` walk every chain of their source
+# ``plan_time_split`` + ``build`` and ``key_split_page`` walk every chain of their source
 # once and install copies with a ``DataPage.add_chain`` that sums and links
 # in one go.  What follows is the code they replaced — walk each chain
 # twice, ``.copy()`` every version, then an ``add_chain`` that re-validates,
@@ -276,9 +360,19 @@ def reference_continues_in_history(page: DataPage, key: bytes):
     return None
 
 
+@dataclass
+class ReferenceOutcome:
+    current: DataPage
+    history: DataPage
+    moved: int = 0
+    copied: int = 0
+    retained: int = 0
+    stubs_dropped: int = 0
+
+
 def reference_time_split(
     page: DataPage, split_ts: Timestamp, history_page_id: int
-) -> SplitOutcome:
+) -> ReferenceOutcome:
     history = DataPage(
         history_page_id, is_history=True, page_size=page.page_size,
         table_id=page.table_id, immortal=page.immortal,
@@ -294,7 +388,7 @@ def reference_time_split(
     current.split_ts = split_ts
     current.history_page_id = history_page_id
     current.next_leaf_id = page.next_leaf_id
-    outcome = SplitOutcome(current=current, history=history)
+    outcome = ReferenceOutcome(current=current, history=history)
     for key in page.keys():
         chain = list(page.chain(key))  # newest first
         tail_history_slot = reference_continues_in_history(page, key)
@@ -450,12 +544,12 @@ class TestBuildersMatchTheirPredecessors:
         split_ts = Timestamp(tick, sn)
         assume(split_ts > page.split_ts)
         old = reference_time_split(page, split_ts, history_page_id=21)
-        new = time_split_page(page, split_ts, history_page_id=21)
+        plan = plan_time_split(page, split_ts)
+        new = plan.build(21)
         _same_page(new.current, old.current)
         _same_page(new.history, old.history)
-        assert (new.moved, new.copied, new.retained, new.stubs_dropped) == \
+        assert (plan.moved, plan.copied, plan.retained, plan.stubs_dropped) == \
             (old.moved, old.copied, old.retained, old.stubs_dropped)
-        assert new.routing_interval == old.routing_interval
 
     @settings(max_examples=60, deadline=None)
     @given(page=split_sources())
@@ -465,7 +559,7 @@ class TestBuildersMatchTheirPredecessors:
         for version in stamped_versions:
             if version.timestamp > page.split_ts:
                 old = reference_time_split(page, version.timestamp, 21)
-                new = time_split_page(page, version.timestamp, 21)
+                new = split_at(page, version.timestamp, 21)
                 _same_page(new.current, old.current)
                 _same_page(new.history, old.history)
 
