@@ -60,7 +60,6 @@ ARCHIVE_COST = dataclasses.replace(
     COST_2005,
     archive_block_read_ms=0.9,
     archive_migrate_page_ms=1.2,
-    archive_merge_ms=0.9,
 )
 
 
@@ -145,9 +144,7 @@ def run_cell(sizes: Sizes, value_len: int, depth: int) -> dict:
         "depth": depth,
         "pages_migrated": migrated,
         "pages_freed": stats["archive_pages_freed"],
-        "runs": stats["archive_runs"],
         "blocks": stats["archive_blocks"],
-        "merges": stats["archive_merges"],
         "bytes_raw": raw,
         "bytes_stored": stored,
         "compression_ratio": round(raw / stored, 3) if stored else None,
@@ -294,12 +291,12 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = run_sweep(quick=args.quick)
 
-    print(f"{'vlen':>5} {'depth':>6} {'pages':>6} {'runs':>5} "
+    print(f"{'vlen':>5} {'depth':>6} {'pages':>6} "
           f"{'ratio':>7} {'migrate sim-ms':>14} {'asof sim-ms':>11} "
           f"{'blk-reads':>9}")
     for c in payload["cells"]:
         print(f"{c['value_len']:>5} {c['depth']:>6} "
-              f"{c['pages_migrated']:>6} {c['runs']:>5} "
+              f"{c['pages_migrated']:>6} "
               f"{c['compression_ratio']:>7.2f} "
               f"{c['migrate_simulated_ms']:>14.1f} "
               f"{c['asof']['simulated_ms']:>11.1f} "

@@ -24,10 +24,10 @@ failpoint so the crashtest harness kills the process between any two):
 
 1. ``archive.migrate.select`` — re-verify candidacy, flush the page if
    dirty (the archived image must match the durable one);
-2. ``archive.migrate.append`` — encode the delta block, append it to the
-   store, assign the next ref index;
-3. ``archive.migrate.sync`` — append a manifest snapshot naming the new
-   ref and **sync the store**.  From here the archive copy is durable;
+2. ``archive.migrate.append`` — encode the delta block and append it to
+   the store; the position it lands at is its ref;
+3. ``archive.migrate.sync`` — **sync the store**.  From here the archive
+   copy is durable;
 4. ``archive.migrate.relink`` — rewrite every referrer's
    ``history_page_id`` from the raw pid to the ref pid, write-through;
 5. ``archive.migrate.free`` — drop the old page's frame, zero-fill its
@@ -35,10 +35,10 @@ failpoint so the crashtest harness kills the process between any two):
 
 Why each intermediate crash state is consistent:
 
-* crash before the sync — the block and manifest are an unsynced tail the
-  store discards; every on-disk link still names the intact raw page.
+* crash before the sync — the block is an unsynced tail the store
+  discards; every on-disk link still names the intact raw page.
 * crash between sync and the last relink flush — some referrers name the
-  ref (durably described by the synced manifest), the rest still name
+  ref (a position inside the store's durable prefix), the rest still name
   the raw page, which is untouched.  Both routes decode the same chain.
 * crash after relinks, before/during the free — worst case a zero-filled
   page whose pid never reached a durable catalog: a leaked hole, never a
@@ -49,38 +49,25 @@ Why each intermediate crash state is consistent:
 Reads come back through the buffer pool's resolver seam
 (``BufferPool.archive_resolver``): a ``history_page_id`` with
 :data:`~repro.storage.constants.ARCHIVE_PID_BIT` set never enters the
-frame table; the manager materializes the block (ref → run id + block →
+frame table; the manager materializes the block (ref → position →
 decode) through its own small LRU of decoded pages, so ``page_for_time``,
 the as-of route cache, history scans and the integrity walker all work
 unchanged on either tier.  A block that fails to decode quarantines the
 ref — reads degrade through the PR-5 ``Degraded`` path instead of
 corrupting results.
 
-Runs follow the lstore merge idiom (SNIPPETS.md #1): each step seals one
-level-0 run; when ``merge_threshold`` live runs accumulate at a level,
-their blocks are copied into one dense run at the next level and the refs
-are remapped — the store stays append-only, superseded runs simply stop
-being referenced.  The dead bytes those merges (and stale manifests) leave
-behind are reclaimed by **compaction** (:meth:`ArchiveManager.compact`):
-the live records are rewritten into a fresh log that atomically replaces
-the old file, with ``archive.compact.*`` failpoints at every stage of the
-prepare/swap protocol.
+Nothing searches the store — a read arrives holding the position it wants
+— so there is no table beside it to keep in step with it, and nothing in it
+is ever superseded: every byte written is a block some page may link to.
 """
 
 from __future__ import annotations
 
-import json
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.archive.delta import decode_block, encode_block
-from repro.archive.store import (
-    RECORD_BLOCK,
-    RECORD_MANIFEST,
-    ArchiveStore,
-    BlockMeta,
-    RunMeta,
-)
+from repro.archive.store import ArchiveStore
 from repro.clock import TICK_MS, Timestamp
 from repro.core.asof import PageView
 from repro.errors import PageQuarantinedError
@@ -101,15 +88,8 @@ class ArchiveConfig:
 
     cold_ms: float = 10_000.0   # history colder than this is migratable
     pages_per_step: int = 8     # migration budget per step (scrubber idiom)
-    merge_threshold: int = 10   # live runs per level before a merge
     auto: bool = True           # run a step inside every checkpoint
     max_cached_pages: int = 128  # decoded-page LRU behind the resolver
-    # Compaction: the append-only store accumulates dead records (blocks
-    # superseded by merges, stale manifests).  When the dead fraction of
-    # the store reaches this ratio, ``step`` rewrites it down to the live
-    # records.  0.0 disables compaction entirely.
-    compact_ratio: float = 0.0
-    compact_min_bytes: int = 4096  # don't bother below this much dead weight
 
 
 @dataclass
@@ -118,16 +98,12 @@ class ArchiveStats:
 
     pages_migrated: int = 0
     pages_freed: int = 0
-    blocks_written: int = 0
     block_reads: int = 0
-    merges: int = 0
     quarantined: int = 0
-    compactions: int = 0
-    bytes_reclaimed: int = 0
 
 
 class ArchiveManager:
-    """Owns the archive store, the ref table, and the migration pass."""
+    """Owns the archive store, the decoded-block cache, and the migration pass."""
 
     def __init__(
         self,
@@ -140,12 +116,6 @@ class ArchiveManager:
         self.config = config or ArchiveConfig()
         self.store = ArchiveStore(store_path)
         self.stats = ArchiveStats()
-        self.runs: dict[int, RunMeta] = {}
-        # refs[i] = (run_id, block_index); ref pid = ARCHIVE_PID_BIT | i.
-        # Entries are remapped by merges but never removed: a ref pid stored
-        # in a page header must stay resolvable forever.
-        self.refs: list[tuple[int, int]] = []
-        self.next_run_id = 1
         self.quarantined: set[int] = set()
         self._cache: OrderedDict[int, DataPage] = OrderedDict()
         # Wire the seams: reads resolve through us, frees feed allocation.
@@ -153,50 +123,6 @@ class ArchiveManager:
         if engine.disk.free_list is None:
             engine.disk.free_list = PageFreeList()
         engine.disk.free_list.replace(engine.catalog.free_pids)
-        self._load_manifest()
-
-    # -- manifest ----------------------------------------------------------
-
-    def _manifest_doc(self) -> dict:
-        return {
-            "format": 1,
-            "next_run_id": self.next_run_id,
-            "runs": [self.runs[rid].to_doc() for rid in sorted(self.runs)],
-            "refs": [list(entry) for entry in self.refs],
-        }
-
-    def _load_manifest(self) -> None:
-        doc = self.store.last_manifest()
-        if doc is None:
-            self.runs = {}
-            self.refs = []
-            self.next_run_id = 1
-            return
-        self.next_run_id = doc["next_run_id"]
-        self.runs = {
-            run["id"]: RunMeta.from_doc(run) for run in doc["runs"]
-        }
-        self.refs = [(entry[0], entry[1]) for entry in doc["refs"]]
-
-    # -- accounting --------------------------------------------------------
-
-    @property
-    def live_runs(self) -> int:
-        return len(self.runs)
-
-    @property
-    def live_blocks(self) -> int:
-        return len(self.refs)
-
-    @property
-    def bytes_raw(self) -> int:
-        """Pre-compression bytes of every live (referenced) block."""
-        return sum(run.raw_bytes for run in self.runs.values())
-
-    @property
-    def bytes_stored(self) -> int:
-        """Compressed bytes of every live block."""
-        return sum(run.stored_bytes for run in self.runs.values())
 
     # -- the read seam -----------------------------------------------------
 
@@ -220,11 +146,8 @@ class ArchiveManager:
             self._cache.move_to_end(page_id)
             return page
         fire("archive.read.block")
-        ref = page_id & ~ARCHIVE_PID_BIT
         try:
-            run_id, block_idx = self.refs[ref]
-            meta = self.runs[run_id].blocks[block_idx]
-            blob = self.store.read_block(meta.record)
+            blob = self.store.read_block(page_id & ~ARCHIVE_PID_BIT)
             fire("archive.read.decode")
             page = decode_block(blob, page_id)
         except Exception as exc:
@@ -348,7 +271,6 @@ class ArchiveManager:
         candidates, referrers = self._scan()
         buffer = self.engine.buffer
         disk = self.engine.disk
-        run: RunMeta | None = None
         migrated = 0
         for pid in candidates:
             if migrated == budget:
@@ -360,31 +282,12 @@ class ArchiveManager:
             if buffer.is_dirty(pid):
                 buffer.flush_page(pid)
             blob = encode_block(page)
-            if run is None:
-                run = RunMeta(run_id=self.next_run_id, level=0)
-                self.next_run_id += 1
-                self.runs[run.run_id] = run
             fire("archive.migrate.append")
-            record = self.store.append_block(blob)
-            block_idx = len(run.blocks)
-            run.blocks.append(
-                BlockMeta(
-                    record=record,
-                    length=len(blob),
-                    raw_bytes=page.used_bytes,
-                    key_low=page.min_key or b"",
-                    key_high=page.max_key or b"",
-                    t_low=page.split_ts,
-                    t_high=page.end_ts,
-                )
+            ref_pid = ARCHIVE_PID_BIT | self.store.append_block(
+                blob, page.used_bytes
             )
-            ref_index = len(self.refs)
-            self.refs.append((run.run_id, block_idx))
-            ref_pid = ARCHIVE_PID_BIT | ref_index
-            self.store.append_manifest(self._manifest_doc())
             fire("archive.migrate.sync")
             self.store.sync()
-            self.stats.blocks_written += 1
             # The archive copy is durable; now move every link, then free.
             fire("archive.migrate.relink")
             for rpid in referrers.get(pid, ()):
@@ -412,8 +315,6 @@ class ArchiveManager:
             self.stats.pages_freed += 1
             migrated += 1
         if migrated:
-            self._maybe_merge()
-            self._maybe_compact()
             # Cached routes and page views may still name migrated pids.
             if self.engine.route_cache is not None:
                 self.engine.route_cache.clear()
@@ -432,129 +333,6 @@ class ArchiveManager:
             total += moved
         return total
 
-    # -- levelled merging --------------------------------------------------
-
-    def _maybe_merge(self) -> None:
-        """Consolidate under-filled runs, lstore MERGE_THRESHOLD style."""
-        level = 0
-        while True:
-            peers = sorted(
-                (run for run in self.runs.values() if run.level == level),
-                key=lambda run: run.run_id,
-            )
-            if len(peers) < self.config.merge_threshold:
-                return
-            fire("archive.migrate.merge")
-            merged = RunMeta(run_id=self.next_run_id, level=level + 1)
-            self.next_run_id += 1
-            remap: dict[tuple[int, int], tuple[int, int]] = {}
-            for old in peers:
-                for block_idx, meta in enumerate(old.blocks):
-                    blob = self.store.read_block(meta.record)
-                    record = self.store.append_block(blob)
-                    remap[(old.run_id, block_idx)] = (
-                        merged.run_id, len(merged.blocks)
-                    )
-                    merged.blocks.append(
-                        BlockMeta(
-                            record=record,
-                            length=meta.length,
-                            raw_bytes=meta.raw_bytes,
-                            key_low=meta.key_low,
-                            key_high=meta.key_high,
-                            t_low=meta.t_low,
-                            t_high=meta.t_high,
-                        )
-                    )
-            for old in peers:
-                del self.runs[old.run_id]
-            self.runs[merged.run_id] = merged
-            self.refs = [remap.get(entry, entry) for entry in self.refs]
-            self.store.append_manifest(self._manifest_doc())
-            self.store.sync()
-            self.stats.merges += 1
-            level += 1
-
-    # -- compaction --------------------------------------------------------
-
-    @property
-    def dead_bytes(self) -> int:
-        """Store payload bytes no live run references (merge leftovers,
-        superseded manifests — everything :meth:`compact` would reclaim)."""
-        return max(0, self.store.appended_bytes - self.bytes_stored)
-
-    def _maybe_compact(self) -> None:
-        ratio = self.config.compact_ratio
-        if ratio <= 0.0:
-            return
-        total = self.store.appended_bytes
-        dead = self.dead_bytes
-        if total <= 0 or dead < self.config.compact_min_bytes:
-            return
-        if dead / total >= ratio:
-            self.compact()
-
-    def compact(self) -> int:
-        """Rewrite the store down to its live records; returns bytes freed.
-
-        Merges copy blocks forward and every migration appends a manifest
-        snapshot, so the append-only store accumulates records nothing
-        references.  Compaction rebuilds the whole log from the live block
-        set plus one fresh manifest, prepares it as a fsynced sidecar, and
-        atomically swaps it over the old file
-        (:meth:`~repro.archive.store.ArchiveStore.rewrite_commit`).
-
-        Crash-atomicity (each stage below has an ``archive.compact.*``
-        failpoint; the crashtest kills the process between any two):
-
-        * before the swap (``begin``/``write``/``sync``) — the live log is
-          untouched; a leftover sidecar is deleted on reopen.  Recovery
-          reads the old manifest; nothing moved.
-        * at/after the swap (``swap``/``done``) — the new log is complete
-          and durable (the sidecar was fsynced before ``os.replace``);
-          recovery reads the fresh manifest, whose remapped record indices
-          address the rewritten sequence.  Ref pids, run ids and block
-          payloads are all unchanged, so on-disk page links stay valid.
-        """
-        fire("archive.compact.begin")
-        # Anything still buffered must reach the old log first: the rewrite
-        # adopts only what it is given, and the caller's manifest/refs may
-        # describe those records.
-        self.store.sync()
-        before = self.store.appended_bytes
-        fire("archive.compact.write")
-        records: list[tuple[int, bytes]] = []
-        remap: dict[int, int] = {}  # old record index -> rewritten index
-        for rid in sorted(self.runs):
-            for meta in self.runs[rid].blocks:
-                remap[meta.record] = len(records)
-                records.append(
-                    (RECORD_BLOCK, self.store.read_block(meta.record))
-                )
-        doc = self._manifest_doc()
-        for run_doc in doc["runs"]:
-            for block_doc in run_doc["blocks"]:
-                block_doc[0] = remap[block_doc[0]]
-        records.append((
-            RECORD_MANIFEST,
-            json.dumps(doc, separators=(",", ":"), sort_keys=True).encode(),
-        ))
-        fire("archive.compact.sync")
-        self.store.rewrite_prepare(records)
-        fire("archive.compact.swap")
-        self.store.rewrite_commit(records)
-        # The swap is durable; adopt the rewritten indices in memory.
-        # (A crash from here on reloads the same mapping from the fresh
-        # manifest, so the in-memory and durable views agree either way.)
-        for rid in sorted(self.runs):
-            for meta in self.runs[rid].blocks:
-                meta.record = remap[meta.record]
-        reclaimed = max(0, before - self.store.appended_bytes)
-        self.stats.compactions += 1
-        self.stats.bytes_reclaimed += reclaimed
-        fire("archive.compact.done")
-        return reclaimed
-
     # -- crash / recovery --------------------------------------------------
 
     def on_crash(self) -> None:
@@ -562,7 +340,6 @@ class ArchiveManager:
         self.store.crash()
         self._cache.clear()
         self.quarantined.clear()
-        self._load_manifest()
 
     def before_recovery(self) -> None:
         """Take the free list away from redo.
@@ -575,7 +352,7 @@ class ArchiveManager:
         self.engine.disk.free_list.replace([])
 
     def after_recovery(self) -> None:
-        """Rebuild post-redo state: manifest, then free-list validation.
+        """Rebuild post-redo state: validate the free list.
 
         A pid from the durable catalog stays free only if its disk image
         is blank (zero-filled at free time; the CRC field is excluded
@@ -586,7 +363,6 @@ class ArchiveManager:
         """
         self._cache.clear()
         self.quarantined.clear()
-        self._load_manifest()
         disk = self.engine.disk
         free_list = disk.free_list
         free_list.replace(self.engine.catalog.free_pids)

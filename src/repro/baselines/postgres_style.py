@@ -18,14 +18,14 @@ archival structure.  The paper's criticisms, reproduced measurably:
   metered so benches can charge it.
 
 The archival structure is the engine's own :class:`~repro.archive.store.
-ArchiveStore` — the same append-only record log, :class:`RunMeta` /
-:class:`BlockMeta` fencing, manifest snapshots and durable/unsynced
-boundary that ``repro.archive`` uses for TSB-tree tiering — so
-``bench_cmp1_related_work.py`` compares the two architectures over
-identical storage machinery.  What stays deliberately Postgres-shaped is
-the *placement policy*: versions are packed into blocks in vacuum-scan
-order with no per-block coverage guarantee, which is exactly the
-scattered-version effect the paper criticises.
+ArchiveStore` — the same append-only block sequence ``repro.archive`` uses
+for TSB-tree tiering — so ``bench_cmp1_related_work.py`` compares the two
+architectures over identical storage machinery.  What stays deliberately
+Postgres-shaped is the *placement policy*: versions are packed into blocks
+in vacuum-scan order with no per-block coverage guarantee, which is exactly
+the scattered-version effect the paper criticises — and why this table,
+unlike the engine, has to *search* its archive: it keeps a key/time fence
+per block, in memory, to prune that search.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 
-from repro.archive.store import ArchiveStore, BlockMeta, RunMeta
+from repro.archive.store import ArchiveStore
 from repro.clock import Timestamp
 from repro.errors import DuplicateKeyError, KeyNotFoundError
 
@@ -47,7 +47,7 @@ class _Version:
 
 
 def _key_bytes(key) -> bytes:
-    """Order-preserving byte image of a key, for BlockMeta fences."""
+    """Order-preserving byte image of a key, for block fences."""
     if isinstance(key, bytes):
         return key
     if isinstance(key, str):
@@ -87,35 +87,13 @@ class Metrics:
 class PostgresStyleTable:
     """Current store with chains + vacuum-fed :class:`ArchiveStore`."""
 
-    def __init__(
-        self,
-        vacuum_batch_pages: int = 64,
-        *,
-        store_path: str | None = None,
-    ) -> None:
+    def __init__(self, vacuum_batch_pages: int = 64) -> None:
         self._current: dict = {}            # key -> [newest _Version, ...]
-        self.store = ArchiveStore(store_path)
-        self.runs: dict[int, RunMeta] = {}
-        self.next_run_id = 1
+        self.store = ArchiveStore()
+        # (key_low, key_high, t_low) of the block at each store position.
+        self._fences: list[tuple[bytes, bytes, Timestamp]] = []
         self.vacuum_batch_pages = vacuum_batch_pages
         self.metrics = Metrics()
-        self._load_manifest()
-
-    # -- manifest ----------------------------------------------------------
-
-    def _manifest_doc(self) -> dict:
-        return {
-            "format": 1,
-            "next_run_id": self.next_run_id,
-            "runs": [self.runs[rid].to_doc() for rid in sorted(self.runs)],
-        }
-
-    def _load_manifest(self) -> None:
-        doc = self.store.last_manifest()
-        if doc is None:
-            return
-        self.next_run_id = doc["next_run_id"]
-        self.runs = {run["id"]: RunMeta.from_doc(run) for run in doc["runs"]}
 
     # -- updates ---------------------------------------------------------------
 
@@ -145,8 +123,7 @@ class PostgresStyleTable:
         Versions are packed into archive blocks in vacuum-scan order — so
         one record's history scatters across the blocks of successive
         vacuum runs, with no per-block coverage guarantee.  Each vacuum
-        seals one level-0 run and syncs a manifest snapshot, the same
-        durability protocol the engine's migration pass follows.
+        syncs the store once its blocks are appended.
         """
         self.metrics.vacuum_runs += 1
         moved: list[tuple[object, _Version]] = []
@@ -154,33 +131,17 @@ class PostgresStyleTable:
             if len(chain) > 1:
                 moved.extend((key, v) for v in chain[1:])
                 del chain[1:]
-        run: RunMeta | None = None
         for start in range(0, len(moved), versions_per_page):
             batch = moved[start : start + versions_per_page]
             key_images = [_key_bytes(k) for k, _ in batch]
-            times = [v.ts for _, v in batch]
-            payload = _encode_batch(batch)
-            if run is None:
-                run = RunMeta(run_id=self.next_run_id, level=0)
-                self.next_run_id += 1
-                self.runs[run.run_id] = run
-            record = self.store.append_block(payload)
-            run.blocks.append(
-                BlockMeta(
-                    record=record,
-                    length=len(payload),
-                    raw_bytes=sum(
-                        len(json.dumps(v.value or {})) for _, v in batch
-                    ),
-                    key_low=min(key_images),
-                    key_high=max(key_images),
-                    t_low=min(times),
-                    t_high=max(times),
-                )
+            self.store.append_block(
+                _encode_batch(batch),
+                sum(len(json.dumps(v.value or {})) for _, v in batch),
             )
-        if run is not None:
-            self.store.append_manifest(self._manifest_doc())
-            self.store.sync()
+            self._fences.append(
+                (min(key_images), max(key_images), min(v.ts for _, v in batch))
+            )
+        self.store.sync()
         self.metrics.vacuum_versions_moved += len(moved)
         return len(moved)
 
@@ -199,9 +160,9 @@ class PostgresStyleTable:
         Even when the current store has a version with timestamp ≤ ts, a
         *newer-but-still-≤-ts* version may have been vacuumed away, so the
         archive must be consulted before answering — the structural cost of
-        the two-store design.  Archive blocks are pruned by their RunMeta
-        fences, then read back from the store and decoded; every surviving
-        block is a separate probe.
+        the two-store design.  Archive blocks are pruned by their fences,
+        then read back from the store and decoded; every surviving block is
+        a separate probe.
         """
         best: _Version | None = None
         self.metrics.current_probes += 1
@@ -209,23 +170,20 @@ class PostgresStyleTable:
             if version.ts <= ts and (best is None or version.ts > best.ts):
                 best = version
         key_image = _key_bytes(key)
-        for run_id in sorted(self.runs):
-            for meta in self.runs[run_id].blocks:
-                if meta.t_low > ts:
+        for position, (key_low, key_high, t_low) in enumerate(self._fences):
+            if t_low > ts or not key_low <= key_image <= key_high:
+                continue
+            self.metrics.archive_pages_probed += 1
+            for rec_key, version in _decode_batch(
+                self.store.read_block(position)
+            ):
+                self.metrics.archive_versions_scanned += 1
+                if rec_key != key:
                     continue
-                if not (meta.key_low <= key_image <= meta.key_high):
-                    continue
-                self.metrics.archive_pages_probed += 1
-                for rec_key, version in _decode_batch(
-                    self.store.read_block(meta.record)
+                if version.ts <= ts and (
+                    best is None or version.ts > best.ts
                 ):
-                    self.metrics.archive_versions_scanned += 1
-                    if rec_key != key:
-                        continue
-                    if version.ts <= ts and (
-                        best is None or version.ts > best.ts
-                    ):
-                        best = version
+                    best = version
         if best is None or best.value is None:
             return None
         return dict(best.value)
@@ -234,15 +192,15 @@ class PostgresStyleTable:
 
     @property
     def archive_page_count(self) -> int:
-        return sum(len(run.blocks) for run in self.runs.values())
+        return len(self.store)
 
     @property
     def archive_bytes_stored(self) -> int:
-        return sum(run.stored_bytes for run in self.runs.values())
+        return self.store.stored_bytes
 
     @property
     def archive_bytes_raw(self) -> int:
-        return sum(run.raw_bytes for run in self.runs.values())
+        return self.store.raw_bytes
 
     def current_chain_length(self, key) -> int:
         return len(self._current.get(key, []))

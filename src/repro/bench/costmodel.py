@@ -45,10 +45,9 @@ class CostModel:
     # archiving is off in the figure workloads, so every counter is zero
     # there and fig5/fig6 stay byte-identical — the history-depth benchmark
     # prices block materialization (a sequential read + decode of one delta
-    # block), per-page migration work, and run merges.
+    # block) and per-page migration work.
     archive_migrate_page_ms: float = 0.0   # encode + append + relink one page
     archive_block_read_ms: float = 0.0     # fetch + decode one archive block
-    archive_merge_ms: float = 0.0          # consolidate one level of runs
 
     def simulated_ms(self, delta: dict) -> float:
         """Price a stats delta (see :meth:`ImmortalDB.stats`)."""
@@ -86,7 +85,6 @@ class CostModel:
             + delta.get("tsb_lookups", 0) * self.tsb_lookup_ms
             + delta.get("archive_pages_migrated", 0) * self.archive_migrate_page_ms
             + delta.get("archive_block_reads", 0) * self.archive_block_read_ms
-            + delta.get("archive_merges", 0) * self.archive_merge_ms
         )
 
 

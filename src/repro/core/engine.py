@@ -562,8 +562,8 @@ class ImmortalDB:
             )
         self.tsmgr.recovery_fallback = self.clock.now()
         if self.archive is not None:
-            # Reload the durable manifest and re-validate the free list
-            # against the post-redo page images before anything reuses ids.
+            # Re-validate the free list against the post-redo page images
+            # before anything reuses ids.
             self.archive.after_recovery()
         self.checkpoint(flush=True)
         return report
@@ -697,18 +697,13 @@ class ImmortalDB:
                 self.archive.stats.pages_migrated if self.archive else 0,
             "archive_pages_freed":
                 self.archive.stats.pages_freed if self.archive else 0,
-            "archive_runs": self.archive.live_runs if self.archive else 0,
-            "archive_blocks": self.archive.live_blocks if self.archive else 0,
+            "archive_blocks": len(self.archive.store) if self.archive else 0,
             "archive_block_reads":
                 self.archive.stats.block_reads if self.archive else 0,
-            "archive_merges": self.archive.stats.merges if self.archive else 0,
-            "archive_bytes_raw": self.archive.bytes_raw if self.archive else 0,
+            "archive_bytes_raw":
+                self.archive.store.raw_bytes if self.archive else 0,
             "archive_bytes_stored":
-                self.archive.bytes_stored if self.archive else 0,
-            "archive_compactions":
-                self.archive.stats.compactions if self.archive else 0,
-            "archive_bytes_reclaimed":
-                self.archive.stats.bytes_reclaimed if self.archive else 0,
+                self.archive.store.stored_bytes if self.archive else 0,
             # Service layer (all zero without a network service attached).
             "service_accepts":
                 self.service_stats.accepts if self.service_stats else 0,

@@ -229,13 +229,7 @@ def build(config: CrashTestConfig) -> Rig:
         # A ~500 ms horizon (25 ticks) with the workload's 5-250 ms time
         # advances guarantees checkpoints find cold pages to migrate, so
         # the enumerate pass crosses every archive.migrate.* stage.
-        # compact_ratio 0.2 with a tiny floor makes the store compact as
-        # soon as merges leave dead records behind, so the enumerate pass
-        # also crosses every archive.compact.* stage.
-        engine["archive"] = {
-            "cold_ms": 500.0, "pages_per_step": 4, "merge_threshold": 4,
-            "auto": True, "compact_ratio": 0.2, "compact_min_bytes": 256,
-        }
+        engine["archive"] = {"cold_ms": 500.0, "pages_per_step": 4}
     if config.shards:
         from repro.cluster import ShardRouter
 
@@ -524,11 +518,13 @@ def _settle(rig: Rig, oracle: ShadowOracle, report: CrashReport) -> None:
 def _settle_and_scrub(rig: Rig, oracle: ShadowOracle, report: CrashReport) -> None:
     """Media faults, phase two: latent corruption at rest.
 
-    After quiescing, the *stored* image of page ``crossing % page_count``
-    is damaged (mode rotates through bitrot/garbage/zero) and a scrubber
-    pass runs.  The scrubber must find the damage, restore the page
-    byte-identically from backup + archived log records, and come back
-    clean on a second pass.
+    After quiescing, the *stored* image of one allocated page, picked by
+    the crossing number (``crossing % page_count`` when no id is free), is
+    damaged (mode rotates through bitrot/garbage/zero) and a scrubber pass
+    runs.  An id on the free list is no victim: the archive zero-filled it
+    and the scrubber rightly skips it.  The scrubber must find the damage,
+    restore the page byte-identically from backup + archived log records,
+    and come back clean on a second pass.
     """
     _settle(rig, oracle, report)
     rig.db.buffer.flush_all()
@@ -537,7 +533,9 @@ def _settle_and_scrub(rig: Rig, oracle: ShadowOracle, report: CrashReport) -> No
     # drop it so this phase stays deterministic (it proved nothing either way).
     disk.disarm()
     crossing = report.crossing
-    target = crossing % disk.page_count
+    free = disk.free_list or ()
+    allocated = [pid for pid in range(disk.page_count) if pid not in free]
+    target = allocated[crossing % len(allocated)]
     mode = CORRUPT_MODES[(crossing // len(FAULT_KINDS)) % len(CORRUPT_MODES)]
     good = disk.inner._read(target)
     disk.corrupt_stored(target, mode=mode)

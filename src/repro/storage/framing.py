@@ -3,7 +3,7 @@
 Three byte sequences in this repo are runs of these frames: the file WAL
 (:mod:`repro.wal.filelog`, a frame per log record, addressed by file
 offset inside zero-filled extents), the archive store
-(:mod:`repro.archive.store`, a frame per ``type byte + record``, addressed
+(:mod:`repro.archive.store`, a frame per archived page, addressed
 by position and truncated to its clean prefix on open) and the service's
 wire stream (:mod:`repro.service.protocol`, unbounded, reassembled a chunk
 at a time).  Addressing and lifecycle are each user's own; the format and

@@ -10,6 +10,7 @@ and (degraded, not wrong) when a stored block is damaged.
 from __future__ import annotations
 
 import gc
+import os
 import random
 import struct
 import weakref
@@ -19,7 +20,7 @@ import pytest
 
 from repro.archive import delta, manager as archive_manager
 from repro.archive.delta import decode_block, encode_block
-from repro.archive.store import ArchiveStore, RECORD_BLOCK, RECORD_MANIFEST
+from repro.archive.store import ArchiveStore, ArchiveStoreError
 from repro.clock import Timestamp, encode_tid_field
 from repro.core.engine import ImmortalDB
 from repro.core.integrity import integrity_report, verify_integrity
@@ -264,14 +265,14 @@ class TestLazyOpen:
         db, table, marks = _build()
         db.archive.drain()
         victim = _archived_ref_pids(db)[0]
-        run_id, block_idx = db.archive.refs[victim & ~ARCHIVE_PID_BIT]
-        record = db.archive.runs[run_id].blocks[block_idx].record
-        rtype, blob = db.archive.store._records[record]
+        blocks = db.archive.store._blocks
+        position = victim & ~ARCHIVE_PID_BIT
+        raw_bytes, blob = blocks[position]
         doc = bytearray(zlib.decompress(blob))
         # Point the last slot past the version area: valid zlib, valid
         # heads, and nothing a reader of the other keys would ever touch.
         doc[-2:] = b"\xff\xff"
-        db.archive.store._records[record] = (rtype, zlib.compress(bytes(doc)))
+        blocks[position] = (raw_bytes, zlib.compress(bytes(doc)))
         with pytest.raises(PageQuarantinedError):
             db.archive.materialize(victim)
         assert victim in db.archive.quarantined
@@ -287,7 +288,7 @@ class TestDecodedBlockLifetime:
         db, table, marks = _build(asof_route_cache=True)
         db.archive.config.max_cached_pages = cap
         db.archive.drain()
-        assert len(db.archive.refs) > 3 * cap
+        assert len(db.archive.store) > 3 * cap
         alive: list[weakref.ref] = []
         real = archive_manager.decode_block
 
@@ -309,7 +310,7 @@ class TestDecodedBlockLifetime:
             table.scan_as_of(marks[1])
             for pid in db.archive._cache:
                 views.append(weakref.ref(db.archive._cache[pid].view))
-            assert db.archive.stats.block_reads > len(db.archive.refs)
+            assert db.archive.stats.block_reads > len(db.archive.store)
             assert sum(ref() is not None for ref in alive) == 2 * cap
             assert sum(ref() is not None for ref in views) == cap
         finally:
@@ -323,56 +324,74 @@ class TestDecodedBlockLifetime:
 
 
 class TestArchiveStore:
+    def test_position_is_the_ref(self):
+        store = ArchiveStore()
+        assert [store.append_block(b, n) for b, n in
+                ((b"one", 10), (b"two", 20), (b"three", 30))] == [0, 1, 2]
+        assert store.read_block(1) == b"two"
+        assert (len(store), store.raw_bytes, store.stored_bytes) == (3, 60, 11)
+        for position in (-1, 3):
+            with pytest.raises(ArchiveStoreError):
+                store.read_block(position)
+
     def test_crash_drops_unsynced_tail(self):
         store = ArchiveStore()
-        a = store.append_block(b"one")
+        a = store.append_block(b"one", 10)
         store.sync()
-        store.append_block(b"two")
-        store.append_manifest({"x": 1})
+        store.append_block(b"two", 20)
         store.crash()
-        assert store.record_count == 1
+        assert len(store) == 1 and store.raw_bytes == 10
         assert store.read_block(a) == b"one"
-        assert store.last_manifest() is None
+        # The position the lost block had is handed out again.
+        assert store.append_block(b"again", 5) == 1
 
     def test_file_reopen_ignores_torn_tail(self, tmp_path):
         path = str(tmp_path / "arch")
         store = ArchiveStore(path)
-        a = store.append_block(b"alpha")
-        store.append_manifest({"refs": []})
+        a = store.append_block(b"alpha", 100)
+        b = store.append_block(b"beta", 200)
         store.sync()
         store.close()
         with open(path, "ab") as fh:  # torn frame: header, no payload
             fh.write(b"\x00\x00\x00\x00\x09")
         reopened = ArchiveStore(path)
-        assert reopened.record_count == 2
+        assert len(reopened) == reopened.durable_count == 2
         assert reopened.read_block(a) == b"alpha"
-        assert reopened.last_manifest() == {"refs": []}
+        assert reopened.read_block(b) == b"beta"
+        assert (reopened.raw_bytes, reopened.stored_bytes) == (300, 9)
         reopened.close()
 
-    def test_flipped_type_byte_is_a_torn_tail(self, tmp_path):
-        """The type byte is inside the frame's CRC: a manifest turned into
-        a block (or back) by one flipped bit is dropped, not misread."""
+    @pytest.mark.parametrize("damage", ["bit flip", "zero length"])
+    def test_reopen_stops_at_a_damaged_frame(self, tmp_path, damage):
+        """Every byte of a frame's payload — the ``used_bytes`` prefix too —
+        is inside its CRC: a damaged frame and everything behind it are
+        dropped, and the next append takes the first dropped position."""
         path = str(tmp_path / "arch")
         store = ArchiveStore(path)
-        store.append_manifest({"gen": 1})
-        store.append_block(b"alpha")
-        store.append_manifest({"gen": 2})
-        store.sync()
-        assert store.durable_count == 3
+        for n, blob in enumerate((b"alpha", b"beta", b"gamma")):
+            store.append_block(blob, 100 + n)
         store.close()
         with open(path, "rb") as fh:
             data = fh.read()
-        last = scan(data)[0][-1]            # offset of the last frame
-        type_at = last + HEADER.size        # its first payload byte
-        assert data[type_at] == RECORD_MANIFEST
+        second = scan(data)[0][1]           # offset of the second frame
         with open(path, "r+b") as fh:
-            fh.seek(type_at)
-            fh.write(bytes([data[type_at] ^ 0x01]))
+            if damage == "bit flip":        # in the used_bytes prefix
+                fh.seek(second + HEADER.size + 3)
+                fh.write(bytes([data[second + HEADER.size + 3] ^ 0x01]))
+            else:
+                fh.seek(second)
+                fh.write(bytes(4))
         reopened = ArchiveStore(path)
-        assert reopened.durable_count == 2
-        assert reopened.last_manifest() == {"gen": 1}
-        assert reopened.read_block(1) == b"alpha"
+        assert len(reopened) == reopened.durable_count == 1
+        assert reopened.read_block(0) == b"alpha"
+        assert reopened.append_block(b"delta", 7) == 1
         reopened.close()
+        again = ArchiveStore(path)
+        assert [again.read_block(i) for i in range(len(again))] == [
+            b"alpha", b"delta",
+        ]
+        assert again.raw_bytes == 107
+        again.close()
 
 
 # ---------------------------------------------------------------------------
@@ -443,20 +462,22 @@ class TestMigrationEquivalence:
         assert s["archive_bytes_raw"] >= 2 * s["archive_bytes_stored"]
         db.close()
 
-    def test_levelled_merge_consolidates_runs(self):
-        db, _, _ = _build(rounds=40)
-        db.archive.config.pages_per_step = 2   # many small level-0 runs
-        merge_at = db.archive.config.merge_threshold
-        db.archive.drain()
-        assert db.archive.stats.merges > 0
-        levels = {}
-        for run in db.archive.runs.values():
-            levels[run.level] = levels.get(run.level, 0) + 1
-        assert all(count < merge_at for count in levels.values())
-        # Refs must still resolve after remapping.
-        for i in range(len(db.archive.refs)):
-            page = db.archive.materialize(ARCHIVE_PID_BIT | i)
-            assert isinstance(page, DataPage)
+    @pytest.mark.parametrize("pages_per_step", [1, 3, 64])
+    def test_nothing_dead_is_ever_written(self, tmp_path, pages_per_step):
+        """However the migration is cut into steps, the store file is its
+        blocks and their frames (8 B header + 4 B ``used_bytes``) — no
+        byte in it is superseded by a later one."""
+        path = str(tmp_path / "db.pages")
+        db, table, marks = _build(path=path, rounds=40)
+        db.archive.config.pages_per_step = pages_per_step
+        before = _answers(db, table, marks)
+        while db.archive.step():
+            store = db.archive.store
+            assert os.path.getsize(path + ".archive") == (
+                store.stored_bytes + 12 * len(store)
+            )
+        assert len(db.archive.store) == db.archive.stats.pages_migrated > 10
+        assert _answers(db, table, marks) == before
         db.close()
 
     def test_auto_mode_migrates_during_checkpoints(self):
@@ -537,117 +558,6 @@ class TestFileBackedArchive:
 
 
 # ---------------------------------------------------------------------------
-# compaction
-# ---------------------------------------------------------------------------
-
-
-class TestCompaction:
-    def test_compact_reclaims_dead_bytes_invisibly(self):
-        db, table, marks = _build(rounds=40)
-        db.archive.config.pages_per_step = 2   # many small runs -> merges
-        db.archive.config.merge_threshold = 4
-        db.archive.drain()
-        assert db.archive.stats.merges > 0
-        before_bytes = db.archive.store.appended_bytes
-        before_answers = _answers(db, table, marks)
-        reclaimed = db.archive.compact()
-        assert reclaimed > 0
-        assert db.archive.store.appended_bytes < before_bytes
-        # Merge leftovers and stale manifests are gone; live blocks plus
-        # exactly one fresh manifest remain.
-        assert db.archive.dead_bytes < before_bytes - db.archive.bytes_stored
-        assert db.archive.store.record_count == len(db.archive.refs) + 1
-        # Every ref still resolves and every answer is unchanged.
-        for pid in _archived_ref_pids(db):
-            assert isinstance(db.archive.materialize(pid), DataPage)
-        assert _answers(db, table, marks) == before_answers
-        assert verify_integrity(db) == []
-        s = db.stats()
-        assert s["archive_compactions"] == 1
-        assert s["archive_bytes_reclaimed"] == reclaimed
-        db.close()
-
-    def test_compact_ratio_triggers_from_step(self):
-        db, table, marks = _build(rounds=40)
-        db.archive.config.pages_per_step = 2
-        db.archive.config.merge_threshold = 4
-        db.archive.config.compact_ratio = 0.2
-        db.archive.config.compact_min_bytes = 256
-        db.archive.drain()
-        assert db.archive.stats.compactions > 0
-        assert db.archive.stats.bytes_reclaimed > 0
-        assert verify_integrity(db) == []
-        db.close()
-
-    def test_compact_survives_crash_recovery(self):
-        """The fresh manifest alone must reconstruct the archive."""
-        db, table, marks = _build()
-        db.archive.drain()
-        db.archive.compact()
-        before = _answers(db, table, marks)
-        db.crash()
-        db.recover()
-        assert _answers(db, db.table("hist"), marks) == before
-        assert verify_integrity(db) == []
-        db.close()
-
-    def test_file_backed_compact_swaps_atomically(self, tmp_path):
-        import os
-
-        path = str(tmp_path / "db.pages")
-        db = ImmortalDB(path=path, archive=dict(ARCHIVE_FAST))
-        table = db.create_table(
-            "hist", [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
-            key="k", immortal=True,
-        )
-        marks = []
-        for r in range(25):
-            for k in range(6):
-                with db.transaction() as txn:
-                    if r == 0:
-                        table.insert(txn, {"k": k, "v": f"{'p' * 500}:{r}"})
-                    else:
-                        table.update(txn, k, {"v": f"{'p' * 500}:{r}:{k}"})
-            db.advance_time(60)
-            marks.append(db.now())
-        db.checkpoint(flush=True)
-        db.archive.config.pages_per_step = 2
-        db.archive.config.merge_threshold = 4
-        db.archive.drain()
-        before = _answers(db, table, marks, keys=6)
-        store_path = path + ".archive"
-        size_before = os.path.getsize(store_path)
-        assert db.archive.compact() > 0
-        assert os.path.getsize(store_path) < size_before
-        assert not os.path.exists(store_path + ".compact")
-        tick = db.clock.tick
-        db.close()
-
-        db2 = ImmortalDB(path=path, archive=dict(ARCHIVE_FAST))
-        db2.clock.advance_ms((tick + 1) * 20)
-        assert _answers(db2, db2.table("hist"), marks, keys=6) == before
-        assert verify_integrity(db2) == []
-        db2.close()
-
-    def test_stale_sidecar_ignored_on_reopen(self, tmp_path):
-        """A compaction that died before the swap leaves only garbage."""
-        import os
-
-        path = str(tmp_path / "store.archive")
-        store = ArchiveStore(path)
-        store.append_block(b"live block payload")
-        store.sync()
-        store.close()
-        with open(path + ".compact", "wb") as fh:
-            fh.write(b"half-written replacement from a dead compaction")
-        reopened = ArchiveStore(path)
-        assert not os.path.exists(path + ".compact")
-        assert reopened.record_count == 1
-        assert reopened.read_block(0) == b"live block payload"
-        reopened.close()
-
-
-# ---------------------------------------------------------------------------
 # crash-during-migration sweep
 # ---------------------------------------------------------------------------
 
@@ -663,15 +573,12 @@ class TestCrashDuringMigration:
             i for i, name in enumerate(names) if name.startswith("archive.")
         ]
         assert crossings, "workload never reached the archive seams"
-        stages = {names[i].rsplit(".", 1)[-1] for i in crossings}
-        assert {"select", "append", "sync", "relink", "free"} <= stages
-        # The crashtest archive config sets compact_ratio, so the sweep
-        # also kills the process inside the compaction protocol.
-        compact_stages = {
-            names[i].rsplit(".", 1)[-1]
-            for i in crossings if names[i].startswith("archive.compact.")
+        assert {names[i] for i in crossings} == {
+            "archive.migrate.select", "archive.migrate.append",
+            "archive.migrate.sync", "archive.migrate.relink",
+            "archive.migrate.free", "archive.read.block",
+            "archive.read.decode",
         }
-        assert {"begin", "write", "sync", "swap", "done"} <= compact_stages
         failures = []
         for crossing in crossings:
             report = replay(config, crossing)
@@ -970,16 +877,14 @@ class TestHeaderFirstScan:
 
 
 def _archived_ref_pids(db) -> list[int]:
-    return [ARCHIVE_PID_BIT | i for i in range(len(db.archive.refs))]
+    return [ARCHIVE_PID_BIT | i for i in range(len(db.archive.store))]
 
 
 def _tamper_block(db, ref_pid: int) -> None:
     """Corrupt the stored bytes behind one archive ref."""
-    run_id, block_idx = db.archive.refs[ref_pid & ~ARCHIVE_PID_BIT]
-    record = db.archive.runs[run_id].blocks[block_idx].record
-    rtype, payload = db.archive.store._records[record]
-    assert rtype == RECORD_BLOCK
-    db.archive.store._records[record] = (rtype, b"\xde\xad" + payload[2:])
+    blocks = db.archive.store._blocks
+    raw_bytes, blob = blocks[ref_pid & ~ARCHIVE_PID_BIT]
+    blocks[ref_pid & ~ARCHIVE_PID_BIT] = (raw_bytes, b"\xde\xad" + blob[2:])
 
 
 class TestQuarantine:
@@ -1030,18 +935,6 @@ class TestIntegrityCrossChecks:
         assert [f for f in report.findings if f.kind == "archive"] == []
         db.close()
 
-    def test_fence_mismatch_is_detected(self):
-        db, _, _ = _build()
-        db.archive.drain()
-        run_id, block_idx = db.archive.refs[0]
-        meta = db.archive.runs[run_id].blocks[block_idx]
-        meta.t_high = Timestamp(meta.t_high.ttime + 999, 0)
-        findings = [
-            f for f in integrity_report(db).findings if f.kind == "archive"
-        ]
-        assert findings and any("fence" in f.detail for f in findings)
-        db.close()
-
     def test_unreadable_block_is_detected(self):
         db, _, _ = _build()
         db.archive.drain()
@@ -1055,9 +948,11 @@ class TestIntegrityCrossChecks:
     def test_dangling_ref_is_detected(self):
         db, _, _ = _build()
         db.archive.drain()
-        db.archive.refs[0] = (999_999, 0)
+        # The store lost its tail (a frame damaged at rest truncates every
+        # position behind it at reopen): page headers still link there.
+        del db.archive.store._blocks[-3:]
         findings = [
             f for f in integrity_report(db).findings if f.kind == "archive"
         ]
-        assert findings
+        assert findings and all("past the store" in f.detail for f in findings)
         db.close()

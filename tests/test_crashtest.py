@@ -291,12 +291,11 @@ class TestProfiles:
     # Every fire() name the five engine sweeps of the flag-at-a-time matrix
     # crossed (default, --group-commit 4, --route-cache, --eviction 2q
     # --flush-batch 4, --archive --route-cache), recorded from the commit
-    # before the flags were folded into profiles.
+    # before the flags were folded into profiles — less the six
+    # archive.migrate.merge / archive.compact.* seams, deleted with the
+    # merges and the compaction they were in.
     FLAG_MATRIX_SEAMS = frozenset({
-        "archive.compact.begin", "archive.compact.done",
-        "archive.compact.swap", "archive.compact.sync",
-        "archive.compact.write", "archive.migrate.append",
-        "archive.migrate.free", "archive.migrate.merge",
+        "archive.migrate.append", "archive.migrate.free",
         "archive.migrate.relink", "archive.migrate.select",
         "archive.migrate.sync", "archive.read.block", "archive.read.decode",
         "asof.route.hit", "asof.route.invalidate", "asof.route.miss",
@@ -329,7 +328,6 @@ class TestProfiles:
                 "txn.groupcommit.ack", "buffer.flushbatch.write",
                 "asof.route.hit", "asof.route.miss"} <= tuned
         assert any(n.startswith("archive.migrate.") for n in tuned_archive)
-        assert any(n.startswith("archive.compact.") for n in tuned_archive)
 
     def test_there_are_exactly_two_profiles(self):
         assert sorted(PROFILES) == ["paper", "tuned"]

@@ -15,8 +15,8 @@ from repro.service import protocol
 from repro.storage.framing import HEADER, frame, scan
 from repro.wal.records import CommitTxn
 
-# Log records, so the file log accepts them; their first byte (the record
-# tag) reads as the archive store's type byte, and the wire takes anything.
+# Log records, so the file log accepts them; their first four bytes read as
+# the archive store's ``used_bytes`` prefix, and the wire takes anything.
 PAYLOADS = [
     CommitTxn(tid=tid, ttime=tid, sn=tid, ptt=True).to_bytes()
     for tid in range(1, 6)
@@ -78,12 +78,15 @@ class TestEveryReaderStopsAtTheSameFrame:
         path = tmp_path / "arch"
         path.write_bytes(image)
         store = ArchiveStore(str(path))
-        assert store.durable_count == store.record_count == good
-        assert [bytes([rtype]) + body for rtype, body in store._records] \
-            == PAYLOADS[:good]
-        store.append_block(b"next")
+        assert store.durable_count == len(store) == good
+        assert [store.read_block(i) for i in range(good)] \
+            == [p[4:] for p in PAYLOADS[:good]]
+        assert store.raw_bytes == sum(
+            int.from_bytes(p[:4], "big") for p in PAYLOADS[:good]
+        )
+        assert store.append_block(b"next", 9) == good
         store.close()
-        # Truncated to the clean prefix: the append is the next record.
+        # Truncated to the clean prefix: the append is the next position.
         reopened = ArchiveStore(str(path))
         assert reopened.durable_count == good + 1
         assert reopened.read_block(good) == b"next"

@@ -1,15 +1,18 @@
-"""One read path, two profiles: ``paper`` and ``tuned`` answer alike.
+"""One read path, two profiles, two history routes: all answer alike.
 
 ``paper`` reads history the way the paper describes it — walk the
 time-split chain, walk the record's chain, compare ``Timestamp``s.
 ``tuned`` reads it through the as-of route cache, lazy per-key chain views
 with int timestamps and a row memo, and archive blocks that build their
-versions on demand.  The same seeded workload runs on both engines —
-inserts, updates, deletes and re-inserts, enough volume for key and time
-splits, a writer left open across the reads, archive migration behind a
-two-block LRU on the tuned side — and every historical read must come out
-equal, at every mark, twice over (the second pass reads through warm
-views and memos).
+versions on demand.  A third engine is ``tuned`` with ``use_tsb_index``:
+it routes a historical read through the TSB-tree's memoized search instead
+of the route cache (and, having an index whose terms hold raw page ids,
+keeps its history out of the archive).  The same seeded workload runs on
+all three — inserts, updates, deletes and re-inserts, enough volume for
+key and time splits, a writer left open across the reads, archive
+migration behind a two-block LRU on the tuned side — and every historical
+read must come out equal, at every mark, twice over (the second pass reads
+through warm views and memos).
 
 Tier-1 runs three seeds; the nightly CI job runs fifty
 (``IMMORTAL_READPATH_SEEDS=50``).
@@ -35,13 +38,16 @@ def _value(rng: random.Random) -> str:
 
 
 class Twin:
-    """A ``paper`` engine and a ``tuned`` + archive engine fed the same ops."""
+    """A ``paper`` engine, a ``tuned`` + archive engine and a ``tuned`` +
+    TSB-index engine fed the same ops."""
 
     def __init__(self, directory) -> None:
         self.dbs = [
             ImmortalDB(buffer_pages=256),
             ImmortalDB(str(directory / "db.pages"), buffer_pages=256,
                        archive=dict(ARCHIVE), **PROFILES["tuned"]),
+            ImmortalDB(buffer_pages=256, use_tsb_index=True,
+                       **PROFILES["tuned"]),
         ]
         self.tables = [
             db.create_table("kv", [("k", "int"), ("v", "text")], key="k",
@@ -51,7 +57,7 @@ class Twin:
         self.marks: list = []
 
     def write(self, ops: list[tuple]) -> None:
-        """One transaction of (kind, key, value) on both engines."""
+        """One transaction of (kind, key, value) on every engine."""
         for db, table in zip(self.dbs, self.tables):
             with db.transaction() as txn:
                 self._apply(table, txn, ops)
@@ -80,15 +86,18 @@ class Twin:
             if checkpoint:
                 db.checkpoint()       # the tuned side migrates cold history
         now = {db.now() for db in self.dbs}
-        assert len(now) == 1, "the two clocks drifted apart"
+        assert len(now) == 1, "the clocks drifted apart"
         self.marks.append(now.pop())
         for db in self.dbs:
             db.advance_time(100)
 
-    def both(self, read) -> None:
-        """``read(db, table)`` must give the same answer on both engines."""
-        paper, tuned = (read(db, t) for db, t in zip(self.dbs, self.tables))
+    def same(self, read) -> None:
+        """``read(db, table)`` must give ``paper``'s answer on every engine."""
+        paper, tuned, indexed = (
+            read(db, t) for db, t in zip(self.dbs, self.tables)
+        )
         assert tuned == paper
+        assert indexed == paper
 
     def close(self) -> None:
         for db in self.dbs:
@@ -121,8 +130,8 @@ def _run_workload(twin: Twin, rng: random.Random) -> set[int]:
 def _check_reads(twin: Twin, rng: random.Random) -> None:
     marks = twin.marks
     for mark in marks:
-        twin.both(lambda db, t: [t.read_as_of(mark, k) for k in range(KEYS)])
-        twin.both(lambda db, t: t.scan_as_of(mark))
+        twin.same(lambda db, t: [t.read_as_of(mark, k) for k in range(KEYS)])
+        twin.same(lambda db, t: t.scan_as_of(mark))
         low = rng.randrange(KEYS)
         high = low + rng.randrange(25)
 
@@ -132,31 +141,31 @@ def _check_reads(twin: Twin, rng: random.Random) -> None:
                         table.scan_range(txn, None, high),
                         table.scan_range(txn, low, None))
 
-        twin.both(ranged)
+        twin.same(ranged)
 
     def snapshot_range(db, table):
         with db.transaction(TxnMode.SNAPSHOT) as txn:
             return table.scan_range(txn, 3, 40), table.scan(txn)
 
-    twin.both(snapshot_range)
+    twin.same(snapshot_range)
     for key in range(KEYS):
-        twin.both(lambda db, t: t.history(key))
+        twin.same(lambda db, t: t.history(key))
     for key in rng.sample(range(KEYS), 25):
         t_low, t_high = sorted(rng.sample(marks, 2))
-        twin.both(lambda db, t: (t.history(key, t_low, t_high),
+        twin.same(lambda db, t: (t.history(key, t_low, t_high),
                                  t.history(key, t_low=t_low),
                                  t.history(key, t_high=t_high)))
     for _ in range(6):
         t_old, t_new = sorted(rng.sample(marks, 2))
-        twin.both(lambda db, t: t.changes_between(t_old, t_new))
+        twin.same(lambda db, t: t.changes_between(t_old, t_new))
     # Marks fall between commits; a version's own start time is the
     # inclusive edge of every bisect on the way.
     for key in rng.sample(range(KEYS), 12):
         for start, row in twin.tables[0].history(key):
-            twin.both(lambda db, t: t.read_as_of(start, key))
+            twin.same(lambda db, t: t.read_as_of(start, key))
             assert twin.tables[1].read_as_of(start, key) == row
-        twin.both(lambda db, t: t.scan_as_of(start))
-        twin.both(lambda db, t: t.history(key, t_low=start, t_high=start))
+        twin.same(lambda db, t: t.scan_as_of(start))
+        twin.same(lambda db, t: t.history(key, t_low=start, t_high=start))
 
 
 @pytest.mark.parametrize("seed", range(SEEDS))

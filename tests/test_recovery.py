@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro import ColumnType, ImmortalDB, TxnMode
+from repro import PROFILES, ColumnType, ImmortalDB, TxnMode
+from repro.core.integrity import verify_integrity
 
 
 @pytest.fixture
@@ -241,3 +244,47 @@ class TestConventionalTables:
             assert plain.read(txn, 1)["v"] == "kept"
         # No PTT entries were ever created for the conventional table.
         assert db.tsmgr.stats.ptt_inserts == 0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: the archive frees a history page's id, a PTT "
+    "split takes it without a log record (PTT structure modifications are "
+    "not logged), and redo replays the old history page's image over the "
+    "PTT node — PageFormatError: page N is not a PTT node",
+)
+@pytest.mark.parametrize("seed", [0, 1, 2, 4])
+def test_restart_after_archive_recycles_ids(tmp_path, seed):
+    """A small pool, archive steps between non-flushing checkpoints, an
+    un-checkpointed tail: the database must reopen."""
+    rng = random.Random(seed)
+    db = ImmortalDB(
+        str(tmp_path / "db.pages"), buffer_pages=64,
+        archive=dict(cold_ms=5000, pages_per_step=32), **PROFILES["tuned"],
+    )
+    table = db.create_table("t", COLS, key="k", immortal=True)
+    for base in range(0, 600, 100):
+        with db.transaction() as txn:
+            for k in range(base, base + 100):
+                table.insert(txn, {"k": k, "v": "x" * rng.choice((32, 256))})
+
+    def update():
+        db.advance_time(40)
+        with db.transaction() as txn:
+            table.update(
+                txn, rng.randrange(600),
+                {"v": "y" * rng.choice((32, 256, 1024))},
+            )
+
+    for _ in range(6):
+        for _ in range(200):
+            update()
+        db.checkpoint()
+    assert db.archive.stats.pages_migrated > 0
+    for _ in range(300):
+        update()
+    db.flush_commits()
+    db.crash()
+    db.recover()
+    assert verify_integrity(db) == []
+    db.close()

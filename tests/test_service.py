@@ -198,6 +198,53 @@ class TestOverloadResponses:
 # ---------------------------------------------------------------------------
 
 
+class TestDegradedReplies:
+    def test_select_over_a_quarantined_block_is_a_degraded_reply(self):
+        """History behind a damaged archive block: the reply says which
+        page could not be read instead of failing or answering without it."""
+        db = ImmortalDB(
+            buffer_pages=64, archive={"cold_ms": 200.0, "auto": False}
+        )
+        db.create_table(
+            "t", [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
+            key="k", immortal=True,
+        )
+        core = ServiceCore(db)
+        conn = LoopbackConnection(core)
+        for k in range(8):
+            conn.execute(f"INSERT INTO t (k, v) VALUES ({k}, 'r0:{'x' * 500}')")
+        db.advance_time(100)
+        mark = db.clock.now_datetime().isoformat(sep=" ")
+        db.clock.advance_ticks(1)
+        for r in range(1, 30):
+            for k in range(8):
+                conn.execute(f"UPDATE t SET v = 'r{r}:{'x' * 500}' WHERE k = {k}")
+            db.advance_time(60)
+        db.checkpoint(flush=True)
+        point = f"SELECT v FROM t AS OF '{mark}' WHERE k = 3"
+        whole = f"SELECT k FROM t AS OF '{mark}'"
+        assert _rows(conn.execute(point)) == [{"v": "r0:" + "x" * 500}]
+        assert len(_rows(conn.execute(whole))) == 8
+        assert db.archive.drain() > 0
+        assert len(_rows(conn.execute(whole))) == 8     # served from blocks
+        blocks = db.archive.store._blocks
+        blocks[:] = [(raw, b"\xde\xad" + blob[2:]) for raw, blob in blocks]
+        db.archive._cache.clear()
+
+        for sql in (point, whole):
+            reply = conn.execute(sql)
+            assert reply["status"] == protocol.STATUS_DEGRADED, reply
+            assert reply["degraded"] and all(
+                "unreadable" in why or "quarantined" in why
+                for why in reply["degraded"]
+            )
+            assert reply["rowcount"] == len(reply["rows"]) < 8
+        assert core.stats.degraded_replies == 2
+        # What does not route through the damage is served as before.
+        assert _value(conn, 3) == "r29:" + "x" * 500
+        db.close()
+
+
 class TestIdempotency:
     def test_duplicate_id_replays_cached_response(self):
         core = _core()

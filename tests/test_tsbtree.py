@@ -133,6 +133,19 @@ class TestNodeSplits:
         for (key, t), want in expected.items():
             assert index.search(key, T(t)) == want
 
+    def test_one_time_slice_of_many_key_ranges_is_cut_by_key(self, index):
+        """Every entry closes at the same time: no time cut separates them,
+        so the full nodes split by key."""
+        bounds = [b""] + [b"%04d" % i for i in range(1, 400)] + [None]
+        for i, (klo, khi) in enumerate(zip(bounds, bounds[1:])):
+            index.insert(history_rect(0, 10, klo, khi), 1000 + i)
+        nodes = index.all_nodes()
+        assert len(nodes) > 2
+        assert len({node.rect.key_low for node in nodes}) > 1
+        for i in (0, 1, 133, 398, 399):
+            assert index.search(b"%04d" % i, T(5)) == 1000 + i
+        assert index.search(b"0133", T(10)) is None
+
     def test_children_tile_parent_rectangles(self, index):
         for i in range(500):
             index.insert(history_rect(i * 10, (i + 1) * 10), 1000 + i)
