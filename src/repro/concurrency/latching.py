@@ -64,7 +64,10 @@ class ReentrantLatch:
     """
 
     def __init__(self, *, timeout_s: float = 30.0) -> None:
-        self._cv = threading.Condition()
+        # The monitor's lock is taken directly, a C call: ``with self._cv``
+        # is two Python frames each way on every acquire and release.
+        self._mu = threading.Lock()
+        self._cv = threading.Condition(self._mu)
         self._owner: int | None = None
         self._depth = 0
         self._queue: list[int] = []     # thread idents, FIFO
@@ -77,7 +80,8 @@ class ReentrantLatch:
     def acquire(self) -> None:
         me = threading.get_ident()
         hooks = self.wait_hooks
-        with self._cv:
+        self._mu.acquire()
+        try:
             if self._owner == me:
                 self._depth += 1
                 return
@@ -105,11 +109,14 @@ class ReentrantLatch:
             self._owner = me
             self._depth = 1
             self.acquisitions += 1
+        finally:
+            self._mu.release()
         if hooks is not None:
             hooks.on_resume()
 
     def release(self) -> None:
-        with self._cv:
+        self._mu.acquire()
+        try:
             if self._owner != threading.get_ident():
                 raise ConcurrencyError(
                     "engine latch released by a thread that does not hold it"
@@ -122,6 +129,8 @@ class ReentrantLatch:
                 if self.wait_hooks is not None:
                     self.wait_hooks.on_wake(self._queue[0])
                 self._cv.notify_all()
+        finally:
+            self._mu.release()
 
     def __enter__(self) -> "ReentrantLatch":
         self.acquire()

@@ -139,8 +139,12 @@ class ServiceClient:
         elif head.startswith(("COMMIT", "ROLLBACK")):
             self._bracket_open = False
 
-    def execute(self, sql: str) -> dict:
-        return self.request({"op": "sql", "sql": sql})
+    def execute(self, sql: str, params=()) -> dict:
+        """Run one statement; ``params`` are the values of its ``?``s."""
+        message = {"op": "sql", "sql": sql}
+        if params:
+            message["params"] = list(params)
+        return self.request(message)
 
     def ingest(self, table: str, csv_text: str, *, batch: int = 64) -> dict:
         return self.request(

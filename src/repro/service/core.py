@@ -108,21 +108,17 @@ class ServiceStats:
 
 _PENDING = object()   # idempotency-cache sentinel: id is executing right now
 
-#: Statements that manage the session's transaction bracket.  They bypass
-#: admission (rejecting a COMMIT would strand the bracket's locks) and are
-#: never retried server-side (the bracket's state is the client's).
-_TXN_CONTROL = ("BEGIN", "COMMIT", "ROLLBACK")
-
-
 def classify_statement(sql: str) -> str:
-    """\"read\" or \"write\", from the first keyword (shed policy input)."""
-    head = sql.lstrip()[:16].upper()
-    return "read" if head.startswith("SELECT") else "write"
-
-
-def _is_txn_control(sql: str) -> bool:
-    head = sql.lstrip()[:16].upper()
-    return head.startswith(_TXN_CONTROL)
+    """\"read\" or \"write\" (the shed policy's classes) or \"bracket\",
+    from the first keyword.  BEGIN, COMMIT and ROLLBACK manage the session's
+    bracket: they bypass admission (rejecting a COMMIT would strand its
+    locks) and are never retried server-side (its state is the client's)."""
+    head = sql.lstrip()[:8].upper()
+    if head.startswith("SELECT"):
+        return "read"
+    if head.startswith(("BEGIN", "COMMIT", "ROLLBACK")):
+        return "bracket"
+    return "write"
 
 
 class ServiceCore:
@@ -261,30 +257,32 @@ class ServiceCore:
 
     # -- request handling ------------------------------------------------------
 
-    def admit(self, session: ServiceSession, message: dict) -> bool:
+    def admit(self, session: ServiceSession, message: dict) -> str:
         """Take the admission decision for one request; never blocks.
 
-        True: the request holds an in-flight slot, which ``handle_message``
-        (called with ``admitted=True``) gives back.  False: it needs none —
-        ``ping``/``stats``/``close``, a malformed request (answered with an
-        error downstream), and every statement that continues a transaction
-        bracket: shedding a COMMIT, or any statement of an already-open
-        bracket, would strand its locks.  Raises
-        :class:`ServiceOverloadedError` when the request is shed.
+        ``"read"`` or ``"write"``: the request holds an in-flight slot of
+        that shed class, which ``handle_message`` (handed this value as
+        ``admitted``) gives back — a statement is classified here, once.
+        ``""``: it needs no slot — ``ping``/``stats``/``close``, a malformed
+        request (answered with an error downstream), and every statement
+        that continues a transaction bracket: shedding a COMMIT, or any
+        statement of an already-open bracket, would strand its locks.
+        Raises :class:`ServiceOverloadedError` when the request is shed.
         """
         op = message.get("op")
         sql = message.get("sql")
         if op == "ingest":
             kind = "write"
-        elif op == "sql" and isinstance(sql, str):
-            if session.in_transaction or _is_txn_control(sql):
-                return False
+        elif op == "sql" and isinstance(sql, str) \
+                and not session.in_transaction:
             kind = classify_statement(sql)
+            if kind == "bracket":
+                return ""
         else:
-            return False
+            return ""
         self.admission.try_admit(kind)
         self.stats.accepts += 1
-        return True
+        return kind
 
     def shed_response(self, request_id, exc: ServiceOverloadedError) -> dict:
         """Count and answer a request :meth:`admit` turned away."""
@@ -326,12 +324,12 @@ class ServiceCore:
                 return self.shed_response(request_id, exc)
         self.stats.requests += 1
         try:
-            return self._handle_admitted(session, request_id, message)
+            return self._handle_admitted(session, request_id, message, admitted)
         finally:
             if admitted:
                 self.admission.release()
 
-    def _handle_admitted(self, session, request_id, message: dict) -> dict:
+    def _handle_admitted(self, session, request_id, message, admitted) -> dict:
         if session.closed:
             return protocol.error_response(
                 request_id,
@@ -348,10 +346,10 @@ class ServiceCore:
         # a retry arriving on a fresh connection after the bracket was
         # aborted.  Clients must treat a connection loss mid-bracket as
         # losing the bracket, not retry blindly — and ours do.
-        sql = message.get("sql")
-        cacheable = request_id is not None and not (
-            message.get("op") == "sql" and isinstance(sql, str)
-            and (session.in_transaction or _is_txn_control(sql))
+        # A statement that took no slot is one of those (see ``admit``).
+        cacheable = request_id is not None and (
+            admitted or message.get("op") != "sql"
+            or not isinstance(message.get("sql"), str)
         )
         if cacheable:
             cached = self._dedup_get(request_id)
@@ -367,7 +365,7 @@ class ServiceCore:
                 return cached
             self._dedup_put(request_id, _PENDING)
         try:
-            response = self._dispatch(session, request_id, message)
+            response = self._dispatch(session, request_id, message, admitted)
         except Exception as exc:   # SimulatedCrash (BaseException) passes
             if cacheable:
                 self._dedup_drop(request_id)
@@ -391,7 +389,7 @@ class ServiceCore:
 
     # -- dispatch --------------------------------------------------------------
 
-    def _dispatch(self, session, request_id, message: dict) -> dict:
+    def _dispatch(self, session, request_id, message: dict, admitted) -> dict:
         op = message.get("op")
         if op == "ping":
             return protocol.ok_response(request_id, message="pong")
@@ -402,30 +400,30 @@ class ServiceCore:
         if op == "close":
             return protocol.bye_response("client close") | {"id": request_id}
         if op == "sql":
-            return self._handle_sql(session, request_id, message)
+            return self._handle_sql(session, request_id, message, admitted)
         if op == "ingest":
             return self._handle_ingest(session, request_id, message)
         raise ProtocolError(f"unknown op {op!r}")
 
-    def _handle_sql(self, session, request_id, message: dict) -> dict:
+    def _handle_sql(self, session, request_id, message, admitted) -> dict:
         sql = message.get("sql")
         if not isinstance(sql, str):
             raise ProtocolError("sql op needs a 'sql' string")
-        continuation = session.in_transaction or _is_txn_control(sql)
+        params = message.get("params", ())
+        if not isinstance(params, (list, tuple)):
+            raise ProtocolError("sql op's 'params' must be a list")
         with session.lock:
-            return self._execute_sql(
-                session, request_id, sql, classify_statement(sql),
-                retryable=not continuation,
-            )
+            return self._execute_sql(session, request_id, sql, params, admitted)
 
-    def _execute_sql(self, session, request_id, sql, kind, *, retryable):
+    def _execute_sql(self, session, request_id, sql, params, admitted):
         fire("service.execute")
+        kind = admitted or classify_statement(sql)
         degraded_reason = None
         result = None
         error: Exception | None = None
         for attempt in range(1, self.max_retries + 2):
             try:
-                result = session.sql.execute(sql)
+                result = session.sql.execute(sql, params)
                 error = None
                 break
             except CLUSTER_WAIT_ERRORS as exc:
@@ -438,7 +436,9 @@ class ServiceCore:
                 RetriesExhaustedError, CrossShardAbort,
             ) as exc:
                 error = exc
-                if not retryable or attempt > self.max_retries:
+                # A statement admitted for a slot started its own transaction
+                # and is run again; one that continues a bracket is not.
+                if not admitted or attempt > self.max_retries:
                     break
                 self.stats.retries += 1
                 steps = self.retry_policy.backoff_steps(attempt)
@@ -462,7 +462,7 @@ class ServiceCore:
             )
         # Ack-implies-durable: before acknowledging a write that left the
         # session outside a bracket, force any batched commits.
-        if kind == "write" and not session.in_transaction \
+        if kind != "read" and not session.in_transaction \
                 and self.db.txn_mgr.unacked_commits:
             self.db.flush_commits()
         if degraded_reason is not None:

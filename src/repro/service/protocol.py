@@ -10,6 +10,10 @@ Payloads are compact JSON objects.  Requests carry:
 
 ``{"id": <int>, "op": "sql"|"ingest"|"stats"|"ping"|"close", ...}``
 
+An ``sql`` request carries the statement as ``"sql"`` and, when the text
+has ``?`` placeholders, their values as ``"params": [...]`` (JSON numbers,
+strings, booleans and null).
+
 ``id`` is a client-chosen request id used for idempotency: the server
 caches the response it sent for each id, so a client that retries after a
 lost response gets the original answer back instead of a second execution.

@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Union
 
-Literal = Union[int, float, str, bool, None]
+from repro.errors import SQLExecutionError
+
+
+@dataclass(frozen=True)
+class Param:
+    """A slot a value fills at execution: a ``?`` placeholder, or a literal
+    the executor lifted off the text before parsing it.  ``index`` counts
+    the statement's slots left to right; ``takes`` names the one kind of
+    literal the grammar takes there (``"datetime"``: a string, after ``AS
+    OF``, ``FROM``, ``TO``; ``"count"``: a whole number), if it is one."""
+    index: int
+    takes: str = ""
+
+
+Literal = Union[int, float, str, bool, None, Param]
 
 
 # -- expressions -------------------------------------------------------------
@@ -161,3 +176,40 @@ Statement = Union[
     CommitTran,
     RollbackTran,
 ]
+
+
+# -- binding ---------------------------------------------------------------------
+
+_TAKES = {
+    "datetime": lambda value: type(value) is str,
+    "count": lambda value: type(value) is int and value >= 0,
+}
+
+#: Everything a :class:`Param` can stand beneath, and how to list its parts.
+_PARTS = {
+    cls: operator.attrgetter(*cls.__match_args__)
+    for cls in (Comparison, And, Or, ColumnSpec, CreateTable, Insert, Update,
+                Delete, Select, SelectHistory, BeginTran)
+}
+_PARTS[Not] = lambda node: (node.operand,)
+_PARTS[tuple] = tuple
+
+
+def bind(node, values: list):
+    """``node`` with every :class:`Param` beneath it replaced by its value
+    (:class:`SQLExecutionError`: a value of a kind its clause does not take)."""
+    built = []
+    for item in _PARTS[type(node)](node):
+        kind = type(item)
+        if kind is Param:
+            value = values[item.index]
+            if item.takes and not _TAKES[item.takes](value):
+                raise SQLExecutionError(
+                    f"parameter {value!r} stands where the statement takes "
+                    f"a {item.takes}"
+                )
+            item = value
+        elif kind in _PARTS:
+            item = bind(item, values)
+        built.append(item)
+    return tuple(built) if type(node) is tuple else type(node)(*built)

@@ -7,6 +7,13 @@ read inside the bracket see the database as of that time.
 
 Point lookups are recognized from WHERE clauses: an equality comparison on
 the primary key becomes a B-tree point read instead of a scan.
+
+A statement is parsed once per *shape*: ``execute`` lifts the literals off
+the text (:func:`repro.sql.lexer.lift`), looks the rest up in the session's
+table of parsed shapes and binds the literals, and any ``?`` parameters,
+into the parse it finds; only a shape the session has not met is parsed
+(as its own text, with a ``?`` where each literal stood).  The table holds
+syntax only, so no DDL invalidates anything in it.
 """
 
 from __future__ import annotations
@@ -22,10 +29,19 @@ from repro.concurrency.transaction import Transaction, TxnMode
 from repro.core.engine import ImmortalDB
 from repro.core.rowcodec import ColumnType
 from repro.core.table import Table
-from repro.errors import SQLExecutionError
+from repro.errors import (
+    KeyNotFoundError,
+    PageQuarantinedError,
+    SQLExecutionError,
+    SQLSyntaxError,
+)
 from repro.repair.quarantine import Degraded
 from repro.sql import ast
+from repro.sql.lexer import lift, merge_params
 from repro.sql.parser import parse_script, parse_statement
+
+#: Parsed shapes a session keeps; the oldest goes when one more arrives.
+SHAPES_KEPT = 256
 
 _TYPE_MAP = {
     "SMALLINT": ColumnType.SMALLINT,
@@ -167,12 +183,41 @@ class Session:
     def __init__(self, db: ImmortalDB) -> None:
         self.db = db
         self._txn: Transaction | None = None
+        self._shapes: dict[tuple, ast.Statement] = {}   # shape -> its parse
 
     # -- public API ----------------------------------------------------------
 
-    def execute(self, sql: str) -> Result:
-        """Parse and execute a single statement."""
-        return self._dispatch(parse_statement(sql))
+    def execute(self, sql: str, params=()) -> Result:
+        """Execute a single statement; ``params`` are its ``?`` values.
+        What is dispatched is ``parse_statement(sql)`` with the parameters
+        in place, and what fails, fails as that does."""
+        shape, values = lift(sql)
+        statement = self._shapes.get(shape)
+        if statement is None:
+            try:
+                # The shape's parse: a placeholder where each literal stood.
+                statement = parse_statement("?".join(shape))
+            except SQLSyntaxError:
+                # The error reads as the statement's own text words it.
+                # (Should that parse after all, lift and the tokenizer read
+                # it differently: it runs, nothing lifted, nothing kept.)
+                statement = parse_statement(sql)
+                shape, values = ("".join(shape),), []
+            else:
+                if len(self._shapes) >= SHAPES_KEPT:
+                    del self._shapes[next(iter(self._shapes))]
+                self._shapes[shape] = statement
+        if params or "?" in sql:
+            values = merge_params(shape, values, params)
+        if values:
+            try:
+                statement = ast.bind(statement, values)
+            except SQLExecutionError:
+                # A value of the wrong kind for its clause.  If it is a
+                # literal, that is a syntax error, which the parser words.
+                parse_statement(sql)
+                raise
+        return self._dispatch(statement)
 
     def execute_script(self, sql: str) -> list[Result]:
         """Execute a semicolon-separated script; returns one Result each."""
@@ -216,13 +261,13 @@ class Session:
         self._txn = None
         return Result(message="ROLLBACK")
 
-    def _run(self, fn) -> Result:
+    def _run(self, body, *args) -> Result:
         """Run a statement body in the open txn or autocommit a fresh one."""
         if self._txn is not None:
-            return fn(self._txn)
+            return body(self._txn, *args)
         txn = self.db.begin()
         try:
-            result = fn(txn)
+            result = body(txn, *args)
         except BaseException:
             self.db.abort(txn)
             raise
@@ -247,11 +292,11 @@ class Session:
             self.db.drop_table(stmt.name)
             return Result(message=f"DROP TABLE {stmt.name}")
         if isinstance(stmt, ast.Insert):
-            return self._run(lambda txn: self._insert(txn, stmt))
+            return self._run(self._insert, stmt)
         if isinstance(stmt, ast.Update):
-            return self._run(lambda txn: self._update(txn, stmt))
+            return self._run(self._update, stmt)
         if isinstance(stmt, ast.Delete):
-            return self._run(lambda txn: self._delete(txn, stmt))
+            return self._run(self._delete, stmt)
         if isinstance(stmt, ast.Select):
             return self._select(stmt)
         if isinstance(stmt, ast.SelectHistory):
@@ -287,11 +332,8 @@ class Session:
 
     # -- DML ------------------------------------------------------------------------------
 
-    def _table(self, name: str) -> Table:
-        return self.db.table(name)
-
     def _insert(self, txn: Transaction, stmt: ast.Insert) -> Result:
-        table = self._table(stmt.table)
+        table = self.db.table(stmt.table)
         column_names = (
             list(stmt.columns)
             if stmt.columns is not None
@@ -308,63 +350,74 @@ class Session:
             count += 1
         return Result(rowcount=count, message=f"INSERT {count}")
 
-    def _matching_keys(
-        self,
-        txn: Transaction,
-        table: Table,
-        where: ast.Expr | None,
-        degraded: list,
-    ) -> list:
+    def _current_rows(self, txn: Transaction, table: Table, where) -> Iterable:
+        """A superset of the current rows ``where`` can match (unreadable
+        ones as :class:`Degraded`), by the cheapest access the key allows."""
         key_column = table.codec.key_column
         pinned = _key_equality(where, key_column)
         if pinned is not None:
             row = table.read(txn, pinned)
+            return [row] if row is not None else []
+        low, high = _key_range(where, key_column)
+        if low is not None or high is not None:
+            return table.scan_range_iter(txn, low, high)
+        return table.scan_iter(txn)
+
+    def _update(self, txn: Transaction, stmt: ast.Update) -> Result:
+        table = self.db.table(stmt.table)
+        updates = dict(stmt.assignments)
+        return self._write_matching(
+            txn, table, stmt.where, "UPDATE",
+            lambda key: table.update(txn, key, updates),
+            # ``update`` refuses a new key value before it looks for the row.
+            keyed=table.codec.key_column not in updates,
+        )
+
+    def _delete(self, txn: Transaction, stmt: ast.Delete) -> Result:
+        table = self.db.table(stmt.table)
+        return self._write_matching(
+            txn, table, stmt.where, "DELETE", functools.partial(table.delete, txn)
+        )
+
+    def _write_matching(
+        self, txn, table: Table, where, verb: str, write, keyed: bool = True
+    ) -> Result:
+        """Apply ``write(key)`` to every record ``where`` matches."""
+        if keyed and type(where) is ast.Comparison and where.op == "=" \
+                and where.column == table.codec.key_column \
+                and where.value is not None \
+                and txn.mode is TxnMode.SERIALIZABLE:
+            # WHERE is exactly ``<key> = literal``: the table's own write
+            # finds, locks and validates the record, and one it does not
+            # find is a rowcount of 0 — no read first.  (A snapshot or AS OF
+            # bracket reads at a horizon the write does not, and keeps it.)
+            try:
+                write(where.value)
+            except KeyNotFoundError:
+                return Result(message=f"{verb} 0")
+            except PageQuarantinedError:
+                pass    # the read below reports the page as degraded
+            else:
+                return Result(rowcount=1, message=f"{verb} 1")
+        degraded: list = []
+        keys = []
+        for row in self._current_rows(txn, table, where):
             if isinstance(row, Degraded):
                 # The page is quarantined: we cannot prove the predicate,
                 # so the key is not matched (and the caller reports it).
                 degraded.append(row)
-                return []
-            if row is not None and _evaluate(where, row):
-                return [pinned]
-            return []
-        low, high = _key_range(where, key_column)
-        if low is not None or high is not None:
-            candidates = table.scan_range_iter(txn, low, high)
-        else:
-            candidates = table.scan_iter(txn)
-        keys = []
-        for row in candidates:
-            if isinstance(row, Degraded):
-                degraded.append(row)
-                continue
-            if _evaluate(where, row):
-                keys.append(row[key_column])
-        return keys
-
-    def _update(self, txn: Transaction, stmt: ast.Update) -> Result:
-        table = self._table(stmt.table)
-        updates = dict(stmt.assignments)
-        degraded: list = []
-        keys = self._matching_keys(txn, table, stmt.where, degraded)
+            elif _evaluate(where, row):
+                keys.append(row[table.codec.key_column])
         for key in keys:
-            table.update(txn, key, updates)
-        return Result(rowcount=len(keys), message=f"UPDATE {len(keys)}",
-                      degraded=degraded)
-
-    def _delete(self, txn: Transaction, stmt: ast.Delete) -> Result:
-        table = self._table(stmt.table)
-        degraded: list = []
-        keys = self._matching_keys(txn, table, stmt.where, degraded)
-        for key in keys:
-            table.delete(txn, key)
-        return Result(rowcount=len(keys), message=f"DELETE {len(keys)}",
+            write(key)
+        return Result(rowcount=len(keys), message=f"{verb} {len(keys)}",
                       degraded=degraded)
 
     # -- queries -----------------------------------------------------------------------------
 
     def _select_history(self, stmt: ast.SelectHistory) -> Result:
         """Time travel: one result row per version of the matched record."""
-        table = self._table(stmt.table)
+        table = self.db.table(stmt.table)
         key = _key_equality(stmt.where, table.codec.key_column)
         if key is None:
             raise SQLExecutionError(
@@ -390,19 +443,13 @@ class Session:
         return Result(rows=rows, rowcount=len(rows))
 
     def _select(self, stmt: ast.Select) -> Result:
-        table = self._table(stmt.table)
+        table = self.db.table(stmt.table)
         inline_as_of = (
             self.db.to_timestamp(parse_sql_datetime(stmt.as_of))
             if stmt.as_of is not None
             else None
         )
-
-        def body(txn: Transaction) -> Result:
-            degraded: list = []
-            rows = self._select_rows(txn, table, stmt, inline_as_of, degraded)
-            return Result(rows=rows, rowcount=len(rows), degraded=degraded)
-
-        return self._run(body)
+        return self._run(self._select_rows, table, stmt, inline_as_of)
 
     def _select_rows(
         self,
@@ -410,25 +457,17 @@ class Session:
         table: Table,
         stmt: ast.Select,
         inline_as_of: Timestamp | None,
-        degraded: list,
-    ) -> list[dict]:
-        key_column = table.codec.key_column
-        pinned = _key_equality(stmt.where, key_column)
-        if inline_as_of is not None:
+    ) -> Result:
+        degraded: list = []
+        if inline_as_of is None:
+            candidates = self._current_rows(txn, table, stmt.where)
+        else:
+            pinned = _key_equality(stmt.where, table.codec.key_column)
             if pinned is not None:
                 row = table.read_as_of(inline_as_of, pinned)
-                candidates: Iterable[dict] = [row] if row is not None else []
+                candidates = [row] if row is not None else []
             else:
                 candidates = table.scan_as_of_iter(inline_as_of)
-        elif pinned is not None:
-            row = table.read(txn, pinned)
-            candidates = [row] if row is not None else []
-        else:
-            low, high = _key_range(stmt.where, key_column)
-            if low is not None or high is not None:
-                candidates = table.scan_range_iter(txn, low, high)
-            else:
-                candidates = table.scan_iter(txn)
 
         def keep(row) -> bool:
             if isinstance(row, Degraded):
@@ -454,4 +493,4 @@ class Session:
             rows = list(filtered)
         if stmt.columns is not None:
             rows = [{c: row[c] for c in stmt.columns} for row in rows]
-        return rows
+        return Result(rows=rows, rowcount=len(rows), degraded=degraded)

@@ -18,6 +18,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.slots = 0      # ``?`` placeholders met so far
 
     # -- cursor helpers ------------------------------------------------------
 
@@ -137,9 +138,7 @@ class _Parser:
         type_name = self.advance().value
         size = None
         if self.accept_punct("("):
-            if self.current.type is not TokenType.NUMBER:
-                raise self.error("expected a size")
-            size = int(self.advance().value)
+            size = self._count("expected a size")
             self.expect_punct(")")
         primary = False
         if self.accept_keyword("PRIMARY"):
@@ -185,8 +184,32 @@ class _Parser:
         self.expect_punct(")")
         return tuple(values)
 
+    def _param(self, takes: str = "") -> ast.Param:
+        """Consume a ``?``: the statement's next slot."""
+        self.advance()
+        self.slots += 1
+        return ast.Param(self.slots - 1, takes)
+
+    def _datetime(self, clause: str) -> str | ast.Param:
+        if self.current.type is TokenType.PARAM:
+            return self._param("datetime")
+        if self.current.type is not TokenType.STRING:
+            raise self.error(f"{clause} expects a quoted datetime")
+        return self.advance().value
+
+    def _count(self, message: str) -> int | ast.Param:
+        """A whole number that is not negative (a size, a LIMIT)."""
+        if self.current.type is TokenType.PARAM:
+            return self._param("count")
+        if self.current.type is not TokenType.NUMBER \
+                or int(self.current.value) < 0:
+            raise self.error(message)
+        return int(self.advance().value)
+
     def _literal(self) -> ast.Literal:
         token = self.current
+        if token.type is TokenType.PARAM:
+            return self._param()
         if token.type is TokenType.NUMBER:
             self.advance()
             return float(token.value) if "." in token.value else int(token.value)
@@ -247,9 +270,7 @@ class _Parser:
         as_of = None
         if self.accept_keyword("AS"):
             self.expect_keyword("OF")
-            if self.current.type is not TokenType.STRING:
-                raise self.error("AS OF expects a quoted datetime")
-            as_of = self.advance().value
+            as_of = self._datetime("AS OF")
         where = self._optional_where()
         order_by = None
         if self.accept_keyword("ORDER"):
@@ -263,9 +284,7 @@ class _Parser:
             order_by = ast.OrderBy(column, descending)
         limit = None
         if self.accept_keyword("LIMIT"):
-            if self.current.type is not TokenType.NUMBER:
-                raise self.error("LIMIT expects a number")
-            limit = int(self.advance().value)
+            limit = self._count("LIMIT expects a number")
         return ast.Select(table, columns, where, as_of, order_by, limit)
 
     def _select_history(self) -> ast.SelectHistory:
@@ -276,13 +295,9 @@ class _Parser:
         where = self._expr()
         t_low = t_high = None
         if self.accept_keyword("FROM"):
-            if self.current.type is not TokenType.STRING:
-                raise self.error("FROM expects a quoted datetime")
-            t_low = self.advance().value
+            t_low = self._datetime("FROM")
             self.expect_keyword("TO")
-            if self.current.type is not TokenType.STRING:
-                raise self.error("TO expects a quoted datetime")
-            t_high = self.advance().value
+            t_high = self._datetime("TO")
         return ast.SelectHistory(table, where, t_low, t_high)
 
     def _begin(self) -> ast.BeginTran:
@@ -292,9 +307,7 @@ class _Parser:
         as_of = None
         if self.accept_keyword("AS"):
             self.expect_keyword("OF")
-            if self.current.type is not TokenType.STRING:
-                raise self.error("AS OF expects a quoted datetime")
-            as_of = self.advance().value
+            as_of = self._datetime("AS OF")
         return ast.BeginTran(as_of=as_of, snapshot=snapshot)
 
     def _optional_where(self):
@@ -336,7 +349,8 @@ class _Parser:
 
 
 def parse_statement(sql: str) -> ast.Statement:
-    """Parse exactly one statement (a trailing semicolon is allowed)."""
+    """Parse exactly one statement (a trailing semicolon is allowed); each
+    ``?`` in it parses to an :class:`ast.Param`, for :func:`ast.bind`."""
     parser = _Parser(tokenize(sql))
     statement = parser.parse_statement()
     parser.accept_punct(";")
@@ -346,11 +360,14 @@ def parse_statement(sql: str) -> ast.Statement:
 
 
 def parse_script(sql: str) -> list[ast.Statement]:
-    """Parse a semicolon-separated sequence of statements."""
+    """Parse a semicolon-separated sequence of statements (which takes no
+    parameters, so a ``?`` in it is an error)."""
     parser = _Parser(tokenize(sql))
     statements: list[ast.Statement] = []
     while parser.current.type is not TokenType.EOF:
         statements.append(parser.parse_statement())
+        if parser.slots:
+            raise SQLSyntaxError("a script takes no '?' parameters")
         while parser.accept_punct(";"):
             pass
     return statements

@@ -6,7 +6,9 @@ Run::
 
 Without an argument the database is in-memory (and vanishes on exit);
 with a path it is file-backed and durable.  Statements end with ``;`` and
-may span lines.  Meta-commands:
+may span lines; they take no ``?`` parameters — those belong to
+``Session.execute(sql, params)`` and the service's ``"params"``.
+Meta-commands:
 
     \\t              list tables
     \\i <table>      storage inspection report

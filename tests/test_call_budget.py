@@ -1,6 +1,6 @@
 """Call budgets for the paper's Fig. 5 transaction, an insert that splits
-its page, the Fig. 6 reads, a buffer miss, and a point ``SELECT`` through
-the socket service.
+its page, the Fig. 6 reads, a buffer miss, and a point ``SELECT`` and a keyed
+``UPDATE`` through the socket service.
 
 With the data in the buffer pool nothing on the update path waits, so its
 speed is its instruction count — for this engine, the number of Python
@@ -15,6 +15,7 @@ table in DESIGN.md ("Hot-path performance").
 
 from __future__ import annotations
 
+import functools
 import statistics
 import sys
 import threading
@@ -37,10 +38,12 @@ ASOF_READ_BUDGET = 47   # read_as_of of one key: 43 (57 before PR 16)
 HISTORY_BUDGET = 260    # history() of a key with 20 versions: 236 (572 before)
 # What a buffer miss costs past the disk read:
 DECODE_BUDGET = 40      # decode_page of a 25-record data page: 36 (88 before PR 17)
-# Everything the server does for one point SELECT over a real socket, on
-# the connection's thread — frame, JSON, admission, slot, dedup, lex, parse,
-# plan, the read transaction, encode:
-SERVICE_READ_BUDGET = 253   # 230, of which lexer + parser 88, the engine ~70
+# Everything the server does for one statement over a real socket, on the
+# connection's thread — frame, JSON, admission, slot, dedup, lift, shape
+# lookup, bind, plan, the transaction, encode (230 and 362 while every
+# statement was lexed and parsed, 88 calls, and an UPDATE read its row first):
+SERVICE_READ_BUDGET = 136     # point SELECT: 124, the engine ~70
+SERVICE_UPDATE_BUDGET = 240   # keyed UPDATE: 218, the engine ~150
 
 KEYS = 200
 SAMPLES = 50
@@ -208,8 +211,10 @@ def test_a_buffer_miss_stays_within_its_decode_budget():
     assert calls >= 0.8 * DECODE_BUDGET
 
 
-def measure_service_read() -> float:
-    """Median Python calls on the connection thread per point ``SELECT``.
+@functools.cache
+def measure_service() -> tuple[float, float]:
+    """Median Python calls on the connection thread per point ``SELECT``
+    and per keyed ``UPDATE``.
 
     The thread makes no Python call between writing one reply and reading
     the next request, so what a client counts between two replies is
@@ -228,7 +233,12 @@ def measure_service_read() -> float:
         if event == "call" and threading.current_thread().name == "svc-conn":
             count += 1
 
-    samples = []
+    def calls(client, sql: str) -> tuple[int, dict]:
+        before = count
+        response = client.execute(sql)
+        return count - before, response
+
+    reads, updates = [], []
     with ThreadedService(db, port=0, pool_workers=2) as svc:
         with ServiceClient("127.0.0.1", svc.port) as client:
             threading.setprofile(profile)   # read by threads as they start
@@ -237,15 +247,20 @@ def measure_service_read() -> float:
             finally:
                 threading.setprofile(None)
             for k in range(SAMPLES):
-                before = count
-                response = client.execute(f"SELECT * FROM kv WHERE k = {k}")
+                n, response = calls(client, f"SELECT * FROM kv WHERE k = {k}")
                 assert response["rows"][0]["k"] == k
-                samples.append(count - before)
-    return statistics.median(samples)
+                reads.append(n)
+            for k in range(2 * SAMPLES):    # the first round stamps each chain
+                n, response = calls(
+                    client, f"UPDATE kv SET v = 'y{k}' WHERE k = {k % SAMPLES}"
+                )
+                assert response["rowcount"] == 1
+                updates.append(n)
+    return statistics.median(reads), statistics.median(updates[SAMPLES:])
 
 
 def test_a_point_select_over_the_socket_stays_within_its_call_budget():
-    calls = measure_service_read()
+    calls, _ = measure_service()
     assert calls <= SERVICE_READ_BUDGET, (
         f"one point SELECT now takes {calls} Python calls on the server's "
         f"connection thread (budget {SERVICE_READ_BUDGET})"
@@ -253,9 +268,18 @@ def test_a_point_select_over_the_socket_stays_within_its_call_budget():
     assert calls >= 0.8 * SERVICE_READ_BUDGET
 
 
+def test_a_keyed_update_over_the_socket_stays_within_its_call_budget():
+    _, calls = measure_service()
+    assert calls <= SERVICE_UPDATE_BUDGET, (
+        f"one keyed UPDATE now takes {calls} Python calls on the server's "
+        f"connection thread (budget {SERVICE_UPDATE_BUDGET})"
+    )
+    assert calls >= 0.8 * SERVICE_UPDATE_BUDGET
+
+
 if __name__ == "__main__":
     print("update, read:", measure())
     print("key-splitting insert:", measure_key_split())
     print("as-of read, history:", measure_historical())
     print("decode_page:", measure_decode())
-    print("service point SELECT:", measure_service_read())
+    print("service point SELECT, keyed UPDATE:", measure_service())

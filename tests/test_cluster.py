@@ -510,7 +510,7 @@ class TestServiceWireErrors:
 
         calls = {"n": 0}
 
-        def veto(self, sql):
+        def veto(self, sql, params=()):
             calls["n"] += 1
             raise CrossShardAbort(
                 "prepare veto", victim_tid=7, shard_id=1, gtid=3

@@ -291,3 +291,106 @@ class TestConventionalEquivalence:
                 == _rows_as_dict(plain.scan(txn))
                 == marks_a[-1][1]
             )
+
+
+# -- SQL: a statement is parsed once per shape ---------------------------------
+
+_SQL_FRAGMENTS = [
+    "SELECT", "select", "*", "FROM", "t", "t1", "WHERE", "k", "v", "=", "<",
+    "<=", "<>", "!=", "AND", "OR", "NOT", "(", ")", ",", ";", "AS OF", "LIMIT",
+    "ORDER BY", "UPDATE", "SET", "DELETE", "INSERT INTO", "VALUES", "HISTORY OF",
+    "TO", "BEGIN TRAN", "NULL", "TRUE", "5", "-5", "+5", "- 5", "0", "3.25",
+    ".5", "1e5", "1.2.3", "5.", "'x'", "'it''s'", '"8/12/2004 10:15:20"', "''",
+    "'a -- b'", "'", '"', "-- it's 7\n", "--", "-", "@", " ", "  ", "\n",
+]
+
+#: Statements with holes: ``@`` takes a literal, ``~`` a gap (or none).
+_SQL_TEMPLATES = [
+    "SELECT * FROM t WHERE k~=~@", "SELECT k, v FROM t1 WHERE k<@ AND v <> @",
+    "SELECT * FROM t LIMIT@", "SELECT * FROM t WHERE k >= @ ORDER BY k LIMIT~@",
+    "SELECT * FROM t AS OF @ WHERE k = @", "UPDATE t SET v~=~@ WHERE k~=~@",
+    "UPDATE t SET v = @, n = @ WHERE k = @ OR NOT (n > @)",
+    "DELETE FROM t WHERE k = @~;", "INSERT INTO t VALUES (@,~@), (@, @)",
+    "SELECT HISTORY OF t WHERE k = @ FROM @ TO @", "BEGIN TRAN AS OF~@",
+    "CREATE TABLE t (k INT PRIMARY KEY, v VARCHAR(@))", "SELECT * FROM t WHERE k=@AND v=@",
+]
+_SQL_LITERALS = st.one_of(
+    st.sampled_from([
+        "5", "-5", "+5", "- 5", "-0", "3.25", "-.5", "1e5", "1.2.3", "5.", "007",
+        "NULL", "TRUE", "'x'", "'it''s'", '"8/12/2004 10:15:20"', "'2006-01-01'",
+        "''", "'a -- b'", "'?'",
+    ]),
+    st.integers(-10**6, 10**6).map(str),
+    st.text(alphabet="ab '\"-?5;", max_size=6).map(
+        lambda body: "'" + body.replace("'", "''") + "'"
+    ),
+)
+_SQL_GAPS = st.sampled_from(["", " ", " ", "  ", "\n", " -- it's 7\n"])
+
+
+def _fill(drawn) -> str:
+    template, literals, gaps = drawn
+    for hole, texts in (("@", literals), ("~", gaps)):
+        for text in texts:
+            template = template.replace(hole, text, 1)
+    return template.replace("@", "1").replace("~", " ")
+
+
+class TestStatementShapes:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(
+            st.one_of(
+                st.lists(st.sampled_from(_SQL_FRAGMENTS), max_size=14).map(
+                    " ".join
+                ),
+                st.lists(st.sampled_from(_SQL_FRAGMENTS), max_size=14).map(
+                    "".join
+                ),
+                st.text(alphabet="sk t=<>'\"-.+5e1();,\n", max_size=24),
+                st.tuples(
+                    st.sampled_from(_SQL_TEMPLATES),
+                    st.lists(_SQL_LITERALS, max_size=4),
+                    st.lists(_SQL_GAPS, max_size=4),
+                ).map(_fill),
+            ),
+            min_size=1, max_size=6,
+        ),
+        others=st.lists(
+            st.sampled_from(["9", "-9", "+9", "2.5", "-.5", "'z'", '"q""q"']),
+            min_size=1, max_size=5,
+        ),
+    )
+    def test_execute_dispatches_what_parse_statement_returns(
+        self, texts, others
+    ):
+        """Statements and token soup through one session, each text as it
+        is and again with the literals ``lift`` sees in it swapped for others
+        (the same shape, as a rule): the statement handed to ``_dispatch``
+        equals ``parse_statement`` of that text, and a reject is the same
+        exception, message and position."""
+        from repro.errors import ImmortalDBError
+        from repro.sql import Session, parse_statement
+        from repro.sql.lexer import lift
+
+        def outcome(call):
+            try:
+                return ("ok", call())
+            except (ImmortalDBError, ValueError) as exc:
+                return (type(exc), str(exc), getattr(exc, "position", None))
+
+        session = Session(ImmortalDB())
+        seen: list = []
+        session._dispatch = seen.append
+        for text in texts:
+            shape, literals = lift(text)
+            swapped = "".join(
+                part + (others[i % len(others)] if i < len(literals) else "")
+                for i, part in enumerate(shape)
+            )
+            for sql in (text, swapped):
+                expected = outcome(lambda: parse_statement(sql))
+                got = outcome(lambda: session.execute(sql) or seen.pop())
+                assert got == expected, sql
+                if expected[0] == "ok":     # and it ran from its shape's parse
+                    assert lift(sql)[0] in session._shapes, sql
