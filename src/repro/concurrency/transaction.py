@@ -293,6 +293,10 @@ class TransactionManager:
             return
         fire("txn.groupcommit.force")     # batch assembled, force still pending
         self.log.force(unlatch=unlatch)
+        # A write-back inside on_commit (a PTT insert evicting a page) may
+        # have forced the log over a commit record before its transaction
+        # was queued: the force above is then a no-op that runs no hook.
+        self._on_log_force()
 
     def _on_log_force(self) -> None:
         """Post-force hook: durably acknowledge every now-covered commit."""

@@ -33,7 +33,7 @@ from repro.core.table import Table
 from repro.errors import CatalogError, SchemaError, TableNotFoundError
 from repro.faults.failpoints import fire
 from repro.storage.buffer import BufferPool
-from repro.storage.constants import META_PAGE_ID, PAGE_SIZE
+from repro.storage.constants import META_PAGE_ID
 from repro.repair.manager import MediaRecoveryManager
 from repro.storage.disk import FileDisk, InMemoryDisk, PageStore, RetryPolicy
 from repro.storage.page import DataPage, MetaPage
@@ -57,7 +57,6 @@ class ImmortalDB:
         self,
         path: str | None = None,
         *,
-        page_size: int = PAGE_SIZE,
         buffer_pages: int = 1024,
         timestamping: str = "lazy",
         use_tsb_index: bool = False,
@@ -80,7 +79,7 @@ class ImmortalDB:
             raise ValueError("pass either a path or a disk, not both")
         # An injected disk (e.g. a fault-model wrapper) takes precedence.
         self.disk: PageStore = disk if disk is not None else (
-            FileDisk(path, page_size) if path else InMemoryDisk(page_size)
+            FileDisk(path) if path else InMemoryDisk()
         )
         self.disk.checksums = page_checksums
         self.clock = clock or SimClock(ms_per_timestamp=ms_per_commit)
@@ -100,6 +99,7 @@ class ImmortalDB:
             read_ahead=read_ahead,
         )
         self.buffer.log_force = self.log.force
+        self.buffer.durable_lsn = lambda: self.log.flushed_lsn
         self.timestamping = timestamping
         self.use_tsb_index = use_tsb_index
         self.key_split_threshold = key_split_threshold

@@ -25,7 +25,10 @@ Eviction is pluggable (``eviction="lru" | "2q"``):
   into the ghost list (A1out); only re-referenced pages enter the protected
   LRU (Am).  A long history scan therefore washes through A1in without
   displacing the hot current-page working set — the access pattern the
-  paper's time-split storage produces.
+  paper's time-split storage produces.  Its victim scan also passes over
+  a dirty frame the durable log does not cover yet (``durable_lsn``):
+  writing it would force the log inside the group-commit window, so
+  write-back follows the durable log instead of driving it.
 
 Write-back is optionally batched (``flush_batch=N``): an eviction of a
 dirty page gathers up to ``N-1`` additional cold dirty pages, runs the
@@ -41,6 +44,7 @@ as the per-page path.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -72,6 +76,7 @@ class BufferStats:
     flush_batches: int = 0          # batched write-back groups issued
     flush_coalesced_writes: int = 0  # batch writes adjacent to the previous id
     evict_scan_skips: int = 0       # pinned/latched frames stepped over
+    evict_uncovered_skips: int = 0  # dirty frames above the durable log, ditto
     prefetches: int = 0             # pages read ahead of an actual request
     prefetch_hits: int = 0          # misses served from the staging ring
 
@@ -81,7 +86,7 @@ class BufferStats:
             self.hits, self.misses, self.evictions, self.page_flushes,
             self.dirty_evictions, self.flush_batches,
             self.flush_coalesced_writes, self.evict_scan_skips,
-            self.prefetches, self.prefetch_hits,
+            self.evict_uncovered_skips, self.prefetches, self.prefetch_hits,
         )
 
 
@@ -138,6 +143,41 @@ class EvictionPolicy:
     def clear(self) -> None:
         """Forget everything (crash simulation)."""
 
+    def _scan(
+        self, durable: float, *queues: OrderedDict
+    ) -> tuple[int, Frame, OrderedDict]:
+        """The victim among ``queues``, each walked once from its cold end.
+
+        A frame stepped over goes to its queue's hot end.  Pinned and
+        latched frames are (they are in active use), and so is a dirty
+        frame at or above ``durable``: with the log durable only below
+        that LSN its write-back would force the log, ahead of the group
+        commit that is about to cover it for nothing, so it gets another
+        lap.  Only when a whole pass finds no frame that can go without a
+        force is the first one passed over — the victim there would be
+        with no such rule — taken after all.
+        """
+        frames, stats = self.pool._frames, self.pool.stats
+        uncovered = None
+        for queue in queues:
+            for _ in range(len(queue)):
+                pid = next(iter(queue))
+                frame = frames.get(pid)
+                if frame is None:          # stale entry (defensive)
+                    del queue[pid]
+                    continue
+                if _unevictable(frame):
+                    stats.evict_scan_skips += 1
+                elif frame.dirty and frame.page.lsn >= durable:
+                    stats.evict_uncovered_skips += 1
+                    uncovered = uncovered or (pid, frame, queue)
+                else:
+                    return pid, frame, queue
+                queue.move_to_end(pid)
+        if uncovered is None:
+            raise self._exhausted()
+        return uncovered
+
     def _exhausted(self) -> BufferExhaustedError:
         frames = self.pool._frames
         pinned = sum(1 for f in frames.values() if f.pin_count)
@@ -174,21 +214,13 @@ class LRUPolicy(EvictionPolicy):
         pass
 
     def select_victim(self) -> tuple[int, Frame]:
-        # Pop from the cold end of the LRU order; pinned/latched frames are
-        # rotated to the hot end (they are in active use) so the next attempt
-        # does not rescan them.
-        frames = self.pool._frames
-        for _ in range(len(frames)):
-            pid, frame = next(iter(frames.items()))
-            if _unevictable(frame):
-                frames.move_to_end(pid)
-                self.pool.stats.evict_scan_skips += 1
-                continue
-            return pid, frame
-        raise self._exhausted()
+        # No frame counts as uncovered here: ``paper`` forces the log at
+        # every commit, so only the running transaction's pages ever are,
+        # and sending those round again moves results/abl1's cold reads.
+        return self._scan(math.inf, self.pool._frames)[:2]
 
     def iter_cold(self) -> Iterator[int]:
-        yield from list(self.pool._frames)
+        yield from self.pool._frames
 
 
 class TwoQPolicy(EvictionPolicy):
@@ -238,39 +270,24 @@ class TwoQPolicy(EvictionPolicy):
         self.a1in.pop(page_id, None)
         self.am.pop(page_id, None)
 
-    def _ghost(self, page_id: int) -> None:
-        self.a1out[page_id] = None
-        while len(self.a1out) > self.kout:
-            self.a1out.popitem(last=False)
-
     def select_victim(self) -> tuple[int, Frame]:
-        frames = self.pool._frames
         # Prefer the probation queue while it exceeds its target share (or
         # the protected queue has nothing to give); fall back to the other
         # queue when every frame in the preferred one is pinned.
         if len(self.a1in) > self.kin or not self.am:
-            order = ((self.a1in, True), (self.am, False))
+            order = (self.a1in, self.am)
         else:
-            order = ((self.am, False), (self.a1in, True))
-        for queue, ghost in order:
-            for _ in range(len(queue)):
-                pid = next(iter(queue))
-                frame = frames.get(pid)
-                if frame is None:          # stale entry (defensive)
-                    del queue[pid]
-                    continue
-                if _unevictable(frame):
-                    queue.move_to_end(pid)
-                    self.pool.stats.evict_scan_skips += 1
-                    continue
-                if ghost:
-                    self._ghost(pid)
-                return pid, frame
-        raise self._exhausted()
+            order = (self.am, self.a1in)
+        pid, frame, queue = self._scan(self.pool.durable_lsn(), *order)
+        if queue is self.a1in:      # leaves probation: remember it as a ghost
+            self.a1out[pid] = None
+            while len(self.a1out) > self.kout:
+                self.a1out.popitem(last=False)
+        return pid, frame
 
     def iter_cold(self) -> Iterator[int]:
-        yield from list(self.a1in)
-        yield from list(self.am)
+        yield from self.a1in
+        yield from self.am
 
     def clear(self) -> None:
         self.a1in.clear()
@@ -331,8 +348,14 @@ class BufferPool:
         self._policy: EvictionPolicy = policy_cls(self)
         # Hooks. pre_flush_hooks run on the in-memory page right before it is
         # serialized to disk; log_force is called with the page LSN (WAL rule).
+        # durable_lsn is a read-only view of how far the log is durable: a
+        # page below it is written back without a physical force.  Victim
+        # and companion choice consult it, the WAL rule never does; it is
+        # read without the log's latch, and a stale (lower) answer only
+        # errs towards passing a frame over, or forcing.
         self.pre_flush_hooks: list[Callable[[Page], None]] = []
         self.log_force: Callable[[int], None] | None = None
+        self.durable_lsn: Callable[[], float] = lambda: math.inf
         # Media-fault seam: when a miss reads a page that fails verification
         # (bad checksum, undecodable, wrong id), the handler may return a
         # repaired page (admitted as a clean frame) instead of letting the
@@ -628,17 +651,22 @@ class BufferPool:
         The companions stay cached — they are merely clean afterwards, so
         their own eviction (imminent, they are cold) costs no write and no
         force.  This extends the PR-2 ``flush_all`` page-id ordering to the
-        eviction path.
+        eviction path.  A victim the durable log already covers takes only
+        companions it covers too: the batch's one force stays a no-op.
         """
         batch = [victim]
         victim_pid = victim.page.page_id
+        durable = self.durable_lsn()
+        if victim.page.lsn >= durable:
+            durable = math.inf      # this batch forces anyway: any companion
         for pid in self._policy.iter_cold():
             if len(batch) >= self.flush_batch:
                 break
             if pid == victim_pid:
                 continue
             frame = self._frames.get(pid)
-            if frame is None or not frame.dirty or frame.exclusive_latch:
+            if frame is None or not frame.dirty or frame.exclusive_latch \
+                    or frame.page.lsn >= durable:
                 continue
             batch.append(frame)
         self._write_batch(batch)

@@ -78,6 +78,14 @@ def verify_checksum(raw: bytes, page_id: int) -> None:
         )
 
 
+def pwrite_all(fd: int, data: bytes, offset: int) -> None:
+    """One positional write; a short one (rare on a regular file) goes on
+    where it stopped, so what is in the file stays at the offset asked."""
+    done = os.pwrite(fd, data, offset)
+    while done < len(data):
+        done += os.pwrite(fd, memoryview(data)[done:], offset + done)
+
+
 class RetryPolicy:
     """Bounded retry with deterministic, seeded exponential backoff.
 
@@ -294,11 +302,13 @@ class FileDisk(PageStore):
         super().__init__(page_size)
         self.path = os.fspath(path)
         preexisting = os.path.exists(self.path)
-        self._file = open(self.path, "r+b" if preexisting else "w+b")
+        # Unbuffered: a page moves in one positional syscall on the fd.
+        self._file = open(self.path, "r+b" if preexisting else "w+b", buffering=0)
+        self._fd = self._file.fileno()
+        self._zeros = bytes(page_size)      # what a fresh page id holds
         if not preexisting:
-            self._file.write(bytes(page_size))  # the meta page
-            self._file.flush()
-        size = os.fstat(self._file.fileno()).st_size
+            pwrite_all(self._fd, self._zeros, 0)   # the meta page
+        size = os.fstat(self._fd).st_size
         if size % page_size:
             raise StorageError(f"{self.path}: size {size} not a page multiple")
         self._next_pid = max(1, size // page_size)
@@ -306,8 +316,7 @@ class FileDisk(PageStore):
     def _read(self, page_id: int) -> bytes:
         if not self.exists(page_id):
             raise PageNotFoundError(f"page {page_id} does not exist")
-        self._file.seek(page_id * self.page_size)
-        raw = self._file.read(self.page_size)
+        raw = os.pread(self._fd, self.page_size, page_id * self.page_size)
         if len(raw) != self.page_size:
             raise PageNotFoundError(f"page {page_id}: short read")
         return raw
@@ -315,14 +324,12 @@ class FileDisk(PageStore):
     def _write(self, page_id: int, raw: bytes) -> None:
         if not self.exists(page_id):
             raise PageNotFoundError(f"page {page_id} was never allocated")
-        self._file.seek(page_id * self.page_size)
-        self._file.write(raw)
+        pwrite_all(self._fd, raw, page_id * self.page_size)
 
     def _allocate(self) -> int:
         pid = self._next_pid
+        pwrite_all(self._fd, self._zeros, pid * self.page_size)
         self._next_pid += 1
-        self._file.seek(pid * self.page_size)
-        self._file.write(bytes(self.page_size))
         return pid
 
     @property
@@ -332,6 +339,5 @@ class FileDisk(PageStore):
     def close(self) -> None:
         """Release underlying resources (idempotent)."""
         if not self._file.closed:
-            self._file.flush()
-            os.fsync(self._file.fileno())
+            os.fsync(self._fd)
             self._file.close()

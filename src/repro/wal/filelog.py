@@ -37,6 +37,7 @@ import zlib
 
 from repro.errors import LogFormatError, WALError
 from repro.faults.failpoints import fire
+from repro.storage.disk import pwrite_all
 from repro.storage.framing import HEADER as _FRAME, scan
 from repro.wal.log import LogManager, _NO_MUTEX
 from repro.wal.records import LogRecord
@@ -117,14 +118,9 @@ class FileLogManager(LogManager):
     append = LogManager.append
     force = LogManager.force
 
-    def _pwrite(self, data: bytes, offset: int) -> None:
-        done = os.pwrite(self._fd, data, offset)
-        while done < len(data):     # a short write: rare on a regular file
-            done += os.pwrite(self._fd, memoryview(data)[done:], offset + done)
-
     def _zero(self, offset: int, length: int) -> None:
         for at in range(offset, offset + length, len(_ZEROS)):
-            self._pwrite(_ZEROS[: offset + length - at], at)
+            pwrite_all(self._fd, _ZEROS[: offset + length - at], at)
 
     def _reserve(self, upto: int) -> None:
         """Zero-fill whole extents until the file covers ``[0, upto)``."""
@@ -147,7 +143,7 @@ class FileLogManager(LogManager):
             self._reserve(upto)
             # Positional: a write that failed part-way is overwritten in
             # place by the retry, so file offsets keep matching LSNs.
-            self._pwrite(data, upto - len(data))
+            pwrite_all(self._fd, data, upto - len(data))
             # Advanced only once written: a failed write leaves its records
             # for the next force.
             self._written = count

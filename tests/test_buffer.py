@@ -454,3 +454,122 @@ class TestMarkDirtyPage:
             new_data_page(pool)
         with pytest.raises(BufferPoolError):
             pool.mark_dirty(page.page_id)
+
+
+# -- PR 23: eviction takes log-covered pages first ------------------------------
+
+
+class StubLog:
+    """Durable below ``flushed``; ``force`` records only *physical* forces."""
+
+    def __init__(self, flushed: int) -> None:
+        self.flushed = flushed
+        self.physical: list[int] = []
+
+    def force(self, lsn: int) -> None:
+        if lsn >= self.flushed:
+            self.physical.append(lsn)
+            self.flushed = lsn + 1
+
+
+@pytest.mark.parametrize("flush_batch", [0, 4])
+class TestCoveredFirstEviction:
+    """2Q passes over a dirty frame whose LSN the log has not made durable:
+    its write-back would force the log ahead of the group commit."""
+
+    def _pool(self, disk, flush_batch, *, flushed, capacity=8):
+        """A full pool of clean one-touch pages (all in A1in, FIFO order)
+        over a stub log, and three more page ids to fault in; every image
+        that reaches the disk from here on is checked against the WAL rule
+        and its page id recorded."""
+        pool = BufferPool(
+            disk, capacity=capacity, eviction="2q", flush_batch=flush_batch
+        )
+        log = StubLog(flushed)
+        pool.log_force = log.force
+        pool.durable_lsn = lambda: log.flushed
+        pids = fill_disk_pages(disk, capacity + 3)
+        pages = [pool.get_page(pid) for pid in pids[:capacity]]
+        written = []
+        real_write = disk.write_page
+
+        def write_page(pid, raw):
+            assert pool._frames[pid].page.lsn < log.flushed, "WAL rule broken"
+            written.append(pid)
+            real_write(pid, raw)
+
+        disk.write_page = write_page
+        return pool, log, pages, pids[capacity:], written
+
+    @staticmethod
+    def _dirty(pool, page, lsn):
+        page.lsn = lsn
+        pool.mark_dirty(page.page_id, lsn)
+
+    def test_clean_and_covered_frames_go_first_without_a_force(
+        self, disk, flush_batch
+    ):
+        pool, log, pages, spare, written = self._pool(disk, flush_batch, flushed=50)
+        self._dirty(pool, pages[0], 100)        # above the durable prefix
+        self._dirty(pool, pages[1], 50)         # at the boundary: not durable
+        self._dirty(pool, pages[2], 10)         # covered
+        self._dirty(pool, pages[5], 101)        # a cold companion, uncovered
+        pool.get_page(spare[0])
+        # The two uncovered frames at the cold end were passed over for the
+        # covered dirty one; its batch took no uncovered companion.
+        assert written == [pages[2].page_id]
+        assert not pool.contains(pages[2].page_id)
+        assert pool.stats.evict_uncovered_skips == 2
+        pool.get_page(spare[1])                 # then the clean ones
+        pool.get_page(spare[2])
+        assert not pool.contains(pages[3].page_id)
+        assert not pool.contains(pages[4].page_id)
+        assert all(pool.is_dirty(pages[i].page_id) for i in (0, 1, 5))
+        assert written == [pages[2].page_id]
+        assert log.physical == []
+        assert pool.stats.evict_scan_skips == 0
+
+    def test_every_frame_uncovered_still_evicts_and_forces_first(
+        self, disk, flush_batch
+    ):
+        pool, log, pages, spare, written = self._pool(
+            disk, flush_batch, flushed=50, capacity=4
+        )
+        for i, page in enumerate(pages):
+            self._dirty(pool, page, 100 + i)
+        pool.get_page(spare[0])
+        # The victim is the one eviction took before the rule: the oldest
+        # probation page.  write_page above saw the force ahead of it.
+        assert not pool.contains(pages[0].page_id)
+        assert pages[0].page_id in written
+        assert pool.stats.dirty_evictions == 1
+        assert log.physical == [103 if flush_batch else 100]
+        assert len(written) == (4 if flush_batch else 1)
+
+    def test_a_passed_over_frame_is_the_next_victim_once_covered(
+        self, disk, flush_batch
+    ):
+        pool, log, pages, spare, written = self._pool(
+            disk, flush_batch, flushed=50, capacity=4
+        )
+        self._dirty(pool, pages[0], 100)
+        pool.pin(pages[2].page_id)
+        pool.latch_shared(pages[3].page_id)
+        pool.get_page(spare[0])                 # passes 0 over, takes 1
+        assert pool.contains(pages[0].page_id)
+        assert not pool.contains(pages[1].page_id)
+        assert (pool.stats.evict_uncovered_skips,
+                pool.stats.evict_scan_skips) == (1, 0)
+        pool.get_page(spare[1])                 # still uncovered: another lap
+        assert pool.contains(pages[0].page_id)
+        assert not pool.contains(spare[0])
+        assert (pool.stats.evict_uncovered_skips,
+                pool.stats.evict_scan_skips) == (2, 2)
+        log.flushed = 200                       # a group commit forces
+        pool.get_page(spare[2])
+        assert not pool.contains(pages[0].page_id)
+        assert written == [pages[0].page_id]
+        assert log.physical == []
+        # Pinned and latched frames count where they always did, only.
+        assert (pool.stats.evict_uncovered_skips,
+                pool.stats.evict_scan_skips) == (2, 4)

@@ -171,6 +171,13 @@ class TestBatchedFlushCrossings:
     """PR 6: crash points inside the batched write-back path (``tuned``)."""
 
     BATCHED = dataclasses.replace(SMALL, profile="tuned")
+    # PR 23: data well past a 12-frame pool and marks nine commits apart, so
+    # dirty evictions land inside the group-commit window — where 2Q passes
+    # a frame the durable log does not cover yet over for one it does.
+    PRESSED = CrashTestConfig(
+        profile="tuned", buffer_pages=12, keys=200, mark_every=9,
+        value_pad=2500,
+    )
 
     def test_flushbatch_crossings_enumerated(self):
         names = enumerate_crossings(self.BATCHED)
@@ -183,16 +190,24 @@ class TestBatchedFlushCrossings:
                        for n in enumerate_crossings(SMALL))
 
     def test_crashes_inside_flush_batches_recover_clean(self):
-        names = enumerate_crossings(self.BATCHED)
-        points = [i for i, name in enumerate(names)
-                  if name.startswith("buffer.flushbatch")]
-        assert len(points) >= 3
-        # A crash between the batch's single force and any of its page
-        # writes leaves a durable prefix; redo must rebuild the rest.
-        for crossing in points[:12]:
-            report = replay(self.BATCHED, crossing)
-            assert report.crashed, names[crossing]
-            assert report.ok, (names[crossing], report.problems)
+        for config in (self.BATCHED, self.PRESSED):
+            names = enumerate_crossings(config)
+            points = [i for i, name in enumerate(names)
+                      if name.startswith("buffer.flushbatch")]
+            assert len(points) >= 3
+            # A crash between the batch's single force and any of its page
+            # writes leaves a durable prefix; redo must rebuild the rest.
+            for crossing in points[::-(-len(points) // 12)]:
+                report = replay(config, crossing)
+                assert report.crashed, names[crossing]
+                assert report.ok, (names[crossing], report.problems)
+        # The second config is there for the write-backs chosen *around*
+        # uncovered frames: without a pass-over it tests nothing new.
+        rig = build(self.PRESSED)
+        run_workload(rig, self.PRESSED, ShadowOracle())
+        stats = rig.db.buffer.stats
+        assert stats.dirty_evictions > 0
+        assert stats.evict_uncovered_skips > 0
 
     def test_repro_args_round_trip_new_flags(self):
         args = self.BATCHED.repro_args(crossing=7)

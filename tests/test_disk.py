@@ -109,3 +109,48 @@ class TestFileDiskPersistence:
         path.write_bytes(b"x" * 100)
         with pytest.raises(StorageError):
             FileDisk(path)
+
+    def test_reopen_sees_the_same_page_count(self, tmp_path):
+        path = tmp_path / "count.db"
+        disk = FileDisk(path)
+        for _ in range(5):
+            disk.allocate()                 # ids taken, never written
+        count = disk.page_count
+        disk.close()
+        assert path.stat().st_size == count * PAGE_SIZE
+        reopened = FileDisk(path)
+        assert reopened.page_count == count == 6
+        assert reopened.read_page(5) == bytes(PAGE_SIZE)
+        reopened.close()
+
+    def test_short_read_is_page_not_found(self, tmp_path):
+        # The file lost its tail behind the store's back: the id is below
+        # page_count, the positional read comes back short.
+        path = tmp_path / "short.db"
+        disk = FileDisk(path)
+        pid = disk.allocate()
+        with open(path, "r+b") as fh:
+            fh.truncate(pid * PAGE_SIZE + 100)
+        with pytest.raises(PageNotFoundError, match="short read"):
+            disk.read_page(pid)
+        disk.close()
+
+    def test_write_to_an_unallocated_id_leaves_the_file_alone(self, tmp_path):
+        path = tmp_path / "refuse.db"
+        disk = FileDisk(path)
+        disk.allocate()
+        with pytest.raises(PageNotFoundError):
+            disk.write_page(2, bytes([1]) * PAGE_SIZE)   # one past the end
+        assert path.stat().st_size == 2 * PAGE_SIZE
+        assert disk.page_count == 2
+        disk.close()
+
+    def test_writes_are_in_the_file_without_a_close(self, tmp_path):
+        # Unbuffered: a process that dies without close() loses nothing the
+        # store was handed (the OS cache survives the process).
+        path = tmp_path / "nobuffer.db"
+        disk = FileDisk(path)
+        pid = disk.allocate()
+        disk.write_page(pid, bytes([3]) * PAGE_SIZE)
+        assert path.read_bytes()[pid * PAGE_SIZE:] == bytes([3]) * PAGE_SIZE
+        disk.close()

@@ -82,6 +82,29 @@ class TestBatching:
         db.flush_commits()
         assert db.log.stats.forces == before
 
+    def test_a_force_between_append_and_enqueue_is_still_acked(self):
+        """A write-back inside commit processing (the PTT insert evicting a
+        dirty page) forces the log over the commit record before its
+        transaction is queued for an ack; ``flush_commits`` then finds
+        nothing left to force and used to ack nothing — a worker-pool
+        future waiting on that ack would wait for the next write."""
+        db = make_db(4)
+        table = make_table(db)
+        acked = []
+        db.txn_mgr.durable_commit_hook = acked.append
+        registry = FailpointRegistry()
+        registry.on(
+            "txn.groupcommit.enqueue", lambda event: db.log.force(), once=True
+        )
+        with installed(registry):
+            insert_one(db, table, 1)
+        assert db.txn_mgr.unacked_commits == 1
+        forces = db.log.stats.forces
+        db.flush_commits()
+        assert db.log.stats.forces == forces      # nothing left to force
+        assert db.txn_mgr.unacked_commits == 0
+        assert len(acked) == 1
+
     def test_invalid_window_rejected(self):
         with pytest.raises(ValueError):
             make_db(0)

@@ -183,3 +183,36 @@ class TestWriteAheadRule:
         else:
             pool.flush_page(page.page_id)   # the per-page path (_write_back)
         assert durable_at_write == [True]
+
+    @pytest.mark.parametrize("flush_batch", [0, 4])
+    def test_2q_evicting_pages_at_the_durable_boundary_forces_first(
+        self, flush_batch
+    ):
+        # Every frame is dirty at or past the durable prefix, so covered-first
+        # victim selection finds nothing and falls back: whichever images
+        # the eviction writes, each one's record is durable by then.
+        log, disk = LogManager(), InMemoryDisk()
+        pool = BufferPool(disk, capacity=4, eviction="2q", flush_batch=flush_batch)
+        pool.log_force = log.force
+        pool.durable_lsn = lambda: log.flushed_lsn
+        log.append(BeginTxn(tid=1))
+        log.force()
+        pages = [pool.new_page(lambda pid: DataPage(pid, table_id=1))
+                 for _ in range(4)]
+        for tid, page in enumerate(pages, start=2):
+            page.lsn = log.append(BeginTxn(tid=tid))
+            pool.mark_dirty(page.page_id, page.lsn)
+        assert pages[0].lsn == log.flushed_lsn
+        durable_at_write = []
+        real_write = disk.write_page
+
+        def write_page(pid, raw):
+            durable_at_write.append(log.flushed_lsn > pages[pid - 1].lsn)
+            real_write(pid, raw)
+
+        disk.write_page = write_page
+        forces = log.stats.forces
+        pool.new_page(lambda pid: DataPage(pid, table_id=1))   # evicts
+        assert durable_at_write == [True] * (4 if flush_batch else 1)
+        assert log.stats.forces == forces + 1
+        assert pool.stats.evict_uncovered_skips == 4

@@ -253,10 +253,19 @@ class TestConventionalTables:
     "not logged), and redo replays the old history page's image over the "
     "PTT node — PageFormatError: page N is not a PTT node",
 )
-@pytest.mark.parametrize("seed", [0, 1, 2, 4])
+@pytest.mark.parametrize("seed", [0, 1, 2, 8])
 def test_restart_after_archive_recycles_ids(tmp_path, seed):
     """A small pool, archive steps between non-flushing checkpoints, an
-    un-checkpointed tail: the database must reopen."""
+    un-checkpointed tail: the database must reopen.
+
+    Which seeds expose the hole follows the eviction order, not the hole:
+    of seeds 0-15, ten failed (0, 1, 2, 4, 5, 7, 8, 9, 11, 14) until PR 23
+    made eviction take log-covered pages first, five (0, 1, 2, 8, 9)
+    since.  Fewer exposed seeds is not a fix — nothing about who owns a
+    recycled id changed — so an ``XPASS(strict)`` here after a change to
+    write-back order means: re-derive four failing seeds, not: delete the
+    marker.  Delete it when the recipe passes on all sixteen.
+    """
     rng = random.Random(seed)
     db = ImmortalDB(
         str(tmp_path / "db.pages"), buffer_pages=64,
