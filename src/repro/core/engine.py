@@ -539,7 +539,7 @@ class ImmortalDB:
         if self.archive is not None:
             self.archive.before_recovery()
         report = run_recovery(self)
-        self.txn_mgr.adopt_tid_floor(self._max_tid_seen())
+        self.txn_mgr.adopt_tid_floor(self._max_tid_seen(report))
         # Restore commit-timestamp monotonicity: the clock must never again
         # issue a time at or below any durable commit timestamp.  The boot
         # page's high water covers everything up to the last checkpoint; the
@@ -572,18 +572,15 @@ class ImmortalDB:
         self.crash()
         return self.recover()
 
-    def _max_tid_seen(self) -> int:
+    def _max_tid_seen(self, report: RecoveryReport) -> int:
         # TIDs allocated before the last checkpoint are covered by the TID
-        # floor it persisted (and by the PTT), so the scan only needs the
-        # log suffix recovery reads anyway.  Pre-max_tid checkpoints (or no
-        # checkpoint at all) report 0 and the scan degrades to the full log.
+        # floor it persisted (and by the PTT); analysis and redo between
+        # them read every record after it.  A pre-max_tid checkpoint
+        # reports 0, and only then is the whole log read again.
         floor = self.checkpoints.checkpointed_max_tid()
-        scan_from = self.checkpoints.redo_scan_start() if floor else 0
-        best = max(self.ptt.max_tid(), floor)
-        for rec in self.log.records_from(scan_from):
-            if rec.tid > best:
-                best = rec.tid
-        return best
+        tids = () if floor or not self.log.master_checkpoint_lsn else (
+            rec.tid for rec in self.log.records_from(0))
+        return max(self.ptt.max_tid(), floor, report.max_tid, *tids)
 
     # -- SQL convenience ----------------------------------------------------------------------------
 

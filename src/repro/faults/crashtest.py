@@ -39,7 +39,9 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+import tempfile
 from collections import Counter
+from contextlib import closing
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable
@@ -105,12 +107,17 @@ class CrashTestConfig:
     service_faults: bool = False
     # Run against an N-shard ShardRouter: crashes land inside 2PC.
     shards: int = 0
+    file: bool = False      # on files: restarts read the log file back
+
+    def __post_init__(self) -> None:
+        if self.file and scenario_for(self) is not ENGINE_CRASH:
+            raise ValueError("--file runs the plain and --archive sweeps only")
 
     def repro_args(self, crossing: int) -> str:
         parts = [f"--seed {self.seed}"]
         if self.profile != CrashTestConfig.profile:
             parts.append(f"--profile {self.profile}")
-        for flag in ("media_faults", "service", "service_faults", "archive"):
+        for flag in ("media_faults", "service", "service_faults", "archive", "file"):
             if getattr(self, flag):
                 parts.append("--" + flag.replace("_", "-"))
         for option in ("transactions", "keys", "shards"):
@@ -216,15 +223,26 @@ class Rig:
     table: Any
     conn: Any = None        # LoopbackConnection, in the service scenarios
     wire: Any = None        # its FaultyWire, in the wire-fault scenario
+    tmp: Any = None         # the TemporaryDirectory of a file-backed engine
 
     @property
     def engines(self) -> list[ImmortalDB]:
         return [s.db for s in getattr(self.db, "shards", ())] or [self.db]
 
+    def close(self) -> None:
+        """Drop a file-backed engine's files (no shutdown: it may be mid-crash)."""
+        if self.tmp is not None:
+            store = getattr(self.db.archive, "store", None)
+            for owner in (self.db.log, self.db.disk, store):
+                if getattr(owner, "_file", None) is not None:
+                    owner._file.close()
+            self.tmp.cleanup()
+
 
 def build(config: CrashTestConfig) -> Rig:
-    """A fresh in-memory system with the harness table (nothing armed)."""
+    """A fresh system with the harness table (nothing armed)."""
     engine = dict(PROFILES[config.profile], buffer_pages=config.buffer_pages)
+    tmp = tempfile.TemporaryDirectory() if config.file else None
     if config.archive:
         # A ~500 ms horizon (25 ticks) with the workload's 5-250 ms time
         # advances guarantees checkpoints find cold pages to migrate, so
@@ -242,12 +260,12 @@ def build(config: CrashTestConfig) -> Rig:
                 disk=FaultyDisk(InMemoryDisk(), seed=config.seed),
                 page_checksums=True, media_recovery=True,
             )
-        db = ImmortalDB(**engine)
+        db = ImmortalDB(tmp and f"{tmp.name}/db.pages", **engine)
     table = db.create_table(
         TABLE, [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
         key="k", immortal=True,
     )
-    rig = Rig(db, table)
+    rig = Rig(db, table, tmp=tmp)
     if config.service or config.service_faults:
         from repro.service.core import ServiceCore
         from repro.service.transport import LoopbackConnection
@@ -663,16 +681,16 @@ def enumerate_crossings(config: CrashTestConfig) -> list[str]:
     """Run the workload once, undisturbed; return every crossing's name.
     No crash cuts this run short, so it must orphan no page id."""
     scenario = scenario_for(config)
-    rig = scenario.build(config)
     registry = FailpointRegistry()
     registry.trace_on()
-    with installed(registry):
-        scenario.workload(rig, config, ShadowOracle())
+    with closing(scenario.build(config)) as rig:
+        with installed(registry):
+            scenario.workload(rig, config, ShadowOracle())
+        for engine in rig.engines:
+            orphans = page_accounting(engine).orphans
+            if orphans:
+                raise IntegrityError(f"undisturbed run orphaned page ids {orphans}")
     assert registry.trace is not None
-    for engine in rig.engines:
-        orphans = page_accounting(engine).orphans
-        if orphans:
-            raise IntegrityError(f"undisturbed run orphaned page ids {orphans}")
     return registry.trace
 
 
@@ -684,39 +702,39 @@ def replay(config: CrashTestConfig, crossing: int) -> CrashReport:
     reported like any other: a dead sweep reports nothing.
     """
     scenario = scenario_for(config)
-    rig = scenario.build(config)
-    oracle = ShadowOracle()
-    registry = FailpointRegistry()
-    fault = scenario.arm(rig, registry, crossing)
-    report = CrashReport(
-        crossing, f"{fault}@{crossing}" if fault else "<workload end>", False
-    )
-    try:
-        with installed(registry):
-            scenario.workload(rig, config, oracle)
-    except SimulatedCrash as crash:
-        report.name = crash.name
-    except Exception as exc:  # noqa: BLE001 - any escape is a finding
-        report.problems.append(
-            f"workload did not absorb injected {fault}: {exc!r}" if fault
-            else f"workload failed before the crash: {exc!r}"
+    with closing(scenario.build(config)) as rig:
+        oracle = ShadowOracle()
+        registry = FailpointRegistry()
+        fault = scenario.arm(rig, registry, crossing)
+        report = CrashReport(
+            crossing, f"{fault}@{crossing}" if fault else "<workload end>", False
         )
+        try:
+            with installed(registry):
+                scenario.workload(rig, config, oracle)
+        except SimulatedCrash as crash:
+            report.name = crash.name
+        except Exception as exc:  # noqa: BLE001 - any escape is a finding
+            report.problems.append(
+                f"workload did not absorb injected {fault}: {exc!r}" if fault
+                else f"workload failed before the crash: {exc!r}"
+            )
+            return report
+        if registry.crossings <= crossing:
+            report.problems.append(
+                f"crossing {crossing} was never reached "
+                f"(workload has {registry.crossings} crossings)"
+            )
+            return report
+        report.crashed = True
+        try:
+            scenario.recover(rig, oracle, report)
+            scenario.verify(rig, oracle, report)
+        except Exception as exc:  # noqa: BLE001 - any escape is a finding
+            report.problems.append(
+                f"{type(exc).__name__} escaped recovery or verification: {exc}"
+            )
         return report
-    if registry.crossings <= crossing:
-        report.problems.append(
-            f"crossing {crossing} was never reached "
-            f"(workload has {registry.crossings} crossings)"
-        )
-        return report
-    report.crashed = True
-    try:
-        scenario.recover(rig, oracle, report)
-        scenario.verify(rig, oracle, report)
-    except Exception as exc:  # noqa: BLE001 - any escape is a finding
-        report.problems.append(
-            f"{type(exc).__name__} escaped recovery or verification: {exc}"
-        )
-    return report
 
 
 @dataclass
@@ -797,6 +815,9 @@ def main(argv: list[str] | None = None) -> int:
          "the service workload with one injected network fault per "
          "crossing (torn frame, dropped response, slow-loris, duplicate "
          "delivery); it must complete with exactly-once effects"),
+        ("--file",
+         "run the engine on files: every restart reads the log file back "
+         "(the plain and --archive sweeps only)"),
     ):
         parser.add_argument(flag, action="store_true", help=text)
     parser.add_argument(
@@ -816,7 +837,10 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = vars(parser.parse_args(argv))
     max_points, crash_point = args.pop("max_points"), args.pop("crash_point")
-    config = CrashTestConfig(**args)
+    try:
+        config = CrashTestConfig(**args)
+    except ValueError as exc:
+        parser.error(str(exc))
 
     if crash_point is not None:
         report = replay(config, crash_point)

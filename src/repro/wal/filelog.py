@@ -2,12 +2,15 @@
 
 :class:`~repro.wal.log.LogManager` keeps the log in memory, which is ideal
 for tests and benchmarks (its ``crash()`` models lost unforced records
-exactly).  :class:`FileLogManager` extends it with a real log file:
+exactly).  :class:`FileLogManager` extends it with a real log file, and the
+file is the log:
 
-* appends stay in memory; the *sync* stage of ``force`` frames the records
-  appended since the last one, writes them at their LSN (an LSN *is* a file
-  offset) and syncs, and ``flushed_lsn`` only ever advances over synced
-  frames;
+* appends stay in memory until a force; its *sync* stage frames the
+  records appended since the last one, writes them at their LSN (an LSN
+  *is* a file offset), hands them over to the file and syncs, and
+  ``flushed_lsn`` only ever advances over synced frames;
+* every reader reads a written record back from the file, a chunk at a
+  time, each frame's CRC32 checked (damage raises ``LogFormatError``);
 * the file grows in zero-filled extents of :data:`EXTENT_BYTES`, ahead of
   the log, so a force overwrites bytes the file already has: it changes no
   size and allocates nothing, and ``fdatasync`` has no metadata to commit.
@@ -19,9 +22,9 @@ exactly).  :class:`FileLogManager` extends it with a real log file:
   record bytes fail to decode;
 * the master checkpoint LSN lives in a small side file, written atomically
   (the "durable master record" a real engine keeps in the log header);
-* opening an existing path replays the file into memory — a process that
-  died without a clean shutdown recovers by running the normal
-  analysis/redo/undo over the reloaded log.
+* opening an existing path scans the file a chunk at a time for its clean
+  prefix — a process that died without a clean shutdown recovers by
+  running the normal analysis/redo/undo over the file.
 
 A torn tail (a partially-written final force after a real OS crash) is
 zeroed on load, every non-zero byte past the last good frame: a frame of
@@ -34,11 +37,12 @@ from __future__ import annotations
 
 import os
 import zlib
+from functools import partial
 
 from repro.errors import LogFormatError, WALError
 from repro.faults.failpoints import fire
 from repro.storage.disk import pwrite_all
-from repro.storage.framing import HEADER as _FRAME, scan
+from repro.storage.framing import CHUNK_BYTES, HEADER as _FRAME, scan_chunks
 from repro.wal.log import LogManager, _NO_MUTEX
 from repro.wal.records import LogRecord
 
@@ -78,6 +82,7 @@ class FileLogManager(LogManager):
         # Unbuffered: every write is one positional ``pwrite`` on the fd.
         self._file = open(self.path, "r+b" if preexisting else "w+b", buffering=0)
         self._fd = self._file.fileno()
+        self._read = partial(os.pread, self._fd)    # (size, offset)
         self._reserved = 0      # file size: zero-filled up to here
         try:
             if preexisting:
@@ -87,28 +92,37 @@ class FileLogManager(LogManager):
         except BaseException:
             self._file.close()
             raise
-        self._written = len(self._raws)   # records already in the file
 
     # -- loading ---------------------------------------------------------------
 
     def _load(self) -> None:
-        data = self._file.read()
-        if len(data) < self.HEADER_BYTES:
+        size = os.fstat(self._fd).st_size
+        if size < self.HEADER_BYTES:
             raise WALError(f"{self.path}: shorter than the log header")
-        self._lsns, self._raws, end = scan(data, self.HEADER_BYTES, _decodes)
+        end, count = self.HEADER_BYTES, 0
+        for lsn, raw in scan_chunks(self._read, end, size, _decodes):
+            end, count = lsn + self.FRAME_BYTES + len(raw), count + 1
         self._end_lsn = self._synced_lsn = self._flushed_lsn = end
-        self._reserved = len(data)
-        debris = len(data[end:].rstrip(b"\x00"))
-        if debris:
+        self._written_lsn, self._written_records = end, count
+        self._reserved = size
+        if any(self._read(CHUNK_BYTES, at).strip(b"\x00")
+               for at in range(end, size, CHUNK_BYTES)):
             # Restore the zero tail now, durably, before any append can
             # line up with a stale frame in it.
-            self._zero(end, debris)
+            self._zero(end, size - end)
             os.fsync(self._fd)
         if os.path.exists(self._master_path):
             with open(self._master_path, "rb") as fh:
                 master = int.from_bytes(fh.read(8), "big")
             if master and master < self._flushed_lsn:
                 self._master_checkpoint_lsn = master
+
+    # -- reading -----------------------------------------------------------------
+
+    def _read_device(self, lsn, upto):
+        stop = yield from scan_chunks(self._read, lsn, upto)
+        if stop < upto:     # at a frame the scan distrusts, inside the log
+            raise LogFormatError(f"{self.path}: damaged log frame at LSN {stop}")
 
     # -- appending / forcing ---------------------------------------------------------
 
@@ -131,8 +145,7 @@ class FileLogManager(LogManager):
 
     def _write_out(self) -> int:
         with self.mutex or _NO_MUTEX:
-            count = len(self._raws)
-            unwritten = self._raws[self._written:]
+            unwritten = list(self._raws)
             upto = self._end_lsn
         if unwritten:
             crc32 = zlib.crc32
@@ -144,9 +157,14 @@ class FileLogManager(LogManager):
             # Positional: a write that failed part-way is overwritten in
             # place by the retry, so file offsets keep matching LSNs.
             pwrite_all(self._fd, data, upto - len(data))
-            # Advanced only once written: a failed write leaves its records
-            # for the next force.
-            self._written = count
+            # The hand-over, only once written (a failed write leaves its
+            # records for the next force): from here on the file has them.
+            count = len(unwritten)
+            with self.mutex or _NO_MUTEX:
+                del self._lsns[:count]
+                del self._raws[:count]
+                self._written_lsn = upto
+                self._written_records += count
         fire("filelog.fsync")
         _datasync(self._fd)
         return upto
@@ -169,8 +187,11 @@ class FileLogManager(LogManager):
         # dropped, so the tail past the durable prefix is zeros again.
         # No write ever went past the end of log or the reserved extents.
         written_upto = min(self._end_lsn, self._reserved)
+        # Records handed over by a force that never finished are lost too.
+        lost = self._read_device(self._flushed_lsn, self._written_lsn)
+        self._written_records -= sum(1 for _ in lost)
+        self._written_lsn = self._flushed_lsn
         super().crash()
-        self._written = len(self._raws)
         if written_upto > self._flushed_lsn:
             self._zero(self._flushed_lsn, written_upto - self._flushed_lsn)
 

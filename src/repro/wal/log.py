@@ -15,7 +15,7 @@ this is what makes the paper's 9.6 ms baseline).
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator
@@ -72,8 +72,12 @@ class LogManager:
     subclass widens this to add a per-frame CRC32."""
 
     def __init__(self) -> None:
-        self._lsns: list[int] = []      # start offset of each record
-        self._raws: list[bytes] = []    # framed codec bytes of each record
+        # The tail: records no device holds, oldest first (in memory, the
+        # whole log).  The device holds the rest, up to ``_written_lsn``.
+        self._lsns: list[int] = []      # start offset of each tail record
+        self._raws: list[bytes] = []    # codec bytes of each tail record
+        self._written_lsn = self.HEADER_BYTES
+        self._written_records = 0       # how many records the device holds
         self._end_lsn = self.HEADER_BYTES
         self._flushed_lsn = self.HEADER_BYTES
         self._master_checkpoint_lsn = 0  # durable master record (tiny side write)
@@ -204,16 +208,13 @@ class LogManager:
     def master_checkpoint_lsn(self) -> int:
         return self._master_checkpoint_lsn
 
-    # -- scanning ------------------------------------------------------------------
+    # -- reading ------------------------------------------------------------------
 
     def records_from(self, lsn: int = 0) -> Iterator[LogRecord]:
         """Decode and yield records with LSN >= ``lsn`` (durable or not)."""
-        start = bisect_right(self._lsns, lsn)
-        if start and self._lsns[start - 1] == lsn:
-            start -= 1
-        for i in range(start, len(self._lsns)):
-            record = LogRecord.decode(self._raws[i])
-            record.lsn = self._lsns[i]
+        for at, raw in self._frames(lsn, self._end_lsn):
+            record = LogRecord.decode(raw)
+            record.lsn = at
             yield record
 
     def durable_frames(self, after_lsn: int = 0) -> Iterator[tuple[int, bytes]]:
@@ -226,31 +227,45 @@ class LogManager:
         tap: the media-recovery archive copies exactly these frames after
         each physical force.
         """
-        start = bisect_right(self._lsns, after_lsn)
-        for i in range(start, len(self._lsns)):
-            lsn = self._lsns[i]
-            if lsn >= self._flushed_lsn:
-                break
-            yield lsn, self._raws[i]
+        for lsn, raw in self._frames(after_lsn, self._flushed_lsn):
+            if lsn > after_lsn:
+                yield lsn, raw
 
     def record_at(self, lsn: int) -> LogRecord:
-        index = bisect_right(self._lsns, lsn) - 1
-        if index < 0 or self._lsns[index] != lsn:
-            raise WALError(f"no log record at LSN {lsn}")
-        record = LogRecord.decode(self._raws[index])
-        record.lsn = lsn
-        return record
+        for record in self.records_from(lsn):
+            if record.lsn == lsn:
+                return record
+            break
+        raise WALError(f"no log record at LSN {lsn}")
+
+    def _frames(self, lsn: int, end: int) -> Iterator[tuple[int, bytes]]:
+        """The one read path: ``(lsn, raw)`` of each record in ``[lsn, end)``
+        — from the device below ``_written_lsn`` (starting at a record's LSN:
+        it has no index), then from the tail, looked at again after each
+        device read in case a force (redo's evictions force) handed it over."""
+        lsn = max(lsn, self.HEADER_BYTES)
+        while True:
+            with self.mutex or _NO_MUTEX:
+                written = self._written_lsn
+                i, j = bisect_left(self._lsns, lsn), bisect_left(self._lsns, end)
+                lsns, raws = self._lsns[i:j], self._raws[i:j]
+            if lsn >= min(written, end):
+                yield from zip(lsns, raws)
+                return
+            yield from self._read_device(lsn, min(written, end))
+            lsn = written
+
+    def _read_device(self, lsn, upto):      # the in-memory log has none
+        return iter(())
 
     # -- crash simulation --------------------------------------------------------------
 
     def crash(self) -> None:
         """Discard the non-durable suffix, as a power failure would."""
-        keep = bisect_right(self._lsns, self._flushed_lsn)
-        if keep and self._lsns[keep - 1] == self._flushed_lsn:
-            keep -= 1
+        keep = bisect_left(self._lsns, self._flushed_lsn)
         del self._lsns[keep:]
         del self._raws[keep:]
         self._end_lsn = self._synced_lsn = self._flushed_lsn
 
     def __len__(self) -> int:
-        return len(self._lsns)
+        return self._written_records + len(self._lsns)

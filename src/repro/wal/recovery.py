@@ -78,6 +78,8 @@ class RecoveryReport:
     """[(tid, prepare_lsn)] for transactions prepared but undecided at the
     crash.  Undo leaves them alone — the engine reinstates them with their
     locks, and the 2PC coordinator decides their fate."""
+    max_tid: int = 0
+    """Largest TID on a record analysis or redo read."""
     max_commit_ts: Timestamp | None = None
     """Largest commit timestamp seen during the redo scan, used (with the
     checkpointed high water) to restore clock monotonicity after restart."""
@@ -123,6 +125,7 @@ def _analysis(
 
     for rec in log.records_from(scan_from):
         report.records_analyzed += 1
+        report.max_tid = max(report.max_tid, rec.tid)
         if isinstance(rec, BeginTxn):
             att[rec.tid] = (rec.lsn, int(TxnPhase.ACTIVE))
         elif isinstance(rec, CommitTxn):
@@ -197,6 +200,7 @@ def _redo(
     report.redo_scan_start = redo_start
 
     for rec in log.records_from(redo_start):
+        report.max_tid = max(report.max_tid, rec.tid)
         if isinstance(rec, CommitTxn):
             ts = Timestamp(rec.ttime, rec.sn)
             support.tsmgr.restore_committed(rec.tid, ts)

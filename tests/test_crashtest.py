@@ -13,6 +13,7 @@ from collections import Counter
 import dataclasses
 import importlib.util
 import pathlib
+import tempfile
 
 import pytest
 
@@ -214,6 +215,51 @@ class TestBatchedFlushCrossings:
         assert "--profile tuned" in args
         assert args.endswith("--crash-point 7")
         assert "--profile" not in SMALL.repro_args(crossing=7)
+
+
+class TestFileBacked:
+    """``--file``: the engine on files in a temporary directory, so every
+    restart reads the log back from its file."""
+
+    FILE = dataclasses.replace(SMALL, file=True)
+
+    def test_filelog_crossings_join_the_sweep(self):
+        names = enumerate_crossings(self.FILE)
+        assert {"filelog.write", "filelog.fsync"} <= set(names)
+        assert [n for n in names if not n.startswith("filelog.")] \
+            == enumerate_crossings(SMALL)
+
+    @pytest.mark.parametrize("archive", [False, True])
+    def test_crashes_inside_the_file_force_recover_from_the_file(
+        self, archive
+    ):
+        config = dataclasses.replace(self.FILE, archive=archive)
+        names = enumerate_crossings(config)
+        points = [i for i, name in enumerate(names)
+                  if name.startswith("filelog.")]
+        for crossing in points[:: -(-len(points) // 8)]:
+            report = replay(config, crossing)
+            assert report.crashed, names[crossing]
+            assert report.ok, (names[crossing], report.problems)
+
+    def test_a_replay_leaves_no_files_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert replay(self.FILE, 10).ok
+        enumerate_crossings(self.FILE)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_only_the_plain_and_archive_sweeps(self, capsys):
+        CrashTestConfig(file=True, archive=True)
+        for other in ({"media_faults": True}, {"service": True},
+                      {"service_faults": True}, {"shards": 2}):
+            with pytest.raises(ValueError, match="--file"):
+                CrashTestConfig(file=True, **other)
+        with pytest.raises(SystemExit) as exit_:
+            main(["--file", "--media-faults"])
+        assert exit_.value.code == 2
+        assert "--file" in capsys.readouterr().err
+        assert self.FILE.repro_args(3) \
+            == "--seed 0 --file --transactions 18 --keys 8 --crash-point 3"
 
 
 def _crossing_of(names: list[str], name: str, hit: int) -> int:

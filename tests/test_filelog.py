@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import os
+import random
+import sys
+import threading
+import tracemalloc
 
 import pytest
 
 from repro import ColumnType, ImmortalDB
-from repro.errors import WALError
+from repro.errors import LogFormatError, WALError
 from repro.faults.failpoints import (
     FailpointRegistry,
     SimulatedCrash,
@@ -17,7 +21,8 @@ from repro.faults.models import tear_log_tail
 from repro.storage.framing import scan
 from repro.wal import filelog
 from repro.wal.filelog import EXTENT_BYTES, FileLogManager
-from repro.wal.records import BeginTxn, CommitTxn, LogRecord
+from repro.wal.log import LogManager
+from repro.wal.records import BeginTxn, CommitTxn, LogRecord, VersionOp
 from tests.test_framing import damaged_images
 
 
@@ -281,20 +286,24 @@ class TestDevicePath:
         load, the next reopen would read 3 and 4 back as if acknowledged.
         """
         path = tmp_path / "wal.log"
-        log = _forced(path, [1], [2, 3, 4])
-        torn_at = log._lsns[1]
+        log = FileLogManager(path)
+        lsns = []
+        for batch in ([1], [2, 3, 4]):
+            lsns += [log.append(BeginTxn(tid=tid)) for tid in batch]
+            log.force()
+        torn_at = lsns[1]
         log.close()
         tear_log_tail(path, garble_at=torn_at + FileLogManager.FRAME_BYTES)
         offsets, raws, end, data = frames_on_disk(path)
         assert end == torn_at               # the scan stops at frame 2 ...
-        assert scan(data, log._lsns[2])[0] == log._lsns[2:]   # ... 3, 4 valid
+        assert scan(data, lsns[2])[0] == lsns[2:]   # ... 3, 4 valid
 
         reopened = FileLogManager(path)
         assert [r.tid for r in reopened.records_from(0)] == [1]
         assert not any(frames_on_disk(path)[3][torn_at:])   # zeroed at load
         reopened.append(BeginTxn(tid=5))    # same length as the torn frame
         reopened.force()
-        assert reopened.end_lsn == log._lsns[2]
+        assert reopened.end_lsn == lsns[2]
         reopened.close()
         assert_offsets_are_lsns(path, [1, 5])
 
@@ -400,8 +409,8 @@ class TestDevicePath:
 class TestLastTwoForcesSweep:
     """Damage at every byte offset of the last two forces.
 
-    No ``crashtest`` sweep runs on a file-backed log's *bytes*: failpoints
-    crash between calls, not inside a device write.  Here the image a real
+    ``crashtest --file`` crashes a file-backed log, but its failpoints crash
+    between calls, never inside a device write.  Here the image a real
     crash could leave is built directly: a force torn at byte ``cut`` (the
     rest never landed and reads as zeros), or one byte of it garbled with
     every later frame intact (the stale-tail case at every offset).
@@ -561,3 +570,255 @@ class TestCrossProcessDurability:
             got = {r["k"]: r["v"] for r in db.table("t").scan(txn)}
         assert got == expected
         db.close()
+
+
+class _WideLog(LogManager):
+    """The in-memory log with the file's frame width, so LSNs line up."""
+
+    FRAME_BYTES = FileLogManager.FRAME_BYTES
+
+
+def _assert_same_answers(got: LogManager, want: LogManager, every_lsn: bool):
+    """``got`` answers every reader's question exactly as ``want`` does."""
+
+    def records_from(log, lsn):
+        return [(r.lsn, r) for r in log.records_from(lsn)]
+
+    assert (len(got), got.end_lsn, got.flushed_lsn) \
+        == (len(want), want.end_lsn, want.flushed_lsn)
+    records = records_from(want, 0)
+    assert records_from(got, 0) == records
+    assert list(got.durable_frames(0)) == list(want.durable_frames(0))
+    if every_lsn:
+        for lsn, record in records:
+            assert records_from(got, lsn) == records_from(want, lsn)
+            assert got.record_at(lsn) == record
+            assert got.record_at(lsn).lsn == lsn
+            assert list(got.durable_frames(lsn)) \
+                == list(want.durable_frames(lsn))
+
+
+class TestTheFileIsTheLog:
+    """A written record is read back from the file, and only from there."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_file_and_memory_logs_answer_alike(self, tmp_path, seed):
+        """Seeded appends, forces, crashes and reopens, fed to both logs.
+
+        Record sizes run from an empty payload to one frame longer than the
+        file reader's chunk, so frames straddle chunk boundaries.
+        """
+        rng = random.Random(seed)
+        path = tmp_path / "wal.log"
+        got, want = FileLogManager(path), _WideLog()
+        for step in range(240):
+            roll = rng.random()
+            if roll < 0.6:
+                size = 70 * 1024 if rng.random() < 0.02 \
+                    else rng.choice((0, 40, 700, 5000))
+                record = VersionOp(
+                    tid=step, key=b"k%d" % step, payload=rng.randbytes(size)
+                )
+                assert got.append(record) == want.append(record)
+            elif roll < 0.72:
+                got.force()
+                want.force()
+            elif roll < 0.77 and len(want):
+                upto = rng.choice([r.lsn for r in want.records_from(0)])
+                got.force(upto)
+                want.force(upto)
+            elif roll < 0.82 and got.end_lsn > got.flushed_lsn:
+                # Killed inside a force: written or not, nothing published.
+                registry = FailpointRegistry()
+                registry.crash_on(rng.choice(
+                    ("filelog.write", "filelog.fsync", "log.force")
+                ))
+                with installed(registry), pytest.raises(SimulatedCrash):
+                    got.force()
+                got.crash()
+                want.crash()
+            elif roll < 0.88:
+                got.crash()
+                want.crash()
+            elif roll < 0.94:
+                # Killed between forces: the unforced tail never reached
+                # the file.
+                got._file.close()
+                got = FileLogManager(path)
+                want.crash()
+            else:
+                got.close()
+                got = FileLogManager(path)
+                want.force()
+            _assert_same_answers(got, want, every_lsn=step % 60 == 59)
+        got.close()
+
+    @pytest.mark.parametrize("where,offset", [
+        ("length", 0), ("length", 3), ("crc", 5), ("payload", 11),
+    ])
+    def test_a_damaged_frame_is_named_not_decoded(self, tmp_path, where, offset):
+        path = tmp_path / "wal.log"
+        log = FileLogManager(path)
+        lsns = [
+            log.append(VersionOp(tid=tid, key=b"k", payload=b"v" * 40))
+            for tid in (1, 2, 3)
+        ]
+        log.force()
+        with open(path, "r+b") as fh:       # behind the open log's back
+            fh.seek(lsns[1] + offset)
+            byte = fh.read(1)[0]
+            fh.seek(lsns[1] + offset)
+            fh.write(bytes([byte ^ 0x01]))
+        assert log.record_at(lsns[0]).tid == 1
+        named = f"damaged log frame at LSN {lsns[1]}$"
+        with pytest.raises(LogFormatError, match=named):
+            log.record_at(lsns[1])
+        with pytest.raises(LogFormatError, match=named):
+            list(log.records_from(0))
+        with pytest.raises(LogFormatError, match=named):
+            list(log.durable_frames(lsns[0]))
+        log.close()
+
+    @pytest.mark.parametrize("point", ["filelog.write", "filelog.fsync"])
+    def test_a_reader_inside_a_force_finds_each_record_once(
+        self, tmp_path, point
+    ):
+        """Before the write the records are the tail's; after it, the
+        file's — never both, never neither."""
+        log = _forced(tmp_path / "wal.log", [1, 2])
+        for tid in (3, 4):
+            log.append(BeginTxn(tid=tid))
+        seen = []
+        registry = FailpointRegistry()
+        registry.on(point, lambda event: seen.append(
+            [r.tid for r in log.records_from(0)]
+        ))
+        with installed(registry):
+            log.force()
+        assert seen == [[1, 2, 3, 4]]
+        assert len(log) == 4
+        log.close()
+
+    def test_readers_race_appends_and_forces(self, tmp_path):
+        """Four writers append and force while a reader scans, switching
+        threads every few microseconds: each scan is gap-free and holds
+        every record once, wherever the hand-over had got to."""
+        log = FileLogManager(tmp_path / "wal.log")
+        log.mutex, log.force_order = threading.RLock(), threading.Lock()
+        done, problems = threading.Event(), []
+
+        def writer(w: int) -> None:
+            for i in range(250):
+                log.append(VersionOp(tid=w * 1000 + i, payload=bytes(i % 90)))
+                if i % 7 == 0:
+                    log.force()
+
+        def reader() -> None:
+            try:
+                while not done.is_set():
+                    expect = HEADER
+                    for record in log.records_from(0):
+                        if record.lsn != expect:
+                            problems.append((record.lsn, expect))
+                        expect = record.lsn + log.FRAME_BYTES \
+                            + len(record.to_bytes())
+            except Exception as exc:    # noqa: BLE001 - reported below
+                problems.append(exc)
+
+        writers = [threading.Thread(target=writer, args=(w,)) for w in range(4)]
+        scanner = threading.Thread(target=reader)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(5e-6)
+        try:
+            for thread in (*writers, scanner):
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            scanner.join(timeout=60)
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in (*writers, scanner))
+        assert problems == []
+        log.force()
+        assert len(log) == 1000
+        assert sorted(r.tid for r in log.records_from(0)) == sorted(
+            w * 1000 + i for w in range(4) for i in range(250)
+        )
+        log.close()
+
+    def test_abort_rolls_back_from_the_file(self, tmp_path, monkeypatch):
+        """A group-commit force carried the loser's records into the file;
+        its rollback walks the backchain there."""
+        db = ImmortalDB(str(tmp_path / "db.pages"), group_commit_window=8)
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        with db.transaction() as txn:
+            for k in range(4):
+                table.insert(txn, {"k": k, "v": "old"})
+        loser = db.begin()
+        for k in range(4):
+            table.update(loser, k, {"v": "new"})
+        with db.transaction() as txn:
+            table.insert(txn, {"k": 9, "v": "other"})
+        db.flush_commits()
+        assert loser.last_lsn < db.log.flushed_lsn
+        assert not db.log._lsns              # the tail holds nothing
+        reads = []
+        real_read = FileLogManager._read_device
+
+        def read_device(log, lsn, upto):
+            reads.append(lsn)
+            return real_read(log, lsn, upto)
+
+        monkeypatch.setattr(FileLogManager, "_read_device", read_device)
+        db.abort(loser)
+        assert loser.last_lsn in reads
+        with db.transaction() as txn:
+            assert [table.read(txn, k)["v"] for k in range(4)] == ["old"] * 4
+            assert table.read(txn, 9)["v"] == "other"
+        db.close()
+
+
+_WAL_SOURCES = tracemalloc.Filter(True, os.path.join("*", "repro", "wal", "*"))
+
+
+@pytest.fixture(scope="module")
+def eight_mib_log(tmp_path_factory):
+    """(path, records, bytes traced to ``repro/wal``) after 8 MiB of
+    forced appends, the log still open."""
+    path = tmp_path_factory.mktemp("big") / "wal.log"
+    payload = bytes(1000)
+    tracemalloc.start()
+    try:
+        log = FileLogManager(path)
+        tid = 0
+        while log.end_lsn < 8 << 20:
+            for _ in range(64):
+                tid += 1
+                log.append(VersionOp(tid=tid, key=b"k", payload=payload))
+            log.force()
+        snapshot = tracemalloc.take_snapshot().filter_traces([_WAL_SOURCES])
+    finally:
+        tracemalloc.stop()
+    log.close()
+    return path, tid, sum(s.size for s in snapshot.statistics("filename"))
+
+
+class TestMemoryBound:
+    """What a file-backed log holds does not grow with the log."""
+
+    def test_written_records_leave_nothing_resident(self, eight_mib_log):
+        _, _, resident = eight_mib_log
+        assert resident < 256 * 1024
+
+    def test_reopening_holds_a_chunk_not_the_file(self, eight_mib_log):
+        path, records, _ = eight_mib_log
+        tracemalloc.start()
+        try:
+            log = FileLogManager(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == records
+        log.close()
+        assert peak < 1 << 20

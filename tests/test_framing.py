@@ -12,7 +12,7 @@ import pytest
 from repro.archive.store import ArchiveStore
 from repro.errors import TornFrameError
 from repro.service import protocol
-from repro.storage.framing import HEADER, frame, scan
+from repro.storage.framing import HEADER, frame, scan, scan_chunks
 from repro.wal.records import CommitTxn
 
 # Log records, so the file log accepts them; their first four bytes read as
@@ -73,6 +73,17 @@ class TestEveryReaderStopsAtTheSameFrame:
         _, payloads, end = scan(image, 0, lambda p: p != turned_down)
         assert payloads == PAYLOADS[: min(good, 1)]
         assert end == STARTS[min(good, 1)]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 1 << 16])
+    @pytest.mark.parametrize("past", [0, 100], ids=["exact", "short-read"])
+    def test_scan_chunks(self, label, image, good, chunk, past):
+        """A chunk at a time (a frame longer than one is read whole), and
+        from a source that ends before the promised end: same stop."""
+        def read(size: int, at: int) -> bytes:
+            return image[at : at + size]
+
+        got = list(scan_chunks(read, 0, len(image) + past, chunk=chunk))
+        assert got == list(zip(STARTS[:good], PAYLOADS[:good]))
 
     def test_archive_store_reopen(self, label, image, good, tmp_path):
         path = tmp_path / "arch"

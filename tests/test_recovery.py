@@ -8,6 +8,7 @@ import pytest
 
 from repro import PROFILES, ColumnType, ImmortalDB, TxnMode
 from repro.core.integrity import verify_integrity
+from repro.wal.checkpoint import CheckpointManager
 
 
 @pytest.fixture
@@ -244,6 +245,53 @@ class TestConventionalTables:
             assert plain.read(txn, 1)["v"] == "kept"
         # No PTT entries were ever created for the conventional table.
         assert db.tsmgr.stats.ptt_inserts == 0
+
+
+class TestTidFloor:
+    """A reopened database never hands out a TID the log already names:
+    analysis and redo report the largest they read, and the checkpoint's
+    floor covers the TIDs before it."""
+
+    @staticmethod
+    def _killed_and_reopened(db: ImmortalDB, path: str) -> ImmortalDB:
+        db.log._file.close()        # no close(): only the forced log is left
+        db.disk.close()             # (its pages are in the file already)
+        return ImmortalDB(path, buffer_pages=64)
+
+    def test_a_loser_after_the_checkpoint(self, tmp_path):
+        path = str(tmp_path / "db.pages")
+        db = ImmortalDB(path, buffer_pages=64)
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        with db.transaction() as txn:
+            table.insert(txn, {"k": 1, "v": "a"})
+        db.checkpoint(flush=True)
+        loser = db.begin()
+        table.update(loser, 1, {"v": "lost"})
+        db.log.force()
+        reopened = self._killed_and_reopened(db, path)
+        assert reopened.begin().tid > loser.tid
+        reopened.close()
+
+    def test_a_checkpoint_without_a_floor_reads_the_whole_log(
+        self, tmp_path, monkeypatch
+    ):
+        """A checkpoint written before it carried ``max_tid`` decodes it as
+        0; the TIDs before it are then only in the log."""
+        path = str(tmp_path / "db.pages")
+        db = ImmortalDB(path, buffer_pages=64)
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        with db.transaction() as txn:
+            table.insert(txn, {"k": 1, "v": "a"})
+        aborted = db.begin()
+        table.update(aborted, 1, {"v": "b"})
+        db.abort(aborted)               # in no PTT, before the checkpoint
+        db.checkpoint(flush=True)
+        monkeypatch.setattr(
+            CheckpointManager, "checkpointed_max_tid", lambda self: 0
+        )
+        reopened = self._killed_and_reopened(db, path)
+        assert reopened.begin().tid > aborted.tid
+        reopened.close()
 
 
 @pytest.mark.xfail(
