@@ -147,7 +147,3 @@ class FlashbackTable:
             self._scn = record.scn - 1
             changed += 1
         return changed
-
-    @property
-    def undo_size(self) -> int:
-        return len(self._undo)

@@ -39,10 +39,6 @@ class BackupStatus:
     oldest_covered: Timestamp | None = None
     newest_covered: Timestamp | None = None
 
-    @property
-    def total_pages(self) -> int:
-        return self.current_pages + self.history_pages
-
 
 class QueryableBackup:
     """Backup/restore facade over one immortal table's history pages."""

@@ -324,12 +324,6 @@ class ImmortalDB:
         except KeyError:
             raise TableNotFoundError(f"table {name!r} does not exist") from None
 
-    def table_by_id(self, table_id: int) -> Table:
-        try:
-            return self._tables_by_id[table_id]
-        except KeyError:
-            raise TableNotFoundError(f"no table with id {table_id}") from None
-
     # -- RecoverySupport ------------------------------------------------------------
 
     def locate_current_page(self, table_id: int, key: bytes) -> DataPage | None:

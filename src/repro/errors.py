@@ -406,10 +406,6 @@ class ServiceOverloadedError(ServiceError):
         self.shed_kind = shed_kind
 
 
-class RequestTimeoutError(ServiceError):
-    """A request exceeded the service's per-request deadline."""
-
-
 class SessionStateError(ServiceError):
     """The session cannot accept the request (closed, defunct, draining)."""
 

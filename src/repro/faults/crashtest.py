@@ -110,8 +110,8 @@ class CrashTestConfig:
     file: bool = False      # on files: restarts read the log file back
 
     def __post_init__(self) -> None:
-        if self.file and scenario_for(self) is not ENGINE_CRASH:
-            raise ValueError("--file runs the plain and --archive sweeps only")
+        if self.file and scenario_for(self) not in (ENGINE_CRASH, SCENARIOS["service"]):
+            raise ValueError("--file runs the plain, --archive and --service sweeps only")
 
     def repro_args(self, crossing: int) -> str:
         parts = [f"--seed {self.seed}"]
@@ -817,7 +817,7 @@ def main(argv: list[str] | None = None) -> int:
          "delivery); it must complete with exactly-once effects"),
         ("--file",
          "run the engine on files: every restart reads the log file back "
-         "(the plain and --archive sweeps only)"),
+         "(the plain, --archive and --service sweeps only)"),
     ):
         parser.add_argument(flag, action="store_true", help=text)
     parser.add_argument(

@@ -165,6 +165,9 @@ class FaultyDisk(PageStore):
     def page_count(self) -> int:
         return self.inner.page_count
 
+    def sync(self) -> None:
+        self.inner.sync()
+
     def close(self) -> None:
         """Release underlying resources (idempotent)."""
         self.inner.close()

@@ -32,11 +32,6 @@ class AdmissionStats:
     rejected_draining: int = 0
     peak_inflight: int = 0
 
-    @property
-    def rejected(self) -> int:
-        return (self.rejected_reads + self.rejected_writes
-                + self.rejected_draining)
-
 
 class AdmissionController:
     """Bounded concurrent admission; sheds reads before writes."""

@@ -60,6 +60,7 @@ class ServiceClient:
                 (self.host, self.port), timeout=self.timeout_s
             )
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            protocol.set_io_timeout(sock, self.timeout_s)
             self._sock = sock
             self._decoder = protocol.FrameDecoder()
         return self._sock
@@ -103,8 +104,8 @@ class ServiceClient:
         (it would execute outside the bracket) — the loss surfaces to the
         caller, who must restart from BEGIN.
         """
-        message = dict(message)
-        message.setdefault("id", self._fresh_id())
+        if "id" not in message:     # the caller's dict stays as it was
+            message = {**message, "id": self._fresh_id()}
         last: Exception | None = None
         for attempt in range(1, self.retry_policy.max_attempts + 1):
             if attempt > 1:
@@ -133,7 +134,7 @@ class ServiceClient:
     def _track_bracket(self, message: dict, response: dict) -> None:
         if message.get("op") != "sql" or response.get("status") != "ok":
             return
-        head = str(message.get("sql", "")).lstrip().upper()
+        head = message["sql"].lstrip()[:8].upper()
         if head.startswith("BEGIN"):
             self._bracket_open = True
         elif head.startswith(("COMMIT", "ROLLBACK")):
@@ -141,7 +142,7 @@ class ServiceClient:
 
     def execute(self, sql: str, params=()) -> dict:
         """Run one statement; ``params`` are the values of its ``?``s."""
-        message = {"op": "sql", "sql": sql}
+        message = {"op": "sql", "sql": sql, "id": self._fresh_id()}
         if params:
             message["params"] = list(params)
         return self.request(message)
@@ -165,35 +166,29 @@ class ServiceClient:
             sock.sendall(protocol.encode_message(message))
         except OSError as exc:
             raise ConnectionLostError(f"send failed: {exc}") from None
-        while True:
-            response = self._read_response(sock)
-            if response.get("status") == protocol.STATUS_BYE \
-                    and response.get("id") != message["id"]:
-                # Unsolicited bye: drain refusal or idle reap.
-                self._disconnect()
-                raise SessionStateError(
-                    f"server closed the session: {response.get('reason')}"
-                )
-            return response
+        response = self._read_response(sock)
+        if response.get("status") == protocol.STATUS_BYE \
+                and response.get("id") != message["id"]:
+            # Unsolicited bye: drain refusal or idle reap.
+            self._disconnect()
+            raise SessionStateError(
+                f"server closed the session: {response.get('reason')}"
+            )
+        return response
 
     def _read_response(self, sock: socket.socket) -> dict:
         while True:
             try:
-                payloads = self._decoder.feed(self._recv(sock))
+                data = sock.recv(65536)
+            except BlockingIOError:     # the socket's timeout
+                raise ConnectionLostError("response timed out") from None
+            except OSError as exc:
+                raise ConnectionLostError(f"recv failed: {exc}") from None
+            if not data:
+                raise ConnectionLostError("server closed the connection")
+            try:
+                payloads = self._decoder.feed(data)
             except TornFrameError:
-                raise ConnectionLostError(
-                    "response frame torn in flight"
-                ) from None
+                raise ConnectionLostError("response frame torn in flight") from None
             if payloads:
                 return protocol.decode_message(payloads[0])
-
-    def _recv(self, sock: socket.socket) -> bytes:
-        try:
-            data = sock.recv(65536)
-        except socket.timeout:
-            raise ConnectionLostError("response timed out") from None
-        except OSError as exc:
-            raise ConnectionLostError(f"recv failed: {exc}") from None
-        if not data:
-            raise ConnectionLostError("server closed the connection")
-        return data

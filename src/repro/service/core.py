@@ -75,15 +75,17 @@ from repro.faults.failpoints import fire
 from repro.service import protocol
 from repro.service.admission import AdmissionController
 from repro.service.session import ServiceSession
+from repro.sql.executor import Result
 from repro.storage.disk import RetryPolicy
 from repro.workers.pool import RETRYABLE_ERRORS, RetriesExhaustedError
 
 #: Cluster conditions the *client* should retry but the server must not
 #: spin on: an in-doubt conflict clears only when 2PC resolution runs, and
-#: a down shard comes back only when an operator recovers it.  A
-#: cross-shard abort is an ordinary conflict casualty, so it joins the
-#: server-side retry loop instead.
+#: a down shard comes back only when an operator recovers it.
 CLUSTER_WAIT_ERRORS = (InDoubtError, ShardUnavailableError)
+#: Conflicts a statement that started its own transaction is run again for
+#: (a cross-shard abort is an ordinary conflict casualty).
+CONFLICT_ERRORS = RETRYABLE_ERRORS + (RetriesExhaustedError, CrossShardAbort)
 
 
 @dataclass
@@ -107,6 +109,7 @@ class ServiceStats:
 
 
 _PENDING = object()   # idempotency-cache sentinel: id is executing right now
+
 
 def classify_statement(sql: str) -> str:
     """\"read\" or \"write\" (the shed policy's classes) or \"bracket\",
@@ -190,16 +193,10 @@ class ServiceCore:
         lock is held; mark the session defunct so the finishing thread
         closes it (abort + lock release) the moment the body returns."""
         if session.lock.acquire(blocking=False):
-            try:
-                in_flight = False
-            finally:
-                session.lock.release()
-        else:
-            in_flight = True
-        if in_flight:
-            session.mark_defunct(reason)
-        else:
+            session.lock.release()
             self.close_session(session, reason)
+        else:
+            session.mark_defunct(reason)
 
     def on_request_timeout(self, session: ServiceSession, reason: str) -> None:
         """The transport gave up waiting on a request's execution."""
@@ -208,10 +205,11 @@ class ServiceCore:
 
     def reap_idle(self, idle_timeout_s: float) -> list[ServiceSession]:
         """Close every session idle past the deadline; returns the victims."""
+        now = self._now()
         with self._mu:
             victims = [
                 s for s in self.sessions.values()
-                if not s.closed and s.idle_for() >= idle_timeout_s
+                if not s.closed and now - s.last_active >= idle_timeout_s
                 and not s.lock.locked()
             ]
         for session in victims:
@@ -237,23 +235,29 @@ class ServiceCore:
 
     # -- idempotency cache ----------------------------------------------------
 
-    def _dedup_get(self, request_id):
+    def _dedup_reserve(self, request_id):
+        """The cached outcome of ``request_id`` (``_PENDING`` while it
+        executes), or None: it was not seen, and is now marked executing."""
         with self._mu:
             entry = self._dedup.get(request_id)
-            if entry is not None and entry is not _PENDING:
+            if entry is None:
+                self._dedup[request_id] = _PENDING
+            elif entry is not _PENDING:
                 self._dedup.move_to_end(request_id)
             return entry
 
-    def _dedup_put(self, request_id, response) -> None:
+    def _dedup_store(self, request_id, response: dict) -> None:
+        """Keep a successful outcome for retries; forget any other (errors
+        are side-effect-free and deserve a live re-execution, which may now
+        succeed)."""
         with self._mu:
-            self._dedup[request_id] = response
-            self._dedup.move_to_end(request_id)
-            while len(self._dedup) > self._dedup_capacity:
-                self._dedup.popitem(last=False)
-
-    def _dedup_drop(self, request_id) -> None:
-        with self._mu:
-            self._dedup.pop(request_id, None)
+            if response["status"] in (protocol.STATUS_OK, protocol.STATUS_DEGRADED):
+                self._dedup[request_id] = response
+                self._dedup.move_to_end(request_id)
+                if len(self._dedup) > self._dedup_capacity:
+                    self._dedup.popitem(last=False)
+            else:
+                self._dedup.pop(request_id, None)
 
     # -- request handling ------------------------------------------------------
 
@@ -270,14 +274,15 @@ class ServiceCore:
         Raises :class:`ServiceOverloadedError` when the request is shed.
         """
         op = message.get("op")
-        sql = message.get("sql")
-        if op == "ingest":
-            kind = "write"
-        elif op == "sql" and isinstance(sql, str) \
-                and not session.in_transaction:
+        if op == "sql":
+            sql = message.get("sql")
+            if type(sql) is not str or session.sql.in_transaction:
+                return ""
             kind = classify_statement(sql)
             if kind == "bracket":
                 return ""
+        elif op == "ingest":
+            kind = "write"
         else:
             return ""
         self.admission.try_admit(kind)
@@ -310,7 +315,7 @@ class ServiceCore:
     def handle_message(
         self, session: ServiceSession, message: dict, admitted=None
     ) -> dict:
-        """Execute one request and build its response.
+        """Execute one request and build its response, in one pass.
 
         ``admitted`` is what :meth:`admit` returned when the transport
         already called it; None takes the decision here.
@@ -324,73 +329,107 @@ class ServiceCore:
                 return self.shed_response(request_id, exc)
         self.stats.requests += 1
         try:
-            return self._handle_admitted(session, request_id, message, admitted)
-        finally:
-            if admitted:
-                self.admission.release()
-
-    def _handle_admitted(self, session, request_id, message, admitted) -> dict:
-        if session.closed:
-            return protocol.error_response(
-                request_id,
-                SessionStateError(
-                    f"session closed ({session.close_reason})"
-                ),
-                retryable=True,
-            )
-        session.touch()
-        session.requests += 1
-        # Transaction-scoped requests (BEGIN/COMMIT/ROLLBACK, or any
-        # statement inside an open bracket) are NOT idempotency-cached:
-        # their effects die with the session, so a cached ack would lie to
-        # a retry arriving on a fresh connection after the bracket was
-        # aborted.  Clients must treat a connection loss mid-bracket as
-        # losing the bracket, not retry blindly — and ours do.
-        # A statement that took no slot is one of those (see ``admit``).
-        cacheable = request_id is not None and (
-            admitted or message.get("op") != "sql"
-            or not isinstance(message.get("sql"), str)
-        )
-        if cacheable:
-            cached = self._dedup_get(request_id)
-            if cached is _PENDING:
+            if session.closed:
+                return protocol.error_response(
+                    request_id,
+                    SessionStateError(f"session closed ({session.close_reason})"),
+                    retryable=True,
+                )
+            session.last_active = self._now()
+            op = message.get("op")
+            sql = message.get("sql")
+            statement = op == "sql" and type(sql) is str
+            # Transaction-scoped requests (BEGIN/COMMIT/ROLLBACK, or any
+            # statement inside an open bracket) are NOT idempotency-cached:
+            # their effects die with the session, so a cached ack would lie
+            # to a retry arriving on a fresh connection after the bracket
+            # was aborted.  Clients must treat a connection loss mid-bracket
+            # as losing the bracket, not retry blindly — and ours do.  A
+            # statement that took no slot is one of those (see ``admit``).
+            cacheable = request_id is not None and (admitted or not statement)
+            if cacheable and (cached := self._dedup_reserve(request_id)) is not None:
                 self.stats.duplicate_hits += 1
+                if cached is not _PENDING:
+                    return cached
                 return protocol.error_response(
                     request_id,
                     SessionStateError("request is already in flight"),
                     retryable=True,
                 )
-            if cached is not None:
-                self.stats.duplicate_hits += 1
-                return cached
-            self._dedup_put(request_id, _PENDING)
-        try:
-            response = self._dispatch(session, request_id, message, admitted)
-        except Exception as exc:   # SimulatedCrash (BaseException) passes
+            try:
+                if statement:
+                    response = self._statement(
+                        session, request_id, sql, message.get("params", ()),
+                        admitted,
+                    )
+                else:
+                    response = self._control(session, request_id, message, op)
+            except Exception as exc:   # SimulatedCrash (BaseException) passes
+                response = protocol.error_response(
+                    request_id, exc, retryable=False
+                )
             if cacheable:
-                self._dedup_drop(request_id)
-            return protocol.error_response(request_id, exc, retryable=False)
-        if cacheable:
-            # Only successful outcomes are worth replaying to a retry;
-            # errors are side-effect-free (a failed statement aborted its
-            # txn) and deserve a live re-execution, which may now succeed.
-            if response.get("status") in (
-                protocol.STATUS_OK, protocol.STATUS_DEGRADED
-            ):
-                self._dedup_put(request_id, response)
-            else:
-                self._dedup_drop(request_id)
-        if session.defunct:
-            # The connection died while this request executed; its outcome
-            # is cached for a retry, and the session retires now (aborting
-            # any bracket the dead client left open).
-            self.close_session(session, session.close_reason or "disconnect")
-        return response
+                self._dedup_store(request_id, response)
+            if session.defunct:
+                # The connection died while this request executed; its
+                # outcome is cached for a retry, and the session retires now
+                # (aborting any bracket the dead client left open).
+                self.close_session(session, session.close_reason or "disconnect")
+            return response
+        finally:
+            if admitted:
+                self.admission.release()
 
-    # -- dispatch --------------------------------------------------------------
+    def _statement(self, session, request_id, sql: str, params, admitted) -> dict:
+        """One SQL statement: execute (again after a conflict, if it started
+        its own transaction), force before acking a write, reply."""
+        if not isinstance(params, (list, tuple)):
+            raise ProtocolError("sql op's 'params' must be a list")
+        with session.lock:
+            fire("service.execute")
+            attempt = 1
+            while True:
+                try:
+                    result = session.sql.execute(sql, params)
+                    break
+                except PageQuarantinedError as exc:
+                    result = Result(degraded=[str(exc)])    # no rows, degraded
+                    break
+                except CONFLICT_ERRORS as exc:
+                    # A statement admitted for a slot started its own
+                    # transaction and is run again; one that continues a
+                    # bracket is not.
+                    if not admitted or attempt > self.max_retries:
+                        return protocol.error_response(request_id, exc, retryable=True)
+                    self.stats.retries += 1
+                    steps = self.retry_policy.backoff_steps(attempt)
+                    if self.retry_step_ms:
+                        time.sleep(steps * self.retry_step_ms / 1000.0)
+                    attempt += 1
+                except ImmortalDBError as exc:
+                    # A cluster wait is retryable for the client, pointless
+                    # for the server: it clears on 2PC resolution or shard
+                    # recovery, not on a fresh attempt a few ms later.
+                    return protocol.error_response(
+                        request_id, exc, retryable=isinstance(exc, CLUSTER_WAIT_ERRORS)
+                    )
+            # Ack-implies-durable: before acknowledging a write that left
+            # the session outside a bracket, force any batched commits.
+            if admitted != "read" and not session.sql.in_transaction \
+                    and self.db.txn_mgr.unacked_commits:
+                self.db.flush_commits()
+        if not result.degraded:
+            return protocol.ok_response(request_id, rows=result.rows,
+                                        rowcount=result.rowcount, message=result.message)
+        self.stats.degraded_replies += 1
+        return protocol.degraded_response(
+            request_id, rows=result.rows, rowcount=result.rowcount,
+            degraded=[d if type(d) is str else f"page {d.page_id}: {d.reason}"
+                      for d in result.degraded],
+        )
 
-    def _dispatch(self, session, request_id, message: dict, admitted) -> dict:
-        op = message.get("op")
+    def _control(self, session, request_id, message: dict, op) -> dict:
+        """Every request that is not a statement."""
         if op == "ping":
             return protocol.ok_response(request_id, message="pong")
         if op == "stats":
@@ -400,92 +439,10 @@ class ServiceCore:
         if op == "close":
             return protocol.bye_response("client close") | {"id": request_id}
         if op == "sql":
-            return self._handle_sql(session, request_id, message, admitted)
+            raise ProtocolError("sql op needs a 'sql' string")
         if op == "ingest":
             return self._handle_ingest(session, request_id, message)
         raise ProtocolError(f"unknown op {op!r}")
-
-    def _handle_sql(self, session, request_id, message, admitted) -> dict:
-        sql = message.get("sql")
-        if not isinstance(sql, str):
-            raise ProtocolError("sql op needs a 'sql' string")
-        params = message.get("params", ())
-        if not isinstance(params, (list, tuple)):
-            raise ProtocolError("sql op's 'params' must be a list")
-        with session.lock:
-            return self._execute_sql(session, request_id, sql, params, admitted)
-
-    def _execute_sql(self, session, request_id, sql, params, admitted):
-        fire("service.execute")
-        kind = admitted or classify_statement(sql)
-        degraded_reason = None
-        result = None
-        error: Exception | None = None
-        for attempt in range(1, self.max_retries + 2):
-            try:
-                result = session.sql.execute(sql, params)
-                error = None
-                break
-            except CLUSTER_WAIT_ERRORS as exc:
-                # Retryable for the client, pointless for the server: the
-                # condition clears on 2PC resolution / shard recovery, not
-                # on a fresh attempt a few milliseconds later.
-                error = exc
-                break
-            except RETRYABLE_ERRORS + (
-                RetriesExhaustedError, CrossShardAbort,
-            ) as exc:
-                error = exc
-                # A statement admitted for a slot started its own transaction
-                # and is run again; one that continues a bracket is not.
-                if not admitted or attempt > self.max_retries:
-                    break
-                self.stats.retries += 1
-                steps = self.retry_policy.backoff_steps(attempt)
-                if self.retry_step_ms:
-                    time.sleep(steps * self.retry_step_ms / 1000.0)
-            except PageQuarantinedError as exc:
-                degraded_reason = str(exc)
-                error = None
-                break
-            except ImmortalDBError as exc:
-                error = exc
-                break
-        if error is not None:
-            is_retryable = isinstance(
-                error,
-                RETRYABLE_ERRORS + (RetriesExhaustedError, CrossShardAbort)
-                + CLUSTER_WAIT_ERRORS,
-            )
-            return protocol.error_response(
-                request_id, error, retryable=is_retryable
-            )
-        # Ack-implies-durable: before acknowledging a write that left the
-        # session outside a bracket, force any batched commits.
-        if kind != "read" and not session.in_transaction \
-                and self.db.txn_mgr.unacked_commits:
-            self.db.flush_commits()
-        if degraded_reason is not None:
-            self.stats.degraded_replies += 1
-            return protocol.degraded_response(
-                request_id, rows=[], rowcount=0, degraded=[degraded_reason]
-            )
-        if result.degraded:
-            self.stats.degraded_replies += 1
-            return protocol.degraded_response(
-                request_id,
-                rows=result.rows,
-                rowcount=result.rowcount,
-                degraded=[
-                    f"page {d.page_id}: {d.reason}" for d in result.degraded
-                ],
-            )
-        return protocol.ok_response(
-            request_id,
-            rows=result.rows,
-            rowcount=result.rowcount,
-            message=result.message,
-        )
 
     # -- bulk ingest ------------------------------------------------------------
 
@@ -499,7 +456,7 @@ class ServiceCore:
             raise ProtocolError("ingest batch must be >= 1")
         try:
             with session.lock:
-                if session.in_transaction:
+                if session.sql.in_transaction:
                     raise SessionStateError(
                         "ingest is not allowed inside a transaction bracket"
                     )
@@ -559,9 +516,7 @@ class ServiceCore:
 
 
 def _coercer(column_type: ColumnType):
-    if column_type in (
-        ColumnType.SMALLINT, ColumnType.INT, ColumnType.BIGINT
-    ):
+    if column_type in (ColumnType.SMALLINT, ColumnType.INT, ColumnType.BIGINT):
         return lambda v: int(v) if v != "" else None
     if column_type is ColumnType.FLOAT:
         return lambda v: float(v) if v != "" else None

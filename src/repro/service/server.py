@@ -10,8 +10,8 @@ runs its frames in order, one at a time; what a client pipelines stays in
 the socket buffers — the thread does not read while it executes, and
 ``sendall`` blocks on a slow reader — so TCP is the backpressure.
 ``pool_workers`` is the number of requests that may *execute* at once: a
-semaphore taken after the admission decision, waited on for no longer
-than the request's deadline.
+slot taken after the admission decision, waited on for no longer than the
+request's deadline.
 
 Robustness behaviours, all typed and test-covered:
 
@@ -24,9 +24,10 @@ Robustness behaviours, all typed and test-covered:
   runs.  A deadline is taken under the service lock, so exactly one of the
   connection thread and the watchdog writes the reply, and the socket is not
   closed under it: a counted timeout is a ``timeout`` the client reads.
-* **idle-session timeout** — the socket's own timeout: a connection
-  silent (or not reading) past ``idle_timeout_s`` gets a ``bye`` and its
-  session is reaped, aborting any open bracket.
+* **idle-session timeout** — the socket's own kernel timeout
+  (:func:`~repro.service.protocol.set_io_timeout`): a connection silent
+  (or not reading) past ``idle_timeout_s`` gets a ``bye`` and its session
+  is reaped, aborting any open bracket.
 * **disconnect** — EOF or reset mid-transaction aborts the transaction
   and releases its locks (``service_aborted_on_disconnect`` counts these).
   A client may half-close after its last request: everything it sent is
@@ -44,6 +45,7 @@ Robustness behaviours, all typed and test-covered:
 
 from __future__ import annotations
 
+import queue
 import socket
 import threading
 import time
@@ -110,7 +112,7 @@ class _Connection:
         while True:
             try:
                 data = self.sock.recv(65536)
-            except socket.timeout:
+            except BlockingIOError:         # the socket's idle timeout
                 self._send(protocol.bye_response("idle timeout"))
                 return "idle"
             except OSError:
@@ -144,14 +146,18 @@ class _Connection:
         timeout_s = service.request_timeout_s
         self.deadline = time.monotonic() + timeout_s
         response = None
-        if service.slots.acquire(timeout=timeout_s):
+        try:
+            service.slots.get(timeout=timeout_s)    # a slot's token
+        except queue.Empty:
+            pass
+        else:
             try:
                 if not self.expired:
                     response = core.handle_payload(
                         self.session, payload, admitted, message
                     )
             finally:
-                service.slots.release()
+                service.slots.put(None)
         if response is None:
             # Never ran: the budget handle_payload would have returned.
             if admitted:
@@ -253,8 +259,12 @@ class SQLService:
             else None
         )
         db.enable_concurrency()
-        #: Requests that may execute at once (0: the admission budget alone).
-        self.slots = threading.BoundedSemaphore(pool_workers or max_inflight)
+        #: Requests that may execute at once (0: the admission budget
+        #: alone), as that many tokens: a slot wait blocks in C, not in the
+        #: Python ``Condition`` of a ``threading`` semaphore.
+        self.slots = queue.SimpleQueue()
+        for _ in range(pool_workers or max_inflight):
+            self.slots.put(None)
         self.core = ServiceCore(
             db,
             self.pool,
@@ -298,7 +308,7 @@ class SQLService:
             except OSError:
                 return      # shutdown closed the listener
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.idle_timeout_s)
+            protocol.set_io_timeout(sock, self.idle_timeout_s)
             conn = _Connection(self, sock)
             with self.lock:
                 self.connections.add(conn)

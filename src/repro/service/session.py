@@ -33,23 +33,11 @@ class ServiceSession:
         self.id = session_id
         self.sql = Session(db)
         self.db = db
-        self._now = now
         self.lock = threading.Lock()    # serializes statements per session
         self.last_active = now()
         self.closed = False
         self.defunct = False
         self.close_reason: str | None = None
-        self.requests = 0
-
-    @property
-    def in_transaction(self) -> bool:
-        return self.sql.in_transaction
-
-    def touch(self) -> None:
-        self.last_active = self._now()
-
-    def idle_for(self) -> float:
-        return self._now() - self.last_active
 
     def mark_defunct(self, reason: str) -> None:
         """Connection is gone but a request may still be executing."""

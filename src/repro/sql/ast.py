@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -185,31 +184,49 @@ _TAKES = {
     "count": lambda value: type(value) is int and value >= 0,
 }
 
-#: Everything a :class:`Param` can stand beneath, and how to list its parts.
-_PARTS = {
-    cls: operator.attrgetter(*cls.__match_args__)
-    for cls in (Comparison, And, Or, ColumnSpec, CreateTable, Insert, Update,
-                Delete, Select, SelectHistory, BeginTran)
-}
-_PARTS[Not] = lambda node: (node.operand,)
-_PARTS[tuple] = tuple
+#: Everything a :class:`Param` can stand beneath.
+_NODES = {Comparison, And, Or, Not, ColumnSpec, CreateTable, Insert, Update,
+          Delete, Select, SelectHistory, BeginTran, tuple}
 
 
-def bind(node, values: list):
-    """``node`` with every :class:`Param` beneath it replaced by its value
-    (:class:`SQLExecutionError`: a value of a kind its clause does not take)."""
-    built = []
-    for item in _PARTS[type(node)](node):
-        kind = type(item)
-        if kind is Param:
-            value = values[item.index]
-            if item.takes and not _TAKES[item.takes](value):
+def template(node):
+    """What :func:`bind` needs of ``node``: None when no :class:`Param`
+    stands beneath it, else ``(type, parts, holes)`` — its parts (a dict of
+    its fields, a list of a tuple's items) and, for each part that holds a
+    Param, its name or position and that Param or the part's template.
+    Binding then rebuilds only the nodes on a path to a Param."""
+    kind = type(node)
+    parts = list(node) if kind is tuple else dict(node.__dict__)
+    holes = []
+    for name, item in enumerate(parts) if kind is tuple else parts.items():
+        if type(item) is Param:
+            holes.append((name, item))
+        elif type(item) in _NODES and (below := template(item)) is not None:
+            holes.append((name, below))
+    return (kind, parts, holes) if holes else None
+
+
+def bind(template, values: list):
+    """The node ``template`` was made of with every :class:`Param` replaced
+    by its value (:class:`SQLExecutionError`: a value of a kind its clause
+    does not take)."""
+    kind, parts, holes = template
+    built = parts.copy()
+    for name, hole in holes:
+        if type(hole) is Param:
+            value = values[hole.index]
+            if hole.takes and not _TAKES[hole.takes](value):
                 raise SQLExecutionError(
                     f"parameter {value!r} stands where the statement takes "
-                    f"a {item.takes}"
+                    f"a {hole.takes}"
                 )
-            item = value
-        elif kind in _PARTS:
-            item = bind(item, values)
-        built.append(item)
-    return tuple(built) if type(node) is tuple else type(node)(*built)
+            built[name] = value
+        else:
+            built[name] = bind(hole, values)
+    if kind is tuple:
+        return tuple(built)
+    # The node's fields set at once: a frozen dataclass's own __init__
+    # would pass each one through ``object.__setattr__``.
+    node = object.__new__(kind)
+    node.__dict__.update(built)
+    return node

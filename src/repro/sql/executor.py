@@ -6,7 +6,10 @@ paper's historical transactions — ``BEGIN TRAN AS OF "…"`` — make every
 read inside the bracket see the database as of that time.
 
 Point lookups are recognized from WHERE clauses: an equality comparison on
-the primary key becomes a B-tree point read instead of a scan.
+the primary key becomes a B-tree point read instead of a scan, and bounds on
+the key a range scan.  A WHERE that is exactly what that access enforces —
+``key = v``, or ``key >= a AND key <= b``, no value null — is not evaluated
+again on the rows it returns; every other WHERE is, in full.
 
 A statement is parsed once per *shape*: ``execute`` lifts the literals off
 the text (:func:`repro.sql.lexer.lift`), looks the rest up in the session's
@@ -20,9 +23,8 @@ from __future__ import annotations
 
 import datetime as _dt
 import functools
-import itertools
+import operator
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from repro.clock import Timestamp
 from repro.concurrency.transaction import Transaction, TxnMode
@@ -68,7 +70,6 @@ _DATETIME_FORMATS = (
 )
 
 
-@functools.lru_cache(maxsize=256)
 def parse_sql_datetime(text: str) -> _dt.datetime:
     """Parse the datetime formats the AS OF clause accepts."""
     for fmt in _DATETIME_FORMATS:
@@ -80,6 +81,14 @@ def parse_sql_datetime(text: str) -> _dt.datetime:
         return _dt.datetime.fromisoformat(text)
     except ValueError:
         raise SQLExecutionError(f"unrecognized datetime {text!r}") from None
+
+
+@functools.lru_cache(maxsize=256)
+def sql_timestamp(text: str) -> Timestamp:
+    """An AS OF, FROM or TO literal as the engine's timestamp, converted
+    once per distinct text (the conversion is pure; a malformed text is
+    not kept, so it raises every time)."""
+    return ImmortalDB.to_timestamp(parse_sql_datetime(text))
 
 
 @dataclass
@@ -99,35 +108,29 @@ class Result:
     degraded: list = field(default_factory=list)
 
 
-def _evaluate(expr: ast.Expr | None, row: dict) -> bool:
-    if expr is None:
-        return True
-    if isinstance(expr, ast.And):
+#: The comparisons that are false when either side is null.
+_ORDERED = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+
+
+def _evaluate(expr: ast.Expr, row: dict) -> bool:
+    kind = type(expr)
+    if kind is ast.And:
         return _evaluate(expr.left, row) and _evaluate(expr.right, row)
-    if isinstance(expr, ast.Or):
+    if kind is ast.Or:
         return _evaluate(expr.left, row) or _evaluate(expr.right, row)
-    if isinstance(expr, ast.Not):
+    if kind is ast.Not:
         return not _evaluate(expr.operand, row)
-    assert isinstance(expr, ast.Comparison)
-    if expr.column not in row:
-        raise SQLExecutionError(f"unknown column {expr.column!r}")
-    actual = row[expr.column]
-    wanted = expr.value
-    if expr.op == "=":
+    try:
+        actual = row[expr.column]
+    except KeyError:
+        raise SQLExecutionError(f"unknown column {expr.column!r}") from None
+    op, wanted = expr.op, expr.value
+    if op == "=":
         return actual == wanted
-    if expr.op == "<>":
+    if op == "<>":
         return actual != wanted
-    if actual is None or wanted is None:
-        return False
-    if expr.op == "<":
-        return actual < wanted
-    if expr.op == "<=":
-        return actual <= wanted
-    if expr.op == ">":
-        return actual > wanted
-    if expr.op == ">=":
-        return actual >= wanted
-    raise SQLExecutionError(f"unknown operator {expr.op!r}")
+    return actual is not None and wanted is not None \
+        and _ORDERED[op](actual, wanted)
 
 
 def _key_equality(expr: ast.Expr | None, key_column: str):
@@ -148,8 +151,8 @@ def _key_range(expr: ast.Expr | None, key_column: str):
 
     Only top-level AND-connected comparisons on the key column contribute
     (anything under OR/NOT cannot restrict soundly).  Returns (None, None)
-    when unbounded; the caller still applies the full predicate afterwards,
-    so the range only needs to be an over-approximation.
+    when unbounded.  The range may over-approximate the clause: whatever it
+    leaves out stays with the rows' predicate.
     """
     low = high = None
 
@@ -177,13 +180,34 @@ def _key_range(expr: ast.Expr | None, key_column: str):
     return low, high
 
 
+def _key_bounds(where: ast.And, key_column: str):
+    """``(a, b)`` when ``where`` is just ``key >= a AND key <= b`` (in
+    either order, neither null), else None.
+
+    Key images are exact and order-preserving, so a range scan of the key
+    returns exactly the rows such a WHERE matches and none of them is
+    checked again; a null bound bounds nothing and stays with the predicate
+    (a point read's rule is in :meth:`Session._candidates`).
+    """
+    left, right = where.left, where.right
+    if type(left) is ast.Comparison and type(right) is ast.Comparison \
+            and left.column == key_column == right.column \
+            and left.value is not None and right.value is not None:
+        if left.op == ">=" and right.op == "<=":
+            return left.value, right.value
+        if left.op == "<=" and right.op == ">=":
+            return right.value, left.value
+    return None
+
+
 class Session:
     """One SQL session over an :class:`~repro.core.engine.ImmortalDB`."""
 
     def __init__(self, db: ImmortalDB) -> None:
         self.db = db
         self._txn: Transaction | None = None
-        self._shapes: dict[tuple, ast.Statement] = {}   # shape -> its parse
+        #: shape -> its parse and that parse's :func:`ast.template`
+        self._shapes: dict[tuple, tuple] = {}
 
     # -- public API ----------------------------------------------------------
 
@@ -192,8 +216,8 @@ class Session:
         What is dispatched is ``parse_statement(sql)`` with the parameters
         in place, and what fails, fails as that does."""
         shape, values = lift(sql)
-        statement = self._shapes.get(shape)
-        if statement is None:
+        known = self._shapes.get(shape)
+        if known is None:
             try:
                 # The shape's parse: a placeholder where each literal stood.
                 statement = parse_statement("?".join(shape))
@@ -202,16 +226,18 @@ class Session:
                 # (Should that parse after all, lift and the tokenizer read
                 # it differently: it runs, nothing lifted, nothing kept.)
                 statement = parse_statement(sql)
+                known = statement, ast.template(statement)
                 shape, values = ("".join(shape),), []
             else:
                 if len(self._shapes) >= SHAPES_KEPT:
                     del self._shapes[next(iter(self._shapes))]
-                self._shapes[shape] = statement
+                known = self._shapes[shape] = statement, ast.template(statement)
+        statement, template = known
         if params or "?" in sql:
             values = merge_params(shape, values, params)
-        if values:
+        if values and template is not None:
             try:
-                statement = ast.bind(statement, values)
+                statement = ast.bind(template, values)
             except SQLExecutionError:
                 # A value of the wrong kind for its clause.  If it is a
                 # literal, that is a syntax error, which the parser words.
@@ -246,7 +272,7 @@ class Session:
         self._txn = self.db.begin(mode)
         return Result(message=f"BEGIN TRAN ({mode.value})")
 
-    def _commit(self) -> Result:
+    def _commit(self, stmt: ast.CommitTran) -> Result:
         if self._txn is None:
             raise SQLExecutionError("no open transaction")
         ts = self.db.commit(self._txn)
@@ -254,7 +280,7 @@ class Session:
         suffix = f" at {ts}" if ts is not None else ""
         return Result(message=f"COMMIT{suffix}")
 
-    def _rollback(self) -> Result:
+    def _rollback(self, stmt: ast.RollbackTran) -> Result:
         if self._txn is None:
             raise SQLExecutionError("no open transaction")
         self.db.abort(self._txn)
@@ -262,46 +288,27 @@ class Session:
         return Result(message="ROLLBACK")
 
     def _run(self, body, *args) -> Result:
-        """Run a statement body in the open txn or autocommit a fresh one."""
+        """Run ``body(self, txn, *args)`` in the open transaction or in a
+        fresh one, autocommitted."""
         if self._txn is not None:
-            return body(self._txn, *args)
+            return body(self, self._txn, *args)
         txn = self.db.begin()
         try:
-            result = body(txn, *args)
+            result = body(self, txn, *args)
         except BaseException:
             self.db.abort(txn)
             raise
         self.db.commit(txn)
         return result
 
-    # -- dispatch ------------------------------------------------------------------
-
     def _dispatch(self, stmt: ast.Statement) -> Result:
-        if isinstance(stmt, ast.BeginTran):
-            return self._begin(stmt)
-        if isinstance(stmt, ast.CommitTran):
-            return self._commit()
-        if isinstance(stmt, ast.RollbackTran):
-            return self._rollback()
-        if isinstance(stmt, ast.CreateTable):
-            return self._create_table(stmt)
-        if isinstance(stmt, ast.AlterTableEnableSnapshot):
-            self.db.enable_snapshot_isolation(stmt.name)
-            return Result(message=f"ALTER TABLE {stmt.name} ENABLE SNAPSHOT")
-        if isinstance(stmt, ast.DropTable):
-            self.db.drop_table(stmt.name)
-            return Result(message=f"DROP TABLE {stmt.name}")
-        if isinstance(stmt, ast.Insert):
-            return self._run(self._insert, stmt)
-        if isinstance(stmt, ast.Update):
-            return self._run(self._update, stmt)
-        if isinstance(stmt, ast.Delete):
-            return self._run(self._delete, stmt)
-        if isinstance(stmt, ast.Select):
-            return self._select(stmt)
-        if isinstance(stmt, ast.SelectHistory):
-            return self._select_history(stmt)
-        raise SQLExecutionError(f"unsupported statement {stmt!r}")
+        try:
+            body, transactional = _STATEMENTS[type(stmt)]
+        except KeyError:
+            raise SQLExecutionError(f"unsupported statement {stmt!r}") from None
+        if transactional:
+            return self._run(body, stmt)
+        return body(self, stmt)
 
     # -- DDL ---------------------------------------------------------------------------
 
@@ -330,6 +337,14 @@ class Session:
         kind = "IMMORTAL TABLE" if stmt.immortal else "TABLE"
         return Result(message=f"CREATE {kind} {stmt.name}")
 
+    def _enable_snapshot(self, stmt: ast.AlterTableEnableSnapshot) -> Result:
+        self.db.enable_snapshot_isolation(stmt.name)
+        return Result(message=f"ALTER TABLE {stmt.name} ENABLE SNAPSHOT")
+
+    def _drop_table(self, stmt: ast.DropTable) -> Result:
+        self.db.drop_table(stmt.name)
+        return Result(message=f"DROP TABLE {stmt.name}")
+
     # -- DML ------------------------------------------------------------------------------
 
     def _insert(self, txn: Transaction, stmt: ast.Insert) -> Result:
@@ -350,18 +365,28 @@ class Session:
             count += 1
         return Result(rowcount=count, message=f"INSERT {count}")
 
-    def _current_rows(self, txn: Transaction, table: Table, where) -> Iterable:
-        """A superset of the current rows ``where`` can match (unreadable
-        ones as :class:`Degraded`), by the cheapest access the key allows."""
+    def _candidates(self, txn: Transaction, table: Table, where, when=None):
+        """A superset of the rows ``where`` can match (unreadable ones as
+        :class:`Degraded`) — current in ``txn``, or as of ``when`` — by the
+        cheapest access the key allows, and what of ``where`` each of them
+        has yet to pass (None: nothing)."""
         key_column = table.codec.key_column
+        if when is None and type(where) is ast.And \
+                and (bounds := _key_bounds(where, key_column)) is not None:
+            return table.scan_range_iter(txn, *bounds), None
         pinned = _key_equality(where, key_column)
         if pinned is not None:
-            row = table.read(txn, pinned)
-            return [row] if row is not None else []
+            row = table.read(txn, pinned) if when is None \
+                else table.read_as_of(when, pinned)
+            # A WHERE that is just ``key = v`` is what the read enforced.
+            return ([row] if row is not None else []), \
+                None if type(where) is ast.Comparison else where
+        if when is not None:
+            return table.scan_as_of_iter(when), where
         low, high = _key_range(where, key_column)
         if low is not None or high is not None:
-            return table.scan_range_iter(txn, low, high)
-        return table.scan_iter(txn)
+            return table.scan_range_iter(txn, low, high), where
+        return table.scan_iter(txn), where
 
     def _update(self, txn: Transaction, stmt: ast.Update) -> Result:
         table = self.db.table(stmt.table)
@@ -401,12 +426,13 @@ class Session:
                 return Result(rowcount=1, message=f"{verb} 1")
         degraded: list = []
         keys = []
-        for row in self._current_rows(txn, table, where):
+        rows, residual = self._candidates(txn, table, where)
+        for row in rows:
             if isinstance(row, Degraded):
                 # The page is quarantined: we cannot prove the predicate,
                 # so the key is not matched (and the caller reports it).
                 degraded.append(row)
-            elif _evaluate(where, row):
+            elif residual is None or _evaluate(residual, row):
                 keys.append(row[table.codec.key_column])
         for key in keys:
             write(key)
@@ -423,14 +449,8 @@ class Session:
             raise SQLExecutionError(
                 "SELECT HISTORY OF needs 'WHERE <primary key> = <value>'"
             )
-        t_low = (
-            self.db.to_timestamp(parse_sql_datetime(stmt.t_low))
-            if stmt.t_low is not None else None
-        )
-        t_high = (
-            self.db.to_timestamp(parse_sql_datetime(stmt.t_high))
-            if stmt.t_high is not None else None
-        )
+        t_low = sql_timestamp(stmt.t_low) if stmt.t_low is not None else None
+        t_high = sql_timestamp(stmt.t_high) if stmt.t_high is not None else None
         rows = []
         for ts, row in table.history(key, t_low=t_low, t_high=t_high):
             out = {
@@ -444,53 +464,60 @@ class Session:
 
     def _select(self, stmt: ast.Select) -> Result:
         table = self.db.table(stmt.table)
-        inline_as_of = (
-            self.db.to_timestamp(parse_sql_datetime(stmt.as_of))
-            if stmt.as_of is not None
-            else None
-        )
-        return self._run(self._select_rows, table, stmt, inline_as_of)
+        if stmt.as_of is None:
+            return self._run(Session._select_rows, table, stmt)
+        # A read at a fixed time takes no transaction of the session's:
+        # the table's as-of reads run their own.
+        return self._select_rows(None, table, stmt, sql_timestamp(stmt.as_of))
 
-    def _select_rows(
-        self,
-        txn: Transaction,
-        table: Table,
-        stmt: ast.Select,
-        inline_as_of: Timestamp | None,
-    ) -> Result:
-        degraded: list = []
-        if inline_as_of is None:
-            candidates = self._current_rows(txn, table, stmt.where)
+    def _select_rows(self, txn, table: Table, stmt: ast.Select, when=None) -> Result:
+        """The rows ``stmt`` selects — current in ``txn``, or as of
+        ``when`` — ordered, limited and projected as it asks."""
+        candidates, residual = self._candidates(txn, table, stmt.where, when)
+        order_by, limit = stmt.order_by, stmt.limit
+        # LIMIT pushdown: without ORDER BY (a pipeline breaker) the scan is
+        # not consumed past the ``limit``-th row, so the streaming table
+        # iterators never touch the rest of the table.
+        stop = limit if order_by is None else None
+        if residual is None and stop is None:
+            # Nothing left to check and nowhere to stop: the rows are taken
+            # whole.  A row is a non-empty dict and a Degraded is falsy, so
+            # ``all`` says in C whether a quarantined page left one here.
+            rows, degraded = list(candidates), []
+            if not all(rows):
+                degraded, rows = [r for r in rows if not r], [r for r in rows if r]
         else:
-            pinned = _key_equality(stmt.where, table.codec.key_column)
-            if pinned is not None:
-                row = table.read_as_of(inline_as_of, pinned)
-                candidates = [row] if row is not None else []
-            else:
-                candidates = table.scan_as_of_iter(inline_as_of)
-
-        def keep(row) -> bool:
-            if isinstance(row, Degraded):
-                degraded.append(row)
-                return False
-            return _evaluate(stmt.where, row)
-
-        filtered = (row for row in candidates if keep(row))
-        if stmt.order_by is not None:
-            # ORDER BY is a pipeline breaker: materialize, sort, then LIMIT.
-            rows = sorted(
-                filtered,
-                key=lambda r: r[stmt.order_by.column],
-                reverse=stmt.order_by.descending,
-            )
-            if stmt.limit is not None:
-                rows = rows[: stmt.limit]
-        elif stmt.limit is not None:
-            # LIMIT pushdown: stop consuming the scan after `limit` rows, so
-            # the streaming table iterators never touch the rest of the table.
-            rows = list(itertools.islice(filtered, stmt.limit))
-        else:
-            rows = list(filtered)
+            degraded, rows = [], []
+            for row in candidates if stop != 0 else ():
+                if isinstance(row, Degraded):
+                    degraded.append(row)
+                elif residual is None or _evaluate(residual, row):
+                    rows.append(row)
+                    if len(rows) == stop:
+                        break
+        if order_by is not None:
+            rows.sort(key=lambda r: r[order_by.column],
+                      reverse=order_by.descending)
+            if limit is not None:
+                rows = rows[:limit]
         if stmt.columns is not None:
             rows = [{c: row[c] for c in stmt.columns} for row in rows]
         return Result(rows=rows, rowcount=len(rows), degraded=degraded)
+
+
+#: Each statement type's body, and whether it runs in the session's
+#: transaction (``body(session, txn, stmt)``) or on its own (``body(session,
+#: stmt)``).
+_STATEMENTS = {
+    ast.BeginTran: (Session._begin, False),
+    ast.CommitTran: (Session._commit, False),
+    ast.RollbackTran: (Session._rollback, False),
+    ast.CreateTable: (Session._create_table, False),
+    ast.AlterTableEnableSnapshot: (Session._enable_snapshot, False),
+    ast.DropTable: (Session._drop_table, False),
+    ast.Insert: (Session._insert, True),
+    ast.Update: (Session._update, True),
+    ast.Delete: (Session._delete, True),
+    ast.Select: (Session._select, False),
+    ast.SelectHistory: (Session._select_history, False),
+}

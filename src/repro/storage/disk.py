@@ -249,9 +249,11 @@ class PageStore:
     def exists(self, page_id: int) -> bool:
         return 0 <= page_id < self.page_count
 
+    def sync(self) -> None:
+        """Make every page written so far survive a power loss."""
+
     def close(self) -> None:
         """Release underlying resources (idempotent)."""
-        pass
 
     # -- backend hooks ---------------------------------------------------------
 
@@ -335,6 +337,9 @@ class FileDisk(PageStore):
     @property
     def page_count(self) -> int:
         return self._next_pid
+
+    def sync(self) -> None:
+        os.fdatasync(self._fd)
 
     def close(self) -> None:
         """Release underlying resources (idempotent)."""

@@ -66,6 +66,10 @@ class CheckpointManager:
         end_lsn = self.log.append(end)
         fire("checkpoint.logged")
         self.log.force()
+        # The redo start point moves past every page written before the
+        # dirty page table was read: those images must be on the platter,
+        # not in the OS cache, before the master record says so.
+        self.buffer.disk.sync()
         fire("checkpoint.master")
         self.log.set_master_checkpoint(end_lsn)
         fire("checkpoint.end")

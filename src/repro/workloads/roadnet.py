@@ -59,10 +59,6 @@ class RoadNetwork:
         self._rng = rng
         self._nodes = list(graph.nodes)
 
-    @property
-    def node_count(self) -> int:
-        return self.graph.number_of_nodes()
-
     def random_node(self, rng: random.Random):
         return rng.choice(self._nodes)
 

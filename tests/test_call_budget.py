@@ -1,6 +1,7 @@
 """Call budgets for the paper's Fig. 5 transaction, an insert that splits
-its page, the Fig. 6 reads, a buffer miss, and a point ``SELECT`` and a keyed
-``UPDATE`` through the socket service.
+its page, the Fig. 6 reads, a buffer miss, and a point ``SELECT``, a keyed
+``UPDATE``, a range ``SELECT`` and an AS OF ``SELECT`` through the socket
+service.
 
 With the data in the buffer pool nothing on the update path waits, so its
 speed is its instruction count — for this engine, the number of Python
@@ -41,9 +42,14 @@ DECODE_BUDGET = 40      # decode_page of a 25-record data page: 36 (88 before PR
 # Everything the server does for one statement over a real socket, on the
 # connection's thread — frame, JSON, admission, slot, dedup, lift, shape
 # lookup, bind, plan, the transaction, encode (230 and 362 while every
-# statement was lexed and parsed, 88 calls, and an UPDATE read its row first):
-SERVICE_READ_BUDGET = 136     # point SELECT: 124, the engine ~70
-SERVICE_UPDATE_BUDGET = 240   # keyed UPDATE: 218, the engine ~150
+# statement was lexed and parsed, 88 calls, and an UPDATE read its row
+# first; 108, 218, 414 and 127 while the service core took six calls to
+# reach the statement and every row re-checked the WHERE its range scan had
+# enforced):
+SERVICE_READ_BUDGET = 93      # point SELECT: 84, the engine ~60
+SERVICE_UPDATE_BUDGET = 217   # keyed UPDATE: 197, the engine ~150
+SERVICE_RANGE_BUDGET = 314    # 20-row range SELECT: 285
+SERVICE_ASOF_BUDGET = 89      # AS OF point SELECT: 81
 
 KEYS = 200
 SAMPLES = 50
@@ -212,9 +218,9 @@ def test_a_buffer_miss_stays_within_its_decode_budget():
 
 
 @functools.cache
-def measure_service() -> tuple[float, float]:
-    """Median Python calls on the connection thread per point ``SELECT``
-    and per keyed ``UPDATE``.
+def measure_service() -> dict[str, float]:
+    """Median Python calls on the connection thread per point ``SELECT``,
+    keyed ``UPDATE``, 20-row range ``SELECT`` and AS OF point ``SELECT``.
 
     The thread makes no Python call between writing one reply and reading
     the next request, so what a client counts between two replies is
@@ -226,6 +232,9 @@ def measure_service() -> tuple[float, float]:
     with db.transaction() as txn:
         for k in range(KEYS):
             table.insert(txn, {"k": k, "v": "x" * 40})
+    db.advance_time(100)
+    mark = db.now().to_datetime().isoformat(sep=" ")
+    db.advance_time(100)
     count = 0
 
     def profile(frame, event, arg):
@@ -233,12 +242,14 @@ def measure_service() -> tuple[float, float]:
         if event == "call" and threading.current_thread().name == "svc-conn":
             count += 1
 
-    def calls(client, sql: str) -> tuple[int, dict]:
-        before = count
-        response = client.execute(sql)
-        return count - before, response
-
-    reads, updates = [], []
+    shapes = {
+        "update": "UPDATE kv SET v = 'y{k}' WHERE k = {k}",
+        "read": "SELECT * FROM kv WHERE k = {k}",
+        "range": "SELECT * FROM kv WHERE k >= {k} AND k <= {high}",
+        "asof": f"SELECT * FROM kv AS OF '{mark}' WHERE k = {{k}}",
+    }
+    rows = {"update": 0, "read": 1, "range": 20, "asof": 1}
+    medians = {}
     with ThreadedService(db, port=0, pool_workers=2) as svc:
         with ServiceClient("127.0.0.1", svc.port) as client:
             threading.setprofile(profile)   # read by threads as they start
@@ -246,21 +257,23 @@ def measure_service() -> tuple[float, float]:
                 client.ping()               # connects: the thread starts here
             finally:
                 threading.setprofile(None)
-            for k in range(SAMPLES):
-                n, response = calls(client, f"SELECT * FROM kv WHERE k = {k}")
-                assert response["rows"][0]["k"] == k
-                reads.append(n)
-            for k in range(2 * SAMPLES):    # the first round stamps each chain
-                n, response = calls(
-                    client, f"UPDATE kv SET v = 'y{k}' WHERE k = {k % SAMPLES}"
-                )
-                assert response["rowcount"] == 1
-                updates.append(n)
-    return statistics.median(reads), statistics.median(updates[SAMPLES:])
+            for name, shape in shapes.items():
+                # Two rounds, the second measured: the first stamps what the
+                # updates left (the range reads its own keys' stamps too).
+                for _ in range(2):
+                    counts = []
+                    for k in range(SAMPLES):
+                        before = count
+                        response = client.execute(shape.format(k=k, high=k + 19))
+                        counts.append(count - before)
+                        assert len(response["rows"]) == rows[name]
+                        assert response["rowcount"] == max(rows[name], 1)
+                medians[name] = statistics.median(counts)
+    return medians
 
 
 def test_a_point_select_over_the_socket_stays_within_its_call_budget():
-    calls, _ = measure_service()
+    calls = measure_service()["read"]
     assert calls <= SERVICE_READ_BUDGET, (
         f"one point SELECT now takes {calls} Python calls on the server's "
         f"connection thread (budget {SERVICE_READ_BUDGET})"
@@ -269,7 +282,7 @@ def test_a_point_select_over_the_socket_stays_within_its_call_budget():
 
 
 def test_a_keyed_update_over_the_socket_stays_within_its_call_budget():
-    _, calls = measure_service()
+    calls = measure_service()["update"]
     assert calls <= SERVICE_UPDATE_BUDGET, (
         f"one keyed UPDATE now takes {calls} Python calls on the server's "
         f"connection thread (budget {SERVICE_UPDATE_BUDGET})"
@@ -277,9 +290,27 @@ def test_a_keyed_update_over_the_socket_stays_within_its_call_budget():
     assert calls >= 0.8 * SERVICE_UPDATE_BUDGET
 
 
+def test_a_range_select_over_the_socket_stays_within_its_call_budget():
+    calls = measure_service()["range"]
+    assert calls <= SERVICE_RANGE_BUDGET, (
+        f"one 20-row range SELECT now takes {calls} Python calls on the "
+        f"server's connection thread (budget {SERVICE_RANGE_BUDGET})"
+    )
+    assert calls >= 0.8 * SERVICE_RANGE_BUDGET
+
+
+def test_an_as_of_select_over_the_socket_stays_within_its_call_budget():
+    calls = measure_service()["asof"]
+    assert calls <= SERVICE_ASOF_BUDGET, (
+        f"one AS OF point SELECT now takes {calls} Python calls on the "
+        f"server's connection thread (budget {SERVICE_ASOF_BUDGET})"
+    )
+    assert calls >= 0.8 * SERVICE_ASOF_BUDGET
+
+
 if __name__ == "__main__":
     print("update, read:", measure())
     print("key-splitting insert:", measure_key_split())
     print("as-of read, history:", measure_historical())
     print("decode_page:", measure_decode())
-    print("service point SELECT, keyed UPDATE:", measure_service())
+    print("service statements:", measure_service())

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.engine import ImmortalDB
 from repro.core.catalog import Catalog, ColumnDef, TableSchema
 from repro.core.rowcodec import ColumnType
 from repro.errors import CatalogError, TableExistsError, TableNotFoundError
@@ -130,3 +131,33 @@ class TestCheckpointManager:
         env.ckpt.take({})
         env.ckpt.take({})
         assert env.ckpt.checkpoints_taken == 2
+
+
+@pytest.mark.parametrize("flush", [True, False])
+def test_page_writes_are_synced_before_the_master_record(tmp_path, flush):
+    """The redo start point (and the PTT collection gated on it) may move
+    past a page only once its image survives a power loss: a checkpoint
+    syncs the page file before it writes the master record."""
+    db = ImmortalDB(str(tmp_path / "db.pages"), buffer_pages=8)
+    table = db.create_table("t", [("k", "int"), ("v", "text")], key="k")
+    disk, log = db.buffer.disk, db.log
+    events = []
+
+    def spy(name, method):
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return method(*args, **kwargs)
+        return wrapped
+
+    disk._write = spy("write", disk._write)
+    disk.sync = spy("sync", disk.sync)
+    log.set_master_checkpoint = spy("master", log.set_master_checkpoint)
+    for k in range(400):        # 8 frames: eviction writes pages meanwhile
+        with db.transaction() as txn:
+            table.insert(txn, {"k": k, "v": "x" * 200})
+    del events[:]
+    db.checkpoint(flush=flush)
+    master = events.index("master")     # the boot page is written after it
+    assert events[master - 1] == "sync"
+    assert "write" in events[:master] or not flush
+    db.close()

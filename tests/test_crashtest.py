@@ -248,9 +248,20 @@ class TestFileBacked:
         enumerate_crossings(self.FILE)
         assert list(tmp_path.iterdir()) == []
 
-    def test_only_the_plain_and_archive_sweeps(self, capsys):
+    def test_service_crashes_recover_from_the_file(self):
+        """The service sweep on files: the configuration behind the socket."""
+        config = dataclasses.replace(self.FILE, service=True)
+        names = enumerate_crossings(config)
+        assert "filelog.fsync" in names and "service.execute" in names
+        for crossing in range(0, len(names), -(-len(names) // 10)):
+            report = replay(config, crossing)
+            assert report.crashed, names[crossing]
+            assert report.ok, (names[crossing], report.problems)
+
+    def test_only_the_plain_archive_and_service_sweeps(self, capsys):
         CrashTestConfig(file=True, archive=True)
-        for other in ({"media_faults": True}, {"service": True},
+        CrashTestConfig(file=True, service=True)
+        for other in ({"media_faults": True},
                       {"service_faults": True}, {"shards": 2}):
             with pytest.raises(ValueError, match="--file"):
                 CrashTestConfig(file=True, **other)

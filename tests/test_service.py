@@ -8,6 +8,7 @@ a stuck lock, a double execution, or a lost acked commit.
 
 from __future__ import annotations
 
+import queue
 import random
 import socket
 import sys
@@ -20,6 +21,7 @@ from repro.core.engine import ImmortalDB
 from repro.core.rowcodec import ColumnType
 from repro.errors import (
     ConnectionLostError,
+    ProtocolError,
     ServiceOverloadedError,
     SessionStateError,
     TornFrameError,
@@ -97,6 +99,17 @@ class TestProtocol:
         bad = (protocol.MAX_FRAME + 1).to_bytes(4, "big") + b"\0" * 8
         with pytest.raises(TornFrameError):
             protocol.FrameDecoder().feed(bad)
+
+    @pytest.mark.parametrize("payload", [
+        b"", b"   ", b"not json", b'{"op": "ping"} trailing', b'{"op": "ping"}{}',
+        b'{"op": ', b"\xff\xfe", b'["op"]', b"17", b'"text"', b"null",
+    ])
+    def test_a_payload_that_is_not_one_json_object_is_refused(self, payload):
+        with pytest.raises(ProtocolError):
+            protocol.decode_message(payload)
+
+    def test_json_whitespace_around_the_object_is_accepted(self):
+        assert protocol.decode_message(b' \r\n{"op": "ping"}\t\n') == {"op": "ping"}
 
     def test_classify_statement(self):
         assert classify_statement("  select * from t") == "read"
@@ -741,7 +754,7 @@ class TestRequestPath:
             while len(replies) < len(statements):
                 replies.extend(
                     protocol.decode_message(p)
-                    for p in decoder.feed(client._recv(client._sock))
+                    for p in decoder.feed(client._sock.recv(65536))
                 )
             client._disconnect()
         assert [r["id"] for r in replies] == ["pipe:0", "pipe:1", "pipe:2"]
@@ -765,9 +778,10 @@ class TestRequestPath:
                 s for s in svc.core.sessions.values() if s.defunct
             )
             assert not session.closed       # the body still runs
-            assert svc.service.slots.acquire(blocking=False)    # holding one
-            assert not svc.service.slots.acquire(blocking=False)    # of two
-            svc.service.slots.release()
+            svc.service.slots.get_nowait()      # the body holds one of two
+            with pytest.raises(queue.Empty):
+                svc.service.slots.get_nowait()
+            svc.service.slots.put(None)
             holder._disconnect()
             # The body returns, sees the flag, and aborts the bracket.
             assert _wait_until(lambda: session.closed)
@@ -1013,10 +1027,7 @@ class TestOneThreadPerConnection:
             assert _wait_until(lambda: len(escaped) == 1)
             assert isinstance(escaped[0], RuntimeError)
             assert _wait_until(lambda: not svc.service.connections)
-            assert svc.service.slots.acquire(blocking=False)    # both slots
-            assert svc.service.slots.acquire(blocking=False)    # came back
-            svc.service.slots.release()
-            svc.service.slots.release()
+            assert svc.service.slots.qsize() == 2   # both slots came back
             monkeypatch.undo()
             with ServiceClient("127.0.0.1", svc.port) as fresh:
                 assert fresh.ping()["message"] == "pong"
@@ -1073,9 +1084,6 @@ class TestOneThreadPerConnection:
                 assert svc.core.stats.accepts == 200    # nothing was resent
                 assert _wait_until(lambda: not svc.service.connections)
                 assert svc.core.admission.inflight == 0
-                for _ in range(3):
-                    assert svc.service.slots.acquire(blocking=False)
-                for _ in range(3):
-                    svc.service.slots.release()
+                assert svc.service.slots.qsize() == 3
         finally:
             sys.setswitchinterval(interval)

@@ -732,3 +732,133 @@ class TestParamsOverTheWire:
             "SELECT v FROM t WHERE k = ?", [2])["rows"] == [{"v": "two"}]
         assert conn.execute("ROLLBACK")["status"] == protocol.STATUS_OK
         assert conn.execute("SELECT v FROM t WHERE k = ?", [2])["rows"] == []
+
+
+# -- the WHERE a key access leaves to the rows -----------------------------------------------
+
+def _bound(rng: random.Random) -> str:
+    return rng.choice(("NULL",) + tuple(str(v) for v in range(-3, 25)))
+
+
+def _column_clause(rng: random.Random) -> str:
+    column = rng.choice(("k", "k", "v", "n"))
+    value = {
+        "k": _bound(rng),
+        "v": rng.choice(("NULL", "'v1'", "'v3'", "'w'", "''")),
+        "n": rng.choice(("NULL", "0", "2.5", "4", "-1")),
+    }[column]
+    return f"{column} {rng.choice(('=', '<>', '<', '<=', '>', '>='))} {value}"
+
+
+def _random_where(rng: random.Random, depth: int = 0) -> str:
+    """Key-only shapes an access path may enforce — equality, a two-sided
+    range either way round, reversed or empty, null bounds — mixed with
+    predicates over every column under AND/OR/NOT."""
+    pick = rng.random()
+    if pick < 0.2:
+        return f"k = {_bound(rng)}"
+    if pick < 0.45:
+        low = f"k {rng.choice(('>=', '>=', '>'))} {_bound(rng)}"
+        high = f"k {rng.choice(('<=', '<=', '<'))} {_bound(rng)}"
+        return f"{low} AND {high}" if rng.random() < 0.5 else f"{high} AND {low}"
+    if pick < 0.6 or depth >= 2:
+        return _column_clause(rng)
+    if pick < 0.8:
+        glue = rng.choice(("AND", "OR"))
+        return (f"{_random_where(rng, depth + 1)} {glue} "
+                f"{_random_where(rng, depth + 1)}")
+    return f"NOT ({_random_where(rng, depth + 1)})"
+
+
+class TestResidualWhere:
+    """A WHERE that is exactly what its key access enforces is not evaluated
+    again per row; the rows must be exactly those of evaluating the whole
+    WHERE on every row of the table, now and AS OF."""
+
+    @pytest.fixture
+    def history(self):
+        db = ImmortalDB()
+        s = Session(db)
+        s.execute("CREATE IMMORTAL TABLE t (k INT PRIMARY KEY, v TEXT, n FLOAT)")
+        for k in range(20):
+            v = "NULL" if k % 7 == 3 else f"'v{k % 5}'"
+            n = "NULL" if k % 6 == 1 else f"{k / 2}"
+            s.execute(f"INSERT INTO t VALUES ({k}, {v}, {n})")
+        marks = []
+        for round_no in range(2):
+            db.advance_time(10)
+            marks.append(str(db.now().to_datetime()))
+            db.advance_time(10)
+            s.execute(f"UPDATE t SET v = 'w', n = {round_no} WHERE k >= 4 AND k <= 9")
+            s.execute(f"DELETE FROM t WHERE k = {11 + round_no}")
+            s.execute(f"INSERT INTO t VALUES ({20 + round_no}, NULL, NULL)")
+        yield s, marks
+        s.close()
+        db.close()
+
+    @pytest.mark.parametrize("seed", range(SEEDS))
+    def test_the_rows_are_those_of_the_whole_where(self, history, seed):
+        from repro.sql.executor import _evaluate, parse_sql_datetime
+
+        s, marks = history
+        table = s.db.table("t")
+        rng = random.Random(seed)
+        for _ in range(300):
+            where = _random_where(rng)
+            mark = rng.choice((None, None) + tuple(marks))
+            if mark is None:
+                sql = f"SELECT * FROM t WHERE {where}"
+                with s.db.transaction() as txn:
+                    candidates = table.scan(txn)
+            else:
+                sql = f"SELECT * FROM t AS OF '{mark}' WHERE {where}"
+                candidates = table.scan_as_of(
+                    ImmortalDB.to_timestamp(parse_sql_datetime(mark))
+                )
+            expr = parse_statement(sql).where
+            expected = [row for row in candidates if _evaluate(expr, row)]
+            got = sorted(s.execute(sql).rows, key=lambda row: row["k"])
+            assert got == expected, sql
+
+    @pytest.mark.parametrize("where", [
+        "nosuch = 1", "k = 1 AND nosuch = 1", "k >= 0 AND k <= 9 AND nosuch = 1",
+        "nosuch >= 0 AND k <= 9", "k >= 0 AND nosuch <= 9",
+    ])
+    def test_an_unknown_column_still_raises(self, history, where):
+        s, marks = history
+        for sql in (f"SELECT * FROM t WHERE {where}",
+                    f"SELECT * FROM t AS OF '{marks[1]}' WHERE {where}"):
+            with pytest.raises(SQLExecutionError, match="unknown column"):
+                s.execute(sql)
+
+
+class TestAsOfMemo:
+    def test_two_texts_never_share_an_entry(self, session):
+        from repro.sql.executor import sql_timestamp
+
+        db = session.db
+        db.advance_time(10)
+        before = str(db.now().to_datetime())
+        db.advance_time(10)
+        session.execute("UPDATE t SET v = 'later' WHERE k = 1")
+        db.advance_time(10)
+        after = str(db.now().to_datetime())
+        assert sql_timestamp(before) != sql_timestamp(after)
+        for _ in range(2):      # the second round is served from the memo
+            assert session.execute(
+                f"SELECT v FROM t AS OF '{before}' WHERE k = 1").rows == [{"v": "v1"}]
+            assert session.execute(
+                f"SELECT v FROM t AS OF '{after}' WHERE k = 1").rows == [{"v": "later"}]
+
+    @pytest.mark.parametrize("text", ["not a date", "2006-13-01", ""])
+    def test_a_malformed_literal_raises_as_before(self, session, text):
+        from repro.sql.executor import parse_sql_datetime, sql_timestamp
+
+        with pytest.raises(SQLExecutionError) as before:
+            parse_sql_datetime(text)
+        for _ in range(2):      # nothing is kept for it
+            with pytest.raises(SQLExecutionError) as now:
+                sql_timestamp(text)
+            assert str(now.value) == str(before.value)
+            with pytest.raises(SQLExecutionError, match="unrecognized datetime"):
+                session.execute(f"SELECT * FROM t AS OF '{text}' WHERE k = 1")
