@@ -91,12 +91,14 @@ class BTreeIndexPage(Page):
         self.seps = seps
         self.children = children
         self._used = self.counted_bytes()
+        self.touch()
 
     def post(self, at: int, sep: bytes, right_pid: int) -> None:
         """Insert separator ``sep`` at ``at`` with ``right_pid`` right of it."""
         self.seps.insert(at, sep)
         self.children.insert(at + 1, right_pid)
         self._used += 4 + 2 + len(sep)
+        self.touch()
 
     def counted_bytes(self) -> int:
         """``used_bytes`` summed afresh (what the integrity check compares)."""
@@ -155,14 +157,21 @@ class BTreeIndexPage(Page):
         )
         seps: list[bytes] = []
         children: list[int] = []
-        pos = _INDEX_HEADER
+        pos, end = _INDEX_HEADER, len(raw)
         for i in range(count):
-            children.append(int.from_bytes(raw[pos : pos + 4], "big"))
+            child = int.from_bytes(raw[pos : pos + 4], "big")
             pos += 4
             if i < count - 1:
                 sep_len = int.from_bytes(raw[pos : pos + 2], "big")
                 seps.append(bytes(raw[pos + 2 : pos + 2 + sep_len]))
                 pos += 2 + sep_len
+            # Page 0 is the meta page, never a child: a zero id is the
+            # padding after the real entries, read under a garbled count.
+            if pos > end or not child:
+                raise PageFormatError(
+                    f"index node {page_id}: {count} entries overrun the page"
+                )
+            children.append(child)
         node.set_entries(seps, children)
         return node
 
@@ -282,14 +291,16 @@ class BTree:
             yield node, low, high
             return
         assert isinstance(node, BTreeIndexPage)
-        for i, child_pid in enumerate(node.children):
-            child_low = node.seps[i - 1] if i > 0 else low
-            child_high = node.seps[i] if i < len(node.seps) else high
-            if start_key is not None and child_high is not None \
-                    and child_high <= start_key:
-                continue  # entire subtree below the range start
+        seps, children = node.seps, node.children
+        # Children left of the first separator above ``start_key`` hold
+        # only keys below it.
+        first = 0 if start_key is None else bisect_right(seps, start_key)
+        for i in range(first, len(children)):
             yield from self._walk(
-                self.buffer.get_page(child_pid), child_low, child_high, start_key
+                self.buffer.get_page(children[i]),
+                seps[i - 1] if i > 0 else low,
+                seps[i] if i < len(seps) else high,
+                start_key,
             )
 
     # -- insertion ------------------------------------------------------------
@@ -545,6 +556,7 @@ class BTree:
                 continue
             seen.add(page.page_id)
             page.lsn = lsn
+            page.touch()        # imaged below, before mark_dirty would
             unique.append(page)
         assigned = self.log.append(
             MultiPageImage(

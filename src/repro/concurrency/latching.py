@@ -15,9 +15,10 @@ lock waits cannot entangle with latch waits: the latch is always released
 in bounded time, so the only cycles possible are record-lock cycles — which
 the lock manager detects and breaks.
 
-:class:`NullLatch` is the zero-cost stand-in used when concurrency is off
-(the default), keeping the single-threaded paths byte-identical in
-behaviour and almost identical in cost.
+With concurrency off (the default) the engine latch is a plain
+``threading.RLock``: the same operations take the same latch in both
+modes, and an uncontended RLock costs one C call each way.
+:class:`ReentrantLatch` replaces it when concurrency is enabled.
 
 Latch waiters queue FIFO and are woken by the releaser in queue order, the
 same grant-on-release scheme the blocking lock manager uses; combined with
@@ -31,24 +32,6 @@ import threading
 import time
 
 from repro.errors import ConcurrencyError
-
-
-class NullLatch:
-    """A free pass: the latch used while concurrency is disabled."""
-
-    __slots__ = ()
-
-    def acquire(self) -> None:
-        pass
-
-    def release(self) -> None:
-        pass
-
-    def __enter__(self) -> "NullLatch":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
 
 
 class ReentrantLatch:
@@ -138,8 +121,3 @@ class ReentrantLatch:
 
     def __exit__(self, *exc) -> None:
         self.release()
-
-    @property
-    def held(self) -> bool:
-        """True when the calling thread owns the latch."""
-        return self._owner == threading.get_ident()

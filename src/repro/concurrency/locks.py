@@ -116,8 +116,8 @@ class LockManager:
         self._waiters: dict[Resource, list[_Waiter]] = {}
         self._waiting_tids: dict[int, _Waiter] = {}
         # ``_mutex`` is the condition's own lock: the two entry points every
-        # transaction passes (acquire, release_all) take it directly — a C
-        # call — instead of through Condition's Python ``__enter__``.
+        # transaction passes (acquire, release_all) take it by hand, not
+        # through ``with`` (twice the cost, and Python frames on Condition).
         self._mutex = threading.RLock()
         self._cv = threading.Condition(self._mutex)
         # TIDs that cannot finish without external action (in-doubt 2PC
@@ -135,8 +135,6 @@ class LockManager:
         # [another thread made `ident` runnable], on_resume() [caller woke
         # and wants to run engine code again].
         self.wait_hooks = None
-        self.grants = 0
-        self.conflicts = 0
         self.upgrades = 0
         self.stats = LockStats()
 
@@ -153,11 +151,19 @@ class LockManager:
         chosen to break) a waits-for cycle.
         """
         try:
-            with self._mutex:
+            mutex = self._mutex
+            mutex.acquire()
+            try:
+                holders = self._holders.get(resource)
+                if holders is None and resource not in self._waiters:
+                    # Nobody holds or wants it: the uncontended common case.
+                    self._holders[resource] = {tid: mode}
+                    self._held_by[tid].add(resource)
+                    return
                 holders = self._holders[resource]
                 current = holders.get(tid)
                 if current is not None and current >= mode:
-                    return
+                    return      # already held, as strong or stronger
                 # The conflict lists are built only when somebody else
                 # holds the resource, or (for a fresh request) waits for it.
                 blocking_holders = [
@@ -180,11 +186,12 @@ class LockManager:
                 if not self.blocking or any(
                     t in self.wedged for t, _ in blocking_holders
                 ):
-                    self.conflicts += 1
                     raise self._conflict_error(
                         tid, resource, mode, blocking_holders
                     )
                 self._wait_for_grant(tid, resource, mode)
+            finally:
+                mutex.release()
         finally:
             # Token re-entry happens outside the monitor — including the
             # deadlock-victim and timeout raise paths, so an aborting victim
@@ -203,7 +210,6 @@ class LockManager:
         if current is None or mode > current:
             holders[tid] = mode
         self._held_by[tid].add(resource)
-        self.grants += 1
 
     def _conflict_error(
         self,
@@ -239,7 +245,6 @@ class LockManager:
         self._waiters.setdefault(resource, []).append(waiter)
         self._waiting_tids[tid] = waiter
         self.stats.lock_waits += 1
-        self.conflicts += 1
         self._resolve_deadlocks(waiter)
         if self.wait_hooks is not None and waiter.doomed is None \
                 and not waiter.granted:
@@ -395,17 +400,22 @@ class LockManager:
 
     def release_all(self, tid: int) -> int:
         """Drop every lock held by ``tid`` (commit/abort).  Returns count."""
-        with self._mutex:
+        mutex = self._mutex
+        mutex.acquire()
+        try:
             resources = self._held_by.pop(tid, ())
+            holders_of, waiters = self._holders, self._waiters
             for resource in resources:
-                holders = self._holders.get(resource)
+                holders = holders_of.get(resource)
                 if holders is not None:
                     holders.pop(tid, None)
                     if not holders:
-                        del self._holders[resource]
-                if resource in self._waiters:
+                        del holders_of[resource]
+                if waiters and resource in waiters:
                     self._promote(resource)
             return len(resources)
+        finally:
+            mutex.release()
 
     # -- inspection ------------------------------------------------------------
 

@@ -85,11 +85,12 @@ class Transaction:
             )
 
     def require_writable(self) -> None:
+        if self.state is TxnState.ACTIVE and self.mode is not TxnMode.AS_OF:
+            return
         self.require_active()
-        if self.is_historical:
-            raise ReadOnlyTransactionError(
-                f"transaction {self.tid} is a read-only AS OF transaction"
-            )
+        raise ReadOnlyTransactionError(
+            f"transaction {self.tid} is a read-only AS OF transaction"
+        )
 
 
 class TransactionManager:

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from typing import Iterator
 
 from repro.clock import SimClock, Timestamp
-from repro.concurrency.latching import NullLatch, ReentrantLatch
+from repro.concurrency.latching import ReentrantLatch
 from repro.concurrency.locks import LockManager
 from repro.concurrency.snapshot import SnapshotRegistry, prune_conventional_page
 from repro.concurrency.transaction import Transaction, TransactionManager, TxnMode
@@ -117,10 +117,11 @@ class ImmortalDB:
             self.clock, self.log, self.tsmgr, self.locks, self,
             group_commit_window=group_commit_window,
         )
-        # Concurrent execution is switched on by enable_concurrency() (see
-        # DESIGN.md "Concurrent execution"); until then the latch is a no-op.
+        # Until enable_concurrency() (DESIGN.md "Concurrent execution") the
+        # engine latch is a plain RLock.  Transactions and table operations
+        # take it by hand: a ``with`` on a C lock costs twice as much.
         self.concurrent = False
-        self._latch: NullLatch | ReentrantLatch = NullLatch()
+        self._latch: threading.RLock | ReentrantLatch = threading.RLock()
         self.checkpoints = CheckpointManager(self.log, self.buffer)
         # Media robustness, off by default so the figure benchmarks and
         # crash-point enumeration are untouched.  ``media_recovery`` attaches
@@ -337,29 +338,20 @@ class ImmortalDB:
     def enable_concurrency(self) -> "ImmortalDB":
         """Switch the engine to thread-safe operation (idempotent).
 
-        Turns the lock manager into its blocking flavour, installs the
-        engine latch that serializes structural work, and puts mutexes on
-        the buffer pool, the WAL append/force path, and the timestamp
-        manager's VTT/PTT transitions.  Single-threaded behaviour is
-        unchanged — the same operations happen in the same order, just
-        under (uncontended) latches — which is why the worker pool can call
-        this lazily on an engine built with the defaults.
+        Both modes take the same mutexes; only what must wait or be fair
+        changes: the lock manager turns blocking, and the engine latch and
+        the log's force-order lock become FIFO ``ReentrantLatch`` objects,
+        whose handoff the interleaving harness can replay.  The same
+        operations happen in the same order either way, which is why the
+        worker pool can call this lazily on an engine built with defaults.
         """
         if self.concurrent:
             return self
         self.concurrent = True
         self._latch = ReentrantLatch()
         self.locks.blocking = True
-        self.log.mutex = threading.RLock()
         self.log.force_order = ReentrantLatch()
-        self.buffer.mutex = threading.RLock()
-        self.tsmgr.mutex = threading.RLock()
         return self
-
-    @property
-    def latch(self) -> NullLatch | ReentrantLatch:
-        """The engine latch (a no-op object until concurrency is enabled)."""
-        return self._latch
 
     # -- transactions ------------------------------------------------------------------
 
@@ -372,18 +364,27 @@ class ImmortalDB:
         if as_of is not None:
             mode = TxnMode.AS_OF
             as_of = self.to_timestamp(as_of)
-        with self._latch:
+        latch = self._latch
+        latch.acquire()
+        try:
             txn = self.txn_mgr.begin(mode, as_of=as_of)
             if mode is TxnMode.SNAPSHOT:
                 assert txn.snapshot_ts is not None
                 self.snapshots.register(txn.tid, txn.snapshot_ts)
             return txn
+        finally:
+            latch.release()
 
     def commit(self, txn: Transaction) -> Timestamp | None:
-        with self._latch:
+        latch = self._latch
+        latch.acquire()
+        try:
             ts = self.txn_mgr.commit(txn)
-            self.snapshots.unregister(txn.tid)
+            if txn.mode is TxnMode.SNAPSHOT:
+                self.snapshots.unregister(txn.tid)
             return ts
+        finally:
+            latch.release()
 
     # Two-phase commit participant surface (used by repro.cluster).  The
     # single-engine commit path above is untouched: prepare/commit_prepared

@@ -233,7 +233,9 @@ class Table:
         # taken first; the engine latch is only held for the structural work
         # and never across a lock wait (see DESIGN.md "Concurrent execution").
         self.engine.locks.lock_record_exclusive(txn.tid, self.table_id, key)
-        with self.engine._latch:
+        latch = self.engine._latch
+        latch.acquire()
+        try:
             _, visible = self._current_for_write(txn, key)
             if visible is not None and not visible.is_delete_stub:
                 raise DuplicateKeyError(
@@ -243,6 +245,8 @@ class Table:
             self._log_and_apply_version(
                 txn, VersionOpKind.INSERT, key, payload
             )
+        finally:
+            latch.release()
 
     def update(self, txn: Transaction, key_value, updates: dict) -> None:
         """Update a record: a new version (versioned) or in place (plain)."""
@@ -252,7 +256,9 @@ class Table:
             raise SQLExecutionError("primary key columns cannot be updated")
         key = self.codec.encode_key(key_value)
         self.engine.locks.lock_record_exclusive(txn.tid, self.table_id, key)
-        with self.engine._latch:
+        latch = self.engine._latch
+        latch.acquire()
+        try:
             chain, current = self._current_for_write(txn, key)
             if current is None or current.is_delete_stub:
                 raise KeyNotFoundError(
@@ -280,6 +286,8 @@ class Table:
                 # transaction), so a chain never carries two versions with
                 # the same commit timestamp.
                 self._update_in_place(txn, key, current.payload, payload)
+        finally:
+            latch.release()
 
     def _update_in_place(
         self, txn: Transaction, key: bytes, before: bytes, after: bytes
@@ -317,13 +325,17 @@ class Table:
         txn.require_writable()
         key = self.codec.encode_key(key_value)
         self.engine.locks.lock_record_exclusive(txn.tid, self.table_id, key)
-        with self.engine._latch:
+        latch = self.engine._latch
+        latch.acquire()
+        try:
             _, current = self._current_for_write(txn, key)
             if current is None or current.is_delete_stub:
                 raise KeyNotFoundError(
                     f"table {self.name}: no record with key {key_value!r}"
                 )
             self._log_and_apply_version(txn, VersionOpKind.DELETE, key, b"")
+        finally:
+            latch.release()
 
     # -- point reads -----------------------------------------------------------------------
 
@@ -341,11 +353,15 @@ class Table:
         if txn.mode is TxnMode.SERIALIZABLE:
             self.engine.locks.lock_record_shared(txn.tid, self.table_id, key)
         horizon, inclusive = self._horizon(txn)
-        with self.engine._latch:
+        latch = self.engine._latch
+        latch.acquire()
+        try:
             try:
                 return self._read_at(txn, key, horizon, inclusive)
             except PageQuarantinedError as exc:
                 return self._degraded_read(txn, key, horizon, inclusive, exc)
+        finally:
+            latch.release()
 
     def _read_at(
         self,

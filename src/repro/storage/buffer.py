@@ -10,10 +10,11 @@ The buffer pool is where two Immortal DB protocols are anchored:
 * **WAL rule**: before a dirty page reaches disk, the log must be forced up
   to the page's LSN.  The log registers a *log-force hook* for this.
 
-Latching is bookkeeping rather than blocking — the simulation is
-single-threaded — but conflicting acquisitions raise :exc:`LatchError`, so
-tests can assert the engine follows the paper's latch discipline (exclusive
-latch to stamp a record, shared latch for a plain read of a stamped one).
+Page latching is bookkeeping rather than blocking — the engine latch
+serializes page work — but conflicting acquisitions raise
+:exc:`LatchError`, so tests can assert the engine follows the paper's latch
+discipline (exclusive latch to stamp a record, shared latch for a plain
+read of a stamped one).
 
 Eviction is pluggable (``eviction="lru" | "2q"``):
 
@@ -45,12 +46,10 @@ as the per-page path.
 from __future__ import annotations
 
 import math
+import threading
 from collections import OrderedDict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator
-
-_NO_MUTEX = nullcontext()
 
 from repro.errors import (
     BufferExhaustedError,
@@ -80,15 +79,6 @@ class BufferStats:
     prefetches: int = 0             # pages read ahead of an actual request
     prefetch_hits: int = 0          # misses served from the staging ring
 
-    def snapshot(self) -> "BufferStats":
-        """An independent copy of the current counter values."""
-        return BufferStats(
-            self.hits, self.misses, self.evictions, self.page_flushes,
-            self.dirty_evictions, self.flush_batches,
-            self.flush_coalesced_writes, self.evict_scan_skips,
-            self.evict_uncovered_skips, self.prefetches, self.prefetch_hits,
-        )
-
 
 @dataclass
 class Frame:
@@ -111,23 +101,23 @@ def _unevictable(frame: Frame) -> bool:
 # ---------------------------------------------------------------------------
 
 class EvictionPolicy:
-    """Victim selection strategy; notified of admissions/accesses/removals.
+    """Victim selection strategy; notified of admissions and removals.
 
     The pool owns the frame table (``pool._frames``); a policy owns only its
-    ordering metadata.  ``select_victim`` must return an evictable frame or
+    ordering metadata; an access (done inline by the pool) moves a page in
+    the policy's ``hot`` dict to its end.  ``select_victim`` must return an
+    evictable frame or
     raise :exc:`BufferExhaustedError` — it must not return a pinned or
     latched frame, and must terminate even when every frame is unevictable.
     """
 
     name = "base"
+    hot: OrderedDict
 
     def __init__(self, pool: "BufferPool") -> None:
         self.pool = pool
 
     def on_admit(self, page_id: int) -> None:
-        raise NotImplementedError
-
-    def on_access(self, page_id: int) -> None:
         raise NotImplementedError
 
     def on_remove(self, page_id: int) -> None:
@@ -204,10 +194,11 @@ class LRUPolicy(EvictionPolicy):
 
     name = "lru"
 
-    def on_admit(self, page_id: int) -> None:
-        self.pool._frames.move_to_end(page_id)
+    def __init__(self, pool: "BufferPool") -> None:
+        super().__init__(pool)
+        self.hot = pool._frames     # an access is a touch of the recency list
 
-    def on_access(self, page_id: int) -> None:
+    def on_admit(self, page_id: int) -> None:
         self.pool._frames.move_to_end(page_id)
 
     def on_remove(self, page_id: int) -> None:
@@ -253,6 +244,9 @@ class TwoQPolicy(EvictionPolicy):
         self.a1in: OrderedDict[int, None] = OrderedDict()
         self.a1out: OrderedDict[int, None] = OrderedDict()
         self.am: OrderedDict[int, None] = OrderedDict()
+        # Only Am is touched by an access: a page in A1in is deliberately
+        # NOT promoted on re-access.
+        self.hot = self.am
 
     def on_admit(self, page_id: int) -> None:
         if page_id in self.a1out:
@@ -260,11 +254,6 @@ class TwoQPolicy(EvictionPolicy):
             self.am[page_id] = None
         else:
             self.a1in[page_id] = None
-
-    def on_access(self, page_id: int) -> None:
-        if page_id in self.am:
-            self.am.move_to_end(page_id)
-        # A page in A1in is deliberately NOT promoted on re-access.
 
     def on_remove(self, page_id: int) -> None:
         self.a1in.pop(page_id, None)
@@ -346,6 +335,7 @@ class BufferPool:
         self.stats = BufferStats()
         self._frames: OrderedDict[int, Frame] = OrderedDict()
         self._policy: EvictionPolicy = policy_cls(self)
+        self._hot = self._policy.hot
         # Hooks. pre_flush_hooks run on the in-memory page right before it is
         # serialized to disk; log_force is called with the page LSN (WAL rule).
         # durable_lsn is a read-only view of how far the log is durable: a
@@ -368,11 +358,10 @@ class BufferPool:
         # flushed), so every read path — as-of routing, history scans, the
         # integrity walker — works unchanged on either tier.
         self.archive_resolver: Callable[[int], Page] | None = None
-        # Concurrent mode installs an RLock here; None (the default) keeps
-        # the single-threaded fast path lock-free.  The engine latch already
-        # serializes table operations — this mutex additionally covers
-        # direct buffer calls (flushes, scrub probes) from other threads.
-        self.mutex = None
+        # Covers direct buffer calls (flushes, scrub probes) from threads
+        # outside the engine latch.  get_page and mark_dirty_page take it
+        # by hand: a ``with`` on a C lock costs twice as much.
+        self.mutex = threading.RLock()
 
     @property
     def eviction(self) -> str:
@@ -382,19 +371,23 @@ class BufferPool:
 
     def get_page(self, page_id: int) -> Page:
         """Fetch a page, reading it from disk on a miss."""
-        if self.mutex is None:      # the common case: no context to enter
-            return self._get_page_locked(page_id)
-        with self.mutex:
-            return self._get_page_locked(page_id)
+        mutex = self.mutex
+        mutex.acquire()
+        try:
+            frame = self._frames.get(page_id)
+            if frame is not None:       # archive refs are never framed
+                self.stats.hits += 1
+                hot = self._hot
+                if page_id in hot:
+                    hot.move_to_end(page_id)
+                return frame.page
+            return self._miss(page_id)
+        finally:
+            mutex.release()
 
-    def _get_page_locked(self, page_id: int) -> Page:
+    def _miss(self, page_id: int) -> Page:
         if page_id & ARCHIVE_PID_BIT and self.archive_resolver is not None:
             return self.archive_resolver(page_id)
-        frame = self._frames.get(page_id)
-        if frame is not None:
-            self.stats.hits += 1
-            self._policy.on_access(page_id)
-            return frame.page
         self.stats.misses += 1
         raw: bytes | None = self._staged.pop(page_id, None)
         try:
@@ -489,7 +482,7 @@ class BufferPool:
 
     def new_page(self, factory: Callable[[int], Page]) -> Page:
         """Allocate a fresh page id on disk and cache ``factory(page_id)``."""
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             page_id = self.disk.allocate()
             page = factory(page_id)
             if page.page_id != page_id:
@@ -504,7 +497,7 @@ class BufferPool:
         Page splits rebuild the current page object from scratch; the new
         object takes over the old frame (same page id) and is dirty.
         """
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             frame = self._frames.get(page.page_id)
             if frame is None:
                 if not self.disk.exists(page.page_id):
@@ -523,21 +516,8 @@ class BufferPool:
     # -- dirty / flush -----------------------------------------------------------
 
     def mark_dirty(self, page_id: int, rec_lsn: int | None = None) -> None:
-        with self.mutex or _NO_MUTEX:
-            self._mark_dirty(self._require_frame(page_id), rec_lsn)
-
-    def _mark_dirty(self, frame: Frame, rec_lsn: int | None) -> None:
-        # mark_dirty means "this page's content changed"; mutations that
-        # go through an attribute the page object can see already
-        # invalidated the encode cache, but in-place record mutations
-        # (stamping) do not, so the dirty notification doubles as the
-        # cache invalidation point.
-        page = frame.page
-        page.touch()
-        if not frame.dirty:
-            frame.dirty = True
-            frame.rec_lsn = rec_lsn if rec_lsn is not None else page.lsn
-        self._policy.on_access(page.page_id)
+        with self.mutex:
+            self.mark_dirty_page(self._require_frame(page_id).page, rec_lsn)
 
     def mark_dirty_page(self, page: Page, rec_lsn: int | None = None) -> None:
         """Make ``page`` the cached, dirty image of its page id.
@@ -548,21 +528,28 @@ class BufferPool:
         object.  A structure modification's rebuilt pages enter the pool
         this way, after their record (``BTree._log_smo``); a page the
         operation's own admissions evicted comes back the same way.
+        "Dirty" means changed: this invalidates the page's cached image for
+        what its mutator methods do not cover (attribute writes, stamping).
         """
+        pid = page.page_id
         mutex = self.mutex
-        if mutex is not None:
-            mutex.acquire()
+        mutex.acquire()
         try:
-            frame = self._frames.get(page.page_id)
+            frame = self._frames.get(pid)
             if frame is None:
                 frame = Frame(page)
                 self._admit(frame)
             else:
                 frame.page = page
-            self._mark_dirty(frame, rec_lsn)
+            page._encode_epoch += 1         # page.touch(), without the call
+            if not frame.dirty:
+                frame.dirty = True
+                frame.rec_lsn = rec_lsn if rec_lsn is not None else page.lsn
+            hot = self._hot
+            if pid in hot:
+                hot.move_to_end(pid)
         finally:
-            if mutex is not None:
-                mutex.release()
+            mutex.release()
 
     def is_dirty(self, page_id: int) -> bool:
         frame = self._frames.get(page_id)
@@ -575,7 +562,7 @@ class BufferPool:
         }
 
     def flush_page(self, page_id: int) -> None:
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             frame = self._frames.get(page_id)
             if frame is None or not frame.dirty:
                 return
@@ -585,7 +572,7 @@ class BufferPool:
         # Page-id order: consecutive ids reach the disk layer sequentially,
         # earning its sequential-write credit (and, on real hardware, an
         # elevator-friendly write pattern).
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             if self.flush_batch > 1:
                 dirty = [
                     self._frames[pid]
@@ -717,7 +704,7 @@ class BufferPool:
         image; it is dropped, or the next miss would serve it in place of
         what was just written.
         """
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             self.disk.write_page(page.page_id, page.to_bytes())
             self._staged.pop(page.page_id, None)
 
@@ -728,7 +715,7 @@ class BufferPool:
         moved to the archive store, so writing it back would resurrect the
         image the free just reclaimed.
         """
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             if page_id in self._frames:
                 del self._frames[page_id]
                 self._policy.on_remove(page_id)

@@ -52,21 +52,22 @@ class Page:
     """Base class for every page type: common header + codec registry.
 
     Serialization is cached: :meth:`to_bytes` re-encodes only when the page's
-    mutation epoch has moved since the last encode.  The epoch advances on
-    every attribute assignment (``__setattr__``) and on explicit
-    :meth:`touch` calls, which callers that mutate page contents *through*
-    an attribute (e.g. stamping a :class:`RecordVersion` reached via
-    ``versions``) must issue — the buffer pool does this in ``mark_dirty``.
+    mutation epoch has moved since the last encode.  The epoch moves where
+    the page changes: every mutator method (``insert_version``,
+    ``add_chain``, ``set_entries`` …) calls :meth:`touch`, and so does the
+    buffer pool's ``mark_dirty``, which covers everything else — attribute
+    writes (``lsn``, ``history_page_id``) and in-place record mutations
+    (stamping a :class:`RecordVersion` reached via ``versions``).  Code that
+    changes a page that way and encodes it before marking it dirty touches
+    it itself.
     """
 
     page_type: PageType = PageType.META
 
-    # Class-level defaults so __setattr__ can read them before __init__ runs.
+    # Class-level defaults: a decoded page is built without ``__init__``.
     _encode_epoch: int = 0
     _image: bytes | None = None
     _image_epoch: int = -1
-
-    _CACHE_ATTRS = frozenset({"_encode_epoch", "_image", "_image_epoch"})
 
     # Process-wide monotonic id given to every page *object*.  A page id can
     # be re-materialized as a fresh object (buffer reload, replace_page) whose
@@ -85,22 +86,16 @@ class Page:
         """Identity + mutation epoch: equal tokens ⇒ identical page content."""
         return (self._instance_stamp, self._encode_epoch)
 
-    def __setattr__(self, name: str, value) -> None:
-        object.__setattr__(self, name, value)
-        if name not in Page._CACHE_ATTRS:
-            object.__setattr__(self, "_encode_epoch", self._encode_epoch + 1)
-
     def touch(self) -> None:
-        """Invalidate the cached image after an in-place content mutation."""
-        object.__setattr__(self, "_encode_epoch", self._encode_epoch + 1)
+        """Invalidate the cached image after a content mutation."""
+        self._encode_epoch += 1
 
     def to_bytes(self) -> bytes:
         """Serialize to the fixed-size on-disk image (cached per epoch)."""
         if self._image is not None and self._image_epoch == self._encode_epoch:
             return self._image
-        image = self._encode()
-        object.__setattr__(self, "_image", image)
-        object.__setattr__(self, "_image_epoch", self._encode_epoch)
+        image = self._image = self._encode()
+        self._image_epoch = self._encode_epoch
         return image
 
     # Every subclass must produce exactly PAGE_SIZE bytes.
@@ -357,6 +352,7 @@ class DataPage(Page):
             keys.insert(pos, key)
         versions.append(record)
         self._used += need
+        self._encode_epoch += 1     # touch(), without the call
 
     def add_chain(
         self,
@@ -401,6 +397,7 @@ class DataPage(Page):
         self.slots.insert(pos, vp)  # head = newest = last appended
         keys.insert(pos, key)
         self._used += need
+        self._encode_epoch += 1     # touch(), without the call
         return pos
 
     def remove_newest_version(self, key: bytes) -> RecordVersion:
@@ -429,6 +426,7 @@ class DataPage(Page):
                     and not version.flags & VP_IN_HISTORY:
                 version.vp -= 1
         self.slots = [i - 1 if i > head_index else i for i in self.slots]
+        self.touch()
         return head
 
     def replace_payload_in_place(self, key: bytes, payload: bytes) -> None:
@@ -444,6 +442,7 @@ class DataPage(Page):
             )
         head.payload = payload
         self._used += delta
+        self.touch()
 
     def has_unstamped_records(self) -> bool:
         """True if any version still carries a TID instead of a timestamp."""
@@ -571,9 +570,7 @@ class DataPage(Page):
         if keys != sorted(keys):
             raise PageFormatError(f"page {page_id}: slot array not key-ordered")
         page = cls.__new__(cls)
-        # One dict update, not one epoch-bumping ``__setattr__`` per field:
-        # the object is not visible yet, so nobody holds a ``cache_token``
-        # the bumps would have to invalidate.
+        # One dict update, not one attribute store per field.
         fields = page.__dict__
         fields.update(
             _instance_stamp=next(Page._instance_stamps),
@@ -633,6 +630,10 @@ class MetaPage(Page):
             raise PageFormatError(f"not a meta page: type {page_type}")
         at = COMMON_HEADER_SIZE
         length = int.from_bytes(raw[at : at + 4], "big")
+        if length > len(raw) - at - 4:
+            raise PageFormatError(
+                f"meta page {page_id}: blob of {length} bytes overruns the page"
+            )
         page = cls(page_id, bytes(raw[at + 4 : at + 4 + length]), page_size=len(raw))
         page.header_flags = flags
         page.lsn = lsn

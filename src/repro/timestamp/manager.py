@@ -27,11 +27,11 @@ zero, and the entry becomes collectable only once the redo scan start point
 
 from __future__ import annotations
 
-from contextlib import nullcontext
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.clock import SN_INVALID, Timestamp, field_tid
+from repro.clock import Timestamp, field_tid
 from repro.errors import UnknownTransactionError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import DataPage, Page
@@ -39,8 +39,6 @@ from repro.timestamp.ptt import PersistentTimestampTable
 from repro.timestamp.vtt import VolatileTimestampTable
 from repro.wal.log import LogManager
 from repro.wal.records import PTTDelete
-
-_NO_MUTEX = nullcontext()
 
 
 @dataclass
@@ -52,13 +50,6 @@ class TimestampStats:
     ptt_inserts: int = 0
     ptt_deletes: int = 0
     commit_revisit_pages: int = 0  # eager only: pages revisited before commit
-
-    def snapshot(self) -> "TimestampStats":
-        """An independent copy of the current counter values."""
-        return TimestampStats(
-            self.stamps, self.vtt_hits, self.ptt_lookups,
-            self.ptt_inserts, self.ptt_deletes, self.commit_revisit_pages,
-        )
 
 
 class TimestampManager:
@@ -85,18 +76,21 @@ class TimestampManager:
         # every post-restart snapshot is semantically equivalent; recovery
         # sets this fallback to the restart time.
         self.recovery_fallback: Timestamp | None = None
-        # Concurrent mode installs an RLock here, guarding every VTT/PTT
-        # mutation (begin/commit/abort transitions, stamping's decrement,
-        # GC's drop) plus resolve's VTT cache fill.  None by default: the
-        # single-threaded paths stay lock-free.
-        self.mutex = None
+        # Guards every VTT/PTT mutation (begin/commit/abort transitions,
+        # stamping's decrement, GC's drop) plus resolve's VTT cache fill;
+        # the hot methods take it by hand (``with`` costs twice as much).
+        self.mutex = threading.RLock()
         buffer.pre_flush_hooks.append(self._flush_hook)
 
     # -- stage I ---------------------------------------------------------------
 
     def on_begin(self, tid: int, *, is_snapshot: bool = False) -> None:
-        with self.mutex or _NO_MUTEX:
+        mutex = self.mutex
+        mutex.acquire()
+        try:
             self.vtt.begin(tid, is_snapshot=is_snapshot)
+        finally:
+            mutex.release()
 
     # -- stage II --------------------------------------------------------------
 
@@ -104,14 +98,12 @@ class TimestampManager:
         self, tid: int, table_id: int, page_id: int, key: bytes
     ) -> None:
         """A new version was written, marked with ``tid``."""
-        # The per-version methods (this one, resolve, stamp_version) test the
-        # mutex for ``None`` by hand; the per-transaction ones can afford the
-        # two Python calls that entering ``nullcontext`` costs.
-        if self.mutex is None:
+        mutex = self.mutex
+        mutex.acquire()
+        try:
             self.vtt.increment(tid)
-            return
-        with self.mutex:
-            self.vtt.increment(tid)
+        finally:
+            mutex.release()
 
     # -- stage III ----------------------------------------------------------------
 
@@ -126,7 +118,9 @@ class TimestampManager:
         ``persistent`` is True when the transaction updated an immortal
         table, i.e. its TID→timestamp mapping must survive a crash.
         """
-        with self.mutex or _NO_MUTEX:
+        mutex = self.mutex
+        mutex.acquire()
+        try:
             entry = self.vtt.set_committed(
                 tid, ts, self.log.end_lsn, commit_lsn=commit_lsn
             )
@@ -139,10 +133,12 @@ class TimestampManager:
                 # entry has no further use (snapshot-only transactions
                 # especially).
                 self.vtt.drop(tid)
+        finally:
+            mutex.release()
 
     def on_abort(self, tid: int) -> None:
         """Rollback removes the transaction's versions; the entry is useless."""
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             self.vtt.drop(tid)
 
     # -- stage IV -----------------------------------------------------------------
@@ -150,15 +146,14 @@ class TimestampManager:
     def resolve(self, tid: int) -> tuple[Timestamp | None, bool]:
         """TID → (timestamp, committed?).  (None, False) while still active."""
         mutex = self.mutex
-        if mutex is not None:
-            mutex.acquire()
+        mutex.acquire()
         try:
             entry = self.vtt.get(tid)
             if entry is not None:
-                if entry.sn == SN_INVALID:      # still active
+                if entry.ts is None:            # still active
                     return None, False
                 self.stats.vtt_hits += 1
-                return entry.timestamp, True
+                return entry.ts, True
             self.stats.ptt_lookups += 1
             ts = self.ptt.lookup(tid)
             if ts is None:
@@ -168,8 +163,7 @@ class TimestampManager:
             self.vtt.cache_from_ptt(tid, ts)
             return ts, True
         finally:
-            if mutex is not None:
-                mutex.release()
+            mutex.release()
 
     def resolve_with_fallback(
         self, tid: int, *, immortal: bool
@@ -214,8 +208,7 @@ class TimestampManager:
         record would survive a crash that rolls the transaction back.
         """
         mutex = self.mutex
-        if mutex is not None:
-            mutex.acquire()
+        mutex.acquire()
         try:
             tid = field_tid(version.ttime_field)
             ts, committed = self.resolve_with_fallback(tid, immortal=immortal)
@@ -237,8 +230,7 @@ class TimestampManager:
                     self.vtt.drop(tid)
             return True
         finally:
-            if mutex is not None:
-                mutex.release()
+            mutex.release()
 
     def stamp_page(self, page: DataPage, *, mark_dirty: bool = True) -> int:
         """Timestamp every committed, not-yet-stamped version in the page.
@@ -265,12 +257,13 @@ class TimestampManager:
             if latched:
                 self.buffer.unlatch(page.page_id)
         if stamped:
-            # Stamping mutates records in place, invisible to the page's
-            # attribute-level cache invalidation — always touch, even on the
-            # pre-flush path that skips mark_dirty.
-            page.touch()
+            # Stamping mutates records in place: mark_dirty invalidates the
+            # page's cached image, and the pre-flush path, which skips it,
+            # touches the page itself.
             if mark_dirty:
                 self.buffer.mark_dirty_page(page)
+            else:
+                page.touch()
         return stamped
 
     def stamp_page_for_split(self, page: DataPage) -> int:
@@ -294,7 +287,7 @@ class TimestampManager:
 
     def _committed_unstamped(self, page: DataPage) -> bool:
         """Any unstamped version whose writer has already committed?"""
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             for version in page.unstamped_versions():
                 entry = self.vtt.get(version.tid)
                 if entry is not None:
@@ -320,7 +313,7 @@ class TimestampManager:
         entries removed.
         """
         removed = 0
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             for tid, entry in self.vtt.gc_candidates():
                 if entry.done_lsn is None \
                         or redo_scan_start_lsn <= entry.done_lsn:

@@ -70,6 +70,8 @@ class PTTNodePage(Page):
         super().__init__(page_id)
         self.page_size = page_size
         self.is_leaf = is_leaf
+        # Entries (leaf) or children (internal) the node holds when full.
+        self._capacity = self.leaf_capacity if is_leaf else self.fanout
         self.next_leaf = NO_PAGE
         # Leaf payload: parallel arrays sorted by tid.
         self.tids: list[int] = []
@@ -92,9 +94,7 @@ class PTTNodePage(Page):
 
     @property
     def is_full(self) -> bool:
-        if self.is_leaf:
-            return len(self.tids) >= self.leaf_capacity
-        return len(self.children) >= self.fanout
+        return len(self.tids if self.is_leaf else self.children) >= self._capacity
 
     # -- codec -----------------------------------------------------------------
 

@@ -28,14 +28,15 @@ from repro.errors import NotYetCommittedError, UnknownTransactionError
 class VTTEntry:
     """One VTT row.
 
-    ``sn == SN_INVALID`` means the transaction is still active (stage I).
-    ``refcount is None`` means "undefined": the entry was cached from the
-    PTT after a crash or eviction, so we no longer know how many unstamped
-    versions remain and must never garbage collect its PTT entry.
+    ``ts`` is the commit timestamp, kept as the object every resolve hands
+    out; ``None`` means the transaction is still active (stage I, where the
+    paper's row has an invalid SN).  ``refcount is None`` means "undefined":
+    the entry was cached from the PTT after a crash or eviction, so we no
+    longer know how many unstamped versions remain and must never garbage
+    collect its PTT entry.
     """
 
-    ttime: int
-    sn: int = SN_INVALID
+    ts: Timestamp | None = None
     refcount: int | None = 0
     done_lsn: int | None = None     # end-of-log LSN when refcount hit zero
     is_snapshot: bool = False       # snapshot txns never get a PTT entry
@@ -45,13 +46,18 @@ class VTTEntry:
 
     @property
     def is_active(self) -> bool:
-        return self.sn == SN_INVALID
+        return self.ts is None
+
+    @property
+    def sn(self) -> int:
+        """The commit SN; ``SN_INVALID`` while the transaction is active."""
+        return SN_INVALID if self.ts is None else self.ts.sn
 
     @property
     def timestamp(self) -> Timestamp:
-        if self.is_active:
+        if self.ts is None:
             raise NotYetCommittedError("transaction has no timestamp yet")
-        return Timestamp(self.ttime, self.sn)
+        return self.ts
 
 
 class VolatileTimestampTable:
@@ -81,8 +87,7 @@ class VolatileTimestampTable:
         """Create the entry for a starting transaction (RefCount 0, SN invalid)."""
         if tid in self._entries:
             raise ValueError(f"TID {tid} already has a VTT entry")
-        entry = VTTEntry(ttime=0, sn=SN_INVALID, refcount=0,
-                         is_snapshot=is_snapshot)
+        entry = VTTEntry(refcount=0, is_snapshot=is_snapshot)
         self._entries[tid] = entry
         return entry
 
@@ -103,8 +108,7 @@ class VolatileTimestampTable:
     ) -> VTTEntry:
         """Record the commit timestamp; if nothing awaits stamping, mark done."""
         entry = self._entries.get(tid) or self.require(tid)
-        entry.ttime = ts.ttime
-        entry.sn = ts.sn
+        entry.ts = ts
         entry.commit_lsn = commit_lsn
         if entry.refcount == 0:
             entry.done_lsn = end_lsn
@@ -132,7 +136,7 @@ class VolatileTimestampTable:
 
     def cache_from_ptt(self, tid: int, ts: Timestamp) -> VTTEntry:
         """Cache a PTT entry with *undefined* RefCount (never GC-eligible)."""
-        entry = VTTEntry(ttime=ts.ttime, sn=ts.sn, refcount=None)
+        entry = VTTEntry(ts, refcount=None)
         self._entries[tid] = entry
         return entry
 
@@ -148,7 +152,7 @@ class VolatileTimestampTable:
             for tid, entry in self._entries.items()
             if entry.refcount == 0
             and entry.done_lsn is not None
-            and not entry.is_active
+            and entry.ts is not None
         ]
 
     def items(self) -> list[tuple[int, VTTEntry]]:

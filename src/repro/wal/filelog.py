@@ -43,7 +43,7 @@ from repro.errors import LogFormatError, WALError
 from repro.faults.failpoints import fire
 from repro.storage.disk import pwrite_all
 from repro.storage.framing import CHUNK_BYTES, HEADER as _FRAME, scan_chunks
-from repro.wal.log import LogManager, _NO_MUTEX
+from repro.wal.log import LogManager
 from repro.wal.records import LogRecord
 
 EXTENT_BYTES = 256 * 1024
@@ -102,7 +102,7 @@ class FileLogManager(LogManager):
         end, count = self.HEADER_BYTES, 0
         for lsn, raw in scan_chunks(self._read, end, size, _decodes):
             end, count = lsn + self.FRAME_BYTES + len(raw), count + 1
-        self._end_lsn = self._synced_lsn = self._flushed_lsn = end
+        self.end_lsn = self._synced_lsn = self.flushed_lsn = end
         self._written_lsn, self._written_records = end, count
         self._reserved = size
         if any(self._read(CHUNK_BYTES, at).strip(b"\x00")
@@ -114,7 +114,7 @@ class FileLogManager(LogManager):
         if os.path.exists(self._master_path):
             with open(self._master_path, "rb") as fh:
                 master = int.from_bytes(fh.read(8), "big")
-            if master and master < self._flushed_lsn:
+            if master and master < self.flushed_lsn:
                 self._master_checkpoint_lsn = master
 
     # -- reading -----------------------------------------------------------------
@@ -144,9 +144,9 @@ class FileLogManager(LogManager):
             self._reserved += grow
 
     def _write_out(self) -> int:
-        with self.mutex or _NO_MUTEX:
+        with self.mutex:
             unwritten = list(self._raws)
-            upto = self._end_lsn
+            upto = self.end_lsn
         if unwritten:
             crc32 = zlib.crc32
             data = b"".join(
@@ -160,7 +160,7 @@ class FileLogManager(LogManager):
             # The hand-over, only once written (a failed write leaves its
             # records for the next force): from here on the file has them.
             count = len(unwritten)
-            with self.mutex or _NO_MUTEX:
+            with self.mutex:
                 del self._lsns[:count]
                 del self._raws[:count]
                 self._written_lsn = upto
@@ -186,14 +186,14 @@ class FileLogManager(LogManager):
         # never published as durable; zero them as the in-memory suffix is
         # dropped, so the tail past the durable prefix is zeros again.
         # No write ever went past the end of log or the reserved extents.
-        written_upto = min(self._end_lsn, self._reserved)
+        written_upto = min(self.end_lsn, self._reserved)
         # Records handed over by a force that never finished are lost too.
-        lost = self._read_device(self._flushed_lsn, self._written_lsn)
+        lost = self._read_device(self.flushed_lsn, self._written_lsn)
         self._written_records -= sum(1 for _ in lost)
-        self._written_lsn = self._flushed_lsn
+        self._written_lsn = self.flushed_lsn
         super().crash()
-        if written_upto > self._flushed_lsn:
-            self._zero(self._flushed_lsn, written_upto - self._flushed_lsn)
+        if written_upto > self.flushed_lsn:
+            self._zero(self.flushed_lsn, written_upto - self.flushed_lsn)
 
     def close(self) -> None:
         """Release underlying resources (idempotent)."""

@@ -15,16 +15,14 @@ this is what makes the paper's 9.6 ms baseline).
 
 from __future__ import annotations
 
+import threading
 from bisect import bisect_left
-from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from repro.errors import WALError
 from repro.faults.failpoints import fire
 from repro.wal.records import LogRecord
-
-_NO_MUTEX = nullcontext()
 
 
 @dataclass
@@ -40,23 +38,6 @@ class LogStats:
     forced_bytes: int = 0      # bytes made durable by physical forces; each
     # force writes one contiguous (sequential) suffix, so forced_bytes /
     # forces is the average batch a group-committed force amortizes.
-
-    def snapshot(self) -> "LogStats":
-        """An independent copy of the current counter values."""
-        return LogStats(self.appends, self.bytes_appended, self.forces,
-                        self.image_records, self.image_bytes,
-                        self.forced_bytes)
-
-    def delta(self, since: "LogStats") -> "LogStats":
-        """Elementwise difference against an earlier snapshot."""
-        return LogStats(
-            self.appends - since.appends,
-            self.bytes_appended - since.bytes_appended,
-            self.forces - since.forces,
-            self.image_records - since.image_records,
-            self.image_bytes - since.image_bytes,
-            self.forced_bytes - since.forced_bytes,
-        )
 
 
 class LogManager:
@@ -78,8 +59,11 @@ class LogManager:
         self._raws: list[bytes] = []    # codec bytes of each tail record
         self._written_lsn = self.HEADER_BYTES
         self._written_records = 0       # how many records the device holds
-        self._end_lsn = self.HEADER_BYTES
-        self._flushed_lsn = self.HEADER_BYTES
+        # Read-only for everyone else: the offset just past the last
+        # appended record ("LSN of end of log"), and the end of the durable
+        # prefix.
+        self.end_lsn = self.HEADER_BYTES
+        self.flushed_lsn = self.HEADER_BYTES
         self._master_checkpoint_lsn = 0  # durable master record (tiny side write)
         self.stats = LogStats()
         # Run after every *physical* force, once flushed_lsn has advanced.
@@ -87,14 +71,14 @@ class LogManager:
         # a commit batch filling, a WAL-rule page flush, a checkpoint —
         # durably acks whatever commits it happens to cover.
         self.post_force_hooks: list[Callable[[], None]] = []
-        # Concurrent mode installs an RLock here so parallel workers can
-        # append/force safely; None (the default) keeps the single-threaded
-        # fast path free of any locking.
-        self.mutex = None
-        # Concurrent mode also installs the force-order lock: it serializes
-        # the *sync* stage of a force (the device write), which runs outside
-        # the mutex so appends continue while a force is in flight.
-        self.force_order = None
+        # Guards the tail and the LSN counters.  ``append`` takes it by
+        # hand: a ``with`` on a C lock costs twice as much.
+        self.mutex = threading.RLock()
+        # The force-order lock serializes the *sync* stage of a force (the
+        # device write), which runs outside the mutex so appends continue
+        # while a force is in flight.  Concurrent mode makes it a FIFO
+        # ReentrantLatch the interleaving harness can replay.
+        self.force_order = threading.RLock()
         self._synced_lsn = self.HEADER_BYTES   # durable, not yet published
 
     # -- appending ---------------------------------------------------------
@@ -105,14 +89,13 @@ class LogManager:
         raw = record.to_bytes()
         size = self.FRAME_BYTES + len(raw)
         stats = self.stats
-        mutex = self.mutex      # by hand: entering ``nullcontext`` is not free
-        if mutex is not None:
-            mutex.acquire()
+        mutex = self.mutex
+        mutex.acquire()
         try:
-            lsn = record.lsn = self._end_lsn
+            lsn = record.lsn = self.end_lsn
             self._lsns.append(lsn)
             self._raws.append(raw)
-            self._end_lsn = lsn + size
+            self.end_lsn = lsn + size
             stats.appends += 1
             stats.bytes_appended += size
             if record.CARRIES_IMAGES:
@@ -120,13 +103,7 @@ class LogManager:
                 stats.image_bytes += size
             return lsn
         finally:
-            if mutex is not None:
-                mutex.release()
-
-    @property
-    def end_lsn(self) -> int:
-        """Offset just past the last appended record ("LSN of end of log")."""
-        return self._end_lsn
+            mutex.release()
 
     @property
     def next_lsn(self) -> int:
@@ -136,11 +113,7 @@ class LogManager:
         images they are about to log (the images must carry the SMO's own
         LSN so redo's page-LSN guard works).
         """
-        return self._end_lsn
-
-    @property
-    def flushed_lsn(self) -> int:
-        return self._flushed_lsn
+        return self.end_lsn
 
     # -- durability ---------------------------------------------------------
 
@@ -162,15 +135,15 @@ class LogManager:
         back for *finish* — ``db.flush_commits()`` does, so no other
         thread's statement waits behind its ``fsync``.
         """
-        with self.mutex or _NO_MUTEX:                       # begin
-            target = self._end_lsn if upto_lsn is None \
-                else min(upto_lsn + 1, self._end_lsn)
-            if target <= self._flushed_lsn:
+        with self.mutex:                                    # begin
+            target = self.end_lsn if upto_lsn is None \
+                else min(upto_lsn + 1, self.end_lsn)
+            if target <= self.flushed_lsn:
                 return
         if unlatch is not None:
             unlatch.release()
         try:
-            with self.force_order or _NO_MUTEX:             # sync
+            with self.force_order:                          # sync
                 # A concurrent force may have synced past the target
                 # already; then only its finish can still be pending.
                 if target > self._synced_lsn:
@@ -182,9 +155,9 @@ class LogManager:
         finally:
             if unlatch is not None:
                 unlatch.acquire()
-        with self.mutex or _NO_MUTEX:                       # finish
-            if self._synced_lsn > self._flushed_lsn:
-                self._flushed_lsn = self._synced_lsn
+        with self.mutex:                                    # finish
+            if self._synced_lsn > self.flushed_lsn:
+                self.flushed_lsn = self._synced_lsn
                 for hook in self.post_force_hooks:
                     hook()
 
@@ -194,13 +167,13 @@ class LogManager:
         The in-memory log has no device; the file-backed subclass writes
         and fsyncs here.  Called with the force-order lock held.
         """
-        return self._end_lsn
+        return self.end_lsn
 
     # -- master record ---------------------------------------------------------
 
     def set_master_checkpoint(self, lsn: int) -> None:
         """Record the last complete checkpoint's LSN (durable master record)."""
-        if lsn >= self._flushed_lsn:
+        if lsn >= self.flushed_lsn:
             raise WALError("checkpoint LSN must be durable before the master record")
         self._master_checkpoint_lsn = lsn
 
@@ -212,7 +185,7 @@ class LogManager:
 
     def records_from(self, lsn: int = 0) -> Iterator[LogRecord]:
         """Decode and yield records with LSN >= ``lsn`` (durable or not)."""
-        for at, raw in self._frames(lsn, self._end_lsn):
+        for at, raw in self._frames(lsn, self.end_lsn):
             record = LogRecord.decode(raw)
             record.lsn = at
             yield record
@@ -227,7 +200,7 @@ class LogManager:
         tap: the media-recovery archive copies exactly these frames after
         each physical force.
         """
-        for lsn, raw in self._frames(after_lsn, self._flushed_lsn):
+        for lsn, raw in self._frames(after_lsn, self.flushed_lsn):
             if lsn > after_lsn:
                 yield lsn, raw
 
@@ -245,7 +218,7 @@ class LogManager:
         device read in case a force (redo's evictions force) handed it over."""
         lsn = max(lsn, self.HEADER_BYTES)
         while True:
-            with self.mutex or _NO_MUTEX:
+            with self.mutex:
                 written = self._written_lsn
                 i, j = bisect_left(self._lsns, lsn), bisect_left(self._lsns, end)
                 lsns, raws = self._lsns[i:j], self._raws[i:j]
@@ -262,10 +235,10 @@ class LogManager:
 
     def crash(self) -> None:
         """Discard the non-durable suffix, as a power failure would."""
-        keep = bisect_left(self._lsns, self._flushed_lsn)
+        keep = bisect_left(self._lsns, self.flushed_lsn)
         del self._lsns[keep:]
         del self._raws[keep:]
-        self._end_lsn = self._synced_lsn = self._flushed_lsn
+        self.end_lsn = self._synced_lsn = self.flushed_lsn
 
     def __len__(self) -> int:
         return self._written_records + len(self._lsns)

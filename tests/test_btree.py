@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -346,6 +348,41 @@ class TestIndexNodeCodec:
             node.post(len(node.seps), b"s" * 40, 7)
         with pytest.raises(PageFormatError):
             node.to_bytes()
+
+
+class TestRangeWalkStart:
+    """``leaves_with_bounds(start)`` begins at the child the separators
+    name; it must yield exactly the full walk's leaves whose range reaches
+    past ``start``, in the same order and with the same bounds."""
+
+    @staticmethod
+    def three_level_tree() -> Env:
+        # 120-byte keys and 1.5 KB values: about five records a leaf and
+        # sixty separators an index node, so a few hundred keys are enough
+        # for a root over index nodes over leaves.
+        env = Env(capacity=1024)
+        rng = random.Random(27)
+        for n in rng.sample(range(100_000), 900):
+            env.insert(b"%0120d" % n, b"x" * 1500)
+        root = env.buffer.get_page(env.btree.root_pid)
+        assert isinstance(env.buffer.get_page(root.children[0]), BTreeIndexPage)
+        return env
+
+    def test_start_key_walk_is_the_full_walk_filtered(self):
+        env = self.three_level_tree()
+        full = [(leaf.page_id, low, high)
+                for leaf, low, high in env.btree.leaves_with_bounds()]
+        seps = sorted({low for _, low, _ in full} | {b""})
+        rng = random.Random(5)
+        starts = [b"", b"\xff" * 4] + seps[:: max(1, len(seps) // 20)] + [
+            b"%0120d" % rng.randrange(100_000) for _ in range(60)
+        ] + [b"%06d" % rng.randrange(1_000_000) for _ in range(20)]
+        for start in starts:
+            got = [(leaf.page_id, low, high)
+                   for leaf, low, high in env.btree.leaves_with_bounds(start)]
+            want = [entry for entry in full
+                    if entry[2] is None or entry[2] > start]
+            assert got == want, start
 
 
 class TestPropertyBased:

