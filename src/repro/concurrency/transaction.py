@@ -133,8 +133,9 @@ class TransactionManager:
         # prefix (in practice: all) of these durable; the post-force hook
         # then delivers their durable acknowledgements in order.
         self._pending_commits: deque[tuple[Transaction, int]] = deque()
-        # Called once per transaction when its commit becomes durable (test
-        # oracles hook this to learn the exact durable-ack instant).
+        # Called once per transaction when its commit becomes durable: after
+        # a forced commit's force, or by the force that covers a batched one
+        # (test oracles hook this to learn the exact durable-ack instant).
         self.durable_commit_hook: Callable[[Transaction], None] | None = None
         log.post_force_hooks.append(self._on_log_force)
 
@@ -246,6 +247,8 @@ class TransactionManager:
         """
         fire("txn.commit.force")      # commit record appended, not yet durable
         self.log.force(commit_lsn)
+        if self.durable_commit_hook is not None:
+            self.durable_commit_hook(txn)
         fire("txn.commit.stamp")      # durable, VTT/PTT transition still pending
         self.tsmgr.on_commit(
             txn.tid, ts, commit_lsn, persistent=txn.touched_immortal

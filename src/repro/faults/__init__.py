@@ -13,7 +13,8 @@ Three layers (see DESIGN.md, "Fault injection"):
 * :mod:`repro.faults.crashtest` — the crash-point exploration harness: run
   a seeded workload once to enumerate every failpoint crossing, then crash
   at each crossing in turn, recover, and check integrity plus as-of
-  equivalence against a pure-Python shadow oracle.
+  equivalence against :mod:`repro.faults.oracle`, a model keyed by commit
+  timestamp.
 
 This ``__init__`` deliberately imports only the failpoint layer: the storage
 and WAL modules call :func:`repro.faults.failpoints.fire` on their hot

@@ -6,7 +6,8 @@ batching of the durability forces.  :class:`InterleaveScheduler` runs a
 small cast of transaction scripts one-at-a-time under a seeded scheduler,
 so a specific interleaving — a write-write conflict, a deadlock cycle —
 replays exactly.  :mod:`repro.workers.sweep` drives many seeded schedules
-and checks every outcome against a single-threaded shadow oracle.
+and checks every outcome against the crash explorer's timestamp-keyed
+oracle.
 """
 
 from repro.workers.interleave import InterleaveScheduler, ScriptContext

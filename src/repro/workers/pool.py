@@ -310,9 +310,8 @@ class WorkerPool:
             future.result_value = result
             future.commit_ts = ts
             future.tid = txn.tid
-            if ts is None or self.db.txn_mgr.group_commit_window == 1:
-                # Read-only transactions have nothing awaiting durability,
-                # and without group commit the commit itself forced the log.
+            if ts is None:
+                # A read-only transaction has nothing awaiting durability.
                 with self._mu:
                     self._awaiting_ack.pop(txn.tid, None)
                 future._durable.set()

@@ -1,15 +1,15 @@
-"""Seeded interleaving sweep: many schedules, one shadow oracle.
+"""Seeded interleaving sweep: many schedules, one timestamp-keyed oracle.
 
 Each seed builds a fresh in-memory engine, spawns a small cast of
 transaction scripts under the deterministic
 :class:`~repro.workers.interleave.InterleaveScheduler` (preempting at
-failpoint crossings with the scheduler's seeded RNG), then replays every
-*committed* transaction single-threaded through a shadow oracle and
-checks:
+failpoint crossings with the scheduler's seeded RNG), then feeds every
+*committed* transaction into the crash explorer's oracle
+(:mod:`repro.faults.oracle`) and checks:
 
 * **Serialization = timestamp order**: for every commit timestamp, the
-  engine's ``read_as_of`` answers equal the oracle state built by
-  applying commits in timestamp order.
+  engine's ``read_as_of`` answers equal the oracle's ``as_of``, the fold
+  of the commits in timestamp order.
 * **No lost updates**: counter keys are only modified by read-modify-write
   increments, so the final counter total must equal the number of
   committed increments.
@@ -40,6 +40,7 @@ from repro.core.integrity import page_accounting, verify_integrity
 from repro.core.rowcodec import ColumnType
 from repro.errors import ConcurrencyError, DeadlockError
 from repro.faults.failpoints import FailpointRegistry, installed
+from repro.faults.oracle import Oracle
 from repro.workers.interleave import InterleaveScheduler
 
 #: Keys 0..N-1 are counters (RMW increments only); the rest take blind puts.
@@ -176,22 +177,26 @@ def run_one(
     if forced and stats["deadlocks_detected"] < 1:
         violations.append("forced deadlock was not detected")
 
-    # -- shadow oracle: apply commits in timestamp order ---------------------
-    commits = sorted(record["commits"], key=lambda item: item[0])
-    timestamps = [ts for ts, _ in commits]
+    # -- the oracle: as-of answers at every commit (every key starts at 0) ---
+    timestamps = [ts for ts, _ in record["commits"]]
     if len(set(timestamps)) != len(timestamps):
         violations.append("duplicate commit timestamps")
-    state = {k: 0 for k in range(N_KEYS)}
-    for ts, writes in commits:
-        state.update(writes)
-        for k in range(N_KEYS):
-            row = table.read_as_of(ts, k)
-            got = row["v"] if row is not None else None
-            if got != state[k]:
-                violations.append(
-                    f"as-of mismatch at ts={ts} key={k}: "
-                    f"engine={got} oracle={state[k]}"
-                )
+    else:
+        oracle = Oracle()
+        for ts, writes in record["commits"]:
+            oracle.begin(writes)
+            oracle.durable(ts)      # a forced commit is durable before it returns
+            oracle.committed(ts)
+        for ts in timestamps:
+            expected = oracle.as_of(ts)
+            for k in range(N_KEYS):
+                row = table.read_as_of(ts, k)
+                got = row["v"] if row is not None else None
+                if got != expected.get(k, 0):
+                    violations.append(
+                        f"as-of mismatch at ts={ts} key={k}: "
+                        f"engine={got} oracle={expected.get(k, 0)}"
+                    )
 
     # -- lost updates: counter totals must equal committed increments --------
     with db.transaction() as txn:
@@ -211,7 +216,7 @@ def run_one(
     return {
         "seed": seed,
         "forced_deadlock": forced,
-        "commits": len(commits),
+        "commits": len(record["commits"]),
         "deadlock_aborts": record["deadlock_aborts"],
         "other_aborts": record["aborts"],
         "deadlocks_detected": stats["deadlocks_detected"],
@@ -222,7 +227,7 @@ def run_one(
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="seeded interleaving sweep with shadow-oracle checks"
+        description="seeded interleaving sweep with as-of oracle checks"
     )
     parser.add_argument("--seeds", type=int, default=100)
     parser.add_argument("--start", type=int, default=0)

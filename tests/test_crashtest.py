@@ -17,11 +17,11 @@ import tempfile
 
 import pytest
 
-from repro import PROFILES
+from repro import PROFILES, Timestamp
+from repro.concurrency.transaction import TransactionManager
 from repro.faults import crashtest
 from repro.faults.crashtest import (
     CrashTestConfig,
-    ShadowOracle,
     _sample,
     build,
     enumerate_crossings,
@@ -30,6 +30,7 @@ from repro.faults.crashtest import (
     replay,
     run_workload,
 )
+from repro.faults.oracle import Oracle
 
 # Small but seam-complete: enough transactions for several checkpoints and
 # marks, a tight buffer for evictions, fat values for page pressure.
@@ -39,38 +40,147 @@ SMALL = CrashTestConfig(
 )
 
 
-class TestShadowOracle:
-    def test_commit_applies_pending(self):
-        oracle = ShadowOracle()
+def T(n: int) -> Timestamp:
+    return Timestamp(n, 0)
+
+
+def _commit(oracle: Oracle, ts, mutation, *, engine=0, acked=True) -> None:
+    """The driver commits ``mutation``; a forced commit acks inside the call."""
+    oracle.begin(mutation)
+    if acked:
+        oracle.durable(ts)
+    oracle.committed(ts, engine)
+
+
+class TestOracle:
+    def test_the_in_flight_mutation_is_acked_by_its_hook(self):
+        oracle = Oracle()
         oracle.begin({1: "a"})
         assert oracle.acceptable_states() == [{}, {1: "a"}]
-        oracle.commit_observed()
+        oracle.durable(T(1))        # inside the commit call
         assert oracle.acceptable_states() == [{1: "a"}]
+        oracle.committed(T(1))
+        assert oracle.acceptable_states() == [{1: "a"}]
+        assert oracle.in_flight is None
 
     def test_delete_mutation(self):
-        oracle = ShadowOracle()
-        oracle.begin({1: "a"})
-        oracle.commit_observed()
+        oracle = Oracle()
+        _commit(oracle, T(1), {1: "a"})
         oracle.begin({1: None})
         assert oracle.acceptable_states() == [{1: "a"}, {}]
-        oracle.commit_observed()
-        assert oracle.committed == {}
+        oracle.durable(T(2))
+        oracle.committed(T(2))
+        assert oracle.current() == {} and oracle.as_of(T(1)) == {1: "a"}
 
-    def test_noop_pending_collapses_acceptable_states(self):
-        oracle = ShadowOracle()
-        oracle.begin({1: "a"})
-        oracle.commit_observed()
+    def test_noop_in_flight_collapses_acceptable_states(self):
+        oracle = Oracle()
+        _commit(oracle, T(1), {1: "a"})
         oracle.begin({1: "a"})   # overwrite with the identical value
         assert oracle.acceptable_states() == [{1: "a"}]
 
-    def test_marks_snapshot_committed_state(self):
-        oracle = ShadowOracle()
-        oracle.begin({1: "a"})
-        oracle.commit_observed()
-        oracle.mark("t1")
+    def test_a_mark_is_answered_by_as_of(self):
+        oracle = Oracle()
+        _commit(oracle, T(1), {1: "a", 2: "x"})
+        oracle.marks.append(T(2))
+        _commit(oracle, T(3), {1: "b", 2: None})
+        assert oracle.marks == [T(2)]
+        assert oracle.as_of(T(0)) == {}
+        assert oracle.as_of(T(1)) == oracle.as_of(T(2)) == {1: "a", 2: "x"}
+        assert oracle.as_of(T(3)) == {1: "b"}
+
+    def test_as_of_leaves_out_unacked_commits(self):
+        oracle = Oracle()
+        _commit(oracle, T(1), {1: "a"})
+        _commit(oracle, T(2), {1: "b"}, acked=False)
+        assert oracle.as_of(T(2)) == {1: "a"}
+        assert oracle.current() == {1: "b"}
+        oracle.durable(T(2))
+        assert oracle.as_of(T(2)) == {1: "b"}
+
+    def test_acks_out_of_enqueue_order(self):
+        oracle = Oracle()
+        _commit(oracle, T(1), {1: "a"}, engine=0, acked=False)
+        _commit(oracle, T(2), {9: "b"}, engine=1, acked=False)
+        assert len(oracle.acceptable_states()) == 4
+        oracle.durable(T(2))
+        assert oracle.acceptable_states() == [{9: "b"}, {1: "a", 9: "b"}]
+        oracle.durable(T(1))
+        assert oracle.acceptable_states() == [{1: "a", 9: "b"}]
+
+    def test_a_2pc_pair_is_acked_through_its_participants_hooks(self):
+        oracle = Oracle()
+        oracle.begin({1: "a", 9: "b"})
+        assert oracle.acceptable_states() == [{}, {1: "a", 9: "b"}]
+        oracle.durable(T(5))        # the first participant's forced commit
+        oracle.durable(T(5))        # the second's: the same timestamp
+        assert oracle.acceptable_states() == [{1: "a", 9: "b"}]
+        oracle.committed(T(5))
+        assert not oracle.volatile and oracle.in_flight is None
+
+    def test_a_half_applied_pair_is_rejected(self):
+        oracle = Oracle()
+        oracle.begin({1: "a", 9: "b"})
+        for half in ({1: "a"}, {9: "b"}):
+            assert half not in oracle.acceptable_states()
+
+    def test_unacked_commits_survive_as_a_prefix_per_engine(self):
+        # Engine A loses its earlier commit, engine B keeps its later one.
+        oracle = Oracle()
+        _commit(oracle, T(1), {1: "a"}, engine=0, acked=False)
+        _commit(oracle, T(2), {9: "b"}, engine=1, acked=False)
+        assert {9: "b"} in oracle.acceptable_states()
+        # On one engine the later commit cannot outlive the earlier one.
+        oracle = Oracle()
+        _commit(oracle, T(1), {1: "a"}, acked=False)
+        _commit(oracle, T(2), {9: "b"}, acked=False)
+        assert oracle.acceptable_states() == [{}, {1: "a"}, {1: "a", 9: "b"}]
+
+    def test_the_in_flight_mutation_applies_last(self):
+        oracle = Oracle()
+        _commit(oracle, T(1), {1: "a"}, acked=False)
         oracle.begin({1: "b"})
-        oracle.commit_observed()
-        assert oracle.marks == [("t1", {1: "a"})]
+        assert oracle.acceptable_states() == [{}, {1: "b"}, {1: "a"}]
+
+    def test_an_ack_without_a_hook_is_a_finding(self):
+        oracle = Oracle()
+        oracle.begin({1: "a"})
+        with pytest.raises(AssertionError, match="before it was durable"):
+            oracle.committed()      # the service said ok; no hook fired
+
+    def test_a_hook_no_mutation_can_own_is_a_finding(self):
+        oracle = Oracle()
+        with pytest.raises(AssertionError, match="no mutation can own"):
+            oracle.durable(T(1))
+        oracle.begin({1: "a"})
+        oracle.durable(T(1))
+        with pytest.raises(AssertionError, match="no mutation can own"):
+            oracle.durable(T(2))    # one mutation, two commits
+
+    def test_commits_fed_out_of_order_fold_in_timestamp_order(self):
+        oracle = Oracle()
+        _commit(oracle, T(2), {1: "late"})
+        _commit(oracle, T(1), {1: "early"})
+        assert oracle.as_of(T(1)) == {1: "early"}
+        assert oracle.current() == {1: "late"}
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_an_ack_before_the_force_fails_the_sweep(self, monkeypatch, shards):
+        """Non-vacuity: fire the hook at enqueue, before the group force,
+        and the crashes that lose the batch must be findings."""
+        grouped = TransactionManager._commit_grouped
+
+        def ack_early(self, txn, ts, commit_lsn):
+            self.durable_commit_hook(txn)
+            return grouped(self, txn, ts, commit_lsn)
+
+        monkeypatch.setattr(TransactionManager, "_commit_grouped", ack_early)
+        config = dataclasses.replace(
+            SMALL, profile="tuned", shards=shards, value_pad=300
+        )
+        result = explore(config, max_points=120)
+        assert len(result.failures) >= 10
+        assert any("current-state divergence" in r.problems[0]
+                   for r in result.failures)
 
 
 class TestEnumeration:
@@ -85,9 +195,9 @@ class TestEnumeration:
                 seed=seed, transactions=18, keys=8, checkpoint_every=5,
                 mark_every=3, buffer_pages=6, value_pad=500,
             )
-            oracle = ShadowOracle()
+            oracle = Oracle()
             run_workload(build(config), config, oracle)
-            return oracle.committed
+            return oracle.current()
 
         assert final_state(0) != final_state(1)
 
@@ -103,6 +213,7 @@ class TestSample:
     def test_all_points_when_under_budget(self):
         assert _sample(5, 10) == [0, 1, 2, 3, 4]
         assert _sample(5, 0) == [0, 1, 2, 3, 4]
+        assert _sample(100, 1) == [0]
 
     def test_even_spread_includes_endpoints(self):
         picked = _sample(100, 10)
@@ -205,7 +316,7 @@ class TestBatchedFlushCrossings:
         # The second config is there for the write-backs chosen *around*
         # uncovered frames: without a pass-over it tests nothing new.
         rig = build(self.PRESSED)
-        run_workload(rig, self.PRESSED, ShadowOracle())
+        run_workload(rig, self.PRESSED, Oracle())
         stats = rig.db.buffer.stats
         assert stats.dirty_evictions > 0
         assert stats.evict_uncovered_skips > 0

@@ -22,8 +22,10 @@ import threading
 import pytest
 
 from repro import ColumnType, ImmortalDB
+from repro.cluster import ShardRouter
 from repro.faults.crashtest import CrashTestConfig, enumerate_crossings, explore
 from repro.faults.failpoints import FailpointRegistry, SimulatedCrash, installed
+from repro.workers.pool import WorkerPool
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.TEXT)]
 
@@ -131,6 +133,45 @@ class TestBatching:
             tids.append(txn.tid)
             db.commit(txn)
         assert acked == tids
+
+    def test_window_one_acks_every_commit_once_after_its_force(self):
+        db = make_db(1)
+        table = make_table(db)
+        acked: list[tuple[int, bool]] = []
+        db.txn_mgr.durable_commit_hook = lambda txn: acked.append(
+            (txn.tid, db.log.flushed_lsn == db.log.end_lsn)
+        )
+        tids = []
+        for k in range(3):
+            txn = db.begin()
+            table.insert(txn, {"k": k, "v": "x"})
+            tids.append(txn.tid)
+            db.commit(txn)
+        assert acked == [(tid, True) for tid in tids]
+
+    @pytest.mark.parametrize("window", [1, 8])
+    def test_each_2pc_participant_acks_its_commit_once(self, window):
+        router = ShardRouter.for_int_keys(
+            2, key_space=100, group_commit_window=window
+        )
+        table = router.create_table("t", COLS, key="k", immortal=True)
+        acked: list[list] = [[] for _ in router.shards]
+        for shard, seen in zip(router.shards, acked):
+            shard.db.txn_mgr.durable_commit_hook = \
+                lambda txn, seen=seen: seen.append(txn.commit_ts)
+        txn = router.begin()
+        table.insert(txn, {"k": 10, "v": "a"})
+        table.insert(txn, {"k": 60, "v": "b"})
+        ts = router.commit(txn)
+        assert acked == [[ts], [ts]]
+
+    def test_a_pool_future_is_durable_at_window_one(self):
+        db = make_db(1)
+        table = make_table(db)
+        with WorkerPool(db, n_workers=1) as pool:
+            future = pool.submit(lambda txn: table.insert(txn, {"k": 1, "v": "a"}))
+            future.result(10.0)
+            assert future.durable
 
     def test_locks_release_at_enqueue(self):
         """Early lock release: a later txn can touch the key before the

@@ -8,6 +8,8 @@ runs, on a small workload so the suite stays fast.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import ShardRouter
@@ -15,7 +17,6 @@ from repro.core.integrity import verify_integrity
 from repro.errors import ImmortalDBError, InDoubtError
 from repro.faults.crashtest import (
     CrashTestConfig,
-    ShadowOracle,
     build,
     enumerate_crossings,
     explore,
@@ -23,6 +24,7 @@ from repro.faults.crashtest import (
     replay,
     run_workload,
 )
+from repro.faults.oracle import Oracle
 from repro.faults.failpoints import (
     FailpointRegistry,
     SimulatedCrash,
@@ -132,36 +134,55 @@ class TestShardWorkload:
         assert any(n.startswith("cluster.2pc.") for n in first)
         assert any(n.startswith("cluster.router.fastpath") for n in first)
 
-    def test_uncrashed_workload_matches_oracle(self):
-        rig = build(SMALL)
+    @pytest.mark.parametrize("profile", ["paper", "tuned"])
+    def test_uncrashed_workload_matches_oracle(self, profile):
+        config = dataclasses.replace(SMALL, profile=profile)
+        rig = build(config)
         router, table = rig.db, rig.table
-        oracle = ShadowOracle()
-        run_workload(rig, SMALL, oracle)
+        oracle = Oracle()
+        run_workload(rig, config, oracle)
         with router.transaction() as txn:
             got = {r["k"]: r["v"] for r in table.scan(txn)}
-        assert got == oracle.committed
-        for ts, snapshot in oracle.marks:
+        assert got == oracle.current()
+        for mark in oracle.marks:
             assert {
-                r["k"]: r["v"] for r in table.scan_as_of(ts)
-            } == snapshot
+                r["k"]: r["v"] for r in table.scan_as_of(mark)
+            } == oracle.as_of(mark)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("shards", [2, 4])
+    def test_tuned_shards_run_undisturbed(self, shards, seed):
+        """Each used to stop at a mid-workload as-of divergence: the old
+        oracle matched one engine's acks to commits in FIFO order, and a
+        2PC participant's forced commit fired no ack at all."""
+        config = dataclasses.replace(
+            SMALL, profile="tuned", seed=seed, shards=shards,
+            keys=max(8, 4 * shards),
+        )
+        assert len(enumerate_crossings(config)) > 0
 
     def test_cross_shard_mutations_actually_ran_2pc(self):
         rig = build(SMALL)
-        run_workload(rig, SMALL, ShadowOracle())
+        run_workload(rig, SMALL, Oracle())
         router = rig.db
         assert router.twopc_commits > 0
         assert router.fastpath_commits > 0
 
 
 class TestShardExploration:
-    def test_sampled_exploration_is_clean(self):
-        result = explore(SMALL, max_points=12)
+    @pytest.mark.parametrize("profile", ["paper", "tuned"])
+    def test_sampled_exploration_is_clean(self, profile):
+        result = explore(
+            dataclasses.replace(SMALL, profile=profile), max_points=12
+        )
         assert result.total_crossings > 0
         assert len(result.explored) == 12
         assert result.ok, [f.problems for f in result.failures]
 
-    def test_every_cluster_crossing_is_clean(self):
-        names = enumerate_crossings(SMALL)
+    @pytest.mark.parametrize("profile", ["paper", "tuned"])
+    def test_every_cluster_crossing_is_clean(self, profile):
+        config = dataclasses.replace(SMALL, profile=profile)
+        names = enumerate_crossings(config)
         targets = [
             i for i, n in enumerate(names) if n.startswith("cluster.")
         ]
@@ -172,7 +193,7 @@ class TestShardExploration:
             names[i].startswith("cluster.router.") for i in targets
         ), "workload never crossed the router seam"
         for crossing in targets:
-            report = replay(SMALL, crossing)
+            report = replay(config, crossing)
             assert report.ok, (
                 f"crossing {crossing} ({report.name}): {report.problems}"
             )
