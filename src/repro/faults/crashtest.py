@@ -253,7 +253,8 @@ def run_workload(rig: Rig, config: CrashTestConfig, oracle: Oracle) -> None:
             while db.route(partner) is db.route(key):
                 partner = (partner + 1) % config.keys
             mutation[partner] = _draw_value(rng, config, i, False, tag="p")
-        oracle.begin(mutation)
+        engines = {db.route(k).shard_id for k in mutation} if config.shards else {0}
+        oracle.begin(mutation, tuple(engines))
         txn = db.begin()
         for k, value in mutation.items():
             if value is None:
@@ -263,7 +264,7 @@ def run_workload(rig: Rig, config: CrashTestConfig, oracle: Oracle) -> None:
             else:
                 table.insert(txn, {"k": k, "v": value})
         ts = db.commit(txn)
-        oracle.committed(ts, db.route(key).shard_id if config.shards else 0)
+        oracle.committed(ts)
         if i % config.mark_every == config.mark_every - 1:
             # Ack every commit so far: a mark is answered by acked commits.
             db.flush_commits()

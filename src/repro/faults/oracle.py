@@ -7,7 +7,8 @@ timestamp a commit call returned, an engine's ``durable_commit_hook``), it
 keeps two rules (DESIGN.md, "Crash-point exploration"): a commit is acked
 when the hook fires for its timestamp, and a crash keeps every acked
 commit plus, per engine, a timestamp-order prefix of the un-acked ones,
-each mutation whole; the in-flight one may land last.
+each mutation whole; the in-flight one may land last, where its engines
+keep all their un-acked commits.
 """
 
 from __future__ import annotations
@@ -21,21 +22,20 @@ class Oracle:
         self.volatile: dict = {}    # unacked commit ts -> its engine
         self.marks: list = []       # as-of probe timestamps
         self.in_flight: dict | None = None  # begun; its commit call is out
+        self._engines: tuple = (0,)  # the engines the in-flight one commits on
         self._claimed = None        # the ts a hook gave the in-flight mutation
 
-    def begin(self, mutation: dict) -> None:
-        self.in_flight, self._claimed = mutation, None
+    def begin(self, mutation: dict, engines: tuple = (0,)) -> None:
+        self.in_flight, self._engines, self._claimed = mutation, engines, None
 
-    def committed(self, ts=None, engine: int = 0) -> None:
-        """The in-flight commit call returned ``ts`` from ``engine`` (``None``:
-        the driver saw no timestamp, so a hook must have acked it already)."""
+    def committed(self, ts=None) -> None:
+        """The in-flight commit call returned ``ts`` (``None``: none seen).  A
+        hook must have acked it unless ``ts`` came back from a single engine."""
         if self._claimed is None:
-            if ts is None:
+            if ts is None or len(self._engines) > 1:
                 raise AssertionError(f"{self.in_flight!r} acked before it was durable")
-            if ts in self.commits:
-                raise AssertionError(f"two commits returned timestamp {ts}")
             self._record(ts, self.in_flight)
-            self.volatile[ts] = engine
+            self.volatile[ts] = self._engines[0]
         elif ts not in (None, self._claimed):
             raise AssertionError(f"commit returned {ts}, acked as {self._claimed}")
         self.in_flight = self._claimed = None
@@ -53,10 +53,8 @@ class Oracle:
             raise AssertionError(f"durable ack for {ts}, which no mutation can own")
 
     def _record(self, ts, mutation: dict) -> None:
-        late = self.commits and ts < next(reversed(self.commits))
+        assert not self.commits or ts > next(reversed(self.commits)), ts
         self.commits[ts] = mutation
-        if late:
-            self.commits = dict(sorted(self.commits.items()))
 
     @staticmethod
     def _fold(mutations) -> dict:
@@ -80,13 +78,16 @@ class Oracle:
         lanes: dict = {}
         for ts, engine in sorted(self.volatile.items()):
             lanes.setdefault(engine, []).append(ts)
+        # The in-flight commit record follows its engines' un-acked ones.
+        ahead = {ts for ts, engine in self.volatile.items() if engine in self._engines}
         unacked = self.in_flight is not None and self._claimed is None
-        extra = [self.in_flight] if unacked else []
         states: list[dict] = []
         for cut in product(*(range(len(lane) + 1) for lane in lanes.values())):
             lost = {ts for lane, n in zip(lanes.values(), cut) for ts in lane[n:]}
             kept = [m for ts, m in self.commits.items() if ts not in lost]
-            for state in (self._fold(kept), self._fold(kept + extra)):
+            tails = [[], [self.in_flight]] if unacked and not lost & ahead else [[]]
+            for tail in tails:
+                state = self._fold(kept + tail)
                 if state not in states:
                     states.append(state)
         return states

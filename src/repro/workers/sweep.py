@@ -178,25 +178,25 @@ def run_one(
         violations.append("forced deadlock was not detected")
 
     # -- the oracle: as-of answers at every commit (every key starts at 0) ---
-    timestamps = [ts for ts, _ in record["commits"]]
-    if len(set(timestamps)) != len(timestamps):
+    commits: dict = {}
+    for ts, writes in sorted(record["commits"], key=lambda item: item[0]):
+        commits.setdefault(ts, {}).update(writes)   # a shared ts folds as one
+    if len(commits) != len(record["commits"]):
         violations.append("duplicate commit timestamps")
-    else:
-        oracle = Oracle()
-        for ts, writes in record["commits"]:
-            oracle.begin(writes)
-            oracle.durable(ts)      # a forced commit is durable before it returns
-            oracle.committed(ts)
-        for ts in timestamps:
-            expected = oracle.as_of(ts)
-            for k in range(N_KEYS):
-                row = table.read_as_of(ts, k)
-                got = row["v"] if row is not None else None
-                if got != expected.get(k, 0):
-                    violations.append(
-                        f"as-of mismatch at ts={ts} key={k}: "
-                        f"engine={got} oracle={expected.get(k, 0)}"
-                    )
+    oracle = Oracle()
+    for ts, writes in commits.items():
+        oracle.begin(writes)
+        oracle.durable(ts)      # a forced commit is durable before it returns
+        oracle.committed(ts)
+        expected = oracle.as_of(ts)     # no later commit can change it
+        for k in range(N_KEYS):
+            row = table.read_as_of(ts, k)
+            got = row["v"] if row is not None else None
+            if got != expected.get(k, 0):
+                violations.append(
+                    f"as-of mismatch at ts={ts} key={k}: "
+                    f"engine={got} oracle={expected.get(k, 0)}"
+                )
 
     # -- lost updates: counter totals must equal committed increments --------
     with db.transaction() as txn:

@@ -46,10 +46,10 @@ def T(n: int) -> Timestamp:
 
 def _commit(oracle: Oracle, ts, mutation, *, engine=0, acked=True) -> None:
     """The driver commits ``mutation``; a forced commit acks inside the call."""
-    oracle.begin(mutation)
+    oracle.begin(mutation, (engine,))
     if acked:
         oracle.durable(ts)
-    oracle.committed(ts, engine)
+    oracle.committed(ts)
 
 
 class TestOracle:
@@ -109,7 +109,7 @@ class TestOracle:
 
     def test_a_2pc_pair_is_acked_through_its_participants_hooks(self):
         oracle = Oracle()
-        oracle.begin({1: "a", 9: "b"})
+        oracle.begin({1: "a", 9: "b"}, (0, 1))
         assert oracle.acceptable_states() == [{}, {1: "a", 9: "b"}]
         oracle.durable(T(5))        # the first participant's forced commit
         oracle.durable(T(5))        # the second's: the same timestamp
@@ -119,7 +119,7 @@ class TestOracle:
 
     def test_a_half_applied_pair_is_rejected(self):
         oracle = Oracle()
-        oracle.begin({1: "a", 9: "b"})
+        oracle.begin({1: "a", 9: "b"}, (0, 1))
         for half in ({1: "a"}, {9: "b"}):
             assert half not in oracle.acceptable_states()
 
@@ -139,13 +139,30 @@ class TestOracle:
         oracle = Oracle()
         _commit(oracle, T(1), {1: "a"}, acked=False)
         oracle.begin({1: "b"})
-        assert oracle.acceptable_states() == [{}, {1: "b"}, {1: "a"}]
+        assert oracle.acceptable_states() == [{}, {1: "a"}, {1: "b"}]
+
+    def test_the_in_flight_mutation_lands_only_behind_its_engines_commits(self):
+        # Its commit record follows engine 0's un-acked one in that log.
+        oracle = Oracle()
+        _commit(oracle, T(1), {1: "a"}, engine=0, acked=False)
+        oracle.begin({2: "b"}, (0,))
+        assert {2: "b"} not in oracle.acceptable_states()
+        assert {1: "a", 2: "b"} in oracle.acceptable_states()
+        # On another engine it may outlive the lost commit.
+        oracle.begin({2: "b"}, (1,))
+        assert {2: "b"} in oracle.acceptable_states()
+        # A 2PC pair needs every participant's earlier commits kept.
+        oracle.begin({2: "b", 9: "c"}, (1, 0))
+        assert {2: "b", 9: "c"} not in oracle.acceptable_states()
 
     def test_an_ack_without_a_hook_is_a_finding(self):
         oracle = Oracle()
         oracle.begin({1: "a"})
         with pytest.raises(AssertionError, match="before it was durable"):
             oracle.committed()      # the service said ok; no hook fired
+        oracle.begin({1: "a", 9: "b"}, (0, 1))
+        with pytest.raises(AssertionError, match="before it was durable"):
+            oracle.committed(T(1))  # a 2PC pair returned; no participant acked
 
     def test_a_hook_no_mutation_can_own_is_a_finding(self):
         oracle = Oracle()
@@ -156,12 +173,13 @@ class TestOracle:
         with pytest.raises(AssertionError, match="no mutation can own"):
             oracle.durable(T(2))    # one mutation, two commits
 
-    def test_commits_fed_out_of_order_fold_in_timestamp_order(self):
+    def test_commits_must_arrive_in_timestamp_order(self):
         oracle = Oracle()
         _commit(oracle, T(2), {1: "late"})
-        _commit(oracle, T(1), {1: "early"})
-        assert oracle.as_of(T(1)) == {1: "early"}
-        assert oracle.current() == {1: "late"}
+        with pytest.raises(AssertionError):
+            _commit(oracle, T(1), {1: "early"})
+        with pytest.raises(AssertionError):
+            _commit(oracle, T(2), {1: "again"})
 
     @pytest.mark.parametrize("shards", [0, 2])
     def test_an_ack_before_the_force_fails_the_sweep(self, monkeypatch, shards):
