@@ -159,7 +159,7 @@ class ArchiveManager:
                 page_id=page_id,
             ) from exc
         self.stats.block_reads += 1
-        page.view = PageView(page.block.chain)
+        page.view = PageView(page.block.chain_view, set())
         self._cache[page_id] = page
         while len(self._cache) > self.config.max_cached_pages:
             self._cache.popitem(last=False)

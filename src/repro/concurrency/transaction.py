@@ -228,7 +228,7 @@ class TransactionManager:
                 prev_lsn=txn.last_lsn,
                 ttime=ts.ttime,
                 sn=ts.sn,
-                ptt=txn.touched_immortal,
+                ptt=txn.touched_immortal and self.tsmgr.writes_ptt,
             )
         )
         if self.group_commit_window > 1:
@@ -375,7 +375,7 @@ class TransactionManager:
                 prev_lsn=txn.last_lsn,
                 ttime=ts.ttime,
                 sn=ts.sn,
-                ptt=txn.touched_immortal,
+                ptt=txn.touched_immortal and self.tsmgr.writes_ptt,
             )
         )
         return self._commit_forced(txn, ts, commit_lsn)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 
 from repro.clock import TID_FLAG, Timestamp
 from repro.concurrency.snapshot import Resolver, visible_version
@@ -329,6 +330,17 @@ class _ChainView:
         self.versions = stamped
         self.rows: list[dict | None] = [None] * len(keys)
 
+    @classmethod
+    def stamped(cls, keys: list[int], versions: list[RecordVersion]) -> "_ChainView":
+        """The view of a chain stamped throughout, given oldest first (an
+        archived one): ``keys`` must ascend, else the linear fallback."""
+        if keys != sorted(keys):
+            return cls(versions[::-1])
+        view = cls.__new__(cls)
+        view.unstamped, view.keys, view.versions, view.linear = [], keys, versions, None
+        view.rows = [None] * len(keys)
+        return view
+
     def tids(self) -> set[int]:
         """Every TID still marking a version of the chain."""
         return {
@@ -337,23 +349,26 @@ class _ChainView:
         }
 
 
+def _view_of_chain(chain_of, key: bytes) -> _ChainView | None:
+    chain = chain_of(key)
+    return _ChainView(chain) if chain else None
+
+
 class PageView(dict):
     """Key -> :class:`_ChainView` of one page, each built on first use.
 
     ``view[key]`` is a plain dict hit once built, and None when the page
-    has no record for the key.  ``chain_of`` is ``DataPage.chain``, or that
-    of a decoded archive block's index, which then only ever builds the
-    versions of keys somebody reads."""
+    has no record for the key.  ``view_of`` builds one key's view: from
+    ``DataPage.chain``, or straight from a decoded archive block's version
+    table, which only ever builds the versions of keys somebody reads (and,
+    stamped throughout, starts with ``tids`` empty)."""
 
-    def __init__(self, chain_of) -> None:
-        self.chain_of = chain_of
-        self.tids: set[int] | None = None
+    def __init__(self, view_of, tids: set[int] | None = None) -> None:
+        self.view_of = view_of
+        self.tids = tids
 
     def __missing__(self, key: bytes) -> _ChainView | None:
-        chain = self.chain_of(key)
-        if not chain:
-            return None
-        chain_view = self[key] = _ChainView(chain)
+        chain_view = self[key] = self.view_of(key)
         return chain_view
 
     def complete(self, keys: list[bytes]) -> set[int]:
@@ -385,7 +400,7 @@ class PageViewCache:
         token = page.cache_token
         if cached is not None and cached[0] == token:
             return cached[1]
-        view = PageView(page.chain)
+        view = PageView(partial(_view_of_chain, page.chain))
         if cached is None and len(self._views) >= self.max_pages:
             del self._views[next(iter(self._views))]  # the oldest view
         self._views[pid] = (token, view)

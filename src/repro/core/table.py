@@ -647,11 +647,27 @@ class Table:
             if high_img is not None:
                 last = min(last, bisect_right(keys, high_img))
             for key in keys[first:last]:
-                row = visible_row(
-                    view[key], key, codec, at, inclusive, memo, own_tid, stats
-                )
-                if row is not None:
-                    yield row
+                chain_view = view[key]
+                if chain_view.linear or chain_view.unstamped:
+                    row = visible_row(
+                        chain_view, key, codec, at, inclusive, memo, own_tid, stats
+                    )
+                    if row is not None:
+                        yield row
+                    continue
+                # Stamped throughout (the common chain): visible_row's tail.
+                stamps = chain_view.keys
+                i = bisect_right(stamps, at) if inclusive else bisect_left(stamps, at)
+                if not i:
+                    continue
+                stats.chain_steps += 1
+                row = chain_view.rows[i - 1]
+                if row is None:
+                    version = chain_view.versions[i - 1]
+                    if version.flags & DELETE_STUB:
+                        continue
+                    row = chain_view.rows[i - 1] = codec.decode_row(key, version.payload)
+                yield dict(row)
 
     # -- time travel --------------------------------------------------------------------------------
 
@@ -738,7 +754,9 @@ class Table:
         """:meth:`_history_gen` over the cached route's pages, newest first,
         one chain view each.  Spanning copies dedupe on the int timestamp
         key; rows a reader already decoded come from the view's memo, which
-        history never fills (one deep chain would pin every row it touched)."""
+        history never fills (one deep chain would pin every row it touched).
+        A stamped chain's oldest version names the next page worth visiting:
+        those in between hold only its spanning copy (DESIGN.md)."""
         engine = self.engine
         key = self.codec.encode_key(key_value)
         leaf = self.btree.search_leaf(key)
@@ -747,13 +765,19 @@ class Table:
         high = Timestamp.MAX.key if t_high is None else t_high.key
         memo: dict[int, tuple[Timestamp | None, bool]] = {}
         found: dict[int, object] = {}   # start key -> memoized row, else version
-        for pid in reversed(engine.route_cache.entry(leaf).pids):
+        entry = engine.route_cache.entry(leaf)
+        bounds, pids = entry.bounds, entry.pids
+        at_page = len(pids) - 1
+        while at_page >= 0:
+            pid = pids[at_page]
             page = leaf if pid == leaf.page_id else buffer.get_page(pid)
             stats.page_reads += 1
+            at_page -= 1
             chain_view = views.view(page)[key]
             if chain_view is None:
                 continue
-            for version in chain_view.linear or chain_view.unstamped:
+            pending = chain_view.linear or chain_view.unstamped
+            for version in pending:
                 stats.chain_steps += 1
                 if version.ttime_field & TID_FLAG:
                     tid = version.ttime_field ^ TID_FLAG
@@ -768,10 +792,15 @@ class Table:
                 if low <= at <= high:
                     found.setdefault(at, version)
             keys = chain_view.keys
-            stats.chain_steps += len(keys)
-            for i in range(bisect_left(keys, low), bisect_right(keys, high)):
+            first, last = bisect_left(keys, low), bisect_right(keys, high)
+            stats.chain_steps += last - first
+            for i in range(first, last):
                 if keys[i] not in found:
                     found[keys[i]] = chain_view.rows[i] or chain_view.versions[i]
+            if keys and not pending:
+                if keys[0] < low:
+                    break
+                at_page = min(at_page, bisect_right(bounds, keys[0]) - 1)
         for at in sorted(found):
             hit = found[at]
             if type(hit) is dict:

@@ -28,6 +28,8 @@ from repro.wal.records import StampOp
 class EagerTimestampManager(TimestampManager):
     """Timestamp at commit by revisiting every version the transaction wrote."""
 
+    writes_ptt = False
+
     def __init__(self, log, buffer, ptt) -> None:
         super().__init__(log, buffer, ptt)
         # {tid: {(table_id, key): version_count}} — where to revisit at commit.

@@ -55,6 +55,10 @@ class TimestampStats:
 class TimestampManager:
     """Lazy timestamping engine (the paper's choice)."""
 
+    #: a commit that touched an immortal table inserts a PTT entry (and so
+    #: does its redo: the commit record's ``ptt`` flag)
+    writes_ptt = True
+
     #: set by the engine: (table_id, key) -> current DataPage holding the key
     locator: Callable[[int, bytes], DataPage | None] | None
 

@@ -131,8 +131,8 @@ class TestBlockCodec:
 
 
 def _eager_decode(doc: bytes) -> tuple[list[RecordVersion], list[int]]:
-    """The decoder blocks had before they opened lazily, kept as the
-    reference: every version rebuilt up front, so whatever is wrong with a
+    """A plain decoder of the block layout, kept as the reference: field by
+    field and every version rebuilt up front, so whatever is wrong with a
     document is found on the spot.  Returns (versions, slots)."""
     if doc[: len(delta.BLOCK_MAGIC)] != delta.BLOCK_MAGIC:
         raise PageFormatError("bad magic")
@@ -142,57 +142,64 @@ def _eager_decode(doc: bytes) -> tuple[list[RecordVersion], list[int]]:
             doc, len(delta.BLOCK_MAGIC)
         )
         offset = len(delta.BLOCK_MAGIC) + delta._BLOCK_HEADER.size
-        keys = []
-        for _ in range(nkeys):
-            (klen,) = delta._RAW_LEN.unpack_from(doc, offset)
-            offset += delta._RAW_LEN.size
-            keys.append(doc[offset : offset + klen])
-            if len(keys[-1]) != klen:
-                raise PageFormatError("truncated in key table")
-            offset += klen
-        versions: list[RecordVersion] = []
-        bases: dict[int, bytes] = {}
-        for _ in range(nversions):
-            flags, vp, ttime_field, sn, key_idx, mode = \
-                delta._VERSION_HEAD.unpack_from(doc, offset)
-            offset += delta._VERSION_HEAD.size
-            if key_idx >= nkeys:
-                raise PageFormatError("bad key index")
-            if mode == delta._RAW:
-                (plen,) = delta._RAW_LEN.unpack_from(doc, offset)
-                offset += delta._RAW_LEN.size
-                payload = doc[offset : offset + plen]
-                if len(payload) != plen:
-                    raise PageFormatError("truncated in payload")
-                offset += plen
-            elif mode == delta._DELTA:
-                prefix, suffix, mlen = delta._DELTA_HEAD.unpack_from(doc, offset)
-                offset += delta._DELTA_HEAD.size
-                middle = doc[offset : offset + mlen]
-                if len(middle) != mlen:
-                    raise PageFormatError("truncated in delta")
-                offset += mlen
-                base = bases.get(key_idx)
-                if base is None:
-                    raise PageFormatError("delta precedes its base")
-                payload = base[:prefix] + middle + (
-                    base[len(base) - suffix :] if suffix else b""
-                )
-            else:
-                raise PageFormatError(f"payload mode {mode}")
-            bases.setdefault(key_idx, payload)
-            versions.append(
-                RecordVersion(keys[key_idx], payload, flags, vp, ttime_field, sn)
-            )
-        slots = list(struct.unpack_from(f">{nslots}H", doc, offset))
+        fixed = []      # key lengths, the table's eight columns, the slots
+        for code, times in zip(
+            "HBHQIHHHHH", (nkeys,) + (nversions,) * 8 + (nslots,)
+        ):
+            column = []
+            for _ in range(times):
+                column.append(struct.unpack_from(">" + code, doc, offset)[0])
+                offset += struct.calcsize(code)
+            fixed.append(column)
     except struct.error as exc:
         raise PageFormatError(f"truncated: {exc}") from exc
+    key_lens, *columns, slots = fixed
+    keys = []
+    for klen in key_lens:
+        keys.append(doc[offset : offset + klen])
+        if len(keys[-1]) != klen:
+            raise PageFormatError("truncated in key table")
+        offset += klen
+    versions: list[RecordVersion] = []
+    bases: dict[int, bytes] = {}
+    for flags, vp, ttime_field, sn, key_idx, prefix, suffix, mlen in zip(*columns):
+        if key_idx >= nkeys:
+            raise PageFormatError("bad key index")
+        middle = doc[offset : offset + mlen]
+        if len(middle) != mlen:
+            raise PageFormatError("truncated in payload")
+        offset += mlen
+        base = bases.get(key_idx)
+        if base is None:
+            if prefix or suffix:
+                raise PageFormatError("delta precedes its base")
+            payload = bases[key_idx] = middle
+        else:
+            payload = base[:prefix] + middle + (
+                base[len(base) - suffix :] if suffix else b""
+            )
+        versions.append(
+            RecordVersion(keys[key_idx], payload, flags, vp, ttime_field, sn)
+        )
+    if offset != len(doc):
+        raise PageFormatError("bytes past the payload area")
     if any(slot >= nversions for slot in slots):
         raise PageFormatError("slot points past version area")
     # The page header's two timestamps: out of range is a ValueError, which
     # ``materialize`` quarantines like any other failure to open.
     Timestamp(split_ttime, split_sn), Timestamp(end_ttime, end_sn)
     return versions, slots
+
+
+def _table_offsets(doc: bytes) -> tuple[int, int, int]:
+    """Where the version table starts, how many rows it has, and where the
+    slots that follow it end."""
+    *_, nkeys, nversions, nslots = delta._BLOCK_HEADER.unpack_from(
+        doc, len(delta.BLOCK_MAGIC)
+    )
+    table_at = len(delta.BLOCK_MAGIC) + delta._BLOCK_HEADER.size + 2 * nkeys
+    row = struct.calcsize(">BHQIHHHH")
+    return table_at, nversions, table_at + row * nversions + 2 * nslots
 
 
 class TestLazyOpen:
@@ -211,8 +218,9 @@ class TestLazyOpen:
                 pid = pages[-1].history_page_id
         blob = encode_block(max(pages, key=lambda p: len(p.versions)))
         db.close()
-        records = decode_block(blob, ARCHIVE_PID_BIT).block.records
-        assert {record[5] for record in records} == {delta._RAW, delta._DELTA}
+        _, _, _, _, _, prefixes, suffixes, _ = \
+            decode_block(blob, ARCHIVE_PID_BIT).block.columns
+        assert set(map(bool, map(max, prefixes, suffixes))) == {True, False}
         return zlib.decompress(blob)
 
     @staticmethod
@@ -220,7 +228,7 @@ class TestLazyOpen:
         """Lazy open, then everything a later reader could ask of the page."""
         page = decode_block(zlib.compress(doc, 1), ARCHIVE_PID_BIT | 7)
         for key in page.keys():
-            page.block.chain(key)
+            page.block.chain_view(key)
         return page.versions, page.slots
 
     def _agrees_with_eager(self, doc: bytes) -> str:
@@ -271,12 +279,34 @@ class TestLazyOpen:
         doc = bytearray(zlib.decompress(blob))
         # Point the last slot past the version area: valid zlib, valid
         # heads, and nothing a reader of the other keys would ever touch.
-        doc[-2:] = b"\xff\xff"
+        _, _, slots_end = _table_offsets(bytes(doc))
+        doc[slots_end - 2 : slots_end] = b"\xff\xff"
         blocks[position] = (raw_bytes, zlib.compress(bytes(doc)))
         with pytest.raises(PageQuarantinedError):
             db.archive.materialize(victim)
         assert victim in db.archive.quarantined
         db.close()
+
+
+    def test_a_tid_marked_version_is_refused(self):
+        """Archived chains are stamped throughout: migration only moves
+        stamped pages, and ``_check_archive`` holds it of every block."""
+        doc = bytearray(self._document())
+        table_at, nversions, _ = _table_offsets(bytes(doc))
+        doc[table_at + 3 * nversions] |= 0x80   # version 0's ttime, top bit
+        with pytest.raises(PageFormatError, match="TID-marked"):
+            decode_block(zlib.compress(bytes(doc)), ARCHIVE_PID_BIT)
+
+    def test_a_payload_area_of_the_wrong_length_is_refused(self):
+        doc = self._document()
+        for bad in (doc + b"x", doc[:-1]):
+            with pytest.raises(PageFormatError, match="wrong length"):
+                decode_block(zlib.compress(bad), ARCHIVE_PID_BIT)
+
+    def test_old_format_blocks_are_refused(self):
+        doc = b"IAB1" + self._document()[len(delta.BLOCK_MAGIC):]
+        with pytest.raises(PageFormatError, match="magic"):
+            decode_block(zlib.compress(doc), ARCHIVE_PID_BIT)
 
 
 class TestDecodedBlockLifetime:
@@ -905,6 +935,57 @@ class TestQuarantine:
         degraded = [r for r in results if isinstance(r, Degraded)]
         assert degraded, "no read routed through the damaged block"
         assert all(not r for r in degraded)
+        db.close()
+
+    @staticmethod
+    def _quiet_key_chain():
+        """Key 0 written once, keys 1-7 in every round: every history page
+        after the first holds only key 0's spanning copy.  Returns the db,
+        the table, key 0's history and the archived pages of its leaf's
+        route, oldest first (the route is warm: built before any damage)."""
+        db = ImmortalDB(archive=dict(ARCHIVE_FAST), asof_route_cache=True)
+        table = db.create_table(
+            "hist", [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
+            key="k", immortal=True,
+        )
+        for r in range(20):
+            with db.transaction() as txn:
+                for k in range(8) if r == 0 else range(1, 8):
+                    value = f"{'v' * 500}:r{r}:k{k}"
+                    if r == 0:
+                        table.insert(txn, {"k": k, "v": value})
+                    else:
+                        table.update(txn, k, {"v": value})
+            db.advance_time(60)
+        db.checkpoint(flush=True)
+        db.archive.drain()
+        want = table.history(0)
+        leaf = table.btree.search_leaf(table.codec.encode_key(0))
+        pids = [pid for pid in db.route_cache.entry(leaf).pids
+                if pid & ARCHIVE_PID_BIT]
+        assert len(pids) >= 3 and pids[0] == db.route_cache.entry(leaf).pids[0]
+        return db, table, want, pids
+
+    def test_damage_in_a_block_history_needs_is_never_a_short_answer(self):
+        db, table, want, pids = self._quiet_key_chain()
+        assert len(want) == 1
+        _tamper_block(db, pids[0])     # holds key 0's only version natively
+        db.archive._cache.clear()
+        with pytest.raises(PageQuarantinedError):
+            table.history(0)
+        db.close()
+
+    def test_damage_in_a_block_history_skips_leaves_the_answer(self):
+        db, table, want, pids = self._quiet_key_chain()
+        reads = db.archive.stats.block_reads
+        for pid in pids[1:]:           # key 0's spanning copies only
+            _tamper_block(db, pid)
+        db.archive._cache.clear()
+        assert table.history(0) == want
+        assert db.archive.stats.block_reads == reads + 1
+        assert not db.archive.quarantined
+        with pytest.raises(PageQuarantinedError):
+            table.history(1)           # written in every page's interval
         db.close()
 
     def test_quarantine_clears_on_recovery(self):

@@ -1,5 +1,6 @@
 """Call budgets for the paper's Fig. 5 transaction, an insert that splits
-its page, the Fig. 6 reads, a buffer miss, and a point ``SELECT``, a keyed
+its page, the Fig. 6 reads and scans, a buffer miss, an archive block
+opened, and a point ``SELECT``, a keyed
 ``UPDATE``, a range ``SELECT`` and an AS OF ``SELECT`` through the socket
 service.
 
@@ -22,8 +23,10 @@ import sys
 import threading
 
 from repro import PROFILES, ImmortalDB
+from repro.archive.delta import decode_block, encode_block
 from repro.service.client import ServiceClient
 from repro.service.server import ThreadedService
+from repro.storage.constants import ARCHIVE_PID_BIT
 from repro.storage.page import DataPage, decode_page
 from repro.storage.record import RecordVersion
 
@@ -40,9 +43,18 @@ READ_BUDGET = 43      # begin + read one record + commit: 39 (159 before)
 KEY_SPLIT_BUDGET = 273    # begin + insert + key split + commit: 248 (365)
 # The tuned read path (route cache + lazy chain views), everything warm:
 ASOF_READ_BUDGET = 34   # read_as_of of one key: 31 (44; 57 before chain views)
-HISTORY_BUDGET = 221    # history() of a key with 20 versions: 201 (237; 572)
+# history() of a key with 20 versions: 201 (237; 572).  Every page of this
+# chain holds one of the key's versions natively, so the walk skips none.
+HISTORY_BUDGET = 221
+# A warm as-of scan over stamped chains, per row: the visibility test runs
+# inline, no longer one visible_row call a row:
+SCAN_ROW_BUDGET = 1.6   # scan_as_of of 200 rows: 1.44 a row (2.44)
 # What a buffer miss costs past the disk read:
 DECODE_BUDGET = 40      # decode_page of a 25-record data page: 36 (88 before PR 17)
+# What opening an archived block costs past the store read: one decompress,
+# one bulk unpack and column checks.  Most of the count is the two checks
+# that step a generator once per version (or per chain) to stay exact:
+BLOCK_OPEN_BUDGET = 77  # decode_block of a 50-version block: 71
 # Everything the server does for one statement over a real socket, on the
 # connection's thread — frame, JSON, admission, slot, dedup, lift, shape
 # lookup, bind, plan, the transaction, encode (230 and 362 while every
@@ -201,6 +213,38 @@ def test_historical_reads_stay_within_their_call_budgets():
     assert history_calls >= 0.8 * HISTORY_BUDGET
 
 
+def measure_scan_row() -> float:
+    """Calls per row of a warm ``scan_as_of`` of 200 rows whose chains are
+    stamped (the group commit forced, a current scan stamped them)."""
+    db = ImmortalDB(**PROFILES["tuned"])
+    table = db.create_table("kv", [("k", "int"), ("v", "text")], key="k",
+                            immortal=True)
+    with db.transaction() as txn:
+        for k in range(KEYS):
+            table.insert(txn, {"k": k, "v": "x" * 40})
+    for round_no in range(5):
+        db.advance_time(100)
+        with db.transaction() as txn:
+            for k in range(KEYS):
+                table.update(txn, k, {"v": f"{round_no}" + "y" * 40})
+    mark = db.now()
+    db.advance_time(100)
+    db.flush_commits()
+    with db.transaction() as txn:
+        table.scan(txn)
+    assert len(table.scan_as_of(mark)) == KEYS     # warm: views, row memo
+    return python_calls(lambda: table.scan_as_of(mark)) / KEYS
+
+
+def test_a_warm_as_of_scan_stays_within_its_per_row_budget():
+    calls = measure_scan_row()
+    assert calls <= SCAN_ROW_BUDGET, (
+        f"a warm as-of scan now takes {calls} Python calls a row "
+        f"(budget {SCAN_ROW_BUDGET})"
+    )
+    assert calls >= 0.8 * SCAN_ROW_BUDGET
+
+
 def measure_decode() -> int:
     """Calls of one ``decode_page`` of a data page holding 25 records:
     one per record (its constructor) plus a fixed dozen for the page."""
@@ -219,6 +263,29 @@ def test_a_buffer_miss_stays_within_its_decode_budget():
         f"(budget {DECODE_BUDGET})"
     )
     assert calls >= 0.8 * DECODE_BUDGET
+
+
+def measure_block_open() -> int:
+    """Calls of one ``decode_block`` of a history page holding 50 versions:
+    10 keys, five versions each, a few bytes apart."""
+    page = DataPage(7, is_history=True)
+    for k in range(10):
+        page.add_chain([
+            RecordVersion(b"k%08d" % k, b"v%04d" % v + b"x" * 90, ttime_field=100 - v)
+            for v in range(5)
+        ])
+    blob = encode_block(page)
+    assert len(decode_block(blob, ARCHIVE_PID_BIT).versions) == 50
+    return python_calls(lambda: decode_block(blob, ARCHIVE_PID_BIT))
+
+
+def test_opening_an_archived_block_stays_within_its_budget():
+    calls = measure_block_open()
+    assert calls <= BLOCK_OPEN_BUDGET, (
+        f"opening a 50-version archive block now takes {calls} Python calls "
+        f"(budget {BLOCK_OPEN_BUDGET})"
+    )
+    assert calls >= 0.8 * BLOCK_OPEN_BUDGET
 
 
 @functools.cache
@@ -316,5 +383,7 @@ if __name__ == "__main__":
     print("update, read:", measure())
     print("key-splitting insert:", measure_key_split())
     print("as-of read, history:", measure_historical())
+    print("as-of scan, per row:", measure_scan_row())
     print("decode_page:", measure_decode())
+    print("decode_block:", measure_block_open())
     print("service statements:", measure_service())

@@ -190,6 +190,23 @@ class TestEagerModeEndToEnd:
         with db.transaction() as txn:
             assert table.read(txn, 1)["v"] == "b"
 
+    def test_eager_recovery_leaves_the_ptt_empty(self):
+        """Eager commits never insert PTT entries, so their commit records
+        must not ask redo to (nothing would ever collect them: eager
+        garbage collection has no PTT entries to look for)."""
+        db = ImmortalDB(buffer_pages=96, timestamping="eager")
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        for i in range(50):
+            with db.transaction() as txn:
+                table.insert(txn, {"k": i, "v": f"v{i}"})
+        assert len(db.tsmgr.ptt) == 0
+        db.crash()
+        db.recover()
+        for _ in range(3):
+            db.checkpoint()
+        assert len(db.tsmgr.ptt) == 0
+        assert db.table("t").read_as_of(db.now(), 49)["v"] == "v49"
+
 
 class TestRandomizedCrashPoints:
     def test_crash_after_every_tenth_transaction(self):
