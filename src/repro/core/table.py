@@ -667,7 +667,7 @@ class Table:
                     if version.flags & DELETE_STUB:
                         continue
                     row = chain_view.rows[i - 1] = codec.decode_row(key, version.payload)
-                yield dict(row)
+                yield row.copy()
 
     # -- time travel --------------------------------------------------------------------------------
 
@@ -795,7 +795,9 @@ class Table:
             first, last = bisect_left(keys, low), bisect_right(keys, high)
             stats.chain_steps += last - first
             for i in range(first, last):
-                if keys[i] not in found:
+                # A spanning copy seen first carries no row; the native one,
+                # where a reader at its time decoded it, may.
+                if type(found.get(keys[i])) is not dict:
                     found[keys[i]] = chain_view.rows[i] or chain_view.versions[i]
             if keys and not pending:
                 if keys[0] < low:
@@ -804,7 +806,7 @@ class Table:
         for at in sorted(found):
             hit = found[at]
             if type(hit) is dict:
-                row = dict(hit)
+                row = hit.copy()
             else:
                 row = None if hit.flags & DELETE_STUB \
                     else self.codec.decode_row(key, hit.payload)

@@ -566,7 +566,10 @@ class TestConcurrentClusterAccess:
                 ]
                 ingest = client.ingest("kv", "k,v\n11,c\n61,d\n", batch=1)
                 assert ingest["rowcount"] == 2
-            assert ran_on == ["svc-conn"] * 4
+                # Before the client closes: its close message is handled on
+                # the same thread, but may or may not be by the time the
+                # block has exited.
+                assert ran_on == ["svc-conn"] * 4
         router.close()
 
     def test_in_doubt_conflict_raises_immediately_under_blocking_locks(self):

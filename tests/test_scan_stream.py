@@ -168,6 +168,13 @@ class TestStreamingMatchesOracle:
         first[0]["v"] = "mutated by caller"
         again = table.scan_as_of(marks[-1])
         assert again[0]["v"] != "mutated by caller"
+        with db.transaction() as txn:
+            table.scan(txn)         # stamps the chains: their rows memoize
+        memoized = table.scan_as_of(marks[-1])
+        for _, row in table.history(memoized[0]["k"]):  # read from the memo
+            if row is not None:
+                row["v"] = "mutated by caller"
+        assert table.scan_as_of(marks[-1]) == memoized
 
 
 class TestRouteCacheInvalidation:
