@@ -16,8 +16,9 @@ depth** with archiving enabled and reports, per cell:
   regardless of how much colder history hangs below them — latency must
   stay within ``--max-latency-ratio`` (default 1.5x) of the shallow
   baseline even when the depth grows 10x;
-* **reclamation** — pages migrated, pages freed, and the archive's
-  run/block shape after levelled merging.
+* **reclamation** — pages migrated, pages freed (every migrated page must
+  be freed) and blocks written, one block per migrated page: the store is
+  a plain sequence of block frames.
 
 Costs are priced with the deterministic cost model; archive block
 materialization is charged at a sequential-transfer-plus-decode rate

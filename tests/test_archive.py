@@ -18,6 +18,7 @@ import zlib
 
 import pytest
 
+from repro import PROFILES
 from repro.archive import delta, manager as archive_manager
 from repro.archive.delta import decode_block, encode_block
 from repro.archive.store import ArchiveStore, ArchiveStoreError
@@ -622,12 +623,14 @@ class TestCrashDuringMigration:
 # ---------------------------------------------------------------------------
 
 
-def _pressure_db(rng, *, keys: int, buffer_pages: int):
-    """The e2e ``oltp_pressure`` shape: mixed value lengths, auto-migration."""
-    db = ImmortalDB(
-        buffer_pages=buffer_pages, read_ahead=4,
-        archive=dict(cold_ms=5000, pages_per_step=32),
-    )
+PRESSURE_ARCHIVE = dict(cold_ms=5000, pages_per_step=32)
+
+
+def _pressure_db(rng, *, keys: int, buffer_pages: int, **engine):
+    """The e2e ``oltp_pressure`` shape: mixed value lengths, auto-migration
+    (``engine``, when given, replaces the read-ahead and archive settings)."""
+    engine = engine or dict(read_ahead=4, archive=PRESSURE_ARCHIVE)
+    db = ImmortalDB(buffer_pages=buffer_pages, **engine)
     table = db.create_table(
         "kv", [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
         key="k", immortal=True,
@@ -687,6 +690,37 @@ class TestMigrationUnderPressure:
         assert verify_integrity(db) == []
         # after_recovery() reinstated the entries that survived validation.
         assert len(db.disk.free_list) > 0
+
+    @staticmethod
+    def _read_phase(archive) -> tuple[int, int, int]:
+        """Eight rounds of updates and checkpoints, then 600 reads, half of
+        them ``history()``: read-phase evictions, page count, pages freed."""
+        rng, keys = random.Random(0), 600
+        db, table = _pressure_db(rng, keys=keys, buffer_pages=64,
+                                 archive=archive, **PROFILES["tuned"])
+        for _ in range(8):
+            _update_round(db, table, rng, keys=keys, ops=200)
+            db.advance_time(1000)
+            db.checkpoint()
+        before = db.stats()["buffer_evictions"]
+        for i in range(600):
+            if i % 2:
+                table.history(rng.randrange(keys))
+            else:
+                with db.transaction() as txn:
+                    table.read(txn, rng.randrange(keys))
+        stats = db.stats()
+        return (stats["buffer_evictions"] - before, db.disk.page_count,
+                stats["archive_pages_freed"])
+
+    def test_migrated_history_leaves_the_pool_and_the_page_file(self):
+        """Cold history moved to the archive stops competing for frames:
+        the same reads evict fewer pages, from a smaller page file."""
+        evictions_off, pages_off, _ = self._read_phase(None)
+        evictions_on, pages_on, freed = self._read_phase(PRESSURE_ARCHIVE)
+        assert freed > 0
+        assert pages_on < pages_off
+        assert evictions_on < evictions_off
 
 
 # ---------------------------------------------------------------------------

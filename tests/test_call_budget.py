@@ -1,6 +1,6 @@
 """Call budgets for the paper's Fig. 5 transaction, an insert that splits
 its page, the Fig. 6 reads and scans, a buffer miss, an archive block
-opened, and a point ``SELECT``, a keyed
+opened, a scrubber step, and a point ``SELECT``, a keyed
 ``UPDATE``, a range ``SELECT`` and an AS OF ``SELECT`` through the socket
 service.
 
@@ -24,6 +24,7 @@ import threading
 
 from repro import PROFILES, ImmortalDB
 from repro.archive.delta import decode_block, encode_block
+from repro.repair.scrub import Scrubber
 from repro.service.client import ServiceClient
 from repro.service.server import ThreadedService
 from repro.storage.constants import ARCHIVE_PID_BIT
@@ -55,6 +56,9 @@ DECODE_BUDGET = 40      # decode_page of a 25-record data page: 36 (88 before PR
 # one bulk unpack and column checks.  Most of the count is the two checks
 # that step a generator once per version (or per chain) to stay exact:
 BLOCK_OPEN_BUDGET = 77  # decode_block of a 50-version block: 71
+# What the online scrubber costs per page it verifies: read, checksum,
+# decode, self-check and the staleness probe against the log archive:
+SCRUB_PAGE_BUDGET = 156   # a clean step of 4 pages, per page scanned: 142
 # Everything the server does for one statement over a real socket, on the
 # connection's thread — frame, JSON, admission, slot, dedup, lift, shape
 # lookup, bind, plan, the transaction, encode (230 and 362 while every
@@ -288,6 +292,43 @@ def test_opening_an_archived_block_stays_within_its_budget():
     assert calls >= 0.8 * BLOCK_OPEN_BUDGET
 
 
+def measure_scrub():
+    """Calls per page scanned by 50 clean scrubber steps of 4 pages on a
+    92-page ``tuned`` database with media recovery, flushed first (a dirty
+    page is skipped, not read); the steps' stats and disk and log work."""
+    db = ImmortalDB(media_recovery=True, **PROFILES["tuned"])
+    table = db.create_table("kv", [("k", "int"), ("v", "text")], key="k",
+                            immortal=True)
+    with db.transaction() as txn:
+        for k in range(800):
+            table.insert(txn, {"k": k, "v": "x" * 400})
+    for round_no in range(3):
+        db.advance_time(100)
+        with db.transaction() as txn:
+            for k in range(0, 800, 3):
+                table.update(txn, k, {"v": f"{round_no}" + "y" * 400})
+    db.checkpoint(flush=True)
+    scrubber = Scrubber(db, pages_per_step=4)
+    before = db.stats()
+    calls = sum(python_calls(scrubber.step) for _ in range(SAMPLES))
+    work = {key: value - before[key] for key, value in db.stats().items()
+            if key in ("disk_reads", "disk_writes", "log_forces")}
+    return calls / scrubber.stats.pages_scanned, scrubber.stats, work
+
+
+def test_a_clean_scrubber_step_stays_within_its_per_page_budget():
+    calls, scrub, work = measure_scrub()
+    assert scrub.pages_scanned >= 0.9 * 4 * SAMPLES and scrub.findings == 0
+    # One read per page verified, and verifying writes and forces nothing.
+    assert work == {"disk_reads": scrub.pages_scanned, "disk_writes": 0,
+                    "log_forces": 0}
+    assert calls <= SCRUB_PAGE_BUDGET, (
+        f"a scrubber step now takes {calls} Python calls per page scanned "
+        f"(budget {SCRUB_PAGE_BUDGET})"
+    )
+    assert calls >= 0.8 * SCRUB_PAGE_BUDGET
+
+
 @functools.cache
 def measure_service() -> dict[str, float]:
     """Median Python calls on the connection thread per point ``SELECT``,
@@ -386,4 +427,5 @@ if __name__ == "__main__":
     print("as-of scan, per row:", measure_scan_row())
     print("decode_page:", measure_decode())
     print("decode_block:", measure_block_open())
+    print("scrubber step, per page; stats; work:", measure_scrub())
     print("service statements:", measure_service())
