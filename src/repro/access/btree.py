@@ -31,7 +31,6 @@ from __future__ import annotations
 import struct
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import chain
 from typing import Callable, Iterator
 
 from repro.clock import SimClock
@@ -58,6 +57,8 @@ from repro.wal.records import MultiPageImage, SMOReason
 
 _INDEX_HEADER = COMMON_HEADER_SIZE + 4  # count(2) + pad(2)
 _COUNT = struct.Struct(">H2x")
+_ENTRY = struct.Struct(">IH")   # child page id, length of the separator after it
+_CHILD = struct.Struct(">I")    # the last child, which no separator follows
 
 MAX_KEY_BYTES = 128
 """Upper bound on encoded primary-key size (checked by the table layer)."""
@@ -127,14 +128,10 @@ class BTreeIndexPage(Page):
         seps, children = self.seps, self.children
         parts = [self._common_header(), _COUNT.pack(len(children))]
         if children:
-            # child, then (sep_len, sep, child) per separator, packed in
-            # one call (compiled per node and dropped: see
-            # ``storage.page._SLOT_CODECS``).
-            lens = [len(sep) for sep in seps]
-            codec = struct.Struct(">I" + "".join([f"H{n}sI" for n in lens]))
-            parts.append(codec.pack(
-                children[0], *chain.from_iterable(zip(lens, seps, children[1:])),
-            ))
+            entry = _ENTRY.pack
+            for child, sep in zip(children, seps):
+                parts += (entry(child, len(sep)), sep)
+            parts.append(_CHILD.pack(children[-1]))
         image = b"".join(parts)
         if len(image) > self.page_size:
             raise PageFormatError(
@@ -149,29 +146,35 @@ class BTreeIndexPage(Page):
         page_id, page_type, flags, lsn = Page.read_common_header(raw)
         if page_type != PageType.BTREE_INDEX:
             raise PageFormatError(f"not a B-tree index page: type {page_type}")
+        if type(raw) is not bytes:
+            raw = bytes(raw)        # separators are sliced out as bytes
         node = cls(page_id, page_size=len(raw))
         node.header_flags = flags
         node.lsn = lsn
-        count = int.from_bytes(
-            raw[COMMON_HEADER_SIZE : COMMON_HEADER_SIZE + 2], "big"
-        )
+        count = _COUNT.unpack_from(raw, COMMON_HEADER_SIZE)[0]
         seps: list[bytes] = []
         children: list[int] = []
         pos, end = _INDEX_HEADER, len(raw)
-        for i in range(count):
-            child = int.from_bytes(raw[pos : pos + 4], "big")
-            pos += 4
-            if i < count - 1:
-                sep_len = int.from_bytes(raw[pos : pos + 2], "big")
-                seps.append(bytes(raw[pos + 2 : pos + 2 + sep_len]))
-                pos += 2 + sep_len
-            # Page 0 is the meta page, never a child: a zero id is the
-            # padding after the real entries, read under a garbled count.
-            if pos > end or not child:
-                raise PageFormatError(
-                    f"index node {page_id}: {count} entries overrun the page"
-                )
-            children.append(child)
+        entry = _ENTRY.unpack_from
+        overrun = f"index node {page_id}: {count} entries overrun the page"
+        try:
+            for _ in range(count - 1):
+                child, sep_len = entry(raw, pos)
+                pos += _ENTRY.size
+                seps.append(raw[pos : pos + sep_len])
+                pos += sep_len
+                # Page 0 is the meta page, never a child: a zero id is the
+                # padding after the real entries, read under a garbled count.
+                if pos > end or not child:
+                    raise PageFormatError(overrun)
+                children.append(child)
+            if count:
+                child = _CHILD.unpack_from(raw, pos)[0]
+                if not child:
+                    raise PageFormatError(overrun)
+                children.append(child)
+        except struct.error as exc:
+            raise PageFormatError(overrun) from exc
         node.set_entries(seps, children)
         return node
 

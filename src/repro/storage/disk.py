@@ -46,17 +46,20 @@ def page_checksum(raw: bytes) -> int:
     Never returns 0 — that value is reserved for "no checksum stamped", so
     images written before checksums were enabled stay readable.
     """
-    crc = zlib.crc32(raw[:CHECKSUM_OFFSET])
-    crc = zlib.crc32(raw[CHECKSUM_OFFSET + CHECKSUM_SIZE:], crc)
+    view = memoryview(raw)      # CRC32 reads the two spans in place
+    crc = zlib.crc32(view[:CHECKSUM_OFFSET])
+    crc = zlib.crc32(view[CHECKSUM_OFFSET + CHECKSUM_SIZE:], crc)
     return crc or 1
 
 
 def stamp_checksum(raw: bytes) -> bytes:
-    """Return ``raw`` with its header CRC32 field filled in."""
-    stamped = bytearray(raw)
-    stamped[CHECKSUM_OFFSET : CHECKSUM_OFFSET + CHECKSUM_SIZE] = \
-        page_checksum(raw).to_bytes(CHECKSUM_SIZE, "big")
-    return bytes(stamped)
+    """Return ``raw`` with its header CRC32 field filled in (one copy)."""
+    view = memoryview(raw)
+    return b"".join((
+        view[:CHECKSUM_OFFSET],
+        page_checksum(raw).to_bytes(CHECKSUM_SIZE, "big"),
+        view[CHECKSUM_OFFSET + CHECKSUM_SIZE:],
+    ))
 
 
 def verify_checksum(raw: bytes, page_id: int) -> None:

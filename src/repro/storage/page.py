@@ -38,7 +38,9 @@ from repro.storage.constants import (
     VP_IN_HISTORY,
 )
 from repro.storage.record import (
+    RECORD_HEAD,
     RECORD_OVERHEAD,
+    RECORD_TAIL,
     RecordVersion,
     decode_versions,
 )
@@ -136,10 +138,11 @@ def decode_page(raw: bytes) -> Page:
 
 
 # nslots(2) nversions(2) split_ts(8+4) end_ts(8+4) history(4) next_leaf(4)
-# table_id(4) — the data-page header extension after the common header.
-_DATA_EXT = struct.Struct(">HHQIQIIII")
+# table_id(4) pad(4) — the data-page header extension after the common header.
+_DATA_EXT = struct.Struct(">HHQIQIIII4x")
 
 _DATA_TYPES = (PageType.DATA_CURRENT, PageType.DATA_HISTORY)
+_MAX_FIELDS = (Timestamp.MAX.ttime, Timestamp.MAX.sn)
 
 
 def read_data_header(raw: bytes) -> tuple[bool, int, int, int] | None:
@@ -161,12 +164,11 @@ def read_data_header(raw: bytes) -> tuple[bool, int, int, int] | None:
 # Precompiled slot-array codecs, keyed by slot count: pages cluster around a
 # few fill levels, so ``struct.Struct(f">{n}H")`` compilation amortizes to
 # nothing instead of re-parsing the format string on every decode.  (Only
-# these: a repeat count compiles to one code.  The whole-node formats the
-# page codecs pack with — one group per record or entry — compile to ~100
-# bytes a group, 40 KB for a full PTT leaf; they are built per call and
-# dropped, because a table of them, or ``struct``'s own cache of 100, costs
-# megabytes to save a third of a call that is already ten times cheaper
-# than a slice assignment per field.)
+# these: a repeat count compiles to one code.  The variable-length parts of
+# a node — records, separators, PTT entries — are each packed by a small
+# precompiled codec and joined: a whole-node format, one group per record,
+# would have to be built and compiled per call, which costs more than the
+# join does; see DESIGN.md, "Codecs join precompiled packs".)
 _SLOT_CODECS: dict[int, struct.Struct] = {}
 
 
@@ -510,42 +512,31 @@ class DataPage(Page):
 
     def _encode(self) -> bytes:
         """Build the fixed-size on-disk image (uncached)."""
-        buf = bytearray(self.page_size)
-        buf[0:COMMON_HEADER_SIZE] = self._common_header()
-        _DATA_EXT.pack_into(
-            buf, COMMON_HEADER_SIZE,
-            len(self.slots), len(self.versions),
-            self.split_ts.ttime, self.split_ts.sn,
-            self.end_ts.ttime, self.end_ts.sn,
+        slots, versions = self.slots, self.versions
+        split_ts, end_ts = self.split_ts, self.end_ts
+        parts = [self._common_header(), _DATA_EXT.pack(
+            len(slots), len(versions), split_ts.ttime, split_ts.sn,
+            end_ts.ttime, end_ts.sn,
             self.history_page_id, self.next_leaf_id, self.table_id,
-        )
-        # The whole record area in one pack: a format of one group per
-        # version (compiled per call and dropped; see ``_SLOT_CODECS``).
-        formats: list[str] = []
-        fields: list = []
-        extend = fields.extend
-        for v in self.versions:
-            key, payload = v.key, v.payload
-            formats.append(f"BHH{len(key)}s{len(payload)}sHQI")
-            extend((v.flags, len(key), len(payload), key, payload,
-                    v.vp, v.ttime_field, v.sn))
+        )]
+        head, tail = RECORD_HEAD.pack, RECORD_TAIL.pack
         try:
-            records = struct.Struct(">" + "".join(formats))
-            records.pack_into(buf, DATA_HEADER_SIZE, *fields)
+            for v in versions:
+                key, payload = v.key, v.payload
+                parts += (head(v.flags, len(key), len(payload)), key, payload,
+                          tail(v.vp, v.ttime_field, v.sn))
         except struct.error as exc:
             raise PageFormatError(
                 f"page {self.page_id} overflows its image"
             ) from exc
-        offset = DATA_HEADER_SIZE + records.size
-        slot_area = self.page_size - SLOT_SIZE * len(self.slots)
-        if offset > slot_area:
+        image = b"".join(parts)
+        slot_area = self.page_size - SLOT_SIZE * len(slots)
+        if len(image) > slot_area:
             raise PageFormatError(
                 f"page {self.page_id} overflows its image "
-                f"({offset} bytes of records, slot area at {slot_area})"
+                f"({len(image)} bytes of records, slot area at {slot_area})"
             )
-        if self.slots:
-            _slot_codec(len(self.slots)).pack_into(buf, slot_area, *self.slots)
-        return bytes(buf)
+        return image.ljust(slot_area, b"\x00") + _slot_codec(len(slots)).pack(*slots)
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "DataPage":
@@ -578,7 +569,9 @@ class DataPage(Page):
             table_id=table_id, page_size=len(raw),
             versions=versions, slots=heads, _slot_keys=keys,
             split_ts=Timestamp(split_ttime, split_sn),
-            end_ts=Timestamp(end_ttime, end_sn),
+            # Every current page's range is open-ended: share the constant.
+            end_ts=Timestamp.MAX if (end_ttime, end_sn) == _MAX_FIELDS
+            else Timestamp(end_ttime, end_sn),
             history_page_id=history_page_id, next_leaf_id=next_leaf_id,
             # decode_versions walked exactly size_on_page bytes per record,
             # so the final offset already totals the record area.

@@ -43,6 +43,8 @@ RECORD_OVERHEAD = 1 + 2 + 2 + VERSIONING_TAIL_SIZE  # flags + lengths + tail
 
 RECORD_HEAD = struct.Struct(">BHH")   # flags, key_len, payload_len
 RECORD_TAIL = struct.Struct(">HQI")   # vp, ttime_field, sn
+# One record's tail and the next record's head, read by one unpack.
+_RECORD_STEP = struct.Struct(">HQIBHH")
 
 
 @dataclass(slots=True)
@@ -161,35 +163,44 @@ def decode_versions(
     """Bulk-decode ``count`` consecutive record images starting at ``offset``.
 
     This is the hot loop of every page reload, which eviction pressure turns
-    into a per-operation cost: the precompiled codecs hoisted into locals, a
-    single try/except around the loop instead of one per record, and each
-    key and payload sliced straight out of the image — one ``bytes`` copy,
-    which it needs anyway: they outlive the page image.
+    into a per-operation cost: one ``unpack_from`` per record reads its tail
+    and the next record's head together (:data:`_RECORD_STEP`), a single
+    try/except covers the loop instead of one per record, and each key and
+    payload is sliced straight out of the image — one ``bytes`` copy, which
+    it needs anyway: they outlive the page image.
 
-    Truncation is caught by the tail codec: slicing past the end *clamps*
-    silently, but the tail sits behind both variable-length fields, so it
-    is unpacked first and raises for any record the image does not hold
-    whole.
+    Truncation is caught by the unpacks: slicing past the end *clamps*
+    silently, but every record's tail sits behind both of its
+    variable-length fields, so its unpack — fused with the next head for
+    all but the last record, alone for the last — raises for any record the
+    image does not hold whole.
     """
     if type(data) is not bytes:
         data = bytes(data)      # slices below must be bytes, not views
     versions: list[RecordVersion] = []
+    if not count:
+        return versions, offset
     append = versions.append
-    head_unpack = RECORD_HEAD.unpack_from
-    tail_unpack = RECORD_TAIL.unpack_from
+    step = _RECORD_STEP.unpack_from
     head_size = RECORD_HEAD.size
     tail_size = RECORD_TAIL.size
     make = RecordVersion
     try:
-        for _ in range(count):
-            flags, key_len, payload_len = head_unpack(data, offset)
+        flags, key_len, payload_len = RECORD_HEAD.unpack_from(data, offset)
+        for _ in range(count - 1):
             body = offset + head_size
             split = body + key_len
             tail = split + payload_len
-            vp, ttime_field, sn = tail_unpack(data, tail)
+            vp, ttime_field, sn, next_flags, key_len, payload_len = step(data, tail)
             append(make(data[body:split], data[split:tail],
                         flags, vp, ttime_field, sn))
+            flags = next_flags
             offset = tail + tail_size
+        body = offset + head_size
+        split = body + key_len
+        tail = split + payload_len
+        vp, ttime_field, sn = RECORD_TAIL.unpack_from(data, tail)
+        append(make(data[body:split], data[split:tail], flags, vp, ttime_field, sn))
     except struct.error as exc:
         raise PageFormatError("truncated record image") from exc
-    return versions, offset
+    return versions, tail + tail_size

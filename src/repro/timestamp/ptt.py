@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_left, bisect_right
-from itertools import chain
 from typing import Iterator
 
 from repro.clock import Timestamp
@@ -43,17 +42,18 @@ ENTRY_SIZE = 20        # tid(8) + ttime(8) + sn(4)
 _CHILD_SIZE = 12       # separator tid(8) + child pid(4)
 _NODE_HEADER = COMMON_HEADER_SIZE + 8   # is_leaf(1) + count(2) + next_leaf(4) + pad
 
-_NODE_EXT = struct.Struct(">BHI")       # is_leaf, count, next_leaf (0 if internal)
+_NODE_EXT = struct.Struct(">BHI1x")    # is_leaf, count, next_leaf (0 if internal)
 
-# A node's whole entry area packs and unpacks in one C call, with a format
-# of one group per entry, compiled per call and dropped (why: see
-# ``storage.page._SLOT_CODECS``).
-_LEAF_ENTRY = "QQI"     # tid, ttime, sn
-_CHILD_ENTRY = "QI"     # separator tid (0 for the first), child pid
+# A node is encoded one precompiled pack per entry, joined, and decoded in
+# one C call with a format of one group per entry, compiled per call and
+# dropped: each was the faster way when measured (DESIGN.md, "Codecs join
+# precompiled packs").
+_LEAF_ENTRY = struct.Struct(">QQI")     # tid, ttime, sn
+_CHILD_ENTRY = struct.Struct(">QI")     # separator tid (0 for the first), child pid
 
 
-def _entries(entry: str, count: int) -> struct.Struct:
-    return struct.Struct(">" + entry * count)
+def _entries(entry: struct.Struct, count: int) -> struct.Struct:
+    return struct.Struct(">" + entry.format[1:] * count)
 
 
 _APPEND_SPLIT_FRACTION = 0.9
@@ -100,25 +100,24 @@ class PTTNodePage(Page):
 
     def _encode(self) -> bytes:
         """Build the fixed-size on-disk image (uncached)."""
-        buf = bytearray(self.page_size)
-        buf[0:COMMON_HEADER_SIZE] = self._common_header()
-        # chain(zip) interleaves the parallel arrays entry by entry.
         if self.is_leaf:
             count, next_leaf = len(self.tids), self.next_leaf
-            codec = _entries(_LEAF_ENTRY, count)
-            flat = chain.from_iterable(zip(self.tids, self.ttimes, self.sns))
+            columns = (_LEAF_ENTRY.pack, self.tids, self.ttimes, self.sns)
         else:
             count, next_leaf = len(self.children), NO_PAGE
-            codec = _entries(_CHILD_ENTRY, count)
-            flat = chain.from_iterable(zip([0, *self.seps], self.children))
+            columns = (_CHILD_ENTRY.pack, [0, *self.seps], self.children)
+        unfit = f"PTT node {self.page_id} does not fit its image ({count} entries)"
         try:
-            _NODE_EXT.pack_into(buf, COMMON_HEADER_SIZE, self.is_leaf, count, next_leaf)
-            codec.pack_into(buf, _NODE_HEADER, *flat)
+            image = b"".join((
+                self._common_header(),
+                _NODE_EXT.pack(self.is_leaf, count, next_leaf),
+                *map(*columns),
+            ))
         except struct.error as exc:
-            raise PageFormatError(
-                f"PTT node {self.page_id} does not fit its image ({count} entries)"
-            ) from exc
-        return bytes(buf)
+            raise PageFormatError(unfit) from exc
+        if len(image) > self.page_size:
+            raise PageFormatError(unfit)
+        return image.ljust(self.page_size, b"\x00")
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "PTTNodePage":

@@ -1,9 +1,9 @@
 """Page codecs against the encoders they replaced.
 
-The data-page, PTT-node and B-tree index-node codecs pack a whole node in
-one ``struct`` call.  The field-at-a-time encoders they replaced are kept
-here as the reference: for any page, the image must be theirs byte for
-byte, and decoding it must give back the page.
+The data-page, PTT-node and B-tree index-node encoders join precompiled
+``struct`` packs of a node's parts.  The field-at-a-time encoders they
+replaced are kept here as the reference: for any page, the image must be
+theirs byte for byte, and decoding it must give back the page.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ def reference_index_image(node: BTreeIndexPage) -> bytes:
 
 _version = st.tuples(
     st.integers(0, 11),                         # key number
-    st.binary(min_size=0, max_size=300),        # payload
+    st.binary(min_size=0, max_size=2100),       # payload (the workloads write 2,048)
     st.booleans(),                              # stamped, or still a TID
     st.integers(0, (1 << 62) - 1),              # ttime / tid
     st.integers(0, 0xFFFFFFFF),                 # sn
@@ -173,6 +173,49 @@ class TestDataPageCodec:
         RECORD_HEAD.pack_into(image, last, 0, 2, 0xFFF0)
         with pytest.raises(PageFormatError, match="truncated record"):
             DataPage.from_bytes(bytes(image))
+
+    def test_truncated_middle_record_is_refused(self):
+        # The decoder reads a middle record's tail together with the next
+        # record's head, and the last record's tail alone: both must refuse.
+        image = self._image()
+        middle = DATA_HEADER_SIZE + 2 * (RECORD_HEAD.size + 2 + 20 + RECORD_TAIL.size)
+        RECORD_HEAD.pack_into(image, middle, 0, 2, 0xFFF0)
+        with pytest.raises(PageFormatError, match="truncated record"):
+            DataPage.from_bytes(bytes(image))
+
+    @staticmethod
+    def _filled(extra: int) -> DataPage:
+        """Three records ending ``extra`` bytes past the slot area; the last
+        is appended by hand, so ``insert_version`` cannot refuse it first."""
+        page = DataPage(4)
+        page.insert_version(RecordVersion.new(b"a", b"p" * 2048, tid=3))
+        page.insert_version(RecordVersion.new(b"b", b"q" * 256, tid=3))
+        room = page.free_bytes - SLOT_SIZE - (RECORD_HEAD.size + 1 + RECORD_TAIL.size)
+        page.versions.append(RecordVersion.new(b"c", b"r" * (room + extra), tid=3))
+        page.slots.append(2)
+        page._slot_keys.append(b"c")
+        page.touch()
+        return page
+
+    def test_records_filling_the_page_exactly_round_trip(self):
+        page = self._filled(0)
+        image = page.to_bytes()
+        assert len(image) == PAGE_SIZE and image == reference_data_image(page)
+        decoded = DataPage.from_bytes(image)
+        assert decoded.versions == page.versions and decoded.slots == page.slots
+        assert decoded.free_bytes == 0 and decoded.to_bytes() == image
+
+    def test_one_byte_past_the_slot_area_is_refused(self):
+        with pytest.raises(PageFormatError, match="overflows its image"):
+            self._filled(1).to_bytes()
+
+    def test_payload_past_the_length_field_is_refused(self):
+        page = DataPage(4)
+        page.versions.append(RecordVersion.new(b"k", bytes(65536), tid=3))
+        page.slots.append(0)
+        page._slot_keys.append(b"k")
+        with pytest.raises(PageFormatError, match="overflows its image"):
+            page.to_bytes()
 
     def test_not_a_data_page_is_refused(self):
         with pytest.raises(PageFormatError, match="not a data page"):
