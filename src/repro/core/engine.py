@@ -675,7 +675,7 @@ class ImmortalDB:
             "degraded_reads":
                 self.repair.stats.degraded_reads if self.repair else 0,
             "archive_records":
-                self.repair.archive.records_archived if self.repair else 0,
+                self.repair.redo_index.records_indexed if self.repair else 0,
             "backup_refreshes":
                 self.repair.stats.backup_refreshes if self.repair else 0,
             "scrub_steps": self.scrubber.stats.steps if self.scrubber else 0,
@@ -684,7 +684,8 @@ class ImmortalDB:
             "scrub_findings":
                 self.scrubber.stats.findings if self.scrubber else 0,
             # Cold-history archive tiering (all zero with archiving off;
-            # "archive_records" above is the PR-4 WAL archive, unrelated).
+            # "archive_records" above counts the log records media recovery
+            # indexed, unrelated).
             "archive_pages_migrated":
                 self.archive.stats.pages_migrated if self.archive else 0,
             "archive_pages_freed":

@@ -1,15 +1,16 @@
-"""Media recovery and self-healing (log archiving, restore, scrub, quarantine).
+"""Media recovery and self-healing (redo index, restore, scrub, quarantine).
 
 PR 1 gave the engine *detection*: page checksums turn torn writes and
 bit-rot into typed :class:`~repro.errors.ChecksumError`\\ s.  This package
 adds *survival* — the missing half of media robustness:
 
-* :class:`~repro.repair.archive.LogArchive` — a continuous archive of every
-  durable log record, indexed by the pages each record touches;
-* :class:`~repro.repair.archive.PageBackup` — a fuzzy online page backup,
+* :class:`~repro.repair.coverage.RedoIndex` — per page, the LSNs of the
+  durable log records that touch it; the records themselves are read back
+  from the WAL, which is never truncated;
+* :class:`~repro.repair.coverage.PageBackup` — a fuzzy online page backup,
   refreshed at flush checkpoints without stopping the engine;
 * :func:`~repro.repair.restore.restore_page` — ARIES-style single-page
-  restore: backup image + redo of archived records by page LSN;
+  restore: backup image + redo of the page's logged records by page LSN;
 * :class:`~repro.repair.scrub.Scrubber` — an incremental background pass
   over the disk that emits structured findings instead of raising;
 * :class:`~repro.repair.quarantine.QuarantineManager` — graceful
@@ -23,7 +24,7 @@ Everything here is off by default (``media_recovery=False`` on the engine),
 so the figure benchmarks and the crash-point enumeration are unchanged.
 """
 
-from repro.repair.archive import LogArchive, PageBackup
+from repro.repair.coverage import PageBackup, RedoIndex
 from repro.repair.manager import MediaRecoveryManager, RepairStats
 from repro.repair.quarantine import Degraded, QuarantineEntry, QuarantineManager
 from repro.repair.restore import RestoreOutcome, restore_page
@@ -31,11 +32,11 @@ from repro.repair.scrub import Scrubber, ScrubStats
 
 __all__ = [
     "Degraded",
-    "LogArchive",
     "MediaRecoveryManager",
     "PageBackup",
     "QuarantineEntry",
     "QuarantineManager",
+    "RedoIndex",
     "RepairStats",
     "RestoreOutcome",
     "Scrubber",

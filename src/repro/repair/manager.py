@@ -2,20 +2,20 @@
 
 Attachment points (all passive until a fault actually happens):
 
-* ``log.post_force_hooks`` — the archive copies newly durable records after
-  every physical force;
+* ``log.post_force_hooks`` — the redo index records which pages each newly
+  durable record touches, after every physical force;
 * ``checkpoints.post_checkpoint_hooks`` — flush checkpoints refresh the
   fuzzy page backup (every disk image is current right after one) and trim
-  the archive of records the backup now covers;
+  each page's indexed LSNs to those past its new backup image;
 * ``buffer.fault_handler`` — a page that fails verification on a buffer
   miss is restored in place (the caller gets the repaired page and never
   sees the fault) or, when that is impossible, quarantined behind a typed
   :exc:`~repro.errors.PageQuarantinedError`;
 * ``engine._save_meta`` — the meta page's writes are unlogged, so the
-  backup mirrors it on every save instead of relying on the archive.
+  backup mirrors it on every save instead of relying on the log.
 
 GC interlock: restoring a page finishes with a stamping pass, which needs
-the TID → timestamp mappings for every version replayed from the archive.
+the TID → timestamp mappings for every version replayed from the log.
 The engine therefore gates PTT garbage collection on
 :attr:`backup_gc_horizon` — the redo scan start point as of the last backup
 refresh.  A mapping is only collectable once the pages it stamped were
@@ -34,10 +34,11 @@ from repro.errors import (
     MediaRecoveryError,
     PageQuarantinedError,
     StorageError,
+    WALError,
 )
-from repro.repair.archive import LogArchive, PageBackup
+from repro.repair.coverage import PageBackup, RedoIndex
 from repro.repair.quarantine import QuarantineManager
-from repro.repair.restore import restore_page
+from repro.repair.restore import RestoreOutcome, restore_page
 from repro.timestamp.ptt import PTTNodePage
 from repro.wal.records import CommitTxn, PTTDelete
 
@@ -59,12 +60,12 @@ class RepairStats:
 
 
 class MediaRecoveryManager:
-    """Owns the archive, backup, quarantine, and the repair entry points."""
+    """Owns the redo index, backup, quarantine, and the repair entry points."""
 
     def __init__(self, engine: "ImmortalDB", *, auto_repair: bool = True) -> None:
         self.engine = engine
         self.auto_repair = auto_repair
-        self.archive = LogArchive()
+        self.redo_index = RedoIndex(engine.log)
         self.backup = PageBackup()
         self.quarantine = QuarantineManager()
         self.stats = RepairStats()
@@ -72,32 +73,28 @@ class MediaRecoveryManager:
         #: bound that keeps restore's stamping pass resolvable (0 = no
         #: refresh yet, nothing collectable).
         self.backup_gc_horizon = 0
-        engine.log.post_force_hooks.append(self._on_force)
+        engine.log.post_force_hooks.append(self.redo_index.capture)
         engine.checkpoints.post_checkpoint_hooks.append(self._on_checkpoint)
         engine.buffer.fault_handler = self._page_fault
         # Seed coverage: whatever is already durable, plus current images.
-        self.archive.capture(engine.log)
+        self.redo_index.capture()
         self.backup.capture_all(engine.disk, engine.log.flushed_lsn)
-        self.backup.captured_flushed_lsn = engine.log.flushed_lsn
 
     # -- hooks -------------------------------------------------------------
-
-    def _on_force(self) -> None:
-        self.archive.capture(self.engine.log)
 
     def _on_checkpoint(self, flush: bool) -> None:
         if flush:
             self.refresh_backup()
 
     def refresh_backup(self) -> None:
-        """Capture a fresh fuzzy backup and trim the covered archive tail."""
+        """Capture a fresh fuzzy backup and trim the LSNs it covers."""
         engine = self.engine
-        self.archive.capture(engine.log)
+        self.redo_index.capture()
         flushed = engine.log.flushed_lsn
         failed = self.backup.capture_all(engine.disk, flushed)
         for page_id in failed:
             # A page too damaged to even back up: repair it right now if
-            # allowed — its older backup image plus the archive suffice.
+            # allowed — its older backup image plus the log suffice.
             if self.auto_repair and self.repair_page(page_id):
                 try:
                     self.backup.put(
@@ -105,10 +102,7 @@ class MediaRecoveryManager:
                     )
                 except StorageError:  # pragma: no cover - freshly rewritten
                     pass
-        self.archive.trim_covered(
-            self.backup.image_lsn, self.backup.ptt_floor()
-        )
-        self.backup.captured_flushed_lsn = flushed
+        self.redo_index.trim(self.backup.image_lsn)
         self.backup_gc_horizon = engine.checkpoints.redo_scan_start()
         self.stats.backup_refreshes += 1
 
@@ -132,16 +126,14 @@ class MediaRecoveryManager:
         disk image on its next flush anyway.
         """
         try:
-            outcome = restore_page(self, page_id)
-        except (MediaRecoveryError, StorageError) as exc:
+            self._restore(page_id)
+        except StorageError as exc:
             self.stats.repair_failures += 1
             self.quarantine.quarantine(
                 page_id, exc, stale_image=self.backup.image(page_id)
             )
             self.stats.pages_quarantined += 1
             return False
-        self._account(outcome)
-        self._finish_restore(page_id, outcome.page)
         buffer = self.engine.buffer
         if buffer.contains(page_id):
             # A cached frame is always at least as new as the restored
@@ -161,13 +153,11 @@ class MediaRecoveryManager:
         self.stats.page_faults += 1
         if self.auto_repair:
             try:
-                outcome = restore_page(self, page_id)
-            except (MediaRecoveryError, StorageError) as repair_exc:
+                outcome = self._restore(page_id)
+            except StorageError as repair_exc:
                 self.stats.repair_failures += 1
                 exc = repair_exc
             else:
-                self._account(outcome)
-                self._finish_restore(page_id, outcome.page)
                 if outcome.page is not None:
                     return outcome.page
                 # Restored to the unborn (all-zero) state: there is no
@@ -184,30 +174,42 @@ class MediaRecoveryManager:
             f"page {page_id} is quarantined: {exc}", page_id=page_id
         ) from exc
 
-    def _account(self, outcome) -> None:
-        self.stats.pages_repaired += 1
-        self.stats.repair_records_replayed += outcome.records_replayed
-        self.stats.repair_versions_stamped += outcome.versions_stamped
-        self.quarantine.release(outcome.page_id)
+    def _restore(self, page_id: int) -> RestoreOutcome:
+        """Restore one page, refill it if it is a PTT page, count it.
 
-    def _finish_restore(self, page_id: int, page: "Page") -> None:
-        """Post-restore work for logically-logged page types.
+        Restore reads its records back from the log: a frame that fails
+        its check there is a :exc:`MediaRecoveryError` like any other gap
+        in coverage, so the callers quarantine the page.
 
         PTT node pages never appear in physical log records (commit records
         carry their mutations), so the physical restore only recovered the
-        backup image; re-apply the archived mutations idempotently through
-        the live PTT to close the gap.
+        backup image; the refill re-applies the durable mutations logged
+        since its capture, idempotently, through the live PTT.
         """
-        if isinstance(page, PTTNodePage):
-            self._refill_ptt(page_id)
+        try:
+            outcome = restore_page(self, page_id)
+            if isinstance(outcome.page, PTTNodePage):
+                self._refill_ptt(page_id)
+        except WALError as exc:
+            raise MediaRecoveryError(
+                f"page {page_id}: a log record it needs cannot be read: "
+                f"{exc}",
+                page_id=page_id,
+            ) from exc
+        self.stats.pages_repaired += 1
+        self.stats.repair_records_replayed += outcome.records_replayed
+        self.stats.repair_versions_stamped += outcome.versions_stamped
+        self.quarantine.release(page_id)
+        return outcome
 
     def _refill_ptt(self, page_id: int) -> None:
-        ptt = self.engine.ptt
-        for record in self.archive.ptt_records_after(
-            self.backup.capture_lsn(page_id)
-        ):
+        log, ptt = self.engine.log, self.engine.ptt
+        durable = log.flushed_lsn
+        for record in log.records_from(self.backup.capture_lsn(page_id)):
+            if record.lsn >= durable:
+                break
             if isinstance(record, CommitTxn):
-                if ptt.lookup(record.tid) is None:
+                if record.ptt and ptt.lookup(record.tid) is None:
                     ptt.insert(
                         record.tid, Timestamp(record.ttime, record.sn),
                         rec_lsn=record.lsn,
@@ -219,8 +221,7 @@ class MediaRecoveryManager:
     # -- crash semantics ---------------------------------------------------
 
     def on_crash(self) -> None:
-        """A simulated crash wipes volatile state; archive and backup are
-        durable media and survive (``captured_upto`` never exceeds the
-        durable prefix, so the archive stays consistent with the truncated
-        log)."""
+        """A simulated crash wipes volatile state; the redo index and the
+        backup survive (the index holds only durable LSNs, all still in
+        the log the crash truncated to its durable prefix)."""
         self.quarantine.clear()

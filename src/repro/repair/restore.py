@@ -1,12 +1,12 @@
-"""ARIES-style single-page restore: backup image + archived redo by LSN.
+"""ARIES-style single-page restore: backup image + redo from the log by LSN.
 
 A page is rebuilt entirely outside the buffer pool: start from the newest
 backup image (or from nothing — every page's birth is logged as a full
 after-image by the B-tree's redo-only SMO records, so a page allocated
-after the last backup is reconstructible from the archive alone), then
-replay the archived records that touch the page, each guarded by the page
-LSN exactly like recovery's redo pass.  The engine keeps serving other
-pages throughout.
+after the last backup is reconstructible from the log alone), then replay
+the records that touch the page, read back from the WAL through the redo
+index and each guarded by the page LSN exactly like recovery's redo pass.
+The engine keeps serving other pages throughout.
 
 Timestamps: stamping is never logged, so replay recreates versions
 TID-marked and the restore finishes with a stamping pass.  It deliberately
@@ -52,14 +52,15 @@ class RestoreOutcome:
 
 
 def restore_page(manager: "MediaRecoveryManager", page_id: int) -> RestoreOutcome:
-    """Rebuild ``page_id`` from backup + archive and write it back to disk.
+    """Rebuild ``page_id`` from backup + log and write it back to disk.
 
     Returns the restored page object (decoded, current, clean — the caller
     may admit it to the buffer pool).  Raises :exc:`MediaRecoveryError`
-    when the archive has no coverage for the page.
+    when the log holds no coverage for the page, and the log's own
+    :exc:`~repro.errors.WALError` when a record it needs cannot be read
+    back (the manager turns that into a :exc:`MediaRecoveryError` too).
     """
     fire("repair.restore")
-    archive = manager.archive
     page: Page | None = None
     base_lsn = 0
     source = "log-only"
@@ -70,7 +71,7 @@ def restore_page(manager: "MediaRecoveryManager", page_id: int) -> RestoreOutcom
         source = "backup"
 
     replayed = 0
-    for record in archive.records_for(page_id, after_lsn=base_lsn):
+    for record in manager.redo_index.records_for(page_id, after_lsn=base_lsn):
         page, applied = _apply(page, page_id, record)
         replayed += applied
 
@@ -94,7 +95,7 @@ def restore_page(manager: "MediaRecoveryManager", page_id: int) -> RestoreOutcom
                 versions_stamped=0,
             )
         raise MediaRecoveryError(
-            f"page {page_id}: no backup image and the archive holds no "
+            f"page {page_id}: no backup image and the log holds no "
             f"records for it",
             page_id=page_id,
         )
@@ -127,11 +128,11 @@ def restore_page(manager: "MediaRecoveryManager", page_id: int) -> RestoreOutcom
 def _apply(
     page: Page | None, page_id: int, record: LogRecord
 ) -> tuple[Page | None, int]:
-    """Apply one archived record to the page under reconstruction.
+    """Apply one logged record to the page under reconstruction.
 
     The record's effect is its own ``redo`` / ``image_for`` — the methods
     restart redo calls; what is restore's own is the detached page (no
-    buffer pool), and the errors only a trimmed archive can produce.
+    buffer pool), and the errors only a trimmed redo index can produce.
     """
     lsn = record.lsn
     if isinstance(record, (MultiPageImage, CompensationRecord)):
@@ -141,10 +142,10 @@ def _apply(
         return (page, 0) if image is None else (image, 1)
 
     if page is None:
-        # A non-image record cannot be the page's first archived action:
+        # A non-image record cannot be the page's first replayed action:
         # its birth image must have been trimmed past — coverage gap.
         raise MediaRecoveryError(
-            f"page {page_id}: archive coverage gap — record at LSN {lsn} "
+            f"page {page_id}: log coverage gap — record at LSN {lsn} "
             f"predates any full image",
             page_id=page_id,
         )
@@ -171,7 +172,7 @@ def _stamp_restored(tsmgr: "TimestampManager", page: DataPage) -> int:
             )
         except UnknownTransactionError:
             # Defensive: the GC gate makes this unreachable for any page
-            # the archive covers; leave the version for a later pass.
+            # the log covers; leave the version for a later pass.
             continue
         if not committed:
             continue

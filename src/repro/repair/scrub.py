@@ -5,7 +5,7 @@ happens to read the page; latent corruption on cold pages survives until
 the worst possible moment.  The scrubber closes that window: each
 :meth:`Scrubber.step` verifies a bounded batch of pages straight from disk
 — checksum, decode, structural self-check, and a dropped-write staleness
-probe against the log archive — and emits structured
+probe against the redo index — and emits structured
 :class:`~repro.core.integrity.Finding`\\ s instead of raising.  When the
 engine has a media-recovery manager attached, findings are dispatched to it
 for immediate single-page repair.
@@ -13,9 +13,9 @@ for immediate single-page repair.
 The staleness probe is the only defense that catches *silently dropped*
 writes (the fault model's ``dropped_write`` leaves the old, checksum-valid
 image in place).  It is false-positive-free: a page that is not dirty in
-the buffer pool has had its last write-back complete, so every archived
+the buffer pool has had its last write-back complete, so every durable
 record for it must already be reflected in the disk image's LSN — a disk
-LSN below the archive's newest LSN for that page proves a write was lost.
+LSN below the newest indexed LSN for that page proves a write was lost.
 Dirty pages are skipped (their disk image is legitimately stale).
 
 Scrub work is counted in the engine stats (``scrub_steps``,
@@ -109,8 +109,7 @@ class Scrubber:
         if free_list is not None and pid in free_list:
             # Archive migration zero-filled this page when it freed it; the
             # staleness probe below would otherwise flag it as a lost
-            # sector (the log archive still holds its pre-migration
-            # records).
+            # sector (the redo index still holds its pre-migration LSNs).
             return []
         self.stats.pages_scanned += 1
         try:
@@ -126,18 +125,18 @@ class Scrubber:
             # All zeros: either a page allocated and never written (a
             # backed-out time split abandons its freshly allocated history
             # pid) — benign — or a lost sector that zeroed a real page.
-            # The page demonstrably had content iff the archive holds
-            # records for it or the backup holds a non-zero image.
+            # The page demonstrably had content iff the log holds records
+            # for it or the backup holds a non-zero image.
             repair = getattr(engine, "repair", None)
             if repair is not None:
                 backup_raw = repair.backup.image(pid)
-                if repair.archive.max_lsn_for(pid) > 0 or (
+                if repair.redo_index.max_lsn_for(pid) > 0 or (
                     backup_raw is not None and any(backup_raw)
                 ):
                     return [Finding(
                         "stale",
                         f"page {pid} image is all zeros but the page has "
-                        f"archived history (lost sector)",
+                        f"logged history (lost sector)",
                         page_id=pid,
                     )]
             return []
@@ -178,17 +177,17 @@ class Scrubber:
         if repair is not None and not findings:
             # The backup image's LSN also bounds staleness: it was captured
             # from this very disk, so the disk can never legitimately hold
-            # an older image than the backup (matters once the archive has
-            # been trimmed of records the backup already covers).
+            # an older image than the backup (matters once the redo index
+            # has been trimmed of the LSNs the backup already covers).
             expected = max(
-                repair.archive.max_lsn_for(pid),
+                repair.redo_index.max_lsn_for(pid),
                 repair.backup.image_lsn(pid),
             )
             if expected > page.lsn:
                 findings.append(Finding(
                     "stale",
                     f"page {pid} image stops at LSN {page.lsn} but the "
-                    f"archive holds its records up to LSN {expected} "
+                    f"log holds its records up to LSN {expected} "
                     f"(dropped write)",
                     page_id=pid,
                 ))

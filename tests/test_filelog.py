@@ -822,3 +822,39 @@ class TestMemoryBound:
         assert len(log) == records
         log.close()
         assert peak < 1 << 20
+
+    @staticmethod
+    def _traced_after_eight_mib(path, media_recovery: bool) -> int:
+        """Bytes still traced once an engine on ``path`` has logged 8 MiB
+        of ~1 KB versioned updates, the engine still open.  Checkpoints
+        never flush, so the page backup is never refreshed."""
+        tracemalloc.start()
+        try:
+            db = ImmortalDB(
+                path, buffer_pages=64, media_recovery=media_recovery
+            )
+            table = db.create_table("t", COLS, key="k", immortal=True)
+            with db.transaction() as txn:
+                for k in range(200):
+                    table.insert(txn, {"k": k, "v": "x"})
+            n = 0
+            while db.log.end_lsn < 8 << 20:
+                n += 1
+                db.advance_time(10)
+                with db.transaction() as txn:
+                    for j in range(29):
+                        table.update(txn, (n * 29 + j) % 200,
+                                     {"v": f"{n}-{j}" + "y" * 1000})
+                db.checkpoint(flush=False)
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        db.close()
+        return traced
+
+    def test_media_recovery_holds_no_copy_of_the_log(self, tmp_path):
+        # Restore reads a page's records back from the log file: what
+        # media recovery keeps per record is an LSN, not its bytes.
+        on = self._traced_after_eight_mib(tmp_path / "on.pages", True)
+        off = self._traced_after_eight_mib(tmp_path / "off.pages", False)
+        assert on - off < 1 << 20

@@ -1,16 +1,20 @@
 """Media recovery & self-healing tests.
 
 Covers: byte-identical single-page restore across seeds and corruption
-modes, read-triggered auto-repair through the buffer fault handler, the
-scrubber's detection matrix (checksum, decode, dropped-write staleness,
-benign unborn pages), quarantine + graceful degradation with auto-repair
-off, the transient-IO retry policy and its stats, crash-during-restore
-idempotence, exception context fields, the structured IntegrityReport,
-and a smoke pass of the crashtest harness's ``--media-faults`` mode.
+modes, per-page trimming of the redo index, restore reading its records
+back from a file-backed log (and quarantining the page when a frame it
+needs is damaged), read-triggered auto-repair through the buffer fault
+handler, the scrubber's detection matrix (checksum, decode, dropped-write
+staleness, benign unborn pages), quarantine + graceful degradation with
+auto-repair off, the transient-IO retry policy and its stats,
+crash-during-restore idempotence, exception context fields, the
+structured IntegrityReport, and a smoke pass of the crashtest harness's
+``--media-faults`` mode.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -20,6 +24,8 @@ from repro.core.integrity import integrity_report, verify_integrity
 from repro.errors import (
     ChecksumError,
     InjectedIOError,
+    LogFormatError,
+    MediaRecoveryError,
     PageQuarantinedError,
 )
 from repro.faults.crashtest import CrashTestConfig, replay
@@ -30,11 +36,11 @@ from repro.repair.quarantine import Degraded
 from repro.repair.scrub import Scrubber
 from repro.storage.disk import InMemoryDisk, RetryPolicy
 from repro.storage.page import DataPage, decode_page
-from repro.timestamp.ptt import PTTNodePage
 from repro.wal import recovery
 from repro.wal.records import (
     CompensationRecord,
     InPlaceUpdate,
+    LogRecord,
     MultiPageImage,
     StampOp,
     VersionOp,
@@ -162,15 +168,8 @@ class TestByteIdenticalRestore:
         replayed: set[type] = set()
         for pid in range(disk.page_count):
             good = disk.inner._read(pid)
-            if timestamping == "eager" and any(good) \
-                    and isinstance(decode_page(good), PTTNodePage):
-                # Eager commits never insert into the PTT, but their commit
-                # records say ``ptt=True`` and restore refills a PTT page
-                # from those: the restored page holds entries the live one
-                # never had.  Harmless (nothing reads them) and not new.
-                continue
             replayed.update(
-                type(r) for r in db.repair.archive.records_for(
+                type(r) for r in db.repair.redo_index.records_for(
                     pid, after_lsn=db.repair.backup.image_lsn(pid))
             )
             disk.corrupt_stored(pid, mode=modes[pid % len(modes)])
@@ -188,12 +187,30 @@ class TestByteIdenticalRestore:
             assert {r["k"]: r["v"] for r in table.scan(txn)} == expected
 
     def test_restore_survives_archive_trimming(self):
-        # The flush checkpoints inside build_media_db trim the archive; the
-        # sweep above already restored through trimmed coverage, so here we
-        # just pin the invariant that trimming actually happened.
-        db, _, _, _, _ = build_media_db(0)
-        assert db.repair.archive.records_trimmed > 0
+        # Each flush checkpoint inside build_media_db makes every page
+        # forget the LSNs at or below its backup image's LSN: exactly
+        # those, and restore still rebuilds the trimmed pages.
+        db, _, disk, _, _ = build_media_db(0, mixed=True)
+        index, backup = db.repair.redo_index, db.repair.backup
+        logged: dict[int, list[int]] = {}
+        for lsn, raw in db.log.durable_frames():
+            for pid in LogRecord.decode(raw).affected_pages():
+                logged.setdefault(pid, []).append(lsn)
+        trimmed = []
+        for pid, lsns in logged.items():
+            kept = [lsn for lsn in lsns if lsn > backup.image_lsn(pid)]
+            assert [r.lsn for r in index.records_for(pid)] == kept
+            assert index.max_lsn_for(pid) == (kept[-1] if kept else 0)
+            if len(kept) < len(lsns):
+                trimmed.append(pid)
         assert db.repair.stats.backup_refreshes > 0
+        assert trimmed
+        scrubber = Scrubber(db)
+        for pid in trimmed:
+            good = disk.inner._read(pid)
+            disk.corrupt_stored(pid, mode="garbage")
+            scrubber.full_pass()
+            assert disk.inner._read(pid) == good, f"page {pid}"
 
 
 class TestOneRedoTwoCallers:
@@ -262,6 +279,85 @@ class TestOneRedoTwoCallers:
         else:
             assert applied == 1 and redone != before
             assert restored.lsn == record.lsn
+
+
+class TestRestoreReadsTheLogFile:
+    """Restore reads a page's records back from the log file: nothing in
+    memory holds them once the log is forced."""
+
+    @staticmethod
+    def _file_db(path):
+        db = ImmortalDB(
+            str(path), buffer_pages=16, page_checksums=True,
+            media_recovery=True,
+        )
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        for i in range(60):
+            db.advance_time(10)
+            with db.transaction() as txn:
+                key = i % 20
+                row = {"v": f"{i}" + "x" * (i * 37 % 500)}
+                if i < 20:
+                    table.insert(txn, {"k": key, **row})
+                else:
+                    table.update(txn, key, row)
+            if i == 30:
+                db.checkpoint(flush=True)    # the backup the log rolls on
+        db.flush_commits()
+        db.buffer.flush_all()
+        db.log.force()
+        assert not db.log._lsns              # every record is in the file
+        assert not db.buffer.dirty_page_table()
+        # Pages whose restore replays records past their backup image.
+        repair = db.repair
+        pids = [
+            pid for pid in range(db.disk.page_count)
+            if any(repair.redo_index.records_for(
+                pid, after_lsn=repair.backup.image_lsn(pid)))
+        ]
+        assert pids
+        return db, pids
+
+    @staticmethod
+    def _damage(db, pid):
+        size = db.disk.page_size
+        os.pwrite(db.disk._fd, bytes(range(256)) * 4, pid * size + size // 2)
+
+    def test_scrubber_restores_from_the_log_file(self, tmp_path):
+        db, pids = self._file_db(tmp_path / "db.pages")
+        size = db.disk.page_size
+        good = {pid: os.pread(db.disk._fd, size, pid * size) for pid in pids}
+        for pid in pids:
+            self._damage(db, pid)
+        Scrubber(db).full_pass()
+        for pid in pids:
+            assert os.pread(db.disk._fd, size, pid * size) == good[pid]
+        assert db.stats()["repair_records_replayed"] > 0
+        assert Scrubber(db).full_pass() == []
+        db.close()
+
+    def test_a_damaged_log_frame_quarantines_the_page(self, tmp_path):
+        db, pids = self._file_db(tmp_path / "db.pages")
+        pid = pids[0]
+        repair = db.repair
+        needed = next(repair.redo_index.records_for(
+            pid, after_lsn=repair.backup.image_lsn(pid))).lsn
+        with open(db.log.path, "r+b") as fh:     # one payload byte flipped
+            at = needed + db.log.FRAME_BYTES + 1
+            fh.seek(at)
+            byte = fh.read(1)[0]
+            fh.seek(at)
+            fh.write(bytes([byte ^ 0xFF]))
+        self._damage(db, pid)
+        db.buffer.discard_all()
+        with pytest.raises(PageQuarantinedError) as err:
+            db.buffer.get_page(pid)
+        assert isinstance(err.value.__cause__, MediaRecoveryError)
+        assert isinstance(err.value.__cause__.__cause__, LogFormatError)
+        assert pid in repair.quarantine
+        assert repair.stats.repair_failures == 1
+        db.close()      # the backup refresh meets the page and re-quarantines it
+        assert pid in repair.quarantine
 
 
 class TestReadTriggeredRepair:
