@@ -8,15 +8,16 @@ Two phases against the real socket server over real sockets:
   (``BENCH_service.json``).
 
 * **overload** — many more clients than the (deliberately tiny) admission
-  budget, hammering with no pacing, against a *file-backed* engine.  A
-  connection's thread takes the admission decision itself, so an engine
-  that never blocks never overloads: the herd just takes turns on the
-  interpreter lock before a frame is read, and TCP holds the rest back.
-  With a log to force, a commit parks its thread in the device sync,
-  holding its execution slot and its share of the budget, while the other
-  threads read and admit — requests pile up *after* admission, which is
-  what the budget bounds.  This is the phase that proves the robustness
-  story: shedding must keep the service *useful*, not merely alive.
+  budget, hammering with no pacing, against a *file-backed* engine.  The
+  server's polling thread reads every connection that polled readable and
+  takes the admission decision for each before it runs any: the admitted
+  ones hold their share of the budget until they run, the rest are shed.
+  While it runs a batch, and syncs the log for each write in it, the
+  herd waits in the socket buffers and TCP holds the rest back, so the
+  next poll finds most connections readable at once; requests pile up
+  *after* admission, which is what the budget bounds.  This is the phase
+  that proves the robustness story: shedding must keep the service
+  *useful*, not merely alive.
   Three hard gates, all CI-enforced:
 
   - goodput stays nonzero (writes keep draining while reads shed),

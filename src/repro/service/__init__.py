@@ -1,4 +1,4 @@
-"""Network service layer: a thread-per-connection SQL server over the engine.
+"""Network service layer: a leader/followers SQL server over the engine.
 
 The package splits sans-IO from transport, the same separation the WAL
 uses (framing/codec vs. file):
@@ -11,7 +11,7 @@ uses (framing/codec vs. file):
 * :mod:`repro.service.transport` — in-process loopback transport with the
   network fault model (torn frames, dropped responses, duplicate delivery,
   slow-loris chunking);
-* :mod:`repro.service.server` — the socket server, one thread a connection;
+* :mod:`repro.service.server` — the socket server, one polling thread;
 * :mod:`repro.service.client` — a blocking socket client with seeded
   retry/backoff.
 

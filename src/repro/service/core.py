@@ -14,11 +14,13 @@ Execution routing
 -----------------
 ``handle_payload`` is the whole of a request's execution — idempotency
 lookup, session lock, retry loop, statement, durable-ack flush, response —
-and runs on whichever thread calls it: the connection's own thread behind
-the socket server (which first takes one of its ``pool_workers`` execution
-slots), the caller's thread under the loopback transport and the
-crashtest.  The order of operations is identical.  Only bulk ingest still
-fans out, to a :class:`~repro.workers.pool.WorkerPool` when there is one.
+and runs on whichever thread calls it: the thread that read the request
+behind the socket server (which first takes one of its ``pool_workers``
+execution slots), the caller's thread under the loopback transport and
+the crashtest.  The order of operations is identical.  Only bulk ingest
+still fans out, to a :class:`~repro.workers.pool.WorkerPool` when there
+is one.  Before a conflict back-off or a bulk ingest the core calls
+``wait_hooks.on_wait()``, where the socket server hands its poll loop on.
 
 Admission
 ---------
@@ -137,13 +139,11 @@ class ServiceCore:
         max_retries: int = 8,
         retry_seed: int = 0,
         retry_step_ms: float = 0.0,
-        now=time.monotonic,
     ) -> None:
         self.db = db
         self.pool = pool
         self.admission = admission or AdmissionController()
         self.stats = ServiceStats()
-        self._now = now
         self.max_retries = max_retries
         self.retry_policy = RetryPolicy(
             max_attempts=max_retries + 1, seed=retry_seed
@@ -155,6 +155,7 @@ class ServiceCore:
         self._dedup: OrderedDict = OrderedDict()
         self._dedup_capacity = dedup_capacity
         self.draining = False
+        self.wait_hooks = None      # see "Execution routing"
         # The engine's stats() picks these counters up from here.
         db.service_stats = self.stats
 
@@ -167,7 +168,7 @@ class ServiceCore:
         with self._mu:
             session_id = self._next_session_id
             self._next_session_id += 1
-            session = ServiceSession(session_id, self.db, now=self._now)
+            session = ServiceSession(session_id, self.db)
             self.sessions[session_id] = session
             self.stats.sessions_opened += 1
         return session
@@ -202,19 +203,6 @@ class ServiceCore:
         """The transport gave up waiting on a request's execution."""
         self.stats.timeouts += 1
         session.mark_defunct(reason)
-
-    def reap_idle(self, idle_timeout_s: float) -> list[ServiceSession]:
-        """Close every session idle past the deadline; returns the victims."""
-        now = self._now()
-        with self._mu:
-            victims = [
-                s for s in self.sessions.values()
-                if not s.closed and now - s.last_active >= idle_timeout_s
-                and not s.lock.locked()
-            ]
-        for session in victims:
-            self.close_session(session, "idle")
-        return victims
 
     # -- drain ----------------------------------------------------------------
 
@@ -335,7 +323,6 @@ class ServiceCore:
                     SessionStateError(f"session closed ({session.close_reason})"),
                     retryable=True,
                 )
-            session.last_active = self._now()
             op = message.get("op")
             sql = message.get("sql")
             statement = op == "sql" and type(sql) is str
@@ -404,6 +391,8 @@ class ServiceCore:
                     self.stats.retries += 1
                     steps = self.retry_policy.backoff_steps(attempt)
                     if self.retry_step_ms:
+                        if self.wait_hooks is not None:
+                            self.wait_hooks.on_wait()
                         time.sleep(steps * self.retry_step_ms / 1000.0)
                     attempt += 1
                 except ImmortalDBError as exc:
@@ -454,6 +443,8 @@ class ServiceCore:
         batch = int(message.get("batch", 64))
         if batch < 1:
             raise ProtocolError("ingest batch must be >= 1")
+        if self.wait_hooks is not None:
+            self.wait_hooks.on_wait()
         try:
             with session.lock:
                 if session.sql.in_transaction:

@@ -72,7 +72,8 @@ def decode_message(payload: bytes) -> dict:
         message, end = _scan_json(text, 0)
         if end != len(text):
             raise ValueError(f"extra data at {end}")
-    except (ValueError, StopIteration) as exc:   # StopIteration: no value
+    # StopIteration: no value; RecursionError: nested too deep to scan
+    except (ValueError, StopIteration, RecursionError) as exc:
         raise ProtocolError(f"frame payload is not valid JSON: {exc!r}") from None
     if type(message) is not dict:
         raise ProtocolError("frame payload must be a JSON object")

@@ -1,54 +1,56 @@
 """The socket server over :class:`~repro.service.core.ServiceCore`.
 
-A request stays on one thread.  A blocking listener hands every accepted
-socket to a thread of its own, and that thread carries each request from
-the wire to the log force and back: ``recv`` → frame → decode → admission
-(never blocks: a shed request is answered at once and costs no slot) → an
-execution slot → ``ServiceCore.handle_payload`` → ``sendall``.  Nothing is
-handed to another thread and no timer is armed per request.  A connection
-runs its frames in order, one at a time; what a client pipelines stays in
-the socket buffers — the thread does not read while it executes, and
-``sendall`` blocks on a slow reader — so TCP is the backpressure.
-``pool_workers`` is the number of requests that may *execute* at once: a
-slot taken after the admission decision, waited on for no longer than the
-request's deadline.
+Leader/followers (Schmidt, O'Ryan, Pyarali, Kircher and Buschmann, PLoP
+2000).  One thread at a time, the *leader*, waits in ``epoll`` on the
+listener and every connection.  It reads each connection that polled
+readable and takes the admission decision for its first whole request (a
+shed request is answered in turn and costs no slot); then it carries each
+of those requests through to the reply: an execution slot →
+``ServiceCore.handle_payload`` → ``send``.  Then it polls again.
+
+It hands the loop to a parked follower (spawned when none is parked) only
+before a wait that may need the loop to end: an execution slot, a record
+lock or the engine latch (``wait_hooks``), a conflict back-off, a bulk
+ingest, a reply the socket will not take.  The request stays on the thread
+that started it, its connection out of the poll set until it is answered;
+the new leader runs the rest of the poll batch before it polls.  A log
+force or a long scan ends by itself, so the leader keeps the loop across
+it, and what arrives meanwhile waits for the next poll.  A connection's
+frames run in order, one at a time; what a client pipelines waits in the
+socket buffers.  ``pool_workers`` requests may *execute* at once: a slot
+taken after admission, waited on for no longer than the request's
+deadline.
 
 Robustness behaviours, all typed and test-covered:
 
-* **per-request timeout** — one service-wide watchdog thread owns the
-  deadline of every admitted request.  When it passes first, the watchdog
-  answers ``timeout``, marks the session defunct and shuts the socket; the
-  still-running body aborts its bracket the moment it completes, its late
-  result is dropped, and its slot and admission budget come back only
-  then.  A request whose deadline passes while it waits for a slot never
-  runs.  A deadline is taken under the service lock, so exactly one of the
-  connection thread and the watchdog writes the reply, and the socket is not
-  closed under it: a counted timeout is a ``timeout`` the client reads.
-* **idle-session timeout** — the socket's own kernel timeout
-  (:func:`~repro.service.protocol.set_io_timeout`): a connection silent
-  (or not reading) past ``idle_timeout_s`` gets a ``bye`` and its session
-  is reaped, aborting any open bracket.
-* **disconnect** — EOF or reset mid-transaction aborts the transaction
-  and releases its locks (``service_aborted_on_disconnect`` counts these).
-  A client may half-close after its last request: everything it sent is
-  answered before the EOF behind it is read.
-* **torn frame** — a CRC-failed frame kills the connection (framing sync
-  is unrecoverable); the engine never sees the request.
+* **per-request timeout** — the watchdog thread owns every deadline; if
+  one passes first it answers ``timeout``, marks the session defunct and
+  shuts the socket.  The body aborts its bracket when it completes, and
+  only then do its slot and budget come back; a request whose deadline
+  passes before a slot comes free never runs.  One reply per request.
+* **idle-session timeout** — once a poll tick, after reading what polled
+  readable, the leader says ``bye`` to each other connection silent past
+  ``idle_timeout_s`` and reaps its session; a client that does not read
+  its replies as long hits the send timeout.
+* **disconnect** — EOF or reset aborts an open bracket, releasing its
+  locks; what a half-closed client sent is answered first.
+* **torn frame** — a CRC-failed frame kills the connection.
 * **graceful drain** — :meth:`SQLService.shutdown` refuses new work and
-  new connections with typed replies, stops accepting, waits for busy
-  connections up to ``drain_timeout_s``, hangs up, aborts leftover
-  brackets, forces group commit, and closes the pool.
-* **a bug is loud** — an exception escaping the request path closes that
-  connection with a typed ``error`` reply and then surfaces through
-  ``threading.excepthook``.
+  connections with typed replies, waits up to ``drain_timeout_s``, hangs
+  up, aborts leftover brackets, forces group commit and stops the loop.
+* **a bug is loud** — an exception escaping the request path is answered
+  with ``error``, ends the connection, hands the loop on and surfaces
+  through ``threading.excepthook``.
 """
 
 from __future__ import annotations
 
 import queue
+import select
 import socket
 import threading
 import time
+from collections import deque
 
 from repro.errors import (
     ProtocolError,
@@ -64,15 +66,17 @@ from repro.workers.pool import WorkerPool
 
 
 class _Connection:
-    """One client socket and the thread that serves it.
+    """One client socket and its session.
 
-    States: *idle* (in ``recv``), *waiting for a slot*, *executing* — in
-    the last two ``deadline`` is set — and *defunct* once ``expired``.
+    States: *idle* (in the poll set), *waiting for a slot*, *executing* —
+    in the last two ``deadline`` is set — and *defunct* once ``expired``.
     """
 
     def __init__(self, service: "SQLService", sock: socket.socket) -> None:
         self.service = service
         self.sock = sock
+        self.fd = sock.fileno()
+        self.decoder = protocol.FrameDecoder()
         self.session = None
         self.request_id = None
         self.deadline: float | None = None  # while a request is past admission
@@ -80,74 +84,82 @@ class _Connection:
         #: held from taking a deadline until its ``timeout`` reply is out,
         #: so the body finishing meanwhile cannot close the socket first
         self.replying = threading.Lock()
-        self.thread = threading.Thread(
-            target=self._run, name="svc-conn", daemon=True
-        )
+        self.polled = False     # in the poll set, not served by a thread
+        self.idle_since = time.monotonic()
+        self.pending: list[bytes] = []     # the whole requests last read
+        #: the first pending request's message and admission, when taken
+        self.admitted: tuple = (None, None)
 
-    # -- the connection thread -------------------------------------------------
+    # -- the loop's side -------------------------------------------------------
 
-    def _run(self) -> None:
-        reason = "disconnect"
+    def read(self) -> None:
+        """Take what the socket holds (it polled readable).  The first whole
+        request is decoded and admitted now, with the rest of its poll
+        batch; the connection then waits in the ready list to run."""
         try:
-            reason = self._serve()
-        except Exception as exc:
-            # A bug, not a client's doing: the client still gets an answer,
-            # and the thread dies loudly instead of swallowing it.
-            if self._end_request():
-                self._send(protocol.error_response(
-                    self.request_id, exc, retryable=False
-                ))
-            raise
-        finally:
-            self._retire(reason)
-
-    def _serve(self) -> str:
-        """Read and answer requests until the connection ends; says why."""
+            data = self.sock.recv(65536)
+        except OSError:
+            data = b""
+        if not data:
+            return self._retire("disconnect")
+        fire("service.read_frame")
         try:
-            self.session = self.service.core.open_session()
-        except SessionStateError as exc:    # draining
-            self._send(protocol.bye_response(str(exc)))
-            return "drain"
-        decoder = protocol.FrameDecoder()
-        while True:
-            try:
-                data = self.sock.recv(65536)
-            except BlockingIOError:         # the socket's idle timeout
-                self._send(protocol.bye_response("idle timeout"))
-                return "idle"
-            except OSError:
-                return "disconnect"
-            if not data:
-                return "disconnect"
-            fire("service.read_frame")
-            try:
-                payloads = decoder.feed(data)
-            except TornFrameError:
-                self.service.core.stats.torn_frames += 1
-                return "torn frame"
-            for payload in payloads:
-                reason = self._request(payload)
-                if reason is not None:
-                    return reason
+            self.pending = self.decoder.feed(data)
+        except TornFrameError:
+            self.service.core.stats.torn_frames += 1
+            return self._retire("torn frame")
+        if not self.pending:
+            return
+        try:
+            message = protocol.decode_message(self.pending[0])
+            self.admitted = (message, self.service.core.admit(
+                self.session, message))
+        except ProtocolError:
+            pass                    # answered when it runs
+        except ServiceOverloadedError as exc:
+            self.admitted = (message, exc)
+        self.service.ready.append(self)
 
-    def _request(self, payload: bytes) -> str | None:
-        """One request, wire to wire; a reason when it ends the connection."""
+    def run(self) -> None:
+        """Answer the requests read, in order, on this thread."""
+        early, self.admitted = self.admitted, (None, None)
+        for payload in self.pending:
+            reason = self._request(payload, *early)
+            if reason is not None:
+                return self._retire(reason)
+            early = (None, None)
+        self.idle_since = time.monotonic()
+        if not self.polled:     # this thread gave the loop up meanwhile
+            self.polled = True
+            self.service._poller.register(self.fd, select.EPOLLIN)
+
+    def _request(self, payload: bytes, message, admitted) -> str | None:
+        """One request, wire to wire; a reason when it ends the connection.
+        ``message`` and ``admitted`` are given when the read took them."""
         service = self.service
         core = service.core
         try:
-            message = protocol.decode_message(payload)
+            if message is None:
+                message = protocol.decode_message(payload)
         except ProtocolError as exc:
             return self._send(protocol.error_response(None, exc, retryable=False))
         self.request_id = message.get("id")
         try:
-            admitted = core.admit(self.session, message)
+            if admitted is None:
+                admitted = core.admit(self.session, message)
+            elif type(admitted) is not str:
+                raise admitted
         except ServiceOverloadedError as exc:
             return self._send(core.shed_response(self.request_id, exc))
         timeout_s = service.request_timeout_s
         self.deadline = time.monotonic() + timeout_s
         response = None
         try:
-            service.slots.get(timeout=timeout_s)    # a slot's token
+            try:
+                service.slots.get_nowait()      # a slot's token
+            except queue.Empty:                 # all busy: wait off the loop
+                service.on_wait()
+                service.slots.get(timeout=timeout_s)
         except queue.Empty:
             pass
         else:
@@ -179,8 +191,15 @@ class _Connection:
         """Frame and write one reply; a reason if that ends the connection
         (the peer is gone, or has not read for ``idle_timeout_s``)."""
         fire("service.write_frame")
+        data = protocol.encode_message(response)
         try:
-            self.sock.sendall(protocol.encode_message(response))
+            try:
+                sent = self.sock.send(data, socket.MSG_DONTWAIT)
+            except BlockingIOError:
+                sent = 0
+            if sent < len(data):    # the client is not reading: wait off the loop
+                self.service.on_wait()
+                self.sock.sendall(data[sent:])
         except OSError:
             return "disconnect"
         return None
@@ -189,7 +208,10 @@ class _Connection:
         service = self.service
         with service.lock:
             self.deadline = None
-            service.connections.discard(self)
+            service.connections.pop(self.fd, None)
+        if self.polled:
+            self.polled = False
+            service._poller.unregister(self.fd)
         if self.session is not None:
             service.core.close_session(self.session, reason)
         with self.replying:
@@ -200,7 +222,7 @@ class _Connection:
     def expire(self, now: float | None = None) -> None:
         """Take the request's deadline and answer ``timeout``.
 
-        Called by the watchdog with the time it read, or by the connection
+        Called by the watchdog with the time it read, or by the serving
         thread itself when no slot came free in time; at most one wins.
         """
         service = self.service
@@ -220,7 +242,7 @@ class _Connection:
             self.replying.release()
 
     def hang_up(self, how: int = socket.SHUT_RDWR) -> None:
-        """Wake the connection thread out of ``recv``; it closes the socket."""
+        """End the connection's reading: whoever reads it next finds EOF."""
         try:
             self.sock.shutdown(how)
         except OSError:
@@ -228,7 +250,11 @@ class _Connection:
 
 
 class SQLService:
-    """A thread-per-connection SQL server bound to one engine."""
+    """A leader/followers SQL server bound to one engine."""
+
+    # Of ``wait_hooks`` only ``on_wait`` acts; built-ins for the rest, as
+    # the lock manager calls ``on_resume`` after every acquire.
+    on_wake = on_resume = bool
 
     def __init__(
         self,
@@ -280,20 +306,35 @@ class SQLService:
         self.drain_timeout_s = drain_timeout_s
         #: Guards ``connections`` and every connection's deadline.
         self.lock = threading.Lock()
-        self.connections: set[_Connection] = set()
+        self.connections: dict[int, _Connection] = {}   # by file descriptor
         self._listener: socket.socket | None = None
+        self._poller = None
+        self._leader: int | None = None     # the thread that polls
+        self._serving: _Connection | None = None    # what the leader runs
+        #: connections read and admitted, to run in order; only the leader
+        #: touches it, and it runs them all before it polls again
+        self.ready: deque[_Connection] = deque()
+        self._parked = queue.SimpleQueue()  # each parked follower's wake-up
+        self._tick = min(1.0, idle_timeout_s / 8.0)     # between idle scans
+        self._reap_at = 0.0
         self._stopped = threading.Event()
-        self._threads: list[threading.Thread] = []
+        self._threads: list[threading.Thread] = []      # the loop's
+        self._watchdog_thread: threading.Thread | None = None
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
         self._listener = socket.create_server((self.host, self.port), backlog=512)
+        self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
-        for target in (self._accept_loop, self._watchdog):
-            thread = threading.Thread(target=target, name="svc", daemon=True)
-            thread.start()
-            self._threads.append(thread)
+        self._poller = select.epoll()
+        self._poller.register(self._listener.fileno(), select.EPOLLIN)
+        self._hook(True)
+        self._spawn()
+        self._watchdog_thread = threading.Thread(
+            target=self._watchdog, name="svc", daemon=True
+        )
+        self._watchdog_thread.start()
 
     def serve_forever(self) -> None:
         """Serve until :meth:`shutdown` (or an interrupt) ends it."""
@@ -301,18 +342,116 @@ class SQLService:
             self.start()
         self._stopped.wait()
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return      # shutdown closed the listener
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            protocol.set_io_timeout(sock, self.idle_timeout_s)
-            conn = _Connection(self, sock)
-            with self.lock:
-                self.connections.add(conn)
-            conn.thread.start()
+    def _hook(self, on: bool) -> None:
+        """(Un)install ``on_wait`` on the core and every engine."""
+        engines = [shard.db for shard in self.db.shards] \
+            if hasattr(self.db, "shards") else [self.db]
+        for seam in [self.core] + [s for db in engines for s in (db.locks, db._latch)]:
+            if on or seam.wait_hooks is self:
+                seam.wait_hooks = self if on else None
+
+    # -- the loop --------------------------------------------------------------
+
+    def _spawn(self) -> None:
+        thread = threading.Thread(target=self._follow, name="svc-conn", daemon=True)
+        self._threads.append(thread)
+        thread.start()
+
+    def _follow(self) -> None:
+        """A loop thread's life: lead, finish what it serves, park, repeat."""
+        wake = threading.Lock()
+        wake.acquire()
+        while not self._stopped.is_set():
+            self._lead()
+            self._parked.put(wake)
+            wake.acquire()          # until a leader hands the loop over
+
+    def _lead(self) -> None:
+        me = threading.get_ident()
+        self._leader = me
+        ready, connections = self.ready, self.connections
+        conn = None
+        try:
+            while self._leader == me:
+                if ready:
+                    conn = self._serving = ready.popleft()
+                    conn.run()
+                    continue
+                self._serving = None
+                events = self._poller.poll(self._tick)
+                for fd, _ in events:
+                    conn = connections.get(fd)
+                    if conn is not None:
+                        conn.read()
+                    elif self._stopped.is_set():    # the listener hung up
+                        self._leader = None
+                        return
+                    else:
+                        self._accept()
+                conn = None
+                if time.monotonic() >= self._reap_at:
+                    self._reap_idle(events)
+        except Exception as exc:
+            # A bug, not a client's doing: the client still gets an answer,
+            # and the thread dies loudly instead of swallowing it.
+            if conn is not None:
+                if conn._end_request():
+                    conn._send(protocol.error_response(
+                        conn.request_id, exc, retryable=False))
+                conn._retire("disconnect")
+            self.on_wait()
+            raise
+
+    def on_wait(self) -> None:
+        """Before a thread blocks: if it leads, hand the loop over."""
+        if self._leader != threading.get_ident():
+            return
+        self._leader = None
+        conn = self._serving
+        if conn is not None and conn.polled:
+            conn.polled = False
+            self._poller.unregister(conn.fd)
+        try:
+            self._parked.get_nowait().release()
+        except queue.Empty:
+            self._spawn()
+
+    def _accept(self) -> None:
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return      # the peer gave up already
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        protocol.set_io_timeout(sock, self.idle_timeout_s)
+        conn = _Connection(self, sock)
+        try:
+            conn.session = self.core.open_session()
+        except SessionStateError as exc:    # draining
+            conn._send(protocol.bye_response(str(exc)))
+            return sock.close()
+        with self.lock:
+            self.connections[conn.fd] = conn
+        conn.polled = True
+        self._poller.register(conn.fd, select.EPOLLIN)
+
+    def _reap_idle(self, events: list) -> None:
+        """Say ``bye`` to connections silent past ``idle_timeout_s``; not to
+        one that polled readable, whose request is read, or being read."""
+        now = time.monotonic()
+        self._reap_at = now + self._tick
+        readable = {fd for fd, _ in events}
+        with self.lock:
+            idle = [
+                c for c in self.connections.values()
+                if c.polled and c.fd not in readable
+                and now - c.idle_since >= self.idle_timeout_s
+            ]
+        for conn in idle:   # out of the poll set before anything can block
+            conn.polled = False
+            self._poller.unregister(conn.fd)
+        for conn in idle:
+            conn._send(protocol.bye_response("idle timeout"))
+            conn._retire("idle")
 
     def _watchdog(self) -> None:
         """The one owner of request deadlines: no timer per request."""
@@ -321,7 +460,7 @@ class SQLService:
             now = time.monotonic()
             with self.lock:
                 late = [
-                    c for c in self.connections
+                    c for c in self.connections.values()
                     if c.deadline is not None and c.deadline <= now
                 ]
             for conn in late:
@@ -331,38 +470,42 @@ class SQLService:
         """Graceful drain: refuse new work, finish in-flight, force, close."""
         if self._stopped.is_set():
             return
-        self.core.begin_drain()
-        accept, watchdog = self._threads
-        # Late connectors are refused (a typed ``bye`` while the listener
-        # is still up); shutting the listener down wakes ``accept``.
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        self._listener.close()
-        accept.join()
+        if self._listener is None:      # never started: only the pool runs
+            self._stopped.set()
+            if self.pool is not None:
+                self.pool.close()
+            return
+        self.core.begin_drain()     # late connectors get a typed ``bye``
         deadline = time.monotonic() + self.drain_timeout_s
         while time.monotonic() < deadline:
             with self.lock:
-                if not any(c.deadline is not None for c in self.connections):
+                if not any(c.deadline for c in self.connections.values()):
                     break
             time.sleep(0.005)
         with self.lock:
-            leftover = list(self.connections)
+            leftover = list(self.connections.values())
         for conn in leftover:
             # Reading ends; a reply already on its way out still goes out.
             conn.hang_up(socket.SHUT_RD)
-        # Abort whatever brackets the deadline stranded — which is what a
-        # body stuck behind one of them was waiting for — force group
-        # commit so every acked write is durable, and stop the workers.
+        # Abort the brackets left (a stuck body waits on one) and force.
         self.core.finish_drain()
         deadline = time.monotonic() + self.drain_timeout_s
-        for conn in leftover:
-            conn.thread.join(max(0.0, deadline - time.monotonic()))
+        while self.connections and time.monotonic() < deadline:
+            time.sleep(0.005)
+        # The listener's hang-up wakes the leader; each follower is woken.
+        self._stopped.set()
+        self._listener.shutdown(socket.SHUT_RDWR)
+        for thread in list(self._threads):
+            while thread.is_alive() and time.monotonic() < deadline:
+                try:
+                    self._parked.get_nowait().release()
+                except queue.Empty:
+                    thread.join(0.005)
+        self._listener.close()
+        self._hook(False)
         if self.pool is not None:
             self.pool.close()
-        self._stopped.set()
-        watchdog.join()
+        self._watchdog_thread.join()
 
 
 class ThreadedService(SQLService):

@@ -2,10 +2,10 @@
 
 A :class:`ServiceSession` wraps one SQL :class:`repro.sql.executor.Session`
 (at most one open transaction) with the connection-lifecycle state the
-service needs: an activity clock for idle reaping, a per-session mutex so
-a pipelining client cannot interleave two statements inside one
-transaction bracket, and a defunct flag for sessions whose connection died
-while a request was still executing.
+service needs: a per-session mutex so a pipelining client cannot
+interleave two statements inside one transaction bracket, and a defunct
+flag for sessions whose connection died while a request was still
+executing.
 
 State machine (documented in DESIGN.md):
 
@@ -21,7 +21,6 @@ every lock it holds — a dropped connection can never strand a lock.
 from __future__ import annotations
 
 import threading
-import time
 
 from repro.sql.executor import Session
 
@@ -29,12 +28,11 @@ from repro.sql.executor import Session
 class ServiceSession:
     """One client connection's server-side state."""
 
-    def __init__(self, session_id: int, db, *, now=time.monotonic) -> None:
+    def __init__(self, session_id: int, db) -> None:
         self.id = session_id
         self.sql = Session(db)
         self.db = db
         self.lock = threading.Lock()    # serializes statements per session
-        self.last_active = now()
         self.closed = False
         self.defunct = False
         self.close_reason: str | None = None

@@ -60,7 +60,7 @@ BLOCK_OPEN_BUDGET = 77  # decode_block of a 50-version block: 71
 # decode, self-check and the staleness probe against the log archive:
 SCRUB_PAGE_BUDGET = 156   # a clean step of 4 pages, per page scanned: 142
 # Everything the server does for one statement over a real socket, on the
-# connection's thread — frame, JSON, admission, slot, dedup, lift, shape
+# thread that reads it — frame, JSON, admission, slot, dedup, lift, shape
 # lookup, bind, plan, the transaction, encode (230 and 362 while every
 # statement was lexed and parsed, 88 calls, and an UPDATE read its row
 # first; 108, 218, 414 and 127 while the service core took six calls to
@@ -331,12 +331,13 @@ def test_a_clean_scrubber_step_stays_within_its_per_page_budget():
 
 @functools.cache
 def measure_service() -> dict[str, float]:
-    """Median Python calls on the connection thread per point ``SELECT``,
+    """Median Python calls on the thread that reads each point ``SELECT``,
     keyed ``UPDATE``, 20-row range ``SELECT`` and AS OF point ``SELECT``.
 
-    The thread makes no Python call between writing one reply and reading
-    the next request, so what a client counts between two replies is
-    exactly one request.
+    Nothing blocks, so one thread leads the server's poll loop throughout
+    and serves every request; it makes no Python call between writing one
+    reply and reading the next request but the two that read and run it,
+    so what a client counts between two replies is exactly one request.
     """
     db = ImmortalDB()
     table = db.create_table("kv", [("k", "int"), ("v", "text")], key="k",
@@ -362,13 +363,13 @@ def measure_service() -> dict[str, float]:
     }
     rows = {"update": 0, "read": 1, "range": 20, "asof": 1}
     medians = {}
-    with ThreadedService(db, port=0, pool_workers=2) as svc:
+    threading.setprofile(profile)   # read by threads as they start
+    try:
+        svc = ThreadedService(db, port=0, pool_workers=2)  # the loop's starts here
+    finally:
+        threading.setprofile(None)
+    with svc:
         with ServiceClient("127.0.0.1", svc.port) as client:
-            threading.setprofile(profile)   # read by threads as they start
-            try:
-                client.ping()               # connects: the thread starts here
-            finally:
-                threading.setprofile(None)
             for name, shape in shapes.items():
                 # Two rounds, the second measured: the first stamps what the
                 # updates left (the range reads its own keys' stamps too).
@@ -388,7 +389,7 @@ def test_a_point_select_over_the_socket_stays_within_its_call_budget():
     calls = measure_service()["read"]
     assert calls <= SERVICE_READ_BUDGET, (
         f"one point SELECT now takes {calls} Python calls on the server's "
-        f"connection thread (budget {SERVICE_READ_BUDGET})"
+        f"request thread (budget {SERVICE_READ_BUDGET})"
     )
     assert calls >= 0.8 * SERVICE_READ_BUDGET
 
@@ -397,7 +398,7 @@ def test_a_keyed_update_over_the_socket_stays_within_its_call_budget():
     calls = measure_service()["update"]
     assert calls <= SERVICE_UPDATE_BUDGET, (
         f"one keyed UPDATE now takes {calls} Python calls on the server's "
-        f"connection thread (budget {SERVICE_UPDATE_BUDGET})"
+        f"request thread (budget {SERVICE_UPDATE_BUDGET})"
     )
     assert calls >= 0.8 * SERVICE_UPDATE_BUDGET
 
@@ -406,7 +407,7 @@ def test_a_range_select_over_the_socket_stays_within_its_call_budget():
     calls = measure_service()["range"]
     assert calls <= SERVICE_RANGE_BUDGET, (
         f"one 20-row range SELECT now takes {calls} Python calls on the "
-        f"server's connection thread (budget {SERVICE_RANGE_BUDGET})"
+        f"server's request thread (budget {SERVICE_RANGE_BUDGET})"
     )
     assert calls >= 0.8 * SERVICE_RANGE_BUDGET
 
@@ -415,7 +416,7 @@ def test_an_as_of_select_over_the_socket_stays_within_its_call_budget():
     calls = measure_service()["asof"]
     assert calls <= SERVICE_ASOF_BUDGET, (
         f"one AS OF point SELECT now takes {calls} Python calls on the "
-        f"server's connection thread (budget {SERVICE_ASOF_BUDGET})"
+        f"server's request thread (budget {SERVICE_ASOF_BUDGET})"
     )
     assert calls >= 0.8 * SERVICE_ASOF_BUDGET
 

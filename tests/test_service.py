@@ -31,7 +31,7 @@ from repro.service import protocol
 from repro.service.admission import AdmissionController
 from repro.service.client import ServiceClient
 from repro.service.core import ServiceCore, classify_statement
-from repro.service.server import ThreadedService
+from repro.service.server import SQLService, ThreadedService
 from repro.service.transport import LoopbackConnection
 from repro.storage.disk import RetryPolicy
 
@@ -107,6 +107,10 @@ class TestProtocol:
     def test_a_payload_that_is_not_one_json_object_is_refused(self, payload):
         with pytest.raises(ProtocolError):
             protocol.decode_message(payload)
+
+    def test_a_payload_nested_too_deep_is_refused(self):
+        with pytest.raises(ProtocolError):
+            protocol.decode_message(b"[" * 60_000)
 
     def test_json_whitespace_around_the_object_is_accepted(self):
         assert protocol.decode_message(b' \r\n{"op": "ping"}\t\n') == {"op": "ping"}
@@ -344,25 +348,6 @@ class TestSessionLifecycle:
         core.close_session(session, "disconnect")
         assert core.stats.sessions_closed == 2
         assert core.stats.aborted_on_disconnect == 0
-
-    def test_reap_idle_aborts_stale_brackets(self):
-        clock = [0.0]
-        core = _core(now=lambda: clock[0])
-        conn = LoopbackConnection(core)
-        conn.execute("INSERT INTO t (k, v) VALUES (1, 'x')")
-        conn.execute("BEGIN TRAN")
-        conn.execute("UPDATE t SET v = 'stale' WHERE k = 1")
-        stale_id = conn.session.id
-        clock[0] += 10.0
-        fresh = LoopbackConnection(core, client_key="fresh")
-        fresh.execute("SELECT * FROM t WHERE k = 1")
-        victims = core.reap_idle(5.0)
-        assert [v.id for v in victims] == [stale_id]
-        assert core.stats.idle_closes == 1
-        assert core.stats.aborted_on_disconnect == 1
-        # The reaped bracket's lock is free again.
-        ok = fresh.execute("UPDATE t SET v = 'fresh' WHERE k = 1")
-        assert ok["status"] == protocol.STATUS_OK
 
     def test_drain_refuses_new_sessions_and_new_work(self):
         core = _core()
@@ -631,10 +616,18 @@ class TestServerEndToEnd:
             with ServiceClient("127.0.0.1", svc.port) as retry:
                 assert retry.ping()["message"] == "pong"
 
+    def test_shutdown_before_start_stops_the_pool(self):
+        threads_before = threading.active_count()
+        svc = SQLService(_make_db(), pool_workers=4)
+        assert threading.active_count() == threads_before + 4   # its workers
+        svc.shutdown()
+        assert threading.active_count() == threads_before
+        svc.shutdown()      # and again: nothing left to do
+
 
 # ---------------------------------------------------------------------------
 # the one-thread request path: admission, then a slot, then the body, all on
-# the connection's own thread
+# the thread that read the request
 # ---------------------------------------------------------------------------
 
 
@@ -878,9 +871,119 @@ class TestRequestPath:
             assert out == [6]
         assert db.txn_mgr.unacked_commits == 0
 
+    def _parked(self, svc, db) -> tuple[ServiceClient, ServiceClient]:
+        """A bracket holding row 1, and a writer parked on its lock."""
+        holder = _hold_row(svc.port)
+        writer = ServiceClient("127.0.0.1", svc.port)
+        _send_only(writer, "UPDATE t SET v = 'w' WHERE k = 1", "parked:1")
+        assert _wait_until(lambda: db.locks.stats.lock_waits == 1)
+        return holder, writer
+
+    def _read_within_a_second(self, port: int) -> None:
+        with ServiceClient("127.0.0.1", port, timeout_s=5.0) as reader:
+            start = time.monotonic()
+            response = reader.execute("SELECT v FROM t WHERE k = 2")
+            assert time.monotonic() - start < 1.0
+            assert response["status"] == protocol.STATUS_OK
+
+    def test_a_request_parked_on_a_lock_does_not_hold_the_loop(self):
+        db = _make_db()
+        with _serve(db) as svc:
+            holder, writer = self._parked(svc, db)
+            self._read_within_a_second(svc.port)
+            holder._disconnect()
+            assert _wait_until(lambda: svc.core.admission.inflight == 0)
+            writer._disconnect()
+
+    def test_a_request_parked_on_the_only_slot_does_not_hold_the_loop(self):
+        db = _make_db()
+        with _serve(db, pool_workers=1, request_timeout_s=5.0) as svc:
+            holder, writer = self._parked(svc, db)     # holds the slot
+            queued = ServiceClient("127.0.0.1", svc.port)
+            _send_only(queued, "SELECT v FROM t WHERE k = 1", "queued:1")
+            assert _wait_until(lambda: svc.core.admission.inflight == 2)
+            # Only a loop that is not stuck behind the slot reads this EOF,
+            # which ends the bracket, then the writer, then the slot wait.
+            holder._disconnect()
+            self._read_within_a_second(svc.port)
+            for client in (writer, queued):
+                reply = client._read_response(client._sock)
+                assert reply["status"] == protocol.STATUS_OK
+                client._disconnect()
+            assert db.stats()["service_timeouts"] == 0
+
+    @pytest.mark.parametrize(
+        "case", ["admitted", "shed", "parked", "nested", "torn"]
+    )
+    def test_one_poll_batch_is_admitted_before_any_of_it_runs(self, case):
+        """The leader reads every connection that polled readable and takes
+        the admission decision for each before it runs the first; a request
+        that parks leaves the rest of the batch to the next leader, and a
+        hostile frame in the batch costs only its own connection."""
+        db = _make_db()
+        with _serve(db, max_inflight=1 if case == "shed" else 4) as svc:
+            admission = svc.core.admission
+            holder = _hold_row(svc.port) if case == "parked" else None
+            first, second, stall = (ServiceClient("127.0.0.1", svc.port)
+                                    for _ in range(3))
+            first.ping()
+            second.ping()
+            sql = "UPDATE t SET v = 'w' WHERE k = 1" if case == "parked" \
+                else "SELECT v FROM t WHERE k = 1"
+            frames = [
+                protocol.encode_message({"id": "first:1", "op": "sql", "sql": sql}),
+                protocol.encode_message({"id": "second:1", "op": "sql",
+                                         "sql": "SELECT v FROM t WHERE k = 2"}),
+            ]
+            if case == "nested":
+                frames[1] = protocol.encode_frame(b"[" * 60_000)
+            elif case == "torn":
+                torn = bytearray(frames[1])
+                torn[-1] ^= 0x01
+                frames[1] = bytes(torn)
+            inner = svc.core.handle_payload
+            seen: list[int] = []
+
+            def stalled(session, payload, admitted=None, message=None):
+                if not seen:    # both arrive while the leader is busy here
+                    first._connect().sendall(frames[0])
+                    second._connect().sendall(frames[1])
+                    time.sleep(0.05)
+                seen.append(admission.inflight)
+                return inner(session, payload, admitted, message)
+
+            svc.core.handle_payload = stalled
+            assert stall.ping()["message"] == "pong"
+            if case == "parked":
+                assert _wait_until(lambda: db.locks.stats.lock_waits == 1)
+            start = time.monotonic()
+            if case == "torn":
+                assert _wait_until(lambda: svc.core.stats.torn_frames == 1)
+            else:
+                reply = second._read_response(second._sock)
+                assert time.monotonic() - start < 1.0
+            if case == "admitted":
+                assert seen[:2] == [0, 2] and admission.stats.peak_inflight == 2
+                assert reply["status"] == protocol.STATUS_OK
+            elif case == "shed":
+                assert admission.stats.rejected_reads == 1
+                assert reply["status"] == protocol.STATUS_OVERLOADED
+            elif case == "parked":
+                assert reply["status"] == protocol.STATUS_OK
+                holder._disconnect()
+            elif case == "nested":
+                assert reply["status"] == protocol.STATUS_ERROR
+                assert reply["error"] == "ProtocolError"
+                assert second.ping()["message"] == "pong"
+            ok = first._read_response(first._sock)
+            assert ok["id"] == "first:1" and ok["status"] == protocol.STATUS_OK
+            assert _wait_until(lambda: admission.inflight == 0)
+            for client in (first, second, stall):
+                client._disconnect()
+
 
 class TestOneThreadPerConnection:
-    """What the thread-per-connection design owes beyond the request path."""
+    """What the threading design owes beyond the request path."""
 
     def test_a_request_never_changes_threads(self, monkeypatch):
         """The structural guard against a hop coming back: the thread that
@@ -914,11 +1017,13 @@ class TestOneThreadPerConnection:
         by_thread: dict[int, list[str]] = {}
         for label, ident in seen:
             by_thread.setdefault(ident, []).append(label)
-        # Two connections, two threads; each saw whole requests, in order.
-        assert len(by_thread) == 2
+        # Nothing blocked (an in-memory log has no device to wait for), so
+        # the loop never changed hands: both connections' requests ran on
+        # one thread, each whole and in order.
+        assert len(by_thread) == 1
         assert threading.get_ident() not in by_thread
         for labels in by_thread.values():
-            assert labels[:6] == ["recv", "execute", "send"] * 2
+            assert labels == ["recv", "execute", "send"] * 4
 
     def test_idle_connections_cost_nothing_and_are_all_reaped(self):
         db = _make_db()
@@ -946,6 +1051,27 @@ class TestOneThreadPerConnection:
                 sock.close()
             svc.shutdown()
         assert threading.active_count() == threads_before
+
+    def test_idle_connections_hold_no_thread(self):
+        db = _make_db()
+        svc = _serve(db, idle_timeout_s=1.5)
+        threads_before = threading.active_count()
+        socks = [
+            socket.create_connection(("127.0.0.1", svc.port), timeout=10.0)
+            for _ in range(200)
+        ]
+        try:
+            assert _wait_until(lambda: len(svc.service.connections) == 200)
+            assert threading.active_count() <= threads_before + 8
+            assert _wait_until(lambda: svc.core.stats.idle_closes == 200)
+            for sock in socks:
+                reply = protocol.FrameDecoder().feed(sock.recv(4096))
+                assert protocol.decode_message(reply[0])["status"] == \
+                    protocol.STATUS_BYE
+        finally:
+            for sock in socks:
+                sock.close()
+            svc.shutdown()
 
     def test_drain_with_a_stuck_body_is_bounded_and_leaves_no_thread(self):
         db = _make_db()
