@@ -37,12 +37,7 @@ from repro.clock import SimClock
 from repro.errors import AccessMethodError, PageFormatError
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import COMMON_HEADER_SIZE, PAGE_SIZE, SLOT_SIZE, PageType
-from repro.storage.page import (
-    DataPage,
-    Page,
-    history_slot_after,
-    register_page_codec,
-)
+from repro.storage.page import DataPage, Page, register_page_codec
 from repro.storage.record import RecordVersion
 from repro.access.timesplit import (
     DEFAULT_KEY_SPLIT_THRESHOLD,
@@ -128,9 +123,12 @@ class BTreeIndexPage(Page):
         seps, children = self.seps, self.children
         parts = [self._common_header(), _COUNT.pack(len(children))]
         if children:
-            entry = _ENTRY.pack
-            for child, sep in zip(children, seps):
-                parts += (entry(child, len(sep)), sep)
+            # Entry heads and separators alternate; both are laid in by
+            # slice assignment, so no Python loop runs per entry.
+            entries = [b""] * (2 * len(seps))
+            entries[0::2] = map(_ENTRY.pack, children, map(len, seps))
+            entries[1::2] = seps
+            parts += entries
             parts.append(_CHILD.pack(children[-1]))
         image = b"".join(parts)
         if len(image) > self.page_size:
@@ -402,8 +400,7 @@ class BTree:
         moved.end_ts = leaf.end_ts
         moved.history_page_id = leaf.history_page_id
         moved.next_leaf_id = leaf.next_leaf_id
-        for chain in leaf.chains():
-            moved.add_chain(chain, history_slot=history_slot_after(chain))
+        moved.append_chains(leaf.chains())
         new_root = BTreeIndexPage(
             self.root_pid, page_size=self.buffer.disk.page_size
         )
@@ -450,7 +447,8 @@ class BTree:
         # Versions pinned by long-running snapshots can outgrow a page even
         # after pruning; spilling them to a history page helps a single hot
         # record where a key split cannot.
-        if not self._try_time_split(path, leaf):
+        plan = self._try_time_split(path, leaf)
+        if plan is None:
             self._key_split(path, leaf)
         elif self.immortal:
             current = self.search_leaf(key)
@@ -461,27 +459,23 @@ class BTree:
 
     def _try_time_split(
         self, path: list[tuple[BTreeIndexPage, int]], leaf: DataPage
-    ) -> bool:
-        """Time split ``leaf`` if that frees space; False — with nothing
-        stamped for the first test, nothing allocated for either — if not."""
+    ) -> SplitPlan | None:
+        """Time split ``leaf`` if that frees space and return the plan it
+        built; None — with nothing stamped for the first test, nothing
+        allocated for either — if not."""
         if nothing_to_move(leaf):
-            return False
+            return None
         if self.stamp_page is not None:
             self.stamp_page(leaf)
+        # No writer commits between the stamping pass and this draw (a commit
+        # takes the engine latch, held from the insert's descent on), so a
+        # version still TID-marked commits, if ever, above split_ts: case 4.
         split_ts = self.clock.now()
         if split_ts <= leaf.split_ts:
-            return False    # the current time does not advance the page's
-        # A transaction may commit between the stamping pass and the
-        # split-time draw; its versions would then be classified as
-        # uncommitted (case 4) despite a commit time below split_ts.
-        # Re-run the trigger until it finds nothing new to stamp — any
-        # commit after the final draw carries a timestamp above split_ts
-        # (the clock is monotonic), for which case 4 is correct.
-        while self.stamp_page is not None and self.stamp_page(leaf):
-            split_ts = self.clock.now()
+            return None     # the current time does not advance the page's
         plan = plan_time_split(leaf, split_ts)
         if not plan.frees_space:
-            return False
+            return None
         low, high = b"", None       # the leaf's key bounds, off the descent
         for node, i in path:
             if i > 0:
@@ -489,7 +483,7 @@ class BTree:
             if i < len(node.seps):
                 high = node.seps[i]
         self.install_time_split(plan, low, high)
-        return True
+        return plan
 
     def install_time_split(
         self, plan: SplitPlan, low: bytes, high: bytes | None
@@ -570,4 +564,5 @@ class BTree:
         assert assigned == lsn
         for page in unique:
             self.buffer.mark_dirty_page(page, lsn)
+            page._image_epoch = page._encode_epoch  # still what was logged
         return lsn

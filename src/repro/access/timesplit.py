@@ -28,12 +28,12 @@ to ``T · ln 2``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.clock import TID_FLAG, Timestamp
 from repro.errors import AccessMethodError
-from repro.storage.constants import DATA_HEADER_SIZE, DELETE_STUB
-from repro.storage.page import DataPage, history_slot_after
+from repro.storage.constants import DATA_HEADER_SIZE, DELETE_STUB, VP_IN_HISTORY
+from repro.storage.page import DataPage
 from repro.storage.record import RECORD_OVERHEAD, RecordVersion
 
 DEFAULT_KEY_SPLIT_THRESHOLD = 0.70
@@ -59,14 +59,18 @@ def nothing_to_move(page: DataPage) -> bool:
 
 @dataclass
 class SplitPlan:
-    """The four-case classification of one page at one split time: per
-    chain in key order, the versions that stay and those that go (newest
-    first).  Planning reads the page; :meth:`build` makes the two pages
-    once the caller has decided the split is worth a page id."""
+    """The four-case classification of one page at one split time: the
+    chains each new page will hold, in key order, newest first, and where
+    each current one continues (see :meth:`DataPage.append_chains`; every
+    history chain keeps its oldest version's link).  Planning reads the
+    page; :meth:`build` makes the two pages once the caller has decided the
+    split is worth a page id."""
 
     page: DataPage
     split_ts: Timestamp
-    parts: list[tuple[list[RecordVersion], list[RecordVersion]]]
+    current_chains: list[list[RecordVersion]] = field(default_factory=list)
+    current_links: list[int | None] = field(default_factory=list)
+    history_chains: list[list[RecordVersion]] = field(default_factory=list)
     moved: int = 0        # case 1 versions (history only)
     copied: int = 0       # case 2 versions (both pages)
     retained: int = 0     # case 3 + 4 versions (current only)
@@ -87,30 +91,14 @@ class SplitPlan:
         history.split_ts = page.split_ts
         history.end_ts = split_ts
         history.history_page_id = page.history_page_id
+        history.append_chains(self.history_chains)
 
         current = page.sibling(page.page_id)
         current.lsn = page.lsn
         current.split_ts = split_ts
         current.history_page_id = history_page_id
         current.next_leaf_id = page.next_leaf_id
-
-        for current_part, history_part in self.parts:
-            # Where the chain went on before this split: an older history
-            # page, still reachable through the new history page's own link.
-            # (Once one version goes to history every older one does, so
-            # the chain's oldest is the last of ``history_part`` if any.)
-            older_slot = history_slot_after(history_part or current_part)
-            if history_part:
-                # The oldest current version continues in the new history
-                # page: its VP becomes the record's slot number there
-                # (Section 3.1).
-                slot = history.add_chain(history_part, history_slot=older_slot)
-                if current_part:
-                    current.add_chain(current_part, history_slot=slot)
-            else:
-                # Nothing moved now: keep the original slot — readers route
-                # by page time ranges, not by slot arithmetic.
-                current.add_chain(current_part, history_slot=older_slot)
+        current.append_chains(self.current_chains, self.current_links)
         return SplitOutcome(current, history)
 
 
@@ -128,49 +116,68 @@ def plan_time_split(page: DataPage, split_ts: Timestamp) -> SplitPlan:
             f"split time {split_ts} does not advance past page start "
             f"{page.split_ts}"
         )
-    split = (split_ts.ttime, split_ts.sn)
-    plan = SplitPlan(page, split_ts, [])
+    split = split_ts.key
+    plan = SplitPlan(page, split_ts)
+    current_chains, current_links = plan.current_chains, plan.current_links
+    history_chains = plan.history_chains
+    moved = copied = retained = stubs_dropped = 0
     for chain in page.chains():
-        current_part: list[RecordVersion] = []
-        history_part: list[RecordVersion] = []
         # Walk newest → oldest.  A version's end time is the start time of
-        # its successor (the previous element of the walk); the newest
+        # its successor (the previous version of the walk); the newest
         # version's end is open (None).  Uncommitted versions are "newer
         # than any time", so they never close their predecessor before the
-        # split time.
-        end: tuple[int, int] | None = None
+        # split time.  Times fall along the walk, so the versions that stay
+        # come first, then at most one that is copied, then those that go.
+        end: int | None = None
+        stay = both = go = 0
         for version in chain:
-            field = version.ttime_field
-            if field & TID_FLAG:
+            ttime = version.ttime_field
+            if ttime & TID_FLAG:
                 # Case 4: uncommitted — current page only.
-                if field != TID_FLAG and end is not None:
+                if ttime != TID_FLAG and end is not None:
                     raise AccessMethodError(
                         "uncommitted version found below a committed one"
                     )
-                current_part.append(version)
-                plan.retained += 1
+                stay += 1
                 continue
-            start = (field, version.sn)
+            start = ttime << 32 | version.sn
             if start >= split:
                 # Case 3: born after the split time — current only.
-                current_part.append(version)
-                plan.retained += 1
+                stay += 1
             elif version.flags & DELETE_STUB:
-                # Stubs before the split time leave the current page; in the
-                # history page they end the version they deleted.
-                history_part.append(version)
-                plan.stubs_dropped += 1
+                # Stubs before the split time leave the current page; in
+                # the history page they end the version they deleted.
+                go += 1
+                stubs_dropped += 1
             elif end is not None and end <= split:
                 # Case 1: ended before the split time — history only.
-                history_part.append(version)
-                plan.moved += 1
+                go += 1
+                moved += 1
             else:
                 # Case 2: alive across the split time — copied to both.
-                current_part.append(version)
-                history_part.append(version)
-                plan.copied += 1
+                both = 1
             end = start
-        plan.parts.append((current_part, history_part))
+        retained += stay
+        if not (both or go):
+            # Nothing goes: the chain stays whole, link and all — readers
+            # route by page time ranges, not by slot arithmetic.
+            current_chains.append(chain)
+            oldest = chain[-1]
+            current_links.append(
+                oldest.vp if oldest.flags & VP_IN_HISTORY else None
+            )
+            continue
+        copied += both
+        # The chain's oldest versions go, so the history copy keeps the
+        # chain's link to the older history page.
+        history_chains.append(chain[stay:])
+        if stay + both:
+            # The oldest current version continues in the new history
+            # page: its VP becomes the record's slot number there (§3.1).
+            current_chains.append(chain[:stay + both])
+            current_links.append(len(history_chains) - 1)
+    plan.moved, plan.copied = moved, copied
+    plan.retained, plan.stubs_dropped = retained, stubs_dropped
     return plan
 
 
@@ -227,8 +234,7 @@ def key_split_page(
         child.split_ts = page.split_ts
         child.end_ts = page.end_ts
         child.history_page_id = page.history_page_id
-        for chain in subset:
-            child.add_chain(chain, history_slot=history_slot_after(chain))
+        child.append_chains(subset)
         return child
 
     left = build(page.page_id, chains[:cut])

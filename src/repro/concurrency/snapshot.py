@@ -124,8 +124,8 @@ def prune_conventional_page(
     rebuilt.history_page_id = page.history_page_id
     rebuilt.next_leaf_id = page.next_leaf_id
     dropped = 0
-    for key in page.keys():
-        chain = list(page.chain(key))
+    kept: list[list[RecordVersion]] = []
+    for chain in page.chains():
         keep: list[RecordVersion] = []
         horizon_satisfied = False
         for i, version in enumerate(chain):
@@ -152,5 +152,7 @@ def prune_conventional_page(
         ):
             dropped += 1
             continue
-        rebuilt.add_chain(keep)
+        kept.append(keep)
+    # Pruned chains end in this page: no link to a history page is kept.
+    rebuilt.append_chains(kept, [None] * len(kept))
     return rebuilt, dropped

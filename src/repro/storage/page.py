@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 import struct
 from bisect import bisect_left
+from operator import attrgetter
 from typing import Callable
 
 from repro.clock import TID_FLAG, Timestamp
@@ -56,7 +57,7 @@ class Page:
     Serialization is cached: :meth:`to_bytes` re-encodes only when the page's
     mutation epoch has moved since the last encode.  The epoch moves where
     the page changes: every mutator method (``insert_version``,
-    ``add_chain``, ``set_entries`` …) calls :meth:`touch`, and so does the
+    ``append_chains``, ``set_entries`` …) calls :meth:`touch`, and so does the
     buffer pool's ``mark_dirty``, which covers everything else — attribute
     writes (``lsn``, ``history_page_id``) and in-place record mutations
     (stamping a :class:`RecordVersion` reached via ``versions``).  Code that
@@ -179,11 +180,14 @@ def _slot_codec(nslots: int) -> struct.Struct:
     return codec
 
 
-def history_slot_after(chain: list[RecordVersion]) -> int | None:
-    """Where a newest-first chain continues: its slot in the history page."""
-    if chain and chain[-1].flags & VP_IN_HISTORY:
-        return chain[-1].vp
-    return None
+_KEY = attrgetter("key")
+_PAYLOAD = attrgetter("payload")
+
+
+def _record_bytes(versions: list[RecordVersion]) -> int:
+    """Bytes ``versions`` take in a record area, summed in C."""
+    return (RECORD_OVERHEAD * len(versions) + sum(map(len, map(_KEY, versions)))
+            + sum(map(len, map(_PAYLOAD, versions))))
 
 
 class DataPage(Page):
@@ -263,7 +267,8 @@ class DataPage(Page):
         whose *current* content already exceeds the threshold needs a key
         split too (Section 3.3).
         """
-        return sum(self.versions[i].size_on_page for i in self.slots)
+        versions = self.versions
+        return _record_bytes([versions[i] for i in self.slots])
 
     # -- slot lookup -----------------------------------------------------------
 
@@ -301,7 +306,7 @@ class DataPage(Page):
 
         The list stops at the page boundary: if the oldest local version's
         VP points into the history page (``VP_IN_HISTORY``), the caller must
-        continue there (see :func:`history_slot_after`).
+        continue there, at that slot.
         """
         slot = self.slot_of(key)
         if slot is None:
@@ -320,7 +325,14 @@ class DataPage(Page):
 
     def chains(self) -> list[list[RecordVersion]]:
         """Every record's chain (newest first), in key order."""
-        return [self.chain_from(head) for head in self.slots]
+        versions, chains = self.versions, []
+        for head in self.slots:
+            version = versions[head]
+            chains.append(chain := [version])
+            while version.vp != NO_PREVIOUS and not version.flags & VP_IN_HISTORY:
+                version = versions[version.vp]
+                chain.append(version)
+        return chains
 
     # -- mutation ---------------------------------------------------------------
 
@@ -356,51 +368,51 @@ class DataPage(Page):
         self._used += need
         self._encode_epoch += 1     # touch(), without the call
 
-    def add_chain(
+    def append_chains(
         self,
-        chain_newest_first: list[RecordVersion],
-        *,
-        history_slot: int | None = None,
-    ) -> int:
-        """Install a copy of one key's whole version chain (page splits).
+        chains: list[list[RecordVersion]],
+        links: list[int | None] | None = None,
+    ) -> None:
+        """Build a page in key order from version chains (page splits, root
+        growth, pruning): one pass appends each chain's copies, its slot and
+        its key, and the bytes are summed once.
 
-        The versions are copied as they are linked.  If ``history_slot`` is
-        given, the oldest version's VP is pointed at that slot of the page's
-        history page.  Returns the key's slot number here — for a split,
-        which reads its source in key order, always the last one.
+        Each chain is newest first and its key is above every key already
+        here; its copies are stored oldest first, so VPs point backwards.
+        ``links[i]`` is where chain ``i`` continues — its slot in the page's
+        history page, or None for nowhere; without ``links`` each chain
+        keeps the link its oldest version has (a chain copied whole).  A
+        page the chains overflow raises :exc:`PageFullError` half built.
         """
-        if not chain_newest_first:
-            raise ValueError("empty chain")
-        key = chain_newest_first[0].key
-        keys = self._slot_keys
-        pos = bisect_left(keys, key)
-        if pos < len(keys) and keys[pos] == key:
-            raise ValueError(f"page {self.page_id} already has a slot for {key!r}")
-        need = SLOT_SIZE + (RECORD_OVERHEAD + len(key)) * len(chain_newest_first)
-        for v in chain_newest_first:
-            if v.key != key:
-                raise ValueError("chain mixes keys")
-            need += len(v.payload)
-        if need > self.page_size - self._used:
+        versions, slots, keys = self.versions, self.slots, self._slot_keys
+        append = versions.append
+        first = at = len(versions)
+        for i, chain in enumerate(chains):
+            if links is None:
+                tail = chain[-1]
+                vp, flag = tail.vp, tail.flags & VP_IN_HISTORY
+            elif links[i] is None:
+                vp, flag = NO_PREVIOUS, 0
+            else:
+                vp, flag = links[i], VP_IN_HISTORY
+            key = chain[0].key
+            for v in reversed(chain):
+                append(RecordVersion(
+                    key, v.payload, v.flags & ~VP_IN_HISTORY | flag, vp,
+                    v.ttime_field, v.sn,
+                ))
+                vp, flag = at, 0
+                at += 1
+            slots.append(vp)    # head = newest = last appended
+        keys += [chain[0].key for chain in chains]
+        used = self._used + SLOT_SIZE * len(chains) \
+            + _record_bytes(versions[first:])
+        if used > self.page_size:
             raise PageFullError(
-                f"page {self.page_id}: no room for {need}-byte chain"
+                f"page {self.page_id}: {used} bytes of chains overflow it"
             )
-        # Store oldest-first so VP indices always point backwards in the list.
-        versions = self.versions
-        vp, flag = NO_PREVIOUS, 0
-        if history_slot is not None:
-            vp, flag = history_slot, VP_IN_HISTORY
-        for v in reversed(chain_newest_first):
-            versions.append(RecordVersion(
-                key, v.payload, v.flags & ~VP_IN_HISTORY | flag, vp,
-                v.ttime_field, v.sn,
-            ))
-            vp, flag = len(versions) - 1, 0
-        self.slots.insert(pos, vp)  # head = newest = last appended
-        keys.insert(pos, key)
-        self._used += need
+        self._used = used
         self._encode_epoch += 1     # touch(), without the call
-        return pos
 
     def remove_newest_version(self, key: bytes) -> RecordVersion:
         """Remove the chain head for ``key`` (transaction rollback / undo).

@@ -31,10 +31,11 @@ import threading
 from dataclasses import dataclass
 from typing import Callable
 
-from repro.clock import Timestamp, field_tid
+from repro.clock import TID_FLAG, Timestamp, field_tid
 from repro.errors import UnknownTransactionError
 from repro.storage.buffer import BufferPool
 from repro.storage.page import DataPage, Page
+from repro.storage.record import RecordVersion
 from repro.timestamp.ptt import PersistentTimestampTable
 from repro.timestamp.vtt import VolatileTimestampTable
 from repro.wal.log import LogManager
@@ -215,28 +216,33 @@ class TimestampManager:
         mutex.acquire()
         try:
             tid = field_tid(version.ttime_field)
-            ts, committed = self.resolve_with_fallback(tid, immortal=immortal)
-            if not committed:
-                return False
             entry = self.vtt.get(tid)
-            if entry is not None and entry.commit_lsn is not None \
+            if entry is None:       # resolve() caches what the PTT answers
+                ts = self.resolve_with_fallback(tid, immortal=immortal)[0]
+                entry = self.vtt.get(tid)
+            elif entry.ts is None:
+                return False        # still active
+            else:                   # resolve()'s VTT hit, inline
+                ts = entry.ts
+                self.stats.vtt_hits += 1
+            if entry.commit_lsn is not None \
                     and entry.commit_lsn >= self.log.flushed_lsn:
                 return False
-            assert ts is not None
             version.stamp(ts)
             self.stats.stamps += 1
-            if entry is not None:
-                remaining = self.vtt.decrement(tid, self.log.end_lsn)
-                if remaining == 0 and entry.is_snapshot:
-                    # Paper: a snapshot transaction's entry can be dropped
-                    # the moment its reference count reaches zero — nothing
-                    # persists in the PTT.
-                    self.vtt.drop(tid)
+            remaining = self.vtt.decrement(tid, self.log.end_lsn)
+            if remaining == 0 and entry.is_snapshot:
+                # Paper: a snapshot transaction's entry can be dropped the
+                # moment its reference count reaches zero — nothing persists
+                # in the PTT.
+                self.vtt.drop(tid)
             return True
         finally:
             mutex.release()
 
-    def stamp_page(self, page: DataPage, *, mark_dirty: bool = True) -> int:
+    def stamp_page(
+        self, page: DataPage, *, mark_dirty: bool = True, force: bool = False
+    ) -> int:
         """Timestamp every committed, not-yet-stamped version in the page.
 
         Per the paper, "lazy timestamping of non-timestamped data records
@@ -245,21 +251,15 @@ class TimestampManager:
         and released before returning.
 
         Returns the number of versions stamped.  ``mark_dirty=False`` is used
-        by the pre-flush hook (the page is being written out anyway).
+        by the pre-flush hook (the page is being written out anyway);
+        ``force`` by a split (see :meth:`stamp_page_for_split`).
         """
-        if not page.has_unstamped_records():
-            return 0
-        latched = self.buffer.contains(page.page_id)
-        if latched:
-            self.buffer.latch_exclusive(page.page_id)
-        try:
-            stamped = 0
-            for version in page.unstamped_versions():
-                if self.stamp_version(version, immortal=page.immortal):
-                    stamped += 1
-        finally:
-            if latched:
-                self.buffer.unlatch(page.page_id)
+        stamped, pending = self._offer(
+            page, [v for v in page.versions if v.ttime_field & TID_FLAG]
+        )
+        if pending and force:
+            self.log.force()
+            stamped += self._offer(page, pending)[0]
         if stamped:
             # Stamping mutates records in place: mark_dirty invalidates the
             # page's cached image, and the pre-flush path, which skips it,
@@ -280,26 +280,39 @@ class TimestampManager:
         before the split time, and as-of reads routed to the history page
         would miss it.  Ordinary stamping declines a version while its
         commit record sits in the unforced log buffer (group commit); here
-        that is not an option, so force the log and stamp again.  Only
-        genuinely uncommitted versions remain TID-marked on return.
+        that is not an option, so one log force covers every such writer
+        and only their versions are offered again.  Only genuinely
+        uncommitted versions remain TID-marked on return.
         """
-        stamped = self.stamp_page(page)
-        if page.has_unstamped_records() and self._committed_unstamped(page):
-            self.log.force()
-            stamped += self.stamp_page(page)
-        return stamped
+        return self.stamp_page(page, force=True)
 
-    def _committed_unstamped(self, page: DataPage) -> bool:
-        """Any unstamped version whose writer has already committed?"""
-        with self.mutex:
-            for version in page.unstamped_versions():
-                entry = self.vtt.get(version.tid)
-                if entry is not None:
-                    if not entry.is_active:
-                        return True
-                elif self.ptt.lookup(version.tid) is not None:
-                    return True
-        return False
+    def _offer(
+        self, page: DataPage, versions: list[RecordVersion]
+    ) -> tuple[int, list[RecordVersion]]:
+        """Offer ``versions`` to :meth:`stamp_version` under the page latch,
+        each once and none more of a writer found still active; return how
+        many were stamped and those whose commit is not durable yet."""
+        if not versions:
+            return 0, []
+        latched = self.buffer.contains(page.page_id)
+        if latched:
+            self.buffer.latch_exclusive(page.page_id)
+        stamped, pending, active, immortal = 0, [], set(), page.immortal
+        try:
+            for version in versions:
+                tid = version.ttime_field ^ TID_FLAG
+                if tid in active:
+                    continue
+                if self.stamp_version(version, immortal=immortal):
+                    stamped += 1
+                elif self.vtt.get(tid).ts is None:
+                    active.add(tid)
+                else:
+                    pending.append(version)
+        finally:
+            if latched:
+                self.buffer.unlatch(page.page_id)
+        return stamped, pending
 
     def _flush_hook(self, page: Page) -> None:
         if isinstance(page, DataPage):

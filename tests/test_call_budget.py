@@ -1,5 +1,5 @@
-"""Call budgets for the paper's Fig. 5 transaction, an insert that splits
-its page, the Fig. 6 reads and scans, a buffer miss, an archive block
+"""Call budgets for the paper's Fig. 5 transaction, an insert that key
+splits its page, an update that time splits it, the Fig. 6 reads and scans, a buffer miss, an archive block
 opened, a scrubber step, and a point ``SELECT``, a keyed
 ``UPDATE``, a range ``SELECT`` and an AS OF ``SELECT`` through the socket
 service.
@@ -32,16 +32,21 @@ from repro.storage.page import DataPage, decode_page
 from repro.storage.record import RecordVersion
 
 # Python calls on CPython 3.10-3.12; the counts are 3.10's and 3.11's, and
-# 3.12 takes up to five fewer.  The update and the read lost a third of
+# 3.12 takes up to seven fewer.  The update and the read lost a third of
 # their calls when the single-threaded path stopped entering no-op latches,
 # a buffer hit became one frame and pages stopped counting attribute writes
 # (145 and 61 before):
 UPDATE_BUDGET = 110   # begin + update one record + commit: 100 (256 before the diet)
-READ_BUDGET = 43      # begin + read one record + commit: 39 (159 before)
+READ_BUDGET = 43      # begin + read one record + commit: 37 (39; 159 before)
 # An insert that finds its leaf full of single live versions key splits it —
 # and nothing else: 687 while every such split first stamped the page, took
 # a page id and built two pages for a time split that could move nothing.
-KEY_SPLIT_BUDGET = 273    # begin + insert + key split + commit: 248 (365)
+# Both split builders copy a page in one pass since (248 before):
+KEY_SPLIT_BUDGET = 217    # begin + insert + key split + commit: 197 (365)
+# An update whose leaf, 64 versions of 16 keys, time splits: one stamping
+# pass, one classifying walk and one bulk build per page (463 while the
+# split walked the page four times and installed it a chain at a time):
+TIME_SPLIT_BUDGET = 358   # begin + update + time split + commit: 325
 # The tuned read path (route cache + lazy chain views), everything warm:
 ASOF_READ_BUDGET = 34   # read_as_of of one key: 31 (44; 57 before chain views)
 # history() of a key with 20 versions: 201 (237; 572).  Every page of this
@@ -171,6 +176,45 @@ def test_a_key_split_stays_within_its_call_budget():
     assert calls >= 0.8 * KEY_SPLIT_BUDGET
 
 
+def measure_time_split() -> float:
+    """Median calls of an update transaction that time splits its leaf, a
+    root holding 64 versions of 16 keys (each update commits alone, so the
+    split stamps the 48 versions written since the last one)."""
+    db = ImmortalDB()
+    table = db.create_table("kv", [("k", "int"), ("v", "text")], key="k",
+                            immortal=True)
+    with db.transaction() as txn:
+        for k in range(16):
+            table.insert(txn, {"k": k, "v": "x" * 100})
+    splits = table.btree.stats
+
+    def update(k: int, value: str) -> None:
+        txn = db.begin()
+        table.update(txn, k, {"v": value})
+        db.commit(txn)
+
+    samples = []
+    for i in range(1200):
+        db.advance_time(10)
+        versions = len(table.btree.search_leaf(b"").versions)
+        before = splits.time_splits
+        calls = python_calls(lambda: update(i % 16, "y%04d" % i + "x" * 95))
+        if splits.time_splits > before:
+            assert versions == 64
+            samples.append(calls)
+    assert len(samples) >= 20 and splits.key_splits == 0
+    return statistics.median(samples)
+
+
+def test_a_time_split_stays_within_its_call_budget():
+    calls = measure_time_split()
+    assert calls <= TIME_SPLIT_BUDGET, (
+        f"an update that time splits its page now takes {calls} Python "
+        f"calls (budget {TIME_SPLIT_BUDGET})"
+    )
+    assert calls >= 0.8 * TIME_SPLIT_BUDGET
+
+
 def measure_historical() -> tuple[float, float]:
     """Median calls of one hot AS OF point read and of one 20-version
     ``history()``, on the ``tuned`` profile's read path."""
@@ -273,11 +317,11 @@ def measure_block_open() -> int:
     """Calls of one ``decode_block`` of a history page holding 50 versions:
     10 keys, five versions each, a few bytes apart."""
     page = DataPage(7, is_history=True)
-    for k in range(10):
-        page.add_chain([
-            RecordVersion(b"k%08d" % k, b"v%04d" % v + b"x" * 90, ttime_field=100 - v)
-            for v in range(5)
-        ])
+    page.append_chains([
+        [RecordVersion(b"k%08d" % k, b"v%04d" % v + b"x" * 90, ttime_field=100 - v)
+         for v in range(5)]
+        for k in range(10)
+    ])
     blob = encode_block(page)
     assert len(decode_block(blob, ARCHIVE_PID_BIT).versions) == 50
     return python_calls(lambda: decode_block(blob, ARCHIVE_PID_BIT))
@@ -424,6 +468,7 @@ def test_an_as_of_select_over_the_socket_stays_within_its_call_budget():
 if __name__ == "__main__":
     print("update, read:", measure())
     print("key-splitting insert:", measure_key_split())
+    print("time-splitting update:", measure_time_split())
     print("as-of read, history:", measure_historical())
     print("as-of scan, per row:", measure_scan_row())
     print("decode_page:", measure_decode())

@@ -3,7 +3,7 @@
 ``Page.to_bytes()`` memoizes the serialized image keyed by a per-page
 mutation epoch.  The cache is only correct if *every* way a page changes
 moves the epoch, and there is one rule for that: a page's mutator methods
-(``insert_version``, ``add_chain``, ``remove_newest_version``,
+(``insert_version``, ``append_chains``, ``remove_newest_version``,
 ``replace_payload_in_place``, ``set_entries``, ``post``) touch it, and
 ``BufferPool.mark_dirty`` touches it for everything else — attribute writes
 and in-place record mutation (stamping) — except on the pre-flush path,
@@ -195,8 +195,8 @@ def _index_node() -> BTreeIndexPage:
 MUTATORS = {
     "insert_version": (_data_page, lambda p: p.insert_version(
         RecordVersion.new(b"b", b"newer", 10))),
-    "add_chain": (_data_page, lambda p: p.add_chain(
-        [RecordVersion.new(b"d", b"copied", 9)])),
+    "append_chains": (_data_page, lambda p: p.append_chains(
+        [[RecordVersion.new(b"d", b"copied", 9)]])),
     "remove_newest_version": (_data_page,
                               lambda p: p.remove_newest_version(b"c")),
     "replace_payload_in_place": (_data_page,
@@ -243,3 +243,39 @@ def test_no_cached_image_is_stale_after_any_transaction(engine, tmp_path):
     assert checked > 800
     if engine == "tuned-file":
         db.close()
+
+
+def test_every_history_page_is_encoded_once(tmp_path, monkeypatch):
+    """A time split images its pages into its log record, and the history
+    page never changes again: that image is the one written back.  Rounds
+    of versioned updates on the tuned, file-backed engine (the set-up of
+    the ``asof_deep`` benchmark, smaller and without the archive, which
+    relinks history chains), then a flushing checkpoint."""
+    encodes: dict[int, int] = {}
+    encode = DataPage._encode
+
+    def counted(page):
+        encodes[page.page_id] = encodes.get(page.page_id, 0) + 1
+        return encode(page)
+
+    monkeypatch.setattr(DataPage, "_encode", counted)
+    db = ImmortalDB(str(tmp_path / "db.pages"), **TUNED)
+    table = db.create_table("t", COLS, key="k", immortal=True)
+    with db.transaction() as txn:
+        for k in range(200):
+            table.insert(txn, {"k": k, "v": "x" * 100})
+    for round_no in range(12):
+        db.advance_time(1000)
+        with db.transaction() as txn:
+            for k in range(200):
+                if (k * 7 + round_no) % 10 < 7:
+                    table.update(txn, k, {"v": f"{round_no:03d}" + "y" * 97})
+        if round_no % 4 == 3:
+            db.checkpoint(flush=True)
+    db.checkpoint(flush=True)
+    history = [pid for pid in encodes
+               if isinstance(page := db.buffer.get_page(pid), DataPage)
+               and page.is_history]
+    assert len(history) > 20
+    assert {pid: encodes[pid] for pid in history if encodes[pid] != 1} == {}
+    db.close()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left
 from dataclasses import dataclass
 
@@ -314,12 +315,13 @@ class TestKeySplit:
 # ---------------------------------------------------------------------------
 # The split builders against their predecessors.
 #
-# ``plan_time_split`` + ``build`` and ``key_split_page`` walk every chain of their source
-# once and install copies with a ``DataPage.add_chain`` that sums and links
-# in one go.  What follows is the code they replaced — walk each chain
-# twice, ``.copy()`` every version, then an ``add_chain`` that re-validates,
-# re-sums and rewrites the copies — kept verbatim as the reference: for any
-# page, both must produce byte-identical images and equal counts.
+# ``plan_time_split`` + ``build`` and ``key_split_page`` walk every chain of
+# their source once and build each page with one ``DataPage.append_chains``
+# that copies, links and sums every chain in one pass.  What follows is the
+# code they replaced — walk each chain twice, ``.copy()`` every version,
+# then a per-chain ``add_chain`` that re-validates, re-sums and rewrites the
+# copies — kept verbatim as the reference: for any page, both must produce
+# byte-identical images and equal counts.
 # ---------------------------------------------------------------------------
 
 
@@ -531,6 +533,11 @@ def split_sources(draw) -> DataPage:
     return page
 
 
+# Examples of the time-split differential; the other two run a fifth and two
+# thirds as many.  CI's full crash-exploration job runs ten times tier-1's.
+EXAMPLES = int(os.environ.get("IMMORTAL_SPLIT_EXAMPLES", "300"))
+
+
 def _same_page(new: DataPage, old: DataPage) -> None:
     assert new.to_bytes() == old.to_bytes()
     assert new.used_bytes == old.used_bytes
@@ -538,7 +545,7 @@ def _same_page(new: DataPage, old: DataPage) -> None:
 
 
 class TestBuildersMatchTheirPredecessors:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=EXAMPLES, deadline=None)
     @given(page=split_sources(), tick=st.integers(51, 160), sn=st.integers(0, 2))
     def test_time_split(self, page, tick, sn):
         split_ts = Timestamp(tick, sn)
@@ -551,7 +558,7 @@ class TestBuildersMatchTheirPredecessors:
         assert (plan.moved, plan.copied, plan.retained, plan.stubs_dropped) == \
             (old.moved, old.copied, old.retained, old.stubs_dropped)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=EXAMPLES // 5, deadline=None)
     @given(page=split_sources())
     def test_time_split_at_a_versions_own_timestamp(self, page):
         stamped_versions = [v for v in page.versions if v.is_timestamped]
@@ -563,7 +570,7 @@ class TestBuildersMatchTheirPredecessors:
                 _same_page(new.current, old.current)
                 _same_page(new.history, old.history)
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=EXAMPLES * 2 // 3, deadline=None)
     @given(page=split_sources())
     def test_key_split(self, page):
         assume(len(page.keys()) >= 2)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.access.btree import BTree
 from repro.clock import SimClock, Timestamp
 from repro.errors import UnknownTransactionError
 from repro.storage.buffer import BufferPool
@@ -13,6 +14,7 @@ from repro.storage.record import RecordVersion
 from repro.timestamp.manager import TimestampManager
 from repro.timestamp.ptt import PersistentTimestampTable
 from repro.wal.log import LogManager
+from repro.wal.records import CommitTxn
 
 
 @pytest.fixture
@@ -204,3 +206,185 @@ class TestRecoveryFallback:
         env.tsmgr.recovery_fallback = Timestamp(123, 0)
         with pytest.raises(UnknownTransactionError):
             env.tsmgr.stamp_page(page)
+
+
+# ---------------------------------------------------------------------------
+# The stamping a time split runs, against its predecessor.
+#
+# ``stamp_page_for_split`` offers each TID-marked version once, offers none
+# more of a writer found still active, and forces the log once for the
+# writers whose commit record was not durable yet, offering only their
+# versions again.  What follows is the sequence it replaced — a stamping
+# pass, a walk for committed writers, a force and a second full pass, all
+# run again by the B-tree until a pass stamped nothing, with the
+# ``stamp_version`` of that time — kept verbatim as the reference: both must
+# stamp the same versions and move every counter and VTT entry alike.
+# ---------------------------------------------------------------------------
+
+
+def reference_stamp_version(tsmgr, version, *, immortal=True) -> bool:
+    tid = version.tid
+    ts, committed = tsmgr.resolve_with_fallback(tid, immortal=immortal)
+    if not committed:
+        return False
+    entry = tsmgr.vtt.get(tid)
+    if entry is not None and entry.commit_lsn is not None \
+            and entry.commit_lsn >= tsmgr.log.flushed_lsn:
+        return False
+    version.stamp(ts)
+    tsmgr.stats.stamps += 1
+    if entry is not None:
+        remaining = tsmgr.vtt.decrement(tid, tsmgr.log.end_lsn)
+        if remaining == 0 and entry.is_snapshot:
+            tsmgr.vtt.drop(tid)
+    return True
+
+
+def reference_stamp_page(tsmgr, page) -> int:
+    if not page.has_unstamped_records():
+        return 0
+    stamped = 0
+    for version in page.unstamped_versions():
+        if reference_stamp_version(tsmgr, version, immortal=page.immortal):
+            stamped += 1
+    if stamped:
+        tsmgr.buffer.mark_dirty_page(page)
+    return stamped
+
+
+def reference_committed_unstamped(tsmgr, page) -> bool:
+    for version in page.unstamped_versions():
+        entry = tsmgr.vtt.get(version.tid)
+        if entry is not None:
+            if not entry.is_active:
+                return True
+        elif tsmgr.ptt.lookup(version.tid) is not None:
+            return True
+    return False
+
+
+def reference_stamp_page_for_split(tsmgr, page) -> int:
+    stamped = reference_stamp_page(tsmgr, page)
+    if page.has_unstamped_records() \
+            and reference_committed_unstamped(tsmgr, page):
+        tsmgr.log.force()
+        stamped += reference_stamp_page(tsmgr, page)
+    return stamped
+
+
+def reference_split_stamping(tsmgr, page) -> None:
+    """The trigger as ``BTree._try_time_split`` ran it."""
+    reference_stamp_page_for_split(tsmgr, page)
+    while reference_stamp_page_for_split(tsmgr, page):
+        pass
+
+
+DURABLE, BUFFERED, ACTIVE, SNAPSHOT, RESTARTED = 1, 2, 3, 4, 5
+
+
+def four_writers_leaf(env) -> tuple[BTree, DataPage]:
+    """A B-tree whose one leaf holds versions of a committed writer whose
+    commit is durable, one whose commit record is still in the group-commit
+    buffer, an active one and a snapshot writer (committed, commit not
+    durable) — plus one committed before a restart, known only to the PTT."""
+    btree = BTree(env.buffer, env.log, env.clock, table_id=1, immortal=True)
+    btree.stamp_page = env.tsmgr.stamp_page_for_split
+    page = btree.search_leaf(b"")
+    writes = {            # writer -> the keys it wrote, in commit order
+        RESTARTED: [b"a", b"c"],
+        DURABLE: [b"a", b"b", b"d"],
+        SNAPSHOT: [b"b", b"e", b"f"],
+        BUFFERED: [b"a", b"c", b"e"],
+        ACTIVE: [b"b", b"c", b"d", b"f"],
+    }
+    for tid, keys in writes.items():
+        env.tsmgr.on_begin(tid, is_snapshot=tid == SNAPSHOT)
+        for key in keys:
+            page.insert_version(RecordVersion.new(key, b"v%d" % tid, tid))
+            env.tsmgr.on_version_created(tid, 1, page.page_id, key)
+        if tid == ACTIVE:
+            continue
+        ts = env.clock.next_timestamp()
+        persistent = tid != SNAPSHOT
+        lsn = env.log.append(CommitTxn(
+            tid=tid, ttime=ts.ttime, sn=ts.sn, ptt=persistent,
+        ))
+        if tid in (DURABLE, RESTARTED):
+            env.log.force()
+        env.tsmgr.on_commit(tid, ts, lsn, persistent=persistent)
+    env.tsmgr.vtt.drop(RESTARTED)      # as a restart leaves it: PTT only
+    return btree, page
+
+
+def observe(env, page) -> dict:
+    stats = env.tsmgr.stats
+    return {
+        "versions": [(v.key, v.ttime_field, v.sn) for v in page.versions],
+        "counters": (stats.stamps, stats.vtt_hits, stats.ptt_lookups,
+                     env.ptt.lookups),
+        "forces": env.log.stats.forces,
+        "vtt": {tid: (entry.refcount, entry.done_lsn, entry.ts)
+                for tid, entry in env.tsmgr.vtt.items()},
+    }
+
+
+class TestSplitStampingMatchesItsPredecessor:
+    @pytest.fixture
+    def pair(self, env):
+        reference = type(env)()
+        return env, reference
+
+    def test_a_time_split_stamps_as_its_predecessor_did(self, pair):
+        env, reference = pair
+        btree, page = four_writers_leaf(env)
+        old_page = four_writers_leaf(reference)[1]
+        assert observe(env, page) == observe(reference, old_page)
+        forces = env.log.stats.forces
+        writers = [version.tid for version in page.versions]
+
+        offers: list[int] = []
+        stamp_version = env.tsmgr.stamp_version
+
+        def counted(version, **kwargs):
+            offers.append(id(version))
+            return stamp_version(version, **kwargs)
+
+        env.tsmgr.stamp_version = counted
+        reference_split_stamping(reference.tsmgr, old_page)
+        assert btree._try_time_split([], page) is not None
+
+        new, old = observe(env, page), observe(reference, old_page)
+        assert new == old
+        assert new["forces"] == forces + 1
+        # Everything committed is stamped; the active writer's are not.
+        tids = {v.tid for v in page.versions if not v.is_timestamped}
+        assert tids == {ACTIVE}
+        assert SNAPSHOT not in env.tsmgr.vtt      # dropped at refcount zero
+        # Each version is offered once, but a version whose commit was not
+        # durable is offered again after the force — and an active writer's
+        # only until the first of them declines.
+        by_writer: dict[int, list[int]] = {}
+        for tid, version in zip(writers, page.versions):
+            by_writer.setdefault(tid, []).append(offers.count(id(version)))
+        assert by_writer == {
+            RESTARTED: [1, 1], DURABLE: [1, 1, 1], SNAPSHOT: [2, 2, 2],
+            BUFFERED: [2, 2, 2], ACTIVE: [1, 0, 0, 0],
+        }
+
+    def test_nothing_pending_forces_nothing(self, pair):
+        env, reference = pair
+        for e in pair:
+            e.tsmgr.on_begin(1)
+        page, old_page = new_page(env), new_page(reference)
+        for e, p in ((env, page), (reference, old_page)):
+            p.insert_version(RecordVersion.new(b"a", b"v", 1))
+            e.tsmgr.on_version_created(1, 1, p.page_id, b"a")
+            e.commit(1)
+            p.insert_version(RecordVersion.new(b"b", b"w", 2))
+            e.tsmgr.on_begin(2)
+            e.tsmgr.on_version_created(2, 1, p.page_id, b"b")
+        forces = env.log.stats.forces
+        reference_split_stamping(reference.tsmgr, old_page)
+        assert env.tsmgr.stamp_page_for_split(page) == 1
+        assert observe(env, page) == observe(reference, old_page)
+        assert env.log.stats.forces == forces
