@@ -47,7 +47,7 @@ from repro.access.timesplit import (
     nothing_to_move,
     plan_time_split,
 )
-from repro.wal.log import LogManager
+from repro.wal.log import LogManager, log_smo
 from repro.wal.records import MultiPageImage, SMOReason
 
 _INDEX_HEADER = COMMON_HEADER_SIZE + 4  # count(2) + pad(2)
@@ -232,7 +232,7 @@ class BTree:
                 )
             )
             self.root_pid = leaf.page_id
-            self._log_smo(SMOReason.INDEX_POST, [leaf])
+            log_smo(self.log, self.buffer, SMOReason.INDEX_POST, [leaf])
         else:
             self.root_pid = root_pid
 
@@ -386,7 +386,7 @@ class BTree:
         )
         new_root.set_entries([], [moved.page_id])
         self.stats.root_growths += 1
-        self._log_smo(SMOReason.INDEX_POST, [new_root, moved])
+        log_smo(self.log, self.buffer, SMOReason.INDEX_POST, [new_root, moved])
 
     def _grow_root_over_leaf(self, leaf: DataPage) -> DataPage:
         """The root is a leaf that must split: push it down one level.
@@ -408,7 +408,7 @@ class BTree:
         if self.route_cache is not None:
             self.route_cache.invalidate(leaf.page_id)
         self.stats.root_growths += 1
-        self._log_smo(SMOReason.INDEX_POST, [new_root, moved])
+        log_smo(self.log, self.buffer, SMOReason.INDEX_POST, [new_root, moved])
         return moved
 
     def _split_index_child(
@@ -424,7 +424,7 @@ class BTree:
         child.set_entries(child.seps[:mid], child.children[: mid + 1])
         parent.post(parent.child_index_for(promoted), promoted, right.page_id)
         self.stats.index_splits += 1
-        self._log_smo(SMOReason.INDEX_POST, [parent, child, right])
+        log_smo(self.log, self.buffer, SMOReason.INDEX_POST, [parent, child, right])
 
     # -- making room in leaves ---------------------------------------------------------
 
@@ -439,7 +439,7 @@ class BTree:
             if dropped:
                 self.stats.prunes += 1
                 self.stats.versions_pruned += dropped
-                self._log_smo(SMOReason.OTHER, [pruned])
+                log_smo(self.log, self.buffer, SMOReason.OTHER, [pruned])
                 # Pruning freed space; if plenty, no key split needed now.
                 if pruned.free_bytes >= pruned.page_size // 4:
                     return
@@ -499,7 +499,7 @@ class BTree:
             affected.extend(
                 self.history_index.on_time_split(outcome.history, low, high)
             )
-        self._log_smo(SMOReason.TIME_SPLIT, affected)
+        log_smo(self.log, self.buffer, SMOReason.TIME_SPLIT, affected)
 
     def _key_split(
         self, path: list[tuple[BTreeIndexPage, int]], leaf: DataPage
@@ -529,40 +529,4 @@ class BTree:
                     self.table_id, left.page_id, right.page_id, sep
                 )
             )
-        self._log_smo(SMOReason.KEY_SPLIT, affected)
-
-    # -- logging -----------------------------------------------------------------
-
-    def _log_smo(self, reason: SMOReason, pages: list[Page]) -> int:
-        """Log one atomic multi-page image, then put its pages in the pool.
-
-        The only way a structure modification's rebuilt pages enter the
-        buffer pool: the record is appended first, and each page is
-        installed dirty with the record's LSN after it.  (A fresh index
-        node from ``new_page`` is cached earlier, but nothing is admitted
-        between that and this call.)  Installing a page can evict another,
-        and an evicted page is written; written before its record existed
-        it would reach the disk under its old LSN, already naming siblings
-        and history pages that exist nowhere.
-        """
-        lsn = self.log.next_lsn
-        seen: set[int] = set()
-        unique: list[Page] = []
-        for page in pages:
-            if page.page_id in seen:
-                continue
-            seen.add(page.page_id)
-            page.lsn = lsn
-            page.touch()        # imaged below, before mark_dirty would
-            unique.append(page)
-        assigned = self.log.append(
-            MultiPageImage(
-                reason=reason,
-                images=[(p.page_id, p.to_bytes()) for p in unique],
-            )
-        )
-        assert assigned == lsn
-        for page in unique:
-            self.buffer.mark_dirty_page(page, lsn)
-            page._image_epoch = page._encode_epoch  # still what was logged
-        return lsn
+        log_smo(self.log, self.buffer, SMOReason.KEY_SPLIT, affected)

@@ -19,32 +19,36 @@ cold:
 * its table has no TSB history index (TSB index terms store raw page
   ids; retargeting them is future work, documented in DESIGN.md).
 
-Per-page migration protocol (crash-atomic; each numbered step has a
-failpoint so the crashtest harness kills the process between any two):
+Migration protocol (crash-atomic; each step has a failpoint so the
+crashtest harness kills the process between any two):
 
-1. ``archive.migrate.select`` — re-verify candidacy, flush the page if
-   dirty (the archived image must match the durable one);
+1. ``archive.migrate.select`` — per page: re-verify candidacy, flush the
+   page if dirty (the archived image must match the durable one);
 2. ``archive.migrate.append`` — encode the delta block and append it to
    the store; the position it lands at is its ref;
 3. ``archive.migrate.sync`` — **sync the store**.  From here the archive
    copy is durable;
-4. ``archive.migrate.relink`` — rewrite every referrer's
-   ``history_page_id`` from the raw pid to the ref pid, write-through;
-5. ``archive.migrate.free`` — drop the old page's frame, zero-fill its
-   disk image, and put the pid on the free list.
+4. ``archive.migrate.relink`` — point every referrer's
+   ``history_page_id`` at the ref, in memory;
+5. ``archive.migrate.free`` — once per step: log one
+   :class:`~repro.wal.records.MultiPageImage` (``PAGE_FREE``) carrying the
+   relinked referrers and the freed ids, force the log, write the
+   referrers, drop the freed pages' frames and put their ids on the free
+   list.
 
 Why each intermediate crash state is consistent:
 
 * crash before the sync — the block is an unsynced tail the store
-  discards; every on-disk link still names the intact raw page.
-* crash between sync and the last relink flush — some referrers name the
-  ref (a position inside the store's durable prefix), the rest still name
-  the raw page, which is untouched.  Both routes decode the same chain.
-* crash after relinks, before/during the free — worst case a zero-filled
-  page whose pid never reached a durable catalog: a leaked hole, never a
-  dangling link, because relinked referrer images (carrying LSNs ≥ any
-  record describing the old link) were flushed before the free, and redo
-  only applies records newer than the page image's LSN.
+  discards; every link still names the intact raw page.
+* crash before the free record is durable — the relinks were only in
+  memory (the write-ahead rule keeps a page whose LSN the log does not
+  cover off the disk); the blocks are unreferenced tails of the store.
+* crash after it — redo replays the relinks from the record, under each
+  referrer's page LSN, whatever of the writes reached the disk, and
+  restart's free list takes the freed ids from the same record (see
+  :mod:`repro.wal.recovery`).  A freed page keeps its old image: an id is
+  reused only by a page whose birth is logged, so redo replays the old
+  image and then the new one, in log order.
 
 Reads come back through the buffer pool's resolver seam
 (``BufferPool.archive_resolver``): a ``history_page_id`` with
@@ -72,14 +76,10 @@ from repro.clock import TICK_MS, Timestamp
 from repro.core.asof import PageView
 from repro.errors import PageQuarantinedError
 from repro.faults.failpoints import fire
-from repro.storage.constants import (
-    ARCHIVE_PID_BIT,
-    CHECKSUM_OFFSET,
-    CHECKSUM_SIZE,
-    NO_PAGE,
-)
-from repro.storage.freelist import PageFreeList
+from repro.storage.constants import ARCHIVE_PID_BIT, NO_PAGE
 from repro.storage.page import DataPage, decode_page, read_data_header
+from repro.wal.log import log_smo
+from repro.wal.records import SMOReason
 
 
 @dataclass
@@ -118,11 +118,8 @@ class ArchiveManager:
         self.stats = ArchiveStats()
         self.quarantined: set[int] = set()
         self._cache: OrderedDict[int, DataPage] = OrderedDict()
-        # Wire the seams: reads resolve through us, frees feed allocation.
+        # Reads resolve through us; frees feed the page store's free list.
         engine.buffer.archive_resolver = self.materialize
-        if engine.disk.free_list is None:
-            engine.disk.free_list = PageFreeList()
-        engine.disk.free_list.replace(engine.catalog.free_pids)
 
     # -- the read seam -----------------------------------------------------
 
@@ -269,11 +266,11 @@ class ArchiveManager:
         if budget <= 0:
             return 0
         candidates, referrers = self._scan()
-        buffer = self.engine.buffer
-        disk = self.engine.disk
-        migrated = 0
+        engine, buffer = self.engine, self.engine.buffer
+        moved: list[int] = []
+        relinked: list[DataPage] = []
         for pid in candidates:
-            if migrated == budget:
+            if len(moved) == budget:
                 break
             page = self._peek_page(pid)
             if page.has_unstamped_records():
@@ -288,40 +285,34 @@ class ArchiveManager:
             )
             fire("archive.migrate.sync")
             self.store.sync()
-            # The archive copy is durable; now move every link, then free.
+            # The archive copy is durable; now move every link to it.
             fire("archive.migrate.relink")
             for rpid in referrers.get(pid, ()):
-                if buffer.contains(rpid):
-                    referrer = buffer.get_page(rpid)
-                    if referrer.history_page_id == pid:
-                        referrer.history_page_id = ref_pid
-                        buffer.mark_dirty_page(referrer)
-                        buffer.flush_page(rpid)
-                else:
-                    # Uncached referrer: write through directly, frames
-                    # untouched (same durability — a full-image write).
-                    referrer = decode_page(disk.read_page(rpid))
-                    if (
-                        isinstance(referrer, DataPage)
-                        and referrer.history_page_id == pid
-                    ):
-                        referrer.history_page_id = ref_pid
-                        buffer.write_through(referrer)
-            fire("archive.migrate.free")
+                referrer = self._peek_page(rpid)
+                if isinstance(referrer, DataPage) \
+                        and referrer.history_page_id == pid:
+                    referrer.history_page_id = ref_pid
+                    relinked.append(referrer)
+            moved.append(pid)
+        if not moved:
+            return 0
+        fire("archive.migrate.free")
+        # An id is reused only once the record freeing it is durable.
+        log_smo(engine.log, buffer, SMOReason.PAGE_FREE, relinked, moved)
+        engine.log.force()
+        for referrer in relinked:
+            buffer.flush_page(referrer.page_id)
+        for pid in moved:
             buffer.discard_page(pid)
-            disk.write_page(pid, bytes(disk.page_size))
-            disk.free_list.add(pid)
-            self.stats.pages_migrated += 1
-            self.stats.pages_freed += 1
-            migrated += 1
-        if migrated:
-            # Cached routes and page views may still name migrated pids.
-            if self.engine.route_cache is not None:
-                self.engine.route_cache.clear()
-            if self.engine.page_views is not None:
-                self.engine.page_views.clear()
-            self.engine._save_meta()
-        return migrated
+            engine.disk.free_list.add(pid)
+        self.stats.pages_migrated += len(moved)
+        self.stats.pages_freed += len(moved)
+        # Cached routes and page views may still name migrated pids.
+        if engine.route_cache is not None:
+            engine.route_cache.clear()
+        if engine.page_views is not None:
+            engine.page_views.clear()
+        return len(moved)
 
     def drain(self, max_steps: int = 1000) -> int:
         """Run steps until no candidate remains; returns pages migrated."""
@@ -340,47 +331,6 @@ class ArchiveManager:
         self.store.crash()
         self._cache.clear()
         self.quarantined.clear()
-
-    def before_recovery(self) -> None:
-        """Take the free list away from redo.
-
-        Redo allocates too (PTT re-inserts can split), and must not be
-        handed an id the list only *believes* is free: the list stays empty
-        until :meth:`after_recovery` has checked the durable catalog's
-        entries against the post-redo images.
-        """
-        self.engine.disk.free_list.replace([])
-
-    def after_recovery(self) -> None:
-        """Rebuild post-redo state: validate the free list.
-
-        A pid from the durable catalog stays free only if its disk image
-        is blank (zero-filled at free time; the CRC field is excluded
-        because checksums are stamped at write) and the buffer holds no
-        frame for it — anything else means redo resurrected the page or
-        the free never completed, and reusing the pid could double-home
-        two pages.
-        """
-        self._cache.clear()
-        self.quarantined.clear()
-        disk = self.engine.disk
-        free_list = disk.free_list
-        free_list.replace(self.engine.catalog.free_pids)
-        kept: list[int] = []
-        for pid in free_list.to_list():
-            if pid <= 0 or pid >= disk.page_count:
-                continue
-            if self.engine.buffer.contains(pid):
-                continue
-            try:
-                raw = disk.read_page(pid)
-            except Exception:
-                continue
-            before = raw[:CHECKSUM_OFFSET]
-            after = raw[CHECKSUM_OFFSET + CHECKSUM_SIZE :]
-            if not any(before) and not any(after):
-                kept.append(pid)
-        free_list.replace(kept)
 
     def close(self) -> None:
         self.store.close()

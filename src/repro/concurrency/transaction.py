@@ -220,23 +220,26 @@ class TransactionManager:
         else:
             ts = self.clock.next_timestamp()
         txn.commit_ts = ts
-        # Eager mode does its revisit-and-stamp work here; lazy does nothing.
-        self.tsmgr.on_commit_prepare(txn.tid, ts)
-        commit_lsn = self.log.append(
-            CommitTxn(
-                tid=txn.tid,
-                prev_lsn=txn.last_lsn,
-                ttime=ts.ttime,
-                sn=ts.sn,
-                ptt=txn.touched_immortal and self.tsmgr.writes_ptt,
-            )
-        )
+        rec = self._log_commit(txn, ts)
         if self.group_commit_window > 1:
-            return self._commit_grouped(txn, ts, commit_lsn)
-        return self._commit_forced(txn, ts, commit_lsn)
+            return self._commit_grouped(txn, ts, rec)
+        return self._commit_forced(txn, ts, rec)
+
+    def _log_commit(self, txn: Transaction, ts: Timestamp) -> CommitTxn:
+        """Append the commit record, after the timestamp manager's
+        pre-commit work: lazy finds (and splits for) the PTT leaf the record
+        names, eager revisits and stamps."""
+        rec = CommitTxn(
+            tid=txn.tid, prev_lsn=txn.last_lsn, ttime=ts.ttime, sn=ts.sn,
+            page_id=self.tsmgr.on_commit_prepare(
+                txn.tid, ts, persistent=txn.touched_immortal
+            ),
+        )
+        self.log.append(rec)
+        return rec
 
     def _commit_forced(
-        self, txn: Transaction, ts: Timestamp, commit_lsn: int
+        self, txn: Transaction, ts: Timestamp, rec: CommitTxn
     ) -> Timestamp:
         """Synchronous commit tail: durable first, then the volatile steps.
 
@@ -246,13 +249,11 @@ class TransactionManager:
         transitions have already happened by the time anything is forced.
         """
         fire("txn.commit.force")      # commit record appended, not yet durable
-        self.log.force(commit_lsn)
+        self.log.force(rec.lsn)
         if self.durable_commit_hook is not None:
             self.durable_commit_hook(txn)
         fire("txn.commit.stamp")      # durable, VTT/PTT transition still pending
-        self.tsmgr.on_commit(
-            txn.tid, ts, commit_lsn, persistent=txn.touched_immortal
-        )
+        self.tsmgr.on_commit(rec, ts)
         txn.state = TxnState.COMMITTED
         if txn.gtid is not None:      # a 2PC participant is no longer in doubt
             self.in_doubt.pop(txn.gtid, None)
@@ -262,7 +263,7 @@ class TransactionManager:
         return ts
 
     def _commit_grouped(
-        self, txn: Transaction, ts: Timestamp, commit_lsn: int
+        self, txn: Transaction, ts: Timestamp, rec: CommitTxn
     ) -> Timestamp:
         """Group-commit tail: volatile commit now, durable ack at the force.
 
@@ -275,13 +276,11 @@ class TransactionManager:
         durable), which is exactly what recovery's analysis pass does.
         """
         fire("txn.groupcommit.enqueue")   # record appended, ack deferred
-        self.tsmgr.on_commit(
-            txn.tid, ts, commit_lsn, persistent=txn.touched_immortal
-        )
+        self.tsmgr.on_commit(rec, ts)
         txn.state = TxnState.COMMITTED
         self._finish(txn)
         self.commits += 1
-        self._pending_commits.append((txn, commit_lsn))
+        self._pending_commits.append((txn, rec.lsn))
         if len(self._pending_commits) >= self.group_commit_window:
             self.flush_commits()
         fire("txn.commit.done")
@@ -368,17 +367,7 @@ class TransactionManager:
             )
         fire("txn.commit.begin")
         txn.commit_ts = ts
-        self.tsmgr.on_commit_prepare(txn.tid, ts)
-        commit_lsn = self.log.append(
-            CommitTxn(
-                tid=txn.tid,
-                prev_lsn=txn.last_lsn,
-                ttime=ts.ttime,
-                sn=ts.sn,
-                ptt=txn.touched_immortal and self.tsmgr.writes_ptt,
-            )
-        )
-        return self._commit_forced(txn, ts, commit_lsn)
+        return self._commit_forced(txn, ts, self._log_commit(txn, ts))
 
     def reinstate_in_doubt(
         self, entries: list[tuple[int, int]], lock_record: Callable

@@ -86,9 +86,6 @@ class Catalog:
     tables: dict[str, TableSchema] = field(default_factory=dict)
     next_table_id: int = 1
     ptt_root_pid: int = 0
-    # Page ids reclaimed by archive migration, persisted opportunistically
-    # (see repro.storage.freelist for the lazy crash-safety argument).
-    free_pids: list[int] = field(default_factory=list)
     # High-water commit timestamp as (ttime, sn), refreshed at every boot-page
     # write.  Recovery feeds it to SimClock.adopt_floor so a restarted clock
     # can never stamp below an already-durable commit time; commits after the
@@ -132,10 +129,6 @@ class Catalog:
             "ptt_root_pid": self.ptt_root_pid,
             "tables": [schema.to_json() for schema in self.tables.values()],
         }
-        # Emitted only when non-empty so blobs without archiving stay
-        # byte-identical to the pre-archive format.
-        if self.free_pids:
-            doc["free_pids"] = self.free_pids
         if self.commit_ts_hw != (0, 0):
             doc["commit_ts_hw"] = list(self.commit_ts_hw)
         return json.dumps(doc, separators=(",", ":")).encode("utf-8")
@@ -153,7 +146,6 @@ class Catalog:
         catalog = cls(
             next_table_id=doc["next_table_id"],
             ptt_root_pid=doc["ptt_root_pid"],
-            free_pids=list(doc.get("free_pids", [])),
             commit_ts_hw=tuple(doc.get("commit_ts_hw", (0, 0))),
         )
         for table_doc in doc["tables"]:

@@ -42,8 +42,9 @@ from repro.timestamp.manager import TimestampManager
 from repro.timestamp.ptt import PersistentTimestampTable
 from repro.wal.checkpoint import CheckpointManager
 from repro.wal.filelog import FileLogManager
-from repro.wal.log import LogManager
+from repro.wal.log import LogManager, log_smo
 from repro.wal.recovery import RecoveryReport, run_recovery
+from repro.wal.records import SMOReason
 from repro.access.btree import BTree
 from repro.access.tsbtree import TSBHistoryIndex
 
@@ -106,7 +107,7 @@ class ImmortalDB:
 
         self.catalog = self._load_catalog()
         ptt_root = self.catalog.ptt_root_pid or None
-        self.ptt = PersistentTimestampTable(self.buffer, ptt_root)
+        self.ptt = PersistentTimestampTable(self.buffer, self.log, ptt_root)
         manager_cls = (
             EagerTimestampManager if timestamping == "eager" else TimestampManager
         )
@@ -153,9 +154,9 @@ class ImmortalDB:
         )
         # Cold-history archive tiering (opt-in, see DESIGN.md "Cold-history
         # tiering").  ``archive`` accepts True, an ArchiveConfig, or a dict
-        # of its fields; the default None attaches nothing — no resolver,
-        # no free list — keeping behaviour and on-disk images byte-identical
-        # to the pre-archive engine.
+        # of its fields; the default None attaches nothing, keeping
+        # behaviour and on-disk images byte-identical to the pre-archive
+        # engine.
         self.archive = None
         if archive:
             from repro.archive.manager import ArchiveConfig, ArchiveManager
@@ -175,8 +176,11 @@ class ImmortalDB:
         self._tables_by_id: dict[int, Table] = {}
         self._open_tables()
         if ptt_root is None:
+            # A new database.  The PTT root's image must be durable before
+            # the boot page names it.
+            self.log.force()
             self._save_meta()
-        if path and len(self.log):
+        elif path and len(self.log):
             # An existing database: run restart recovery.  After a clean
             # shutdown this is a cheap scan from the last checkpoint; after
             # a hard kill it redoes/undoes as needed.  Either way it also
@@ -194,8 +198,6 @@ class ImmortalDB:
         """Write the boot page through to disk (durable immediately)."""
         fire("engine.save_meta")
         self.catalog.ptt_root_pid = self.ptt.root_pid
-        if getattr(self, "archive", None) is not None:
-            self.catalog.free_pids = self.disk.free_list.to_list()
         # Persist the commit-timestamp high water (clock.now() bounds every
         # timestamp issued so far).  Recovery adopts it as a clock floor so
         # no post-restart commit can stamp below a pre-crash one.
@@ -283,8 +285,9 @@ class ImmortalDB:
         )
         tsb_root = 0
         if self.use_tsb_index and immortal:
-            history_index = TSBHistoryIndex(self.buffer, table_id)
-            tsb_root = history_index.root_pid
+            tsb_root = TSBHistoryIndex(self.buffer, table_id).root_pid
+            log_smo(self.log, self.buffer, SMOReason.INDEX_POST,
+                    [self.buffer.get_page(tsb_root)])
         schema = TableSchema(
             name=name,
             table_id=table_id,
@@ -525,14 +528,12 @@ class ImmortalDB:
         """Restart after :meth:`crash`: analysis, redo, undo, re-open."""
         self.catalog = self._load_catalog()
         self.ptt = PersistentTimestampTable(
-            self.buffer, self.catalog.ptt_root_pid or None
+            self.buffer, self.log, self.catalog.ptt_root_pid
         )
         self.tsmgr.ptt = self.ptt
         self.tables.clear()
         self._tables_by_id.clear()
         self._open_tables()
-        if self.archive is not None:
-            self.archive.before_recovery()
         report = run_recovery(self)
         self.txn_mgr.adopt_tid_floor(self._max_tid_seen(report))
         # Restore commit-timestamp monotonicity: the clock must never again
@@ -556,10 +557,6 @@ class ImmortalDB:
                 report.in_doubt, self.locks.lock_record_exclusive
             )
         self.tsmgr.recovery_fallback = self.clock.now()
-        if self.archive is not None:
-            # Re-validate the free list against the post-redo page images
-            # before anything reuses ids.
-            self.archive.after_recovery()
         self.checkpoint(flush=True)
         return report
 

@@ -136,8 +136,9 @@ def page_accounting(db: "ImmortalDB") -> PageAccounting:
     """The allocator's books, by one reachability walk: meta → catalog roots
     → index nodes → leaves → history chains (through the archive), the TSB
     index, the PTT tree and the free list.  A page id is taken only for a
-    page that is logged, so only a crash orphans one: the store was extended
-    for a structure modification whose record was in the lost log suffix."""
+    page that is logged, and restart frees again the ids whose record a
+    crash lost, so an orphan means a page left its structure unlogged (or a
+    dropped table's pages, which nothing frees)."""
     kinds: dict[int, str] = {META_PAGE_ID: "meta"}
     for table in db.tables.values():
         stack = [table.btree.root_pid]
@@ -161,8 +162,7 @@ def page_accounting(db: "ImmortalDB") -> PageAccounting:
             for node in table.history_index.all_nodes():
                 kinds[node.page_id] = "tsb"
     kinds.update(dict.fromkeys(db.ptt.page_ids(), "ptt"))
-    if db.disk.free_list is not None:
-        kinds.update(dict.fromkeys(db.disk.free_list.to_list(), "free"))
+    kinds.update(dict.fromkeys(db.disk.free_list.to_list(), "free"))
     count = db.disk.page_count
     orphans = [pid for pid in range(count) if pid not in kinds]
     return PageAccounting(count, Counter(kinds.values()), orphans)

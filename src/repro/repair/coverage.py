@@ -46,11 +46,11 @@ def _image_lsn(raw: bytes) -> int:
 class RedoIndex:
     """Per page id, the ascending LSNs of the durable records touching it.
 
-    Commit/abort bookkeeping touches no page and is never indexed: restored
-    versions are re-stamped from the PTT instead, exactly like the
-    flush-time lazy timestamping path.  PTT mutations are logged logically
-    (the commit record carries the entry; ``PTTDelete`` records GC), so a
-    PTT page's refill reads them straight from the log instead.
+    Records that touch no page (begin/abort, a commit that wrote no PTT
+    entry) are never indexed: restored versions are re-stamped from the
+    PTT instead, exactly like the flush-time lazy timestamping path.  A
+    commit that did, and a ``PTTDelete``, name their PTT leaf, so a PTT
+    page is indexed and restored like a data page.
     """
 
     def __init__(self, log: "LogManager") -> None:
@@ -107,16 +107,12 @@ class PageBackup:
 
     def __init__(self) -> None:
         self._images: dict[int, bytes] = {}
-        # log.flushed_lsn when each page's current image was captured —
-        # the refill floor for logically-logged (LSN-0) pages like the PTT.
-        self._capture_lsn: dict[int, int] = {}
         self.captures = 0
         self.pages_captured = 0
         self.pages_skipped = 0
 
-    def put(self, page_id: int, raw: bytes, flushed_lsn: int = 0) -> None:
+    def put(self, page_id: int, raw: bytes) -> None:
         self._images[page_id] = bytes(raw)
-        self._capture_lsn[page_id] = flushed_lsn
 
     def image(self, page_id: int) -> bytes | None:
         return self._images.get(page_id)
@@ -125,17 +121,11 @@ class PageBackup:
         raw = self._images.get(page_id)
         return _image_lsn(raw) if raw is not None else 0
 
-    def capture_lsn(self, page_id: int) -> int:
-        """``log.flushed_lsn`` when this page's image was captured (0 if
-        never captured): the end of a durable prefix, so a record boundary."""
-        return self._capture_lsn.get(page_id, 0)
-
-    def capture_all(self, disk: "PageStore", flushed_lsn: int = 0) -> list[int]:
+    def capture_all(self, disk: "PageStore") -> list[int]:
         """Capture every page's current image; returns page ids that failed.
 
         A page whose read fails verification keeps its previous backup
-        image (and its previous capture LSN) — the log still covers it
-        from that older point forward.
+        image — the log still covers it from that older point forward.
         """
         failed: list[int] = []
         for page_id in range(disk.page_count):
@@ -145,7 +135,6 @@ class PageBackup:
                 failed.append(page_id)
                 continue
             self._images[page_id] = raw
-            self._capture_lsn[page_id] = flushed_lsn
             self.pages_captured += 1
         self.captures += 1
         self.pages_skipped += len(failed)

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from repro.clock import Timestamp
 from repro.errors import (
     BufferPoolError,
     MediaRecoveryError,
@@ -39,8 +38,6 @@ from repro.errors import (
 from repro.repair.coverage import PageBackup, RedoIndex
 from repro.repair.quarantine import QuarantineManager
 from repro.repair.restore import RestoreOutcome, restore_page
-from repro.timestamp.ptt import PTTNodePage
-from repro.wal.records import CommitTxn, PTTDelete
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import ImmortalDB
@@ -78,7 +75,7 @@ class MediaRecoveryManager:
         engine.buffer.fault_handler = self._page_fault
         # Seed coverage: whatever is already durable, plus current images.
         self.redo_index.capture()
-        self.backup.capture_all(engine.disk, engine.log.flushed_lsn)
+        self.backup.capture_all(engine.disk)
 
     # -- hooks -------------------------------------------------------------
 
@@ -90,16 +87,13 @@ class MediaRecoveryManager:
         """Capture a fresh fuzzy backup and trim the LSNs it covers."""
         engine = self.engine
         self.redo_index.capture()
-        flushed = engine.log.flushed_lsn
-        failed = self.backup.capture_all(engine.disk, flushed)
+        failed = self.backup.capture_all(engine.disk)
         for page_id in failed:
             # A page too damaged to even back up: repair it right now if
             # allowed — its older backup image plus the log suffice.
             if self.auto_repair and self.repair_page(page_id):
                 try:
-                    self.backup.put(
-                        page_id, engine.disk.read_page(page_id), flushed
-                    )
+                    self.backup.put(page_id, engine.disk.read_page(page_id))
                 except StorageError:  # pragma: no cover - freshly rewritten
                     pass
         self.redo_index.trim(self.backup.image_lsn)
@@ -109,9 +103,7 @@ class MediaRecoveryManager:
     def mirror_meta(self) -> None:
         """Mirror the just-saved meta page (its writes are never logged)."""
         try:
-            self.backup.put(
-                0, self.engine.disk.read_page(0), self.engine.log.flushed_lsn
-            )
+            self.backup.put(0, self.engine.disk.read_page(0))
         except StorageError:
             pass  # the scrubber / next fault will deal with it
 
@@ -175,21 +167,14 @@ class MediaRecoveryManager:
         ) from exc
 
     def _restore(self, page_id: int) -> RestoreOutcome:
-        """Restore one page, refill it if it is a PTT page, count it.
+        """Restore one page (a PTT node like any other) and count it.
 
         Restore reads its records back from the log: a frame that fails
         its check there is a :exc:`MediaRecoveryError` like any other gap
         in coverage, so the callers quarantine the page.
-
-        PTT node pages never appear in physical log records (commit records
-        carry their mutations), so the physical restore only recovered the
-        backup image; the refill re-applies the durable mutations logged
-        since its capture, idempotently, through the live PTT.
         """
         try:
             outcome = restore_page(self, page_id)
-            if isinstance(outcome.page, PTTNodePage):
-                self._refill_ptt(page_id)
         except WALError as exc:
             raise MediaRecoveryError(
                 f"page {page_id}: a log record it needs cannot be read: "
@@ -201,22 +186,6 @@ class MediaRecoveryManager:
         self.stats.repair_versions_stamped += outcome.versions_stamped
         self.quarantine.release(page_id)
         return outcome
-
-    def _refill_ptt(self, page_id: int) -> None:
-        log, ptt = self.engine.log, self.engine.ptt
-        durable = log.flushed_lsn
-        for record in log.records_from(self.backup.capture_lsn(page_id)):
-            if record.lsn >= durable:
-                break
-            if isinstance(record, CommitTxn):
-                if record.ptt and ptt.lookup(record.tid) is None:
-                    ptt.insert(
-                        record.tid, Timestamp(record.ttime, record.sn),
-                        rec_lsn=record.lsn,
-                    )
-            elif isinstance(record, PTTDelete):
-                if ptt.lookup(record.subject_tid) is not None:
-                    ptt.delete(record.subject_tid, rec_lsn=record.lsn)
 
     # -- crash semantics ---------------------------------------------------
 

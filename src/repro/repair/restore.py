@@ -151,10 +151,10 @@ def _apply(
         )
     if page.lsn >= lsn:
         return page, 0
-    if not isinstance(page, DataPage):
+    if page.page_type not in record.PAGE_TYPES:
         raise MediaRecoveryError(
-            f"page {page_id}: versioned record at LSN {lsn} targets a "
-            f"non-data page",
+            f"page {page_id}: a {type(record).__name__} record at LSN {lsn} "
+            f"targets a {page.page_type.name} page",
             page_id=page_id,
         )
     record.redo(page)

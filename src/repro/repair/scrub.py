@@ -105,11 +105,8 @@ class Scrubber:
             # next flush rewrites it wholesale.
             self.stats.pages_skipped_dirty += 1
             return []
-        free_list = getattr(engine.disk, "free_list", None)
-        if free_list is not None and pid in free_list:
-            # Archive migration zero-filled this page when it freed it; the
-            # staleness probe below would otherwise flag it as a lost
-            # sector (the redo index still holds its pre-migration LSNs).
+        if pid in engine.disk.free_list:
+            # A free id holds whatever its last owner left: nothing to check.
             return []
         self.stats.pages_scanned += 1
         try:

@@ -522,11 +522,11 @@ class BufferPool:
     def mark_dirty_page(self, page: Page, rec_lsn: int | None = None) -> None:
         """Make ``page`` the cached, dirty image of its page id.
 
-        The caller's object is the authority: it has logged (or, for the
-        unlogged PTT and TSB nodes, decided) the new state, and holds the
-        page unpinned, so by now the frame may be gone or hold an older
-        object.  A structure modification's rebuilt pages enter the pool
-        this way, after their record (``BTree._log_smo``); a page the
+        The caller's object is the authority: it has logged (or, for a TSB
+        node whose split the B-tree logs next, decided) the new state, and
+        holds the page unpinned, so by now the frame may be gone or hold an
+        older object.  A structure modification's rebuilt pages enter the
+        pool this way, after their record (``wal.log.log_smo``); a page the
         operation's own admissions evicted comes back the same way.
         "Dirty" means changed: this invalidates the page's cached image for
         what its mutator methods do not cover (attribute writes, stamping).
@@ -696,17 +696,6 @@ class BufferPool:
         """Drop every cached page *without* flushing (simulates a crash)."""
         self._frames.clear()
         self._policy.clear()
-
-    def write_through(self, page: Page) -> None:
-        """Write an *uncached* page's image straight to disk.
-
-        No frame is admitted, but the read-ahead ring may hold the older
-        image; it is dropped, or the next miss would serve it in place of
-        what was just written.
-        """
-        with self.mutex:
-            self.disk.write_page(page.page_id, page.to_bytes())
-            self._staged.pop(page.page_id, None)
 
     def discard_page(self, page_id: int) -> None:
         """Drop one cached page *without* flushing.

@@ -28,6 +28,7 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.faults.failpoints import fire
+from repro.storage.freelist import PageFreeList
 from repro.storage.constants import (
     CHECKSUM_OFFSET,
     CHECKSUM_SIZE,
@@ -162,10 +163,9 @@ class PageStore:
         self.checksums = False   # opt-in: stamp on write, verify on read
         self.retry: RetryPolicy | None = None   # opt-in transient-error retry
         self.verify_writes = False   # opt-in: read back and compare each write
-        # Opt-in page reuse: the archive manager installs a PageFreeList
-        # here when cold-history tiering reclaims migrated pages; allocate()
-        # then prefers a reclaimed id over growing the store.
-        self.free_list = None
+        # Ids to reuse before the store grows: archive migration frees
+        # pages, and restart returns those a crash orphaned.
+        self.free_list = PageFreeList()
         self._last_read_pid = -2
         self._last_write_pid = -2
 
@@ -238,11 +238,10 @@ class PageStore:
 
     def allocate(self) -> int:
         self.stats.allocations += 1
-        if self.free_list is not None:
-            pid = self.free_list.pop()
-            if pid is not None:
-                self.stats.free_reuses += 1
-                return pid
+        pid = self.free_list.pop()
+        if pid is not None:
+            self.stats.free_reuses += 1
+            return pid
         return self._allocate()
 
     @property

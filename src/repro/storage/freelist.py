@@ -11,13 +11,11 @@ Determinism matters more than speed at these sizes: the list is kept
 sorted and :meth:`pop` always returns the smallest free id, so a replayed
 workload allocates identical page numbers.
 
-Crash safety is deliberately lazy.  The list is persisted opportunistically
-in the catalog blob (``Catalog.free_pids``) whenever the engine saves its
-meta page; after recovery the engine re-validates every persisted id
-against the page file (freed pages are zero-filled at free time) and drops
-any id whose image is no longer blank — see
-``ArchiveManager.after_recovery``.  A freed page that never made it into a
-durable catalog is merely a leaked hole, never a double allocation.
+Crash safety comes from the log, not from this list: an id enters it only
+once the record that frees it is durable (see ``ArchiveManager.step``), a
+checkpoint records the list, and restart derives it again from the last
+checkpoint's copy and the records after it (``repro.wal.recovery``), which
+also returns the ids a crash orphaned.
 """
 
 from __future__ import annotations
@@ -42,19 +40,12 @@ class PageFreeList:
             return None
         return self._pids.pop(0)
 
-    def discard(self, pid: int) -> None:
-        """Remove ``pid`` if present (validation dropped it)."""
-        try:
-            self._pids.remove(pid)
-        except ValueError:
-            pass
-
     def replace(self, pids: "list[int] | tuple[int, ...]") -> None:
-        """Reset the list to exactly ``pids`` (post-recovery validation)."""
+        """Reset the list to exactly ``pids`` (what restart derived)."""
         self._pids = sorted(set(pids))
 
     def to_list(self) -> list[int]:
-        """Snapshot for catalog serialization."""
+        """Snapshot for a checkpoint record."""
         return list(self._pids)
 
     def __contains__(self, pid: int) -> bool:

@@ -28,8 +28,6 @@ from repro.wal.records import StampOp
 class EagerTimestampManager(TimestampManager):
     """Timestamp at commit by revisiting every version the transaction wrote."""
 
-    writes_ptt = False
-
     def __init__(self, log, buffer, ptt) -> None:
         super().__init__(log, buffer, ptt)
         # {tid: {(table_id, key): version_count}} — where to revisit at commit.
@@ -46,8 +44,9 @@ class EagerTimestampManager(TimestampManager):
 
     # -- commit-time revisit -------------------------------------------------------
 
-    def on_commit_prepare(self, tid: int, ts: Timestamp) -> None:
-        """Stamp (and log) every version written by ``tid`` before commit."""
+    def on_commit_prepare(self, tid: int, ts: Timestamp, *, persistent: bool) -> int:
+        """Stamp (and log) every version written by ``tid`` before commit;
+        no PTT entry is ever needed, so the commit record names no page."""
         if self.locator is None:
             raise TimestampError("eager timestamping needs a record locator")
         pages_touched = set()
@@ -82,16 +81,15 @@ class EagerTimestampManager(TimestampManager):
                 pages_touched.add(page.page_id)
                 self.stats.commit_revisit_pages += 1
             self.buffer.mark_dirty_page(page)
+        return 0
 
-    def on_commit(
-        self, tid: int, ts: Timestamp, commit_lsn: int, *, persistent: bool
-    ) -> None:
+    def on_commit(self, rec, ts: Timestamp) -> None:
         """No PTT entry is ever needed: everything is stamped already."""
-        entry = self.vtt.set_committed(tid, ts, self.log.end_lsn)
+        entry = self.vtt.set_committed(rec.tid, ts, self.log.end_lsn)
         entry.persistent = False
         # The entry has served its purpose; there is nothing left to stamp.
         if entry.refcount == 0:
-            self.vtt.drop(tid)
+            self.vtt.drop(rec.tid)
 
     def on_abort(self, tid: int) -> None:
         self._writes.pop(tid, None)

@@ -39,7 +39,7 @@ from repro.storage.record import RecordVersion
 from repro.timestamp.ptt import PersistentTimestampTable
 from repro.timestamp.vtt import VolatileTimestampTable
 from repro.wal.log import LogManager
-from repro.wal.records import PTTDelete
+from repro.wal.records import CommitTxn
 
 
 @dataclass
@@ -55,10 +55,6 @@ class TimestampStats:
 
 class TimestampManager:
     """Lazy timestamping engine (the paper's choice)."""
-
-    #: a commit that touched an immortal table inserts a PTT entry (and so
-    #: does its redo: the commit record's ``ptt`` flag)
-    writes_ptt = True
 
     #: set by the engine: (table_id, key) -> current DataPage holding the key
     locator: Callable[[int, bytes], DataPage | None] | None
@@ -112,26 +108,36 @@ class TimestampManager:
 
     # -- stage III ----------------------------------------------------------------
 
-    def on_commit_prepare(self, tid: int, ts: Timestamp) -> None:
-        """Work to do *before* the commit record (eager overrides this)."""
-
-    def on_commit(
-        self, tid: int, ts: Timestamp, commit_lsn: int, *, persistent: bool
-    ) -> None:
-        """Record the commit timestamp; write the PTT entry if needed.
+    def on_commit_prepare(self, tid: int, ts: Timestamp, *, persistent: bool) -> int:
+        """Work to do *before* the commit record; returns the page id the
+        record names: the PTT leaf that will take a ``persistent``
+        transaction's entry, split for room if it was full (0: no entry).
 
         ``persistent`` is True when the transaction updated an immortal
         table, i.e. its TID→timestamp mapping must survive a crash.
         """
+        if not persistent:
+            return 0
+        mutex = self.mutex
+        mutex.acquire()
+        try:
+            return self.ptt.leaf_for_insert(tid).page_id
+        finally:
+            mutex.release()
+
+    def on_commit(self, rec: CommitTxn, ts: Timestamp) -> None:
+        """Record the commit timestamp; the leaf the commit record names,
+        if any, takes its PTT entry."""
+        tid = rec.tid
         mutex = self.mutex
         mutex.acquire()
         try:
             entry = self.vtt.set_committed(
-                tid, ts, self.log.end_lsn, commit_lsn=commit_lsn
+                tid, ts, self.log.end_lsn, commit_lsn=rec.lsn
             )
-            entry.persistent = persistent
+            entry.persistent = persistent = rec.page_id != 0
             if persistent:
-                self.ptt.insert(tid, ts, rec_lsn=commit_lsn)
+                self.ptt.apply(rec)
                 self.stats.ptt_inserts += 1
             elif entry.refcount == 0:
                 # Nothing awaits stamping and nothing is in the PTT: the
@@ -335,9 +341,7 @@ class TimestampManager:
                 if entry.done_lsn is None \
                         or redo_scan_start_lsn <= entry.done_lsn:
                     continue
-                if entry.persistent:
-                    lsn = self.log.append(PTTDelete(subject_tid=tid))
-                    self.ptt.delete(tid, rec_lsn=lsn)
+                if entry.persistent and self.ptt.delete(tid):
                     self.stats.ptt_deletes += 1
                     removed += 1
                 self.vtt.drop(tid)

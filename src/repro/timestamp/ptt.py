@@ -19,11 +19,13 @@ Two structural choices worth noting:
   so a split only ever posts to a parent with guaranteed room — no upward
   cascades.
 
-Durability: PTT mutations are logged *logically* (the commit record carries
-the entry; :class:`~repro.wal.records.PTTDelete` records garbage
-collection), and redo re-applies them idempotently ("insert if absent" /
-"delete if present") through whatever tree structure reached the disk.  PTT
-node splits therefore need no log records of their own.
+Durability: the PTT uses the protocol of every other tree.  A split or a
+root growth is one :class:`~repro.wal.records.MultiPageImage` (logged
+through :func:`~repro.wal.log.log_smo`), a commit record names the leaf that
+took its entry and a :class:`~repro.wal.records.PTTDelete` the leaf garbage
+collection took one from.  Redo replays each on the page it names under
+that page's LSN, so restart never descends the tree, splits a node or takes
+a page id.
 """
 
 from __future__ import annotations
@@ -33,10 +35,12 @@ from bisect import bisect_left, bisect_right
 from typing import Iterator
 
 from repro.clock import Timestamp
-from repro.errors import BufferPoolError, PageFormatError
+from repro.errors import PageFormatError
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import COMMON_HEADER_SIZE, NO_PAGE, PAGE_SIZE, PageType
 from repro.storage.page import Page, register_page_codec
+from repro.wal.log import LogManager, log_smo
+from repro.wal.records import CommitTxn, PTTDelete, SMOReason
 
 ENTRY_SIZE = 20        # tid(8) + ttime(8) + sn(4)
 _CHILD_SIZE = 12       # separator tid(8) + child pid(4)
@@ -96,6 +100,28 @@ class PTTNodePage(Page):
     def is_full(self) -> bool:
         return len(self.tids if self.is_leaf else self.children) >= self._capacity
 
+    # -- leaf entries (what commit and PTTDelete records redo) -----------------
+
+    def put(self, tid: int, ttime: int, sn: int) -> bool:
+        """Add ``tid``'s entry unless it is there; True if added."""
+        i = bisect_left(self.tids, tid)
+        if i < len(self.tids) and self.tids[i] == tid:
+            return False
+        self.tids.insert(i, tid)
+        self.ttimes.insert(i, ttime)
+        self.sns.insert(i, sn)
+        self._encode_epoch += 1     # touch(), without the call
+        return True
+
+    def remove(self, tid: int) -> bool:
+        """Drop ``tid``'s entry if it is there; True if dropped."""
+        i = bisect_left(self.tids, tid)
+        if i >= len(self.tids) or self.tids[i] != tid:
+            return False
+        del self.tids[i], self.ttimes[i], self.sns[i]
+        self._encode_epoch += 1     # touch(), without the call
+        return True
+
     # -- codec -----------------------------------------------------------------
 
     def _encode(self) -> bytes:
@@ -153,35 +179,24 @@ register_page_codec(PageType.PTT, PTTNodePage.from_bytes)
 class PersistentTimestampTable:
     """B+tree of (TID → Ttime, SN) mappings over the buffer pool."""
 
-    def __init__(self, buffer: BufferPool, root_pid: int | None = None) -> None:
+    def __init__(
+        self, buffer: BufferPool, log: LogManager, root_pid: int | None = None
+    ) -> None:
         self.buffer = buffer
+        self.log = log
         if root_pid is None:
-            root = buffer.new_page(lambda pid: PTTNodePage(pid, is_leaf=True))
-            self.root_pid = root.page_id
-        else:
-            self.root_pid = root_pid
+            root = self._new_node(is_leaf=True)
+            log_smo(log, buffer, SMOReason.PTT_NODE, [root])
+            root_pid = root.page_id
+        self.root_pid = root_pid
         self.lookups = 0          # instrumentation for the Abl-4 bench
-        self.pages_touched = 0
 
     # -- navigation -------------------------------------------------------------
 
     def _node(self, pid: int) -> PTTNodePage:
-        try:
-            page = self.buffer.get_page(pid)
-        except (BufferPoolError, PageFormatError):
-            # PTT structure changes are not logged (entries are replayed
-            # logically and idempotently), so a node allocated but never
-            # flushed reads back as zeros after a crash.  It is simply an
-            # empty leaf: redo re-inserts whatever it held, because any
-            # entry that only lived in a lost (dirty) node has its commit
-            # LSN at or after the redo scan start point.
-            page = PTTNodePage(
-                pid, is_leaf=True, page_size=self.buffer.disk.page_size
-            )
-            self.buffer.replace_page(page)
+        page = self.buffer.get_page(pid)
         if not isinstance(page, PTTNodePage):
             raise PageFormatError(f"page {pid} is not a PTT node")
-        self.pages_touched += 1
         return page
 
     def _find_leaf(self, tid: int) -> PTTNodePage:
@@ -201,120 +216,91 @@ class PersistentTimestampTable:
             return Timestamp(leaf.ttimes[i], leaf.sns[i])
         return None
 
-    def insert(self, tid: int, ts: Timestamp, rec_lsn: int = 0) -> bool:
-        """Insert (idempotently) the entry for ``tid``.  Returns True if new."""
-        leaf = self._descend_splitting(tid, rec_lsn)
-        i = bisect_left(leaf.tids, tid)
-        if i < len(leaf.tids) and leaf.tids[i] == tid:
-            return False  # idempotent redo
-        leaf.tids.insert(i, tid)
-        leaf.ttimes.insert(i, ts.ttime)
-        leaf.sns.insert(i, ts.sn)
-        self.buffer.mark_dirty_page(leaf, rec_lsn)
-        return True
+    def apply(self, rec: CommitTxn | PTTDelete) -> bool:
+        """Apply a logged entry change to the leaf it names, as redo does;
+        True if the leaf changed."""
+        leaf = self.buffer.get_page(rec.page_id)
+        changed = rec.redo(leaf)
+        leaf.lsn = rec.lsn
+        self.buffer.mark_dirty_page(leaf, rec.lsn)
+        return changed
 
-    def delete(self, tid: int, rec_lsn: int = 0) -> bool:
-        """Remove (idempotently) the entry for ``tid``.  Returns True if found."""
+    def delete(self, tid: int) -> bool:
+        """Log and apply the removal of ``tid``'s entry; True if it was there."""
         leaf = self._find_leaf(tid)
-        i = bisect_left(leaf.tids, tid)
-        if i >= len(leaf.tids) or leaf.tids[i] != tid:
+        if tid not in leaf.tids:
             return False
-        del leaf.tids[i]
-        del leaf.ttimes[i]
-        del leaf.sns[i]
-        self.buffer.mark_dirty_page(leaf, rec_lsn)
-        return True
+        rec = PTTDelete(subject_tid=tid, page_id=leaf.page_id)
+        self.log.append(rec)
+        return self.apply(rec)
 
     # -- top-down splitting -------------------------------------------------------
 
-    def _descend_splitting(self, tid: int, rec_lsn: int) -> PTTNodePage:
-        """Find the leaf for ``tid``, splitting any full node on the way."""
-        root = self._node(self.root_pid)
-        if root.is_full:
-            self._grow_root(rec_lsn)
-            root = self._node(self.root_pid)
-        node = root
+    def _new_node(self, *, is_leaf: bool, pid: int | None = None) -> PTTNodePage:
+        return PTTNodePage(
+            self.buffer.disk.allocate() if pid is None else pid,
+            is_leaf=is_leaf, page_size=self.buffer.disk.page_size,
+        )
+
+    def leaf_for_insert(self, tid: int) -> PTTNodePage:
+        """The leaf that will take ``tid``'s entry, with room for it: any
+        full node on the way down is split first (logged)."""
+        node = self._node(self.root_pid)
+        if node.is_full:
+            self._grow_root(node)
+            node = self._node(self.root_pid)
         while not node.is_leaf:
             child = self._node(node.children[bisect_right(node.seps, tid)])
             if child.is_full:
-                self._split_child(node, child, rec_lsn)
+                self._split_child(node, child)
                 child = self._node(node.children[bisect_right(node.seps, tid)])
             node = child
         return node
 
-    def _grow_root(self, rec_lsn: int) -> None:
+    def _grow_root(self, old_root: PTTNodePage) -> None:
         """Add a level, keeping the root's page id fixed.
 
         The old root's content moves to a new page; the root page becomes an
         internal node with that page as its only child.  The next descent
         splits the (full) child normally.
         """
-        old_root = self._node(self.root_pid)
-        moved = self.buffer.new_page(
-            lambda pid: PTTNodePage(
-                pid, is_leaf=old_root.is_leaf,
-                page_size=self.buffer.disk.page_size,
-            )
-        )
-        moved.tids = list(old_root.tids)
-        moved.ttimes = list(old_root.ttimes)
-        moved.sns = list(old_root.sns)
-        moved.seps = list(old_root.seps)
-        moved.children = list(old_root.children)
+        moved = self._new_node(is_leaf=old_root.is_leaf)
+        moved.tids, moved.ttimes, moved.sns = (
+            old_root.tids, old_root.ttimes, old_root.sns)
+        moved.seps, moved.children = old_root.seps, old_root.children
         moved.next_leaf = old_root.next_leaf
-        new_root = PTTNodePage(
-            self.root_pid, is_leaf=False, page_size=self.buffer.disk.page_size
-        )
+        new_root = self._new_node(is_leaf=False, pid=self.root_pid)
         new_root.children = [moved.page_id]
-        self.buffer.replace_page(new_root)
-        self.buffer.mark_dirty_page(moved, rec_lsn)
-        self.buffer.mark_dirty_page(new_root, rec_lsn)
+        log_smo(self.log, self.buffer, SMOReason.PTT_NODE, [new_root, moved])
 
-    def _split_child(
-        self, parent: PTTNodePage, child: PTTNodePage, rec_lsn: int
-    ) -> None:
+    def _split_child(self, parent: PTTNodePage, child: PTTNodePage) -> None:
         """Split a full child, posting the separator to the non-full parent.
 
         Because TIDs arrive in ascending order, a mid-split would leave every
         retired node half empty; splitting high (90/10) keeps the table
         compact, as an append-mostly B-tree should.
         """
+        right = self._new_node(is_leaf=child.is_leaf)
         if child.is_leaf:
             cut = max(1, int(len(child.tids) * _APPEND_SPLIT_FRACTION))
-            right = self.buffer.new_page(
-                lambda pid: PTTNodePage(
-                    pid, is_leaf=True, page_size=self.buffer.disk.page_size
-                )
-            )
             right.tids = child.tids[cut:]
             right.ttimes = child.ttimes[cut:]
             right.sns = child.sns[cut:]
             right.next_leaf = child.next_leaf
-            del child.tids[cut:]
-            del child.ttimes[cut:]
-            del child.sns[cut:]
+            del child.tids[cut:], child.ttimes[cut:], child.sns[cut:]
             child.next_leaf = right.page_id
             sep = right.tids[0]
         else:
-            cut = max(1, int(len(child.seps) * _APPEND_SPLIT_FRACTION))
-            if cut >= len(child.seps):
-                cut = len(child.seps) - 1
+            cut = min(max(1, int(len(child.seps) * _APPEND_SPLIT_FRACTION)),
+                      len(child.seps) - 1)
             sep = child.seps[cut]
-            right = self.buffer.new_page(
-                lambda pid: PTTNodePage(
-                    pid, is_leaf=False, page_size=self.buffer.disk.page_size
-                )
-            )
             right.seps = child.seps[cut + 1 :]
             right.children = child.children[cut + 1 :]
-            del child.seps[cut:]
-            del child.children[cut + 1 :]
+            del child.seps[cut:], child.children[cut + 1 :]
         at = bisect_right(parent.seps, sep)
         parent.seps.insert(at, sep)
         parent.children.insert(at + 1, right.page_id)
-        self.buffer.mark_dirty_page(parent, rec_lsn)
-        self.buffer.mark_dirty_page(child, rec_lsn)
-        self.buffer.mark_dirty_page(right, rec_lsn)
+        log_smo(self.log, self.buffer, SMOReason.PTT_NODE, [parent, child, right])
 
     # -- inspection -----------------------------------------------------------------------
 

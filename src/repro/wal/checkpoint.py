@@ -50,18 +50,22 @@ class CheckpointManager:
         redo scan start point as far as possible — the knob the PTT garbage
         collector depends on.  ``max_tid`` is the highest TID allocated so
         far; persisting it lets recovery's TID-floor scan skip everything
-        before the redo scan start point.
+        before the redo scan start point.  The page store's size and free
+        list go in too: restart derives its free list from them.
         """
         fire("checkpoint.begin")
         if flush:
             self.buffer.flush_all()
             fire("checkpoint.flushed")
         begin_lsn = self.log.append(CheckpointBegin())
+        disk = self.buffer.disk
         end = CheckpointEnd(
             begin_lsn=begin_lsn,
             att=dict(att or {}),
             dpt=self.buffer.dirty_page_table(),
             max_tid=max_tid,
+            page_count=disk.page_count,
+            free_pids=disk.free_list.to_list(),
         )
         end_lsn = self.log.append(end)
         fire("checkpoint.logged")

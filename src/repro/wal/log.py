@@ -18,11 +18,15 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.errors import WALError
 from repro.faults.failpoints import fire
-from repro.wal.records import LogRecord
+from repro.wal.records import LogRecord, MultiPageImage, SMOReason
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.storage.buffer import BufferPool
+    from repro.storage.page import Page
 
 
 @dataclass
@@ -242,3 +246,38 @@ class LogManager:
 
     def __len__(self) -> int:
         return self._written_records + len(self._lsns)
+
+
+def log_smo(
+    log: LogManager, buffer: "BufferPool", reason: SMOReason,
+    pages: "list[Page]", freed: "list[int] | tuple[int, ...]" = (),
+) -> int:
+    """Log one atomic multi-page image, then put its pages in the pool.
+
+    The one way a structure modification's pages enter the buffer pool, for
+    every tree (B-tree, TSB index, PTT) and for page frees: the record is
+    appended first, and each page is installed dirty with the record's LSN
+    after it.  Installing a page can evict another, and an evicted page is
+    written; written before its record existed it would reach the disk
+    under its old LSN, already naming siblings and history pages that exist
+    nowhere.  ``freed`` are the ids the record returns to the free list.
+    """
+    lsn = log.next_lsn
+    seen: set[int] = set()
+    unique: list[Page] = []
+    for page in pages:
+        if page.page_id in seen:
+            continue
+        seen.add(page.page_id)
+        page.lsn = lsn
+        page.touch()        # imaged below, before mark_dirty would
+        unique.append(page)
+    assigned = log.append(MultiPageImage(
+        reason=reason, images=[(p.page_id, p.to_bytes()) for p in unique],
+        freed=list(freed),
+    ))
+    assert assigned == lsn
+    for page in unique:
+        buffer.mark_dirty_page(page, lsn)
+        page._image_epoch = page._encode_epoch  # still what was logged
+    return lsn

@@ -25,9 +25,15 @@ Design notes:
   split behind.
 * **Compensation records** (:class:`CompensationRecord`) make undo
   restartable: redo-only page images plus ``undo_next_lsn``.
-* **Commit** records carry the transaction's chosen timestamp and whether a
-  PTT entry was written; redo of a commit re-inserts a missing PTT entry
-  (logical, idempotent).  :class:`PTTDelete` logs PTT garbage collection.
+* **The PTT is a tree like the others**: its splits are
+  :class:`MultiPageImage` records, a commit record names the PTT leaf that
+  took its entry and :class:`PTTDelete` the leaf garbage collection took
+  one from, so redo replays them on that page under its LSN and never
+  descends the tree.
+* **Page frees** are image records too: archive migration logs the
+  relinked referrers with the ids it frees (:attr:`MultiPageImage.freed`),
+  and restart derives the free list from the log (see
+  :mod:`repro.wal.recovery`).
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from dataclasses import dataclass, field
 
 from repro.clock import Timestamp
 from repro.errors import LogFormatError
+from repro.storage.constants import PageType
 from repro.storage.page import DataPage, Page, decode_page
 from repro.storage.record import RecordVersion
 
@@ -54,16 +61,19 @@ class SMOReason(enum.IntEnum):
     INDEX_POST = 2
     PTT_NODE = 3
     OTHER = 4
+    PAGE_FREE = 5
 
 
 # Fixed-width field groups, precompiled as the page codecs do.
 _HEADER = struct.Struct(">BQQ")        # tag, tid, prev_lsn
 _U32 = struct.Struct(">I")
-_COMMIT_BODY = struct.Struct(">QI?")   # ttime, sn, ptt
+_COMMIT_BODY = struct.Struct(">QII")   # ttime, sn, PTT leaf page id
 _VERSION_OP_HEAD = struct.Struct(">BIIH")   # kind, table_id, page_id, len(key)
 _SMO_HEAD = struct.Struct(">BH")       # reason, len(images)
 _CLR_HEAD = struct.Struct(">QH")       # undo_next_lsn, len(images)
 _IMAGE_HEAD = struct.Struct(">II")     # page_id, len(image)
+
+_DATA_PAGES = (PageType.DATA_CURRENT, PageType.DATA_HISTORY)
 
 
 def _put_bytes(chunks: list[bytes], data: bytes, width: int = 4) -> None:
@@ -115,14 +125,15 @@ class LogRecord:
     TAG = -1
     REDO_ONLY = False
     CARRIES_IMAGES = False   # full page after-images: counted apart by the log
+    PAGE_TYPES = ()          # the page types ``redo(page)`` applies to
 
     def affected_pages(self) -> tuple[int, ...]:
         """Page ids whose content this record's redo modifies.
 
-        The media-recovery log archive indexes records by this, so
+        The media-recovery redo index indexes records by this, so
         single-page restore can replay exactly the records that touch one
-        page.  Bookkeeping records (begin/commit/checkpoint/PTT delete)
-        touch no page directly and return the empty tuple.
+        page.  Bookkeeping records (begin/abort/checkpoint, a commit that
+        wrote no PTT entry) touch no page and return the empty tuple.
         """
         return ()
 
@@ -162,27 +173,35 @@ class BeginTxn(LogRecord):
 class CommitTxn(LogRecord):
     """Transaction commit; carries the commit timestamp chosen at commit.
 
-    ``ptt`` is True when the transaction updated an immortal table and thus
-    wrote a (TID, Ttime, SN) entry to the persistent timestamp table as part
-    of commit processing (Section 2.2 stage III).
+    ``page_id`` is the PTT leaf that took the transaction's (TID, Ttime, SN)
+    entry when it updated an immortal table (Section 2.2 stage III), and 0
+    when it wrote none: page 0 is the meta page, never a PTT node.
     """
 
     TAG = 2
+    PAGE_TYPES = (PageType.PTT,)
     ttime: int = 0
     sn: int = 0
-    ptt: bool = False
+    page_id: int = 0
+
+    def affected_pages(self) -> tuple[int, ...]:
+        return (self.page_id,) if self.page_id else ()
+
+    def redo(self, leaf) -> bool:
+        """Put the entry in the leaf again (a no-op if it is there)."""
+        return leaf.put(self.tid, self.ttime, self.sn)
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
-        return _COMMIT_BODY.pack(self.ttime, self.sn, self.ptt)
+        return _COMMIT_BODY.pack(self.ttime, self.sn, self.page_id)
 
     @classmethod
     def from_body(cls, tid: int, prev_lsn: int, body: _Reader) -> "CommitTxn":
         """Decode this record type's body fields from a log image."""
         ttime = body.u(8)
         sn = body.u(4)
-        ptt = bool(body.u(1))
-        return cls(tid=tid, prev_lsn=prev_lsn, ttime=ttime, sn=sn, ptt=ptt)
+        page_id = body.u(4)
+        return cls(tid=tid, prev_lsn=prev_lsn, ttime=ttime, sn=sn, page_id=page_id)
 
 
 @dataclass
@@ -204,6 +223,7 @@ class VersionOp(LogRecord):
     """A versioned update: a new record version added to a data page."""
 
     TAG = 5
+    PAGE_TYPES = _DATA_PAGES
     kind: VersionOpKind = VersionOpKind.INSERT
     table_id: int = 0
     page_id: int = 0
@@ -269,25 +289,41 @@ class _PageImages:
 
 @dataclass
 class MultiPageImage(_PageImages, LogRecord):
-    """Redo-only, atomic after-images for a structure modification."""
+    """Redo-only, atomic after-images for a structure modification.
+
+    ``freed`` lists the page ids a :attr:`SMOReason.PAGE_FREE` record
+    returns to the free list; the images are the pages relinked around them.
+    """
 
     TAG = 6
     REDO_ONLY = True
     CARRIES_IMAGES = True
     reason: SMOReason = SMOReason.OTHER
     images: list[tuple[int, bytes]] = field(default_factory=list)
+    freed: list[int] = field(default_factory=list)
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
-        return _image_bytes(
+        body = _image_bytes(
             _SMO_HEAD.pack(self.reason, len(self.images)), self.images
         )
+        if not self.freed:
+            return body
+        return b"".join((
+            body, len(self.freed).to_bytes(2, "big"),
+            *(pid.to_bytes(4, "big") for pid in self.freed),
+        ))
 
     @classmethod
     def from_body(cls, tid: int, prev_lsn: int, body: _Reader) -> "MultiPageImage":
         """Decode this record type's body fields from a log image."""
         reason = SMOReason(body.u(1))
-        return cls(tid=tid, prev_lsn=prev_lsn, reason=reason, images=body.images())
+        images = body.images()
+        # No freed ids are written as none: the count reads 0 past the end.
+        freed = [body.u(4) for _ in range(body.u(2))]
+        return cls(
+            tid=tid, prev_lsn=prev_lsn, reason=reason, images=images, freed=freed,
+        )
 
 
 @dataclass
@@ -341,6 +377,12 @@ class CheckpointEnd(LogRecord):
     """Highest TID allocated when the checkpoint was taken.  Recovery's
     TID-floor scan starts from this instead of reading the whole log (old
     images without the field decode as 0, forcing the full scan)."""
+    page_count: int = 0
+    """The page store's size when the checkpoint was taken: every id at or
+    past it was grown since."""
+    free_pids: list[int] = field(default_factory=list)
+    """The free list when the checkpoint was taken, where restart's
+    derivation of it starts (see :func:`repro.wal.recovery`)."""
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
@@ -357,6 +399,9 @@ class CheckpointEnd(LogRecord):
             chunks.append(page_id.to_bytes(4, "big"))
             chunks.append(rec_lsn.to_bytes(8, "big"))
         chunks.append(self.max_tid.to_bytes(8, "big"))
+        chunks.append(self.page_count.to_bytes(4, "big"))
+        chunks.append(len(self.free_pids).to_bytes(4, "big"))
+        chunks.extend(pid.to_bytes(4, "big") for pid in self.free_pids)
         return b"".join(chunks)
 
     @classmethod
@@ -372,28 +417,43 @@ class CheckpointEnd(LogRecord):
             page_id = body.u(4)
             dpt[page_id] = body.u(8)
         max_tid = body.u(8)   # 0 when decoding a pre-max_tid image
+        page_count = body.u(4)
+        free_pids = [body.u(4) for _ in range(body.u(4))]
         return cls(
-            tid=tid, prev_lsn=prev_lsn,
-            begin_lsn=begin_lsn, att=att, dpt=dpt, max_tid=max_tid,
+            tid=tid, prev_lsn=prev_lsn, begin_lsn=begin_lsn, att=att, dpt=dpt,
+            max_tid=max_tid, page_count=page_count, free_pids=free_pids,
         )
 
 
 @dataclass
 class PTTDelete(LogRecord):
-    """Garbage collection removed the PTT entry for ``subject_tid``."""
+    """Garbage collection removed ``subject_tid``'s entry from PTT leaf
+    ``page_id``."""
 
     TAG = 10
     REDO_ONLY = True
+    PAGE_TYPES = (PageType.PTT,)
     subject_tid: int = 0
+    page_id: int = 0
+
+    def affected_pages(self) -> tuple[int, ...]:
+        return (self.page_id,)
+
+    def redo(self, leaf) -> bool:
+        """Take the entry out of the leaf again (a no-op if it is gone)."""
+        return leaf.remove(self.subject_tid)
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
-        return self.subject_tid.to_bytes(8, "big")
+        return self.subject_tid.to_bytes(8, "big") + self.page_id.to_bytes(4, "big")
 
     @classmethod
     def from_body(cls, tid: int, prev_lsn: int, body: _Reader) -> "PTTDelete":
         """Decode this record type's body fields from a log image."""
-        return cls(tid=tid, prev_lsn=prev_lsn, subject_tid=body.u(8))
+        subject_tid = body.u(8)
+        return cls(
+            tid=tid, prev_lsn=prev_lsn, subject_tid=subject_tid, page_id=body.u(4),
+        )
 
 
 @dataclass
@@ -408,6 +468,7 @@ class StampOp(LogRecord):
 
     TAG = 11
     REDO_ONLY = True
+    PAGE_TYPES = _DATA_PAGES
     table_id: int = 0
     page_id: int = 0
     key: bytes = b""
@@ -458,6 +519,7 @@ class InPlaceUpdate(LogRecord):
     """
 
     TAG = 12
+    PAGE_TYPES = _DATA_PAGES
     table_id: int = 0
     page_id: int = 0
     key: bytes = b""

@@ -3,11 +3,16 @@
 The recovery manager understands the paper's versioned log operations:
 
 * redo of a page-affecting record is the record's own ``redo`` (see
-  :mod:`repro.wal.records`), applied here under the page-LSN guard;
-* redo of a commit record restores the TID → timestamp mapping (VTT cache,
-  plus an idempotent PTT insert for immortal transactions), which is what
-  lets lazy timestamping finish *after* the crash for versions that redo
-  just recreated TID-marked;
+  :mod:`repro.wal.records`), applied here under the page-LSN guard — the
+  PTT's too: a commit record names the leaf that took its entry, so redo
+  never descends a tree, splits a node or takes a page id;
+* redo of a commit record also restores the TID → timestamp mapping in the
+  VTT, which is what lets lazy timestamping finish *after* the crash for
+  versions that redo just recreated TID-marked;
+* analysis derives the free list: the last checkpoint's, plus the ids the
+  page store grew by since, plus those image records free after it, minus
+  those image records name after it — so an id a crash orphaned (taken for
+  a page whose record was lost) is free again;
 * undo of a loser's versioned update is **logical** — the version is removed
   from wherever the key currently lives, because key splits may have moved
   it — and is made restartable by redo-only compensation records carrying
@@ -15,7 +20,7 @@ The recovery manager understands the paper's versioned log operations:
 * timestamping itself is never redone, because it was never logged.
 
 The engine hands recovery a support object exposing ``log``, ``buffer``,
-``ptt``, ``tsmgr`` and a ``locate_current_page(table_id, key)`` callable.
+``tsmgr`` and a ``locate_current_page(table_id, key)`` callable.
 """
 
 from __future__ import annotations
@@ -26,12 +31,12 @@ from typing import TYPE_CHECKING, Protocol
 from repro.clock import Timestamp
 from repro.errors import RecoveryError, StorageError
 from repro.storage.buffer import BufferPool
+from repro.storage.constants import META_PAGE_ID
 from repro.storage.page import DataPage, Page
 from repro.wal.log import LogManager
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a circular import at runtime
     from repro.timestamp.manager import TimestampManager
-    from repro.timestamp.ptt import PersistentTimestampTable
 from repro.wal.records import (
     AbortEnd,
     AbortTxn,
@@ -54,7 +59,6 @@ class RecoverySupport(Protocol):
 
     log: LogManager
     buffer: BufferPool
-    ptt: "PersistentTimestampTable"
     tsmgr: "TimestampManager"
 
     def locate_current_page(self, table_id: int, key: bytes) -> DataPage | None:
@@ -95,7 +99,8 @@ class RecoveryReport:
 def run_recovery(support: RecoverySupport) -> RecoveryReport:
     """Run analysis, redo, and undo; returns a :class:`RecoveryReport`."""
     report = RecoveryReport()
-    att, dpt = _analysis(support, report)
+    att, dpt, free = _analysis(support, report)
+    support.buffer.disk.free_list.replace(free)
     _redo(support, report, dpt)
     _undo(support, report, att)
     support.log.force()
@@ -108,11 +113,13 @@ def run_recovery(support: RecoverySupport) -> RecoveryReport:
 
 def _analysis(
     support: RecoverySupport, report: RecoveryReport
-) -> tuple[dict[int, tuple[int, int]], dict[int, int]]:
+) -> tuple[dict[int, tuple[int, int]], dict[int, int], set[int]]:
     log = support.log
     att: dict[int, tuple[int, int]] = {}
     dpt: dict[int, int] = {}
+    free: set[int] = set()
     scan_from = 0
+    grown_from = META_PAGE_ID + 1
     master = log.master_checkpoint_lsn
     if master:
         end = log.record_at(master)
@@ -120,8 +127,12 @@ def _analysis(
             raise RecoveryError(f"master LSN {master} is not a checkpoint end")
         att = dict(end.att)
         dpt = dict(end.dpt)
+        free.update(end.free_pids)
+        grown_from = max(grown_from, end.page_count)
         scan_from = end.begin_lsn
         report.checkpoint_lsn = master
+    # Every id the store grew by since is free unless a record below names it.
+    free.update(range(grown_from, support.buffer.disk.page_count))
 
     for rec in log.records_from(scan_from):
         report.records_analyzed += 1
@@ -145,13 +156,15 @@ def _analysis(
         elif isinstance(rec, MultiPageImage):
             for page_id, _ in rec.images:
                 dpt.setdefault(page_id, rec.lsn)
+                free.discard(page_id)
+            free.update(rec.freed)
         elif isinstance(rec, CompensationRecord):
             phase = att.get(rec.tid, (0, int(TxnPhase.ABORTING)))[1]
             att[rec.tid] = (rec.lsn, int(TxnPhase.ABORTING))
             for page_id, _ in rec.images:
                 dpt.setdefault(page_id, rec.lsn)
         # CheckpointBegin / CheckpointEnd / PTTDelete need no analysis action.
-    return att, dpt
+    return att, dpt, free
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +217,20 @@ def _redo(
         if isinstance(rec, CommitTxn):
             ts = Timestamp(rec.ttime, rec.sn)
             support.tsmgr.restore_committed(rec.tid, ts)
-            if rec.ptt:
-                support.ptt.insert(rec.tid, ts, rec_lsn=rec.lsn)
+            if rec.page_id:
+                _redo_on_page(buffer, rec, report)
             report.committed_restored += 1
             if report.max_commit_ts is None or ts > report.max_commit_ts:
                 report.max_commit_ts = ts
-        elif isinstance(rec, PTTDelete):
-            support.ptt.delete(rec.subject_tid, rec_lsn=rec.lsn)
-        elif isinstance(rec, (VersionOp, InPlaceUpdate, StampOp)):
+        elif isinstance(rec, (VersionOp, InPlaceUpdate, StampOp, PTTDelete)):
             _redo_on_page(buffer, rec, report)
         elif isinstance(rec, (MultiPageImage, CompensationRecord)):
             _install_images(buffer, rec, report)
 
 
 def _redo_on_page(
-    buffer: BufferPool, rec: VersionOp | InPlaceUpdate | StampOp,
+    buffer: BufferPool,
+    rec: VersionOp | InPlaceUpdate | StampOp | CommitTxn | PTTDelete,
     report: RecoveryReport,
 ) -> None:
     """Redo one single-page record: LSN guard, one fetch, the record's redo."""
@@ -226,8 +238,11 @@ def _redo_on_page(
         report.redo_skipped += 1
         return
     page = buffer.get_page(rec.page_id)
-    if not isinstance(page, DataPage):
-        raise RecoveryError(f"redo target page {rec.page_id} is not a data page")
+    if page.page_type not in rec.PAGE_TYPES:
+        raise RecoveryError(
+            f"redo target page {rec.page_id} is a {page.page_type.name} page, "
+            f"not what a {type(rec).__name__} record applies to"
+        )
     rec.redo(page)
     page.lsn = rec.lsn
     buffer.mark_dirty(rec.page_id, rec.lsn)

@@ -24,7 +24,7 @@ from repro.archive.delta import decode_block, encode_block
 from repro.archive.store import ArchiveStore, ArchiveStoreError
 from repro.clock import Timestamp, encode_tid_field
 from repro.core.engine import ImmortalDB
-from repro.core.integrity import integrity_report, verify_integrity
+from repro.core.integrity import integrity_report, page_accounting, verify_integrity
 from repro.core.rowcodec import ColumnType
 from repro.errors import PageFormatError, PageQuarantinedError
 from repro.faults.crashtest import (
@@ -32,11 +32,15 @@ from repro.faults.crashtest import (
     enumerate_crossings,
     replay,
 )
+from repro.faults.failpoints import FailpointRegistry, installed
+from repro.faults.models import FaultyDisk
 from repro.repair.quarantine import Degraded
 from repro.storage.constants import ARCHIVE_PID_BIT, NO_PAGE
+from repro.storage.disk import InMemoryDisk
 from repro.storage.framing import HEADER, scan
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
+from repro.wal import recovery
 
 ARCHIVE_FAST = {"cold_ms": 200.0, "pages_per_step": 64, "auto": False}
 
@@ -535,7 +539,7 @@ class TestMigrationEquivalence:
     def test_defaults_have_no_archive_side_effects(self):
         db = ImmortalDB()
         assert db.archive is None
-        assert db.disk.free_list is None
+        assert len(db.disk.free_list) == 0
         table = db.create_table(
             "plain", [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
             key="k", immortal=True,
@@ -653,10 +657,10 @@ def _update_round(db, table, rng, *, keys: int, ops: int, value=None) -> None:
 class TestMigrationUnderPressure:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_relinked_uncached_referrer_is_not_served_stale(self, seed):
-        """Migration relinks an *uncached* referrer by writing its image
-        straight to disk; the read-ahead ring must not keep serving the
-        copy it staged from the older image, whose history link still
-        names the page the migration freed."""
+        """Migration relinks an *uncached* referrer and writes it; the
+        read-ahead ring must not keep serving the copy it staged from the
+        older image, whose history link still names the page the migration
+        freed."""
         rng = random.Random(seed)
         keys = 600
         db, table = _pressure_db(rng, keys=keys, buffer_pages=64)
@@ -670,11 +674,13 @@ class TestMigrationUnderPressure:
         assert db.archive.stats.pages_migrated > 0
 
     @pytest.mark.parametrize("seed", [3, 5, 6])
-    def test_redo_does_not_allocate_from_the_unvalidated_free_list(self, seed):
-        """Un-checkpointed commits after a migration: redo re-inserts their
-        PTT entries, a PTT node splits, and the split must not be handed a
-        page id the pre-crash free list names — redo may yet resurrect that
-        page from an earlier image record."""
+    def test_redo_takes_no_page_id_and_logs_nothing(
+        self, seed, monkeypatch
+    ):
+        """Un-checkpointed commits after migrations, with PTT splits on
+        recycled ids in the redo window: redo replays pages — an id's old
+        history image, then the PTT node that reused it — and neither takes
+        a page id nor appends a record."""
         rng = random.Random(seed)
         keys = 300
         # A pool this large flushes nothing, so redo rebuilds every split.
@@ -686,10 +692,54 @@ class TestMigrationUnderPressure:
         assert len(db.disk.free_list) > 0
         _update_round(db, table, rng, keys=keys, ops=10, value="z" * 32)
         db.crash()
+        real_redo, applied = recovery._redo, []
+
+        def redo(support, report, dpt):
+            allocations, end = db.disk.stats.allocations, db.log.end_lsn
+            real_redo(support, report, dpt)
+            assert db.disk.stats.allocations == allocations
+            assert db.log.end_lsn == end
+            applied.append(report.redo_applied)
+
+        monkeypatch.setattr(recovery, "_redo", redo)
+        db.recover()
+        assert applied and applied[0] > 0
+        assert verify_integrity(db) == []
+        assert page_accounting(db).orphans == []
+
+    def test_a_dropped_relink_write_is_redone_from_the_log(self):
+        """Power-loss order: the referrer's relinked image never reaches the
+        disk (a dropped write) and the process dies right after the
+        migration step.  The record that frees the page carries the
+        referrer's image, so restart relinks the chain from the log."""
+        disk = FaultyDisk(InMemoryDisk())
+        db = ImmortalDB(disk=disk, archive=dict(ARCHIVE_FAST, pages_per_step=1))
+        table = db.create_table(
+            "hist", [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
+            key="k", immortal=True,
+        )
+        for r in range(30):
+            for k in range(8):
+                with db.transaction() as txn:
+                    row = {"k": k, "v": f"r{r}:" + "v" * 500}
+                    if r:
+                        table.update(txn, k, row)
+                    else:
+                        table.insert(txn, row)
+            db.advance_time(60)
+        db.checkpoint(flush=True)
+        histories = {k: table.history(k) for k in range(8)}
+        registry = FailpointRegistry()
+        registry.on("archive.migrate.relink",
+                    lambda event: disk.arm("dropped_write"))
+        with installed(registry):
+            assert db.archive.step() == 1
+        assert disk.injected["dropped_write"] == 1
+        db.crash()
         db.recover()
         assert verify_integrity(db) == []
-        # after_recovery() reinstated the entries that survived validation.
-        assert len(db.disk.free_list) > 0
+        table = db.table("hist")
+        assert {k: table.history(k) for k in range(8)} == histories
 
     @staticmethod
     def _read_phase(archive) -> tuple[int, int, int]:

@@ -35,18 +35,19 @@ from repro.storage.record import RecordVersion
 # 3.12 takes up to seven fewer.  The update and the read lost a third of
 # their calls when the single-threaded path stopped entering no-op latches,
 # a buffer hit became one frame and pages stopped counting attribute writes
-# (145 and 61 before):
-UPDATE_BUDGET = 110   # begin + update one record + commit: 100 (256 before the diet)
+# (145 and 61 before).  A committing write pays 4-6 more since the PTT leaf
+# is found before the commit record and the record applied after it:
+UPDATE_BUDGET = 110   # begin + update one record + commit: 104 (100; 256 before the diet)
 READ_BUDGET = 43      # begin + read one record + commit: 37 (39; 159 before)
 # An insert that finds its leaf full of single live versions key splits it —
 # and nothing else: 687 while every such split first stamped the page, took
 # a page id and built two pages for a time split that could move nothing.
 # Both split builders copy a page in one pass since (248 before):
-KEY_SPLIT_BUDGET = 217    # begin + insert + key split + commit: 197 (365)
+KEY_SPLIT_BUDGET = 217    # begin + insert + key split + commit: 202 (197; 365)
 # An update whose leaf, 64 versions of 16 keys, time splits: one stamping
 # pass, one classifying walk and one bulk build per page (463 while the
 # split walked the page four times and installed it a chain at a time):
-TIME_SPLIT_BUDGET = 358   # begin + update + time split + commit: 325
+TIME_SPLIT_BUDGET = 358   # begin + update + time split + commit: 331 (325)
 # The tuned read path (route cache + lazy chain views), everything warm:
 ASOF_READ_BUDGET = 34   # read_as_of of one key: 31 (44; 57 before chain views)
 # history() of a key with 20 versions: 201 (237; 572).  Every page of this
@@ -72,7 +73,7 @@ SCRUB_PAGE_BUDGET = 156   # a clean step of 4 pages, per page scanned: 142
 # reach the statement and every row re-checked the WHERE its range scan had
 # enforced):
 SERVICE_READ_BUDGET = 78      # point SELECT: 71 (84)
-SERVICE_UPDATE_BUDGET = 168   # keyed UPDATE: 153 (197)
+SERVICE_UPDATE_BUDGET = 168   # keyed UPDATE: 158 (153; 197)
 SERVICE_RANGE_BUDGET = 302    # 20-row range SELECT: 275 (285)
 SERVICE_ASOF_BUDGET = 77      # AS OF point SELECT: 70 (81)
 

@@ -278,7 +278,7 @@ class TestTornLogTail:
         log.append(BeginTxn(tid=1))
         # Ends in a non-zero byte: in a preallocated file the bytes of a
         # final write that never landed read as zeros.
-        log.append(CommitTxn(tid=2, ttime=9, sn=2, ptt=True))
+        log.append(CommitTxn(tid=2, ttime=9, sn=2, page_id=1))
         log.force()
         log.close()
         import os

@@ -34,7 +34,7 @@ HEADER = FileLogManager.HEADER_BYTES
 def _tail_record() -> CommitTxn:
     """The final record the sweeps tear.  Its last byte is not zero, so a
     suffix of it that never landed (reads as zeros) always damages it."""
-    return CommitTxn(tid=2, ttime=9, sn=2, ptt=True)
+    return CommitTxn(tid=2, ttime=9, sn=2, page_id=1)
 
 
 # The final frame the sweep tears: framing (length + crc32) + record bytes.
@@ -69,7 +69,7 @@ class TestFileLogManager:
         path = tmp_path / "wal.log"
         log = FileLogManager(path)
         log.append(BeginTxn(tid=1))
-        log.append(CommitTxn(tid=1, ttime=9, sn=2, ptt=True))
+        log.append(CommitTxn(tid=1, ttime=9, sn=2, page_id=1))
         log.force()
         log.close()
 
@@ -427,7 +427,7 @@ class TestLastTwoForcesSweep:
             starts.append(log.end_lsn)
             for tid in batch:
                 # Non-zero trailing bytes: a missing suffix always shows.
-                log.append(CommitTxn(tid=tid, ttime=tid, sn=tid, ptt=True))
+                log.append(CommitTxn(tid=tid, ttime=tid, sn=tid, page_id=1))
             log.force()
         end = log.end_lsn
         log.close()

@@ -18,7 +18,7 @@ from repro.wal.records import CommitTxn
 # Log records, so the file log accepts them; their first four bytes read as
 # the archive store's ``used_bytes`` prefix, and the wire takes anything.
 PAYLOADS = [
-    CommitTxn(tid=tid, ttime=tid, sn=tid, ptt=True).to_bytes()
+    CommitTxn(tid=tid, ttime=tid, sn=tid, page_id=1).to_bytes()
     for tid in range(1, 6)
 ]
 

@@ -47,6 +47,23 @@ counted the archive's runs, merges and compactions — ``archive_runs``,
 with the machinery they counted.  Those four keys are the whole diff: both
 file digests, every other counter and every crossing of both cases are the
 recording's (the workload runs with the archive off).
+
+And once for the PTT's structure: the PTT logs its splits like the
+other trees, its commit and delete records name their leaf, and a new
+database logs its PTT root.  The workload's GC waits for the last
+checkpoint, so the PTT reaches 770 entries: it grows its root and splits
+twice.  On both cases: ``log_appends`` +4 and ``log_image_records`` 42 →
+46 (the root's birth before tracing starts, then the growth and the two
+splits: ``log.append`` crossings +3, ``crossings`` +3 and their digest),
+``log_image_bytes`` +73,912 (their nine page images), ``log_bytes`` and
+``log_forced_bytes`` by that plus 3 bytes per commit record (a 4-byte leaf
+id where a 1-byte flag was), 4 per ``PTTDelete`` and 8 per checkpoint end
+(page count and free-list length), ``log_forces`` +1 (a new database forces
+the PTT root's record before the boot page names it), ``buffer_hits``
++1,591 (a commit's insert and a GC delete fetch their leaf once to find it
+and once to apply the record).  Both file digests move with the records
+and with the PTT nodes' LSNs; every other counter and crossing name is the
+recording's.
 """
 
 from __future__ import annotations
@@ -204,14 +221,14 @@ EXPECTED_TUNED: dict = {
         "disk_writes": 47,
         "disk_sequential_reads": 0,
         "disk_sequential_writes": 41,
-        "log_appends": 3450,
-        "log_bytes": 921642,
-        "log_forces": 117,
-        "log_forced_bytes": 895572,
-        "log_image_records": 42,
-        "log_image_bytes": 673611,
+        "log_appends": 3454,
+        "log_bytes": 1001177,
+        "log_forces": 118,
+        "log_forced_bytes": 971947,
+        "log_image_records": 46,
+        "log_image_bytes": 747523,
         "group_commit_acks": 813,
-        "buffer_hits": 7971,
+        "buffer_hits": 9562,
         "buffer_misses": 0,
         "buffer_evictions": 0,
         "page_flushes": 47,
@@ -268,8 +285,8 @@ EXPECTED_TUNED: dict = {
         "deadlocks_detected": 0,
         "txn_retries": 0
     },
-    "crossings": 7299,
-    "crossings_sha256": "11ecea70227fdac50e17164c86e976036810801b280ce667f99c5c8f884b032e",
+    "crossings": 7302,
+    "crossings_sha256": "9cc23795c9be583ff84ee500698cb60a585135e8b68bc9900d6f7f72724c202e",
     "crossing_names": {
         "asof.route.hit": 16,
         "asof.route.miss": 6,
@@ -288,7 +305,7 @@ EXPECTED_TUNED: dict = {
         "engine.save_meta": 5,
         "filelog.fsync": 117,
         "filelog.write": 117,
-        "log.append": 3450,
+        "log.append": 3453,
         "log.force": 117,
         "txn.abort.begin": 1,
         "txn.commit.begin": 813,
@@ -297,8 +314,8 @@ EXPECTED_TUNED: dict = {
         "txn.groupcommit.enqueue": 813,
         "txn.groupcommit.force": 91
     },
-    "pages_sha256": "0400f856d0a9c9c2fd3c752b80c89252725932ec71756af5608b5bcb8cb648a9",
-    "log_sha256": "d21aaf43bced0d9e9cb2edc7dc667cefbb3eb4aeb117fb5aaef5dff75f1f9db9"
+    "pages_sha256": "919b8e4d68a217f856466c2ff63c955c0e6d204346eb61216bf45a39e436aa5a",
+    "log_sha256": "bd30e6fcc73542c8930def6786fb4a7f9a449ce2800bfef486122e5231e9f4ad"
 }
 
 EXPECTED_PAPER: dict = {
@@ -307,14 +324,14 @@ EXPECTED_PAPER: dict = {
         "disk_writes": 47,
         "disk_sequential_reads": 0,
         "disk_sequential_writes": 41,
-        "log_appends": 3454,
-        "log_bytes": 907958,
-        "log_forces": 818,
-        "log_forced_bytes": 884932,
-        "log_image_records": 42,
-        "log_image_bytes": 673443,
+        "log_appends": 3458,
+        "log_bytes": 987493,
+        "log_forces": 819,
+        "log_forced_bytes": 961291,
+        "log_image_records": 46,
+        "log_image_bytes": 747339,
         "group_commit_acks": 0,
-        "buffer_hits": 8057,
+        "buffer_hits": 9652,
         "buffer_misses": 0,
         "buffer_evictions": 0,
         "page_flushes": 47,
@@ -371,8 +388,8 @@ EXPECTED_PAPER: dict = {
         "deadlocks_detected": 0,
         "txn_retries": 0
     },
-    "crossings": 7727,
-    "crossings_sha256": "ab7b80bbb4b904008031c52c1cbb6d33865313b58b9604182a12e15bbc9445eb",
+    "crossings": 7730,
+    "crossings_sha256": "ba2056b33cc1f7157adc5ff6a5345935f5aeffd925840d4b83be6db46ce0c706",
     "crossing_names": {
         "buffer.flush.begin": 46,
         "buffer.flush.end": 46,
@@ -384,7 +401,7 @@ EXPECTED_PAPER: dict = {
         "checkpoint.master": 3,
         "disk.write_page": 46,
         "engine.save_meta": 5,
-        "log.append": 3454,
+        "log.append": 3457,
         "log.force": 818,
         "txn.abort.begin": 1,
         "txn.commit.begin": 813,

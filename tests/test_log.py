@@ -53,10 +53,10 @@ class TestScan:
 
     def test_scan_decodes_payloads(self):
         log = LogManager()
-        log.append(CommitTxn(tid=5, ttime=77, sn=3, ptt=True))
+        log.append(CommitTxn(tid=5, ttime=77, sn=3, page_id=4))
         rec = next(iter(log.records_from(0)))
         assert isinstance(rec, CommitTxn)
-        assert (rec.ttime, rec.sn, rec.ptt) == (77, 3, True)
+        assert (rec.ttime, rec.sn, rec.page_id) == (77, 3, 4)
 
     def test_record_at_exact_lsn(self):
         log = LogManager()

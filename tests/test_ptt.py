@@ -10,6 +10,8 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import InMemoryDisk
 from repro.storage.page import decode_page
 from repro.timestamp.ptt import PersistentTimestampTable, PTTNodePage
+from repro.wal.log import LogManager
+from repro.wal.records import CommitTxn
 
 
 @pytest.fixture
@@ -19,48 +21,56 @@ def buffer():
 
 @pytest.fixture
 def ptt(buffer):
-    return PersistentTimestampTable(buffer)
+    return PersistentTimestampTable(buffer, LogManager())
 
 
 def ts(i: int) -> Timestamp:
     return Timestamp(i, i % 7)
 
 
+def insert(ptt: PersistentTimestampTable, tid: int, t: Timestamp) -> bool:
+    """Put an entry in as a commit does: find (and split for) its leaf, log
+    the commit record naming it, apply the record."""
+    rec = CommitTxn(tid=tid, ttime=t.ttime, sn=t.sn, page_id=ptt.leaf_for_insert(tid).page_id)
+    ptt.log.append(rec)
+    return ptt.apply(rec)
+
+
 class TestBasicOps:
     def test_insert_then_lookup(self, ptt):
-        assert ptt.insert(5, ts(5))
+        assert insert(ptt, 5, ts(5))
         assert ptt.lookup(5) == ts(5)
 
     def test_missing_tid_is_none(self, ptt):
         assert ptt.lookup(42) is None
 
     def test_insert_is_idempotent(self, ptt):
-        assert ptt.insert(5, ts(5))
-        assert not ptt.insert(5, ts(99))  # logical redo must not overwrite
+        assert insert(ptt, 5, ts(5))
+        assert not insert(ptt, 5, ts(99))  # logical redo must not overwrite
         assert ptt.lookup(5) == ts(5)
 
     def test_delete_is_idempotent(self, ptt):
-        ptt.insert(5, ts(5))
+        insert(ptt, 5, ts(5))
         assert ptt.delete(5)
         assert not ptt.delete(5)
         assert ptt.lookup(5) is None
 
     def test_len_counts_entries(self, ptt):
         for tid in range(1, 21):
-            ptt.insert(tid, ts(tid))
+            insert(ptt, tid, ts(tid))
         assert len(ptt) == 20
         ptt.delete(7)
         assert len(ptt) == 19
 
     def test_entries_are_tid_ordered(self, ptt):
         for tid in (5, 1, 9, 3):
-            ptt.insert(tid, ts(tid))
+            insert(ptt, tid, ts(tid))
         assert [tid for tid, _ in ptt.entries()] == [1, 3, 5, 9]
 
     def test_max_tid(self, ptt):
         assert ptt.max_tid() == 0
-        ptt.insert(3, ts(3))
-        ptt.insert(10, ts(10))
+        insert(ptt, 3, ts(3))
+        insert(ptt, 10, ts(10))
         assert ptt.max_tid() == 10
 
 
@@ -68,7 +78,7 @@ class TestSplitsAndStructure:
     def test_ascending_inserts_split_and_stay_searchable(self, ptt):
         n = 2000  # > 2 leaves worth of 20-byte entries
         for tid in range(1, n + 1):
-            ptt.insert(tid, ts(tid))
+            insert(ptt, tid, ts(tid))
         assert ptt.height() >= 2
         for tid in (1, n // 2, n):
             assert ptt.lookup(tid) == ts(tid)
@@ -77,13 +87,13 @@ class TestSplitsAndStructure:
     def test_root_pid_never_changes(self, ptt):
         root = ptt.root_pid
         for tid in range(1, 3000):
-            ptt.insert(tid, ts(tid))
+            insert(ptt, tid, ts(tid))
         assert ptt.root_pid == root
 
     def test_append_mostly_split_keeps_table_compact(self, ptt):
         """TIDs ascend, so retired leaves should be ~90% full, not ~50%."""
         for tid in range(1, 2001):
-            ptt.insert(tid, ts(tid))
+            insert(ptt, tid, ts(tid))
         pages = ptt.page_ids()
         leaves = [
             p for pid in pages
@@ -96,7 +106,7 @@ class TestSplitsAndStructure:
 
     def test_gc_deletes_from_the_head(self, ptt):
         for tid in range(1, 1500):
-            ptt.insert(tid, ts(tid))
+            insert(ptt, tid, ts(tid))
         for tid in range(1, 1000):
             ptt.delete(tid)
         assert len(ptt) == 500
@@ -105,7 +115,7 @@ class TestSplitsAndStructure:
 
     def test_nodes_serialize_roundtrip(self, ptt, buffer):
         for tid in range(1, 600):
-            ptt.insert(tid, ts(tid))
+            insert(ptt, tid, ts(tid))
         for pid in ptt.page_ids():
             node = ptt._node(pid)
             decoded = decode_page(node.to_bytes())
@@ -120,9 +130,9 @@ class TestSplitsAndStructure:
 
     def test_survives_buffer_eviction(self):
         buffer = BufferPool(InMemoryDisk(), capacity=4)
-        ptt = PersistentTimestampTable(buffer)
+        ptt = PersistentTimestampTable(buffer, LogManager())
         for tid in range(1, 1200):
-            ptt.insert(tid, ts(tid))
+            insert(ptt, tid, ts(tid))
         for tid in (1, 600, 1199):
             assert ptt.lookup(tid) == ts(tid)
 
@@ -137,10 +147,10 @@ class TestPropertyBased:
     )
     def test_insert_delete_matches_dict(self, tids, delete_mask):
         buffer = BufferPool(InMemoryDisk(), capacity=64)
-        ptt = PersistentTimestampTable(buffer)
+        ptt = PersistentTimestampTable(buffer, LogManager())
         model: dict[int, Timestamp] = {}
         for tid in tids:
-            ptt.insert(tid, ts(tid))
+            insert(ptt, tid, ts(tid))
             model[tid] = ts(tid)
         for tid, kill in zip(list(model), delete_mask):
             if kill:

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from repro import PROFILES, ColumnType, ImmortalDB, TxnMode
-from repro.core.integrity import verify_integrity
+from repro.core.integrity import page_accounting, verify_integrity
 from repro.wal.checkpoint import CheckpointManager
 
 
@@ -294,25 +294,17 @@ class TestTidFloor:
         reopened.close()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 1: the archive frees a history page's id, a PTT "
-    "split takes it without a log record (PTT structure modifications are "
-    "not logged), and redo replays the old history page's image over the "
-    "PTT node — PageFormatError: page N is not a PTT node",
-)
-@pytest.mark.parametrize("seed", [0, 1, 2, 8])
+@pytest.mark.parametrize("seed", range(16))
 def test_restart_after_archive_recycles_ids(tmp_path, seed):
     """A small pool, archive steps between non-flushing checkpoints, an
-    un-checkpointed tail: the database must reopen.
+    un-checkpointed tail: the database must reopen, whole and with every
+    page id accounted for.
 
-    Which seeds expose the hole follows the eviction order, not the hole:
-    of seeds 0-15, ten failed (0, 1, 2, 4, 5, 7, 8, 9, 11, 14) until PR 23
-    made eviction take log-covered pages first, five (0, 1, 2, 8, 9)
-    since.  Fewer exposed seeds is not a fix — nothing about who owns a
-    recycled id changed — so an ``XPASS(strict)`` here after a change to
-    write-back order means: re-derive four failing seeds, not: delete the
-    marker.  Delete it when the recipe passes on all sixteen.
+    The archive frees history pages' ids and PTT splits take them.  Redo
+    replays each id's old history image, then the PTT image that reused
+    it, in log order, under the page LSN; it used to re-insert PTT entries
+    by descending whatever tree reached the disk, and failed with "page N
+    is not a PTT node" on seeds 0, 1, 2 and 8.
     """
     rng = random.Random(seed)
     db = ImmortalDB(
@@ -344,4 +336,5 @@ def test_restart_after_archive_recycles_ids(tmp_path, seed):
     db.crash()
     db.recover()
     assert verify_integrity(db) == []
+    assert page_accounting(db).orphans == []
     db.close()

@@ -336,9 +336,30 @@ class TestRestoreReadsTheLogFile:
         assert Scrubber(db).full_pass() == []
         db.close()
 
+    def test_a_ptt_page_is_restored_like_a_data_page(self, tmp_path):
+        """The PTT leaf's commit and delete records name it, so the redo
+        index holds them and the ordinary restore rebuilds it byte for byte
+        from its backup image and those records."""
+        db, pids = self._file_db(tmp_path / "db.pages")
+        pid = db.ptt.root_pid           # sixty commits: the root is the leaf
+        assert pid in pids
+        size = db.disk.page_size
+        good = os.pread(db.disk._fd, size, pid * size)
+        self._damage(db, pid)
+        replayed = db.stats()["repair_records_replayed"]
+        findings = Scrubber(db).full_pass()
+        assert [f.page_id for f in findings] == [pid]
+        assert os.pread(db.disk._fd, size, pid * size) == good
+        assert db.stats()["repair_records_replayed"] > replayed
+        assert Scrubber(db).full_pass() == []
+        db.close()
+
     def test_a_damaged_log_frame_quarantines_the_page(self, tmp_path):
         db, pids = self._file_db(tmp_path / "db.pages")
-        pid = pids[0]
+        # A data page: the engine runs on without it (a quarantined PTT
+        # node would stop the garbage collection close() runs).
+        pid = next(p for p in pids
+                   if isinstance(decode_page(db.disk.read_page(p)), DataPage))
         repair = db.repair
         needed = next(repair.redo_index.records_for(
             pid, after_lsn=repair.backup.image_lsn(pid))).lsn

@@ -25,17 +25,24 @@ def env():
             self.buffer = BufferPool(self.disk, capacity=64)
             self.log = LogManager()
             self.clock = SimClock()
-            self.ptt = PersistentTimestampTable(self.buffer)
+            self.ptt = PersistentTimestampTable(self.buffer, self.log)
             self.tsmgr = TimestampManager(self.log, self.buffer, self.ptt)
+
+        def log_commit(self, tid: int, ts: Timestamp, persistent: bool) -> CommitTxn:
+            """Append the commit record as the transaction manager does."""
+            rec = CommitTxn(
+                tid=tid, ttime=ts.ttime, sn=ts.sn,
+                page_id=self.tsmgr.on_commit_prepare(
+                    tid, ts, persistent=persistent),
+            )
+            self.log.append(rec)
+            return rec
 
         def commit(self, tid: int, *, persistent: bool = True) -> Timestamp:
             ts = self.clock.next_timestamp()
-            lsn = self.log.append(
-                __import__("repro.wal.records", fromlist=["CommitTxn"])
-                .CommitTxn(tid=tid, ttime=ts.ttime, sn=ts.sn, ptt=persistent)
-            )
+            rec = self.log_commit(tid, ts, persistent)
             self.log.force()
-            self.tsmgr.on_commit(tid, ts, lsn, persistent=persistent)
+            self.tsmgr.on_commit(rec, ts)
             return ts
 
     return Env()
@@ -306,12 +313,10 @@ def four_writers_leaf(env) -> tuple[BTree, DataPage]:
             continue
         ts = env.clock.next_timestamp()
         persistent = tid != SNAPSHOT
-        lsn = env.log.append(CommitTxn(
-            tid=tid, ttime=ts.ttime, sn=ts.sn, ptt=persistent,
-        ))
+        rec = env.log_commit(tid, ts, persistent)
         if tid in (DURABLE, RESTARTED):
             env.log.force()
-        env.tsmgr.on_commit(tid, ts, lsn, persistent=persistent)
+        env.tsmgr.on_commit(rec, ts)
     env.tsmgr.vtt.drop(RESTARTED)      # as a restart leaves it: PTT only
     return btree, page
 

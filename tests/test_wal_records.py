@@ -34,12 +34,14 @@ class TestSimpleRecords:
         assert roundtrip(BeginTxn(tid=7, prev_lsn=0)) == BeginTxn(tid=7)
 
     def test_commit_carries_timestamp_and_ptt_flag(self):
-        rec = CommitTxn(tid=3, prev_lsn=10, ttime=999, sn=4, ptt=True)
+        rec = CommitTxn(tid=3, prev_lsn=10, ttime=999, sn=4, page_id=17)
         back = roundtrip(rec)
-        assert (back.ttime, back.sn, back.ptt) == (999, 4, True)
+        assert (back.ttime, back.sn, back.page_id) == (999, 4, 17)
+        assert back.affected_pages() == (17,)
 
     def test_commit_without_ptt(self):
-        assert not roundtrip(CommitTxn(tid=1, ttime=5, sn=0, ptt=False)).ptt
+        back = roundtrip(CommitTxn(tid=1, ttime=5, sn=0))
+        assert back.page_id == 0 and back.affected_pages() == ()
 
     def test_abort_pair(self):
         assert roundtrip(AbortTxn(tid=2, prev_lsn=5)).prev_lsn == 5
@@ -171,7 +173,7 @@ class TestStructCodecsMatchTheFieldByFieldOnes:
 
         head = u(record.TAG, 1) + u(record.tid, 8) + u(record.prev_lsn, 8)
         if isinstance(record, CommitTxn):
-            return head + u(record.ttime, 8) + u(record.sn, 4) + u(record.ptt, 1)
+            return head + u(record.ttime, 8) + u(record.sn, 4) + u(record.page_id, 4)
         if isinstance(record, VersionOp):
             return (head + u(record.kind, 1) + u(record.table_id, 4)
                     + u(record.page_id, 4) + blob(record.key, 2)
@@ -193,7 +195,7 @@ class TestStructCodecsMatchTheFieldByFieldOnes:
         for record in (
             BeginTxn(tid=tid, prev_lsn=prev),
             AbortEnd(tid=tid, prev_lsn=prev),
-            CommitTxn(tid=tid, prev_lsn=prev, ttime=ttime, sn=sn, ptt=bool(sn % 2)),
+            CommitTxn(tid=tid, prev_lsn=prev, ttime=ttime, sn=sn, page_id=sn // 3),
             VersionOp(tid=tid, prev_lsn=prev, kind=VersionOpKind(sn % 3),
                       table_id=sn, page_id=sn // 2, key=key, payload=payload),
             MultiPageImage(reason=SMOReason(sn % 5), images=pairs),
