@@ -77,6 +77,7 @@ from repro.core.asof import PageView
 from repro.errors import PageQuarantinedError
 from repro.faults.failpoints import fire
 from repro.storage.constants import ARCHIVE_PID_BIT, NO_PAGE
+from repro.storage.device import Device
 from repro.storage.page import DataPage, decode_page, read_data_header
 from repro.wal.log import log_smo
 from repro.wal.records import SMOReason
@@ -109,12 +110,11 @@ class ArchiveManager:
         self,
         engine,
         config: ArchiveConfig | None = None,
-        *,
-        store_path: str | None = None,
+        device: Device | None = None,
     ) -> None:
         self.engine = engine
         self.config = config or ArchiveConfig()
-        self.store = ArchiveStore(store_path)
+        self.store = ArchiveStore(device)
         self.stats = ArchiveStats()
         self.quarantined: set[int] = set()
         self._cache: OrderedDict[int, DataPage] = OrderedDict()
@@ -327,8 +327,8 @@ class ArchiveManager:
     # -- crash / recovery --------------------------------------------------
 
     def on_crash(self) -> None:
-        """Simulated power loss: lose volatile state, keep the durable store."""
-        self.store.crash()
+        """Lose volatile state: the store reopens from what its device kept."""
+        self.store = ArchiveStore(self.store.device)
         self._cache.clear()
         self.quarantined.clear()
 

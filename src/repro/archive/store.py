@@ -9,17 +9,15 @@ payload is the page's ``used_bytes`` (4 bytes, so the pre-compression size
 survives reopen) followed by the compressed block of
 :mod:`repro.archive.delta`.
 
-The store is WAL-shaped, with an explicit durable/unsynced boundary:
-
-* :meth:`append_block` only buffers and returns the position;
-* :meth:`sync` makes everything appended so far durable (file variant:
-  write + flush + fsync);
-* :meth:`crash` discards the unsynced tail, exactly like ``WriteAheadLog``
-  in the fault harness.
+The store is WAL-shaped: :meth:`append_block` only buffers and returns the
+position, :meth:`sync` writes the buffered frames to the device behind
+those already there and syncs it, and a crash loses the buffer — the store
+is opened again on its :mod:`repro.storage.device` and keeps the frames
+the device kept.
 
 Positions are stable across reopen because the durable prefix is
 immutable: the opening scan stops at the first torn or corrupt frame, as
-the WAL's does, and truncates the file there so later appends continue
+the WAL's does, and truncates the device there so later appends continue
 the clean prefix.  A block appended but never linked (the migration
 protocol links a page to a position only after the sync, see
 :mod:`repro.archive.manager`) is an orphan nothing reads.
@@ -27,10 +25,10 @@ protocol links a page to a position only after the sync, see
 
 from __future__ import annotations
 
-import os
 import struct
 
 from repro.errors import StorageError
+from repro.storage.device import Device, MemoryDevice
 from repro.storage.framing import frame, scan
 
 _RAW_BYTES = struct.Struct(">I")    # leads every payload: the page's used_bytes
@@ -41,53 +39,34 @@ class ArchiveStoreError(StorageError):
 
 
 class ArchiveStore:
-    """The block sequence, in-memory (``path=None``, the crash-simulation
-    case) or file-backed.  ``durable_count`` marks how many blocks survive
-    :meth:`crash`."""
+    """The block sequence on a device (in memory if none is given)."""
 
-    def __init__(self, path: str | None = None) -> None:
-        self.path = path
+    def __init__(self, device: Device | None = None) -> None:
+        self.device: Device = MemoryDevice() if device is None else device
+        _, payloads, self._end = scan(self.device.read(self.device.size, 0))
         # (used_bytes of the archived page, its compressed block), by position
-        self._blocks: list[tuple[int, bytes]] = []
-        self.durable_count = 0
-        self._file = None
-        if path is None:
-            return
-        if os.path.exists(path):
-            with open(path, "rb") as fh:
-                data = fh.read()
-            # A torn tail is ignored, like the WAL's.
-            _, payloads, end = scan(data)
-            self._blocks = [
-                (_RAW_BYTES.unpack_from(p)[0], p[_RAW_BYTES.size :])
-                for p in payloads
-            ]
-            self.durable_count = len(self._blocks)
-            # Reopen truncated to the clean prefix so appends land after it.
-            self._file = open(path, "r+b")
-            self._file.truncate(end)
-            self._file.seek(end)
-        else:
-            self._file = open(path, "w+b")
+        self._blocks: list[tuple[int, bytes]] = [
+            (_RAW_BYTES.unpack_from(p)[0], p[_RAW_BYTES.size :]) for p in payloads
+        ]
+        self._unsynced: list[bytes] = []    # their frames, not yet written
+        if self._end < self.device.size:    # appends continue the clean prefix
+            self.device.truncate(self._end)
 
     def append_block(self, blob: bytes, raw_bytes: int) -> int:
         """Buffer one block (``raw_bytes`` before compression); returns its
         position."""
         self._blocks.append((raw_bytes, blob))
+        self._unsynced.append(frame(_RAW_BYTES.pack(raw_bytes) + blob))
         return len(self._blocks) - 1
 
     def sync(self) -> None:
-        """Make every buffered block durable (file: write+flush+fsync)."""
-        if self._file is not None and self.durable_count < len(self._blocks):
-            for raw_bytes, blob in self._blocks[self.durable_count :]:
-                self._file.write(frame(_RAW_BYTES.pack(raw_bytes) + blob))
-            self._file.flush()
-            os.fsync(self._file.fileno())
-        self.durable_count = len(self._blocks)
-
-    def crash(self) -> None:
-        """Simulate power loss: drop the unsynced tail."""
-        del self._blocks[self.durable_count :]
+        """Make every buffered block durable."""
+        if self._unsynced:
+            data = b"".join(self._unsynced)
+            self.device.write(data, self._end)
+            self._end += len(data)
+            self._unsynced.clear()
+            self.device.sync()
 
     def read_block(self, position: int) -> bytes:
         """The compressed block at ``position`` (durable or still buffered)."""
@@ -109,7 +88,5 @@ class ArchiveStore:
         return sum(len(blob) for _, blob in self._blocks)
 
     def close(self) -> None:
-        if self._file is not None:
-            self.sync()
-            self._file.close()
-            self._file = None
+        self.sync()
+        self.device.close()

@@ -19,7 +19,7 @@ from __future__ import annotations
 import datetime as _dt
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Callable, Iterator
 
 from repro.clock import SimClock, Timestamp
 from repro.concurrency.latching import ReentrantLatch
@@ -28,6 +28,7 @@ from repro.concurrency.snapshot import SnapshotRegistry, prune_conventional_page
 from repro.concurrency.transaction import Transaction, TransactionManager, TxnMode
 from repro.core.asof import AsOfRouteCache, AsOfStats, PageViewCache
 from repro.core.catalog import Catalog, ColumnDef, TableSchema
+from repro.core.integrity import table_pages
 from repro.core.rowcodec import ColumnType
 from repro.core.table import Table
 from repro.errors import CatalogError, SchemaError, TableNotFoundError
@@ -35,7 +36,8 @@ from repro.faults.failpoints import fire
 from repro.storage.buffer import BufferPool
 from repro.storage.constants import META_PAGE_ID
 from repro.repair.manager import MediaRecoveryManager
-from repro.storage.disk import FileDisk, InMemoryDisk, PageStore, RetryPolicy
+from repro.storage.device import Device, file_devices
+from repro.storage.disk import PageStore, RetryPolicy
 from repro.storage.page import DataPage, MetaPage
 from repro.timestamp.eager import EagerTimestampManager
 from repro.timestamp.manager import TimestampManager
@@ -64,7 +66,7 @@ class ImmortalDB:
         key_split_threshold: float = 0.70,
         ms_per_commit: float = 5.0,
         clock: SimClock | None = None,
-        disk: PageStore | None = None,
+        devices: Callable[[str], Device | None] | None = None,
         page_checksums: bool = False,
         group_commit_window: int = 1,
         asof_route_cache: bool = False,
@@ -76,18 +78,19 @@ class ImmortalDB:
     ) -> None:
         if timestamping not in ("lazy", "eager"):
             raise ValueError("timestamping must be 'lazy' or 'eager'")
-        if disk is not None and path is not None:
-            raise ValueError("pass either a path or a disk, not both")
-        # An injected disk (e.g. a fault-model wrapper) takes precedence.
-        self.disk: PageStore = disk if disk is not None else (
-            FileDisk(path) if path else InMemoryDisk()
-        )
+        if devices is not None and path is not None:
+            raise ValueError("pass either a path or devices, not both")
+        # Each store's device by name: files beside ``path``, or an opener's
+        # ("pages", "log", "master", "archive"; None is memory).
+        if devices is None:
+            devices = file_devices(str(path)) if path else lambda name: None
+        self.disk = PageStore(devices("pages"))
         self.disk.checksums = page_checksums
         self.clock = clock or SimClock(ms_per_timestamp=ms_per_commit)
-        # File-backed databases get a file-backed log, so a process that
-        # dies without close() recovers on the next open.
+        log_device = devices("log")
         self.log: LogManager = (
-            FileLogManager(str(path) + ".log") if path else LogManager()
+            FileLogManager(log_device, devices("master"))
+            if log_device is not None else LogManager()
         )
         # Buffer-pool tuning knobs (see DESIGN.md "Buffer management"):
         # ``eviction`` picks the victim-selection policy, ``flush_batch``
@@ -168,8 +171,7 @@ class ImmortalDB:
             else:
                 archive_config = archive
             self.archive = ArchiveManager(
-                self, archive_config,
-                store_path=str(path) + ".archive" if path else None,
+                self, archive_config, devices("archive")
             )
         self.version_ops = 0       # record versions created (cost model)
         self.tables: dict[str, Table] = {}
@@ -180,7 +182,7 @@ class ImmortalDB:
             # the boot page names it.
             self.log.force()
             self._save_meta()
-        elif path and len(self.log):
+        elif len(self.log):
             # An existing database: run restart recovery.  After a clean
             # shutdown this is a cheap scan from the last checkpoint; after
             # a hard kill it redoes/undoes as needed.  Either way it also
@@ -195,7 +197,8 @@ class ImmortalDB:
         return Catalog.from_blob(meta.blob)
 
     def _save_meta(self) -> None:
-        """Write the boot page through to disk (durable immediately)."""
+        """Write the boot page through to disk, durably: it names the PTT
+        root and the table roots, and restart reads it before any log."""
         fire("engine.save_meta")
         self.catalog.ptt_root_pid = self.ptt.root_pid
         # Persist the commit-timestamp high water (clock.now() bounds every
@@ -209,6 +212,7 @@ class ImmortalDB:
         )
         self.buffer.replace_page(meta)
         self.buffer.flush_page(META_PAGE_ID)
+        self.disk.sync()
         # Meta writes are unlogged, so the archive cannot rebuild this page;
         # the media backup mirrors it at every save instead.
         if getattr(self, "repair", None) is not None:
@@ -316,11 +320,25 @@ class ImmortalDB:
         self._save_meta()
 
     def drop_table(self, name: str) -> None:
-        """Remove a table from the catalog (its pages are left unreferenced)."""
+        """Remove a table from the catalog and free its pages: the boot page
+        stops naming it (durably), then one ``PAGE_FREE`` record frees every
+        page it reached, forced before an id is reused.  A crash between the
+        two leaks the ids; the other order could reuse a page still named."""
+        table = self.table(name)
+        freed = sorted(pid for pid, kind in table_pages(self, table).items()
+                       if kind != "archived")
         self.catalog.remove_table(name)
-        table = self.tables.pop(name)
+        del self.tables[name]
         self._tables_by_id.pop(table.table_id, None)
         self._save_meta()
+        log_smo(self.log, self.buffer, SMOReason.PAGE_FREE, [], freed)
+        self.log.force()
+        for pid in freed:
+            self.buffer.discard_page(pid)
+            self.disk.free_list.add(pid)
+        for cache in (self.route_cache, self.page_views):
+            if cache is not None:
+                cache.clear()
 
     def table(self, name: str) -> Table:
         try:
@@ -492,8 +510,11 @@ class ImmortalDB:
     # -- crash and recovery ------------------------------------------------------------------------
 
     def crash(self) -> None:
-        """Lose all volatile state, exactly as a power failure would."""
+        """Lose all volatile state, as a killed process would: each store
+        reopens from what its device kept (a plain device keeps every write;
+        a power loss is :class:`~repro.faults.models.FaultyDevice`'s)."""
         self.buffer.discard_all()
+        self.disk.crash()
         self.log.crash()
         self.txn_mgr.discard_pending_commits()
         self.tsmgr.rebuild_after_crash()
@@ -557,6 +578,8 @@ class ImmortalDB:
                 report.in_doubt, self.locks.lock_record_exclusive
             )
         self.tsmgr.recovery_fallback = self.clock.now()
+        if self.repair is not None:
+            self.repair.after_restart()
         self.checkpoint(flush=True)
         return report
 
@@ -595,8 +618,7 @@ class ImmortalDB:
     def close(self) -> None:
         """Clean shutdown: flush everything, checkpoint, close the disk."""
         self.checkpoint(flush=True)
-        if isinstance(self.log, FileLogManager):
-            self.log.close()
+        self.log.close()
         if self.archive is not None:
             self.archive.close()
         self.disk.close()

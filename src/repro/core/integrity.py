@@ -132,37 +132,44 @@ class PageAccounting:
     orphans: list[int]
 
 
+def table_pages(db: "ImmortalDB", table: "Table") -> dict[int, str]:
+    """Every page id one table reaches, by kind, in one walk: catalog root
+    → index nodes → leaves → history chains (an ``archived`` reference
+    holds no page id) and the TSB index."""
+    kinds: dict[int, str] = {}
+    stack = [table.btree.root_pid]
+    while stack:
+        pid = stack.pop()
+        if not pid or pid in kinds:     # sibling leaves share older pages
+            continue
+        kinds[pid] = "archived" if pid & ARCHIVE_PID_BIT else "history"
+        try:
+            page = db.buffer.get_page(pid)
+        except PageQuarantinedError:
+            continue
+        if isinstance(page, BTreeIndexPage):
+            kinds[pid] = "index"
+            stack.extend(page.children)
+        else:
+            if not page.is_history:
+                kinds[pid] = "current"
+            stack.append(page.history_page_id)
+    if table.history_index is not None:
+        for node in table.history_index.all_nodes():
+            kinds[node.page_id] = "tsb"
+    return kinds
+
+
 def page_accounting(db: "ImmortalDB") -> PageAccounting:
-    """The allocator's books, by one reachability walk: meta → catalog roots
-    → index nodes → leaves → history chains (through the archive), the TSB
-    index, the PTT tree and the free list.  A page id is taken only for a
-    page that is logged, and restart frees again the ids whose record a
-    crash lost, so an orphan means a page left its structure unlogged (or a
-    dropped table's pages, which nothing frees)."""
+    """The allocator's books, by one reachability walk: meta → every
+    table's pages (:func:`table_pages`), the PTT tree and the free list.
+    A page id is taken only for a logged page and freed only by a logged
+    free, so an orphan means a page left its structure unlogged."""
     kinds: dict[int, str] = {META_PAGE_ID: "meta"}
     for table in db.tables.values():
-        stack = [table.btree.root_pid]
-        while stack:
-            pid = stack.pop()
-            if not pid or pid in kinds:     # sibling leaves share older pages
-                continue
-            kinds[pid] = "archived" if pid & ARCHIVE_PID_BIT else "history"
-            try:
-                page = db.buffer.get_page(pid)
-            except PageQuarantinedError:
-                continue
-            if isinstance(page, BTreeIndexPage):
-                kinds[pid] = "index"
-                stack.extend(page.children)
-            else:
-                if not page.is_history:
-                    kinds[pid] = "current"
-                stack.append(page.history_page_id)
-        if table.history_index is not None:
-            for node in table.history_index.all_nodes():
-                kinds[node.page_id] = "tsb"
+        kinds.update(table_pages(db, table))
     kinds.update(dict.fromkeys(db.ptt.page_ids(), "ptt"))
-    kinds.update(dict.fromkeys(db.disk.free_list.to_list(), "free"))
+    kinds.update(dict.fromkeys(db.disk.free_list, "free"))
     count = db.disk.page_count
     orphans = [pid for pid in range(count) if pid not in kinds]
     return PageAccounting(count, Counter(kinds.values()), orphans)

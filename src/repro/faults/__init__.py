@@ -6,10 +6,11 @@ Three layers (see DESIGN.md, "Fault injection"):
   engine's hot seams (page writes, buffer flushes, log appends and forces,
   checkpoint phases, the commit path).  Zero-cost when no registry is
   installed; deterministic when armed from a seed.
-* :mod:`repro.faults.models` — media fault models: a corrupting
-  :class:`~repro.faults.models.FaultyDisk` page-store wrapper (torn writes,
-  dropped writes, bit-rot, transient I/O errors) and a torn-log-tail
-  injector for file-backed logs.
+* :mod:`repro.faults.models` — media fault models: a
+  :class:`~repro.faults.models.FaultyDevice` wrapper for any store's device
+  (torn writes, dropped writes, bit-rot, transient I/O errors, and power
+  loss: the synced image plus a chosen subset of the writes since) and a
+  torn-log-tail injector for file-backed logs.
 * :mod:`repro.faults.crashtest` — the crash-point exploration harness: run
   a seeded workload once to enumerate every failpoint crossing, then crash
   at each crossing in turn, recover, and check integrity plus as-of

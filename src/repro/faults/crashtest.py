@@ -13,8 +13,10 @@ Protocol:
    every failpoint crossing (commit stages, log appends/forces, buffer
    flushes/evictions, checkpoint phases, page writes).
 2. **Explore** — for each crossing *k*, re-run the identical workload from
-   scratch, crash (raise ``SimulatedCrash``) at crossing *k*, then run
-   ``db.crash()`` / ``db.recover()`` and check:
+   scratch, crash (raise ``SimulatedCrash``) at crossing *k*, cut the power
+   (each device keeps its synced image plus all, none or a subset of the
+   writes since, from (seed, *k*)), run ``db.crash()`` / ``db.recover()``
+   and check:
 
    * ``verify_integrity(db, strict=True)`` stays clean;
    * the current state is one :mod:`repro.faults.oracle` accepts, and
@@ -55,11 +57,11 @@ from repro.faults.oracle import Oracle
 from repro.faults.models import (
     FAULT_KINDS,
     NETWORK_FAULT_KINDS,
-    FaultyDisk,
+    FaultyDevice,
     FaultyWire,
 )
 from repro.repair.scrub import Scrubber
-from repro.storage.disk import InMemoryDisk
+from repro.storage.device import MemoryDevice, file_devices
 
 TABLE = "crash"
 
@@ -96,8 +98,9 @@ class CrashTestConfig:
     archive: bool = False
     # At most one of the next four picks the scenario (see SCENARIOS);
     # none of them is the plain engine crash.
-    # Run on a FaultyDisk with checksums, write verification, transient-IO
-    # retry and media recovery; inject a disk fault instead of crashing.
+    # Run with checksums, write verification, transient-IO retry and media
+    # recovery; inject a page-device fault instead of crashing (then lose
+    # power once the run is over).
     media_faults: bool = False
     # Drive the workload through the service core over the loopback wire
     # (real framing, sessions, admission): crashes land at service.* seams.
@@ -109,9 +112,8 @@ class CrashTestConfig:
     file: bool = False      # on files: restarts read the log file back
 
     def __post_init__(self) -> None:
-        if self.file and scenario_for(self) not in (
-                ENGINE_CRASH, RECYCLING, SCENARIOS["service"]):
-            raise ValueError("--file runs the plain, --archive and --service sweeps only")
+        if self.file and self.shards:
+            raise ValueError("--file runs every sweep but the cluster's")
 
     def repro_args(self, crossing: int) -> str:
         parts = [f"--seed {self.seed}"]
@@ -146,25 +148,35 @@ class Rig:
     conn: Any = None        # LoopbackConnection, in the service scenarios
     wire: Any = None        # its FaultyWire, in the wire-fault scenario
     tmp: Any = None         # the TemporaryDirectory of a file-backed engine
+    seed: int = 0
+    devices: list[FaultyDevice] = field(default_factory=list)
 
     @property
     def engines(self) -> list[ImmortalDB]:
         return [s.db for s in getattr(self.db, "shards", ())] or [self.db]
 
     def close(self) -> None:
-        """Drop a file-backed engine's files (no shutdown: it may be mid-crash)."""
+        """Release the devices, drop the files (no shutdown: it may be mid-crash)."""
+        for device in self.devices:
+            device.close()
         if self.tmp is not None:
-            store = getattr(self.db.archive, "store", None)
-            for owner in (self.db.log, self.db.disk, store):
-                if getattr(owner, "_file", None) is not None:
-                    owner._file.close()
             self.tmp.cleanup()
 
 
 def build(config: CrashTestConfig) -> Rig:
-    """A fresh system with the harness table (nothing armed)."""
+    """A fresh system with the harness table (nothing armed), every device
+    in the power-loss model: files, or memory and the in-memory log."""
     engine = dict(PROFILES[config.profile], buffer_pages=config.buffer_pages)
     tmp = tempfile.TemporaryDirectory() if config.file else None
+    files = tmp and file_devices(f"{tmp.name}/db.pages")
+    devices: list[FaultyDevice] = []
+
+    def open_device(name: str) -> FaultyDevice | None:
+        if files or name not in ("log", "master"):
+            devices.append(FaultyDevice(
+                files(name) if files else MemoryDevice(), seed=config.seed))
+            return devices[-1]
+    engine["devices"] = open_device
     if config.archive:
         # A ~500 ms horizon (25 ticks) with the workload's 5-250 ms time
         # advances guarantees checkpoints find cold pages to migrate, so
@@ -178,16 +190,13 @@ def build(config: CrashTestConfig) -> Rig:
         )
     else:
         if config.media_faults:
-            engine.update(
-                disk=FaultyDisk(InMemoryDisk(), seed=config.seed),
-                page_checksums=True, media_recovery=True,
-            )
-        db = ImmortalDB(tmp and f"{tmp.name}/db.pages", **engine)
+            engine.update(page_checksums=True, media_recovery=True)
+        db = ImmortalDB(**engine)
     table = db.create_table(
         TABLE, [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
         key="k", immortal=True,
     )
-    rig = Rig(db, table, tmp=tmp)
+    rig = Rig(db, table, tmp=tmp, seed=config.seed, devices=devices)
     if config.service or config.service_faults:
         from repro.service.core import ServiceCore
         from repro.service.transport import LoopbackConnection
@@ -389,6 +398,7 @@ class CrashReport:
     name: str       # the failpoint crashed at, or "<fault kind>@<crossing>"
     crashed: bool   # the crossing was reached: crash raised / fault armed
     problems: list[str] = field(default_factory=list)
+    kept: str | None = None     # of the unsynced writes, at the power loss
 
     @property
     def ok(self) -> bool:
@@ -418,7 +428,32 @@ def _arm_fault(kinds: tuple[str, ...], device: Callable[[Rig], Any]):
     return arm
 
 
+#: what a replay's power loss keeps of each device's unsynced writes
+KEEP = ("all", "none", "a subset")
+
+
+def _lose_power(rig: Rig, report: CrashReport) -> None:
+    """Cut the power to every device, seeded from (seed, crossing): each
+    keeps its synced image plus all, none or a seeded subset of the writes
+    since.  With media recovery one kept page write may land torn."""
+    rng = random.Random(f"{rig.seed}:{report.crossing}")
+    keep = KEEP[rng.randrange(len(KEEP))]
+    unsynced = kept = 0
+    for device in rig.devices:
+        chosen = [i for i in range(device.unsynced) if keep == "all"
+                  or keep == "a subset" and rng.random() < 0.5]
+        tear = None
+        if getattr(rig.db, "repair", None) and device is rig.db.disk.device \
+                and chosen and rng.random() < 0.5:
+            tear = rng.choice(chosen)
+        unsynced, kept = unsynced + device.unsynced, kept + len(chosen)
+        device.lose_power(chosen, tear=tear)
+    report.kept = ("nothing unsynced" if not unsynced else "all" if kept == unsynced
+                   else "none" if not kept else "a subset")
+
+
 def _restart(rig: Rig, oracle: Oracle, report: CrashReport) -> None:
+    _lose_power(rig, report)
     rig.db.crash()
     rig.db.recover()
     rig.table = rig.db.table(TABLE)
@@ -435,6 +470,7 @@ def _restart_cluster(rig: Rig, oracle: Oracle, report: CrashReport) -> None:
     log (presumed abort) drives every participant to the same outcome.
     """
     router = rig.db
+    _lose_power(rig, report)
     router.crash()
     router.recover(resolve=False)
     rig.table = table = router.table(TABLE)
@@ -478,35 +514,40 @@ def _settle(rig: Rig, oracle: Oracle, report: CrashReport) -> None:
 
 
 def _settle_and_scrub(rig: Rig, oracle: Oracle, report: CrashReport) -> None:
-    """Media faults, phase two: latent corruption at rest.
+    """Media faults, phase two: a power loss, then latent corruption at rest.
 
-    After quiescing, the *stored* image of one allocated page, picked by
-    the crossing number (``crossing % page_count`` when no id is free), is
-    damaged (mode rotates through bitrot/garbage/zero) and a scrubber pass
-    runs.  An id on the free list is no victim: it holds no page, and the
-    scrubber rightly skips it.  The scrubber must find the damage,
-    restore the page byte-identically from backup + archived log records,
-    and come back clean on a second pass.
+    After quiescing, the power goes (a kept page write may land torn, for
+    restart or a first scrubber pass to repair) and the engine restarts.
+    Then the *stored* image of one allocated page, picked by the crossing
+    number, is damaged (mode rotates through bitrot/garbage/zero; an id on
+    the free list holds no page, and the scrubber rightly skips it).  The
+    scrubber must find the damage, restore the page byte-identically from
+    backup + archived log records, and come back clean on a second pass.
     """
     _settle(rig, oracle, report)
     rig.db.buffer.flush_all()
-    disk: FaultyDisk = rig.db.disk
+    device: FaultyDevice = rig.db.disk.device
     # A fault armed very late may find no matching op left in the run;
     # drop it so this phase stays deterministic (it proved nothing either way).
-    disk.disarm()
-    crossing = report.crossing
+    device.disarm()
+    _restart(rig, oracle, report)
+    # A torn page write that restart never read is latent damage at rest:
+    # the scrubber's first pass finds and repairs it like any other.
+    scrubber = Scrubber(rig.db)
+    scrubber.full_pass()
+    disk, crossing = rig.db.disk, report.crossing
     allocated = [pid for pid in range(disk.page_count) if pid not in disk.free_list]
     target = allocated[crossing % len(allocated)]
     mode = CORRUPT_MODES[(crossing // len(FAULT_KINDS)) % len(CORRUPT_MODES)]
-    good = disk.inner._read(target)
-    disk.corrupt_stored(target, mode=mode)
-    scrubber = Scrubber(rig.db)
+    size = disk.page_size
+    good = device.inner.read(size, target * size)
+    device.corrupt_stored(target * size, size, mode=mode)
     findings = scrubber.full_pass()
     if not any(f.page_id == target for f in findings):
         report.problems.append(
             f"scrubber missed {mode} corruption on page {target}"
         )
-    if disk.inner._read(target) != good:
+    if device.inner.read(size, target * size) != good:
         report.problems.append(
             f"page {target} not byte-identical after {mode} repair"
         )
@@ -586,7 +627,7 @@ SCENARIOS = {
     ),
     "media_faults": Scenario(
         build, run_workload,
-        _arm_fault(FAULT_KINDS, lambda rig: rig.db.disk),
+        _arm_fault(FAULT_KINDS, lambda rig: rig.db.disk.device),
         _settle_and_scrub, _verify,
     ),
 }
@@ -681,6 +722,7 @@ class ExplorationResult:
     explored: list[int]
     failures: list[CrashReport]
     by_name: Counter    # failpoint names crashed at, or fault kinds injected
+    kept: Counter = field(default_factory=Counter)  # replays by CrashReport.kept
 
     @property
     def ok(self) -> bool:
@@ -708,6 +750,8 @@ def explore(
     for n, crossing in enumerate(indices):
         report = replay(config, crossing)
         result.by_name[report.name.split("@")[0]] += 1
+        if report.kept:
+            result.kept[report.kept] += 1
         if not report.ok:
             result.failures.append(report)
         if progress is not None:
@@ -752,7 +796,7 @@ def main(argv: list[str] | None = None) -> int:
          "delivery); it must complete with exactly-once effects"),
         ("--file",
          "run the engine on files: every restart reads the log file back "
-         "(the plain, --archive and --service sweeps only)"),
+         "(every sweep but --shards)"),
     ):
         parser.add_argument(flag, action="store_true", help=text)
     parser.add_argument(
@@ -806,6 +850,8 @@ def main(argv: list[str] | None = None) -> int:
     print(f"  {label}: " + ", ".join(
         f"{seam}={count}" for seam, count in sorted(seams.items())
     ))
+    if result.kept:
+        print(f"  power loss kept of the unsynced writes: {dict(result.kept)}")
     if result.ok:
         print("  zero integrity or as-of-equivalence violations")
         return 0

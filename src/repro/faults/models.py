@@ -1,74 +1,54 @@
-"""Media fault models: a corrupting page store and a log-tail mangler.
+"""Fault models: a device that corrupts I/O and loses power, and a wire.
 
-:class:`FaultyDisk` wraps any :class:`~repro.storage.disk.PageStore` and
-injects the classic storage failure modes between the buffer pool and the
-real store:
+:class:`FaultyDevice` wraps any :mod:`repro.storage.device` — the page
+file's, the log's or the archive's — and injects the classic storage
+failure modes: a **torn write** (a prefix of the write lands, the old bytes
+stay after it), a **dropped write**, **bit-rot** on a read, and a
+**transient I/O error** (:class:`~repro.errors.InjectedIOError`, which a
+retry clears).  Each is armed one-shot (``device.arm("torn_write")`` hits
+the next write) or drawn with a seeded probability; all randomness comes
+from one ``random.Random(seed)``, so a failing run replays exactly.  Torn
+and rotten pages are silent here: the page CRC32 checksums
+(``page_checksums=True``) and the log's frame CRCs detect them.
 
-* **torn write** — only a prefix of the 8 KB image reaches the platter; the
-  rest keeps the previous image's bytes (or zeros for a fresh page);
-* **dropped write** — the write is silently lost in the device cache;
-* **bit-rot** — a read returns the stored image with one bit flipped;
-* **transient I/O error** — the operation raises
-  :class:`~repro.errors.InjectedIOError` once; a retry would succeed.
-
-Faults trigger two ways, both deterministic: one-shot arming
-(``disk.arm("torn_write")`` corrupts exactly the next page write) for unit
-tests, and seeded per-operation probabilities for soak-style runs.  All
-randomness (which fault, where the tear lands, which bit rots) comes from
-one ``random.Random(seed)``, so a failing run replays exactly.
-
-Torn and bit-rotten images are *silent* at this layer by design — detection
-belongs to the page CRC32 checksums (``page_checksums=True`` on the
-engine), which turn them into typed
-:class:`~repro.errors.ChecksumError`\\ s on the next read.
-
-:func:`tear_log_tail` mangles the end of a file-backed WAL the way an OS
-crash mid-write would: truncating mid-frame or garbling a byte, which the
-log's framing CRC must catch on the next open.
+**Power loss.**  The device remembers each write (and size change) since its
+last ``sync()``.  :meth:`FaultyDevice.lose_power` keeps the synced image
+plus a chosen subset of those writes, in their order, and may tear one of
+them: keeping all of them is a process kill, keeping none the strictest
+power loss — the method of the ALICE study (Pillai et al., OSDI 2014).
 """
 
 from __future__ import annotations
 
-import os
 import random
 from collections import Counter, deque
+from typing import Iterable
 
-from repro.errors import InjectedIOError, PageNotFoundError
-from repro.storage.disk import PageStore
-from repro.storage.framing import scan
-from repro.wal.filelog import FileLogManager
+from repro.errors import InjectedIOError
+from repro.storage.device import Device
 
 READ_FAULTS = ("bitrot_read", "read_error")
 WRITE_FAULTS = ("torn_write", "dropped_write", "write_error")
 FAULT_KINDS = READ_FAULTS + WRITE_FAULTS
 
 
-class FaultyDisk(PageStore):
-    """A page store that corrupts a wrapped inner store's I/O."""
+class FaultyDevice:
+    """A device that corrupts a wrapped device's I/O (``<kind>_p`` keywords
+    set each fault's probability) and can lose power."""
 
-    def __init__(
-        self,
-        inner: PageStore,
-        *,
-        seed: int = 0,
-        torn_write_p: float = 0.0,
-        dropped_write_p: float = 0.0,
-        bitrot_read_p: float = 0.0,
-        read_error_p: float = 0.0,
-        write_error_p: float = 0.0,
-    ) -> None:
-        super().__init__(inner.page_size)
+    def __init__(self, inner: Device, *, seed: int = 0, **probabilities: float) -> None:
         self.inner = inner
         self.rng = random.Random(seed)
         self.probabilities = {
-            "torn_write": torn_write_p,
-            "dropped_write": dropped_write_p,
-            "bitrot_read": bitrot_read_p,
-            "read_error": read_error_p,
-            "write_error": write_error_p,
+            kind: probabilities.pop(f"{kind}_p", 0.0) for kind in FAULT_KINDS
         }
+        if probabilities:
+            raise TypeError(f"unknown fault probabilities {sorted(probabilities)}")
         self._armed: deque[str] = deque()
         self.injected: Counter[str] = Counter()
+        # Each write since the last sync, undoable: (offset, data — None for
+        # a truncate to ``offset`` —, the bytes it replaced, the old size).
+        self._unsynced: list[tuple[int, bytes | None, bytes, int]] = []
 
     # -- fault selection ------------------------------------------------------
 
@@ -76,8 +56,7 @@ class FaultyDisk(PageStore):
         """Queue ``count`` one-shot faults; each hits the next matching op."""
         if kind not in FAULT_KINDS:
             raise ValueError(f"unknown fault kind {kind!r}")
-        for _ in range(count):
-            self._armed.append(kind)
+        self._armed.extend([kind] * count)
 
     def disarm(self) -> None:
         """Drop every queued one-shot fault (probabilities are untouched)."""
@@ -85,92 +64,113 @@ class FaultyDisk(PageStore):
 
     def _next_fault(self, applicable: tuple[str, ...]) -> str | None:
         if self._armed and self._armed[0] in applicable:
-            return self._armed.popleft()
-        for kind in applicable:
-            p = self.probabilities[kind]
-            if p and self.rng.random() < p:
-                return kind
-        return None
+            fault = self._armed.popleft()
+        else:
+            fault = next((kind for kind in applicable if self.probabilities[kind]
+                          and self.rng.random() < self.probabilities[kind]), None)
+        if fault is not None:
+            self.injected[fault] += 1
+        if fault in ("read_error", "write_error"):
+            op = fault.split("_")[0]
+            raise InjectedIOError(f"injected transient {op} error", op=op)
+        return fault
 
-    # -- corrupted backend hooks ----------------------------------------------
+    def _flip(self, raw: bytearray) -> bytes:
+        raw[self.rng.randrange(len(raw))] ^= 1 << self.rng.randrange(8)
+        return bytes(raw)
 
-    def _read(self, page_id: int) -> bytes:
+    # -- the device, corrupted --------------------------------------------------
+
+    @property
+    def size(self) -> int:
+        return self.inner.size
+
+    def read(self, size: int, offset: int) -> bytes:
         fault = self._next_fault(READ_FAULTS)
-        if fault == "read_error":
-            self.injected[fault] += 1
-            raise InjectedIOError(
-                f"injected transient read error on page {page_id}",
-                page_id=page_id, op="read",
-            )
-        raw = self.inner._read(page_id)
-        if fault == "bitrot_read":
-            self.injected[fault] += 1
-            pos = self.rng.randrange(len(raw))
-            flipped = bytearray(raw)
-            flipped[pos] ^= 1 << self.rng.randrange(8)
-            raw = bytes(flipped)
-        return raw
+        raw = self.inner.read(size, offset)
+        return self._flip(bytearray(raw)) if fault and raw else raw
 
-    def _write(self, page_id: int, raw: bytes) -> None:
+    def write(self, data: bytes, offset: int) -> None:
         fault = self._next_fault(WRITE_FAULTS)
-        if fault == "write_error":
-            self.injected[fault] += 1
-            raise InjectedIOError(
-                f"injected transient write error on page {page_id}",
-                page_id=page_id, op="write",
-            )
         if fault == "dropped_write":
-            self.injected[fault] += 1
             return
         if fault == "torn_write":
-            self.injected[fault] += 1
-            tear_at = self.rng.randrange(64, self.page_size)
-            try:
-                old = self.inner._read(page_id)
-            except PageNotFoundError:
-                old = bytes(self.page_size)
-            raw = raw[:tear_at] + old[tear_at:]
-        self.inner._write(page_id, raw)
+            data = self._tear(data, offset)
+        self._remember(offset, data)
+        self.inner.write(data, offset)
 
-    def _allocate(self) -> int:
-        return self.inner._allocate()
+    def _tear(self, data: bytes, offset: int) -> bytes:
+        """``data`` cut at a seeded offset, the old bytes after it."""
+        tear_at = self.rng.randrange(min(64, len(data) - 1), len(data))
+        old = self.inner.read(len(data), offset).ljust(len(data), b"\0")
+        return data[:tear_at] + old[tear_at:]
+
+    def truncate(self, size: int) -> None:
+        self._remember(size, None)
+        self.inner.truncate(size)
+
+    def _remember(self, offset: int, data: bytes | None) -> None:
+        size = self.inner.size
+        length = len(data) if data is not None else max(size - offset, 0)
+        self._unsynced.append((offset, data, self.inner.read(length, offset), size))
+
+    def sync(self) -> None:
+        self.inner.sync()
+        self._unsynced.clear()
+
+    def replace(self, data: bytes) -> None:
+        self.inner.replace(data)
+        self._unsynced.clear()
+
+    def close(self) -> None:
+        self.inner.close()
+
+    # -- power loss ----------------------------------------------------------------
+
+    @property
+    def unsynced(self) -> int:
+        """How many writes a power loss now could lose."""
+        return len(self._unsynced)
+
+    def lose_power(self, keep: Iterable[int] = (), *, tear: int | None = None) -> None:
+        """Leave the synced image plus the unsynced writes numbered in
+        ``keep`` (0 is the oldest), in order, write ``tear`` of them torn;
+        later writes count from this image."""
+        ops, self._unsynced = self._unsynced, []
+        for offset, _, old, size in reversed(ops):
+            self.inner.truncate(size)
+            if old:
+                self.inner.write(old, offset)
+        for n in sorted(set(keep)):
+            offset, data, _, _ = ops[n]
+            if data is None:
+                self.inner.truncate(offset)
+            else:
+                if n == tear:
+                    self.injected["torn_write"] += 1
+                    data = self._tear(data, offset)
+                self.inner.write(data, offset)
 
     # -- stored-image corruption (for scrubber / repair exercises) ------------
 
-    def corrupt_stored(self, page_id: int, *, mode: str = "bitrot") -> None:
-        """Deterministically damage the *stored* image of a page.
-
-        Unlike the transient read faults, this mutates what the inner store
-        holds, so every subsequent read sees the damage — the scenario the
-        scrubber and single-page restore exist for.  Modes: ``bitrot``
-        (flip one bit), ``garbage`` (overwrite a 256-byte run), ``zero``
-        (whole-page zeros, a lost sector).
-        """
-        raw = bytearray(self.inner._read(page_id))
+    def corrupt_stored(self, offset: int, size: int, *, mode: str = "bitrot") -> None:
+        """Damage ``size`` stored bytes at ``offset`` in the inner device, so
+        every later read sees it — the scrubber's and restore's case.
+        Modes: ``bitrot`` (one bit), ``garbage`` (a 256-byte run), ``zero``
+        (all zeros, a lost sector)."""
+        raw = bytearray(self.inner.read(size, offset))
         if mode == "bitrot":
-            pos = self.rng.randrange(len(raw))
-            raw[pos] ^= 1 << self.rng.randrange(8)
+            raw = self._flip(raw)
         elif mode == "garbage":
             start = self.rng.randrange(max(1, len(raw) - 256))
             raw[start : start + 256] = bytes(
                 self.rng.randrange(256) for _ in range(256)
             )
         elif mode == "zero":
-            raw = bytearray(len(raw))
+            raw = bytes(len(raw))
         else:
             raise ValueError(f"unknown corruption mode {mode!r}")
-        self.inner._write(page_id, bytes(raw))
-
-    @property
-    def page_count(self) -> int:
-        return self.inner.page_count
-
-    def sync(self) -> None:
-        self.inner.sync()
-
-    def close(self) -> None:
-        """Release underlying resources (idempotent)."""
-        self.inner.close()
+        self.inner.write(bytes(raw), offset)
 
 
 NETWORK_FAULT_KINDS = (
@@ -187,7 +187,7 @@ class FaultyWire:
     The transport asks it how to deliver each frame; armed one-shot faults
     perturb exactly the next matching exchange (the crashtest arms one per
     crossing), seeded probabilities support soak runs.  Mirrors
-    :class:`FaultyDisk`'s arming discipline so fault schedules replay
+    :class:`FaultyDevice`'s arming discipline so fault schedules replay
     deterministically.
 
     * ``torn_frame`` — flip one payload byte of the request in flight; the
@@ -244,37 +244,3 @@ class FaultyWire:
         torn = bytearray(frame)
         torn[pos] ^= 1 << self.rng.randrange(8)
         return bytes(torn)
-
-
-def tear_log_tail(
-    path: str | os.PathLike,
-    *,
-    drop_bytes: int = 0,
-    garble_at: int | None = None,
-) -> int:
-    """Mangle the tail of a log file like an OS crash mid-write would.
-
-    The log file is preallocated, so its tail is measured from the *end of
-    the log* (the end of its last valid frame), not from the file's size.
-    ``drop_bytes`` zeroes that many bytes before the end of the log (a final
-    write of which only a prefix landed); ``garble_at`` flips one bit at
-    that file offset (negative offsets count from the end of the log).
-    Returns the offset the intact bytes now end at.
-    """
-    with open(path, "r+b") as fh:
-        data = fh.read()
-        end = scan(data, FileLogManager.HEADER_BYTES)[2]
-        if drop_bytes:
-            keep = max(0, end - drop_bytes)
-            fh.seek(keep)
-            fh.write(bytes(end - keep))
-            end = keep
-        if garble_at is not None:
-            offset = garble_at if garble_at >= 0 else end + garble_at
-            if not 0 <= offset < len(data):
-                raise ValueError(f"garble offset {garble_at} outside file")
-            fh.seek(offset)
-            fh.write(bytes([data[offset] ^ 0x01]))
-        fh.flush()
-        os.fsync(fh.fileno())
-    return end

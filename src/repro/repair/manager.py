@@ -38,6 +38,7 @@ from repro.errors import (
 from repro.repair.coverage import PageBackup, RedoIndex
 from repro.repair.quarantine import QuarantineManager
 from repro.repair.restore import RestoreOutcome, restore_page
+from repro.storage.page import DataPage
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.engine import ImmortalDB
@@ -73,6 +74,7 @@ class MediaRecoveryManager:
         engine.log.post_force_hooks.append(self.redo_index.capture)
         engine.checkpoints.post_checkpoint_hooks.append(self._on_checkpoint)
         engine.buffer.fault_handler = self._page_fault
+        self._unstamped: set[int] = set()   # see after_restart
         # Seed coverage: whatever is already durable, plus current images.
         self.redo_index.capture()
         self.backup.capture_all(engine.disk)
@@ -151,6 +153,9 @@ class MediaRecoveryManager:
                 exc = repair_exc
             else:
                 if outcome.page is not None:
+                    if isinstance(outcome.page, DataPage) \
+                            and outcome.page.has_unstamped_records():
+                        self._unstamped.add(page_id)
                     return outcome.page
                 # Restored to the unborn (all-zero) state: there is no
                 # page object to serve — surface the plain never-written
@@ -189,8 +194,18 @@ class MediaRecoveryManager:
 
     # -- crash semantics ---------------------------------------------------
 
+    def after_restart(self) -> None:
+        """Stamp the pages restored in the middle of redo, whose writers'
+        commit records redo had not reached yet; they reach disk with the
+        recovery checkpoint like any page flushed after its commits."""
+        engine = self.engine
+        for page_id in sorted(self._unstamped - engine.disk.free_list):
+            engine.tsmgr.stamp_page(engine.buffer.get_page(page_id))
+        self._unstamped.clear()
+
     def on_crash(self) -> None:
         """A simulated crash wipes volatile state; the redo index and the
         backup survive (the index holds only durable LSNs, all still in
         the log the crash truncated to its durable prefix)."""
         self.quarantine.clear()
+        self._unstamped.clear()     # only restart's own repairs count

@@ -1,37 +1,19 @@
-"""Storage engine substrate: records, slotted pages, disk, buffer pool.
+"""Storage engine substrate: records, slotted pages, devices, the page
+store, the buffer pool.
 
 This package is the from-scratch replacement for the SQL Server storage
-engine that the paper's prototype extends.  It provides:
+engine that the paper's prototype extends:
 
 * :mod:`repro.storage.record` — the record layout of Figure 1, with the
   14-byte versioning tail (VP, Ttime, SN) and delete stubs,
 * :mod:`repro.storage.page` — 8 KB slotted pages with intra-page version
   chains and the two extra header fields (history pointer, split time) of
   Section 3.2,
-* :mod:`repro.storage.disk` — page stores (in-memory and file-backed) with
-  physical I/O accounting used by the benchmark cost model,
+* :mod:`repro.storage.device` — the one seam durable bytes pass through
+  (a ``bytearray`` or a file),
+* :mod:`repro.storage.disk` — the page store on a device, with physical
+  I/O accounting used by the benchmark cost model,
 * :mod:`repro.storage.buffer` — a buffer pool with latching, dirty tracking,
   LRU eviction, and pre-flush hooks (the hook is how flush-triggered lazy
   timestamping is wired in, Section 2.2).
 """
-
-from repro.storage.constants import PAGE_SIZE, PageType
-from repro.storage.record import RecordVersion
-from repro.storage.page import DataPage, Page, decode_page
-from repro.storage.disk import DiskStats, FileDisk, InMemoryDisk, PageStore
-from repro.storage.buffer import BufferPool, Frame
-
-__all__ = [
-    "PAGE_SIZE",
-    "PageType",
-    "RecordVersion",
-    "Page",
-    "DataPage",
-    "decode_page",
-    "PageStore",
-    "InMemoryDisk",
-    "FileDisk",
-    "DiskStats",
-    "BufferPool",
-    "Frame",
-]

@@ -1,12 +1,9 @@
-"""Page stores: the "disk" under the buffer pool, with physical I/O accounting.
+"""The page store: the "disk" under the buffer pool, with physical I/O accounting.
 
-Two implementations share one interface:
-
-* :class:`InMemoryDisk` — a dict of page images.  Fast, and still *durable*
-  in the simulation's sense: a crash discards the buffer pool and all
-  volatile state, never the disk.
-* :class:`FileDisk` — a real file of 8 KB pages, for examples that want an
-  artifact on disk and for testing the codec end-to-end.
+:class:`PageStore` keeps page *i* at byte offset ``i * page_size`` of a
+:mod:`repro.storage.device` (memory by default, or a file).  A page write
+reaches the device at once and is durable only after :meth:`PageStore.sync`;
+a crash reopens the store from what its device kept.
 
 Every read/write is classified as *sequential* (page id adjacent to the last
 I/O) or *random*; the benchmark cost model converts these counts into
@@ -16,10 +13,9 @@ without the authors' 2005 hardware.
 
 from __future__ import annotations
 
-import os
 import random
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from repro.errors import (
     ChecksumError,
@@ -28,11 +24,10 @@ from repro.errors import (
     TransientIOError,
 )
 from repro.faults.failpoints import fire
-from repro.storage.freelist import PageFreeList
+from repro.storage.device import Device, MemoryDevice
 from repro.storage.constants import (
     CHECKSUM_OFFSET,
     CHECKSUM_SIZE,
-    META_PAGE_ID,
     PAGE_SIZE,
 )
 
@@ -82,14 +77,6 @@ def verify_checksum(raw: bytes, page_id: int) -> None:
         )
 
 
-def pwrite_all(fd: int, data: bytes, offset: int) -> None:
-    """One positional write; a short one (rare on a regular file) goes on
-    where it stopped, so what is in the file stays at the offset asked."""
-    done = os.pwrite(fd, data, offset)
-    while done < len(data):
-        done += os.pwrite(fd, memoryview(data)[done:], offset + done)
-
-
 class RetryPolicy:
     """Bounded retry with deterministic, seeded exponential backoff.
 
@@ -115,7 +102,7 @@ class RetryPolicy:
 
 @dataclass
 class DiskStats:
-    """Physical I/O counters (monotonic; take deltas across an experiment)."""
+    """Physical I/O counters (monotonic)."""
 
     reads: int = 0
     writes: int = 0
@@ -136,38 +123,41 @@ class DiskStats:
     def random_writes(self) -> int:
         return self.writes - self.sequential_writes
 
-    def snapshot(self) -> "DiskStats":
-        """An independent copy of the current counter values."""
-        return DiskStats(**{f.name: getattr(self, f.name) for f in fields(self)})
-
-    def delta(self, since: "DiskStats") -> "DiskStats":
-        """Elementwise difference against an earlier snapshot."""
-        return DiskStats(
-            **{
-                f.name: getattr(self, f.name) - getattr(since, f.name)
-                for f in fields(self)
-            }
-        )
-
 
 class PageStore:
-    """Abstract page store: fixed-size pages addressed by integer page id.
+    """Fixed-size pages addressed by integer page id, on one device.
 
-    Page id 0 (:data:`META_PAGE_ID`) always exists and holds the database
+    Page id 0 (``META_PAGE_ID``) always exists and holds the database
     boot block; :meth:`allocate` hands out ids 1, 2, 3, …
     """
 
-    def __init__(self, page_size: int = PAGE_SIZE) -> None:
+    def __init__(
+        self, device: Device | None = None, page_size: int = PAGE_SIZE
+    ) -> None:
+        self.device: Device = MemoryDevice() if device is None else device
         self.page_size = page_size
         self.stats = DiskStats()
         self.checksums = False   # opt-in: stamp on write, verify on read
         self.retry: RetryPolicy | None = None   # opt-in transient-error retry
         self.verify_writes = False   # opt-in: read back and compare each write
-        # Ids to reuse before the store grows: archive migration frees
-        # pages, and restart returns those a crash orphaned.
-        self.free_list = PageFreeList()
+        # Ids to reuse, smallest first, before the store grows; each freed
+        # by a durable record, and restart derives the set from the log.
+        self.free_list: set[int] = set()
         self._last_read_pid = -2
         self._last_write_pid = -2
+        self._open()
+
+    def _open(self) -> None:
+        size = self.device.size
+        if size % self.page_size:
+            raise StorageError(f"device size {size} is not a page multiple")
+        if not size:
+            self.device.truncate(self.page_size)    # the meta page
+        self._next_pid = max(1, size // self.page_size)
+
+    def crash(self) -> None:
+        """Reopen from what the device kept; restart rebuilds the free list."""
+        self._open()
 
     # -- interface -----------------------------------------------------------
 
@@ -182,13 +172,13 @@ class PageStore:
         return raw
 
     def _read_retrying(self, page_id: int) -> bytes:
-        if self.retry is None:
-            return self._read(page_id)
-        for attempt in range(1, self.retry.max_attempts + 1):
+        attempts = self.retry.max_attempts if self.retry else 1
+        for attempt in range(1, attempts + 1):
             try:
                 return self._read(page_id)
-            except TransientIOError:
-                if attempt == self.retry.max_attempts:
+            except TransientIOError as exc:
+                exc.page_id = page_id   # the device knows offsets, not pages
+                if attempt == attempts:
                     raise
                 self.stats.read_retries += 1
                 self.stats.backoff_steps += self.retry.backoff_steps(attempt)
@@ -212,7 +202,8 @@ class PageStore:
         for attempt in range(1, attempts + 1):
             try:
                 self._write(page_id, raw)
-            except TransientIOError:
+            except TransientIOError as exc:
+                exc.page_id = page_id
                 if attempt == attempts:
                     raise
                 self.stats.write_retries += 1
@@ -238,113 +229,45 @@ class PageStore:
 
     def allocate(self) -> int:
         self.stats.allocations += 1
-        pid = self.free_list.pop()
-        if pid is not None:
+        if self.free_list:
+            pid = min(self.free_list)
+            self.free_list.remove(pid)
             self.stats.free_reuses += 1
             return pid
-        return self._allocate()
-
-    @property
-    def page_count(self) -> int:
-        raise NotImplementedError
-
-    def exists(self, page_id: int) -> bool:
-        return 0 <= page_id < self.page_count
-
-    def sync(self) -> None:
-        """Make every page written so far survive a power loss."""
-
-    def close(self) -> None:
-        """Release underlying resources (idempotent)."""
-
-    # -- backend hooks ---------------------------------------------------------
-
-    def _read(self, page_id: int) -> bytes:
-        raise NotImplementedError
-
-    def _write(self, page_id: int, raw: bytes) -> None:
-        raise NotImplementedError
-
-    def _allocate(self) -> int:
-        raise NotImplementedError
-
-
-class InMemoryDisk(PageStore):
-    """Dict-backed page store (the default for tests and benchmarks)."""
-
-    def __init__(self, page_size: int = PAGE_SIZE) -> None:
-        super().__init__(page_size)
-        self._pages: dict[int, bytes] = {META_PAGE_ID: bytes(page_size)}
-        self._next_pid = 1
-
-    def _read(self, page_id: int) -> bytes:
-        try:
-            return self._pages[page_id]
-        except KeyError:
-            raise PageNotFoundError(f"page {page_id} does not exist") from None
-
-    def _write(self, page_id: int, raw: bytes) -> None:
-        if page_id >= self._next_pid and page_id != META_PAGE_ID:
-            raise PageNotFoundError(f"page {page_id} was never allocated")
-        self._pages[page_id] = raw
-
-    def _allocate(self) -> int:
         pid = self._next_pid
+        self.device.truncate((pid + 1) * self.page_size)
         self._next_pid += 1
-        self._pages[pid] = bytes(self.page_size)
         return pid
+
+    def extend(self, page_count: int) -> None:
+        """Cover ids below ``page_count`` (growth a power loss took back)."""
+        self._next_pid = max(self._next_pid, page_count)
 
     @property
     def page_count(self) -> int:
         return self._next_pid
 
+    def exists(self, page_id: int) -> bool:
+        return 0 <= page_id < self._next_pid
 
-class FileDisk(PageStore):
-    """File-backed page store: page *i* lives at byte offset ``i * page_size``."""
+    def sync(self) -> None:
+        """Make every page written so far survive a power loss."""
+        self.device.sync()
 
-    def __init__(self, path: str | os.PathLike, page_size: int = PAGE_SIZE) -> None:
-        super().__init__(page_size)
-        self.path = os.fspath(path)
-        preexisting = os.path.exists(self.path)
-        # Unbuffered: a page moves in one positional syscall on the fd.
-        self._file = open(self.path, "r+b" if preexisting else "w+b", buffering=0)
-        self._fd = self._file.fileno()
-        self._zeros = bytes(page_size)      # what a fresh page id holds
-        if not preexisting:
-            pwrite_all(self._fd, self._zeros, 0)   # the meta page
-        size = os.fstat(self._fd).st_size
-        if size % page_size:
-            raise StorageError(f"{self.path}: size {size} not a page multiple")
-        self._next_pid = max(1, size // page_size)
+    def close(self) -> None:
+        """Sync and release the device (idempotent)."""
+        self.device.sync()
+        self.device.close()
+
+    # -- the device ------------------------------------------------------------
 
     def _read(self, page_id: int) -> bytes:
         if not self.exists(page_id):
             raise PageNotFoundError(f"page {page_id} does not exist")
-        raw = os.pread(self._fd, self.page_size, page_id * self.page_size)
-        if len(raw) != self.page_size:
-            raise PageNotFoundError(f"page {page_id}: short read")
-        return raw
+        raw = self.device.read(self.page_size, page_id * self.page_size)
+        return raw.ljust(self.page_size, b"\0")   # short past a lost growth
 
     def _write(self, page_id: int, raw: bytes) -> None:
         if not self.exists(page_id):
             raise PageNotFoundError(f"page {page_id} was never allocated")
-        pwrite_all(self._fd, raw, page_id * self.page_size)
-
-    def _allocate(self) -> int:
-        pid = self._next_pid
-        pwrite_all(self._fd, self._zeros, pid * self.page_size)
-        self._next_pid += 1
-        return pid
-
-    @property
-    def page_count(self) -> int:
-        return self._next_pid
-
-    def sync(self) -> None:
-        os.fdatasync(self._fd)
-
-    def close(self) -> None:
-        """Release underlying resources (idempotent)."""
-        if not self._file.closed:
-            os.fsync(self._fd)
-            self._file.close()
+        self.device.write(raw, page_id * self.page_size)

@@ -65,7 +65,7 @@ class CheckpointManager:
             dpt=self.buffer.dirty_page_table(),
             max_tid=max_tid,
             page_count=disk.page_count,
-            free_pids=disk.free_list.to_list(),
+            free_pids=sorted(disk.free_list),
         )
         end_lsn = self.log.append(end)
         fire("checkpoint.logged")

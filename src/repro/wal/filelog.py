@@ -20,28 +20,29 @@ file is the log:
   *detected*, not just guessed at: the load scan stops at the first frame
   whose length is zero or implausible, whose CRC32 mismatches, or whose
   record bytes fail to decode;
-* the master checkpoint LSN lives in a small side file, written atomically
-  (the "durable master record" a real engine keeps in the log header);
-* opening an existing path scans the file a chunk at a time for its clean
-  prefix — a process that died without a clean shutdown recovers by
-  running the normal analysis/redo/undo over the file.
+* the master checkpoint LSN lives in a small side device, replaced
+  atomically (the "durable master record" a real engine keeps in the log
+  header);
+* opening scans the device a chunk at a time for its clean prefix — a
+  process that died without a clean shutdown recovers by running the
+  normal analysis/redo/undo over the file.
 
-A torn tail (a partially-written final force after a real OS crash) is
-zeroed on load, every non-zero byte past the last good frame: a frame of
-that force that did land behind the torn one must not come back to life
-when later, shorter appends happen to end where it starts.  A log written
-before extents existed simply ends at its end of log and opens the same.
+Both are devices (:mod:`repro.storage.device`), and a crash is a reopen:
+the unwritten tail is lost and the load scan runs again over what the
+device kept.  A torn tail is zeroed on load, every non-zero byte past the
+last good frame: a frame of that force that did land behind the torn one
+must not come back to life when later, shorter appends end where it
+starts.  A log written before extents existed opens the same.
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from functools import partial
 
 from repro.errors import LogFormatError, WALError
 from repro.faults.failpoints import fire
-from repro.storage.disk import pwrite_all
+from repro.storage.device import Device, FileDevice, MemoryDevice
 from repro.storage.framing import CHUNK_BYTES, HEADER as _FRAME, scan_chunks
 from repro.wal.log import LogManager
 from repro.wal.records import LogRecord
@@ -56,9 +57,6 @@ avoids.  The zeros reach the device with the first force into the extent.
 
 _ZEROS = bytes(32 * 1024)     # written in pieces: no extent-sized buffer
 
-# macOS has no fdatasync; there the full fsync is the only barrier.
-_datasync = getattr(os, "fdatasync", os.fsync)
-
 
 def _decodes(raw: bytes) -> bool:
     """The load scan's test of a frame the CRC passed: is it a log record?"""
@@ -70,57 +68,58 @@ def _decodes(raw: bytes) -> bool:
 
 
 class FileLogManager(LogManager):
-    """LogManager whose durable prefix lives in a real file."""
+    """LogManager whose durable prefix lives on ``device``, its master
+    record on ``master`` (in memory if not given); a path opens both as
+    files, the master's at ``<path>.master``."""
 
     FRAME_BYTES = _FRAME.size   # keeps LSN arithmetic equal to file offsets
 
-    def __init__(self, path: str | os.PathLike) -> None:
+    def __init__(
+        self, device: Device | str | os.PathLike, master: Device | None = None,
+    ) -> None:
         super().__init__()
-        self.path = os.fspath(path)
-        self._master_path = self.path + ".master"
-        preexisting = os.path.exists(self.path)
-        # Unbuffered: every write is one positional ``pwrite`` on the fd.
-        self._file = open(self.path, "r+b" if preexisting else "w+b", buffering=0)
-        self._fd = self._file.fileno()
-        self._read = partial(os.pread, self._fd)    # (size, offset)
-        self._reserved = 0      # file size: zero-filled up to here
+        if isinstance(device, (str, os.PathLike)):
+            path = os.fspath(device)
+            device, master = FileDevice(path), FileDevice(path + ".master")
+        self.device = device
+        self.master = master if master is not None else MemoryDevice()
+        self.path = getattr(device, "path", "log")
         try:
-            if preexisting:
-                self._load()
-            else:
-                self._reserve(self.HEADER_BYTES)
+            self._open()
         except BaseException:
-            self._file.close()
+            self.device.close()
             raise
 
     # -- loading ---------------------------------------------------------------
 
-    def _load(self) -> None:
-        size = os.fstat(self._fd).st_size
+    def _open(self) -> None:
+        """Load what the device holds: its clean prefix and the master.  A
+        crash runs this again (:meth:`LogManager.crash`)."""
+        if not self.device.size:
+            self._reserved = 0
+            self._reserve(self.HEADER_BYTES)
+        read, size = self.device.read, self.device.size
         if size < self.HEADER_BYTES:
             raise WALError(f"{self.path}: shorter than the log header")
         end, count = self.HEADER_BYTES, 0
-        for lsn, raw in scan_chunks(self._read, end, size, _decodes):
+        for lsn, raw in scan_chunks(read, end, size, _decodes):
             end, count = lsn + self.FRAME_BYTES + len(raw), count + 1
         self.end_lsn = self._synced_lsn = self.flushed_lsn = end
         self._written_lsn, self._written_records = end, count
         self._reserved = size
-        if any(self._read(CHUNK_BYTES, at).strip(b"\x00")
+        if any(read(CHUNK_BYTES, at).strip(b"\x00")
                for at in range(end, size, CHUNK_BYTES)):
             # Restore the zero tail now, durably, before any append can
             # line up with a stale frame in it.
             self._zero(end, size - end)
-            os.fsync(self._fd)
-        if os.path.exists(self._master_path):
-            with open(self._master_path, "rb") as fh:
-                master = int.from_bytes(fh.read(8), "big")
-            if master and master < self.flushed_lsn:
-                self._master_checkpoint_lsn = master
+            self.device.sync()
+        master = int.from_bytes(self.master.read(8, 0), "big")
+        self._master_checkpoint_lsn = master if master < self.flushed_lsn else 0
 
     # -- reading -----------------------------------------------------------------
 
     def _read_device(self, lsn, upto):
-        stop = yield from scan_chunks(self._read, lsn, upto)
+        stop = yield from scan_chunks(self.device.read, lsn, upto)
         if stop < upto:     # at a frame the scan distrusts, inside the log
             raise LogFormatError(f"{self.path}: damaged log frame at LSN {stop}")
 
@@ -134,7 +133,7 @@ class FileLogManager(LogManager):
 
     def _zero(self, offset: int, length: int) -> None:
         for at in range(offset, offset + length, len(_ZEROS)):
-            pwrite_all(self._fd, _ZEROS[: offset + length - at], at)
+            self.device.write(_ZEROS[: offset + length - at], at)
 
     def _reserve(self, upto: int) -> None:
         """Zero-fill whole extents until the file covers ``[0, upto)``."""
@@ -156,7 +155,7 @@ class FileLogManager(LogManager):
             self._reserve(upto)
             # Positional: a write that failed part-way is overwritten in
             # place by the retry, so file offsets keep matching LSNs.
-            pwrite_all(self._fd, data, upto - len(data))
+            self.device.write(data, upto - len(data))
             # The hand-over, only once written (a failed write leaves its
             # records for the next force): from here on the file has them.
             count = len(unwritten)
@@ -166,37 +165,17 @@ class FileLogManager(LogManager):
                 self._written_lsn = upto
                 self._written_records += count
         fire("filelog.fsync")
-        _datasync(self._fd)
+        self.device.sync()
         return upto
 
     def set_master_checkpoint(self, lsn: int) -> None:
         super().set_master_checkpoint(lsn)
-        tmp = self._master_path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(lsn.to_bytes(8, "big"))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, self._master_path)
+        self.master.replace(lsn.to_bytes(8, "big"))
 
-    # -- crash / close -----------------------------------------------------------------
-
-    def crash(self) -> None:
-        """Simulated crash: the unforced suffix never reached the file."""
-        # A crash inside a force can leave frames in the file that were
-        # never published as durable; zero them as the in-memory suffix is
-        # dropped, so the tail past the durable prefix is zeros again.
-        # No write ever went past the end of log or the reserved extents.
-        written_upto = min(self.end_lsn, self._reserved)
-        # Records handed over by a force that never finished are lost too.
-        lost = self._read_device(self.flushed_lsn, self._written_lsn)
-        self._written_records -= sum(1 for _ in lost)
-        self._written_lsn = self.flushed_lsn
-        super().crash()
-        if written_upto > self.flushed_lsn:
-            self._zero(self.flushed_lsn, written_upto - self.flushed_lsn)
+    # -- close -----------------------------------------------------------------------
 
     def close(self) -> None:
-        """Release underlying resources (idempotent)."""
-        if not self._file.closed:
-            self.force()
-            self._file.close()
+        """Force the tail and release the devices (idempotent)."""
+        self.force()
+        self.device.close()
+        self.master.close()

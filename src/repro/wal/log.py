@@ -8,7 +8,7 @@ partly "extra log operations reduce system throughput").
 
 Durability model: :meth:`force` makes the record at an LSN, and every
 record before it, durable; :meth:`crash` discards everything after the
-durable prefix.  Commit forces
+durable prefix (the file-backed log then reloads what its device kept).  Commit forces
 the log (the dominant latency of a small transaction on 2005 hardware —
 this is what makes the paper's 9.6 ms baseline).
 """
@@ -238,11 +238,18 @@ class LogManager:
     # -- crash simulation --------------------------------------------------------------
 
     def crash(self) -> None:
-        """Discard the non-durable suffix, as a power failure would."""
+        """Lose the unforced tail; a device-backed log reloads its device."""
         keep = bisect_left(self._lsns, self.flushed_lsn)
         del self._lsns[keep:]
         del self._raws[keep:]
         self.end_lsn = self._synced_lsn = self.flushed_lsn
+        self._open()
+
+    def _open(self) -> None:
+        """Load the device (the in-memory log keeps its forced prefix)."""
+
+    def close(self) -> None:
+        """Release the device (the in-memory log has none)."""
 
     def __len__(self) -> int:
         return self._written_records + len(self._lsns)

@@ -12,7 +12,8 @@ The recovery manager understands the paper's versioned log operations:
 * analysis derives the free list: the last checkpoint's, plus the ids the
   page store grew by since, plus those image records free after it, minus
   those image records name after it — so an id a crash orphaned (taken for
-  a page whose record was lost) is free again;
+  a page whose record was lost) is free again, and an id past the store's
+  end (growth a power loss took back) extends it;
 * undo of a loser's versioned update is **logical** — the version is removed
   from wherever the key currently lives, because key splits may have moved
   it — and is made restartable by redo-only compensation records carrying
@@ -100,7 +101,7 @@ def run_recovery(support: RecoverySupport) -> RecoveryReport:
     """Run analysis, redo, and undo; returns a :class:`RecoveryReport`."""
     report = RecoveryReport()
     att, dpt, free = _analysis(support, report)
-    support.buffer.disk.free_list.replace(free)
+    support.buffer.disk.free_list = free
     _redo(support, report, dpt)
     _undo(support, report, att)
     support.log.force()
@@ -132,7 +133,9 @@ def _analysis(
         scan_from = end.begin_lsn
         report.checkpoint_lsn = master
     # Every id the store grew by since is free unless a record below names it.
-    free.update(range(grown_from, support.buffer.disk.page_count))
+    disk = support.buffer.disk
+    count = disk.page_count
+    free.update(range(grown_from, count))
 
     for rec in log.records_from(scan_from):
         report.records_analyzed += 1
@@ -155,6 +158,9 @@ def _analysis(
             dpt.setdefault(rec.page_id, rec.lsn)
         elif isinstance(rec, MultiPageImage):
             for page_id, _ in rec.images:
+                if page_id >= count:
+                    free.update(range(count, page_id + 1))
+                    count = page_id + 1
                 dpt.setdefault(page_id, rec.lsn)
                 free.discard(page_id)
             free.update(rec.freed)
@@ -164,6 +170,7 @@ def _analysis(
             for page_id, _ in rec.images:
                 dpt.setdefault(page_id, rec.lsn)
         # CheckpointBegin / CheckpointEnd / PTTDelete need no analysis action.
+    disk.extend(count)
     return att, dpt, free
 
 

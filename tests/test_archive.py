@@ -33,11 +33,11 @@ from repro.faults.crashtest import (
     replay,
 )
 from repro.faults.failpoints import FailpointRegistry, installed
-from repro.faults.models import FaultyDisk
+from repro.faults.models import FaultyDevice
 from repro.repair.quarantine import Degraded
 from repro.storage.constants import ARCHIVE_PID_BIT, NO_PAGE
-from repro.storage.disk import InMemoryDisk
-from repro.storage.framing import HEADER, scan
+from repro.storage.device import FileDevice, MemoryDevice
+from repro.storage.framing import HEADER, frame, scan
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
 from repro.wal import recovery
@@ -374,7 +374,7 @@ class TestArchiveStore:
         a = store.append_block(b"one", 10)
         store.sync()
         store.append_block(b"two", 20)
-        store.crash()
+        store = ArchiveStore(store.device)      # a crash reopens the device
         assert len(store) == 1 and store.raw_bytes == 10
         assert store.read_block(a) == b"one"
         # The position the lost block had is handed out again.
@@ -382,15 +382,15 @@ class TestArchiveStore:
 
     def test_file_reopen_ignores_torn_tail(self, tmp_path):
         path = str(tmp_path / "arch")
-        store = ArchiveStore(path)
+        store = ArchiveStore(FileDevice(path))
         a = store.append_block(b"alpha", 100)
         b = store.append_block(b"beta", 200)
         store.sync()
         store.close()
         with open(path, "ab") as fh:  # torn frame: header, no payload
             fh.write(b"\x00\x00\x00\x00\x09")
-        reopened = ArchiveStore(path)
-        assert len(reopened) == reopened.durable_count == 2
+        reopened = ArchiveStore(FileDevice(path))
+        assert len(reopened) == 2
         assert reopened.read_block(a) == b"alpha"
         assert reopened.read_block(b) == b"beta"
         assert (reopened.raw_bytes, reopened.stored_bytes) == (300, 9)
@@ -402,7 +402,7 @@ class TestArchiveStore:
         is inside its CRC: a damaged frame and everything behind it are
         dropped, and the next append takes the first dropped position."""
         path = str(tmp_path / "arch")
-        store = ArchiveStore(path)
+        store = ArchiveStore(FileDevice(path))
         for n, blob in enumerate((b"alpha", b"beta", b"gamma")):
             store.append_block(blob, 100 + n)
         store.close()
@@ -416,12 +416,12 @@ class TestArchiveStore:
             else:
                 fh.seek(second)
                 fh.write(bytes(4))
-        reopened = ArchiveStore(path)
-        assert len(reopened) == reopened.durable_count == 1
+        reopened = ArchiveStore(FileDevice(path))
+        assert len(reopened) == 1
         assert reopened.read_block(0) == b"alpha"
         assert reopened.append_block(b"delta", 7) == 1
         reopened.close()
-        again = ArchiveStore(path)
+        again = ArchiveStore(FileDevice(path))
         assert [again.read_block(i) for i in range(len(again))] == [
             b"alpha", b"delta",
         ]
@@ -470,7 +470,7 @@ class TestMigrationEquivalence:
         db, table, _ = _build()
         moved = db.archive.drain()
         assert moved > 0
-        freed = set(db.disk.free_list.to_list())
+        freed = set(db.disk.free_list)
         assert len(freed) == moved
         page_count = db.disk.page_count
         # New history growth should consume the freed pids, smallest first.
@@ -712,8 +712,11 @@ class TestMigrationUnderPressure:
         disk (a dropped write) and the process dies right after the
         migration step.  The record that frees the page carries the
         referrer's image, so restart relinks the chain from the log."""
-        disk = FaultyDisk(InMemoryDisk())
-        db = ImmortalDB(disk=disk, archive=dict(ARCHIVE_FAST, pages_per_step=1))
+        disk = FaultyDevice(MemoryDevice())
+        db = ImmortalDB(
+            devices=lambda name: disk if name == "pages" else None,
+            archive=dict(ARCHIVE_FAST, pages_per_step=1),
+        )
         table = db.create_table(
             "hist", [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
             key="k", immortal=True,
@@ -995,10 +998,16 @@ def _archived_ref_pids(db) -> list[int]:
 
 
 def _tamper_block(db, ref_pid: int) -> None:
-    """Corrupt the stored bytes behind one archive ref."""
-    blocks = db.archive.store._blocks
-    raw_bytes, blob = blocks[ref_pid & ~ARCHIVE_PID_BIT]
-    blocks[ref_pid & ~ARCHIVE_PID_BIT] = (raw_bytes, b"\xde\xad" + blob[2:])
+    """Corrupt the stored bytes behind one archive ref: the block the store
+    holds and its frame on the device, behind a CRC that still matches."""
+    store = db.archive.store
+    position = ref_pid & ~ARCHIVE_PID_BIT
+    raw_bytes, blob = store._blocks[position]
+    store._blocks[position] = (raw_bytes, b"\xde\xad" + blob[2:])
+    offsets, payloads, _ = scan(store.device.read(store.device.size, 0))
+    store.device.write(
+        frame(payloads[position][:4] + b"\xde\xad" + blob[2:]), offsets[position]
+    )
 
 
 class TestQuarantine:

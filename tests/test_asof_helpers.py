@@ -8,7 +8,7 @@ from repro.clock import Timestamp
 from repro.core.asof import AsOfStats, page_for_time, version_as_of
 from repro.errors import AccessMethodError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import InMemoryDisk
+from repro.storage.disk import PageStore
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
 
@@ -19,7 +19,7 @@ def T(i: int) -> Timestamp:
 
 @pytest.fixture
 def buffer():
-    return BufferPool(InMemoryDisk(), capacity=32)
+    return BufferPool(PageStore(), capacity=32)
 
 
 def make_chain(buffer: BufferPool, ranges: list[tuple[int, int]]) -> DataPage:

@@ -11,7 +11,8 @@ from repro.access.btree import BTree, BTreeIndexPage
 from repro.clock import SimClock
 from repro.errors import PageFormatError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import FileDisk, InMemoryDisk
+from repro.storage.device import FileDevice
+from repro.storage.disk import PageStore
 from repro.storage.page import DataPage, decode_page
 from repro.storage.record import RecordVersion
 from repro.wal.log import LogManager
@@ -19,7 +20,7 @@ from repro.wal.log import LogManager
 
 class Env:
     def __init__(self, *, immortal=True, capacity=256, disk=None):
-        self.disk = disk or InMemoryDisk()
+        self.disk = disk or PageStore()
         self.buffer = BufferPool(self.disk, capacity=capacity)
         self.log = LogManager()
         self.clock = SimClock(ms_per_timestamp=5.0)
@@ -201,9 +202,9 @@ class TestConventionalSplitting:
 @pytest.fixture(params=["memory", "file"])
 def disk(request, tmp_path):
     if request.param == "memory":
-        yield InMemoryDisk()
+        yield PageStore()
     else:
-        store = FileDisk(tmp_path / "db.pages")
+        store = PageStore(FileDevice(tmp_path / "db.pages"))
         yield store
         store.close()
 

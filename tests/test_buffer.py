@@ -6,14 +6,14 @@ import pytest
 
 from repro.errors import BufferExhaustedError, BufferPoolError, LatchError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import InMemoryDisk
+from repro.storage.disk import PageStore
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
 
 
 @pytest.fixture
 def disk():
-    return InMemoryDisk()
+    return PageStore()
 
 
 @pytest.fixture

@@ -9,7 +9,7 @@ from repro.core.catalog import Catalog, ColumnDef, TableSchema
 from repro.core.rowcodec import ColumnType
 from repro.errors import CatalogError, TableExistsError, TableNotFoundError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import InMemoryDisk
+from repro.storage.disk import PageStore
 from repro.storage.page import DataPage
 from repro.wal.checkpoint import CheckpointManager
 from repro.wal.log import LogManager
@@ -82,7 +82,7 @@ class TestCheckpointManager:
     def env(self):
         class Env:
             def __init__(self):
-                self.disk = InMemoryDisk()
+                self.disk = PageStore()
                 self.buffer = BufferPool(self.disk, capacity=16)
                 self.log = LogManager()
                 self.ckpt = CheckpointManager(self.log, self.buffer)

@@ -31,6 +31,7 @@ from repro.faults.crashtest import (
     run_workload,
 )
 from repro.faults.oracle import Oracle
+from repro.wal.checkpoint import CheckpointManager
 
 # Small but seam-complete: enough transactions for several checkpoints and
 # marks, a tight buffer for evictions, fat values for page pressure.
@@ -387,19 +388,63 @@ class TestFileBacked:
             assert report.crashed, names[crossing]
             assert report.ok, (names[crossing], report.problems)
 
-    def test_only_the_plain_archive_and_service_sweeps(self, capsys):
-        CrashTestConfig(file=True, archive=True)
-        CrashTestConfig(file=True, service=True)
-        for other in ({"media_faults": True},
-                      {"service_faults": True}, {"shards": 2}):
-            with pytest.raises(ValueError, match="--file"):
-                CrashTestConfig(file=True, **other)
+    def test_every_sweep_but_the_cluster_runs_on_files(self, capsys):
+        for other in ({"archive": True}, {"service": True},
+                      {"media_faults": True}, {"service_faults": True}):
+            CrashTestConfig(file=True, **other)
+        with pytest.raises(ValueError, match="--file"):
+            CrashTestConfig(file=True, shards=2)
         with pytest.raises(SystemExit) as exit_:
-            main(["--file", "--media-faults"])
+            main(["--file", "--shards", "2"])
         assert exit_.value.code == 2
         assert "--file" in capsys.readouterr().err
         assert self.FILE.repro_args(3) \
             == "--seed 0 --file --transactions 18 --keys 8 --crash-point 3"
+
+    def test_media_faults_on_files_heal_after_a_power_loss(self):
+        config = dataclasses.replace(self.FILE, media_faults=True)
+        result = explore(config, max_points=30)
+        assert result.ok, [(r.crossing, r.problems) for r in result.failures]
+
+
+class TestPowerLoss:
+    """Every sweep loses power: each replay keeps all, none or a seeded
+    subset of every device's writes since its last sync."""
+
+    FILE = dataclasses.replace(SMALL, file=True)
+    TUNED_FILE = CrashTestConfig(profile="tuned", file=True)
+
+    def test_a_sweep_keeps_all_and_none_of_the_unsynced_writes(self):
+        result = explore(self.FILE)
+        assert result.ok
+        assert result.kept["all"] and result.kept["none"] \
+            and result.kept["a subset"]
+
+    def test_the_keep_set_derives_from_seed_and_crossing(self):
+        def kept():
+            return [replay(self.FILE, crossing).kept
+                    for crossing in range(0, 249, 6)]
+
+        first = kept()
+        assert first == kept() and len(set(first)) >= 3
+
+    def test_a_checkpoint_that_does_not_sync_the_page_file_is_red(
+        self, monkeypatch,
+    ):
+        """The planted bug: the master record moves past page writes that
+        never reached the platter.  Only a power loss can tell."""
+        assert explore(self.TUNED_FILE, max_points=60).ok
+        take = CheckpointManager.take
+
+        def take_without_sync(self, *args, **kwargs):
+            self.buffer.disk.sync = lambda: None
+            try:
+                return take(self, *args, **kwargs)
+            finally:
+                del self.buffer.disk.sync
+
+        monkeypatch.setattr(CheckpointManager, "take", take_without_sync)
+        assert not explore(self.TUNED_FILE, max_points=60).ok
 
 
 def _crossing_of(names: list[str], name: str, hit: int) -> int:

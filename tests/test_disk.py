@@ -1,4 +1,4 @@
-"""Tests for the page stores and their I/O accounting."""
+"""Tests for the page store on both devices and its I/O accounting."""
 
 from __future__ import annotations
 
@@ -6,14 +6,15 @@ import pytest
 
 from repro.errors import PageNotFoundError, StorageError
 from repro.storage.constants import META_PAGE_ID, PAGE_SIZE
-from repro.storage.disk import DiskStats, FileDisk, InMemoryDisk
+from repro.storage.device import FileDevice
+from repro.storage.disk import PageStore
 
 
 @pytest.fixture(params=["memory", "file"])
 def disk(request, tmp_path):
     if request.param == "memory":
-        return InMemoryDisk()
-    return FileDisk(tmp_path / "test.db")
+        return PageStore()
+    return PageStore(FileDevice(tmp_path / "test.db"))
 
 
 class TestPageStore:
@@ -78,28 +79,16 @@ class TestIOAccounting:
         disk.read_page(pids[3])
         assert disk.stats.sequential_reads == 0
 
-    def test_stats_delta(self):
-        stats = DiskStats(reads=10, writes=5, sequential_reads=2)
-        later = DiskStats(reads=15, writes=7, sequential_reads=4)
-        delta = later.delta(stats)
-        assert (delta.reads, delta.writes, delta.sequential_reads) == (5, 2, 2)
-
-    def test_snapshot_is_independent(self):
-        stats = DiskStats(reads=1)
-        snap = stats.snapshot()
-        stats.reads = 100
-        assert snap.reads == 1
-
 
 class TestFileDiskPersistence:
     def test_reopen_preserves_pages(self, tmp_path):
         path = tmp_path / "persist.db"
-        disk = FileDisk(path)
+        disk = PageStore(FileDevice(path))
         pid = disk.allocate()
         disk.write_page(pid, bytes([9]) * PAGE_SIZE)
         disk.close()
 
-        reopened = FileDisk(path)
+        reopened = PageStore(FileDevice(path))
         assert reopened.page_count == 2
         assert reopened.read_page(pid) == bytes([9]) * PAGE_SIZE
         reopened.close()
@@ -108,36 +97,39 @@ class TestFileDiskPersistence:
         path = tmp_path / "bad.db"
         path.write_bytes(b"x" * 100)
         with pytest.raises(StorageError):
-            FileDisk(path)
+            PageStore(FileDevice(path))
 
     def test_reopen_sees_the_same_page_count(self, tmp_path):
         path = tmp_path / "count.db"
-        disk = FileDisk(path)
+        disk = PageStore(FileDevice(path))
         for _ in range(5):
             disk.allocate()                 # ids taken, never written
         count = disk.page_count
         disk.close()
         assert path.stat().st_size == count * PAGE_SIZE
-        reopened = FileDisk(path)
+        reopened = PageStore(FileDevice(path))
         assert reopened.page_count == count == 6
         assert reopened.read_page(5) == bytes(PAGE_SIZE)
         reopened.close()
 
-    def test_short_read_is_page_not_found(self, tmp_path):
-        # The file lost its tail behind the store's back: the id is below
-        # page_count, the positional read comes back short.
+    def test_growth_the_device_lost_reads_as_never_written(self, tmp_path):
+        # The file lost its tail (a power loss took the growth back): the id
+        # is below page_count, the positional read comes back empty, and
+        # the page reads as allocated but never written.
         path = tmp_path / "short.db"
-        disk = FileDisk(path)
+        disk = PageStore(FileDevice(path))
         pid = disk.allocate()
-        with open(path, "r+b") as fh:
-            fh.truncate(pid * PAGE_SIZE + 100)
-        with pytest.raises(PageNotFoundError, match="short read"):
-            disk.read_page(pid)
+        disk.device.truncate(pid * PAGE_SIZE)
+        assert disk.read_page(pid) == bytes(PAGE_SIZE)
+        disk.crash()                # reopening goes by what the file holds
+        assert disk.page_count == pid
+        disk.extend(pid + 1)        # restart's answer: a record names it
+        assert disk.read_page(pid) == bytes(PAGE_SIZE)
         disk.close()
 
     def test_write_to_an_unallocated_id_leaves_the_file_alone(self, tmp_path):
         path = tmp_path / "refuse.db"
-        disk = FileDisk(path)
+        disk = PageStore(FileDevice(path))
         disk.allocate()
         with pytest.raises(PageNotFoundError):
             disk.write_page(2, bytes([1]) * PAGE_SIZE)   # one past the end
@@ -149,7 +141,7 @@ class TestFileDiskPersistence:
         # Unbuffered: a process that dies without close() loses nothing the
         # store was handed (the OS cache survives the process).
         path = tmp_path / "nobuffer.db"
-        disk = FileDisk(path)
+        disk = PageStore(FileDevice(path))
         pid = disk.allocate()
         disk.write_page(pid, bytes([3]) * PAGE_SIZE)
         assert path.read_bytes()[pid * PAGE_SIZE:] == bytes([3]) * PAGE_SIZE

@@ -1,7 +1,7 @@
 """Failpoint registry and fault-model tests.
 
 Covers: determinism of seeded fire schedules, the crash/arming policies,
-zero-cost behavior when no registry is installed, every FaultyDisk fault
+zero-cost behavior when no registry is installed, every FaultyDevice fault
 model in isolation, page CRC32 checksums (stamp, verify, detection of torn
 writes and bit-rot), and the torn-log-tail injector.
 """
@@ -19,9 +19,11 @@ from repro.faults.failpoints import (
     installed,
     installed_registry,
 )
-from repro.faults.models import FaultyDisk, tear_log_tail
+from repro.faults.models import FaultyDevice
+from repro.storage.constants import PAGE_SIZE
+from repro.storage.device import FileDevice, MemoryDevice
 from repro.storage.disk import (
-    InMemoryDisk,
+    PageStore,
     page_checksum,
     stamp_checksum,
     verify_checksum,
@@ -29,6 +31,7 @@ from repro.storage.disk import (
 from repro.storage.page import MetaPage
 from repro.wal.filelog import FileLogManager
 from repro.wal.records import BeginTxn, CommitTxn
+from tests.test_filelog import tear_log_tail
 
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.TEXT)]
@@ -142,17 +145,17 @@ def _meta_image(disk, pid: int, blob: bytes) -> bytes:
 
 class TestChecksums:
     def test_stamp_and_verify_roundtrip(self):
-        raw = _meta_image(InMemoryDisk(), 1, b"payload")
+        raw = _meta_image(PageStore(), 1, b"payload")
         stamped = stamp_checksum(raw)
         assert stamped != raw
         verify_checksum(stamped, 1)  # no raise
 
     def test_zero_field_means_unchecked(self):
-        raw = _meta_image(InMemoryDisk(), 1, b"payload")
+        raw = _meta_image(PageStore(), 1, b"payload")
         verify_checksum(raw, 1)  # codecs serialize CRC as 0: skip verify
 
     def test_corruption_detected(self):
-        raw = stamp_checksum(_meta_image(InMemoryDisk(), 1, b"payload"))
+        raw = stamp_checksum(_meta_image(PageStore(), 1, b"payload"))
         corrupt = bytearray(raw)
         corrupt[100] ^= 0x40
         with pytest.raises(ChecksumError):
@@ -178,98 +181,119 @@ class TestChecksums:
 
 
 class TestFaultyDisk:
+    """The faults one at a time, on a page store over a ``FaultyDevice``."""
+
     # Blobs fill ~8000 of the 8192 bytes so a tear at any offset lands in
     # bytes that actually differ between versions.
-    def _fresh(self, **kwargs) -> tuple[FaultyDisk, int, bytes]:
-        disk = FaultyDisk(InMemoryDisk(), **kwargs)
+    def _fresh(self, **kwargs) -> tuple[PageStore, FaultyDevice, int, bytes]:
+        device = FaultyDevice(MemoryDevice(), **kwargs)
+        disk = PageStore(device)
         disk.checksums = True
         pid = disk.allocate()
         image = stamp_checksum(_meta_image(disk, pid, b"v1" * 4000))
-        return disk, pid, image
+        return disk, device, pid, image
 
     def test_clean_passthrough(self):
-        disk, pid, image = self._fresh()
+        disk, device, pid, image = self._fresh()
         disk.write_page(pid, image)
         assert disk.read_page(pid) == image
         assert disk.stats.writes == 1 and disk.stats.reads == 1
-        assert disk.inner.stats.writes == 0  # inner's counters untouched
+        assert device.inner.read(PAGE_SIZE, pid * PAGE_SIZE) == image
 
     def test_torn_write_detected_by_checksum(self):
-        disk, pid, image = self._fresh()
+        disk, device, pid, image = self._fresh()
         disk.write_page(pid, image)
-        disk.arm("torn_write")
+        device.arm("torn_write")
         v2 = stamp_checksum(_meta_image(disk, pid, b"v2" * 4000))
         disk.write_page(pid, v2)
         with pytest.raises(ChecksumError):
             disk.read_page(pid)
-        assert disk.injected["torn_write"] == 1
+        assert device.injected["torn_write"] == 1
 
     def test_torn_write_silent_without_checksums(self):
-        disk, pid, image = self._fresh()
+        disk, device, pid, image = self._fresh()
         disk.checksums = False
         disk.write_page(pid, image)
-        disk.arm("torn_write")
+        device.arm("torn_write")
         v2 = _meta_image(disk, pid, b"v2" * 4000)
         disk.write_page(pid, v2)
         got = disk.read_page(pid)   # no error: this is the silent-damage case
         assert got != v2 and got != image
 
     def test_dropped_write_keeps_old_image(self):
-        disk, pid, image = self._fresh()
+        disk, device, pid, image = self._fresh()
         disk.write_page(pid, image)
-        disk.arm("dropped_write")
+        device.arm("dropped_write")
         disk.write_page(pid, stamp_checksum(_meta_image(disk, pid, b"new")))
         assert disk.read_page(pid) == image
 
     def test_bitrot_detected_by_checksum(self):
-        disk, pid, image = self._fresh()
+        disk, device, pid, image = self._fresh()
         disk.write_page(pid, image)
-        disk.arm("bitrot_read")
+        device.arm("bitrot_read")
         with pytest.raises(ChecksumError):
             disk.read_page(pid)
         assert disk.read_page(pid) == image  # rot was transient (in-cache copy)
 
     def test_transient_io_errors(self):
-        disk, pid, image = self._fresh()
-        disk.arm("write_error")
+        disk, device, pid, image = self._fresh()
+        device.arm("write_error")
         with pytest.raises(InjectedIOError):
             disk.write_page(pid, image)
         disk.write_page(pid, image)   # retry succeeds
-        disk.arm("read_error")
+        device.arm("read_error")
         with pytest.raises(InjectedIOError):
             disk.read_page(pid)
         assert disk.read_page(pid) == image
 
     def test_seeded_probabilistic_faults_are_deterministic(self):
         def injected(seed: int):
-            disk = FaultyDisk(InMemoryDisk(), seed=seed, dropped_write_p=0.3)
+            device = FaultyDevice(MemoryDevice(), seed=seed, dropped_write_p=0.3)
+            disk = PageStore(device)
             pid = disk.allocate()
             image = _meta_image(disk, pid, b"x")
             for _ in range(40):
                 disk.write_page(pid, image)
-            return dict(disk.injected)
+            return dict(device.injected)
 
         assert injected(3) == injected(3)
         assert injected(3)["dropped_write"] > 0
 
     def test_unknown_fault_kind_rejected(self):
-        disk = FaultyDisk(InMemoryDisk())
+        device = FaultyDevice(MemoryDevice())
         with pytest.raises(ValueError):
-            disk.arm("lightning_strike")
+            device.arm("lightning_strike")
 
     def test_engine_runs_on_faulty_disk(self):
-        # The engine accepts an injected disk; checksums catch corruption
-        # on the next physical read of a flushed page.
-        disk = FaultyDisk(InMemoryDisk())
-        db = ImmortalDB(disk=disk, page_checksums=True, buffer_pages=16)
+        # The engine takes its devices from an opener; checksums catch
+        # corruption on the next physical read of a flushed page.
+        device = FaultyDevice(MemoryDevice())
+        db = ImmortalDB(
+            devices=lambda name: device if name == "pages" else None,
+            page_checksums=True, buffer_pages=16,
+        )
         table = db.create_table("t", COLS, key="k", immortal=True)
         with db.transaction() as txn:
             table.insert(txn, {"k": 1, "v": "hello"})
         db.buffer.flush_all()
         db.buffer.discard_all()   # force the next read to hit the disk
-        disk.arm("bitrot_read")
+        device.arm("bitrot_read")
         with pytest.raises(ChecksumError):
             db.buffer.get_page(db.table("t").btree.root_pid)
+
+    def test_faults_reach_the_log_file(self, tmp_path):
+        # The same model under the log: a dropped log write leaves its
+        # frames out of the file, and the load scan stops before them.
+        device = FaultyDevice(FileDevice(tmp_path / "wal.log"))
+        log = FileLogManager(device)
+        log.append(BeginTxn(tid=1))
+        log.force()
+        device.arm("dropped_write")
+        log.append(BeginTxn(tid=2))
+        log.force()
+        assert device.injected["dropped_write"] == 1
+        log.crash()
+        assert [r.tid for r in log.records_from(0)] == [1]
 
 
 class TestTornLogTail:

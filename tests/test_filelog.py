@@ -17,7 +17,8 @@ from repro.faults.failpoints import (
     SimulatedCrash,
     installed,
 )
-from repro.faults.models import tear_log_tail
+from repro.faults.models import FaultyDevice
+from repro.storage.device import FileDevice
 from repro.storage.framing import scan
 from repro.wal import filelog
 from repro.wal.filelog import EXTENT_BYTES, FileLogManager
@@ -39,6 +40,41 @@ def _tail_record() -> CommitTxn:
 
 # The final frame the sweep tears: framing (length + crc32) + record bytes.
 _TAIL_FRAME = FileLogManager.FRAME_BYTES + len(_tail_record().to_bytes())
+
+
+def tear_log_tail(
+    path: str | os.PathLike,
+    *,
+    drop_bytes: int = 0,
+    garble_at: int | None = None,
+) -> int:
+    """Mangle the tail of a log file like an OS crash mid-write would (the
+    framing CRC must catch it on the next open).
+
+    The log file is preallocated, so its tail is measured from the *end of
+    the log* (the end of its last valid frame), not from the file's size.
+    ``drop_bytes`` zeroes that many bytes before the end of the log (a final
+    write of which only a prefix landed); ``garble_at`` flips one bit at
+    that file offset (negative offsets count from the end of the log).
+    Returns the offset the intact bytes now end at.
+    """
+    device = FileDevice(path)
+    try:
+        data = device.read(device.size, 0)
+        end = scan(data, FileLogManager.HEADER_BYTES)[2]
+        if drop_bytes:
+            keep = max(0, end - drop_bytes)
+            device.write(bytes(end - keep), keep)
+            end = keep
+        if garble_at is not None:
+            offset = garble_at if garble_at >= 0 else end + garble_at
+            if not 0 <= offset < len(data):
+                raise ValueError(f"garble offset {garble_at} outside file")
+            device.write(bytes([data[offset] ^ 0x01]), offset)
+        device.sync()
+    finally:
+        device.close()
+    return end
 
 
 def frames_on_disk(path) -> tuple[list[int], list[bytes], int, bytes]:
@@ -380,16 +416,34 @@ class TestDevicePath:
             with pytest.raises(OSError):
                 log.force()
         log.crash()
+        # The file keeps the frames the half write landed whole; the torn
+        # one behind them is zeroed as the log reloads.
+        kept = [r.tid for r in log.records_from(0)]
+        assert kept in ([1], [1, 2], [1, 2, 3])
         assert not any(frames_on_disk(path)[3][log.end_lsn:])
         log.append(BeginTxn(tid=6))
         log.force()
         log.close()
-        assert_offsets_are_lsns(path, [1, 6])
+        assert_offsets_are_lsns(path, [*kept, 6])
 
-    @pytest.mark.parametrize("point", ["filelog.write", "filelog.fsync"])
-    def test_crash_mid_force_keeps_offsets_equal_to_lsns(self, tmp_path, point):
+    @pytest.mark.parametrize("point,power_loss,tids", [
+        pytest.param("filelog.write", False, [1, 2, 6], id="filelog.write"),
+        # A killed process: the frames are in the file, unsynced or not.
+        pytest.param("filelog.fsync", False, [1, 2, 3, 4, 5, 6],
+                     id="filelog.fsync"),
+        # The power went before the sync, and the write with it.
+        pytest.param("filelog.fsync", True, [1, 2, 6],
+                     id="filelog.fsync-power-loss"),
+    ])
+    def test_crash_mid_force_keeps_offsets_equal_to_lsns(
+        self, tmp_path, point, power_loss, tids,
+    ):
         path = tmp_path / "wal.log"
-        log = _forced(path, [1, 2])
+        device = FaultyDevice(FileDevice(path))
+        log = FileLogManager(device, FileDevice(f"{path}.master"))
+        for tid in (1, 2):
+            log.append(BeginTxn(tid=tid))
+        log.force()
         for tid in (3, 4, 5):
             log.append(BeginTxn(tid=tid))
         registry = FailpointRegistry()
@@ -397,13 +451,15 @@ class TestDevicePath:
         with installed(registry):
             with pytest.raises(SimulatedCrash):
                 log.force()
+        if power_loss:
+            device.lose_power()
         log.crash()
         assert log.end_lsn == log.flushed_lsn
         assert not any(frames_on_disk(path)[3][log.end_lsn:])
         log.append(BeginTxn(tid=6))     # shorter than what the dead force wrote
         log.force()
         log.close()
-        assert_offsets_are_lsns(path, [1, 2, 6])
+        assert_offsets_are_lsns(path, tids)
 
 
 class TestLastTwoForcesSweep:
@@ -487,7 +543,7 @@ class TestCrossProcessDurability:
         """Drop the engine without close(): only forced state remains."""
         # Unforced log records live only in memory (frames are built at
         # force time), so they die with the process.
-        db.log._file.close()
+        db.log.device.close()
         # Cached dirty pages die with the process too (nothing to do: the
         # next open reads the disk file).
 
@@ -628,14 +684,15 @@ class TestTheFileIsTheLog:
                 got.force(upto)
                 want.force(upto)
             elif roll < 0.82 and got.end_lsn > got.flushed_lsn:
-                # Killed inside a force: written or not, nothing published.
+                # Killed inside a force: what was written survives.
                 registry = FailpointRegistry()
-                registry.crash_on(rng.choice(
-                    ("filelog.write", "filelog.fsync", "log.force")
-                ))
+                point = rng.choice(("filelog.write", "filelog.fsync", "log.force"))
+                registry.crash_on(point)
                 with installed(registry), pytest.raises(SimulatedCrash):
                     got.force()
                 got.crash()
+                if point != "filelog.write":
+                    want.force()    # the file has the frames: they load
                 want.crash()
             elif roll < 0.88:
                 got.crash()
@@ -643,7 +700,7 @@ class TestTheFileIsTheLog:
             elif roll < 0.94:
                 # Killed between forces: the unforced tail never reached
                 # the file.
-                got._file.close()
+                got.device.close()
                 got = FileLogManager(path)
                 want.crash()
             else:

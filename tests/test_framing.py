@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.archive.store import ArchiveStore
+from repro.storage.device import FileDevice
 from repro.errors import TornFrameError
 from repro.service import protocol
 from repro.storage.framing import HEADER, frame, scan, scan_chunks
@@ -88,8 +89,8 @@ class TestEveryReaderStopsAtTheSameFrame:
     def test_archive_store_reopen(self, label, image, good, tmp_path):
         path = tmp_path / "arch"
         path.write_bytes(image)
-        store = ArchiveStore(str(path))
-        assert store.durable_count == len(store) == good
+        store = ArchiveStore(FileDevice(path))
+        assert len(store) == good
         assert [store.read_block(i) for i in range(good)] \
             == [p[4:] for p in PAYLOADS[:good]]
         assert store.raw_bytes == sum(
@@ -98,8 +99,8 @@ class TestEveryReaderStopsAtTheSameFrame:
         assert store.append_block(b"next", 9) == good
         store.close()
         # Truncated to the clean prefix: the append is the next position.
-        reopened = ArchiveStore(str(path))
-        assert reopened.durable_count == good + 1
+        reopened = ArchiveStore(FileDevice(path))
+        assert len(reopened) == good + 1
         assert reopened.read_block(good) == b"next"
         reopened.close()
 

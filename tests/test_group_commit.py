@@ -25,6 +25,8 @@ from repro import ColumnType, ImmortalDB
 from repro.cluster import ShardRouter
 from repro.faults.crashtest import CrashTestConfig, enumerate_crossings, explore
 from repro.faults.failpoints import FailpointRegistry, SimulatedCrash, installed
+from repro.faults.models import FaultyDevice
+from repro.storage.device import file_devices
 from repro.workers.pool import WorkerPool
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.TEXT)]
@@ -393,13 +395,32 @@ class TestStagedForce:
         assert db.log.stats.forces == forces_before + 1
         db.close()
 
-    @pytest.mark.parametrize("point", ["filelog.fsync", "log.force"])
+    @pytest.mark.parametrize("point,power_loss,survivors", [
+        # A killed process: the file has the dead force's frames, unsynced
+        # or not, and the un-acked commit they hold survives.
+        pytest.param("filelog.fsync", False, {1, 2, 3}, id="filelog.fsync"),
+        pytest.param("log.force", False, {1, 2, 3}, id="log.force"),
+        # The power went before the sync: the frames with it.
+        pytest.param("filelog.fsync", True, {1, 2},
+                     id="filelog.fsync-power-loss"),
+    ])
     def test_crash_inside_a_force_acks_nothing_and_loses_no_ack(
-        self, tmp_path, point
+        self, tmp_path, point, power_loss, survivors,
     ):
         """``filelog.fsync``: frames written, not synced.  ``log.force``:
         synced, not yet published — between *sync* and *finish*."""
-        db, table, acked = self._file_db(tmp_path, concurrent=False)
+        path = str(tmp_path / "db.pages")
+        devices = []
+
+        def open_device(name):
+            devices.append(FaultyDevice(file_devices(path)(name)))
+            return devices[-1]
+
+        db = ImmortalDB(devices=open_device, buffer_pages=64,
+                        group_commit_window=8)
+        table = make_table(db)
+        acked: list[int] = []
+        db.txn_mgr.durable_commit_hook = lambda txn: acked.append(txn.tid)
         insert_one(db, table, 1)
         insert_one(db, table, 2)
         db.flush_commits()
@@ -412,16 +433,19 @@ class TestStagedForce:
                 db.flush_commits()
         assert len(acked) == 2              # txn 3 was never acknowledged
         assert db.log.flushed_lsn < db.log.end_lsn
+        if power_loss:
+            for device in devices:
+                device.lose_power()
         db.crash_and_recover()
         table = db.table("t")
         with db.transaction() as txn:
-            assert {r["k"] for r in table.scan(txn)} == {1, 2}
-        # The frames the dead force left in the file are gone with it, so
-        # offsets still equal LSNs: later commits survive a real reopen.
+            assert {r["k"] for r in table.scan(txn)} == survivors
+        # Whatever the dead force left in the file, offsets still equal
+        # LSNs: later commits survive a real reopen.
         insert_one(db, table, 4)
         db.close()
-        reopened = ImmortalDB(str(tmp_path / "db.pages"), buffer_pages=64)
+        reopened = ImmortalDB(path, buffer_pages=64)
         with reopened.transaction() as txn:
             rows = {r["k"] for r in reopened.table("t").scan(txn)}
-        assert rows == {1, 2, 4}
+        assert rows == survivors | {4}
         reopened.close()

@@ -209,6 +209,26 @@ class TestPageAccounting:
         assert books.page_count == sum(books.by_kind.values()) \
             - books.by_kind["archived"]     # a reference, not a page
 
+    def test_a_dropped_table_frees_its_pages(self):
+        db = ImmortalDB(buffer_pages=64)
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        for k in range(200):
+            with db.transaction() as txn:
+                table.insert(txn, {"k": k, "v": "x" * 80})
+        pages = page_accounting(db).page_count
+        db.drop_table("t")
+        assert page_accounting(db).orphans == []
+        db.crash_and_recover()
+        books = page_accounting(db)
+        assert books.orphans == [] and books.by_kind["free"] > 0
+        other = db.create_table("u", COLS, key="k", immortal=True)
+        with db.transaction() as txn:
+            for k in range(50):
+                other.insert(txn, {"k": k, "v": "y" * 80})
+        assert db.disk.stats.free_reuses > 0
+        assert db.disk.page_count == pages
+        assert page_accounting(db).orphans == [] and verify_integrity(db) == []
+
     @pytest.mark.parametrize("on_file", [False, True])
     def test_an_ascending_load_takes_a_page_id_only_for_a_logged_page(
         self, on_file, tmp_path
@@ -245,7 +265,7 @@ class TestPageAccounting:
         stored = db.disk.page_count * db.disk.page_size
         assert stored / user_bytes <= 2.0, stored / user_bytes
         if on_file:
-            path = db.disk.path
+            path = db.disk.device.path
             db.close()
             with open(path, "rb") as fh:
                 data = fh.read()

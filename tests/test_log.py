@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import WALError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import InMemoryDisk
+from repro.storage.disk import PageStore
 from repro.storage.page import DataPage
 from repro.wal.log import LogManager
 from repro.wal.records import BeginTxn, CheckpointEnd, CommitTxn
@@ -159,7 +159,7 @@ class TestWriteAheadRule:
     def test_page_at_the_durable_boundary_forces_before_its_write(
         self, flush_batch
     ):
-        log, disk = LogManager(), InMemoryDisk()
+        log, disk = LogManager(), PageStore()
         pool = BufferPool(disk, capacity=8, flush_batch=flush_batch)
         pool.log_force = log.force
         page = pool.new_page(lambda pid: DataPage(pid, table_id=1))
@@ -191,7 +191,7 @@ class TestWriteAheadRule:
         # Every frame is dirty at or past the durable prefix, so covered-first
         # victim selection finds nothing and falls back: whichever images
         # the eviction writes, each one's record is durable by then.
-        log, disk = LogManager(), InMemoryDisk()
+        log, disk = LogManager(), PageStore()
         pool = BufferPool(disk, capacity=4, eviction="2q", flush_batch=flush_batch)
         pool.log_force = log.force
         pool.durable_lsn = lambda: log.flushed_lsn

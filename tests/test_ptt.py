@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.clock import Timestamp
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import InMemoryDisk
+from repro.storage.disk import PageStore
 from repro.storage.page import decode_page
 from repro.timestamp.ptt import PersistentTimestampTable, PTTNodePage
 from repro.wal.log import LogManager
@@ -16,7 +16,7 @@ from repro.wal.records import CommitTxn
 
 @pytest.fixture
 def buffer():
-    return BufferPool(InMemoryDisk(), capacity=256)
+    return BufferPool(PageStore(), capacity=256)
 
 
 @pytest.fixture
@@ -129,7 +129,7 @@ class TestSplitsAndStructure:
                 assert decoded.children == node.children
 
     def test_survives_buffer_eviction(self):
-        buffer = BufferPool(InMemoryDisk(), capacity=4)
+        buffer = BufferPool(PageStore(), capacity=4)
         ptt = PersistentTimestampTable(buffer, LogManager())
         for tid in range(1, 1200):
             insert(ptt, tid, ts(tid))
@@ -146,7 +146,7 @@ class TestPropertyBased:
         delete_mask=st.lists(st.booleans(), min_size=300, max_size=300),
     )
     def test_insert_delete_matches_dict(self, tids, delete_mask):
-        buffer = BufferPool(InMemoryDisk(), capacity=64)
+        buffer = BufferPool(PageStore(), capacity=64)
         ptt = PersistentTimestampTable(buffer, LogManager())
         model: dict[int, Timestamp] = {}
         for tid in tids:

@@ -254,7 +254,7 @@ class TestTidFloor:
 
     @staticmethod
     def _killed_and_reopened(db: ImmortalDB, path: str) -> ImmortalDB:
-        db.log._file.close()        # no close(): only the forced log is left
+        db.log.device.close()       # no close(): only the forced log is left
         db.disk.close()             # (its pages are in the file already)
         return ImmortalDB(path, buffer_pages=64)
 

@@ -30,11 +30,12 @@ from repro.errors import (
 )
 from repro.faults.crashtest import CrashTestConfig, replay
 from repro.faults.failpoints import FailpointRegistry, SimulatedCrash, installed
-from repro.faults.models import FaultyDisk
+from repro.faults.models import FaultyDevice
 from repro.repair import restore
 from repro.repair.quarantine import Degraded
 from repro.repair.scrub import Scrubber
-from repro.storage.disk import InMemoryDisk, RetryPolicy
+from repro.storage.device import MemoryDevice
+from repro.storage.disk import PageStore, RetryPolicy
 from repro.storage.page import DataPage, decode_page
 from repro.wal import recovery
 from repro.wal.records import (
@@ -72,9 +73,10 @@ def build_media_db(
     after the last backup refresh — their pages are written back, so the
     disk is current and the backup is not.
     """
-    disk = FaultyDisk(InMemoryDisk(), seed=seed)
+    device = FaultyDevice(MemoryDevice(), seed=seed)
     db = ImmortalDB(
-        disk=disk, buffer_pages=buffer_pages, page_checksums=True,
+        devices=lambda name: device if name == "pages" else None,
+        buffer_pages=buffer_pages, page_checksums=True,
         media_recovery=True, timestamping=timestamping,
     )
     table = db.create_table("t", COLS, key="k", immortal=True)
@@ -131,14 +133,23 @@ def build_media_db(
         db.flush_commits()
         db.buffer.flush_all()
     assert not db.buffer.dirty_page_table()
-    return db, table, disk, expected, marks
+    return db, table, db.disk, expected, marks
 
 
-def data_page_ids(disk: FaultyDisk, *, history: bool | None = None) -> list[int]:
+def stored(disk: PageStore, pid: int) -> bytes:
+    """The page as the faulty device's inner device holds it."""
+    return disk.device.inner.read(disk.page_size, pid * disk.page_size)
+
+
+def corrupt(disk: PageStore, pid: int, mode: str) -> None:
+    disk.device.corrupt_stored(pid * disk.page_size, disk.page_size, mode=mode)
+
+
+def data_page_ids(disk: PageStore, *, history: bool | None = None) -> list[int]:
     """Page ids whose on-disk image decodes as a DataPage."""
     pids = []
     for pid in range(disk.page_count):
-        raw = disk.inner._read(pid)
+        raw = stored(disk, pid)
         if not any(raw):
             continue
         try:
@@ -167,14 +178,14 @@ class TestByteIdenticalRestore:
         modes = ("bitrot", "garbage", "zero")
         replayed: set[type] = set()
         for pid in range(disk.page_count):
-            good = disk.inner._read(pid)
+            good = stored(disk, pid)
             replayed.update(
                 type(r) for r in db.repair.redo_index.records_for(
                     pid, after_lsn=db.repair.backup.image_lsn(pid))
             )
-            disk.corrupt_stored(pid, mode=modes[pid % len(modes)])
+            corrupt(disk, pid, modes[pid % len(modes)])
             scrubber.full_pass()
-            assert disk.inner._read(pid) == good, \
+            assert stored(disk, pid) == good, \
                 f"seed {seed}: page {pid} not byte-identical after repair"
         # Every page-affecting record type went through restore's replay.
         stamps = {StampOp} if timestamping == "eager" else set()
@@ -207,10 +218,10 @@ class TestByteIdenticalRestore:
         assert trimmed
         scrubber = Scrubber(db)
         for pid in trimmed:
-            good = disk.inner._read(pid)
-            disk.corrupt_stored(pid, mode="garbage")
+            good = stored(disk, pid)
+            corrupt(disk, pid, "garbage")
             scrubber.full_pass()
-            assert disk.inner._read(pid) == good, f"page {pid}"
+            assert stored(disk, pid) == good, f"page {pid}"
 
 
 class TestOneRedoTwoCallers:
@@ -321,17 +332,17 @@ class TestRestoreReadsTheLogFile:
     @staticmethod
     def _damage(db, pid):
         size = db.disk.page_size
-        os.pwrite(db.disk._fd, bytes(range(256)) * 4, pid * size + size // 2)
+        db.disk.device.write(bytes(range(256)) * 4, pid * size + size // 2)
 
     def test_scrubber_restores_from_the_log_file(self, tmp_path):
         db, pids = self._file_db(tmp_path / "db.pages")
         size = db.disk.page_size
-        good = {pid: os.pread(db.disk._fd, size, pid * size) for pid in pids}
+        good = {pid: db.disk.device.read(size, pid * size) for pid in pids}
         for pid in pids:
             self._damage(db, pid)
         Scrubber(db).full_pass()
         for pid in pids:
-            assert os.pread(db.disk._fd, size, pid * size) == good[pid]
+            assert db.disk.device.read(size, pid * size) == good[pid]
         assert db.stats()["repair_records_replayed"] > 0
         assert Scrubber(db).full_pass() == []
         db.close()
@@ -344,12 +355,12 @@ class TestRestoreReadsTheLogFile:
         pid = db.ptt.root_pid           # sixty commits: the root is the leaf
         assert pid in pids
         size = db.disk.page_size
-        good = os.pread(db.disk._fd, size, pid * size)
+        good = db.disk.device.read(size, pid * size)
         self._damage(db, pid)
         replayed = db.stats()["repair_records_replayed"]
         findings = Scrubber(db).full_pass()
         assert [f.page_id for f in findings] == [pid]
-        assert os.pread(db.disk._fd, size, pid * size) == good
+        assert db.disk.device.read(size, pid * size) == good
         assert db.stats()["repair_records_replayed"] > replayed
         assert Scrubber(db).full_pass() == []
         db.close()
@@ -388,7 +399,7 @@ class TestReadTriggeredRepair:
         leaf = table.btree.search_leaf(table.codec.encode_key(key))
         pid = leaf.page_id
         db.buffer.discard_all()
-        disk.corrupt_stored(pid, mode="garbage")
+        corrupt(disk, pid, "garbage")
         with db.transaction() as txn:
             assert table.read(txn, key)["v"] == expected[key]
         assert db.repair.stats.page_faults >= 1
@@ -399,13 +410,13 @@ class TestReadTriggeredRepair:
         db, table, disk, expected, _ = build_media_db(1)
         key = next(iter(expected))
         pid = table.btree.search_leaf(table.codec.encode_key(key)).page_id
-        good = disk.inner._read(pid)
+        good = stored(disk, pid)
         db.buffer.discard_all()
-        disk.corrupt_stored(pid, mode="bitrot")
+        corrupt(disk, pid, "bitrot")
         with db.transaction() as txn:
             table.read(txn, key)
         db.buffer.flush_all()
-        assert disk.inner._read(pid) == good
+        assert stored(disk, pid) == good
 
 
 class TestScrubber:
@@ -418,7 +429,7 @@ class TestScrubber:
     def test_checksum_damage_found_and_dispatched(self):
         db, _, disk, _, _ = build_media_db(0)
         pid = data_page_ids(disk)[0]
-        disk.corrupt_stored(pid, mode="bitrot")
+        corrupt(disk, pid, "bitrot")
         scrubber = Scrubber(db)
         findings = scrubber.full_pass()
         assert any(
@@ -432,33 +443,33 @@ class TestScrubber:
         db, table, disk, expected, _ = build_media_db(0)
         key = next(iter(expected))
         pid = table.btree.search_leaf(table.codec.encode_key(key)).page_id
-        old = disk.inner._read(pid)
+        old = stored(disk, pid)
         for i in range(3):
             with db.transaction() as txn:
                 table.update(txn, key, {"v": f"fresh{i}" + "y" * 200})
         db.flush_commits()
         db.buffer.flush_all()
-        new = disk.inner._read(pid)
+        new = stored(disk, pid)
         assert new != old
         # Silently lose the write: put the old, checksum-valid image back.
-        disk.inner._write(pid, old)
+        disk.device.inner.write(old, pid * disk.page_size)
         db.buffer.discard_all()
         scrubber = Scrubber(db)
         findings = scrubber.full_pass()
         assert any(
             f.page_id == pid and f.kind == "stale" for f in findings
         )
-        assert disk.inner._read(pid) == new
+        assert stored(disk, pid) == new
 
     def test_zeroed_page_detected_as_lost_sector(self):
         db, _, disk, _, _ = build_media_db(0)
         pid = data_page_ids(disk)[0]
-        good = disk.inner._read(pid)
-        disk.corrupt_stored(pid, mode="zero")
+        good = stored(disk, pid)
+        corrupt(disk, pid, "zero")
         scrubber = Scrubber(db)
         findings = scrubber.full_pass()
         assert any(f.page_id == pid for f in findings)
-        assert disk.inner._read(pid) == good
+        assert stored(disk, pid) == good
 
     def test_step_budget_is_respected(self):
         db, _, _, _, _ = build_media_db(0)
@@ -477,7 +488,7 @@ class TestQuarantineAndDegradation:
         key = next(iter(expected))
         pid = table.btree.search_leaf(table.codec.encode_key(key)).page_id
         db.buffer.discard_all()
-        disk.corrupt_stored(pid, mode="garbage")
+        corrupt(disk, pid, "garbage")
         with db.transaction() as txn:
             result = table.read(txn, key)
         assert isinstance(result, Degraded)
@@ -492,7 +503,7 @@ class TestQuarantineAndDegradation:
         key = next(iter(expected))
         pid = table.btree.search_leaf(table.codec.encode_key(key)).page_id
         db.buffer.discard_all()
-        disk.corrupt_stored(pid, mode="garbage")
+        corrupt(disk, pid, "garbage")
         with db.transaction() as txn:
             assert isinstance(table.read(txn, key), Degraded)
         assert db.repair.repair_page(pid)
@@ -510,7 +521,7 @@ class TestQuarantineAndDegradation:
         # (history pages are immutable) must answer them exactly.
         chosen = None
         for pid in data_page_ids(disk, history=True):
-            page = decode_page(disk.inner._read(pid))
+            page = decode_page(stored(disk, pid))
             for ts, snapshot in marks:
                 if page.split_ts <= ts < page.end_ts:
                     chosen = (pid, ts, snapshot)
@@ -520,7 +531,7 @@ class TestQuarantineAndDegradation:
         assert chosen is not None, "workload produced no usable history page"
         pid, ts, snapshot = chosen
         db.buffer.discard_all()
-        disk.corrupt_stored(pid, mode="garbage")
+        corrupt(disk, pid, "garbage")
         degraded = 0
         for key, value in snapshot.items():
             result = table.read_as_of(ts, key)
@@ -538,7 +549,7 @@ class TestRetryPolicy:
         key = next(iter(expected))
         db.buffer.discard_all()
         before = db.stats()
-        disk.arm("read_error", 2)
+        disk.device.arm("read_error", 2)
         with db.transaction() as txn:
             assert table.read(txn, key)["v"] == expected[key]
         delta = db.stats()
@@ -549,7 +560,7 @@ class TestRetryPolicy:
         db, table, disk, _, _ = build_media_db(3)
         with db.transaction() as txn:
             table.insert(txn, {"k": 10_001, "v": "fresh"})
-        disk.arm("write_error")
+        disk.device.arm("write_error")
         db.flush_commits()
         db.buffer.flush_all()
         assert db.stats()["io_write_retries"] >= 1
@@ -558,7 +569,7 @@ class TestRetryPolicy:
         db, table, disk, expected, _ = build_media_db(3)
         key = next(iter(expected))
         db.buffer.discard_all()
-        disk.arm("read_error", 10)   # more than max_attempts
+        disk.device.arm("read_error", 10)   # more than max_attempts
         with pytest.raises(InjectedIOError):
             with db.transaction() as txn:
                 table.read(txn, key)
@@ -575,7 +586,7 @@ class TestCrashDuringRestore:
     def test_crash_before_restore_write_is_idempotent(self):
         db, table, disk, expected, _ = build_media_db(4)
         pid = data_page_ids(disk)[0]
-        disk.corrupt_stored(pid, mode="garbage")
+        corrupt(disk, pid, "garbage")
         registry = FailpointRegistry()
         registry.crash_on("repair.restore.write")
         scrubber = Scrubber(db)
@@ -599,7 +610,7 @@ class TestExceptionContext:
         db, _, disk, _, _ = build_media_db(0)
         db.repair.auto_repair = False
         pid = data_page_ids(disk)[0]
-        disk.corrupt_stored(pid, mode="bitrot")
+        corrupt(disk, pid, "bitrot")
         with pytest.raises(ChecksumError) as err:
             disk.read_page(pid)
         assert err.value.page_id == pid
@@ -607,7 +618,7 @@ class TestExceptionContext:
 
     def test_injected_io_error_carries_op_and_page(self):
         db, _, disk, _, _ = build_media_db(0)
-        disk.arm("read_error", 10)
+        disk.device.arm("read_error", 10)
         with pytest.raises(InjectedIOError) as err:
             disk.read_page(1)
         assert err.value.page_id == 1
@@ -619,7 +630,7 @@ class TestExceptionContext:
         key = next(iter(expected))
         pid = table.btree.search_leaf(table.codec.encode_key(key)).page_id
         db.buffer.discard_all()
-        disk.corrupt_stored(pid, mode="garbage")
+        corrupt(disk, pid, "garbage")
         with pytest.raises(PageQuarantinedError) as err:
             db.buffer.get_page(pid)
         assert err.value.page_id == pid
@@ -637,7 +648,7 @@ class TestIntegrityReport:
     def test_report_findings_carry_location(self):
         db, _, disk, _, _ = build_media_db(0)
         pid = data_page_ids(disk)[0]
-        disk.corrupt_stored(pid, mode="bitrot")
+        corrupt(disk, pid, "bitrot")
         db.repair.auto_repair = False
         findings = Scrubber(db).full_pass()
         assert findings, "scrubber should have found the damage"

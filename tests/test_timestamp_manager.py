@@ -8,7 +8,7 @@ from repro.access.btree import BTree
 from repro.clock import SimClock, Timestamp
 from repro.errors import UnknownTransactionError
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import InMemoryDisk
+from repro.storage.disk import PageStore
 from repro.storage.page import DataPage, decode_page
 from repro.storage.record import RecordVersion
 from repro.timestamp.manager import TimestampManager
@@ -21,7 +21,7 @@ from repro.wal.records import CommitTxn
 def env():
     class Env:
         def __init__(self):
-            self.disk = InMemoryDisk()
+            self.disk = PageStore()
             self.buffer = BufferPool(self.disk, capacity=64)
             self.log = LogManager()
             self.clock = SimClock()

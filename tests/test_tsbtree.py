@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from repro.access.tsbtree import Rect, TSBEntry, TSBHistoryIndex, TSBIndexPage
 from repro.clock import Timestamp
 from repro.storage.buffer import BufferPool
-from repro.storage.disk import InMemoryDisk
+from repro.storage.disk import PageStore
 from repro.storage.page import decode_page
 
 
@@ -65,7 +65,7 @@ class TestCodec:
 
 @pytest.fixture
 def index():
-    buffer = BufferPool(InMemoryDisk(), capacity=512)
+    buffer = BufferPool(PageStore(), capacity=512)
     return TSBHistoryIndex(buffer, table_id=1)
 
 
@@ -173,7 +173,7 @@ class TestPropertyBased:
         probes=st.lists(st.integers(0, 149), min_size=5, max_size=30),
     )
     def test_search_agrees_with_linear_scan(self, slices, probes):
-        buffer = BufferPool(InMemoryDisk(), capacity=512)
+        buffer = BufferPool(PageStore(), capacity=512)
         index = TSBHistoryIndex(buffer, table_id=1)
         rects = []
         for i in range(slices):
