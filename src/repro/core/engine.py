@@ -33,7 +33,7 @@ from repro.core.rowcodec import ColumnType
 from repro.core.table import Table
 from repro.errors import CatalogError, SchemaError, TableNotFoundError
 from repro.faults.failpoints import fire
-from repro.storage.buffer import BufferPool
+from repro.storage.buffer import FLUSH_BATCH, BufferPool
 from repro.storage.constants import META_PAGE_ID
 from repro.repair.manager import MediaRecoveryManager
 from repro.storage.device import Device, file_devices
@@ -67,15 +67,24 @@ class ImmortalDB:
         ms_per_commit: float = 5.0,
         clock: SimClock | None = None,
         devices: Callable[[str], Device | None] | None = None,
-        page_checksums: bool = False,
         group_commit_window: int = 1,
         asof_route_cache: bool = False,
         media_recovery: bool = False,
-        eviction: str = "lru",
-        flush_batch: int = 0,
         read_ahead: int = 0,
         archive=None,
+        eviction: str = "2q",
+        flush_batch: int = FLUSH_BATCH,
+        page_checksums: bool = True,
     ) -> None:
+        # One value each, for benchmarks/e2e/adapter.py (ROADMAP 3a deletes
+        # the three names together with adapter.TUNED).
+        if (eviction, flush_batch, page_checksums) != ("2q", FLUSH_BATCH, True):
+            raise ValueError(
+                "the pool evicts 2Q, writes back in batches of "
+                f"{FLUSH_BATCH} and checksums every page: eviction='2q', "
+                f"flush_batch={FLUSH_BATCH} and page_checksums=True are the "
+                "only values"
+            )
         if timestamping not in ("lazy", "eager"):
             raise ValueError("timestamping must be 'lazy' or 'eager'")
         if devices is not None and path is not None:
@@ -85,23 +94,15 @@ class ImmortalDB:
         if devices is None:
             devices = file_devices(str(path)) if path else lambda name: None
         self.disk = PageStore(devices("pages"))
-        self.disk.checksums = page_checksums
         self.clock = clock or SimClock(ms_per_timestamp=ms_per_commit)
         log_device = devices("log")
         self.log: LogManager = (
             FileLogManager(log_device, devices("master"))
             if log_device is not None else LogManager()
         )
-        # Buffer-pool tuning knobs (see DESIGN.md "Buffer management"):
-        # ``eviction`` picks the victim-selection policy, ``flush_batch``
-        # groups dirty write-backs under one WAL force, ``read_ahead``
-        # prefetches past sequential misses.  The defaults keep the seed
-        # LRU/per-page/no-prefetch behaviour byte-identical.
-        self.buffer = BufferPool(
-            self.disk, buffer_pages,
-            eviction=eviction, flush_batch=flush_batch,
-            read_ahead=read_ahead,
-        )
+        # 2Q eviction and batched write-back (DESIGN.md "Buffer
+        # management"); ``read_ahead`` prefetches past sequential misses.
+        self.buffer = BufferPool(self.disk, buffer_pages, read_ahead=read_ahead)
         self.buffer.log_force = self.log.force
         self.buffer.durable_lsn = lambda: self.log.flushed_lsn
         self.timestamping = timestamping
@@ -653,8 +654,7 @@ class ImmortalDB:
             "buffer_misses": buf.misses,
             "buffer_evictions": buf.evictions,
             "page_flushes": buf.page_flushes,
-            # Eviction/flush-scheduling detail (all zero with the defaults:
-            # LRU never skips in single-threaded runs, batching is off).
+            # Eviction/flush-scheduling detail.
             "buffer_dirty_evictions": buf.dirty_evictions,
             "flush_batches": buf.flush_batches,
             "flush_coalesced_writes": buf.flush_coalesced_writes,

@@ -71,9 +71,9 @@ class LatchError(StorageError):
 class ChecksumError(StorageError):
     """A page image failed its CRC32 verification on read.
 
-    Raised only when page checksums are enabled (``page_checksums=True`` on
-    the engine); it turns silent media corruption — torn writes, bit-rot —
-    into a typed, catchable failure instead of downstream chain damage.
+    Every page read verifies the CRC32 its write stamped, so silent media
+    corruption — torn writes, bit-rot, a zeroed checksum field — becomes a
+    typed, catchable failure instead of downstream chain damage.
 
     Carries enough context to dispatch a repair from the exception alone:
     the page id, the CRC the image claims vs the CRC it actually hashes to,

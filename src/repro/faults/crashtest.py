@@ -83,11 +83,11 @@ class CrashTestConfig:
     mark_every: int = 5
     buffer_pages: int = 8
     value_pad: int = 700
-    # The engine under test is ``ImmortalDB(**PROFILES[profile])``: "paper"
-    # forces the log at every commit, flushes page by page and evicts LRU;
-    # "tuned" — what benchmarks/e2e measures — group-commits, evicts 2Q
-    # through batched write-back (crossings between a batch's one log force
-    # and each page write), checksums pages and caches as-of routes (so the
+    # The engine under test is ``ImmortalDB(**PROFILES[profile])``.  Both
+    # evict 2Q through batched write-back (crossings between a batch's one
+    # log force and each page write) and checksum every page; "paper"
+    # forces the log at every commit, while "tuned" — what benchmarks/e2e
+    # measures — group-commits, reads ahead and caches as-of routes (so the
     # workload probes an earlier mark mid-run, warming the cache).
     profile: str = "paper"
     # Archive (PR 7): cold-history tiering on, with a horizon short
@@ -98,8 +98,8 @@ class CrashTestConfig:
     archive: bool = False
     # At most one of the next four picks the scenario (see SCENARIOS);
     # none of them is the plain engine crash.
-    # Run with checksums, write verification, transient-IO retry and media
-    # recovery; inject a page-device fault instead of crashing (then lose
+    # Run with media recovery (write verification, transient-IO retry,
+    # restore); inject a page-device fault instead of crashing (then lose
     # power once the run is over).
     media_faults: bool = False
     # Drive the workload through the service core over the loopback wire
@@ -190,7 +190,7 @@ def build(config: CrashTestConfig) -> Rig:
         )
     else:
         if config.media_faults:
-            engine.update(page_checksums=True, media_recovery=True)
+            engine.update(media_recovery=True)
         db = ImmortalDB(**engine)
     table = db.create_table(
         TABLE, [("k", ColumnType.INT), ("v", ColumnType.TEXT)],
@@ -776,9 +776,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--profile", choices=sorted(PROFILES), default=CrashTestConfig.profile,
         help="the engine configuration under test (repro.PROFILES): 'paper' "
-             "is the 2005 defaults, 'tuned' is what benchmarks/e2e measures "
-             "(group commit, 2Q, batched write-back, read-ahead, page "
-             "checksums, as-of route cache with a mid-workload probe)",
+             "forces every commit, 'tuned' is what benchmarks/e2e measures "
+             "(group commit, read-ahead, as-of route cache with a mid-workload "
+             "probe); both evict 2Q, batch write-back and checksum pages",
     )
     for flag, text in (
         ("--archive",

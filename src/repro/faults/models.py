@@ -8,8 +8,8 @@ stay after it), a **dropped write**, **bit-rot** on a read, and a
 retry clears).  Each is armed one-shot (``device.arm("torn_write")`` hits
 the next write) or drawn with a seeded probability; all randomness comes
 from one ``random.Random(seed)``, so a failing run replays exactly.  Torn
-and rotten pages are silent here: the page CRC32 checksums
-(``page_checksums=True``) and the log's frame CRCs detect them.
+and rotten pages are silent here: the page CRC32 every page write stamps
+and the log's frame CRCs detect them.
 
 **Power loss.**  The device remembers each write (and size change) since its
 last ``sync()``.  :meth:`FaultyDevice.lose_power` keeps the synced image

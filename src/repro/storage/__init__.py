@@ -14,6 +14,6 @@ engine that the paper's prototype extends:
 * :mod:`repro.storage.disk` — the page store on a device, with physical
   I/O accounting used by the benchmark cost model,
 * :mod:`repro.storage.buffer` — a buffer pool with latching, dirty tracking,
-  LRU eviction, and pre-flush hooks (the hook is how flush-triggered lazy
-  timestamping is wired in, Section 2.2).
+  2Q eviction, batched write-back, and pre-flush hooks (the hook is how
+  flush-triggered lazy timestamping is wired in, Section 2.2).
 """

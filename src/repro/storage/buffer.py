@@ -16,31 +16,27 @@ serializes page work — but conflicting acquisitions raise
 discipline (exclusive latch to stamp a record, shared latch for a plain
 read of a stamped one).
 
-Eviction is pluggable (``eviction="lru" | "2q"``):
+Eviction is Johnson & Shasha's 2Q: first-touch pages enter a FIFO
+probation queue (A1in) and are evicted from it unless re-referenced *after*
+falling into the ghost list (A1out); only re-referenced pages enter the
+protected LRU (Am).  A long history scan therefore washes through A1in
+without displacing the hot current-page working set — the access pattern
+the paper's time-split storage produces.  The victim scan also passes over
+a dirty frame the durable log does not cover yet (``durable_lsn``): writing
+it would force the log inside the group-commit window, so write-back
+follows the durable log instead of driving it.
 
-* ``lru`` — the seed policy, byte-identical to the original single-list
-  implementation (it operates directly on the pool's recency-ordered frame
-  table, including the rotate-pinned-frames-to-the-hot-end scan).
-* ``2q`` — Johnson & Shasha's 2Q: first-touch pages enter a FIFO probation
-  queue (A1in) and are evicted from it unless re-referenced *after* falling
-  into the ghost list (A1out); only re-referenced pages enter the protected
-  LRU (Am).  A long history scan therefore washes through A1in without
-  displacing the hot current-page working set — the access pattern the
-  paper's time-split storage produces.  Its victim scan also passes over
-  a dirty frame the durable log does not cover yet (``durable_lsn``):
-  writing it would force the log inside the group-commit window, so
-  write-back follows the durable log instead of driving it.
-
-Write-back is optionally batched (``flush_batch=N``): an eviction of a
-dirty page gathers up to ``N-1`` additional cold dirty pages, runs the
+Write-back is batched (:data:`FLUSH_BATCH`): an eviction of a dirty page
+gathers up to ``FLUSH_BATCH - 1`` additional cold dirty pages, runs the
 pre-flush hooks for the whole batch, forces the log **once** to the batch's
 maximum page LSN (amortizing the fsync the WAL rule otherwise costs every
 dirty eviction), and writes the pages in page-id order so adjacent ids
 reach the disk sequentially.  ``flush_all`` (checkpoints) batches the same
 way.  The WAL rule is preserved — the single force covers every page in
 the batch — and lazy timestamping is unchanged: stamping consults
-``log.flushed_lsn`` *before* the force, so it is exactly as conservative
-as the per-page path.
+``log.flushed_lsn`` *before* the force, so it stamps nothing a crash could
+leave uncommitted.  ``flush_page`` writes one page alone (the boot page,
+archive relinks, repair).
 """
 
 from __future__ import annotations
@@ -96,42 +92,82 @@ def _unevictable(frame: Frame) -> bool:
     return bool(frame.pin_count or frame.exclusive_latch or frame.share_latches)
 
 
-# ---------------------------------------------------------------------------
-# Eviction policies
-# ---------------------------------------------------------------------------
+FLUSH_BATCH = 8
+"""Dirty pages written under one log force (a victim and its companions)."""
 
-class EvictionPolicy:
-    """Victim selection strategy; notified of admissions and removals.
 
-    The pool owns the frame table (``pool._frames``); a policy owns only its
-    ordering metadata; an access (done inline by the pool) moves a page in
-    the policy's ``hot`` dict to its end.  ``select_victim`` must return an
-    evictable frame or
-    raise :exc:`BufferExhaustedError` — it must not return a pinned or
-    latched frame, and must terminate even when every frame is unevictable.
+class TwoQPolicy:
+    """2Q (Johnson & Shasha, VLDB '94), full version: the pool's victim choice.
+
+    * ``A1in`` — FIFO probation queue for first-touch pages (target size
+      ``kin`` = capacity/8: probation churn is cheap, and a small A1in
+      leaves the protected queue room for a hot set approaching pool
+      size).  Re-accessing a page *while it is in A1in* does not promote
+      it: a sequential scan touches each page once more during
+      processing, and promoting on that touch would let scans poison the
+      protected queue (the flaw 2Q exists to fix).
+    * ``A1out`` — ghost list of recently evicted probation pages (ids
+      only, no frames; target ``kout`` = capacity/2, the paper's 50%).
+      A page faulting in while ghosted has shown re-use *beyond* scan
+      distance → admit straight to Am.  The window is deliberately
+      narrow: a *periodic* scan (a monitoring sweep that repeats every
+      few hundred operations) must find its ghosts already aged out, or
+      the second sweep would promote the whole sweep into Am and evict
+      the genuinely hot set.
+    * ``Am`` — protected LRU of proven-hot pages.  Only Am is touched by
+      an access (the pool moves a page in ``hot`` to its end).
+
+    The pool owns the frame table (``pool._frames``); the policy owns only
+    the queues.  ``select_victim`` returns an evictable frame or raises
+    :exc:`BufferExhaustedError`, and terminates even when every frame is
+    unevictable.
     """
-
-    name = "base"
-    hot: OrderedDict
 
     def __init__(self, pool: "BufferPool") -> None:
         self.pool = pool
+        self.kin = max(1, pool.capacity // 8)
+        self.kout = max(2, pool.capacity // 2)
+        self.a1in: OrderedDict[int, None] = OrderedDict()
+        self.a1out: OrderedDict[int, None] = OrderedDict()
+        self.am: OrderedDict[int, None] = OrderedDict()
+        self.hot = self.am
 
     def on_admit(self, page_id: int) -> None:
-        raise NotImplementedError
+        if page_id in self.a1out:
+            del self.a1out[page_id]
+            self.am[page_id] = None
+        else:
+            self.a1in[page_id] = None
 
     def on_remove(self, page_id: int) -> None:
-        raise NotImplementedError
+        self.a1in.pop(page_id, None)
+        self.am.pop(page_id, None)
 
     def select_victim(self) -> tuple[int, Frame]:
-        raise NotImplementedError
+        # Prefer the probation queue while it exceeds its target share (or
+        # the protected queue has nothing to give); fall back to the other
+        # queue when every frame in the preferred one is pinned.
+        if len(self.a1in) > self.kin or not self.am:
+            order = (self.a1in, self.am)
+        else:
+            order = (self.am, self.a1in)
+        pid, frame, queue = self._scan(self.pool.durable_lsn(), *order)
+        if queue is self.a1in:      # leaves probation: remember it as a ghost
+            self.a1out[pid] = None
+            while len(self.a1out) > self.kout:
+                self.a1out.popitem(last=False)
+        return pid, frame
 
     def iter_cold(self) -> Iterator[int]:
         """Page ids, coldest first (flush-batch companion selection)."""
-        raise NotImplementedError
+        yield from self.a1in
+        yield from self.am
 
     def clear(self) -> None:
         """Forget everything (crash simulation)."""
+        self.a1in.clear()
+        self.a1out.clear()
+        self.am.clear()
 
     def _scan(
         self, durable: float, *queues: OrderedDict
@@ -183,113 +219,6 @@ class EvictionPolicy:
         )
 
 
-class LRUPolicy(EvictionPolicy):
-    """The seed policy: single recency list, byte-identical behaviour.
-
-    Operates directly on the pool's OrderedDict so the recency order —
-    including the detail that ``mark_dirty`` counts as a touch and that the
-    eviction scan rotates pinned frames to the hot end — matches the
-    original single-list implementation exactly.
-    """
-
-    name = "lru"
-
-    def __init__(self, pool: "BufferPool") -> None:
-        super().__init__(pool)
-        self.hot = pool._frames     # an access is a touch of the recency list
-
-    def on_admit(self, page_id: int) -> None:
-        self.pool._frames.move_to_end(page_id)
-
-    def on_remove(self, page_id: int) -> None:
-        pass
-
-    def select_victim(self) -> tuple[int, Frame]:
-        # No frame counts as uncovered here: ``paper`` forces the log at
-        # every commit, so only the running transaction's pages ever are,
-        # and sending those round again moves results/abl1's cold reads.
-        return self._scan(math.inf, self.pool._frames)[:2]
-
-    def iter_cold(self) -> Iterator[int]:
-        yield from self.pool._frames
-
-
-class TwoQPolicy(EvictionPolicy):
-    """2Q (Johnson & Shasha, VLDB '94), full version.
-
-    * ``A1in`` — FIFO probation queue for first-touch pages (target size
-      ``kin`` = capacity/8: probation churn is cheap, and a small A1in
-      leaves the protected queue room for a hot set approaching pool
-      size).  Re-accessing a page *while it is in A1in* does not promote
-      it: a sequential scan touches each page once more during
-      processing, and promoting on that touch would let scans poison the
-      protected queue (the flaw 2Q exists to fix).
-    * ``A1out`` — ghost list of recently evicted probation pages (ids
-      only, no frames; target ``kout`` = capacity/2, the paper's 50%).
-      A page faulting in while ghosted has shown re-use *beyond* scan
-      distance → admit straight to Am.  The window is deliberately
-      narrow: a *periodic* scan (a monitoring sweep that repeats every
-      few hundred operations) must find its ghosts already aged out, or
-      the second sweep would promote the whole sweep into Am and evict
-      the genuinely hot set.
-    * ``Am`` — protected LRU of proven-hot pages.
-    """
-
-    name = "2q"
-
-    def __init__(self, pool: "BufferPool") -> None:
-        super().__init__(pool)
-        self.kin = max(1, pool.capacity // 8)
-        self.kout = max(2, pool.capacity // 2)
-        self.a1in: OrderedDict[int, None] = OrderedDict()
-        self.a1out: OrderedDict[int, None] = OrderedDict()
-        self.am: OrderedDict[int, None] = OrderedDict()
-        # Only Am is touched by an access: a page in A1in is deliberately
-        # NOT promoted on re-access.
-        self.hot = self.am
-
-    def on_admit(self, page_id: int) -> None:
-        if page_id in self.a1out:
-            del self.a1out[page_id]
-            self.am[page_id] = None
-        else:
-            self.a1in[page_id] = None
-
-    def on_remove(self, page_id: int) -> None:
-        self.a1in.pop(page_id, None)
-        self.am.pop(page_id, None)
-
-    def select_victim(self) -> tuple[int, Frame]:
-        # Prefer the probation queue while it exceeds its target share (or
-        # the protected queue has nothing to give); fall back to the other
-        # queue when every frame in the preferred one is pinned.
-        if len(self.a1in) > self.kin or not self.am:
-            order = (self.a1in, self.am)
-        else:
-            order = (self.am, self.a1in)
-        pid, frame, queue = self._scan(self.pool.durable_lsn(), *order)
-        if queue is self.a1in:      # leaves probation: remember it as a ghost
-            self.a1out[pid] = None
-            while len(self.a1out) > self.kout:
-                self.a1out.popitem(last=False)
-        return pid, frame
-
-    def iter_cold(self) -> Iterator[int]:
-        yield from self.a1in
-        yield from self.am
-
-    def clear(self) -> None:
-        self.a1in.clear()
-        self.a1out.clear()
-        self.am.clear()
-
-
-_POLICIES: dict[str, type[EvictionPolicy]] = {
-    "lru": LRUPolicy,
-    "2q": TwoQPolicy,
-}
-
-
 class BufferPool:
     """Page cache over a :class:`~repro.storage.disk.PageStore`."""
 
@@ -298,26 +227,14 @@ class BufferPool:
         disk: PageStore,
         capacity: int = 1024,
         *,
-        eviction: str = "lru",
-        flush_batch: int = 0,
         read_ahead: int = 0,
     ) -> None:
         if capacity < 4:
             raise ValueError("buffer pool needs at least 4 frames")
-        try:
-            policy_cls = _POLICIES[eviction]
-        except KeyError:
-            raise ValueError(
-                f"unknown eviction policy {eviction!r} "
-                f"(choose from {sorted(_POLICIES)})"
-            ) from None
-        if flush_batch < 0:
-            raise ValueError("flush_batch must be >= 0")
         if read_ahead < 0:
             raise ValueError("read_ahead must be >= 0")
         self.disk = disk
         self.capacity = capacity
-        self.flush_batch = flush_batch
         self.read_ahead = read_ahead
         # Read-ahead state.  ``_last_miss_pid`` is the high-water mark of
         # the most recent forward miss run (advanced by prefetch reads);
@@ -334,7 +251,7 @@ class BufferPool:
         self._staged: OrderedDict[int, bytes] = OrderedDict()
         self.stats = BufferStats()
         self._frames: OrderedDict[int, Frame] = OrderedDict()
-        self._policy: EvictionPolicy = policy_cls(self)
+        self._policy = TwoQPolicy(self)
         self._hot = self._policy.hot
         # Hooks. pre_flush_hooks run on the in-memory page right before it is
         # serialized to disk; log_force is called with the page LSN (WAL rule).
@@ -362,10 +279,6 @@ class BufferPool:
         # outside the engine latch.  get_page and mark_dirty_page take it
         # by hand: a ``with`` on a C lock costs twice as much.
         self.mutex = threading.RLock()
-
-    @property
-    def eviction(self) -> str:
-        return self._policy.name
 
     # -- fetching ---------------------------------------------------------------
 
@@ -573,17 +486,13 @@ class BufferPool:
         # earning its sequential-write credit (and, on real hardware, an
         # elevator-friendly write pattern).
         with self.mutex:
-            if self.flush_batch > 1:
-                dirty = [
-                    self._frames[pid]
-                    for pid in sorted(self._frames)
-                    if self._frames[pid].dirty
-                ]
-                for i in range(0, len(dirty), self.flush_batch):
-                    self._write_batch(dirty[i:i + self.flush_batch])
-            else:
-                for pid in sorted(self._frames):
-                    self.flush_page(pid)
+            dirty = [
+                self._frames[pid]
+                for pid in sorted(self._frames)
+                if self._frames[pid].dirty
+            ]
+            for i in range(0, len(dirty), FLUSH_BATCH):
+                self._write_batch(dirty[i:i + FLUSH_BATCH])
 
     def _write_back(self, frame: Frame) -> None:
         fire("buffer.flush.begin")
@@ -604,7 +513,7 @@ class BufferPool:
         Crash-consistency argument: the hooks (lazy stamping) run first and
         consult ``log.flushed_lsn`` *before* the force, so they stamp no
         version whose commit record is still volatile — exactly as
-        conservative as the per-page path.  The single force to the batch's
+        conservative as ``flush_page``.  The single force to the batch's
         maximum LSN then satisfies the WAL rule for every page in the
         batch.  A crash between two page writes leaves a prefix of the
         batch durable, which redo recovery already handles (the same state
@@ -647,7 +556,7 @@ class BufferPool:
         if victim.page.lsn >= durable:
             durable = math.inf      # this batch forces anyway: any companion
         for pid in self._policy.iter_cold():
-            if len(batch) >= self.flush_batch:
+            if len(batch) >= FLUSH_BATCH:
                 break
             if pid == victim_pid:
                 continue
@@ -734,10 +643,7 @@ class BufferPool:
         fire("buffer.evict")
         if frame.dirty:
             self.stats.dirty_evictions += 1
-            if self.flush_batch > 1:
-                self._flush_batch_for(frame)
-            else:
-                self._write_back(frame)
+            self._flush_batch_for(frame)
         del self._frames[pid]
         self._policy.on_remove(pid)
         self.stats.evictions += 1

@@ -14,8 +14,8 @@ CHECKSUM_OFFSET = 16
 """Byte offset of the page-header CRC32 field.
 
 Page codecs always serialize it as zero; the disk layer stamps the real
-checksum at write time when checksums are enabled (and 0 therefore means
-"no checksum stamped", so unchecked images stay readable).
+checksum on every write and verifies it on every read.  A stored 0 passes
+only on an all-zero (never-written) page; on any other image it is damage.
 """
 
 CHECKSUM_SIZE = 4

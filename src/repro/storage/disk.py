@@ -39,8 +39,7 @@ _LSN_OFFSET = 8
 def page_checksum(raw: bytes) -> int:
     """CRC32 over a page image, excluding the header's checksum field.
 
-    Never returns 0 — that value is reserved for "no checksum stamped", so
-    images written before checksums were enabled stay readable.
+    Never returns 0: a stored 0 is a page that was never written.
     """
     view = memoryview(raw)      # CRC32 reads the two spans in place
     crc = zlib.crc32(view[:CHECKSUM_OFFSET])
@@ -59,12 +58,16 @@ def stamp_checksum(raw: bytes) -> bytes:
 
 
 def verify_checksum(raw: bytes, page_id: int) -> None:
-    """Raise :exc:`ChecksumError` if a stamped image fails verification."""
+    """Raise :exc:`ChecksumError` unless ``raw`` is a stamped image or all zeros.
+
+    A stored CRC of 0 passes only on a never-written page; on any other
+    image it is damage (a zeroed header field, or a torn write).
+    """
     stored = int.from_bytes(
         raw[CHECKSUM_OFFSET : CHECKSUM_OFFSET + CHECKSUM_SIZE], "big"
     )
-    if stored == 0:
-        return  # written before checksums were enabled
+    if stored == 0 and not any(raw):
+        return
     computed = page_checksum(raw)
     if stored != computed:
         raise ChecksumError(
@@ -127,8 +130,10 @@ class DiskStats:
 class PageStore:
     """Fixed-size pages addressed by integer page id, on one device.
 
-    Page id 0 (``META_PAGE_ID``) always exists and holds the database
-    boot block; :meth:`allocate` hands out ids 1, 2, 3, …
+    Every write stamps the page's CRC32 into its header and every read
+    verifies it (:func:`verify_checksum`).  Page id 0 (``META_PAGE_ID``)
+    always exists and holds the database boot block; :meth:`allocate` hands
+    out ids 1, 2, 3, …
     """
 
     def __init__(
@@ -137,7 +142,6 @@ class PageStore:
         self.device: Device = MemoryDevice() if device is None else device
         self.page_size = page_size
         self.stats = DiskStats()
-        self.checksums = False   # opt-in: stamp on write, verify on read
         self.retry: RetryPolicy | None = None   # opt-in transient-error retry
         self.verify_writes = False   # opt-in: read back and compare each write
         # Ids to reuse, smallest first, before the store grows; each freed
@@ -163,8 +167,7 @@ class PageStore:
 
     def read_page(self, page_id: int) -> bytes:
         raw = self._read_retrying(page_id)
-        if self.checksums:
-            verify_checksum(raw, page_id)
+        verify_checksum(raw, page_id)
         self.stats.reads += 1
         if page_id == self._last_read_pid + 1:
             self.stats.sequential_reads += 1
@@ -190,8 +193,7 @@ class PageStore:
                 f"page image is {len(raw)} bytes, page size is {self.page_size}"
             )
         fire("disk.write_page")
-        if self.checksums:
-            raw = stamp_checksum(raw)
+        raw = stamp_checksum(raw)
         # Verification without at least one rewrite attempt would detect torn
         # and dropped writes but be unable to do anything about them, so
         # verify_writes alone grants a single retry.

@@ -418,7 +418,7 @@ class TestSplitPagesFollowTheirLogRecord:
         from repro import ImmortalDB
         from repro.wal.records import MultiPageImage
 
-        db = ImmortalDB(buffer_pages=8, eviction="2q", flush_batch=4)
+        db = ImmortalDB(buffer_pages=8)
         table = db.create_table(
             "t", [("k", "int"), ("v", "text")], key="k", immortal=True
         )

@@ -5,8 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import BufferExhaustedError, BufferPoolError, LatchError
-from repro.storage.buffer import BufferPool
-from repro.storage.disk import PageStore
+from repro.storage.buffer import FLUSH_BATCH, BufferPool
+from repro.storage.disk import PageStore, stamp_checksum
 from repro.storage.page import DataPage
 from repro.storage.record import RecordVersion
 
@@ -58,7 +58,7 @@ class TestCaching:
         first.insert_version(RecordVersion.new(b"k", b"v", 1))
         new_data_page(pool)  # evicts `first`
         raw = disk.read_page(first.page_id)
-        assert raw == first.to_bytes()
+        assert raw == stamp_checksum(first.to_bytes())
 
     def test_pinned_pages_survive_eviction(self, pool):
         page = new_data_page(pool)
@@ -236,25 +236,21 @@ class TestBufferExhausted:
         assert isinstance(err, BufferPoolError)  # callers catching the
         # broad pool error keep working
 
-    def test_exhaustion_for_every_policy(self, disk):
-        for eviction in ("lru", "2q"):
-            pool = BufferPool(disk, capacity=4, eviction=eviction)
-            for _ in range(4):
-                pool.pin(new_data_page(pool).page_id)
-            with pytest.raises(BufferExhaustedError):
-                new_data_page(pool)
+    def test_unknown_policy_rejected(self):
+        # 2Q is the one policy; the engine takes the name at "2q" only
+        # (test_engine.py holds "lru" to that too).
+        from repro import ImmortalDB
 
-    def test_unknown_policy_rejected(self, disk):
-        for removed_or_unknown in ("arc", "clock"):
+        for unknown in ("arc", "clock"):
             with pytest.raises(ValueError):
-                BufferPool(disk, capacity=8, eviction=removed_or_unknown)
+                ImmortalDB(eviction=unknown)
 
 
 class TestTwoQPolicy:
     def test_one_touch_pages_do_not_displace_reaccessed_ones(self, disk):
         # Pool of 8: kin=1, kout=4.  Pages promoted via ghost re-fault land
         # in Am and survive a scan of one-touch pages.
-        pool = BufferPool(disk, capacity=8, eviction="2q")
+        pool = BufferPool(disk, capacity=8)
         hot = fill_disk_pages(disk, 2)
         scan = fill_disk_pages(disk, 20, start_key=100)
         # First touch: hot pages enter probation, get evicted, ghosted.
@@ -271,7 +267,7 @@ class TestTwoQPolicy:
         assert all(pool.contains(pid) for pid in hot)
 
     def test_reaccess_in_probation_does_not_promote(self, disk):
-        pool = BufferPool(disk, capacity=8, eviction="2q")
+        pool = BufferPool(disk, capacity=8)
         pids = fill_disk_pages(disk, 12)
         first = pids[0]
         pool.get_page(first)
@@ -284,8 +280,8 @@ class TestTwoQPolicy:
 
 
 class TestBatchedFlush:
-    def _dirty_pool(self, disk, *, flush_batch, count=6):
-        pool = BufferPool(disk, capacity=16, flush_batch=flush_batch)
+    def _dirty_pool(self, disk, *, count=10):
+        pool = BufferPool(disk, capacity=16)
         forces = []
         pool.log_force = forces.append
         pages = [new_data_page(pool) for _ in range(count)]
@@ -295,15 +291,15 @@ class TestBatchedFlush:
         return pool, pages, forces
 
     def test_flush_all_batches_with_one_force_per_batch(self, disk):
-        pool, pages, forces = self._dirty_pool(disk, flush_batch=4)
+        pool, pages, forces = self._dirty_pool(disk)
         pool.flush_all()
-        assert pool.stats.flush_batches == 2           # 6 pages / batch of 4
+        assert pool.stats.flush_batches == 2           # 10 pages / batch of 8
         assert len(forces) == 2                        # one force per batch
-        assert forces[0] == max(p.lsn for p in pages[:4])
+        assert forces[0] == max(p.lsn for p in pages[:FLUSH_BATCH])
         assert not any(pool.is_dirty(p.page_id) for p in pages)
 
     def test_batch_writes_in_page_id_order_and_counts_coalesced(self, disk):
-        pool, pages, _ = self._dirty_pool(disk, flush_batch=8)
+        pool, pages, _ = self._dirty_pool(disk, count=FLUSH_BATCH)
         order = []
         real_write = disk.write_page
         disk.write_page = lambda pid, raw: (order.append(pid),
@@ -315,7 +311,7 @@ class TestBatchedFlush:
         assert pool.stats.flush_coalesced_writes == len(pages) - 1
 
     def test_dirty_eviction_piggybacks_cold_dirty_companions(self, disk):
-        pool = BufferPool(disk, capacity=4, flush_batch=4)
+        pool = BufferPool(disk, capacity=4)
         pages = [new_data_page(pool) for _ in range(4)]
         assert all(pool.is_dirty(p.page_id) for p in pages)
         new_data_page(pool)  # one eviction...
@@ -328,7 +324,7 @@ class TestBatchedFlush:
     def test_flushbatch_failpoints_fire(self, disk):
         from repro.faults.failpoints import FailpointRegistry, installed
 
-        pool, _, _ = self._dirty_pool(disk, flush_batch=4)
+        pool, _, _ = self._dirty_pool(disk)
         reg = FailpointRegistry()
         reg.trace_on()
         with installed(reg):
@@ -341,11 +337,15 @@ class TestBatchedFlush:
             "buffer.flushbatch.write"
         )
 
-    def test_unbatched_default_uses_per_page_path(self, disk):
-        pool, _, forces = self._dirty_pool(disk, flush_batch=0)
-        pool.flush_all()
+    def test_flush_page_writes_one_page_under_its_own_force(self, disk):
+        # The one unbatched write-back: the boot page, archive relinks and
+        # repair write a single page.
+        pool, pages, forces = self._dirty_pool(disk)
+        pool.flush_page(pages[3].page_id)
         assert pool.stats.flush_batches == 0
-        assert len(forces) == 6                        # one force per page
+        assert forces == [pages[3].lsn]
+        assert [p.page_id for p in pages if not pool.is_dirty(p.page_id)] \
+            == [pages[3].page_id]
 
 
 class TestReadAhead:
@@ -472,19 +472,16 @@ class StubLog:
             self.flushed = lsn + 1
 
 
-@pytest.mark.parametrize("flush_batch", [0, 4])
 class TestCoveredFirstEviction:
     """2Q passes over a dirty frame whose LSN the log has not made durable:
     its write-back would force the log ahead of the group commit."""
 
-    def _pool(self, disk, flush_batch, *, flushed, capacity=8):
+    def _pool(self, disk, *, flushed, capacity=8):
         """A full pool of clean one-touch pages (all in A1in, FIFO order)
         over a stub log, and three more page ids to fault in; every image
         that reaches the disk from here on is checked against the WAL rule
         and its page id recorded."""
-        pool = BufferPool(
-            disk, capacity=capacity, eviction="2q", flush_batch=flush_batch
-        )
+        pool = BufferPool(disk, capacity=capacity)
         log = StubLog(flushed)
         pool.log_force = log.force
         pool.durable_lsn = lambda: log.flushed
@@ -506,10 +503,8 @@ class TestCoveredFirstEviction:
         page.lsn = lsn
         pool.mark_dirty(page.page_id, lsn)
 
-    def test_clean_and_covered_frames_go_first_without_a_force(
-        self, disk, flush_batch
-    ):
-        pool, log, pages, spare, written = self._pool(disk, flush_batch, flushed=50)
+    def test_clean_and_covered_frames_go_first_without_a_force(self, disk):
+        pool, log, pages, spare, written = self._pool(disk, flushed=50)
         self._dirty(pool, pages[0], 100)        # above the durable prefix
         self._dirty(pool, pages[1], 50)         # at the boundary: not durable
         self._dirty(pool, pages[2], 10)         # covered
@@ -529,11 +524,9 @@ class TestCoveredFirstEviction:
         assert log.physical == []
         assert pool.stats.evict_scan_skips == 0
 
-    def test_every_frame_uncovered_still_evicts_and_forces_first(
-        self, disk, flush_batch
-    ):
+    def test_every_frame_uncovered_still_evicts_and_forces_first(self, disk):
         pool, log, pages, spare, written = self._pool(
-            disk, flush_batch, flushed=50, capacity=4
+            disk, flushed=50, capacity=4
         )
         for i, page in enumerate(pages):
             self._dirty(pool, page, 100 + i)
@@ -543,14 +536,12 @@ class TestCoveredFirstEviction:
         assert not pool.contains(pages[0].page_id)
         assert pages[0].page_id in written
         assert pool.stats.dirty_evictions == 1
-        assert log.physical == [103 if flush_batch else 100]
-        assert len(written) == (4 if flush_batch else 1)
+        assert log.physical == [103]            # one force for the batch
+        assert len(written) == 4
 
-    def test_a_passed_over_frame_is_the_next_victim_once_covered(
-        self, disk, flush_batch
-    ):
+    def test_a_passed_over_frame_is_the_next_victim_once_covered(self, disk):
         pool, log, pages, spare, written = self._pool(
-            disk, flush_batch, flushed=50, capacity=4
+            disk, flushed=50, capacity=4
         )
         self._dirty(pool, pages[0], 100)
         pool.pin(pages[2].page_id)

@@ -17,7 +17,7 @@ import tempfile
 
 import pytest
 
-from repro import PROFILES, Timestamp
+from repro import PROFILES, ImmortalDB, Timestamp
 from repro.concurrency.transaction import TransactionManager
 from repro.faults import crashtest
 from repro.faults.crashtest import (
@@ -311,14 +311,15 @@ class TestBatchedFlushCrossings:
     )
 
     def test_flushbatch_crossings_enumerated(self):
-        names = enumerate_crossings(self.BATCHED)
-        for point in ("buffer.flushbatch.submit",
-                      "buffer.flushbatch.write",
-                      "buffer.flushbatch.done"):
-            assert point in names, f"no crossing at {point}"
-        # The per-page path stays in use too (flush_page / unbatched exits).
-        assert not any(n.startswith("buffer.flushbatch")
-                       for n in enumerate_crossings(SMALL))
+        # Both profiles write back in batches; the one-page path
+        # (flush_page: the boot page, archive relinks, repair) stays too.
+        for config in (SMALL, self.BATCHED):
+            names = enumerate_crossings(config)
+            for point in ("buffer.flushbatch.submit",
+                          "buffer.flushbatch.write",
+                          "buffer.flushbatch.done",
+                          "buffer.flush.write"):
+                assert point in names, f"{config.profile}: no {point}"
 
     def test_crashes_inside_flush_batches_recover_clean(self):
         for config in (self.BATCHED, self.PRESSED):
@@ -464,17 +465,17 @@ class TestSMOPagesFollowTheirRecord:
     record's force left a database recovery could not open
     (``BufferPoolError: page 8 image claims to be page 0``)."""
 
-    # What CI's "batched write-back and 2Q" step ran (--eviction 2q
-    # --flush-batch 4) and the two sampled crossings it was red on: then
-    # indices 756 and 762, named here so renumbering cannot lose them.
-    CI_STEP = dict(eviction="2q", flush_batch=4)
-
+    # The two sampled crossings CI's "batched write-back and 2Q" step
+    # (--eviction 2q --flush-batch 4) was red on: then indices 756 and 762,
+    # named here so renumbering cannot lose them.  That step's engine is
+    # the paper profile now, in batches of 8: the same hits land in the
+    # same windows (a boot-page write amid evictions; a commit's force
+    # right after a batch).
     @pytest.mark.parametrize(
         "name, hit", [("disk.write_page", 29), ("log.append", 280)]
     )
-    def test_the_crossings_ci_was_red_on(self, monkeypatch, name, hit):
-        monkeypatch.setitem(PROFILES, "ci-2q-batch4", self.CI_STEP)
-        config = CrashTestConfig(profile="ci-2q-batch4")
+    def test_the_crossings_ci_was_red_on(self, name, hit):
+        config = CrashTestConfig(profile="paper")
         crossing = _crossing_of(enumerate_crossings(config), name, hit)
         report = replay(config, crossing)
         assert report.crashed and report.name == name
@@ -564,29 +565,55 @@ class TestProfiles:
         tuned = crossed(profile="tuned")
         tuned_archive = crossed(profile="tuned", archive=True)
         assert self.FLAG_MATRIX_SEAMS <= paper | tuned | tuned_archive
-        # Each commit path and each write-back path is crashed in at least
-        # one sweep, not replaced by its tuned twin.
-        assert {"txn.commit.force", "txn.commit.stamp",
-                "buffer.flush.write"} <= paper
-        assert not any(n.startswith(("txn.groupcommit.", "buffer.flushbatch.",
-                                     "asof.route.")) for n in paper)
+        # Each commit path is crashed in at least one sweep, not replaced by
+        # its tuned twin; both write-back paths are in both.
+        write_back = {"buffer.flush.write", "buffer.flushbatch.write"}
+        assert {"txn.commit.force", "txn.commit.stamp"} | write_back <= paper
+        assert not any(n.startswith(("txn.groupcommit.", "asof.route."))
+                       for n in paper)
         assert {"txn.groupcommit.enqueue", "txn.groupcommit.force",
-                "txn.groupcommit.ack", "buffer.flushbatch.write",
-                "asof.route.hit", "asof.route.miss"} <= tuned
+                "txn.groupcommit.ack", "asof.route.hit",
+                "asof.route.miss"} | write_back <= tuned
         assert any(n.startswith("archive.migrate.") for n in tuned_archive)
 
     def test_there_are_exactly_two_profiles(self):
         assert sorted(PROFILES) == ["paper", "tuned"]
         assert PROFILES["paper"] == {}
 
-    def test_tuned_is_what_the_wall_clock_benchmark_measures(self):
+    @staticmethod
+    def _adapter():
         # benchmarks/e2e is frozen and is not a package: load its adapter
         # by path, read-only.
         path = pathlib.Path(__file__).parents[1] / "benchmarks/e2e/adapter.py"
         spec = importlib.util.spec_from_file_location("_e2e_adapter", path)
         adapter = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(adapter)
-        assert adapter.TUNED == PROFILES["tuned"]
+        return adapter
+
+    def test_tuned_is_what_the_wall_clock_benchmark_measures(self):
+        adapter = self._adapter()
+        # The rest are the names the engine takes at one value only.
+        assert PROFILES["tuned"].items() <= adapter.TUNED.items()
+        rest = {k: v for k, v in adapter.TUNED.items()
+                if k not in PROFILES["tuned"]}
+        assert rest == dict(eviction="2q", flush_batch=8, page_checksums=True)
+
+    def test_the_adapters_settings_build_the_tuned_engine(self):
+        def stored(settings) -> tuple:
+            db = ImmortalDB(buffer_pages=16, **settings)
+            table = db.create_table("t", [("k", "int"), ("v", "text")],
+                                    key="k", immortal=True)
+            for k in range(60):
+                with db.transaction() as txn:
+                    table.insert(txn, {"k": k, "v": "x" * 200})
+            db.flush_commits()
+            db.checkpoint(flush=True)
+            pool, device = db.buffer, db.disk.device
+            return (type(pool._policy), pool.capacity, pool.read_ahead,
+                    pool.stats, db.disk.stats,
+                    device.read(device.size, 0))
+
+        assert stored(self._adapter().TUNED) == stored(PROFILES["tuned"])
 
     def test_tuned_is_what_the_identity_oracle_runs(self):
         from tests import test_hotpath_identity

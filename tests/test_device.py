@@ -143,7 +143,7 @@ class TestTornPageUnderPowerLoss:
         write — the leaf's last, and torn if asked — then restart."""
         device = FaultyDevice(MemoryDevice(), seed=11)
         db = ImmortalDB(devices=_pages_only(device), buffer_pages=16,
-                        page_checksums=True, media_recovery=True)
+                        media_recovery=True)
         table = db.create_table("t", COLS, key="k", immortal=True)
         for k in range(40):
             with db.transaction() as txn:

@@ -7,7 +7,7 @@ import pytest
 from repro.errors import PageNotFoundError, StorageError
 from repro.storage.constants import META_PAGE_ID, PAGE_SIZE
 from repro.storage.device import FileDevice
-from repro.storage.disk import PageStore
+from repro.storage.disk import PageStore, stamp_checksum
 
 
 @pytest.fixture(params=["memory", "file"])
@@ -26,7 +26,7 @@ class TestPageStore:
         pid = disk.allocate()
         image = bytes([7]) * PAGE_SIZE
         disk.write_page(pid, image)
-        assert disk.read_page(pid) == image
+        assert disk.read_page(pid) == stamp_checksum(image)
 
     def test_allocation_ids_are_sequential(self, disk):
         assert [disk.allocate() for _ in range(3)] == [1, 2, 3]
@@ -90,7 +90,7 @@ class TestFileDiskPersistence:
 
         reopened = PageStore(FileDevice(path))
         assert reopened.page_count == 2
-        assert reopened.read_page(pid) == bytes([9]) * PAGE_SIZE
+        assert reopened.read_page(pid) == stamp_checksum(bytes([9]) * PAGE_SIZE)
         reopened.close()
 
     def test_corrupt_size_rejected(self, tmp_path):
@@ -144,5 +144,6 @@ class TestFileDiskPersistence:
         disk = PageStore(FileDevice(path))
         pid = disk.allocate()
         disk.write_page(pid, bytes([3]) * PAGE_SIZE)
-        assert path.read_bytes()[pid * PAGE_SIZE:] == bytes([3]) * PAGE_SIZE
+        assert path.read_bytes()[pid * PAGE_SIZE:] == \
+            stamp_checksum(bytes([3]) * PAGE_SIZE)
         disk.close()

@@ -20,6 +20,7 @@ import pytest
 from repro import ColumnType, ImmortalDB
 from repro.access.btree import BTreeIndexPage
 from repro.clock import SimClock, Timestamp
+from repro.storage.disk import stamp_checksum
 from repro.storage.page import DataPage, decode_page
 from repro.storage.record import RecordVersion
 from tests.test_hotpath_identity import TUNED, run_workload
@@ -136,7 +137,7 @@ class TestMutationPaths:
         assert_images_fresh(db)
 
     def test_checksum_roundtrip_keeps_cache_fresh(self):
-        db = ImmortalDB(buffer_pages=64, page_checksums=True)
+        db = ImmortalDB(buffer_pages=64)
         table = db.create_table("t", COLS, key="k", immortal=True)
         with db.transaction() as txn:
             table.insert(txn, {"k": 1, "v": "a"})
@@ -149,8 +150,9 @@ class TestMutationPaths:
 
     def test_flushed_image_matches_fresh_encode(self, db, table):
         """End to end: after a flush cycle (which stamps via the hook),
-        what the disk holds decodes back to a page whose cached and fresh
-        images agree — i.e. no mutation path leaked past the cache."""
+        what the disk holds is the cached image with its CRC32 stamped, and
+        cached and fresh images agree — no mutation path leaked past the
+        cache."""
         for k in range(10):
             with db.transaction() as txn:
                 table.insert(txn, {"k": k, "v": f"v{k}"})
@@ -160,7 +162,7 @@ class TestMutationPaths:
         assert_images_fresh(db)
         for page in data_pages(db):
             on_disk = db.disk.read_page(page.page_id)
-            assert on_disk == page.to_bytes()
+            assert on_disk == stamp_checksum(page.to_bytes())
 
 
 def test_stamp_writes_through_cache_unit():

@@ -199,6 +199,15 @@ class TestStats:
         assert collected >= 1
 
 
+class TestOneBufferPoolOnePageFormat:
+    @pytest.mark.parametrize("removed", [
+        {"eviction": "lru"}, {"flush_batch": 0}, {"page_checksums": False},
+    ])
+    def test_the_removed_settings_raise(self, removed):
+        with pytest.raises(ValueError):
+            ImmortalDB(**removed)
+
+
 class TestAsOfRequiresImmortal:
     """Section 4.1: only IMMORTAL tables enable AS OF historical queries."""
 

@@ -150,9 +150,11 @@ class TestChecksums:
         assert stamped != raw
         verify_checksum(stamped, 1)  # no raise
 
-    def test_zero_field_means_unchecked(self):
-        raw = _meta_image(PageStore(), 1, b"payload")
-        verify_checksum(raw, 1)  # codecs serialize CRC as 0: skip verify
+    def test_zero_field_on_a_written_image_is_damage(self):
+        raw = _meta_image(PageStore(), 1, b"payload")   # codecs leave CRC 0
+        with pytest.raises(ChecksumError):
+            verify_checksum(raw, 1)
+        verify_checksum(bytes(len(raw)), 1)   # all zeros: never written
 
     def test_corruption_detected(self):
         raw = stamp_checksum(_meta_image(PageStore(), 1, b"payload"))
@@ -165,7 +167,7 @@ class TestChecksums:
         assert page_checksum(bytes(8192)) != 0
 
     def test_engine_flag_survives_full_crash_recovery_cycle(self):
-        db = ImmortalDB(buffer_pages=16, page_checksums=True)
+        db = ImmortalDB(buffer_pages=16)
         table = db.create_table("t", COLS, key="k", immortal=True)
         with db.transaction() as txn:
             table.insert(txn, {"k": 1, "v": "checked"})
@@ -188,7 +190,6 @@ class TestFaultyDisk:
     def _fresh(self, **kwargs) -> tuple[PageStore, FaultyDevice, int, bytes]:
         device = FaultyDevice(MemoryDevice(), **kwargs)
         disk = PageStore(device)
-        disk.checksums = True
         pid = disk.allocate()
         image = stamp_checksum(_meta_image(disk, pid, b"v1" * 4000))
         return disk, device, pid, image
@@ -211,13 +212,13 @@ class TestFaultyDisk:
         assert device.injected["torn_write"] == 1
 
     def test_torn_write_silent_without_checksums(self):
+        # The device reports nothing: below the page CRC the tear is silent.
         disk, device, pid, image = self._fresh()
-        disk.checksums = False
         disk.write_page(pid, image)
         device.arm("torn_write")
-        v2 = _meta_image(disk, pid, b"v2" * 4000)
+        v2 = stamp_checksum(_meta_image(disk, pid, b"v2" * 4000))
         disk.write_page(pid, v2)
-        got = disk.read_page(pid)   # no error: this is the silent-damage case
+        got = device.read(PAGE_SIZE, pid * PAGE_SIZE)
         assert got != v2 and got != image
 
     def test_dropped_write_keeps_old_image(self):
@@ -270,7 +271,7 @@ class TestFaultyDisk:
         device = FaultyDevice(MemoryDevice())
         db = ImmortalDB(
             devices=lambda name: device if name == "pages" else None,
-            page_checksums=True, buffer_pages=16,
+            buffer_pages=16,
         )
         table = db.create_table("t", COLS, key="k", immortal=True)
         with db.transaction() as txn:

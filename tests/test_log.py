@@ -155,12 +155,10 @@ class TestMasterRecord:
 class TestWriteAheadRule:
     """No page reaches the disk before the record its LSN names is durable."""
 
-    @pytest.mark.parametrize("flush_batch", [0, 4])
-    def test_page_at_the_durable_boundary_forces_before_its_write(
-        self, flush_batch
-    ):
+    @pytest.mark.parametrize("flush", ["flush_page", "flush_all"])
+    def test_page_at_the_durable_boundary_forces_before_its_write(self, flush):
         log, disk = LogManager(), PageStore()
-        pool = BufferPool(disk, capacity=8, flush_batch=flush_batch)
+        pool = BufferPool(disk, capacity=8)
         pool.log_force = log.force
         page = pool.new_page(lambda pid: DataPage(pid, table_id=1))
         log.append(BeginTxn(tid=1))
@@ -177,22 +175,19 @@ class TestWriteAheadRule:
             real_write(pid, raw)
 
         disk.write_page = write_page
-        if flush_batch:
+        if flush == "flush_all":
             pool.flush_all()                # the batched path (_write_batch)
             assert pool.stats.flush_batches == 1
         else:
-            pool.flush_page(page.page_id)   # the per-page path (_write_back)
+            pool.flush_page(page.page_id)   # the one-page path (_write_back)
         assert durable_at_write == [True]
 
-    @pytest.mark.parametrize("flush_batch", [0, 4])
-    def test_2q_evicting_pages_at_the_durable_boundary_forces_first(
-        self, flush_batch
-    ):
+    def test_2q_evicting_pages_at_the_durable_boundary_forces_first(self):
         # Every frame is dirty at or past the durable prefix, so covered-first
         # victim selection finds nothing and falls back: whichever images
         # the eviction writes, each one's record is durable by then.
         log, disk = LogManager(), PageStore()
-        pool = BufferPool(disk, capacity=4, eviction="2q", flush_batch=flush_batch)
+        pool = BufferPool(disk, capacity=4)
         pool.log_force = log.force
         pool.durable_lsn = lambda: log.flushed_lsn
         log.append(BeginTxn(tid=1))
@@ -213,6 +208,6 @@ class TestWriteAheadRule:
         disk.write_page = write_page
         forces = log.stats.forces
         pool.new_page(lambda pid: DataPage(pid, table_id=1))   # evicts
-        assert durable_at_write == [True] * (4 if flush_batch else 1)
+        assert durable_at_write == [True] * 4   # the victim and 3 companions
         assert log.stats.forces == forces + 1
         assert pool.stats.evict_uncovered_skips == 4

@@ -22,6 +22,7 @@ import pytest
 from repro import ColumnType, ImmortalDB
 from repro.core.integrity import integrity_report, verify_integrity
 from repro.errors import (
+    BufferPoolError,
     ChecksumError,
     InjectedIOError,
     LogFormatError,
@@ -34,9 +35,11 @@ from repro.faults.models import FaultyDevice
 from repro.repair import restore
 from repro.repair.quarantine import Degraded
 from repro.repair.scrub import Scrubber
+from repro.storage.constants import CHECKSUM_OFFSET, CHECKSUM_SIZE, PAGE_SIZE
 from repro.storage.device import MemoryDevice
 from repro.storage.disk import PageStore, RetryPolicy
 from repro.storage.page import DataPage, decode_page
+from repro.storage.record import RecordVersion
 from repro.wal import recovery
 from repro.wal.records import (
     CompensationRecord,
@@ -76,7 +79,7 @@ def build_media_db(
     device = FaultyDevice(MemoryDevice(), seed=seed)
     db = ImmortalDB(
         devices=lambda name: device if name == "pages" else None,
-        buffer_pages=buffer_pages, page_checksums=True,
+        buffer_pages=buffer_pages,
         media_recovery=True, timestamping=timestamping,
     )
     table = db.create_table("t", COLS, key="k", immortal=True)
@@ -298,10 +301,7 @@ class TestRestoreReadsTheLogFile:
 
     @staticmethod
     def _file_db(path):
-        db = ImmortalDB(
-            str(path), buffer_pages=16, page_checksums=True,
-            media_recovery=True,
-        )
+        db = ImmortalDB(str(path), buffer_pages=16, media_recovery=True)
         table = db.create_table("t", COLS, key="k", immortal=True)
         for i in range(60):
             db.advance_time(10)
@@ -417,6 +417,54 @@ class TestReadTriggeredRepair:
             table.read(txn, key)
         db.buffer.flush_all()
         assert stored(disk, pid) == good
+
+
+class TestZeroedChecksumField:
+    """A stored CRC of 0 passes only on an all-zero, never-written page; on
+    a written page it is damage like any other."""
+
+    @staticmethod
+    def _zero_crc_and_flip(device, pid: int, value: bytes) -> None:
+        """Zero the header CRC field and flip one byte of ``value``."""
+        base = pid * PAGE_SIZE
+        raw = device.read(PAGE_SIZE, base)
+        at = base + raw.index(value)
+        device.write(bytes(CHECKSUM_SIZE), base + CHECKSUM_OFFSET)
+        device.write(bytes([raw[at - base] ^ 0x01]), at)
+
+    def test_the_read_raises(self):
+        disk = PageStore()
+        pid = disk.allocate()
+        page = DataPage(pid, table_id=1)
+        page.insert_version(RecordVersion.new(b"k", b"payload" * 40, 1))
+        disk.write_page(pid, page.to_bytes())
+        self._zero_crc_and_flip(disk.device, pid, b"payload")
+        with pytest.raises(ChecksumError):
+            disk.read_page(pid)
+
+    def test_media_recovery_restores_the_page_byte_identically(self):
+        db, table, disk, expected, _ = build_media_db(1)
+        key = next(iter(expected))
+        pid = table.btree.search_leaf(table.codec.encode_key(key)).page_id
+        good = stored(disk, pid)
+        db.buffer.discard_all()
+        self._zero_crc_and_flip(
+            disk.device.inner, pid, expected[key].encode()
+        )
+        with db.transaction() as txn:
+            assert table.read(txn, key)["v"] == expected[key]
+        assert db.repair.stats.pages_repaired >= 1
+        assert stored(disk, pid) == good
+
+    def test_a_never_written_page_is_still_the_plain_error(self):
+        # The PTT and BufferPool._miss rely on this error, not a repair.
+        db, _, disk, _, _ = build_media_db(1)
+        pid = disk.allocate()
+        assert disk.read_page(pid) == bytes(PAGE_SIZE)     # verifies clean
+        faults = db.repair.stats.page_faults
+        with pytest.raises(BufferPoolError, match="claims to be page 0"):
+            db.buffer.get_page(pid)
+        assert db.repair.stats.page_faults == faults
 
 
 class TestScrubber:

@@ -220,10 +220,7 @@ class TestConcurrentOracle:
         # images faulting back in, or a flush batch stamping the wrong
         # version, would break AS OF equivalence here.  The fixture's 16
         # rows fit one leaf, so this test builds its own multi-leaf table.
-        db = ImmortalDB(
-            buffer_pages=4, group_commit_window=4,
-            eviction="2q", flush_batch=4,
-        )
+        db = ImmortalDB(buffer_pages=4, group_commit_window=4)
         table = db.create_table("t", COLS, key="k", immortal=True)
         keys = 600  # ~8 pages: several leaves plus PTT nodes vs. 4 frames
         with db.transaction() as txn:
