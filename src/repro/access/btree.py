@@ -202,7 +202,7 @@ class BTree:
         table_id: int,
         *,
         immortal: bool,
-        root_pid: int | None = None,
+        root_pid: int,
         key_split_threshold: float = DEFAULT_KEY_SPLIT_THRESHOLD,
     ) -> None:
         self.buffer = buffer
@@ -222,19 +222,7 @@ class BTree:
         self.history_index = None
         self.route_cache = None
 
-        if root_pid is None:
-            leaf = self.buffer.new_page(
-                lambda pid: DataPage(
-                    pid,
-                    page_size=buffer.disk.page_size,
-                    table_id=table_id,
-                    immortal=immortal,
-                )
-            )
-            self.root_pid = leaf.page_id
-            log_smo(self.log, self.buffer, SMOReason.INDEX_POST, [leaf])
-        else:
-            self.root_pid = root_pid
+        self.root_pid = root_pid
 
     # -- navigation ---------------------------------------------------------
 

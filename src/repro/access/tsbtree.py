@@ -197,17 +197,11 @@ class TSBHistoryIndex:
         self,
         buffer: BufferPool,
         table_id: int,
-        root_pid: int | None = None,
+        root_pid: int,
     ) -> None:
         self.buffer = buffer
         self.table_id = table_id
-        if root_pid is None:
-            root = buffer.new_page(
-                lambda pid: TSBIndexPage(pid, page_size=buffer.disk.page_size)
-            )
-            self.root_pid = root.page_id
-        else:
-            self.root_pid = root_pid
+        self.root_pid = root_pid
         self.searches = 0
         self.nodes_visited = 0
         # (key, ts) -> page id memo for repeated as-of lookups.  Leaf-entry

@@ -186,12 +186,12 @@ class SimClock:
         """Never again issue (or report as ``now()``) a time below ``floor``.
 
         Called after crash recovery with the durable high-water commit
-        timestamp (persisted in the boot page at every checkpoint, plus the
-        max commit timestamp replayed from the log suffix).  A restarted
-        engine's clock restarts from tick 1, so without this a fresh commit
-        could stamp *below* an already-durable version — breaking the
-        invariant that timestamp order equals commit order.  Monotone: a
-        floor at or below the current position is a no-op.
+        timestamp (the clock's reading in the last checkpoint's end record,
+        raised by the commit timestamps replayed from the log after it).  A
+        restarted engine's clock restarts from tick 1, so without this a
+        fresh commit could stamp *below* an already-durable version —
+        breaking the invariant that timestamp order equals commit order.
+        Monotone: a floor at or below the current position is a no-op.
         """
         if floor.ttime > self._tick:
             self._tick = floor.ttime

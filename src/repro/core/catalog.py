@@ -10,8 +10,9 @@ enforced by the table/engine layers:
 3. AS OF historical queries are enabled.
 
 The catalog serializes to JSON inside the boot (meta) page together with the
-PTT root and the next table id, and is written through durably whenever a
-table is created or a checkpoint is taken.
+PTT root and the next table id.  The boot page is a logged page: every DDL
+statement logs its image in one forced record, and restart redoes it before
+reading the catalog back.
 """
 
 from __future__ import annotations
@@ -86,11 +87,6 @@ class Catalog:
     tables: dict[str, TableSchema] = field(default_factory=dict)
     next_table_id: int = 1
     ptt_root_pid: int = 0
-    # High-water commit timestamp as (ttime, sn), refreshed at every boot-page
-    # write.  Recovery feeds it to SimClock.adopt_floor so a restarted clock
-    # can never stamp below an already-durable commit time; commits after the
-    # last checkpoint are covered by the redo scan instead.
-    commit_ts_hw: tuple[int, int] = (0, 0)
 
     def add_table(self, schema: TableSchema) -> None:
         if schema.name in self.tables:
@@ -129,8 +125,6 @@ class Catalog:
             "ptt_root_pid": self.ptt_root_pid,
             "tables": [schema.to_json() for schema in self.tables.values()],
         }
-        if self.commit_ts_hw != (0, 0):
-            doc["commit_ts_hw"] = list(self.commit_ts_hw)
         return json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
     @classmethod
@@ -146,7 +140,6 @@ class Catalog:
         catalog = cls(
             next_table_id=doc["next_table_id"],
             ptt_root_pid=doc["ptt_root_pid"],
-            commit_ts_hw=tuple(doc.get("commit_ts_hw", (0, 0))),
         )
         for table_doc in doc["tables"]:
             catalog.add_table(TableSchema.from_json(table_doc))

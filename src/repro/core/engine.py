@@ -12,6 +12,10 @@ Crash testing is first-class: :meth:`crash` throws away all volatile state
 (buffer pool, VTT, locks, active transactions, the unforced log suffix) and
 :meth:`recover` brings the database back via analysis/redo/undo — the same
 path a restart after a real failure would take.
+
+The boot page (page 0, the catalog) is a logged page: each DDL statement
+logs its new image in one forced record, and restart reads the catalog only
+once redo has brought the page up to date.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from __future__ import annotations
 import datetime as _dt
 import threading
 from contextlib import contextmanager
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.clock import SimClock, Timestamp
 from repro.concurrency.latching import ReentrantLatch
@@ -38,17 +42,17 @@ from repro.storage.constants import META_PAGE_ID
 from repro.repair.manager import MediaRecoveryManager
 from repro.storage.device import Device, file_devices
 from repro.storage.disk import PageStore, RetryPolicy
-from repro.storage.page import DataPage, MetaPage
+from repro.storage.page import DataPage, MetaPage, Page
 from repro.timestamp.eager import EagerTimestampManager
 from repro.timestamp.manager import TimestampManager
-from repro.timestamp.ptt import PersistentTimestampTable
+from repro.timestamp.ptt import PersistentTimestampTable, PTTNodePage
 from repro.wal.checkpoint import CheckpointManager
 from repro.wal.filelog import FileLogManager
 from repro.wal.log import LogManager, log_smo
 from repro.wal.recovery import RecoveryReport, run_recovery
 from repro.wal.records import SMOReason
 from repro.access.btree import BTree
-from repro.access.tsbtree import TSBHistoryIndex
+from repro.access.tsbtree import TSBHistoryIndex, TSBIndexPage
 
 ColumnsArg = list[tuple[str, ColumnType | str]]
 
@@ -109,9 +113,22 @@ class ImmortalDB:
         self.use_tsb_index = use_tsb_index
         self.key_split_threshold = key_split_threshold
 
-        self.catalog = self._load_catalog()
-        ptt_root = self.catalog.ptt_root_pid or None
-        self.ptt = PersistentTimestampTable(self.buffer, self.log, ptt_root)
+        # An empty log is a new database, whose first record logs its boot
+        # page and PTT root; an existing one's catalog (and PTT root, 0
+        # until then) is read by recovery.
+        fresh = not len(self.log)
+        self.catalog = Catalog()
+        if fresh:
+            # Ids a creation grew the page file by before its record was
+            # lost are named by nothing.
+            self.disk.free_list.update(range(1, self.disk.page_count))
+            ptt_root = PTTNodePage(
+                self.disk.allocate(), page_size=self.disk.page_size
+            )
+            self.catalog.ptt_root_pid = ptt_root.page_id
+        self.ptt = PersistentTimestampTable(
+            self.buffer, self.log, self.catalog.ptt_root_pid
+        )
         manager_cls = (
             EagerTimestampManager if timestamping == "eager" else TimestampManager
         )
@@ -177,49 +194,40 @@ class ImmortalDB:
         self.version_ops = 0       # record versions created (cost model)
         self.tables: dict[str, Table] = {}
         self._tables_by_id: dict[int, Table] = {}
-        self._open_tables()
-        if ptt_root is None:
-            # A new database.  The PTT root's image must be durable before
-            # the boot page names it.
-            self.log.force()
-            self._save_meta()
-        elif len(self.log):
-            # An existing database: run restart recovery.  After a clean
-            # shutdown this is a cheap scan from the last checkpoint; after
-            # a hard kill it redoes/undoes as needed.  Either way it also
-            # restores the TID floor so TIDs never repeat across opens.
+        if fresh:
+            self._save_meta([ptt_root])
+        else:
+            # Restart recovery: after a clean shutdown a cheap scan from the
+            # last checkpoint, after a hard kill redo/undo as needed.  Either
+            # way it also restores the TID floor so TIDs never repeat.
             self.recover()
 
     # -- catalog / DDL -------------------------------------------------------
 
-    def _load_catalog(self) -> Catalog:
-        raw = self.disk.read_page(META_PAGE_ID)
-        meta = MetaPage.from_bytes(raw)
-        return Catalog.from_blob(meta.blob)
-
-    def _save_meta(self) -> None:
-        """Write the boot page through to disk, durably: it names the PTT
-        root and the table roots, and restart reads it before any log."""
+    def _save_meta(
+        self, pages: Sequence[Page] = (), freed: Sequence[int] = ()
+    ) -> None:
+        """Commit a catalog change: one forced record carries the boot
+        page's new image, the pages the statement creates and the ids it
+        frees.  Until the record is durable, restart knows nothing of it."""
         fire("engine.save_meta")
-        self.catalog.ptt_root_pid = self.ptt.root_pid
-        # Persist the commit-timestamp high water (clock.now() bounds every
-        # timestamp issued so far).  Recovery adopts it as a clock floor so
-        # no post-restart commit can stamp below a pre-crash one.
-        now = self.clock.now()
-        if (now.ttime, now.sn) > tuple(self.catalog.commit_ts_hw):
-            self.catalog.commit_ts_hw = (now.ttime, now.sn)
         meta = MetaPage(
             META_PAGE_ID, self.catalog.to_blob(), page_size=self.disk.page_size
         )
-        self.buffer.replace_page(meta)
-        self.buffer.flush_page(META_PAGE_ID)
-        self.disk.sync()
-        # Meta writes are unlogged, so the archive cannot rebuild this page;
-        # the media backup mirrors it at every save instead.
-        if getattr(self, "repair", None) is not None:
-            self.repair.mirror_meta()
+        log_smo(self.log, self.buffer, SMOReason.CATALOG, [meta, *pages], freed)
+        self.log.force()
 
-    def _open_tables(self) -> None:
+    def open_catalog(self) -> None:
+        """Read the catalog from the boot page and open its tables (recovery
+        calls this once redo has brought the page up to date)."""
+        meta = self.buffer.get_page(META_PAGE_ID)
+        self.catalog = Catalog.from_blob(meta.blob)
+        self.ptt = PersistentTimestampTable(
+            self.buffer, self.log, self.catalog.ptt_root_pid
+        )
+        self.tsmgr.ptt = self.ptt
+        self.tables.clear()
+        self._tables_by_id.clear()
         for schema in self.catalog.tables.values():
             self._attach_table(schema)
 
@@ -280,19 +288,13 @@ class ImmortalDB:
         if key not in {c.name for c in defs}:
             raise SchemaError(f"key column {key!r} is not in the column list")
         table_id = self.catalog.allocate_table_id()
-        btree = BTree(
-            self.buffer,
-            self.log,
-            self.clock,
-            table_id,
+        size = self.disk.page_size
+        roots: list[Page] = [DataPage(
+            self.disk.allocate(), page_size=size, table_id=table_id,
             immortal=immortal,
-            key_split_threshold=self.key_split_threshold,
-        )
-        tsb_root = 0
+        )]
         if self.use_tsb_index and immortal:
-            tsb_root = TSBHistoryIndex(self.buffer, table_id).root_pid
-            log_smo(self.log, self.buffer, SMOReason.INDEX_POST,
-                    [self.buffer.get_page(tsb_root)])
+            roots.append(TSBIndexPage(self.disk.allocate(), page_size=size))
         schema = TableSchema(
             name=name,
             table_id=table_id,
@@ -300,16 +302,12 @@ class ImmortalDB:
             key_column=key,
             immortal=immortal,
             snapshot_enabled=snapshot,
-            root_pid=btree.root_pid,
-            tsb_root_pid=tsb_root,
+            root_pid=roots[0].page_id,
+            tsb_root_pid=roots[1].page_id if len(roots) > 1 else 0,
         )
         self.catalog.add_table(schema)
-        # Durability order: the initial page images must be in the durable
-        # log before the boot page references them.
-        self.log.force()
-        self._save_meta()
-        # The bootstrap B-tree object is discarded; _attach_table rebuilds
-        # it from the recorded root so every hook is wired in one place.
+        # The empty roots' images commit with the boot page that names them.
+        self._save_meta(roots)
         return self._attach_table(schema)
 
     def enable_snapshot_isolation(self, name: str) -> None:
@@ -321,19 +319,17 @@ class ImmortalDB:
         self._save_meta()
 
     def drop_table(self, name: str) -> None:
-        """Remove a table from the catalog and free its pages: the boot page
-        stops naming it (durably), then one ``PAGE_FREE`` record frees every
-        page it reached, forced before an id is reused.  A crash between the
-        two leaks the ids; the other order could reuse a page still named."""
+        """Remove a table from the catalog and free its pages: one forced
+        record carries the boot page without the table and frees every page
+        it reached, so a crash leaves the table whole or gone, never an id
+        named twice or by nothing."""
         table = self.table(name)
         freed = sorted(pid for pid, kind in table_pages(self, table).items()
                        if kind != "archived")
         self.catalog.remove_table(name)
         del self.tables[name]
         self._tables_by_id.pop(table.table_id, None)
-        self._save_meta()
-        log_smo(self.log, self.buffer, SMOReason.PAGE_FREE, [], freed)
-        self.log.force()
+        self._save_meta(freed=freed)
         for pid in freed:
             self.buffer.discard_page(pid)
             self.disk.free_list.add(pid)
@@ -486,13 +482,15 @@ class ImmortalDB:
     # -- checkpoints and garbage collection ----------------------------------------------------
 
     def checkpoint(self, *, flush: bool = False) -> int:
-        """Take a checkpoint; run PTT garbage collection; persist the boot page.
+        """Take a checkpoint, then run PTT garbage collection.
 
-        Returns the number of PTT entries garbage collected.
+        The boot page is written like any dirty page, by a flushing
+        checkpoint or by write-back; the clock's high water goes in the
+        checkpoint record.  Returns the number of PTT entries collected.
         """
         self.checkpoints.take(
             self.txn_mgr.att_snapshot(), flush=flush,
-            max_tid=self.txn_mgr.next_tid - 1,
+            max_tid=self.txn_mgr.next_tid - 1, high_water=self.clock.now(),
         )
         horizon = self.checkpoints.redo_scan_start()
         if self.repair is not None:
@@ -505,7 +503,6 @@ class ImmortalDB:
             # Budgeted cold-history migration rides along with checkpoints,
             # the same piggybacking the PR-4 scrubber uses.
             self.archive.step()
-        self._save_meta()
         return collected
 
     # -- crash and recovery ------------------------------------------------------------------------
@@ -547,29 +544,15 @@ class ImmortalDB:
             self.archive.on_crash()
 
     def recover(self) -> RecoveryReport:
-        """Restart after :meth:`crash`: analysis, redo, undo, re-open."""
-        self.catalog = self._load_catalog()
-        self.ptt = PersistentTimestampTable(
-            self.buffer, self.log, self.catalog.ptt_root_pid
-        )
-        self.tsmgr.ptt = self.ptt
-        self.tables.clear()
-        self._tables_by_id.clear()
-        self._open_tables()
+        """Restart after :meth:`crash`: analysis, redo, the catalog read from
+        the redone boot page (:meth:`open_catalog`), undo, re-open."""
         report = run_recovery(self)
         self.txn_mgr.adopt_tid_floor(self._max_tid_seen(report))
         # Restore commit-timestamp monotonicity: the clock must never again
-        # issue a time at or below any durable commit timestamp.  The boot
-        # page's high water covers everything up to the last checkpoint; the
-        # redo scan's max covers commits after it.
-        hw = tuple(self.catalog.commit_ts_hw)
-        floor = Timestamp(*hw) if hw != (0, 0) else None
-        if report.max_commit_ts is not None and (
-            floor is None or report.max_commit_ts > floor
-        ):
-            floor = report.max_commit_ts
-        if floor is not None:
-            self.clock.adopt_floor(floor)
+        # issue a time at or below any durable commit timestamp (the last
+        # checkpoint's high water, raised by the commits redo read after it).
+        if report.max_commit_ts is not None:
+            self.clock.adopt_floor(report.max_commit_ts)
         # Prepared transactions survive the crash in doubt: locks re-taken,
         # versions still TID-marked, outcome awaiting the 2PC coordinator.
         # Must run before the recovery checkpoint below, whose flush would

@@ -64,6 +64,15 @@ from repro.repair.scrub import Scrubber
 from repro.storage.device import MemoryDevice, file_devices
 
 TABLE = "crash"
+SIDE = "side"
+
+#: the DDL statements run_workload makes at seeded points, each with the
+#: side table's state after it: gone (None) or whether snapshots are on
+DDL = (
+    (lambda db: db.create_table(SIDE, [("k", ColumnType.INT)], key="k"), False),
+    (lambda db: db.enable_snapshot_isolation(SIDE), True),
+    (lambda db: db.drop_table(SIDE), None),
+)
 
 #: stored-image corruption modes exercised by the media-fault sweep
 CORRUPT_MODES = ("bitrot", "garbage", "zero")
@@ -150,6 +159,7 @@ class Rig:
     tmp: Any = None         # the TemporaryDirectory of a file-backed engine
     seed: int = 0
     devices: list[FaultyDevice] = field(default_factory=list)
+    side: tuple = (None,)   # the side table's acceptable states (see DDL)
 
     @property
     def engines(self) -> list[ImmortalDB]:
@@ -256,7 +266,14 @@ def run_workload(
     db, table = rig.db, rig.table
     _listen(rig, oracle)
     rng = random.Random(config.seed)
+    ddl_at = sorted(random.Random(f"ddl:{config.seed}").sample(
+        range(config.transactions), min(len(DDL), config.transactions)))
     for i in range(config.transactions):
+        if i in ddl_at:     # in flight: all or nothing; returned: done
+            statement, after = DDL[ddl_at.index(i)]
+            rig.side = (rig.side[-1], after)
+            statement(db)
+            rig.side = (after,)
         db.advance_time(rng.uniform(5.0, 250.0))
         key = rng.randrange(config.keys)
         current = oracle.current()
@@ -564,6 +581,8 @@ def _verify(rig: Rig, oracle: Oracle, report: CrashReport) -> None:
 
     Strict integrity on every engine and no orphan page id (restart frees
     the ids taken for a structure modification whose record was lost); the
+    side table as the DDL that returned left it (or, for one in flight, as
+    it found it or left it); the
     current state is one the oracle accepts (after a fault scenario's
     settle, exactly the acked state) and holds no poison from a dropped
     bracket; every as-of mark reproduces exactly.
@@ -577,6 +596,9 @@ def _verify(rig: Rig, oracle: Oracle, report: CrashReport) -> None:
             report.problems.append(f"{where}integrity: {exc}")
         if orphans := page_accounting(engine).orphans:
             report.problems.append(f"{where}orphan page ids: {orphans}")
+        side = engine.catalog.tables.get(SIDE)
+        if (state := side and side.snapshot_enabled) not in rig.side:
+            report.problems.append(f"{where}side table {state}, not in {rig.side}")
     db, table = rig.db, rig.table
     txn = db.begin()
     got = {row["k"]: row["v"] for row in table.scan(txn)}

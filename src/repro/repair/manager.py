@@ -10,9 +10,11 @@ Attachment points (all passive until a fault actually happens):
 * ``buffer.fault_handler`` — a page that fails verification on a buffer
   miss is restored in place (the caller gets the repaired page and never
   sees the fault) or, when that is impossible, quarantined behind a typed
-  :exc:`~repro.errors.PageQuarantinedError`;
-* ``engine._save_meta`` — the meta page's writes are unlogged, so the
-  backup mirrors it on every save instead of relying on the log.
+  :exc:`~repro.errors.PageQuarantinedError`.
+
+The boot page needs no attachment of its own: ``engine._save_meta`` logs
+its every change as an image record, so backup and log restore it like any
+other page.
 
 GC interlock: restoring a page finishes with a stamping pass, which needs
 the TID → timestamp mappings for every version replayed from the log.
@@ -101,13 +103,6 @@ class MediaRecoveryManager:
         self.redo_index.trim(self.backup.image_lsn)
         self.backup_gc_horizon = engine.checkpoints.redo_scan_start()
         self.stats.backup_refreshes += 1
-
-    def mirror_meta(self) -> None:
-        """Mirror the just-saved meta page (its writes are never logged)."""
-        try:
-            self.backup.put(0, self.engine.disk.read_page(0))
-        except StorageError:
-            pass  # the scrubber / next fault will deal with it
 
     # -- repair entry points ----------------------------------------------
 

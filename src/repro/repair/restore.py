@@ -80,9 +80,9 @@ def restore_page(manager: "MediaRecoveryManager", page_id: int) -> RestoreOutcom
             # No image and no records: the page was allocated but never
             # written (e.g. a backed-out time split abandons its history
             # pid) — its correct content *is* zeros.  Real pages always
-            # leave a trace: every birth is logged as a full image, the
-            # meta page is mirrored, and trimming only drops records the
-            # backup already covers.
+            # leave a trace: every birth is logged as a full image (the
+            # boot page's too, with each catalog change), and trimming only
+            # drops records the backup already covers.
             fire("repair.restore.write")
             zeros = bytes(len(base_raw) if base_raw is not None
                           else manager.engine.disk.page_size)

@@ -156,21 +156,6 @@ class Scrubber:
                     "layout", f"page {pid}: {problem}", page_id=pid
                 ))
         repair = getattr(engine, "repair", None)
-        if repair is not None and not findings and pid == 0:
-            # The meta page's writes are unlogged and its LSN stays 0, so
-            # the LSN probes below are blind to it — and a lost sector
-            # (all-zero image, checksum field 0) even skips checksum
-            # verification and decodes as a valid empty meta page.  But the
-            # backup mirrors the meta image on every save, so any
-            # divergence from the mirror proves corruption.
-            mirror = repair.backup.image(0)
-            if mirror is not None and raw != mirror:
-                findings.append(Finding(
-                    "stale",
-                    "page 0 diverges from its backup mirror "
-                    "(meta writes are unlogged)",
-                    page_id=0,
-                ))
         if repair is not None and not findings:
             # The backup image's LSN also bounds staleness: it was captured
             # from this very disk, so the disk can never legitimately hold

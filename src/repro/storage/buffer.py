@@ -35,8 +35,8 @@ reach the disk sequentially.  ``flush_all`` (checkpoints) batches the same
 way.  The WAL rule is preserved — the single force covers every page in
 the batch — and lazy timestamping is unchanged: stamping consults
 ``log.flushed_lsn`` *before* the force, so it stamps nothing a crash could
-leave uncommitted.  ``flush_page`` writes one page alone (the boot page,
-archive relinks, repair).
+leave uncommitted.  ``flush_page`` writes one page alone (archive
+relinks, repair).
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ of the table stays cached; garbage collection deletes from the (cold) head.
 
 Two structural choices worth noting:
 
-* **Fixed root page id.**  The boot page stores the PTT root durably; root
+* **Fixed root page id.**  The boot page names the PTT root; root
   growth moves the old root's content to a fresh page and turns the root
   page into an internal node, so the stored id never goes stale.
 * **Preemptive top-down splitting.**  Full nodes are split on the way down,
@@ -180,14 +180,10 @@ class PersistentTimestampTable:
     """B+tree of (TID → Ttime, SN) mappings over the buffer pool."""
 
     def __init__(
-        self, buffer: BufferPool, log: LogManager, root_pid: int | None = None
+        self, buffer: BufferPool, log: LogManager, root_pid: int
     ) -> None:
         self.buffer = buffer
         self.log = log
-        if root_pid is None:
-            root = self._new_node(is_leaf=True)
-            log_smo(log, buffer, SMOReason.PTT_NODE, [root])
-            root_pid = root.page_id
         self.root_pid = root_pid
         self.lookups = 0          # instrumentation for the Abl-4 bench
 
@@ -208,8 +204,12 @@ class PersistentTimestampTable:
     # -- operations ----------------------------------------------------------------
 
     def lookup(self, tid: int) -> Timestamp | None:
-        """Find the timestamp recorded for ``tid``, or None."""
+        """Find the timestamp recorded for ``tid``, or None — also while
+        the root is unknown (0), before restart has redone the boot page:
+        a page restored then keeps its versions for later stamping."""
         self.lookups += 1
+        if not self.root_pid:
+            return None
         leaf = self._find_leaf(tid)
         i = bisect_left(leaf.tids, tid)
         if i < len(leaf.tids) and leaf.tids[i] == tid:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.clock import Timestamp
 from repro.faults.failpoints import fire
 from repro.storage.buffer import BufferPool
 from repro.wal.log import LogManager
@@ -41,6 +42,7 @@ class CheckpointManager:
         *,
         flush: bool = False,
         max_tid: int = 0,
+        high_water: Timestamp = Timestamp(0, 0),
     ) -> int:
         """Take a checkpoint; returns the LSN of its end record.
 
@@ -50,7 +52,8 @@ class CheckpointManager:
         redo scan start point as far as possible — the knob the PTT garbage
         collector depends on.  ``max_tid`` is the highest TID allocated so
         far; persisting it lets recovery's TID-floor scan skip everything
-        before the redo scan start point.  The page store's size and free
+        before the redo scan start point.  ``high_water`` is the clock's
+        reading, restart's floor for it.  The page store's size and free
         list go in too: restart derives its free list from them.
         """
         fire("checkpoint.begin")
@@ -66,6 +69,7 @@ class CheckpointManager:
             max_tid=max_tid,
             page_count=disk.page_count,
             free_pids=sorted(disk.free_list),
+            high_water=high_water,
         )
         end_lsn = self.log.append(end)
         fire("checkpoint.logged")

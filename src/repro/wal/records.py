@@ -34,6 +34,10 @@ Design notes:
   relinked referrers with the ids it frees (:attr:`MultiPageImage.freed`),
   and restart derives the free list from the log (see
   :mod:`repro.wal.recovery`).
+* **The boot page is a logged page**: every catalog change is one
+  :attr:`SMOReason.CATALOG` image record carrying the meta page with the
+  pages the statement creates (a new table's roots) or the ids it frees
+  (a dropped table's pages), so one forced record commits a DDL statement.
 """
 
 from __future__ import annotations
@@ -62,6 +66,7 @@ class SMOReason(enum.IntEnum):
     PTT_NODE = 3
     OTHER = 4
     PAGE_FREE = 5
+    CATALOG = 6
 
 
 # Fixed-width field groups, precompiled as the page codecs do.
@@ -383,6 +388,10 @@ class CheckpointEnd(LogRecord):
     free_pids: list[int] = field(default_factory=list)
     """The free list when the checkpoint was taken, where restart's
     derivation of it starts (see :func:`repro.wal.recovery`)."""
+    high_water: Timestamp = Timestamp(0, 0)
+    """The clock's reading when the checkpoint was taken, which bounds every
+    commit timestamp issued before it: restart's clock floor, raised by the
+    commits redo reads after it."""
 
     def body_bytes(self) -> bytes:
         """Serialize this record type's body fields."""
@@ -402,6 +411,7 @@ class CheckpointEnd(LogRecord):
         chunks.append(self.page_count.to_bytes(4, "big"))
         chunks.append(len(self.free_pids).to_bytes(4, "big"))
         chunks.extend(pid.to_bytes(4, "big") for pid in self.free_pids)
+        chunks.append(self.high_water.to_bytes())
         return b"".join(chunks)
 
     @classmethod
@@ -419,9 +429,11 @@ class CheckpointEnd(LogRecord):
         max_tid = body.u(8)   # 0 when decoding a pre-max_tid image
         page_count = body.u(4)
         free_pids = [body.u(4) for _ in range(body.u(4))]
+        high_water = Timestamp(body.u(8), body.u(4))
         return cls(
             tid=tid, prev_lsn=prev_lsn, begin_lsn=begin_lsn, att=att, dpt=dpt,
             max_tid=max_tid, page_count=page_count, free_pids=free_pids,
+            high_water=high_water,
         )
 
 

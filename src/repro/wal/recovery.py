@@ -18,10 +18,14 @@ The recovery manager understands the paper's versioned log operations:
   from wherever the key currently lives, because key splits may have moved
   it — and is made restartable by redo-only compensation records carrying
   page after-images;
-* timestamping itself is never redone, because it was never logged.
+* timestamping itself is never redone, because it was never logged;
+* the boot page is redone like any other page (every catalog change is an
+  image record), so the catalog is read only after redo, and undo — which
+  finds a loser's keys through the tables it names — runs after that.
 
 The engine hands recovery a support object exposing ``log``, ``buffer``,
-``tsmgr`` and a ``locate_current_page(table_id, key)`` callable.
+``tsmgr``, ``open_catalog()`` and a ``locate_current_page(table_id, key)``
+callable.
 """
 
 from __future__ import annotations
@@ -62,6 +66,10 @@ class RecoverySupport(Protocol):
     buffer: BufferPool
     tsmgr: "TimestampManager"
 
+    def open_catalog(self) -> None:
+        """Read the catalog from the redone boot page and open its tables."""
+        ...
+
     def locate_current_page(self, table_id: int, key: bytes) -> DataPage | None:
         """The current page that holds (or would hold) ``key``."""
         ...
@@ -86,8 +94,8 @@ class RecoveryReport:
     max_tid: int = 0
     """Largest TID on a record analysis or redo read."""
     max_commit_ts: Timestamp | None = None
-    """Largest commit timestamp seen during the redo scan, used (with the
-    checkpointed high water) to restore clock monotonicity after restart."""
+    """The clock's floor after restart: the last checkpoint's high water,
+    raised by every commit timestamp the redo scan reads after it."""
     first_commit_lsn: int | None = None
     """Earliest CommitTxn seen by analysis.  Redo must scan from no later
     than this: restoring a committed TID→timestamp mapping (and its PTT
@@ -98,11 +106,13 @@ class RecoveryReport:
 
 
 def run_recovery(support: RecoverySupport) -> RecoveryReport:
-    """Run analysis, redo, and undo; returns a :class:`RecoveryReport`."""
+    """Run analysis and redo, open the catalog, undo; returns a
+    :class:`RecoveryReport`."""
     report = RecoveryReport()
     att, dpt, free = _analysis(support, report)
     support.buffer.disk.free_list = free
     _redo(support, report, dpt)
+    support.open_catalog()
     _undo(support, report, att)
     support.log.force()
     return report
@@ -131,6 +141,7 @@ def _analysis(
         free.update(end.free_pids)
         grown_from = max(grown_from, end.page_count)
         scan_from = end.begin_lsn
+        report.max_commit_ts = end.high_water
         report.checkpoint_lsn = master
     # Every id the store grew by since is free unless a record below names it.
     disk = support.buffer.disk

@@ -24,8 +24,11 @@ class Env:
         self.buffer = BufferPool(self.disk, capacity=capacity)
         self.log = LogManager()
         self.clock = SimClock(ms_per_timestamp=5.0)
+        root = self.buffer.new_page(
+            lambda pid: DataPage(pid, table_id=1, immortal=immortal))
         self.btree = BTree(
-            self.buffer, self.log, self.clock, table_id=1, immortal=immortal
+            self.buffer, self.log, self.clock, table_id=1, immortal=immortal,
+            root_pid=root.page_id,
         )
         self._stamp_all = True
         self.stamp_calls = 0

@@ -137,7 +137,9 @@ class TestCheckpointManager:
 def test_page_writes_are_synced_before_the_master_record(tmp_path, flush):
     """The redo start point (and the PTT collection gated on it) may move
     past a page only once its image survives a power loss: a checkpoint
-    syncs the page file before it writes the master record."""
+    syncs the page file before it writes the master record.  That one sync
+    is all it costs the page file: the boot page is a logged page, written
+    back like any other, so nothing is written after the master record."""
     db = ImmortalDB(str(tmp_path / "db.pages"), buffer_pages=8)
     table = db.create_table("t", [("k", "int"), ("v", "text")], key="k")
     disk, log = db.buffer.disk, db.log
@@ -157,7 +159,9 @@ def test_page_writes_are_synced_before_the_master_record(tmp_path, flush):
             table.insert(txn, {"k": k, "v": "x" * 200})
     del events[:]
     db.checkpoint(flush=flush)
-    master = events.index("master")     # the boot page is written after it
+    master = events.index("master")
     assert events[master - 1] == "sync"
+    assert events.count("sync") == 1
+    assert "write" not in events[master:]
     assert "write" in events[:master] or not flush
     db.close()

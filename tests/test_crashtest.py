@@ -312,13 +312,12 @@ class TestBatchedFlushCrossings:
 
     def test_flushbatch_crossings_enumerated(self):
         # Both profiles write back in batches; the one-page path
-        # (flush_page: the boot page, archive relinks, repair) stays too.
+        # (flush_page: archive relinks, repair) is TestProfiles' to check.
         for config in (SMALL, self.BATCHED):
             names = enumerate_crossings(config)
             for point in ("buffer.flushbatch.submit",
                           "buffer.flushbatch.write",
-                          "buffer.flushbatch.done",
-                          "buffer.flush.write"):
+                          "buffer.flushbatch.done"):
                 assert point in names, f"{config.profile}: no {point}"
 
     def test_crashes_inside_flush_batches_recover_clean(self):
@@ -566,8 +565,9 @@ class TestProfiles:
         tuned_archive = crossed(profile="tuned", archive=True)
         assert self.FLAG_MATRIX_SEAMS <= paper | tuned | tuned_archive
         # Each commit path is crashed in at least one sweep, not replaced by
-        # its tuned twin; both write-back paths are in both.
-        write_back = {"buffer.flush.write", "buffer.flushbatch.write"}
+        # its tuned twin; batched write-back is in both, and the one-page
+        # write-back is archive relinks'.
+        write_back = {"buffer.flushbatch.write"}
         assert {"txn.commit.force", "txn.commit.stamp"} | write_back <= paper
         assert not any(n.startswith(("txn.groupcommit.", "asof.route."))
                        for n in paper)
@@ -575,6 +575,7 @@ class TestProfiles:
                 "txn.groupcommit.ack", "asof.route.hit",
                 "asof.route.miss"} | write_back <= tuned
         assert any(n.startswith("archive.migrate.") for n in tuned_archive)
+        assert "buffer.flush.write" in tuned_archive
 
     def test_there_are_exactly_two_profiles(self):
         assert sorted(PROFILES) == ["paper", "tuned"]

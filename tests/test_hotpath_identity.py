@@ -78,6 +78,28 @@ at every commit, so each batch's one force finds the log durable:
 ``log_forces``, ``disk_writes``, every other counter and crossing name are
 the recording's.  The ``tuned`` case ran these settings already and is
 unedited.
+
+And once for the boot page, on both cases alike: it became a logged page.
+Each catalog change is one image record carrying the boot page with the
+pages it creates (a new database's PTT root, a new table's root leaf), in
+place of the root's own record, and a checkpoint no longer writes the page.
+So ``log_image_bytes`` +24,600 (three boot-page images of 8,192 bytes and
+their 8-byte heads, in records that were there already: ``log_appends``,
+``log_image_records`` and ``log_forces`` are the recording's), and
+``log_bytes`` / ``log_forced_bytes`` +24,660: that, 12 bytes per checkpoint
+end for the clock's high water (three), and 12 per dirty-page-table entry
+for page 0 in the two non-flushing checkpoints, which find it dirty where
+it used to be clean.  Six boot-page writes (the new database's, one per
+``create_table``, one per checkpoint) become the flushing checkpoint's one:
+``disk_writes`` and ``page_flushes`` 47 → 42, ``flush_coalesced_writes``
+35 → 36 (page 0 goes out in a batch, next to page 1), and the one-page
+write-back is gone from the run (``buffer.flush.begin/write/end`` 5 → 0,
+``disk.write_page`` 46 → 42, ``buffer.flushbatch.write`` 41 → 42).  A new
+database no longer reads page 0 (``disk_reads`` 1 → 0).
+``engine.save_meta`` is crossed by the two ``create_table`` calls only
+(5 → 2), so ``crossings`` falls by 21 (7,660 → 7,639 and 7,302 → 7,281) and
+its digest moves; both file digests move with the records and with page
+0's LSN.  Every other counter and crossing name is the recording's.
 """
 
 from __future__ import annotations
@@ -231,24 +253,24 @@ def observe_paper() -> dict:
 
 EXPECTED_TUNED: dict = {
     "stats": {
-        "disk_reads": 1,
-        "disk_writes": 47,
+        "disk_reads": 0,
+        "disk_writes": 42,
         "disk_sequential_reads": 0,
         "disk_sequential_writes": 41,
         "log_appends": 3454,
-        "log_bytes": 1001177,
+        "log_bytes": 1025837,
         "log_forces": 118,
-        "log_forced_bytes": 971947,
+        "log_forced_bytes": 996607,
         "log_image_records": 46,
-        "log_image_bytes": 747523,
+        "log_image_bytes": 772123,
         "group_commit_acks": 813,
         "buffer_hits": 9562,
         "buffer_misses": 0,
         "buffer_evictions": 0,
-        "page_flushes": 47,
+        "page_flushes": 42,
         "buffer_dirty_evictions": 0,
         "flush_batches": 6,
-        "flush_coalesced_writes": 35,
+        "flush_coalesced_writes": 36,
         "evict_scan_skips": 0,
         "buffer_prefetches": 0,
         "buffer_prefetch_hits": 0,
@@ -299,24 +321,21 @@ EXPECTED_TUNED: dict = {
         "deadlocks_detected": 0,
         "txn_retries": 0
     },
-    "crossings": 7302,
-    "crossings_sha256": "9cc23795c9be583ff84ee500698cb60a585135e8b68bc9900d6f7f72724c202e",
+    "crossings": 7281,
+    "crossings_sha256": "408a58702e297acb70e41770058cdd54d530eca5a4d3f54dfffebffd35017955",
     "crossing_names": {
         "asof.route.hit": 16,
         "asof.route.miss": 6,
-        "buffer.flush.begin": 5,
-        "buffer.flush.end": 5,
-        "buffer.flush.write": 5,
         "buffer.flushbatch.done": 6,
         "buffer.flushbatch.submit": 6,
-        "buffer.flushbatch.write": 41,
+        "buffer.flushbatch.write": 42,
         "checkpoint.begin": 3,
         "checkpoint.end": 3,
         "checkpoint.flushed": 1,
         "checkpoint.logged": 3,
         "checkpoint.master": 3,
-        "disk.write_page": 46,
-        "engine.save_meta": 5,
+        "disk.write_page": 42,
+        "engine.save_meta": 2,
         "filelog.fsync": 117,
         "filelog.write": 117,
         "log.append": 3453,
@@ -328,30 +347,30 @@ EXPECTED_TUNED: dict = {
         "txn.groupcommit.enqueue": 813,
         "txn.groupcommit.force": 91
     },
-    "pages_sha256": "919b8e4d68a217f856466c2ff63c955c0e6d204346eb61216bf45a39e436aa5a",
-    "log_sha256": "bd30e6fcc73542c8930def6786fb4a7f9a449ce2800bfef486122e5231e9f4ad"
+    "pages_sha256": "0a096ba3d000f97dac330d030ed0e8ef02d0e0145e2e6552c41ce01ea675301f",
+    "log_sha256": "fb5c1dcef8e6d945ca506eb1eb38ad39c217e9135196b9dd7d7e4f03df333acc"
 }
 
 EXPECTED_PAPER: dict = {
     "stats": {
-        "disk_reads": 1,
-        "disk_writes": 47,
+        "disk_reads": 0,
+        "disk_writes": 42,
         "disk_sequential_reads": 0,
         "disk_sequential_writes": 41,
         "log_appends": 3458,
-        "log_bytes": 987493,
+        "log_bytes": 1012153,
         "log_forces": 819,
-        "log_forced_bytes": 961291,
+        "log_forced_bytes": 985951,
         "log_image_records": 46,
-        "log_image_bytes": 747339,
+        "log_image_bytes": 771939,
         "group_commit_acks": 0,
         "buffer_hits": 9652,
         "buffer_misses": 0,
         "buffer_evictions": 0,
-        "page_flushes": 47,
+        "page_flushes": 42,
         "buffer_dirty_evictions": 0,
         "flush_batches": 6,
-        "flush_coalesced_writes": 35,
+        "flush_coalesced_writes": 36,
         "evict_scan_skips": 0,
         "buffer_prefetches": 0,
         "buffer_prefetch_hits": 0,
@@ -402,22 +421,19 @@ EXPECTED_PAPER: dict = {
         "deadlocks_detected": 0,
         "txn_retries": 0
     },
-    "crossings": 7660,
-    "crossings_sha256": "6cae7346436edb24c4739155d1d427d65a08367991dc714422ee72a3ee5f79bc",
+    "crossings": 7639,
+    "crossings_sha256": "b22bcf3d8d749650729f61d0655bdad3e1fed6a31b33927be9b2656c66ceabc7",
     "crossing_names": {
-        "buffer.flush.begin": 5,
-        "buffer.flush.end": 5,
-        "buffer.flush.write": 5,
         "buffer.flushbatch.done": 6,
         "buffer.flushbatch.submit": 6,
-        "buffer.flushbatch.write": 41,
+        "buffer.flushbatch.write": 42,
         "checkpoint.begin": 3,
         "checkpoint.end": 3,
         "checkpoint.flushed": 1,
         "checkpoint.logged": 3,
         "checkpoint.master": 3,
-        "disk.write_page": 46,
-        "engine.save_meta": 5,
+        "disk.write_page": 42,
+        "engine.save_meta": 2,
         "log.append": 3457,
         "log.force": 818,
         "txn.abort.begin": 1,

@@ -21,7 +21,8 @@ def buffer():
 
 @pytest.fixture
 def ptt(buffer):
-    return PersistentTimestampTable(buffer, LogManager())
+    return PersistentTimestampTable(
+        buffer, LogManager(), buffer.new_page(PTTNodePage).page_id)
 
 
 def ts(i: int) -> Timestamp:
@@ -130,7 +131,8 @@ class TestSplitsAndStructure:
 
     def test_survives_buffer_eviction(self):
         buffer = BufferPool(PageStore(), capacity=4)
-        ptt = PersistentTimestampTable(buffer, LogManager())
+        ptt = PersistentTimestampTable(
+            buffer, LogManager(), buffer.new_page(PTTNodePage).page_id)
         for tid in range(1, 1200):
             insert(ptt, tid, ts(tid))
         for tid in (1, 600, 1199):
@@ -147,7 +149,8 @@ class TestPropertyBased:
     )
     def test_insert_delete_matches_dict(self, tids, delete_mask):
         buffer = BufferPool(PageStore(), capacity=64)
-        ptt = PersistentTimestampTable(buffer, LogManager())
+        ptt = PersistentTimestampTable(
+            buffer, LogManager(), buffer.new_page(PTTNodePage).page_id)
         model: dict[int, Timestamp] = {}
         for tid in tids:
             insert(ptt, tid, ts(tid))

@@ -8,6 +8,7 @@ import pytest
 
 from repro import PROFILES, ColumnType, ImmortalDB, TxnMode
 from repro.core.integrity import page_accounting, verify_integrity
+from repro.faults.failpoints import FailpointRegistry, SimulatedCrash, installed
 from repro.wal.checkpoint import CheckpointManager
 
 
@@ -245,6 +246,56 @@ class TestConventionalTables:
             assert plain.read(txn, 1)["v"] == "kept"
         # No PTT entries were ever created for the conventional table.
         assert db.tsmgr.stats.ptt_inserts == 0
+
+
+class TestCatalogRecovery:
+    """A DDL statement commits in one forced record carrying the boot page:
+    after a crash inside it, its table is there exactly when that record is
+    durable, and no page id is stranded either way."""
+
+    @pytest.mark.parametrize("ddl, failpoint", [
+        ("create", "engine.save_meta"),   # before the record exists
+        ("create", "log.force"),          # the record synced, not yet acked
+        ("drop", "log.append"),           # the record never appended
+        ("drop", "log.force"),
+    ])
+    def test_crash_inside_ddl(self, db, table, ddl, failpoint):
+        with db.transaction() as txn:
+            for k in range(200):
+                table.insert(txn, {"k": k, "v": "x" * 100})
+        before = db.log.end_lsn
+        registry = FailpointRegistry()
+        registry.crash_on(failpoint)
+        with installed(registry), pytest.raises(SimulatedCrash):
+            if ddl == "create":
+                db.create_table("u", COLS, key="k", immortal=True)
+            else:
+                db.drop_table("t")
+        db.crash()
+        durable = db.log.end_lsn > before   # the statement's one record
+        db.recover()
+        assert ("u" in db.tables) is (durable and ddl == "create")
+        assert ("t" in db.tables) is not (durable and ddl == "drop")
+        assert page_accounting(db).orphans == []
+        assert verify_integrity(db) == []
+        if "t" in db.tables:
+            with db.transaction() as txn:
+                assert len(db.table("t").scan(txn)) == 200
+
+    def test_a_creation_whose_record_was_lost_strands_no_id(self, tmp_path):
+        path = tmp_path / "db.pages"
+        path.write_bytes(bytes(3 * 8192))   # grown, then the log was lost
+        db = ImmortalDB(str(path))
+        assert db.ptt.root_pid == 1
+        assert page_accounting(db).orphans == []
+        db.close()
+
+    def test_enabled_snapshots_survive_a_crash(self, db):
+        db.create_table("p", COLS, key="k")
+        db.enable_snapshot_isolation("p")
+        db.crash()
+        db.recover()
+        assert db.catalog.get("p").snapshot_enabled
 
 
 class TestTidFloor:

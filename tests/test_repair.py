@@ -20,6 +20,7 @@ import random
 import pytest
 
 from repro import ColumnType, ImmortalDB
+from repro.core.catalog import Catalog
 from repro.core.integrity import integrity_report, verify_integrity
 from repro.errors import (
     BufferPoolError,
@@ -365,6 +366,39 @@ class TestRestoreReadsTheLogFile:
         assert Scrubber(db).full_pass() == []
         db.close()
 
+    def test_a_reopened_database_restores_a_page_redo_reads(self, tmp_path):
+        """Redo reads a damaged page before the catalog names the PTT root:
+        the restore leaves the versions it cannot resolve yet unstamped,
+        and restart stamps them once it has the catalog."""
+        path = str(tmp_path / "db.pages")
+        db = ImmortalDB(path, buffer_pages=16, media_recovery=True)
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        rng = random.Random(1)
+        for i in range(300):
+            db.advance_time(10)
+            with db.transaction() as txn:
+                k = rng.randrange(40)
+                row = {"v": "x" * rng.randrange(400)}
+                if table.read(txn, k) is None:
+                    table.insert(txn, {"k": k, **row})
+                else:
+                    table.update(txn, k, row)
+            if i == 150:
+                db.checkpoint(flush=True)
+        dpt = db.buffer.dirty_page_table()
+        db.buffer.flush_all()
+        db.log.device.close()           # killed: no shutdown checkpoint
+        pid = min((p for p in dpt if isinstance(db.buffer.get_page(p), DataPage)),
+                  key=dpt.get)          # the first page redo reads
+        self._damage(db, pid)
+        db.disk.close()
+        db = ImmortalDB(path, buffer_pages=16, media_recovery=True)
+        assert db.stats()["pages_repaired"] == 1
+        assert verify_integrity(db) == []
+        with db.transaction() as txn:
+            assert len(db.table("t").scan(txn)) == 40
+        db.close()
+
     def test_a_damaged_log_frame_quarantines_the_page(self, tmp_path):
         db, pids = self._file_db(tmp_path / "db.pages")
         # A data page: the engine runs on without it (a quarantined PTT
@@ -527,6 +561,47 @@ class TestScrubber:
             scrubber.stats.pages_scanned + scrubber.stats.pages_skipped_dirty
         )
         assert scanned == 3
+
+
+class TestBootPage:
+    """The boot page is a logged page: backup and log restore it, and the
+    staleness probe sees a lost write of it, like any other page's."""
+
+    @staticmethod
+    def _db_with_a_ddl_after_the_backup():
+        db, _, disk, _, _ = build_media_db(0)
+        db.create_table("u", COLS, key="k")      # logs page 0 anew
+        assert db.repair.redo_index.max_lsn_for(0) > \
+            db.repair.backup.image_lsn(0) > 0
+        return db, disk
+
+    def test_a_damaged_boot_page_restores_from_backup_and_log(self):
+        db, disk = self._db_with_a_ddl_after_the_backup()
+        db.buffer.flush_all()
+        good = stored(disk, 0)
+        corrupt(disk, 0, "bitrot")
+        with pytest.raises(ChecksumError):
+            disk.read_page(0)
+        outcome = restore.restore_page(db.repair, 0)
+        assert (outcome.source, outcome.records_replayed) == ("backup", 1)
+        assert stored(disk, 0) == good
+        assert Scrubber(db).full_pass() == []
+
+    def test_a_dropped_boot_page_write_is_found_stale(self):
+        db, disk = self._db_with_a_ddl_after_the_backup()
+        old = stored(disk, 0)
+        # Every attempt of the write-back is dropped, read-back verification
+        # and its retries included: the disk keeps the old, valid image.
+        disk.device.arm("dropped_write", count=disk.retry.max_attempts)
+        db.buffer.flush_all()
+        assert stored(disk, 0) == old
+        db.buffer.discard_all()
+        findings = Scrubber(db).full_pass()
+        assert [(f.page_id, f.kind) for f in findings] == [(0, "stale")]
+        assert decode_page(stored(disk, 0)).lsn == \
+            db.repair.redo_index.max_lsn_for(0)
+        db.buffer.discard_all()
+        assert "u" in Catalog.from_blob(db.buffer.get_page(0).blob).tables
 
 
 class TestQuarantineAndDegradation:

@@ -12,7 +12,7 @@ from repro.storage.disk import PageStore
 from repro.storage.page import DataPage, decode_page
 from repro.storage.record import RecordVersion
 from repro.timestamp.manager import TimestampManager
-from repro.timestamp.ptt import PersistentTimestampTable
+from repro.timestamp.ptt import PersistentTimestampTable, PTTNodePage
 from repro.wal.log import LogManager
 from repro.wal.records import CommitTxn
 
@@ -25,7 +25,8 @@ def env():
             self.buffer = BufferPool(self.disk, capacity=64)
             self.log = LogManager()
             self.clock = SimClock()
-            self.ptt = PersistentTimestampTable(self.buffer, self.log)
+            self.ptt = PersistentTimestampTable(
+                self.buffer, self.log, self.buffer.new_page(PTTNodePage).page_id)
             self.tsmgr = TimestampManager(self.log, self.buffer, self.ptt)
 
         def log_commit(self, tid: int, ts: Timestamp, persistent: bool) -> CommitTxn:
@@ -294,7 +295,9 @@ def four_writers_leaf(env) -> tuple[BTree, DataPage]:
     commit is durable, one whose commit record is still in the group-commit
     buffer, an active one and a snapshot writer (committed, commit not
     durable) — plus one committed before a restart, known only to the PTT."""
-    btree = BTree(env.buffer, env.log, env.clock, table_id=1, immortal=True)
+    root = env.buffer.new_page(lambda pid: DataPage(pid, table_id=1, immortal=True))
+    btree = BTree(env.buffer, env.log, env.clock, table_id=1, immortal=True,
+                  root_pid=root.page_id)
     btree.stamp_page = env.tsmgr.stamp_page_for_split
     page = btree.search_leaf(b"")
     writes = {            # writer -> the keys it wrote, in commit order

@@ -66,7 +66,8 @@ class TestCodec:
 @pytest.fixture
 def index():
     buffer = BufferPool(PageStore(), capacity=512)
-    return TSBHistoryIndex(buffer, table_id=1)
+    return TSBHistoryIndex(
+        buffer, 1, buffer.new_page(TSBIndexPage).page_id)
 
 
 def history_rect(lo: int, hi: int, klo=b"", khi=None) -> Rect:
@@ -174,7 +175,8 @@ class TestPropertyBased:
     )
     def test_search_agrees_with_linear_scan(self, slices, probes):
         buffer = BufferPool(PageStore(), capacity=512)
-        index = TSBHistoryIndex(buffer, table_id=1)
+        index = TSBHistoryIndex(
+            buffer, 1, buffer.new_page(TSBIndexPage).page_id)
         rects = []
         for i in range(slices):
             rect = history_rect(i * 10, (i + 1) * 10)
