@@ -10,9 +10,9 @@ enforced by the table/engine layers:
 3. AS OF historical queries are enabled.
 
 The catalog serializes to JSON inside the boot (meta) page together with the
-PTT root and the next table id.  The boot page is a logged page: every DDL
-statement logs its image in one forced record, and restart redoes it before
-reading the catalog back.
+next table id.  The boot page is a logged page: every DDL statement logs its
+image in one forced record, and restart redoes it before reading the catalog
+back.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class Catalog:
 
     tables: dict[str, TableSchema] = field(default_factory=dict)
     next_table_id: int = 1
-    ptt_root_pid: int = 0
 
     def add_table(self, schema: TableSchema) -> None:
         if schema.name in self.tables:
@@ -122,7 +121,6 @@ class Catalog:
         doc = {
             "format": 1,
             "next_table_id": self.next_table_id,
-            "ptt_root_pid": self.ptt_root_pid,
             "tables": [schema.to_json() for schema in self.tables.values()],
         }
         return json.dumps(doc, separators=(",", ":")).encode("utf-8")
@@ -137,10 +135,7 @@ class Catalog:
             raise CatalogError(f"corrupt catalog blob: {exc}") from exc
         if doc.get("format") != 1:
             raise CatalogError(f"unknown catalog format {doc.get('format')!r}")
-        catalog = cls(
-            next_table_id=doc["next_table_id"],
-            ptt_root_pid=doc["ptt_root_pid"],
-        )
+        catalog = cls(next_table_id=doc["next_table_id"])
         for table_doc in doc["tables"]:
             catalog.add_table(TableSchema.from_json(table_doc))
         return catalog

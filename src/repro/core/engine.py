@@ -38,7 +38,7 @@ from repro.core.table import Table
 from repro.errors import CatalogError, SchemaError, TableNotFoundError
 from repro.faults.failpoints import fire
 from repro.storage.buffer import FLUSH_BATCH, BufferPool
-from repro.storage.constants import META_PAGE_ID
+from repro.storage.constants import META_PAGE_ID, PTT_ROOT_PAGE_ID
 from repro.repair.manager import MediaRecoveryManager
 from repro.storage.device import Device, file_devices
 from repro.storage.disk import PageStore, RetryPolicy
@@ -114,20 +114,18 @@ class ImmortalDB:
         self.key_split_threshold = key_split_threshold
 
         # An empty log is a new database, whose first record logs its boot
-        # page and PTT root; an existing one's catalog (and PTT root, 0
-        # until then) is read by recovery.
+        # page and PTT root; an existing one's catalog is read by recovery.
         fresh = not len(self.log)
         self.catalog = Catalog()
         if fresh:
             # Ids a creation grew the page file by before its record was
-            # lost are named by nothing.
+            # lost are named by nothing; the PTT root takes the smallest.
             self.disk.free_list.update(range(1, self.disk.page_count))
             ptt_root = PTTNodePage(
                 self.disk.allocate(), page_size=self.disk.page_size
             )
-            self.catalog.ptt_root_pid = ptt_root.page_id
         self.ptt = PersistentTimestampTable(
-            self.buffer, self.log, self.catalog.ptt_root_pid
+            self.buffer, self.log, PTT_ROOT_PAGE_ID
         )
         manager_cls = (
             EagerTimestampManager if timestamping == "eager" else TimestampManager
@@ -222,10 +220,6 @@ class ImmortalDB:
         calls this once redo has brought the page up to date)."""
         meta = self.buffer.get_page(META_PAGE_ID)
         self.catalog = Catalog.from_blob(meta.blob)
-        self.ptt = PersistentTimestampTable(
-            self.buffer, self.log, self.catalog.ptt_root_pid
-        )
-        self.tsmgr.ptt = self.ptt
         self.tables.clear()
         self._tables_by_id.clear()
         for schema in self.catalog.tables.values():

@@ -39,6 +39,9 @@ NO_PAGE = 0
 META_PAGE_ID = 0
 """Page id of the database metadata (boot) page."""
 
+PTT_ROOT_PAGE_ID = 1
+"""Page id of the persistent timestamp table's root, which never moves."""
+
 ARCHIVE_PID_BIT = 1 << 31
 """High bit of a 4-byte page id marking an **archive reference**.
 

@@ -601,8 +601,8 @@ register_page_codec(PageType.DATA_HISTORY, DataPage.from_bytes)
 class MetaPage(Page):
     """The boot page (page 0): an opaque, length-prefixed blob.
 
-    The engine stores its durable root information here — catalog, PTT root
-    page id, index roots — serialized by :mod:`repro.core.catalog`.
+    The engine stores its durable root information here — catalog and
+    index roots — serialized by :mod:`repro.core.catalog`.
     """
 
     page_type = PageType.META

@@ -12,9 +12,10 @@ of the table stays cached; garbage collection deletes from the (cold) head.
 
 Two structural choices worth noting:
 
-* **Fixed root page id.**  The boot page names the PTT root; root
-  growth moves the old root's content to a fresh page and turns the root
-  page into an internal node, so the stored id never goes stale.
+* **Fixed root page id.**  The root is page ``PTT_ROOT_PAGE_ID`` (1), the
+  first page a new database allocates; root growth moves the old root's
+  content to a fresh page and turns the root page into an internal node,
+  so the id never goes stale and restart knows it before redo.
 * **Preemptive top-down splitting.**  Full nodes are split on the way down,
   so a split only ever posts to a parent with guaranteed room — no upward
   cascades.
@@ -204,12 +205,8 @@ class PersistentTimestampTable:
     # -- operations ----------------------------------------------------------------
 
     def lookup(self, tid: int) -> Timestamp | None:
-        """Find the timestamp recorded for ``tid``, or None — also while
-        the root is unknown (0), before restart has redone the boot page:
-        a page restored then keeps its versions for later stamping."""
+        """Find the timestamp recorded for ``tid``, or None."""
         self.lookups += 1
-        if not self.root_pid:
-            return None
         leaf = self._find_leaf(tid)
         i = bisect_left(leaf.tids, tid)
         if i < len(leaf.tids) and leaf.tids[i] == tid:

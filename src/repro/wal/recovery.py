@@ -110,10 +110,18 @@ def run_recovery(support: RecoverySupport) -> RecoveryReport:
     :class:`RecoveryReport`."""
     report = RecoveryReport()
     att, dpt, free = _analysis(support, report)
-    support.buffer.disk.free_list = free
-    _redo(support, report, dpt)
-    support.open_catalog()
-    _undo(support, report, att)
+    buffer = support.buffer
+    buffer.disk.free_list = free
+    # A page written back before undo ends stamps nothing: it may hold
+    # versions of a loser, or of a writer whose commit record redo has not
+    # reached yet, and neither is in the VTT.
+    hooks, buffer.pre_flush_hooks = buffer.pre_flush_hooks, []
+    try:
+        _redo(support, report, dpt)
+        support.open_catalog()
+        _undo(support, report, att)
+    finally:
+        buffer.pre_flush_hooks = hooks
     support.log.force()
     return report
 

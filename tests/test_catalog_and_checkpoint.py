@@ -29,12 +29,11 @@ def schema(name="t", table_id=1, **kw) -> TableSchema:
 
 class TestCatalog:
     def test_blob_roundtrip(self):
-        catalog = Catalog(next_table_id=9, ptt_root_pid=2)
+        catalog = Catalog(next_table_id=9)
         catalog.add_table(schema("a", 1, immortal=True, tsb_root_pid=7))
         catalog.add_table(schema("b", 2, snapshot_enabled=True))
         back = Catalog.from_blob(catalog.to_blob())
         assert back.next_table_id == 9
-        assert back.ptt_root_pid == 2
         assert back.get("a").immortal
         assert back.get("a").tsb_root_pid == 7
         assert back.get("b").snapshot_enabled

@@ -99,7 +99,9 @@ database no longer reads page 0 (``disk_reads`` 1 → 0).
 ``engine.save_meta`` is crossed by the two ``create_table`` calls only
 (5 → 2), so ``crossings`` falls by 21 (7,660 → 7,639 and 7,302 → 7,281) and
 its digest moves; both file digests move with the records and with page
-0's LSN.  Every other counter and crossing name is the recording's.
+0's LSN, and again because the catalog no longer names the PTT root (it
+is always page 1).  Every other counter and crossing name is the
+recording's.
 """
 
 from __future__ import annotations
@@ -347,8 +349,8 @@ EXPECTED_TUNED: dict = {
         "txn.groupcommit.enqueue": 813,
         "txn.groupcommit.force": 91
     },
-    "pages_sha256": "0a096ba3d000f97dac330d030ed0e8ef02d0e0145e2e6552c41ce01ea675301f",
-    "log_sha256": "fb5c1dcef8e6d945ca506eb1eb38ad39c217e9135196b9dd7d7e4f03df333acc"
+    "pages_sha256": "921f6d614b557e104e7659adf8d871b688e6e2409065c7057d11cd8a45640874",
+    "log_sha256": "94e3782e63275b456b72ff8a6c8bb7ab63a3c52739cd377b75eaa035417dfbb0"
 }
 
 EXPECTED_PAPER: dict = {

@@ -298,6 +298,47 @@ class TestCatalogRecovery:
         assert db.catalog.get("p").snapshot_enabled
 
 
+class TestReopenUnderPressure:
+    """Reopening a killed database whose dirty page table is larger than
+    the pool: redo writes pages back, and a page may hold versions of a
+    writer that committed before the redo scan (in the PTT only), of one
+    whose commit record redo has not reached yet, or of a loser."""
+
+    def test_redo_write_back_stamps_no_unknown_writer(self, tmp_path):
+        path = str(tmp_path / "db.pages")
+        db = ImmortalDB(path, buffer_pages=64)
+        t = db.create_table("t", COLS, key="k", immortal=True)
+        early = db.begin()
+        t.insert(early, {"k": 1, "v": "early"})
+        db.buffer.flush_all()           # its page is on disk TID-marked
+        db.commit(early)
+        db.buffer.flush_all()           # the PTT leaf too: before redo
+        db.advance_time(10)
+        with db.transaction() as txn:   # re-dirties the page
+            t.insert(txn, {"k": 2, "v": "later"})
+        db.checkpoint(flush=False)
+        w = db.create_table("w", COLS, key="k")
+        for i in range(4):              # ~40 dirty pages, committed
+            db.advance_time(10)
+            with db.transaction() as txn:
+                for k in range(i * 30, i * 30 + 30):
+                    w.insert(txn, {"k": k, "v": "x" * 1500})
+        loser = db.begin()
+        for k in range(200, 230):
+            w.insert(loser, {"k": k, "v": "y" * 1500})
+        with db.transaction() as txn:   # forces the loser's records
+            t.insert(txn, {"k": 3, "v": "last"})
+        db.log.device.close()           # killed: no close()
+        db.disk.close()
+        reopened = ImmortalDB(path, buffer_pages=8)
+        assert reopened.table("t").read_as_of(reopened.now(), 1)["v"] == "early"
+        with reopened.transaction() as txn:
+            assert len(reopened.table("w").scan(txn)) == 120
+        assert verify_integrity(reopened) == []
+        assert page_accounting(reopened).orphans == []
+        reopened.close()
+
+
 class TestTidFloor:
     """A reopened database never hands out a TID the log already names:
     analysis and redo report the largest they read, and the checkpoint's
