@@ -27,6 +27,7 @@ from repro.bench import apply_event
 def _run(gc: bool, transactions: int, checkpoint_every: int) -> dict:
     db, table = fresh_moving_objects_db(immortal=True)
     workload = MovingObjectWorkload(objects=100, seed=5)
+    first_tid = db.txn_mgr.next_tid
     for i, event in enumerate(workload.events(max_events=transactions)):
         apply_event(db, table, event)
         if gc and (i + 1) % checkpoint_every == 0:
@@ -38,14 +39,16 @@ def _run(gc: bool, transactions: int, checkpoint_every: int) -> dict:
         db.checkpoint(flush=True)
         db.checkpoint(flush=True)
 
-    # Cold-cache lookup probe: drop the buffer pool, then resolve a spread
-    # of TIDs through the PTT.  (Pick the probe TIDs *before* discarding
-    # the cache — enumerating entries would warm it back up.)
-    all_tids = [tid for tid, _ in db.ptt.entries()]
-    probe_tids = all_tids[:: max(1, len(all_tids) // 20)] or [1]
+    # Cold-cache lookup probe: drop the buffer pool, then resolve the same
+    # 20 TIDs of the update stream in both runs through the PTT (a TID GC
+    # removed still descends the tree), with the disk head parked on page 0
+    # so both probes start from the same place.
+    stream = range(first_tid, db.txn_mgr.next_tid)
+    probe_tids = stream[:: max(1, len(stream) // 20)][:20]
     db.buffer.flush_all()
     db.buffer.discard_all()
     db.tsmgr.vtt.clear()
+    db.disk.read_page(0)
 
     def probe() -> None:
         for tid in probe_tids:
@@ -91,8 +94,14 @@ def test_abl4_ptt_garbage_collection(benchmark, emit):
     assert with_gc["ptt_entries"] < without_gc["ptt_entries"] * 0.25
     assert with_gc["ptt_pages"] < without_gc["ptt_pages"]
     assert with_gc["gc_deleted"] > 0
-    # Cold lookups touch fewer pages in the compact table.
+    # Cold lookups touch no more pages in the collected table and cost no
+    # more; less where GC kept the tree a level shorter.  GC empties leaves
+    # but does not reclaim them, so at full scale both trees are two levels
+    # and each probe reads the same leaf in both.
     assert with_gc["lookup_reads"] <= without_gc["lookup_reads"]
+    assert with_gc["lookup_sim_ms"] <= without_gc["lookup_sim_ms"]
+    if with_gc["ptt_height"] < without_gc["ptt_height"]:
+        assert with_gc["lookup_sim_ms"] < without_gc["lookup_sim_ms"]
 
     benchmark.pedantic(
         lambda: _run(gc=True, transactions=500, checkpoint_every=100),

@@ -47,6 +47,7 @@ from repro.access.btree import BTree
 from repro.access.tsbtree import TSBHistoryIndex
 
 if TYPE_CHECKING:  # pragma: no cover
+    import datetime as _dt
     from repro.core.engine import ImmortalDB
 
 
@@ -134,13 +135,15 @@ class Table:
                 f"queries are not supported (paper Section 4.1)"
             )
 
-    def _validate_pinned(self, txn: Transaction, ts: Timestamp | None) -> None:
+    def _validate_pinned(
+        self, tid: int, pinned_ts: Timestamp | None, ts: Timestamp | None
+    ) -> None:
         """CURRENT TIME validation: pinned transactions cannot touch data
         committed after their pinned timestamp (see §7.2 extension)."""
-        if txn.pinned_ts is not None and ts is not None and ts > txn.pinned_ts:
+        if pinned_ts is not None and ts is not None and ts > pinned_ts:
             raise TimestampOrderError(
-                f"transaction {txn.tid} answered CURRENT TIME as "
-                f"{txn.pinned_ts} but touched data committed at {ts}; "
+                f"transaction {tid} answered CURRENT TIME as "
+                f"{pinned_ts} but touched data committed at {ts}; "
                 f"it must abort and retry"
             )
 
@@ -153,7 +156,7 @@ class Table:
             return
         head = chain[0]
         if txn.pinned_ts is not None and head.is_timestamped:
-            self._validate_pinned(txn, head.timestamp)
+            self._validate_pinned(txn.tid, txn.pinned_ts, head.timestamp)
         if txn.mode is not TxnMode.SNAPSHOT:
             return
         if not head.is_timestamped:
@@ -356,51 +359,54 @@ class Table:
         latch = self.engine._latch
         latch.acquire()
         try:
-            try:
-                return self._read_at(txn, key, horizon, inclusive)
-            except PageQuarantinedError as exc:
-                return self._degraded_read(txn, key, horizon, inclusive, exc)
+            return self._read_at(key, horizon, inclusive, txn.tid, txn.pinned_ts)
         finally:
             latch.release()
 
     def _read_at(
         self,
-        txn: Transaction,
         key: bytes,
         horizon: Timestamp | None,
         inclusive: bool,
+        own_tid: int | None,
+        pinned_ts: Timestamp | None,
     ) -> dict | None:
-        leaf = self.btree.search_leaf(key)
-        if horizon is not None and self.engine.route_cache is not None \
-                and txn.pinned_ts is None:  # CURRENT TIME validates below
-            return self._read_cached(txn, leaf, key, horizon, inclusive)
-        if horizon is None or horizon >= leaf.split_ts:
-            page: DataPage | None = leaf
-        else:
-            page = self._route(leaf, key, horizon)
-        if page is None:
-            return None
-        chain = page.chain(key)
-        if horizon is None:
-            # Reading triggers lazy timestamping (stage IV).
-            self._stamp_chain(leaf, chain)
-        version = visible_version(
-            chain, horizon=horizon, inclusive=inclusive,
-            resolve=self._resolve, own_tid=txn.tid,
-            stats=self.engine.asof_stats,
-        )
-        if version is None or version.is_delete_stub:
-            return None
-        if txn.pinned_ts is not None and version.is_timestamped:
-            self._validate_pinned(txn, version.timestamp)
-        return self.codec.decode_row(key, version.payload)
+        """``key``'s row at ``horizon`` (None: current) as reader ``own_tid``
+        sees it; a quarantined page degrades the read (:meth:`_degraded_read`)."""
+        try:
+            leaf = self.btree.search_leaf(key)
+            if horizon is not None and self.engine.route_cache is not None \
+                    and pinned_ts is None:  # CURRENT TIME validates below
+                return self._read_cached(leaf, key, horizon, inclusive, own_tid)
+            if horizon is None or horizon >= leaf.split_ts:
+                page: DataPage | None = leaf
+            else:
+                page = self._route(leaf, key, horizon)
+            if page is None:
+                return None
+            chain = page.chain(key)
+            if horizon is None:
+                # Reading triggers lazy timestamping (stage IV).
+                self._stamp_chain(leaf, chain)
+            version = visible_version(
+                chain, horizon=horizon, inclusive=inclusive,
+                resolve=self._resolve, own_tid=own_tid,
+                stats=self.engine.asof_stats,
+            )
+            if version is None or version.is_delete_stub:
+                return None
+            if pinned_ts is not None and version.is_timestamped:
+                self._validate_pinned(own_tid, pinned_ts, version.timestamp)
+            return self.codec.decode_row(key, version.payload)
+        except PageQuarantinedError as exc:
+            return self._degraded_read(key, horizon, inclusive, own_tid, exc)
 
     def _degraded_read(
         self,
-        txn: Transaction,
         key: bytes,
         horizon: Timestamp | None,
         inclusive: bool,
+        own_tid: int | None,
         exc: PageQuarantinedError,
     ):
         """Serve what the quarantine's stale backup image still proves.
@@ -434,7 +440,7 @@ class Table:
                     return None
                 version = visible_version(
                     page.chain(key), horizon=horizon, inclusive=inclusive,
-                    resolve=self._resolve, own_tid=txn.tid,
+                    resolve=self._resolve, own_tid=own_tid,
                     stats=self.engine.asof_stats,
                 )
                 if version is None or version.is_delete_stub:
@@ -444,11 +450,11 @@ class Table:
 
     def _read_cached(
         self,
-        txn: Transaction,
         leaf: DataPage,
         key: bytes,
         horizon: Timestamp,
         inclusive: bool,
+        own_tid: int | None,
     ) -> dict | None:
         """Historical point read through the route cache and the page's view."""
         engine = self.engine
@@ -468,7 +474,7 @@ class Table:
             engine.tsmgr.resolve_many(chain_view.tids(), memo, immortal=self.immortal)
         return visible_row(
             chain_view, key, self.codec, horizon.ttime << 32 | horizon.sn,
-            inclusive, memo, txn.tid, stats,
+            inclusive, memo, own_tid, stats,
         )
 
     def _route_tsb_cached(
@@ -493,13 +499,20 @@ class Table:
         stats.page_reads += 1
         return page
 
-    def read_as_of(self, ts: Timestamp, key_value) -> dict | None:
-        """Convenience: autocommitted AS OF point read."""
-        txn = self.engine.begin(TxnMode.AS_OF, as_of=ts)
+    def read_as_of(
+        self, ts: Timestamp | _dt.datetime | str, key_value
+    ) -> dict | None:
+        """AS OF point read: a lookup, not a transaction — no lock, no TID,
+        nothing to commit; one hold of the engine latch, as :meth:`read`."""
+        ts = self.engine.to_timestamp(ts)
+        self._require_immortal_for_asof()
+        key = self.codec.encode_key(key_value)
+        latch = self.engine._latch
+        latch.acquire()
         try:
-            return self.read(txn, key_value)
+            return self._read_at(key, ts, True, None, None)
         finally:
-            self.engine.commit(txn)
+            latch.release()
 
     def _route(
         self, leaf: DataPage, key: bytes, ts: Timestamp

@@ -94,7 +94,3 @@ class EagerTimestampManager(TimestampManager):
     def on_abort(self, tid: int) -> None:
         self._writes.pop(tid, None)
         super().on_abort(tid)
-
-    def garbage_collect(self, redo_scan_start_lsn: int) -> int:
-        """Eager mode has no PTT entries to collect."""
-        return 0

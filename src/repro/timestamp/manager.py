@@ -337,10 +337,7 @@ class TimestampManager:
         """
         removed = 0
         with self.mutex:
-            for tid, entry in self.vtt.gc_candidates():
-                if entry.done_lsn is None \
-                        or redo_scan_start_lsn <= entry.done_lsn:
-                    continue
+            for tid, entry in self.vtt.pop_done(redo_scan_start_lsn):
                 if entry.persistent and self.ptt.delete(tid):
                     self.stats.ptt_deletes += 1
                     removed += 1

@@ -19,6 +19,7 @@ cannot be deleted").
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from repro.clock import SN_INVALID, Timestamp
 from repro.errors import NotYetCommittedError, UnknownTransactionError
@@ -65,6 +66,9 @@ class VolatileTimestampTable:
 
     def __init__(self) -> None:
         self._entries: dict[int, VTTEntry] = {}
+        # ``(done_lsn, tid)`` of every entry given a done LSN, oldest first:
+        # GC pops what lies below its horizon and skips the stale ones.
+        self._done: list[tuple[int, int]] = []
         # ``vtt.get(tid)`` -> entry or None: the dict's own method, so the
         # probe every stamp and every visibility test makes is one call.
         self.get = self._entries.get
@@ -112,6 +116,7 @@ class VolatileTimestampTable:
         entry.commit_lsn = commit_lsn
         if entry.refcount == 0:
             entry.done_lsn = end_lsn
+            heappush(self._done, (end_lsn, tid))
         return entry
 
     # -- stage IV: a version was stamped ---------------------------------------------
@@ -130,6 +135,7 @@ class VolatileTimestampTable:
         entry.refcount -= 1
         if entry.refcount == 0:
             entry.done_lsn = end_lsn
+            heappush(self._done, (end_lsn, tid))
         return entry.refcount
 
     # -- caching from the PTT ------------------------------------------------------------
@@ -144,16 +150,23 @@ class VolatileTimestampTable:
 
     def drop(self, tid: int) -> None:
         self._entries.pop(tid, None)
+        if len(self._done) > 2 * len(self._entries) + 64:
+            # A dropped entry leaves its pair behind: keep the live ones.
+            self._done = [(e.done_lsn, t) for t, e in self._entries.items()
+                          if e.done_lsn is not None]
+            heapify(self._done)
 
-    def gc_candidates(self) -> list[tuple[int, VTTEntry]]:
-        """Entries whose timestamping is complete (RefCount 0 with a done LSN)."""
-        return [
-            (tid, entry)
-            for tid, entry in self._entries.items()
-            if entry.refcount == 0
-            and entry.done_lsn is not None
-            and entry.ts is not None
-        ]
+    def pop_done(self, horizon: int) -> list[tuple[int, VTTEntry]]:
+        """Committed entries with RefCount 0 and a done LSN below ``horizon``,
+        in TID order, visiting only those (and stale pairs, skipped)."""
+        done, ready = self._done, {}
+        while done and done[0][0] < horizon:
+            done_lsn, tid = heappop(done)
+            entry = self._entries.get(tid)
+            if entry is not None and entry.done_lsn == done_lsn \
+                    and entry.ts is not None:
+                ready[tid] = entry
+        return sorted(ready.items())
 
     def items(self) -> list[tuple[int, VTTEntry]]:
         return list(self._entries.items())
@@ -161,3 +174,4 @@ class VolatileTimestampTable:
     def clear(self) -> None:
         """Crash: the VTT is volatile and simply vanishes."""
         self._entries.clear()
+        self._done.clear()

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from repro import ColumnType, ImmortalDB, Timestamp, TxnMode
+from repro import PROFILES, ColumnType, ImmortalDB, Timestamp, TxnMode
+from repro.workers.interleave import InterleaveScheduler
 
 
 COLS = [("k", ColumnType.INT), ("v", ColumnType.TEXT)]
@@ -205,5 +208,86 @@ class TestTimestampConversion:
         db.advance_time(60_000)
         with db.transaction() as txn:
             table.update(txn, 1, {"v": "y"})
-        with db.transaction(as_of=wall.isoformat()) as txn:
-            assert table.read(txn, 1)["v"] == "x"
+        # read_as_of takes what BEGIN TRAN AS OF takes.
+        for when in (wall.isoformat(), wall, db.to_timestamp(wall)):
+            with db.transaction(as_of=when) as txn:
+                assert table.read(txn, 1)["v"] == "x"
+            assert table.read_as_of(when, 1)["v"] == "x"
+
+
+class TestAsOfLookup:
+    """``read_as_of`` is a lookup: no transaction, no TID, the same answer
+    as a ``BEGIN TRAN AS OF`` bracket."""
+
+    def test_draws_no_tid_and_opens_no_transaction(self):
+        db, table, marks = build_versioned_db(keys=4, rounds=5)
+        next_tid, active = db.txn_mgr.next_tid, dict(db.txn_mgr.active)
+        for mark in marks:
+            for k in range(4):
+                table.read_as_of(mark, k)
+        assert db.txn_mgr.next_tid == next_tid
+        assert db.txn_mgr.active == active
+
+    @pytest.mark.parametrize("config", [
+        {}, PROFILES["tuned"], {"use_tsb_index": True},
+    ], ids=["paper", "tuned", "tsb"])
+    def test_equals_a_begin_as_of_read_for_every_key_and_mark(self, config):
+        rng = random.Random(42)
+        db = ImmortalDB(**dict(config, buffer_pages=32))
+        table = db.create_table("t", COLS, key="k", immortal=True)
+        marks, live = [db.now()], set()
+        for _ in range(150):
+            db.advance_time(rng.uniform(1.0, 50.0))
+            k = rng.randrange(24)
+            with db.transaction() as txn:
+                if k not in live:
+                    table.insert(txn, {"k": k, "v": "v" * rng.randrange(300)})
+                    live.add(k)
+                elif rng.random() < 0.2:
+                    table.delete(txn, k)
+                    live.discard(k)
+                else:
+                    table.update(txn, k, {"v": f"{rng.random()}" * 9})
+            if rng.random() < 0.2:
+                marks.append(db.now())
+        marks.append(db.now())
+        db.advance_time(1.0)
+        answered = 0
+        for mark in marks:
+            for k in range(25):
+                with db.transaction(as_of=mark) as txn:
+                    want = table.read(txn, k)
+                assert table.read_as_of(mark, k) == want, (mark, k)
+                answered += want is not None
+        assert answered
+
+    def test_concurrent_read_between_an_update_and_its_commit(self):
+        db, table, marks = build_versioned_db(keys=2, rounds=2)
+        db.advance_time(100)
+        before = db.now()
+        db.advance_time(100)
+        old = table.read_as_of(before, 1)["v"]
+        seen = {}
+
+        def writer(ctx):
+            txn = db.begin()
+            table.update(txn, 1, {"v": "new"})
+            ctx.pause(to="reader")          # updated, not yet committed
+            db.commit(txn)
+
+        def reader(ctx):
+            seen["before"] = table.read_as_of(before, 1)["v"]
+            seen["now"] = table.read_as_of(db.now(), 1)["v"]
+            seen["active"] = len(db.txn_mgr.active)
+            ctx.pause(to="writer")
+
+        sched = InterleaveScheduler(db)
+        sched.spawn("writer", writer)
+        sched.spawn("reader", reader)
+        sched.run()
+        # Neither read waited on the writer's lock or saw its version.
+        assert seen == {"before": old, "now": old, "active": 1}
+        assert sched.trace[:3] == ["run writer", "pause writer", "run reader"]
+        db.advance_time(100)
+        assert table.read_as_of(db.now(), 1)["v"] == "new"
+        assert table.read_as_of(before, 1)["v"] == old

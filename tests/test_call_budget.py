@@ -48,8 +48,10 @@ KEY_SPLIT_BUDGET = 217    # begin + insert + key split + commit: 202 (197; 365)
 # pass, one classifying walk and one bulk build per page (463 while the
 # split walked the page four times and installed it a chain at a time):
 TIME_SPLIT_BUDGET = 358   # begin + update + time split + commit: 331 (325)
-# The tuned read path (route cache + lazy chain views), everything warm:
-ASOF_READ_BUDGET = 34   # read_as_of of one key: 31 (44; 57 before chain views)
+# The tuned read path (route cache + lazy chain views), everything warm.
+# An AS OF point read is a lookup under the engine latch since it stopped
+# beginning and committing a transaction (31 while it drew a TID):
+ASOF_READ_BUDGET = 22   # read_as_of of one key: 20 (31; 44; 57 before chain views)
 # history() of a key with 20 versions: 201 (237; 572).  Every page of this
 # chain holds one of the key's versions natively, so the walk skips none.
 HISTORY_BUDGET = 221
@@ -75,7 +77,7 @@ SCRUB_PAGE_BUDGET = 156   # a clean step of 4 pages, per page scanned: 142
 SERVICE_READ_BUDGET = 78      # point SELECT: 71 (84)
 SERVICE_UPDATE_BUDGET = 168   # keyed UPDATE: 158 (153; 197)
 SERVICE_RANGE_BUDGET = 302    # 20-row range SELECT: 275 (285)
-SERVICE_ASOF_BUDGET = 77      # AS OF point SELECT: 70 (81)
+SERVICE_ASOF_BUDGET = 63      # AS OF point SELECT: 57 (70 as a transaction; 81)
 
 KEYS = 200
 SAMPLES = 50

@@ -230,6 +230,8 @@ class TestAsOfRequiresImmortal:
         with pytest.raises(SQLExecutionError):
             table.read(historical, 1)
         db.commit(historical)
+        with pytest.raises(SQLExecutionError):
+            table.read_as_of(db.now(), 1)
 
     def test_history_rejected_on_conventional_table(self, db):
         from repro.errors import SQLExecutionError

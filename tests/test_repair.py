@@ -620,6 +620,22 @@ class TestQuarantineAndDegradation:
         assert pid in db.repair.quarantine
         assert db.repair.stats.degraded_reads >= 1
 
+    def test_asof_read_past_a_quarantined_page_degrades(self):
+        db, table, disk, expected, _ = build_media_db(2)
+        db.repair.auto_repair = False
+        key = next(iter(expected))
+        pid = table.btree.search_leaf(table.codec.encode_key(key)).page_id
+        db.buffer.discard_all()
+        corrupt(disk, pid, "garbage")
+        next_tid = db.txn_mgr.next_tid
+        # A horizon past the backup image's start: the image cannot vouch.
+        result = table.read_as_of(db.now(), key)
+        assert isinstance(result, Degraded)
+        assert not result
+        assert result.page_id == pid
+        assert pid in db.repair.quarantine
+        assert db.txn_mgr.next_tid == next_tid   # a lookup, degraded or not
+
     def test_explicit_repair_releases_quarantine(self):
         db, table, disk, expected, _ = build_media_db(2)
         db.repair.auto_repair = False
