@@ -21,6 +21,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.storage.framing import HEADER
+
+MODEL_FRAME_BYTES = 4
+"""What the 2005 model prices per log record besides its codec bytes: a
+4-byte length.  The log's own frame (length + CRC32) is wider; the price
+of a record does not follow it."""
+
 
 @dataclass(frozen=True)
 class CostModel:
@@ -62,9 +69,14 @@ class CostModel:
         )
         # Full page images in the log are a simulator artifact: real
         # engines log splits physiologically.  Price image records by
-        # count, and exclude their bytes from log bandwidth.
-        effective_log_bytes = delta.get("log_bytes", 0) - delta.get(
-            "log_image_bytes", 0
+        # count, and exclude their bytes from log bandwidth.  Every other
+        # record is its codec bytes in the model's frame, not the log's.
+        plain_records = delta.get("log_appends", 0) - delta.get(
+            "log_image_records", 0
+        )
+        effective_log_bytes = (
+            delta.get("log_bytes", 0) - delta.get("log_image_bytes", 0)
+            - (HEADER.size - MODEL_FRAME_BYTES) * plain_records
         )
         return (
             delta.get("log_forces", 0) * self.log_force_ms

@@ -47,6 +47,7 @@ from repro.errors import (
     TransactionStateError,
 )
 from repro.faults.failpoints import fire
+from repro.wal.log import LogManager
 
 
 class Shard:
@@ -282,7 +283,11 @@ class ShardRouter:
         self.boundaries = list(boundaries)
         self.clock = clock or SimClock(ms_per_timestamp=ms_per_commit)
         self.authority = CommitTimestampAuthority(self.clock)
-        self.coordinator = TwoPhaseCoordinator()
+        # The decision log opens from the engines' device opener, so it is
+        # on whatever device theirs are (memory when none is given).
+        devices = engine_kwargs.get("devices", lambda name: None)
+        self.coordinator = TwoPhaseCoordinator(
+            LogManager(devices("log"), devices("master")))
         self.shards: list[Shard] = []
         for shard_id in range(shards):
             db = ImmortalDB(clock=self.clock, **engine_kwargs)

@@ -47,7 +47,6 @@ from repro.timestamp.eager import EagerTimestampManager
 from repro.timestamp.manager import TimestampManager
 from repro.timestamp.ptt import PersistentTimestampTable, PTTNodePage
 from repro.wal.checkpoint import CheckpointManager
-from repro.wal.filelog import FileLogManager
 from repro.wal.log import LogManager, log_smo
 from repro.wal.recovery import RecoveryReport, run_recovery
 from repro.wal.records import SMOReason
@@ -99,11 +98,7 @@ class ImmortalDB:
             devices = file_devices(str(path)) if path else lambda name: None
         self.disk = PageStore(devices("pages"))
         self.clock = clock or SimClock(ms_per_timestamp=ms_per_commit)
-        log_device = devices("log")
-        self.log: LogManager = (
-            FileLogManager(log_device, devices("master"))
-            if log_device is not None else LogManager()
-        )
+        self.log = LogManager(devices("log"), devices("master"))
         # 2Q eviction and batched write-back (DESIGN.md "Buffer
         # management"); ``read_ahead`` prefetches past sequential misses.
         self.buffer = BufferPool(self.disk, buffer_pages, read_ahead=read_ahead)

@@ -175,17 +175,17 @@ class Rig:
 
 def build(config: CrashTestConfig) -> Rig:
     """A fresh system with the harness table (nothing armed), every device
-    in the power-loss model: files, or memory and the in-memory log."""
+    — pages, log, master record, archive, a cluster's decision log — in
+    the power-loss model, on files or in memory."""
     engine = dict(PROFILES[config.profile], buffer_pages=config.buffer_pages)
     tmp = tempfile.TemporaryDirectory() if config.file else None
     files = tmp and file_devices(f"{tmp.name}/db.pages")
     devices: list[FaultyDevice] = []
 
-    def open_device(name: str) -> FaultyDevice | None:
-        if files or name not in ("log", "master"):
-            devices.append(FaultyDevice(
-                files(name) if files else MemoryDevice(), seed=config.seed))
-            return devices[-1]
+    def open_device(name: str) -> FaultyDevice:
+        devices.append(FaultyDevice(
+            files(name) if files else MemoryDevice(), seed=config.seed))
+        return devices[-1]
     engine["devices"] = open_device
     if config.archive:
         # A ~500 ms horizon (25 ticks) with the workload's 5-250 ms time

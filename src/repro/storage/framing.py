@@ -1,7 +1,7 @@
 """The one frame: ``length(4) | crc32(4) | payload``, big-endian.
 
-Three byte sequences in this repo are runs of these frames: the file WAL
-(:mod:`repro.wal.filelog`, a frame per log record, addressed by file
+Three byte sequences in this repo are runs of these frames: the WAL
+(:mod:`repro.wal.log`, a frame per log record, addressed by device
 offset inside zero-filled extents), the archive store
 (:mod:`repro.archive.store`, a frame per archived page, addressed
 by position and truncated to its clean prefix on open) and the service's

@@ -1,27 +1,55 @@
 """The log manager: append, force, scan, and crash semantics.
 
-LSNs are byte offsets.  Appending a record assigns it the current end of
-log; the record's durable image is its codec bytes framed by a 4-byte
-length, so log-size accounting matches what a real log file would grow by
-(this feeds the benchmark cost model: the paper's eager-vs-lazy argument is
+There is one log, and its device is the log (the paper's recovery argument,
+§2.2): a file for a database on disk, a ``MemoryDevice`` otherwise, and
+both take the same path through this class — frames, writes, failpoints.
+
+LSNs are device offsets.  Appending a record assigns it the current end of
+log; its image is :mod:`repro.storage.framing`'s ``length(4) + crc32(4) +
+record bytes``, so log-size accounting is what the device grows by (this
+feeds the benchmark cost model: the paper's eager-vs-lazy argument is
 partly "extra log operations reduce system throughput").
 
+* Appends stay in memory (the *tail*) until a force, whose *sync* stage
+  frames them, writes them at their LSN, hands them over to the device and
+  syncs; ``flushed_lsn`` only ever advances over synced frames.  A written
+  record is held once, by the device.
+* Every reader reads a written record back from the device, a chunk at a
+  time, each frame's CRC32 checked (damage raises ``LogFormatError``).
+* The device grows in zero-filled extents of :data:`EXTENT_BYTES`, ahead
+  of the log, so a force overwrites bytes the device already has: it
+  changes no size and allocates nothing, and ``fdatasync`` has no metadata
+  to commit.  Everything past the end of the log is zero (the *zero-tail
+  invariant*); a log written before extents existed opens the same.
+* The master checkpoint LSN lives on a small side device, replaced
+  atomically (the "durable master record" a real engine keeps in the log
+  header).
+* Opening scans the device for its clean prefix, stopping at the first
+  frame whose length is zero or implausible, whose CRC32 mismatches, or
+  whose bytes fail to decode, and zeroes every non-zero byte past it: a
+  frame that landed behind a torn one must not come back to life when
+  later, shorter appends end where it starts.
+
 Durability model: :meth:`force` makes the record at an LSN, and every
-record before it, durable; :meth:`crash` discards everything after the
-durable prefix (the file-backed log then reloads what its device kept).  Commit forces
-the log (the dominant latency of a small transaction on 2005 hardware —
-this is what makes the paper's 9.6 ms baseline).
+record before it, durable; :meth:`crash` loses the tail and loads again
+what the device kept.  Commit forces the log (the dominant latency of a
+small transaction on 2005 hardware — this is what makes the paper's
+9.6 ms baseline).
 """
 
 from __future__ import annotations
 
+import os
 import threading
+import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from repro.errors import WALError
+from repro.errors import LogFormatError, WALError
 from repro.faults.failpoints import fire
+from repro.storage.device import Device, FileDevice, MemoryDevice
+from repro.storage.framing import CHUNK_BYTES, HEADER as _FRAME, scan_chunks
 from repro.wal.records import LogRecord, MultiPageImage, SMOReason
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -44,31 +72,48 @@ class LogStats:
     # forces is the average batch a group-committed force amortizes.
 
 
+EXTENT_BYTES = 256 * 1024
+"""The device grows by whole zero-filled extents of this size.
+
+Zero-*filled*, not merely allocated: a write into an allocated-but-unwritten
+extent still journals the extent's conversion, which is the cost this
+avoids.  The zeros reach the device with the first force into the extent.
+"""
+
+_ZEROS = bytes(32 * 1024)     # written in pieces: no extent-sized buffer
+
+
+def _decodes(raw: bytes) -> bool:
+    """The load scan's test of a frame the CRC passed: is it a log record?"""
+    try:
+        LogRecord.decode(raw)
+    except LogFormatError:
+        return False
+    return True
+
+
 class LogManager:
-    """An append-only log with an explicit durable prefix."""
+    """An append-only log whose durable prefix lives on ``device`` and whose
+    master record on ``master`` (memory when not given); a path opens both
+    as files, the master's at ``<path>.master``."""
 
     HEADER_BYTES = 16
     """The log starts past a pseudo file header, so no record has LSN 0 —
     LSN 0 stays free as the "no record / never written" sentinel used by
     fresh pages and by ``prev_lsn`` backchain ends."""
 
-    FRAME_BYTES = 4
-    """Framing overhead per record: a 4-byte length prefix.  The file-backed
-    subclass widens this to add a per-frame CRC32."""
+    FRAME_BYTES = _FRAME.size
+    """Framing overhead per record (length + CRC32): LSN arithmetic is
+    device offsets."""
 
-    def __init__(self) -> None:
-        # The tail: records no device holds, oldest first (in memory, the
-        # whole log).  The device holds the rest, up to ``_written_lsn``.
+    def __init__(
+        self, device: Device | str | os.PathLike | None = None,
+        master: Device | None = None,
+    ) -> None:
+        # The tail: records no device holds yet, oldest first.  The device
+        # holds the rest, up to ``_written_lsn``.
         self._lsns: list[int] = []      # start offset of each tail record
         self._raws: list[bytes] = []    # codec bytes of each tail record
-        self._written_lsn = self.HEADER_BYTES
-        self._written_records = 0       # how many records the device holds
-        # Read-only for everyone else: the offset just past the last
-        # appended record ("LSN of end of log"), and the end of the durable
-        # prefix.
-        self.end_lsn = self.HEADER_BYTES
-        self.flushed_lsn = self.HEADER_BYTES
-        self._master_checkpoint_lsn = 0  # durable master record (tiny side write)
         self.stats = LogStats()
         # Run after every *physical* force, once flushed_lsn has advanced.
         # Group commit drains its acknowledgement queue here, so any force —
@@ -83,7 +128,48 @@ class LogManager:
         # while a force is in flight.  Concurrent mode makes it a FIFO
         # ReentrantLatch the interleaving harness can replay.
         self.force_order = threading.RLock()
-        self._synced_lsn = self.HEADER_BYTES   # durable, not yet published
+        if isinstance(device, (str, os.PathLike)):
+            path = os.fspath(device)
+            device, master = FileDevice(path), FileDevice(path + ".master")
+        self.device = MemoryDevice() if device is None else device
+        self.master = MemoryDevice() if master is None else master
+        self.path = getattr(self.device, "path", "log")
+        try:
+            self._open()
+        except BaseException:
+            self.device.close()
+            raise
+
+    # -- loading ---------------------------------------------------------------
+
+    def _open(self) -> None:
+        """Load what the device holds: its clean prefix and the master.  A
+        crash runs this again (:meth:`crash`).  Sets ``end_lsn`` (the offset
+        just past the last appended record, "LSN of end of log") and
+        ``flushed_lsn`` (the end of the durable prefix), read-only for
+        everyone else."""
+        if not self.device.size:
+            self._reserved = 0
+            self._reserve(self.HEADER_BYTES)
+        read, size = self.device.read, self.device.size
+        if size < self.HEADER_BYTES:
+            raise WALError(f"{self.path}: shorter than the log header")
+        end, count = self.HEADER_BYTES, 0
+        for lsn, raw in scan_chunks(read, end, size, _decodes):
+            end, count = lsn + self.FRAME_BYTES + len(raw), count + 1
+        # ``_synced_lsn``: durable, not yet published by a force's finish.
+        self.end_lsn = self._synced_lsn = self.flushed_lsn = end
+        self._written_lsn, self._written_records = end, count
+        self._reserved = size
+        zeros = bytes(CHUNK_BYTES)      # compared, not stripped: a memcmp
+        if any(read(CHUNK_BYTES, at) != zeros[: size - at]
+               for at in range(end, size, CHUNK_BYTES)):
+            # Restore the zero tail now, durably, before any append can
+            # line up with a stale frame in it.
+            self._zero(end, size - end)
+            self.device.sync()
+        master = int.from_bytes(self.master.read(8, 0), "big")
+        self._master_checkpoint_lsn = master if master < self.flushed_lsn else 0
 
     # -- appending ---------------------------------------------------------
 
@@ -165,13 +251,44 @@ class LogManager:
                 for hook in self.post_force_hooks:
                     hook()
 
+    def _zero(self, offset: int, length: int) -> None:
+        for at in range(offset, offset + length, len(_ZEROS)):
+            self.device.write(_ZEROS[: offset + length - at], at)
+
+    def _reserve(self, upto: int) -> None:
+        """Zero-fill whole extents until the device covers ``[0, upto)``."""
+        if upto > self._reserved:
+            grow = -(-(upto - self._reserved) // EXTENT_BYTES) * EXTENT_BYTES
+            self._zero(self._reserved, grow)
+            self._reserved += grow
+
     def _write_out(self) -> int:
         """Put the unsynced suffix on the device; returns the LSN it ends at.
-
-        The in-memory log has no device; the file-backed subclass writes
-        and fsyncs here.  Called with the force-order lock held.
-        """
-        return self.end_lsn
+        Called with the force-order lock held."""
+        with self.mutex:
+            unwritten = list(self._raws)
+            upto = self.end_lsn
+        if unwritten:
+            crc32 = zlib.crc32
+            data = b"".join(
+                [_FRAME.pack(len(raw), crc32(raw)) + raw for raw in unwritten]
+            )
+            fire("filelog.write")
+            self._reserve(upto)
+            # Positional: a write that failed part-way is overwritten in
+            # place by the retry, so device offsets keep matching LSNs.
+            self.device.write(data, upto - len(data))
+            # The hand-over, only once written (a failed write leaves its
+            # records for the next force): from here on the device has them.
+            count = len(unwritten)
+            with self.mutex:
+                del self._lsns[:count]
+                del self._raws[:count]
+                self._written_lsn = upto
+                self._written_records += count
+        fire("filelog.fsync")
+        self.device.sync()
+        return upto
 
     # -- master record ---------------------------------------------------------
 
@@ -180,6 +297,7 @@ class LogManager:
         if lsn >= self.flushed_lsn:
             raise WALError("checkpoint LSN must be durable before the master record")
         self._master_checkpoint_lsn = lsn
+        self.master.replace(lsn.to_bytes(8, "big"))
 
     @property
     def master_checkpoint_lsn(self) -> int:
@@ -232,24 +350,24 @@ class LogManager:
             yield from self._read_device(lsn, min(written, end))
             lsn = written
 
-    def _read_device(self, lsn, upto):      # the in-memory log has none
-        return iter(())
+    def _read_device(self, lsn, upto):
+        stop = yield from scan_chunks(self.device.read, lsn, upto)
+        if stop < upto:     # at a frame the scan distrusts, inside the log
+            raise LogFormatError(f"{self.path}: damaged log frame at LSN {stop}")
 
-    # -- crash simulation --------------------------------------------------------------
+    # -- crash simulation and close ----------------------------------------------------
 
     def crash(self) -> None:
-        """Lose the unforced tail; a device-backed log reloads its device."""
-        keep = bisect_left(self._lsns, self.flushed_lsn)
-        del self._lsns[keep:]
-        del self._raws[keep:]
-        self.end_lsn = self._synced_lsn = self.flushed_lsn
+        """Lose the tail and load again what the device kept."""
+        self._lsns.clear()
+        self._raws.clear()
         self._open()
 
-    def _open(self) -> None:
-        """Load the device (the in-memory log keeps its forced prefix)."""
-
     def close(self) -> None:
-        """Release the device (the in-memory log has none)."""
+        """Force the tail and release the devices (idempotent)."""
+        self.force()
+        self.device.close()
+        self.master.close()
 
     def __len__(self) -> int:
         return self._written_records + len(self._lsns)

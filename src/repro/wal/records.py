@@ -1,8 +1,8 @@
 """Log record vocabulary and binary codecs.
 
 Every record serializes as ``tag(1) | tid(8) | prev_lsn(8) | body`` — the
-log manager frames each record with a 4-byte length, and the LSN of a record
-is its byte offset in the log, so LSN arithmetic matches a real log file.
+log manager frames each record with its length and CRC32 (8 bytes), and the
+LSN of a record is its byte offset on the log's device.
 
 ``prev_lsn`` threads the per-transaction backchain used by the undo pass
 (0 = no previous record for this transaction).  System records (checkpoints,

@@ -7,7 +7,12 @@ import os
 
 import pytest
 
-from repro.bench.costmodel import COST_2005, CostModel, stats_delta
+from repro.bench.costmodel import (
+    COST_2005,
+    MODEL_FRAME_BYTES,
+    CostModel,
+    stats_delta,
+)
 from repro.bench.harness import (
     apply_event,
     fresh_moving_objects_db,
@@ -15,6 +20,7 @@ from repro.bench.harness import (
     run_moving_object_stream,
 )
 from repro.bench.reporting import format_table, save_results
+from repro.storage.framing import HEADER
 from repro.workloads.moving_objects import MovingObjectEvent
 
 
@@ -54,6 +60,24 @@ class TestCostModel:
         })
         without = COST_2005.simulated_ms({"log_bytes": 10_000})
         assert with_images < without
+
+    def test_log_bytes_are_priced_in_the_models_frame(self):
+        """A plain record costs its codec bytes plus a 4-byte length,
+        whatever the log's own frame is; image records stay priced by
+        count."""
+        plain, image_records, codec, image = 98, 2, 30, 8_000
+        image_bytes = image_records * (HEADER.size + image)
+        delta = {
+            "log_appends": plain + image_records,
+            "log_image_records": image_records,
+            "log_bytes": plain * (HEADER.size + codec) + image_bytes,
+            "log_image_bytes": image_bytes,
+        }
+        assert COST_2005.simulated_ms(delta) == pytest.approx(
+            plain * (MODEL_FRAME_BYTES + codec) * COST_2005.log_byte_ms
+            + image_records * COST_2005.smo_log_ms
+        )
+        assert MODEL_FRAME_BYTES == 4
 
     def test_model_is_configurable(self):
         expensive = CostModel(log_force_ms=100.0)

@@ -354,10 +354,11 @@ class TestFileBacked:
     FILE = dataclasses.replace(SMALL, file=True)
 
     def test_filelog_crossings_join_the_sweep(self):
+        """One log: on files or in memory, a force writes and syncs its
+        device, so both sweeps cross the same names in the same order."""
         names = enumerate_crossings(self.FILE)
         assert {"filelog.write", "filelog.fsync"} <= set(names)
-        assert [n for n in names if not n.startswith("filelog.")] \
-            == enumerate_crossings(SMALL)
+        assert names == enumerate_crossings(SMALL)
 
     @pytest.mark.parametrize("archive", [False, True])
     def test_crashes_inside_the_file_force_recover_from_the_file(
@@ -445,6 +446,21 @@ class TestPowerLoss:
 
         monkeypatch.setattr(CheckpointManager, "take", take_without_sync)
         assert not explore(self.TUNED_FILE, max_points=60).ok
+
+    @pytest.mark.parametrize("shards", [0, 2])
+    def test_every_log_is_on_a_device_that_loses_power(self, shards):
+        """In memory too, each engine's log and master record, and a
+        cluster's 2PC decision log, are devices the rig opened."""
+        rig = build(dataclasses.replace(SMALL, shards=shards))
+        try:
+            logs = [db.log for db in rig.engines]
+            if shards:
+                logs.append(rig.db.coordinator.log)
+            opened = {id(device) for device in rig.devices}
+            assert all({id(log.device), id(log.master)} <= opened
+                       for log in logs)
+        finally:
+            rig.close()
 
 
 def _crossing_of(names: list[str], name: str, hit: int) -> int:

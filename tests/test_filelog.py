@@ -862,7 +862,7 @@ def eight_mib_log(tmp_path_factory):
 
 
 class TestMemoryBound:
-    """What a file-backed log holds does not grow with the log."""
+    """What a log holds does not grow with the log."""
 
     def test_written_records_leave_nothing_resident(self, eight_mib_log):
         _, _, resident = eight_mib_log
@@ -879,6 +879,23 @@ class TestMemoryBound:
         assert len(log) == records
         log.close()
         assert peak < 1 << 20
+
+    def test_the_memory_log_holds_each_record_once(self):
+        """The default log is the same log on a ``MemoryDevice``: a written
+        record is in the device's image only, with no ``bytes`` or boxed
+        LSN of its own beside it."""
+        tracemalloc.start()
+        try:
+            log = LogManager()
+            for tid in range(1, 8001):
+                log.append(BeginTxn(tid=tid))
+                if tid % 64 == 0:
+                    log.force()
+            traced = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(log) == 8000 and log.flushed_lsn == log.end_lsn
+        assert traced <= log.end_lsn + EXTENT_BYTES + 64 * 1024
 
     @staticmethod
     def _traced_after_eight_mib(path, media_recovery: bool) -> int:

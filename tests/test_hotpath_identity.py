@@ -108,6 +108,17 @@ And once for the tuned case's two file digests alone: an AS OF point read
 transaction of the workload has a lower TID, and the TIDs its log records
 and TID-marked versions carry move.  Every counter, every crossing and the
 whole ``paper`` case are the recording's.
+
+And once for the ``paper`` case's log alone: the in-memory log became the
+file's log on a ``MemoryDevice`` — one log class, one frame.  Each record's
+frame is the file's ``length + crc32`` (8 bytes) where the in-memory log
+used a 4-byte length, so ``log_bytes`` +13,832 (4 bytes × 3,458 records),
+``log_forced_bytes`` +10,656 (× 2,664 forced by the workload) and
+``log_image_bytes`` +184 (× 46).  Each of the 818 forces now writes and
+syncs the device, crossing ``filelog.write`` and ``filelog.fsync``:
+``crossings`` 7,639 → 9,275 and its digest.  Every other counter and
+crossing name, and the whole ``tuned`` case (already on this path), are
+the recording's.
 """
 
 from __future__ import annotations
@@ -366,11 +377,11 @@ EXPECTED_PAPER: dict = {
         "disk_sequential_reads": 0,
         "disk_sequential_writes": 41,
         "log_appends": 3458,
-        "log_bytes": 1012153,
+        "log_bytes": 1025985,
         "log_forces": 819,
-        "log_forced_bytes": 985951,
+        "log_forced_bytes": 996607,
         "log_image_records": 46,
-        "log_image_bytes": 771939,
+        "log_image_bytes": 772123,
         "group_commit_acks": 0,
         "buffer_hits": 9652,
         "buffer_misses": 0,
@@ -429,8 +440,8 @@ EXPECTED_PAPER: dict = {
         "deadlocks_detected": 0,
         "txn_retries": 0
     },
-    "crossings": 7639,
-    "crossings_sha256": "b22bcf3d8d749650729f61d0655bdad3e1fed6a31b33927be9b2656c66ceabc7",
+    "crossings": 9275,
+    "crossings_sha256": "092c99ed951e9941d0eddf670d8fc4c66390763331b56d99b50008a6f5fb4af1",
     "crossing_names": {
         "buffer.flushbatch.done": 6,
         "buffer.flushbatch.submit": 6,
@@ -442,6 +453,8 @@ EXPECTED_PAPER: dict = {
         "checkpoint.master": 3,
         "disk.write_page": 42,
         "engine.save_meta": 2,
+        "filelog.fsync": 818,
+        "filelog.write": 818,
         "log.append": 3457,
         "log.force": 818,
         "txn.abort.begin": 1,
